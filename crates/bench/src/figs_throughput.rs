@@ -20,10 +20,12 @@
 //! column is NaN and serializes as `null`.
 //!
 //! `figures -- throughput` writes `BENCH_throughput.json`. The
-//! committed copy at the repo root keeps the pre-refactor rows
-//! (`post_refactor = 0`) alongside regenerated ones so the
-//! before/after stays recorded; a fresh run emits only current-tree
-//! rows.
+//! committed copy at the repo root is a trajectory: the pre-refactor
+//! rows (`post_refactor = 0`), then one pair of rows per PR that moved
+//! the figure, oldest first (PR 7: 11.0 allocations/request; PR 12:
+//! 5.0, on a different box — compare QPS only within a pair). The
+//! allocation guard reads the last row. A fresh run emits only
+//! current-tree rows; append them by hand when committing.
 //! `HEDGE_THROUGHPUT_QUERIES=<n>` shrinks the run for CI smoke, and
 //! `HEDGE_ALLOC_BASELINE=<path>` makes the run fail if
 //! allocations/request regress past the committed baseline (the CI

@@ -2,29 +2,51 @@
 //! workspace uses (see `crates/compat/README.md`).
 //!
 //! [`Bytes`] is a cheaply-clonable immutable byte buffer: a refcounted
-//! `(Arc<Vec<u8>>, start, end)` **view**, so sub-slicing
-//! ([`Bytes::slice`]) and [`BytesMut::freeze`] are O(1) and share the
-//! underlying allocation — the property the zero-copy RESP codec is
-//! built on (command/reply payloads are views into the frozen
-//! connection read buffer; see `kvstore::resp`). Views pin their whole
-//! backing buffer; [`Bytes::detach`] makes a compact private copy at
-//! retention boundaries (e.g. a store inserting a key it will keep).
+//! **view** `(backing, start, end)`. Either way of making one costs
+//! exactly one heap allocation. From a *slice*
+//! ([`Bytes::copy_from_slice`], `From<&[u8]>`) the bytes are copied
+//! into the `Arc`'s own block, refcounts and payload together — the
+//! RESP codec makes one of these per decoded bulk string (see
+//! `kvstore::resp`). From an *owned* `Vec<u8>` (or
+//! [`BytesMut::freeze`]) the vector is adopted as it is, uncopied,
+//! behind an `Arc`. Sub-slicing ([`Bytes::slice`]) is O(1) and shares
+//! the backing. Views pin their whole backing buffer;
+//! [`Bytes::detach`] makes a compact private copy at retention
+//! boundaries (e.g. a store inserting a key it will keep).
 //!
 //! [`BytesMut`] is a growable buffer with an O(1) front cursor:
 //! `advance`/`split_to` move a read offset instead of memmoving the
-//! tail, and `freeze` hands the backing `Vec` to an `Arc` without
-//! copying. Spent front capacity is reclaimed on `extend_from_slice`
-//! once it dominates the buffer.
+//! tail, and `freeze` hands the backing `Vec` over without copying.
+//! Spent front capacity is reclaimed on `extend_from_slice` once it
+//! dominates the buffer.
 
 #![forbid(unsafe_code)]
 
 use std::ops::{Bound, Deref, DerefMut, RangeBounds};
 use std::sync::Arc;
 
+/// What a [`Bytes`] views. Chosen by how it was made, so neither
+/// constructor pays for the other: a slice is copied once into the
+/// `Arc`'s own block; an owned `Vec` is adopted without a copy.
+#[derive(Clone)]
+enum Backing {
+    Inline(Arc<[u8]>),
+    Adopted(Arc<Vec<u8>>),
+}
+
+impl Backing {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Backing::Inline(b) => b,
+            Backing::Adopted(v) => v,
+        }
+    }
+}
+
 /// A cheaply clonable, immutable view into a shared byte buffer.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<Vec<u8>>,
+    data: Backing,
     start: usize,
     end: usize,
 }
@@ -41,9 +63,14 @@ impl Bytes {
         Bytes::copy_from_slice(bytes)
     }
 
-    /// Copies a slice into a new buffer.
+    /// Copies a slice into a new buffer: one allocation holding the
+    /// refcounts and the bytes together.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes::from(data.to_vec())
+        Bytes {
+            data: Backing::Inline(Arc::from(data)),
+            start: 0,
+            end: data.len(),
+        }
     }
 
     /// An O(1) sub-view sharing this buffer's allocation. The range is
@@ -68,7 +95,7 @@ impl Bytes {
             "slice out of bounds: {begin}..{end} of {len}"
         );
         Bytes {
-            data: Arc::clone(&self.data),
+            data: self.data.clone(),
             start: self.start + begin,
             end: self.start + end,
         }
@@ -79,7 +106,7 @@ impl Bytes {
     /// must not keep the whole network frame alive); a cheap refcount
     /// clone when the view already spans its entire backing buffer.
     pub fn detach(&self) -> Bytes {
-        if self.start == 0 && self.end == self.data.len() {
+        if self.start == 0 && self.end == self.data.bytes().len() {
             self.clone()
         } else {
             Bytes::copy_from_slice(self)
@@ -91,9 +118,9 @@ impl Default for Bytes {
     fn default() -> Self {
         // All empty `Bytes` share one static backing allocation, so
         // `Bytes::new()` is allocation-free on hot validation paths.
-        static EMPTY: std::sync::OnceLock<Arc<Vec<u8>>> = std::sync::OnceLock::new();
+        static EMPTY: std::sync::OnceLock<Arc<[u8]>> = std::sync::OnceLock::new();
         Bytes {
-            data: Arc::clone(EMPTY.get_or_init(|| Arc::new(Vec::new()))),
+            data: Backing::Inline(Arc::clone(EMPTY.get_or_init(|| Arc::from(&[0u8; 0][..])))),
             start: 0,
             end: 0,
         }
@@ -103,7 +130,7 @@ impl Default for Bytes {
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        &self.data.bytes()[self.start..self.end]
     }
 }
 
@@ -159,7 +186,7 @@ impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
         Bytes {
-            data: Arc::new(v),
+            data: Backing::Adopted(Arc::new(v)),
             start: 0,
             end,
         }
@@ -280,12 +307,10 @@ impl BytesMut {
     /// backing `Vec` moves into the shared allocation and any consumed
     /// front region simply stays outside the view.
     pub fn freeze(self) -> Bytes {
-        let end = self.data.len();
-        Bytes {
-            start: self.start.min(end),
-            end,
-            data: Arc::new(self.data),
-        }
+        let start = self.start.min(self.data.len());
+        let mut frozen = Bytes::from(self.data);
+        frozen.start = start;
+        frozen
     }
 }
 
@@ -422,7 +447,10 @@ mod tests {
     fn detach_unpins_backing_buffer() {
         let whole = Bytes::from(vec![7u8; 1024]);
         let view = whole.slice(0..4);
-        let weak = Arc::downgrade(&view.data);
+        let Backing::Adopted(backing) = &view.data else {
+            panic!("a Vec is adopted, not copied");
+        };
+        let weak = Arc::downgrade(backing);
         let detached = view.detach();
         drop(whole);
         drop(view);
@@ -432,9 +460,11 @@ mod tests {
             "detached copy must not pin the original allocation"
         );
         // A full-spanning view detaches by refcount, not copy.
-        let full = Bytes::from(b"abc".to_vec());
+        let full = Bytes::copy_from_slice(b"abc");
         let det = full.detach();
-        assert!(Arc::ptr_eq(&full.data, &det.data));
+        assert_eq!(full.as_ptr(), det.as_ptr());
+        // A slice is copied into the refcounted block itself.
+        assert!(matches!(full.data, Backing::Inline(_)));
     }
 
     #[test]

@@ -26,6 +26,60 @@ impl Stage {
     }
 }
 
+/// Bound on the stages of one policy. Eight is far beyond any useful
+/// schedule (Thm 3.2: one stage already suffices at the optimum), and
+/// a fixed bound lets a runtime keep a query's sampled [`Schedule`],
+/// its attempts and its per-stage counters in inline arrays.
+/// [`ReissuePolicy::multiple_r`] rejects longer policies; sampling a
+/// hand-built longer `MultipleR` flips only the first `MAX_STAGES`
+/// coins.
+pub const MAX_STAGES: usize = 8;
+
+/// One query's sampled reissue schedule: the `(stage index, delay)` of
+/// every stage whose coin came up heads, in stage order. Inline (no
+/// heap) and `Copy`; dereferences to a slice.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Schedule {
+    len: usize,
+    entries: [(usize, f64); MAX_STAGES],
+}
+
+impl Schedule {
+    fn push(&mut self, stage: usize, delay: f64) {
+        self.entries[self.len] = (stage, delay);
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for Schedule {
+    type Target = [(usize, f64)];
+    fn deref(&self) -> &[(usize, f64)] {
+        &self.entries[..self.len]
+    }
+}
+
+impl IntoIterator for Schedule {
+    type Item = (usize, f64);
+    type IntoIter = std::iter::Take<std::array::IntoIter<(usize, f64), MAX_STAGES>>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.entries.into_iter().take(self.len)
+    }
+}
+
+impl<'a> IntoIterator for &'a Schedule {
+    type Item = &'a (usize, f64);
+    type IntoIter = std::slice::Iter<'a, (usize, f64)>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq<Vec<(usize, f64)>> for Schedule {
+    fn eq(&self, other: &Vec<(usize, f64)>) -> bool {
+        self[..] == other[..]
+    }
+}
+
 /// A reissue policy, as defined in §2–§3 of the paper.
 ///
 /// All variants are special cases of MultipleR:
@@ -113,9 +167,14 @@ impl ReissuePolicy {
     /// Builds a MultipleR policy from stages, validating ordering.
     ///
     /// # Panics
-    /// Panics if delays are not non-decreasing or any stage is invalid.
+    /// Panics if delays are not non-decreasing, any stage is invalid,
+    /// or there are more than [`MAX_STAGES`] stages.
     pub fn multiple_r(stages: Vec<(f64, f64)>) -> Self {
         let stages: Vec<Stage> = stages.iter().map(|&(d, q)| Stage::new(d, q)).collect();
+        assert!(
+            stages.len() <= MAX_STAGES,
+            "MultipleR takes at most {MAX_STAGES} stages"
+        );
         assert!(
             stages.windows(2).all(|w| w[0].delay <= w[1].delay),
             "MultipleR stage delays must be non-decreasing"
@@ -169,12 +228,22 @@ impl ReissuePolicy {
     /// [`stages`](Self::stages) order — what a runtime needs to account
     /// reissues per stage (a lost coin toss leaves a hole in the
     /// sequence, so positions alone cannot identify the stage).
-    pub fn sample_schedule_indexed(&self, rng: &mut SmallRng) -> Vec<(usize, f64)> {
-        let stages = self.stages();
-        let mut out = Vec::with_capacity(stages.len());
-        for (i, s) in stages.into_iter().enumerate() {
-            if s.prob >= 1.0 || (s.prob > 0.0 && rng.gen::<f64>() < s.prob) {
-                out.push((i, s.delay));
+    /// Allocation-free: this runs once per served query.
+    pub fn sample_schedule_indexed(&self, rng: &mut SmallRng) -> Schedule {
+        let mut out = Schedule::default();
+        let mut flip = |i: usize, delay: f64, prob: f64| {
+            if prob >= 1.0 || (prob > 0.0 && rng.gen::<f64>() < prob) {
+                out.push(i, delay);
+            }
+        };
+        match self {
+            ReissuePolicy::None => {}
+            ReissuePolicy::SingleD { delay } => flip(0, *delay, 1.0),
+            ReissuePolicy::SingleR { delay, prob } => flip(0, *delay, *prob),
+            ReissuePolicy::MultipleR { stages } => {
+                for (i, s) in stages.iter().take(MAX_STAGES).enumerate() {
+                    flip(i, s.delay, s.prob);
+                }
             }
         }
         out

@@ -13,7 +13,7 @@
 //! with payload size on both the replica arm (full values) and the
 //! fragment arm (stripes) of the A/B benchmark.
 
-use kvstore::{fragment_key, Backend, Command, KvStore, Reply};
+use kvstore::{Backend, Command, KvStore, Reply};
 
 /// Byte-proportional cost wrapper around a [`KvStore`].
 #[derive(Clone)]
@@ -49,10 +49,7 @@ impl StripedBackend {
         let len = match cmd {
             Command::Get(k) => self.store.get_str(k).map_or(0, |v| v.len()),
             Command::Set(_, v) => v.len(),
-            Command::FGet(k, slot) => self
-                .store
-                .get_str(&fragment_key(k, *slot))
-                .map_or(0, |v| v.len()),
+            Command::FGet(k, slot) => self.store.get_fragment(k, *slot).map_or(0, |v| v.len()),
             Command::FSet(_, _, v) => v.len(),
             _ => 0,
         };

@@ -37,7 +37,6 @@ use rand::SeedableRng;
 use reissue_core::policy::ReissuePolicy;
 
 use bytes::Bytes;
-use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -346,12 +345,62 @@ enum Fate {
     Failed,
 }
 
-/// One in-flight fragment attempt.
-struct FragMeta {
-    token: CancelToken,
-    slot: usize,
-    /// `Some(order)` for reissues (0 = first dispatched).
-    reissue_order: Option<usize>,
+/// Stripe widths served from inline storage; every geometry this repo
+/// runs (n ≤ 5) fits. Wider stripes fall back to one `Vec` per table.
+const INLINE_SLOTS: usize = 8;
+
+/// One `Option<T>` per stripe slot, for the tables a striped read
+/// keeps (attempt, token, tie id, payload, fate — a slot has at most
+/// one attempt, so everything is indexed by slot and nothing is ever
+/// moved). The length is the stripe width, fixed at construction;
+/// storage is inline up to [`INLINE_SLOTS`].
+enum Slots<T> {
+    Inline([Option<T>; INLINE_SLOTS], usize),
+    Heap(Vec<Option<T>>),
+}
+
+impl<T> Slots<T> {
+    fn new(n: usize) -> Self {
+        if n <= INLINE_SLOTS {
+            Slots::Inline(std::array::from_fn(|_| None), n)
+        } else {
+            Slots::Heap((0..n).map(|_| None).collect())
+        }
+    }
+}
+
+impl<T> std::ops::Deref for Slots<T> {
+    type Target = [Option<T>];
+    fn deref(&self) -> &[Option<T>] {
+        match self {
+            Slots::Inline(a, n) => &a[..*n],
+            Slots::Heap(v) => v,
+        }
+    }
+}
+
+impl<T> std::ops::DerefMut for Slots<T> {
+    fn deref_mut(&mut self) -> &mut [Option<T>] {
+        match self {
+            Slots::Inline(a, n) => &mut a[..*n],
+            Slots::Heap(v) => v,
+        }
+    }
+}
+
+/// The per-slot state of one striped read. Data slots `0..k` are the
+/// primary wave; parity slot `k + r` is the `r`-th reissue dispatched.
+struct Stripe {
+    /// In-flight attempt per slot; `None` before dispatch and once
+    /// resolved. What [`select_all`] polls.
+    futs: Slots<InFlight>,
+    tokens: Slots<CancelToken>,
+    /// Tie id each data slot registered (tied cancellation only).
+    tie_ids: Slots<u64>,
+    /// Payload per slot that answered with one.
+    fragments: Slots<Bytes>,
+    /// How each resolved slot ended.
+    fates: Slots<Fate>,
 }
 
 impl ScInner {
@@ -361,7 +410,7 @@ impl ScInner {
 
     /// The k-of-n fragment race (see module docs).
     async fn striped_get(self: Arc<Self>, key: Bytes) -> Result<Reply, TransportError> {
-        let schedule: Vec<(usize, f64)> = {
+        let schedule = {
             let mut st = self.state.lock().unwrap();
             let st = &mut *st;
             st.policy.sample_schedule_indexed(&mut st.rng)
@@ -369,163 +418,134 @@ impl ScInner {
         let started = Instant::now();
         let tied = self.cancellation == CancellationStyle::Tied && !schedule.is_empty();
         let offset = crate::placement_offset(&key, self.n);
+        let (k, n) = (self.k, self.n);
+        let mut stripe = Stripe {
+            futs: Slots::new(n),
+            tokens: Slots::new(n),
+            tie_ids: Slots::new(n),
+            fragments: Slots::new(n),
+            fates: Slots::new(n),
+        };
 
         // Primary wave: the k data fragments, slot s on the key's
         // rotated replica (s + offset) % n. Under tied cancellation
         // each registers a tie id so the first reissue can later name
         // whichever of them is still straggling.
-        let mut futs: Vec<InFlight> = Vec::with_capacity(self.k);
-        let mut meta: Vec<FragMeta> = Vec::with_capacity(self.k);
-        let mut data_tie_ids: Vec<Option<u64>> = Vec::with_capacity(self.k);
-        for slot in 0..self.k {
+        for slot in 0..k {
             let tie = tied.then(|| TieSpec {
                 id: next_tie_id(),
                 peer: None,
             });
-            data_tie_ids.push(tie.as_ref().map(|t| t.id));
-            let token = CancelToken::new();
-            futs.push(
-                self.replicas
-                    .replica((slot + offset) % self.n)
-                    .request_tied(Command::FGet(key.clone(), slot as u32), token.clone(), tie),
-            );
-            meta.push(FragMeta {
-                token,
-                slot,
-                reissue_order: None,
-            });
+            stripe.tie_ids[slot] = tie.map(|t| t.id);
+            self.dispatch_fragment(&key, offset, slot, tie, &mut stripe);
         }
 
-        let mut pending: VecDeque<(usize, f64, Instant)> = schedule
-            .iter()
-            .map(|&(stage, delay_ms)| {
-                (
-                    stage,
-                    delay_ms,
-                    started + Duration::from_secs_f64(delay_ms.max(0.0) / 1e3),
-                )
-            })
-            .collect();
-
-        // Fragment payloads by slot, plus which slots resolved how.
-        let mut fragments: Vec<Option<Bytes>> = vec![None; self.n];
+        // The schedule is served front to back; `deadline` is the front
+        // stage's current one (a governor denial moves it).
+        let stage_deadline =
+            |delay_ms: f64| started + Duration::from_secs_f64(delay_ms.max(0.0) / 1e3);
+        let mut next = 0usize;
+        let mut deadline = schedule
+            .first()
+            .map_or(started, |&(_, d)| stage_deadline(d));
         let mut nil_slots = 0usize;
-        let mut fates: Vec<(usize, Option<usize>, Fate)> = Vec::new();
         let mut dispatched_reissues = 0usize;
         let mut straggler_slot: Option<usize> = None;
         let mut last_err: Option<TransportError> = None;
         let mut winner_was_reissue = false;
 
         let outcome = loop {
-            let present = (0..self.n).filter(|&s| fragments[s].is_some());
-            if decodable(self.k, present) {
+            let present = (0..n).filter(|&s| stripe.fragments[s].is_some());
+            if decodable(k, present) {
                 break Ok(());
             }
             // Every data slot resolved Nil: the key has no stripe.
-            if nil_slots >= self.k {
+            if nil_slots >= k {
                 break Err(None);
             }
-            if futs.is_empty() {
+            let next_slot = k + dispatched_reissues;
+            // Out of parity slots: nothing left to reissue, the rest
+            // of the schedule is moot.
+            let front = schedule.get(next).filter(|_| next_slot < n);
+            let in_flight = stripe.futs.iter().flatten().count();
+            // `None`: the front stage is to be dispatched now.
+            let resolved = match front {
                 // Nothing in flight and not yet decodable: rescue from
                 // the remaining schedule immediately, or give up.
-                let next_slot = self.k + dispatched_reissues;
-                let Some(&(_stage, _, _)) = pending.front() else {
-                    break Err(last_err.take());
-                };
-                if next_slot >= self.n || !self.governor_allows() {
-                    break Err(last_err.take());
+                _ if in_flight == 0 => {
+                    if front.is_none() || !self.governor_allows() {
+                        break Err(last_err.take());
+                    }
+                    None
                 }
-                pending.pop_front();
+                None => Some(select_all(&mut stripe.futs).await),
+                // A stage already due goes out before the attempts are
+                // polled, as in the replica-hedging client.
+                Some(_) if deadline <= Instant::now() => None,
+                Some(_) => {
+                    match race(select_all(&mut stripe.futs), self.rt.sleep_until(deadline)).await {
+                        Either::Left((resolved, _timer)) => Some(resolved),
+                        Either::Right(_) => None,
+                    }
+                }
+            };
+            let Some((slot, out)) = resolved else {
+                let &(_stage, delay_ms) = front.expect("a stage is due");
+                if in_flight > 0 && !self.governor_allows() {
+                    // Re-ask one stage-delay later (floored so a d=0
+                    // stage cannot hot-spin), same as the
+                    // replica-hedging client.
+                    deadline = Instant::now() + Duration::from_secs_f64(delay_ms.max(0.1) / 1e3);
+                    continue;
+                }
+                next += 1;
+                if let Some(&(_, d)) = schedule.get(next) {
+                    deadline = stage_deadline(d);
+                }
                 self.dispatch_fragment_reissue(
                     &key,
                     offset,
                     next_slot,
-                    &mut dispatched_reissues,
+                    dispatched_reissues == 0,
                     &mut straggler_slot,
-                    &data_tie_ids,
-                    &fragments,
-                    &fates,
-                    &mut futs,
-                    &mut meta,
+                    &mut stripe,
                 );
+                dispatched_reissues += 1;
                 continue;
-            }
-            let (i, out, rest) = if let Some(&(_stage, delay_ms, deadline)) = pending.front() {
-                match race(select_all(futs), self.rt.sleep_until(deadline)).await {
-                    Either::Left((sel_out, _timer)) => sel_out,
-                    Either::Right((sel, ())) => {
-                        futs = sel.into_futures();
-                        let next_slot = self.k + dispatched_reissues;
-                        if next_slot >= self.n {
-                            // Out of parity slots: nothing left to
-                            // reissue, drop the remaining schedule.
-                            pending.clear();
-                            continue;
-                        }
-                        if !self.governor_allows() {
-                            // Re-ask one stage-delay later (floored so
-                            // a d=0 stage cannot hot-spin), same as the
-                            // replica-hedging client.
-                            let interval = Duration::from_secs_f64(delay_ms.max(0.1) / 1e3);
-                            pending.front_mut().expect("stage present").2 =
-                                Instant::now() + interval;
-                            continue;
-                        }
-                        pending.pop_front();
-                        self.dispatch_fragment_reissue(
-                            &key,
-                            offset,
-                            next_slot,
-                            &mut dispatched_reissues,
-                            &mut straggler_slot,
-                            &data_tie_ids,
-                            &fragments,
-                            &fates,
-                            &mut futs,
-                            &mut meta,
-                        );
-                        continue;
-                    }
-                }
-            } else {
-                select_all(futs).await
             };
-            let m = meta.remove(i);
-            futs = rest;
-            match out {
+            stripe.fates[slot] = Some(match out {
                 Ok(Reply::Str(payload)) => {
-                    fragments[m.slot] = Some(payload);
-                    winner_was_reissue = m.reissue_order.is_some();
-                    fates.push((m.slot, m.reissue_order, Fate::Exact));
+                    stripe.fragments[slot] = Some(payload);
+                    winner_was_reissue = slot >= k;
+                    Fate::Exact
                 }
                 Ok(Reply::Nil) => {
                     // Absent fragment: not an error in transit, but it
                     // can never contribute to the decode.
-                    if m.slot < self.k {
+                    if slot < k {
                         nil_slots += 1;
                     }
-                    fates.push((m.slot, m.reissue_order, Fate::Failed));
+                    Fate::Failed
                 }
                 Ok(other) => {
                     last_err = Some(TransportError::Protocol(format!(
-                        "FGET slot {} replied {other:?}",
-                        m.slot
+                        "FGET slot {slot} replied {other:?}"
                     )));
-                    fates.push((m.slot, m.reissue_order, Fate::Failed));
+                    Fate::Failed
                 }
                 Err(TransportError::Cancelled) => {
                     // A tied peer retracted this fragment server-side.
                     self.counters
                         .cancelled_in_time
                         .fetch_add(1, Ordering::Relaxed);
-                    fates.push((m.slot, m.reissue_order, Fate::Censored));
                     last_err = Some(TransportError::Cancelled);
+                    Fate::Censored
                 }
                 Err(e) => {
-                    last_err = Some(e.clone());
-                    fates.push((m.slot, m.reissue_order, Fate::Failed));
+                    last_err = Some(e);
+                    Fate::Failed
                 }
-            }
+            });
         };
 
         // Race resolved: retract every still-outstanding attempt and
@@ -533,19 +553,20 @@ impl ScInner {
         // data slot the first reissue named, and that first reissue)
         // report into the two-sided book; everything else just counts
         // its cancel.
-        for m in &meta {
-            m.token.cancel();
+        for (fut, token) in stripe.futs.iter().zip(stripe.tokens.iter()) {
+            if let (Some(_), Some(token)) = (fut, token) {
+                token.cancel();
+            }
         }
-        let raced = dispatched_reissues > 0;
-        let book = raced.then(|| {
+        let book = (dispatched_reissues > 0).then(|| {
             Arc::new(Mutex::new(PairBook {
                 straggler: None,
                 reissue: None,
             }))
         });
         if let Some(book) = &book {
-            for (slot, order, fate) in &fates {
-                if let Some(side) = pair_side(*slot, *order, straggler_slot) {
+            for (slot, fate) in stripe.fates.iter().enumerate() {
+                if let (Some(fate), Some(side)) = (fate, pair_side(slot, k, straggler_slot)) {
                     self.report_pair_side(book, side, *fate);
                 }
             }
@@ -556,15 +577,11 @@ impl ScInner {
                 self.report_pair_side(book, PairSide::Straggler, Fate::Failed);
             }
         }
-        for (fut, m) in futs.into_iter().zip(meta) {
-            let side = book
-                .as_ref()
-                .and_then(|_| pair_side(m.slot, m.reissue_order, straggler_slot));
-            match (side, &book) {
-                (Some(side), Some(book)) => {
-                    self.clone().drain_into_book(fut, book.clone(), side);
-                }
-                _ => self.clone().drain_counting(fut),
+        for (slot, fut) in stripe.futs.iter_mut().enumerate() {
+            let Some(fut) = fut.take() else { continue };
+            match (pair_side(slot, k, straggler_slot), &book) {
+                (Some(side), Some(book)) => self.drain_into_book(fut, book.clone(), side),
+                _ => self.drain_counting(fut),
             }
         }
 
@@ -575,8 +592,8 @@ impl ScInner {
 
         match outcome {
             Ok(()) => {
-                let have_data = (0..self.k).filter(|&s| fragments[s].is_some()).count();
-                if have_data < self.k {
+                let have_data = stripe.fragments[..k].iter().flatten().count();
+                if have_data < k {
                     self.counters
                         .decodes_with_parity
                         .fetch_add(1, Ordering::Relaxed);
@@ -584,7 +601,7 @@ impl ScInner {
                 if winner_was_reissue {
                     self.counters.reissue_wins.fetch_add(1, Ordering::Relaxed);
                 }
-                let present: Vec<&Bytes> = fragments.iter().flatten().collect();
+                let present: Vec<&Bytes> = stripe.fragments.iter().flatten().collect();
                 match codec::decode_stripe(&present) {
                     Ok(value) => {
                         let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -605,7 +622,7 @@ impl ScInner {
                 }
             }
             // All data slots answered Nil: the key simply isn't there.
-            Err(None) if nil_slots >= self.k => Ok(Reply::Nil),
+            Err(None) if nil_slots >= k => Ok(Reply::Nil),
             Err(maybe_err) => {
                 self.counters.errors.fetch_add(1, Ordering::Relaxed);
                 match maybe_err {
@@ -618,35 +635,46 @@ impl ScInner {
         }
     }
 
+    /// Puts the read of fragment `slot` on the wire.
+    fn dispatch_fragment(
+        &self,
+        key: &Bytes,
+        offset: usize,
+        slot: usize,
+        tie: Option<TieSpec>,
+        stripe: &mut Stripe,
+    ) {
+        let token = CancelToken::new();
+        stripe.futs[slot] = Some(
+            self.replicas
+                .replica((slot + offset) % self.n)
+                .request_tied(Command::FGet(key.clone(), slot as u32), token.clone(), tie),
+        );
+        stripe.tokens[slot] = Some(token);
+    }
+
     /// Dispatches parity slot `next_slot` as a fragment reissue. The
-    /// first reissue of a tied stripe names the straggler — the
-    /// lowest-index data slot still outstanding — as its tie peer, so
-    /// the servers race each other to retract the loser.
-    #[allow(clippy::too_many_arguments)]
+    /// first reissue of a stripe names the straggler — the lowest-index
+    /// data slot still outstanding — and, when tied, makes it its tie
+    /// peer, so the servers race each other to retract the loser.
     fn dispatch_fragment_reissue(
         &self,
         key: &Bytes,
         offset: usize,
         next_slot: usize,
-        dispatched_reissues: &mut usize,
+        first: bool,
         straggler_slot: &mut Option<usize>,
-        data_tie_ids: &[Option<u64>],
-        fragments: &[Option<Bytes>],
-        fates: &[(usize, Option<usize>, Fate)],
-        futs: &mut Vec<InFlight>,
-        meta: &mut Vec<FragMeta>,
+        stripe: &mut Stripe,
     ) {
         self.counters.reissues.fetch_add(1, Ordering::Relaxed);
         if let Some(g) = &self.governor {
             g.note_reissue();
         }
-        let tie = if *dispatched_reissues == 0 {
-            let resolved: std::collections::HashSet<usize> =
-                fates.iter().map(|(slot, _, _)| *slot).collect();
-            let straggler = (0..self.k).find(|&s| fragments[s].is_none() && !resolved.contains(&s));
+        let tie = if first {
+            let straggler = (0..self.k).find(|&s| stripe.fates[s].is_none());
             *straggler_slot = straggler;
             straggler.and_then(|s| {
-                data_tie_ids[s].map(|peer_id| TieSpec {
+                stripe.tie_ids[s].map(|peer_id| TieSpec {
                     id: next_tie_id(),
                     peer: Some((self.replicas.replica((s + offset) % self.n).addr(), peer_id)),
                 })
@@ -654,31 +682,16 @@ impl ScInner {
         } else {
             None
         };
-        let token = CancelToken::new();
-        futs.push(
-            self.replicas
-                .replica((next_slot + offset) % self.n)
-                .request_tied(
-                    Command::FGet(key.clone(), next_slot as u32),
-                    token.clone(),
-                    tie,
-                ),
-        );
-        meta.push(FragMeta {
-            token,
-            slot: next_slot,
-            reissue_order: Some(*dispatched_reissues),
-        });
-        *dispatched_reissues += 1;
+        self.dispatch_fragment(key, offset, next_slot, tie, stripe);
     }
 
     /// Drains a non-pair loser: completions are discarded, in-time
     /// retractions counted.
-    fn drain_counting(self: Arc<Self>, fut: InFlight) {
-        let rt = self.rt.clone();
-        rt.spawn(async move {
+    fn drain_counting(self: &Arc<Self>, fut: InFlight) {
+        let this = self.clone();
+        self.rt.spawn(async move {
             if let Err(TransportError::Cancelled) = fut.await {
-                self.counters
+                this.counters
                     .cancelled_in_time
                     .fetch_add(1, Ordering::Relaxed);
             }
@@ -715,20 +728,25 @@ impl ScInner {
 
     /// Drains a pair participant that was still outstanding when the
     /// race resolved, reporting its fate to the book.
-    fn drain_into_book(self: Arc<Self>, fut: InFlight, book: Arc<Mutex<PairBook>>, side: PairSide) {
-        let rt = self.rt.clone();
-        rt.spawn(async move {
+    fn drain_into_book(
+        self: &Arc<Self>,
+        fut: InFlight,
+        book: Arc<Mutex<PairBook>>,
+        side: PairSide,
+    ) {
+        let this = self.clone();
+        self.rt.spawn(async move {
             let fate = match fut.await {
                 Ok(_) => Fate::Exact,
                 Err(TransportError::Cancelled) => {
-                    self.counters
+                    this.counters
                         .cancelled_in_time
                         .fetch_add(1, Ordering::Relaxed);
                     Fate::Censored
                 }
                 Err(_) => Fate::Failed,
             };
-            self.report_pair_side(&book, side, fate);
+            this.report_pair_side(&book, side, fate);
         });
     }
 }
@@ -740,12 +758,13 @@ enum PairSide {
     Reissue,
 }
 
-fn pair_side(slot: usize, order: Option<usize>, straggler_slot: Option<usize>) -> Option<PairSide> {
-    match order {
-        Some(0) => Some(PairSide::Reissue),
-        Some(_) => None,
-        None if Some(slot) == straggler_slot => Some(PairSide::Straggler),
-        None => None,
+fn pair_side(slot: usize, k: usize, straggler_slot: Option<usize>) -> Option<PairSide> {
+    if slot == k {
+        Some(PairSide::Reissue) // the first reissue dispatched
+    } else if Some(slot) == straggler_slot {
+        Some(PairSide::Straggler)
+    } else {
+        None
     }
 }
 

@@ -248,16 +248,20 @@ pub fn decode_stripe(fragments: &[impl AsRef<[u8]>]) -> Result<Bytes, CodecError
 /// distinct data slots, or `k − 1` plus at least one parity slot.
 /// Parity clones beyond the first add nothing.
 pub fn decodable(k: usize, present_slots: impl IntoIterator<Item = usize>) -> bool {
-    let mut data = std::collections::HashSet::new();
+    // Allocation-free (the fragment client asks after every arrival):
+    // a stripe has at most 255 slots, so a fixed table marks the data
+    // slots seen.
+    let mut seen = [false; 256];
+    let mut data = 0usize;
     let mut parity = false;
     for s in present_slots {
-        if s < k {
-            data.insert(s);
-        } else {
+        if s >= k {
             parity = true;
+        } else if s < seen.len() && !std::mem::replace(&mut seen[s], true) {
+            data += 1;
         }
     }
-    data.len() == k || (data.len() + 1 == k && parity)
+    data == k || (data + 1 == k && parity)
 }
 
 #[cfg(test)]

@@ -34,8 +34,8 @@
 //!   retraction of the straggler, and censored-pair booking.
 //!
 //! Fragments travel the existing RESP wire as `FGET`/`FSET` commands
-//! and live in a reserved corner of the keyspace
-//! ([`kvstore::fragment_key`]), so every serving-stack layer — zero-copy
+//! and live in a map of their own beside the keyspace
+//! ([`kvstore::KvStore::get_fragment`]), so every serving-stack layer —
 //! codec, queue disciplines, tied requests, cancellation — applies to
 //! fragment traffic unchanged.
 //!

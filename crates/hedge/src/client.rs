@@ -11,7 +11,10 @@
 //!    non-decreasing stage deadlines `(d₁,q₁), …, (dₙ,qₙ)` this query
 //!    will arm;
 //! 3. races every in-flight attempt against the next stage's deadline
-//!    timer ([`crate::rt::select_all`]); each time a timer fires (and
+//!    timer ([`crate::rt::select_all`], over attempts kept inline in
+//!    the query's own future — arming a schedule allocates nothing);
+//!    a stage that is already due is dispatched *before* the attempts
+//!    are polled; each time a timer fires (and
 //!    the budget governor grants quota) one more **reissue** is
 //!    dispatched, targeted at the healthiest replica not yet carrying
 //!    this query (per-replica latency/error EWMA — see
@@ -33,7 +36,7 @@
 
 use crate::rt::{race, select_all, Either, Runtime};
 use crate::sync::CancelToken;
-use crate::transport::{ReplicaSet, TieSpec, TransportError};
+use crate::transport::{InFlight, ReplicaSet, TieSpec, TransportError};
 
 use kvstore::{Command, Reply};
 use rand::rngs::SmallRng;
@@ -41,19 +44,18 @@ use rand::SeedableRng;
 use reissue_core::censored::Obs;
 use reissue_core::load::{LoadSignal, LoadSnapshot};
 use reissue_core::online::{OnlineAdapter, OnlineConfig, ReissueOutcome};
-use reissue_core::policy::ReissuePolicy;
+use reissue_core::policy::{ReissuePolicy, Schedule};
 
-use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Number of per-stage reissue counter buckets in [`HedgeStats`];
-/// stages at or past the last bucket share it. Eight stages is far
-/// beyond any useful schedule (Thm 3.2: one stage already suffices at
-/// the optimum), so in practice every stage gets its own bucket.
-pub const MAX_STAGES: usize = 8;
+pub use reissue_core::policy::MAX_STAGES;
+
+/// Wire attempts one query can have: the primary and one reissue per
+/// stage.
+const MAX_ATTEMPTS: usize = MAX_STAGES + 1;
 
 /// How a raced query's losing attempts get retracted.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -257,8 +259,8 @@ pub struct HedgeStats {
     /// the stage's coin had come up heads, and the governor granted
     /// quota).
     pub reissues: u64,
-    /// Dispatched reissues broken down by policy stage index (stages
-    /// `>= MAX_STAGES - 1` share the last bucket). Sums to `reissues`.
+    /// Dispatched reissues broken down by policy stage index. Sums to
+    /// `reissues`.
     pub reissues_by_stage: [u64; MAX_STAGES],
     /// Queries won by a reissue (any stage) rather than the primary.
     pub reissue_wins: u64,
@@ -316,6 +318,10 @@ struct HcInner {
     /// resolution; its estimate is pushed into the adapter at each
     /// observation (see [`HcInner::observe`]).
     load: Option<LoadSignal>,
+    /// `HEDGE_DEBUG` was set at connect time: trace every query slower
+    /// than 10 ms. Read once — an env lookup takes the process-wide
+    /// environment lock, far too expensive per query.
+    debug: bool,
 }
 
 /// A hedging client over a set of kvstore replicas. Cheap to clone
@@ -375,6 +381,7 @@ impl HedgedClient {
                 governor,
                 cancellation: cfg.cancellation,
                 load,
+                debug: std::env::var_os("HEDGE_DEBUG").is_some(),
             }),
         })
     }
@@ -506,7 +513,7 @@ impl HedgedClient {
             // each stage's *target* is chosen at fire time, when
             // health information is current.
             let primary_idx = inner.replicas.pick_primary();
-            let schedule: Vec<(usize, f64)> = {
+            let schedule = {
                 let mut st = inner.state.lock().unwrap();
                 let st = &mut *st;
                 st.policy.sample_schedule_indexed(&mut st.rng)
@@ -538,7 +545,6 @@ impl HedgedClient {
                 primary.await.map(|r| (r, false))
             } else {
                 inner
-                    .clone()
                     .staged_race(
                         &cmd,
                         primary,
@@ -554,8 +560,11 @@ impl HedgedClient {
             let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
             // Lightweight tail tracing: HEDGE_DEBUG=1 reports every
             // query slower than 10 ms and whether it had hedged.
-            if elapsed_ms > 10.0 && std::env::var_os("HEDGE_DEBUG").is_some() {
-                eprintln!("[hedge] slow {elapsed_ms:.2}ms armed={schedule:?} cmd={cmd:?}");
+            if inner.debug && elapsed_ms > 10.0 {
+                eprintln!(
+                    "[hedge] slow {elapsed_ms:.2}ms armed={:?} cmd={cmd:?}",
+                    &schedule[..]
+                );
             }
             inner.counters.queries.fetch_add(1, Ordering::Relaxed);
             if let Some(g) = &inner.governor {
@@ -608,23 +617,80 @@ enum Observation {
     },
 }
 
+/// How one attempt of a staged race stands.
+#[derive(Clone, Copy)]
+enum AttemptFate {
+    /// Still in flight (or the winner).
+    Racing,
+    /// Resolved with a transport error mid-race.
+    Failed,
+    /// Retracted by the *server* mid-race — a tied peer's dequeue-time
+    /// cancel resolves the loser with `Cancelled` before this client
+    /// ever cancels it. Carries the elapsed-at-retraction censoring
+    /// bound (ms) for the pair book.
+    Retracted(f64),
+}
+
 /// One speculative arm of a staged race.
 struct AttemptMeta {
     token: CancelToken,
     dispatched: Instant,
-    kind: AttemptKind,
+    fate: AttemptFate,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum AttemptKind {
-    Primary,
-    /// `dispatch_order` counts dispatched reissues (0 = first actually
-    /// sent), independent of policy stage index: coins and the
-    /// governor may skip stages, and the adapter's pair is always
-    /// (primary, *first dispatched* reissue).
-    Reissue {
-        dispatch_order: usize,
-    },
+/// Every attempt of one query, indexed by dispatch order and never
+/// reshuffled: slot 0 is the primary, slot `i` the `i`-th reissue
+/// *actually sent* (coins and the governor may skip stages, so this is
+/// independent of the policy stage index). The adapter's pair is
+/// always slots `(0, 1)`. All inline: the arrays live in the query's
+/// future.
+struct Attempts {
+    /// `None` once an attempt resolved; what [`select_all`] polls.
+    futs: [Option<InFlight>; MAX_ATTEMPTS],
+    meta: [Option<AttemptMeta>; MAX_ATTEMPTS],
+    /// Replica index each attempt went to.
+    targets: [usize; MAX_ATTEMPTS],
+    len: usize,
+}
+
+impl Attempts {
+    fn push(&mut self, fut: InFlight, token: CancelToken, target: usize, dispatched: Instant) {
+        self.futs[self.len] = Some(fut);
+        self.meta[self.len] = Some(AttemptMeta {
+            token,
+            dispatched,
+            fate: AttemptFate::Racing,
+        });
+        self.targets[self.len] = target;
+        self.len += 1;
+    }
+
+    fn in_flight(&self) -> usize {
+        self.futs.iter().flatten().count()
+    }
+
+    fn meta(&mut self, i: usize) -> &mut AttemptMeta {
+        self.meta[i].as_mut().expect("attempt was dispatched")
+    }
+
+    fn reissues(&self) -> usize {
+        self.len - 1
+    }
+}
+
+/// Which side of the adapter's `(primary, first reissue)` pair attempt
+/// `i` is: `Some(true)` the primary, `Some(false)` the first reissue
+/// sent, `None` a later reissue (outside the pair).
+fn pair_side(i: usize) -> Option<bool> {
+    match i {
+        0 => Some(true),
+        1 => Some(false),
+        _ => None,
+    }
+}
+
+fn stage_deadline(started: Instant, delay_ms: f64) -> Instant {
+    started + Duration::from_secs_f64(delay_ms.max(0.0) / 1e3)
 }
 
 /// Fate of one pair participant, as it becomes known.
@@ -695,11 +761,17 @@ impl HcInner {
     }
 
     /// Races the primary against a full MultipleR schedule: each stage
-    /// deadline (measured from the primary dispatch) that fires while
+    /// deadline (measured from the primary dispatch) that passes while
     /// the query is outstanding dispatches one more reissue — governor
     /// permitting — and every attempt races every other through one
     /// [`select_all`]. The first *successful* completion wins; all
     /// still-pending losers are cancelled and drained asynchronously.
+    ///
+    /// A stage that is **already due** is dispatched before the
+    /// attempts are polled. The paper's `d = 0` policy sends both
+    /// copies at once; polling first would skip the stage whenever the
+    /// primary's reply was already in, so the realized reissue rate
+    /// fell short of `q` by the share of primaries that fast.
     ///
     /// An attempt that resolves with a transport error does **not**
     /// decide the race — hedging must never fail a query another
@@ -713,238 +785,170 @@ impl HcInner {
     /// reissue was actually dispatched.
     #[allow(clippy::too_many_arguments)]
     async fn staged_race(
-        self: Arc<Self>,
+        self: &Arc<Self>,
         cmd: &Command,
-        primary: crate::transport::InFlight,
+        primary: InFlight,
         primary_token: CancelToken,
         primary_idx: usize,
         primary_tie: Option<TieSpec>,
         started: Instant,
-        schedule: &[(usize, f64)],
+        schedule: &Schedule,
     ) -> Result<(Reply, bool), TransportError> {
-        let mut futs = vec![primary];
-        let mut meta = vec![AttemptMeta {
-            token: primary_token,
-            dispatched: started,
-            kind: AttemptKind::Primary,
-        }];
-        // (stage index, delay ms, deadline). FIFO: a stage denied by
-        // the governor re-asks later and blocks the stages behind it,
-        // so dispatch order always follows stage order.
-        let mut pending: VecDeque<(usize, f64, Instant)> = schedule
-            .iter()
-            .map(|&(stage, delay_ms)| {
-                (
-                    stage,
-                    delay_ms,
-                    started + Duration::from_secs_f64(delay_ms.max(0.0) / 1e3),
-                )
-            })
-            .collect();
-        let mut targets = vec![primary_idx];
-        let mut dispatched_reissues = 0usize;
-        // Attempts that resolved with a transport error mid-race; pair
-        // participants among them report `Failed` to the book below.
-        let mut failed_kinds: Vec<AttemptKind> = Vec::new();
-        // Attempts the *server* retracted mid-race — a tied peer's
-        // dequeue-time cancel resolves the loser with `Cancelled`
-        // before this client ever cancels it. Each carries its
-        // elapsed-at-retraction censoring bound for the pair book.
-        let mut cancelled_kinds: Vec<(AttemptKind, f64)> = Vec::new();
+        let mut attempts = Attempts {
+            futs: std::array::from_fn(|_| None),
+            meta: std::array::from_fn(|_| None),
+            targets: [0; MAX_ATTEMPTS],
+            len: 0,
+        };
+        attempts.push(primary, primary_token, primary_idx, started);
+        // The schedule is served front to back: a stage denied by the
+        // governor re-asks later (moving `deadline`, the front stage's
+        // current one) and blocks the stages behind it, so dispatch
+        // order always follows stage order.
+        let mut next = 0usize;
+        let mut deadline = stage_deadline(started, schedule[0].1);
         let mut last_err = TransportError::ConnectionClosed;
 
-        let (win_idx, reply, losers) = loop {
-            if futs.is_empty() {
+        let (win, reply) = loop {
+            let front = schedule.get(next).copied();
+            let in_flight = attempts.in_flight();
+            // `None`: the front stage is to be dispatched now.
+            let resolved = match front {
                 // Every dispatched attempt has failed. Rescue from the
                 // remaining schedule *now* — waiting out a stage
                 // deadline only adds latency to a query that already
                 // has nothing in flight — or give up when the stages
                 // (or the governor's quota) run out.
-                let Some(&(stage, _, _)) = pending.front() else {
-                    return Err(last_err);
-                };
-                if !self.governor_allows() {
-                    return Err(last_err);
+                _ if in_flight == 0 => {
+                    if front.is_none() || !self.governor_allows() {
+                        return Err(last_err);
+                    }
+                    None
                 }
-                pending.pop_front();
-                let tie = self.first_reissue_tie(primary_tie, primary_idx, dispatched_reissues);
-                self.dispatch_stage(
-                    cmd,
-                    stage,
-                    tie,
-                    &mut targets,
-                    &mut dispatched_reissues,
-                    &mut futs,
-                    &mut meta,
-                );
-                continue;
-            }
-            let (i, out, rest) = if let Some(&(stage, delay_ms, deadline)) = pending.front() {
-                match race(select_all(futs), self.rt.sleep_until(deadline)).await {
-                    Either::Left((sel_out, _timer)) => sel_out,
-                    Either::Right((sel, ())) => {
-                        futs = sel.into_futures();
-                        if !self.governor_allows() {
-                            // No quota: re-ask one stage-delay later
-                            // (with a small floor so a d=0 stage cannot
-                            // hot-spin). A query still outstanding
-                            // after several delays is precisely the
-                            // straggler hedging exists for, and
-                            // re-asking gives it priority over the
-                            // steady trickle of marginal just-past-d
-                            // hedges that would otherwise consume the
-                            // quota first-come-first-served.
-                            let interval = Duration::from_secs_f64(delay_ms.max(0.1) / 1e3);
-                            pending.front_mut().expect("stage present").2 =
-                                Instant::now() + interval;
-                            continue;
-                        }
-                        pending.pop_front();
-                        let tie =
-                            self.first_reissue_tie(primary_tie, primary_idx, dispatched_reissues);
-                        self.dispatch_stage(
-                            cmd,
-                            stage,
-                            tie,
-                            &mut targets,
-                            &mut dispatched_reissues,
-                            &mut futs,
-                            &mut meta,
-                        );
-                        continue;
+                // Schedule exhausted: plain race of what is in flight.
+                None => Some(select_all(&mut attempts.futs).await),
+                Some(_) if deadline <= Instant::now() => None,
+                Some(_) => {
+                    match race(
+                        select_all(&mut attempts.futs),
+                        self.rt.sleep_until(deadline),
+                    )
+                    .await
+                    {
+                        Either::Left((resolved, _timer)) => Some(resolved),
+                        Either::Right(_) => None,
                     }
                 }
-            } else {
-                // Schedule exhausted: plain race of what is in flight.
-                select_all(futs).await
+            };
+            let Some((i, out)) = resolved else {
+                let (stage, delay_ms) = front.expect("a stage is due");
+                if in_flight > 0 && !self.governor_allows() {
+                    // No quota: re-ask one stage-delay later (with a
+                    // small floor so a d=0 stage cannot hot-spin). A
+                    // query still outstanding after several delays is
+                    // precisely the straggler hedging exists for, and
+                    // re-asking gives it priority over the steady
+                    // trickle of marginal just-past-d hedges that
+                    // would otherwise consume the quota
+                    // first-come-first-served.
+                    deadline = Instant::now() + Duration::from_secs_f64(delay_ms.max(0.1) / 1e3);
+                    continue;
+                }
+                next += 1;
+                if let Some(&(_, d)) = schedule.get(next) {
+                    deadline = stage_deadline(started, d);
+                }
+                self.dispatch_stage(cmd, stage, primary_tie, &mut attempts);
+                continue;
             };
             match out {
-                Ok(reply) => break (i, reply, rest),
+                Ok(reply) => break (i, reply),
                 Err(TransportError::Cancelled) => {
                     // A tied peer retracted this attempt server-side:
                     // a clean in-time cancel, not a failure. Record
                     // the censoring bound now (the attempt had been
                     // outstanding exactly this long when the
                     // retraction confirmed) and keep racing the rest.
-                    let m = meta.remove(i);
                     self.counters
                         .cancelled_in_time
                         .fetch_add(1, Ordering::Relaxed);
-                    let ms = m.dispatched.elapsed().as_secs_f64() * 1e3;
-                    cancelled_kinds.push((m.kind, ms));
+                    let m = attempts.meta(i);
+                    m.fate = AttemptFate::Retracted(m.dispatched.elapsed().as_secs_f64() * 1e3);
                     last_err = TransportError::Cancelled;
-                    futs = rest;
                 }
                 Err(e) => {
-                    // Drop the failed attempt from the race and keep
-                    // the survivors (and the schedule) going.
-                    failed_kinds.push(meta.remove(i).kind);
+                    // The failed attempt drops out; the survivors (and
+                    // the schedule) keep going.
+                    attempts.meta(i).fate = AttemptFate::Failed;
                     last_err = e;
-                    futs = rest;
                 }
             }
         };
 
-        let raced = dispatched_reissues > 0;
-        let winner = meta.remove(win_idx); // `losers` aligns with `meta` now
-        if matches!(winner.kind, AttemptKind::Reissue { .. }) {
+        if win > 0 {
             self.counters.reissue_wins.fetch_add(1, Ordering::Relaxed);
         }
-        for m in &meta {
-            m.token.cancel();
+        for (fut, m) in attempts.futs.iter().zip(&attempts.meta) {
+            if let (Some(_), Some(m)) = (fut, m) {
+                m.token.cancel();
+            }
         }
-
+        let raced = attempts.reissues() > 0;
         if raced {
             let book = Arc::new(Mutex::new(RaceBook {
                 primary: SideState::Pending,
                 reissue: SideState::Pending,
             }));
-            // The winner's side is known right now; losers report as
-            // their drains resolve and mid-race failures report
-            // `Failed` immediately. A winner that is a *later-stage*
-            // reissue is outside the pair — both pair sides then
-            // arrive via the other two routes.
-            let win_ms = winner.dispatched.elapsed().as_secs_f64() * 1e3;
-            match winner.kind {
-                AttemptKind::Primary => {
-                    self.report_side(&book, true, SideState::Known(Obs::Exact(win_ms)));
-                }
-                AttemptKind::Reissue { dispatch_order: 0 } => {
-                    self.report_side(&book, false, SideState::Known(Obs::Exact(win_ms)));
-                }
-                AttemptKind::Reissue { .. } => {}
-            }
-            for kind in failed_kinds {
-                match kind {
-                    AttemptKind::Primary => self.report_side(&book, true, SideState::Failed),
-                    AttemptKind::Reissue { dispatch_order: 0 } => {
-                        self.report_side(&book, false, SideState::Failed);
+            // The winner's side is known right now, mid-race failures
+            // and server-side retractions too; losers still in flight
+            // report as their drains resolve. A winner that is a
+            // *later-stage* reissue is outside the pair — both pair
+            // sides then arrive via the other routes.
+            for i in 0..attempts.len {
+                let m = attempts.meta(i);
+                let (dispatched, fate) = (m.dispatched, m.fate);
+                let known = if i == win {
+                    SideState::Known(Obs::Exact(dispatched.elapsed().as_secs_f64() * 1e3))
+                } else {
+                    match (fate, attempts.futs[i].take()) {
+                        (AttemptFate::Failed, _) => SideState::Failed,
+                        (AttemptFate::Retracted(ms), _) => SideState::Known(Obs::Censored(ms)),
+                        (AttemptFate::Racing, Some(loser)) => {
+                            match pair_side(i) {
+                                Some(is_primary) => self.drain_into_book(
+                                    loser,
+                                    dispatched,
+                                    book.clone(),
+                                    is_primary,
+                                ),
+                                None => self.drain_marginal(loser, dispatched),
+                            }
+                            continue;
+                        }
+                        (AttemptFate::Racing, None) => continue,
                     }
-                    AttemptKind::Reissue { .. } => {}
-                }
-            }
-            for (kind, ms) in cancelled_kinds {
-                match kind {
-                    AttemptKind::Primary => {
-                        self.report_side(&book, true, SideState::Known(Obs::Censored(ms)));
-                    }
-                    AttemptKind::Reissue { dispatch_order: 0 } => {
-                        self.report_side(&book, false, SideState::Known(Obs::Censored(ms)));
-                    }
-                    AttemptKind::Reissue { .. } => {}
-                }
-            }
-            for (fut, m) in losers.into_iter().zip(meta) {
-                match m.kind {
-                    AttemptKind::Primary => {
-                        self.clone()
-                            .drain_into_book(fut, m.dispatched, book.clone(), true);
-                    }
-                    AttemptKind::Reissue { dispatch_order: 0 } => {
-                        self.clone()
-                            .drain_into_book(fut, m.dispatched, book.clone(), false);
-                    }
-                    AttemptKind::Reissue { .. } => {
-                        self.clone().drain_marginal(fut, m.dispatched);
-                    }
+                };
+                if let Some(is_primary) = pair_side(i) {
+                    self.report_side(&book, is_primary, known);
                 }
             }
         }
         Ok((reply, raced))
     }
 
-    /// The tie to attach to the next reissue, if it is the *first*
-    /// dispatched reissue of a tied query: a fresh id naming the
-    /// primary's `(replica address, tie id)` as the peer to retract at
-    /// dequeue time. Later stages (and untied queries) get `None`.
-    fn first_reissue_tie(
-        &self,
-        primary_tie: Option<TieSpec>,
-        primary_idx: usize,
-        dispatched_reissues: usize,
-    ) -> Option<TieSpec> {
-        if dispatched_reissues > 0 {
-            return None;
-        }
-        primary_tie.map(|pt| TieSpec {
-            id: next_tie_id(),
-            peer: Some((self.replicas.replica(primary_idx).addr(), pt.id)),
-        })
-    }
-
     /// Dispatches one stage's reissue into an ongoing race: counts it
     /// (total, per-stage, per-target), targets the healthiest replica
-    /// not already carrying this query, and registers the attempt.
-    #[allow(clippy::too_many_arguments)]
+    /// not already carrying this query, and registers the attempt. The
+    /// *first* dispatched reissue of a tied query carries a fresh tie
+    /// id naming the primary's `(replica address, tie id)` as the peer
+    /// to retract at dequeue time; later stages (and untied queries)
+    /// go untied.
     fn dispatch_stage(
         &self,
         cmd: &Command,
         stage: usize,
-        tie: Option<TieSpec>,
-        targets: &mut Vec<usize>,
-        dispatched_reissues: &mut usize,
-        futs: &mut Vec<crate::transport::InFlight>,
-        meta: &mut Vec<AttemptMeta>,
+        primary_tie: Option<TieSpec>,
+        attempts: &mut Attempts,
     ) {
         self.counters.reissues.fetch_add(1, Ordering::Relaxed);
         if let Some(g) = &self.governor {
@@ -957,25 +961,24 @@ impl HcInner {
             load.note_dispatch();
         }
         self.counters.reissues_by_stage[stage.min(MAX_STAGES - 1)].fetch_add(1, Ordering::Relaxed);
-        let idx = self.replicas.pick_reissue_excluding(targets);
-        targets.push(idx);
+        let tie = primary_tie
+            .filter(|_| attempts.reissues() == 0)
+            .map(|pt| TieSpec {
+                id: next_tie_id(),
+                peer: Some((self.replicas.replica(attempts.targets[0]).addr(), pt.id)),
+            });
+        let idx = self
+            .replicas
+            .pick_reissue_excluding(&attempts.targets[..attempts.len]);
         if let Some(c) = self.counters.reissue_targets.get(idx) {
             c.fetch_add(1, Ordering::Relaxed);
         }
         let token = CancelToken::new();
-        futs.push(
-            self.replicas
-                .replica(idx)
-                .request_tied(cmd.clone(), token.clone(), tie),
-        );
-        meta.push(AttemptMeta {
-            token,
-            dispatched: Instant::now(),
-            kind: AttemptKind::Reissue {
-                dispatch_order: *dispatched_reissues,
-            },
-        });
-        *dispatched_reissues += 1;
+        let fut = self
+            .replicas
+            .replica(idx)
+            .request_tied(cmd.clone(), token.clone(), tie);
+        attempts.push(fut, token, idx, Instant::now());
     }
 
     /// Asynchronously drains a pair participant that lost its race and
@@ -991,26 +994,26 @@ impl HcInner {
     /// * loser failed at the transport → no usable observation; the
     ///   other side feeds its marginal stream alone.
     fn drain_into_book(
-        self: Arc<Self>,
-        loser: crate::transport::InFlight,
+        self: &Arc<Self>,
+        loser: InFlight,
         dispatched: Instant,
         book: Arc<Mutex<RaceBook>>,
         is_primary: bool,
     ) {
-        let rt = self.rt.clone();
-        rt.spawn(async move {
+        let this = self.clone();
+        self.rt.spawn(async move {
             let ms = |d: Instant| d.elapsed().as_secs_f64() * 1e3;
             let side = match loser.await {
                 Ok(_) => SideState::Known(Obs::Exact(ms(dispatched))),
                 Err(TransportError::Cancelled) => {
-                    self.counters
+                    this.counters
                         .cancelled_in_time
                         .fetch_add(1, Ordering::Relaxed);
                     SideState::Known(Obs::Censored(ms(dispatched)))
                 }
                 Err(_) => SideState::Failed,
             };
-            self.report_side(&book, is_primary, side);
+            this.report_side(&book, is_primary, side);
         });
     }
 
@@ -1019,16 +1022,16 @@ impl HcInner {
     /// the cancel but yield no marginal sample (a censored bound is
     /// only usable jointly, and the pair already carries this query's
     /// joint outcome).
-    fn drain_marginal(self: Arc<Self>, loser: crate::transport::InFlight, dispatched: Instant) {
-        let rt = self.rt.clone();
-        rt.spawn(async move {
+    fn drain_marginal(self: &Arc<Self>, loser: InFlight, dispatched: Instant) {
+        let this = self.clone();
+        self.rt.spawn(async move {
             match loser.await {
                 Ok(_) => {
                     let ms = dispatched.elapsed().as_secs_f64() * 1e3;
-                    self.observe(Observation::Reissue(ms));
+                    this.observe(Observation::Reissue(ms));
                 }
                 Err(TransportError::Cancelled) => {
-                    self.counters
+                    this.counters
                         .cancelled_in_time
                         .fetch_add(1, Ordering::Relaxed);
                 }

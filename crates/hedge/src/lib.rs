@@ -9,8 +9,10 @@
 //! * [`rt`] — a minimal multi-threaded async executor with timers and
 //!   a [`rt::race`] combinator (the environment cannot fetch tokio, so
 //!   the runtime is ~300 lines of `std`).
-//! * [`sync`] — oneshot channels and the [`sync::CancelToken`]
-//!   propagated from a hedged query to the backend.
+//! * [`sync`] — the attempt cell: one allocation per wire attempt
+//!   holding its reply slot, waker, cancelled flag and wire target,
+//!   with the [`sync::CancelToken`] propagated from a hedged query to
+//!   the backend as a handle onto it.
 //! * [`server`] — [`server::TcpServer`]: the kvstore behind real
 //!   sockets with wall-clock service times, a pluggable queue
 //!   discipline ([`server::Discipline`], shared with the simulator),

@@ -3,7 +3,9 @@
 //! The serving environment for this repository cannot fetch external
 //! crates, so instead of tokio the hedge runtime runs on this small,
 //! `std`-only executor. Wakers are `Arc<Task>` handles via
-//! [`std::task::Wake`] — no unsafe anywhere.
+//! [`std::task::Wake`] — no unsafe anywhere. A spawn costs two
+//! allocations: the boxed future and the task, which also carries the
+//! join slot its [`JoinHandle`] reads.
 //!
 //! # Pinning model
 //!
@@ -48,9 +50,7 @@ use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
 
-use crate::sync::{oneshot, RecvFuture};
-
-type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
+type BoxFuture<T> = Pin<Box<dyn Future<Output = T> + Send + 'static>>;
 
 // Task scheduling states. The state machine exists to close the
 // classic lost-wakeup race: a wake that lands *while a worker is
@@ -82,20 +82,115 @@ thread_local! {
     static CURRENT: Cell<Option<(*const RtInner, usize)>> = const { Cell::new(None) };
 }
 
-/// One spawned task: its future plus a re-schedule handle, pinned to
-/// the worker that owns it.
-struct Task {
-    future: Mutex<Option<BoxFuture>>,
+/// Scheduling state every task has, whatever its output type.
+struct Header {
     state: AtomicU8,
     rt: Weak<RtInner>,
     /// Owner worker index: wakes enqueue here, always.
     owner: usize,
 }
 
-impl Wake for Task {
-    fn wake(self: Arc<Self>) {
+/// What the run queues hold: a [`Task`] with its output type erased.
+trait Runnable: Send + Sync {
+    fn header(&self) -> &Header;
+    /// Polls the task once on the calling worker and settles its
+    /// scheduling state.
+    fn run(self: Arc<Self>, rt: &RtInner);
+}
+
+/// One spawned task, pinned to the worker that owns it: the boxed
+/// future, the scheduling state, and the slot the future's output is
+/// joined through — one allocation shared by the run queue, the wakers
+/// and the [`JoinHandle`].
+struct Task<T> {
+    header: Header,
+    /// `None` while a worker polls it and once it has finished.
+    future: Mutex<Option<Counted<T>>>,
+    join: Mutex<JoinSlot<T>>,
+}
+
+/// A task's future, counted in `live_tasks` for as long as it exists
+/// (finished, panicked or dropped unpolled all end in `drop`).
+struct Counted<T> {
+    future: BoxFuture<T>,
+    rt: Weak<RtInner>,
+}
+
+impl<T> Drop for Counted<T> {
+    fn drop(&mut self) {
         if let Some(rt) = self.rt.upgrade() {
+            rt.live_tasks.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+}
+
+enum JoinSlot<T> {
+    /// Still running; holds the joiner's waker once it has polled.
+    Pending(Option<Waker>),
+    Done(T),
+    Panicked,
+    Taken,
+}
+
+impl<T: Send + 'static> Wake for Task<T> {
+    fn wake(self: Arc<Self>) {
+        if let Some(rt) = self.header.rt.upgrade() {
             rt.schedule(self);
+        }
+    }
+}
+
+impl<T: Send + 'static> Runnable for Task<T> {
+    fn header(&self) -> &Header {
+        &self.header
+    }
+
+    fn run(self: Arc<Self>, rt: &RtInner) {
+        self.header.state.store(TASK_RUNNING, Ordering::SeqCst);
+        let Some(mut counted) = self.future.lock().unwrap().take() else {
+            // Late wake on a completed task.
+            self.header.state.store(TASK_IDLE, Ordering::SeqCst);
+            return;
+        };
+        let waker = Waker::from(self.clone());
+        let mut cx = Context::from_waker(&waker);
+        // A panicking task must not take down the worker; the panic
+        // surfaces at its JoinHandle instead.
+        let poll = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            counted.future.as_mut().poll(&mut cx)
+        }));
+        let finished = match poll {
+            Ok(Poll::Pending) => {
+                // Restore the future BEFORE leaving RUNNING, so a
+                // concurrent wake that re-enqueues finds it present.
+                *self.future.lock().unwrap() = Some(counted);
+                if self
+                    .header
+                    .state
+                    .compare_exchange(TASK_RUNNING, TASK_IDLE, Ordering::SeqCst, Ordering::SeqCst)
+                    .is_err()
+                {
+                    // A wake landed mid-poll (state is NOTIFIED): the
+                    // notification would otherwise be lost, so this
+                    // worker re-enqueues the task itself.
+                    self.header.state.store(TASK_SCHEDULED, Ordering::SeqCst);
+                    rt.push(self);
+                }
+                return;
+            }
+            Ok(Poll::Ready(v)) => JoinSlot::Done(v),
+            Err(_) => JoinSlot::Panicked,
+        };
+        // Done: the future goes first (it leaves `live_tasks`), then
+        // the joiner learns. Late wakes hit the empty-slot path above.
+        drop(counted);
+        self.header.state.store(TASK_IDLE, Ordering::SeqCst);
+        let joiner = match std::mem::replace(&mut *self.join.lock().unwrap(), finished) {
+            JoinSlot::Pending(w) => w,
+            _ => None,
+        };
+        if let Some(w) = joiner {
+            w.wake();
         }
     }
 }
@@ -195,7 +290,7 @@ impl TimerWheel {
 /// Per-worker shard: private run queue, private wakeup signal,
 /// private timer wheel.
 struct WorkerShard {
-    queue: Mutex<VecDeque<Arc<Task>>>,
+    queue: Mutex<VecDeque<Arc<dyn Runnable>>>,
     cv: Condvar,
     wheel: Mutex<TimerWheel>,
 }
@@ -204,7 +299,7 @@ struct RtInner {
     workers: Vec<WorkerShard>,
     /// Spawn-overflow queue: any worker may steal a first poll from
     /// here when its own queue runs dry.
-    injector: Mutex<VecDeque<Arc<Task>>>,
+    injector: Mutex<VecDeque<Arc<dyn Runnable>>>,
     /// Round-robin cursors for spawn owner assignment and for homing
     /// timers armed off-runtime.
     next_owner: AtomicUsize,
@@ -214,12 +309,12 @@ struct RtInner {
 }
 
 impl RtInner {
-    fn schedule(&self, task: Arc<Task>) {
+    fn schedule(&self, task: Arc<dyn Runnable>) {
+        let state = &task.header().state;
         loop {
-            match task.state.load(Ordering::SeqCst) {
+            match state.load(Ordering::SeqCst) {
                 TASK_IDLE => {
-                    if task
-                        .state
+                    if state
                         .compare_exchange(
                             TASK_IDLE,
                             TASK_SCHEDULED,
@@ -234,9 +329,8 @@ impl RtInner {
                 }
                 TASK_RUNNING => {
                     // Mid-poll: mark so the polling worker re-enqueues
-                    // after it restores the future (see worker_loop).
-                    if task
-                        .state
+                    // after it restores the future (see `Task::run`).
+                    if state
                         .compare_exchange(
                             TASK_RUNNING,
                             TASK_NOTIFIED,
@@ -255,16 +349,16 @@ impl RtInner {
     }
 
     /// Enqueues on the task's owner: the pinning invariant.
-    fn push(&self, task: Arc<Task>) {
-        let shard = &self.workers[task.owner];
+    fn push(&self, task: Arc<dyn Runnable>) {
+        let shard = &self.workers[task.header().owner];
         shard.queue.lock().unwrap().push_back(task);
         shard.cv.notify_one();
     }
 
     /// First enqueue of a freshly spawned task: owner's queue, or the
     /// injector when the owner is backed up (work-stealing fallback).
-    fn push_spawn(&self, task: Arc<Task>) {
-        let shard = &self.workers[task.owner];
+    fn push_spawn(&self, task: Arc<dyn Runnable>) {
+        let shard = &self.workers[task.header().owner];
         {
             let mut q = shard.queue.lock().unwrap();
             if q.len() < SPAWN_QUEUE_DEPTH {
@@ -305,8 +399,16 @@ impl Drop for ThreadSet {
             let _guard = shard.queue.lock().unwrap();
             shard.cv.notify_all();
         }
+        // The last handle can drop on a worker thread (a cancelled
+        // loser's drain finishing after every client handle is gone).
+        // A thread cannot join itself (EDEADLK): that worker's handle
+        // is dropped instead, which detaches it; it leaves its loop on
+        // the `shutdown` flag as soon as the current poll returns.
+        let me = std::thread::current().id();
         for h in self.handles.lock().unwrap().drain(..) {
-            let _ = h.join();
+            if h.thread().id() != me {
+                let _ = h.join();
+            }
         }
     }
 }
@@ -377,23 +479,22 @@ impl Runtime {
         F: Future + Send + 'static,
         F::Output: Send + 'static,
     {
-        let (tx, rx) = oneshot();
-        let inner = self.inner.clone();
-        inner.live_tasks.fetch_add(1, Ordering::Relaxed);
-        let counted = CountGuardFuture {
-            rt: inner.clone(),
-            inner: Box::pin(async move {
-                let _ = tx.send(future.await);
-            }),
-        };
+        self.inner.live_tasks.fetch_add(1, Ordering::Relaxed);
+        let rt = Arc::downgrade(&self.inner);
         let task = Arc::new(Task {
-            future: Mutex::new(Some(Box::pin(counted))),
-            state: AtomicU8::new(TASK_SCHEDULED),
-            rt: Arc::downgrade(&self.inner),
-            owner: worker % self.inner.workers.len(),
+            header: Header {
+                state: AtomicU8::new(TASK_SCHEDULED),
+                rt: rt.clone(),
+                owner: worker % self.inner.workers.len(),
+            },
+            future: Mutex::new(Some(Counted {
+                future: Box::pin(future),
+                rt,
+            })),
+            join: Mutex::new(JoinSlot::Pending(None)),
         });
-        self.inner.push_spawn(task);
-        JoinHandle { rx: rx.recv() }
+        self.inner.push_spawn(task.clone());
+        JoinHandle { task }
     }
 
     /// A future that resolves `duration` from now.
@@ -472,26 +573,6 @@ pub fn current_worker() -> Option<usize> {
     CURRENT.get().map(|(_, i)| i)
 }
 
-/// Decrements the live-task counter when the task future completes or
-/// is dropped mid-flight.
-struct CountGuardFuture {
-    rt: Arc<RtInner>,
-    inner: BoxFuture,
-}
-
-impl Drop for CountGuardFuture {
-    fn drop(&mut self) {
-        self.rt.live_tasks.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-impl Future for CountGuardFuture {
-    type Output = ();
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        self.inner.as_mut().poll(cx)
-    }
-}
-
 fn worker_loop(rt: &Arc<RtInner>, me: usize) {
     CURRENT.set(Some((Arc::as_ptr(rt), me)));
     let shard = &rt.workers[me];
@@ -543,42 +624,7 @@ fn worker_loop(rt: &Arc<RtInner>, me: usize) {
             }
         };
 
-        task.state.store(TASK_RUNNING, Ordering::SeqCst);
-        let Some(mut future) = task.future.lock().unwrap().take() else {
-            // Late wake on a completed task.
-            task.state.store(TASK_IDLE, Ordering::SeqCst);
-            continue;
-        };
-        let waker = Waker::from(task.clone());
-        let mut cx = Context::from_waker(&waker);
-        // A panicking task must not take down the worker; the panic
-        // surfaces at its JoinHandle as a Canceled error instead.
-        let poll = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            future.as_mut().poll(&mut cx)
-        }));
-        match poll {
-            Ok(Poll::Pending) => {
-                // Restore the future BEFORE leaving RUNNING, so a
-                // concurrent wake that re-enqueues finds it present.
-                *task.future.lock().unwrap() = Some(future);
-                if task
-                    .state
-                    .compare_exchange(TASK_RUNNING, TASK_IDLE, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_err()
-                {
-                    // A wake landed mid-poll (state is NOTIFIED): the
-                    // notification would otherwise be lost, so this
-                    // worker re-enqueues the task itself.
-                    task.state.store(TASK_SCHEDULED, Ordering::SeqCst);
-                    rt.push(task);
-                }
-            }
-            Ok(Poll::Ready(())) | Err(_) => {
-                // Done (or future dropped by panic; JoinHandle sees
-                // Canceled). Late wakes hit the empty-slot path above.
-                task.state.store(TASK_IDLE, Ordering::SeqCst);
-            }
-        }
+        task.run(rt);
     }
 }
 
@@ -634,16 +680,20 @@ impl Future for Sleep {
 /// # Panics
 /// Awaiting panics if the task itself panicked.
 pub struct JoinHandle<T> {
-    rx: RecvFuture<T>,
+    task: Arc<Task<T>>,
 }
 
 impl<T> Future for JoinHandle<T> {
     type Output = T;
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
-        match Pin::new(&mut self.rx).poll(cx) {
-            Poll::Ready(Ok(v)) => Poll::Ready(v),
-            Poll::Ready(Err(_)) => panic!("joined task panicked"),
-            Poll::Pending => Poll::Pending,
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
+        let mut slot = self.task.join.lock().unwrap();
+        match std::mem::replace(&mut *slot, JoinSlot::Taken) {
+            JoinSlot::Done(v) => Poll::Ready(v),
+            JoinSlot::Pending(_) => {
+                *slot = JoinSlot::Pending(Some(cx.waker().clone()));
+                Poll::Pending
+            }
+            JoinSlot::Panicked | JoinSlot::Taken => panic!("joined task panicked"),
         }
     }
 }
@@ -701,44 +751,40 @@ where
 }
 
 /// Future returned by [`select_all`]: first-completed-wins over a
-/// whole set of `Unpin` futures.
-pub struct SelectAll<F> {
-    futures: Vec<F>,
+/// borrowed set of `Unpin` futures, polled where they sit.
+pub struct SelectAll<'a, F> {
+    slots: &'a mut [Option<F>],
 }
 
-impl<F> SelectAll<F> {
-    /// Hands the still-pending futures back (e.g. after this selector
-    /// lost a [`race`] against a timer), preserving their order.
-    pub fn into_futures(self) -> Vec<F> {
-        self.futures
-    }
-}
-
-/// Races any number of futures; resolves with the winner's index (in
-/// the input order), its output, and the still-pending rest (with the
-/// winner removed, other indices shifted down). Polls in input order,
-/// so on simultaneous readiness the earliest-dispatched attempt wins —
-/// for hedging that means the primary beats a same-instant reissue.
+/// Races the futures in the occupied slots; resolves with the winner's
+/// slot index and output, leaving that slot `None`. Every other future
+/// stays in place, still pending, so the caller keeps its own (fixed,
+/// index-stable) storage across rounds: nothing is moved, collected or
+/// returned. Dropping the selector — e.g. when it loses a [`race`]
+/// against a timer — just ends the borrow. Polls in slot order, so on
+/// simultaneous readiness the earliest-dispatched attempt wins — for
+/// hedging that means the primary beats a same-instant reissue.
 ///
 /// # Panics
-/// Polling panics if `futures` is empty (there is nothing to win).
-pub fn select_all<F: Future + Unpin>(futures: Vec<F>) -> SelectAll<F> {
-    SelectAll { futures }
+/// Polling panics if every slot is empty (there is nothing to win).
+pub fn select_all<F: Future + Unpin>(slots: &mut [Option<F>]) -> SelectAll<'_, F> {
+    SelectAll { slots }
 }
 
-impl<F: Future + Unpin> Future for SelectAll<F> {
-    type Output = (usize, F::Output, Vec<F>);
+impl<F: Future + Unpin> Future for SelectAll<'_, F> {
+    type Output = (usize, F::Output);
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = &mut *self;
-        assert!(!this.futures.is_empty(), "select_all over no futures");
-        for i in 0..this.futures.len() {
-            if let Poll::Ready(v) = Pin::new(&mut this.futures[i]).poll(cx) {
-                let mut rest = std::mem::take(&mut this.futures);
-                rest.remove(i);
-                return Poll::Ready((i, v, rest));
+        let mut any = false;
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            let Some(fut) = slot else { continue };
+            any = true;
+            if let Poll::Ready(v) = Pin::new(fut).poll(cx) {
+                *slot = None;
+                return Poll::Ready((i, v));
             }
         }
+        assert!(any, "select_all over no futures");
         Poll::Pending
     }
 }
@@ -813,51 +859,47 @@ mod tests {
     }
 
     #[test]
-    fn select_all_returns_winner_and_rest() {
+    fn select_all_returns_winner_and_leaves_the_rest_in_place() {
         let rt = Runtime::new(2);
         let rt2 = rt.clone();
         let slow = |ms: u64, v: &'static str| {
             let rt = rt2.clone();
-            rt2.spawn(async move {
+            Some(rt2.spawn(async move {
                 rt.sleep(Duration::from_millis(ms)).await;
                 v
-            })
+            }))
         };
-        let (idx, won, rest) = rt.block_on(select_all(vec![
-            slow(200, "a"),
-            slow(5, "b"),
-            slow(200, "c"),
-        ]));
+        let mut slots = [slow(200, "a"), slow(5, "b"), slow(200, "c")];
+        let (idx, won) = rt.block_on(select_all(&mut slots));
         assert_eq!((idx, won), (1, "b"));
-        assert_eq!(rest.len(), 2);
-        // The handed-back losers still complete.
-        for loser in rest {
-            let v = rt.block_on(loser);
-            assert!(v == "a" || v == "c");
-        }
+        assert!(slots[1].is_none(), "the winner's slot is emptied");
+        // The losers never moved and still complete, at their indices.
+        let (idx, v) = rt.block_on(select_all(&mut slots));
+        assert!((idx, v) == (0, "a") || (idx, v) == (2, "c"));
+        let (idx2, v2) = rt.block_on(select_all(&mut slots));
+        assert!(idx2 != idx && (v2 == "a" || v2 == "c"));
+        assert!(slots.iter().all(Option::is_none));
     }
 
     #[test]
-    fn select_all_loses_race_to_timer_and_hands_futures_back() {
+    fn select_all_loses_race_to_timer_and_futures_stay_put() {
         let rt = Runtime::new(2);
         let rt2 = rt.clone();
-        let pending = rt.spawn(async move {
+        let mut slots = [Some(rt.spawn(async move {
             rt2.sleep(Duration::from_millis(300)).await;
             41
-        });
+        }))];
         match rt.block_on(race(
-            select_all(vec![pending]),
+            select_all(&mut slots),
             rt.sleep(Duration::from_millis(10)),
         )) {
             Either::Left(_) => panic!("timer should win"),
-            Either::Right((sel, ())) => {
-                let futs = sel.into_futures();
-                assert_eq!(futs.len(), 1);
-                let (i, v, rest) = rt.block_on(select_all(futs));
-                assert_eq!((i, v), (0, 41));
-                assert!(rest.is_empty());
-            }
+            Either::Right((_sel, ())) => {}
         }
+        // Dropping the selector ended the borrow; the future is where
+        // it was and can be raced again.
+        assert_eq!(rt.block_on(select_all(&mut slots)), (0, 41));
+        assert!(slots[0].is_none());
     }
 
     #[test]

@@ -282,7 +282,14 @@ struct Shared<B: Backend> {
     /// `inner` may be held while taking `sched` (admission, take), and
     /// `ties` is only ever taken last or alone — never the reverse.
     sched: Mutex<WaitQueue<SchedItem>>,
+    /// What the idle sweeper blocks on, paired with `sched`. Everything
+    /// it wakes for — a push, `stop`, `reap` — changes under the
+    /// `sched` lock, and the sweeper checks all three under that lock
+    /// before it waits, so no wake-up can fall between check and wait
+    /// and the wait needs no timeout.
     sweep_cv: Condvar,
+    /// A connection died since the last reap (see [`mark_dead`]).
+    reap: AtomicBool,
     conns: Mutex<Vec<Arc<ConnState>>>,
     /// Tie registrations and out-of-order tombstones.
     ties: Mutex<TieTable>,
@@ -337,6 +344,7 @@ impl<B: Backend> TcpServer<B> {
             stats: Mutex::new(ServerStats::default()),
             sched: Mutex::new(WaitQueue::new(cfg.discipline)),
             sweep_cv: Condvar::new(),
+            reap: AtomicBool::new(false),
             conns: Mutex::new(Vec::new()),
             ties: Mutex::new(TieTable::new()),
             tie_tx: Mutex::new(Some(tie_tx)),
@@ -428,8 +436,11 @@ impl<B: Backend> TcpServer<B> {
     /// Stops all threads — accept, sweeper, tie sender, and every
     /// per-connection reader — and joins them.
     pub fn shutdown(&self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.sweep_cv.notify_all();
+        {
+            let _sched = self.shared.sched.lock().unwrap();
+            self.shared.stop.store(true, Ordering::SeqCst);
+            self.shared.sweep_cv.notify_one();
+        }
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.local_addr);
         // Dropping the sender disconnects the tie thread's recv loop.
@@ -514,7 +525,9 @@ fn reader_loop<B: Backend>(mut stream: TcpStream, state: &Arc<ConnState>, shared
     // A `TIE` control frame applies to the next request on this
     // connection; it consumes no sequence number and gets no reply.
     let mut pending_tie: Option<TieInfo> = None;
-    while !shared.stop.load(Ordering::SeqCst) {
+    // A failed reply write marks the connection dead from another
+    // thread; this one then stops reading and reports the death.
+    while !shared.stop.load(Ordering::SeqCst) && !state.dead.load(Ordering::SeqCst) {
         match stream.read(&mut chunk) {
             Ok(0) => break, // peer closed
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
@@ -551,7 +564,17 @@ fn reader_loop<B: Backend>(mut stream: TcpStream, state: &Arc<ConnState>, shared
             }
         }
     }
-    state.dead.store(true, Ordering::SeqCst);
+    mark_dead(shared, state);
+}
+
+/// Reports a connection's death to the sweeper, which reaps on this
+/// signal rather than scanning for dead connections on every idle
+/// turn. The flags flip under the `sched` lock (see `sweep_cv`).
+fn mark_dead<B: Backend>(shared: &Shared<B>, conn: &ConnState) {
+    let _sched = shared.sched.lock().unwrap();
+    conn.dead.store(true, Ordering::SeqCst);
+    shared.reap.store(true, Ordering::SeqCst);
+    shared.sweep_cv.notify_one();
 }
 
 /// Writes one reply frame. Callers hold the connection's `inner` lock,
@@ -679,15 +702,23 @@ fn admit_head<B: Backend>(shared: &Shared<B>, conn: &Arc<ConnState>, inner: &mut
             is_reissue: front.is_reissue,
         };
         shared.sched.lock().unwrap().push(item);
-        shared.sweep_cv.notify_all();
+        // One sweeper, so one waiter at most.
+        shared.sweep_cv.notify_one();
         return;
     }
 }
 
 /// Marks the entry `seq` on `conn` as cancelled, retracting it
 /// immediately when possible. Returns `true` if the retraction landed
-/// in time (the request will never execute).
-fn cancel_entry<B: Backend>(shared: &Shared<B>, conn: &Arc<ConnState>, seq: u64) -> bool {
+/// in time (the request will never execute). `by_peer` counts it as a
+/// tie retraction — here, before the `-ERR cancelled` marker can reach
+/// the client, so whoever reads that reply finds the counter moved.
+fn cancel_entry<B: Backend>(
+    shared: &Shared<B>,
+    conn: &Arc<ConnState>,
+    seq: u64,
+    by_peer: bool,
+) -> bool {
     let mut inner = conn.inner.lock().unwrap();
     let Some(entry) = inner.queue.iter_mut().find(|e| e.seq == seq) else {
         return false; // already executed (or never existed): no-op
@@ -696,6 +727,12 @@ fn cancel_entry<B: Backend>(shared: &Shared<B>, conn: &Arc<ConnState>, seq: u64)
         return false;
     }
     entry.cancelled = true;
+    if by_peer {
+        shared
+            .tie_counters
+            .retractions
+            .fetch_add(1, Ordering::Relaxed);
+    }
     if entry.admitted {
         // The head is in the central queue — or already in the
         // sweeper's hands. Take it back if it is still queued; if the
@@ -720,7 +757,7 @@ fn cancel_entry<B: Backend>(shared: &Shared<B>, conn: &Arc<ConnState>, seq: u64)
 
 /// Client-driven `CANCEL <seq>` on the entry's own connection.
 fn client_cancel<B: Backend>(shared: &Arc<Shared<B>>, state: &Arc<ConnState>, seq: u64) {
-    cancel_entry(shared, state, seq);
+    cancel_entry(shared, state, seq, false);
 }
 
 /// A peer server announced a reissue tied to local tie `id`. If the
@@ -788,35 +825,32 @@ fn handle_cancel_tie<B: Backend>(shared: &Arc<Shared<B>>, id: u64) {
     let Some((conn, seq)) = reg else {
         return; // already dequeued/retracted, or pre-cancelled
     };
-    if cancel_entry(shared, &conn, seq) {
-        shared
-            .tie_counters
-            .retractions
-            .fetch_add(1, Ordering::Relaxed);
-    }
+    cancel_entry(shared, &conn, seq, true);
 }
 
 fn sweep_loop<B: Backend>(shared: &Arc<Shared<B>>) {
     let mut scratch = BytesMut::new();
     loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let now = shared.now_ms();
-        let item = shared.sched.lock().unwrap().pop(now);
-        let Some(item) = item else {
-            reap_dead(shared);
-            let guard = shared.sched.lock().unwrap();
-            if !guard.is_empty() {
-                continue; // pushed between the pop and this lock
+        // Next admitted head, or block until there is one. An idle
+        // server costs no CPU: the wait has no timeout (see
+        // `Shared::sweep_cv` for why none is needed).
+        let item = {
+            let mut sched = shared.sched.lock().unwrap();
+            loop {
+                if shared.stop.load(Ordering::SeqCst) {
+                    return;
+                }
+                if shared.reap.swap(false, Ordering::SeqCst) {
+                    drop(sched);
+                    reap_dead(shared);
+                    sched = shared.sched.lock().unwrap();
+                    continue;
+                }
+                if let Some(item) = sched.pop(shared.now_ms()) {
+                    break item;
+                }
+                sched = shared.sweep_cv.wait(sched).unwrap();
             }
-            // Timeout bounds the lost-wakeup window (readers notify
-            // without holding the queue lock).
-            let _ = shared
-                .sweep_cv
-                .wait_timeout(guard, Duration::from_micros(100))
-                .unwrap();
-            continue;
         };
         let mut inner = item.conn.inner.lock().unwrap();
         if item.conn.dead.load(Ordering::SeqCst) {
@@ -885,13 +919,11 @@ fn sweep_loop<B: Backend>(shared: &Arc<Shared<B>>) {
 /// them. Without this the connection list and tie map grow with every
 /// client that ever connected.
 fn reap_dead<B: Backend>(shared: &Arc<Shared<B>>) {
-    {
-        let mut conns = shared.conns.lock().unwrap();
-        if !conns.iter().any(|c| c.dead.load(Ordering::SeqCst)) {
-            return;
-        }
-        conns.retain(|c| !c.dead.load(Ordering::SeqCst));
-    }
+    shared
+        .conns
+        .lock()
+        .unwrap()
+        .retain(|c| !c.dead.load(Ordering::SeqCst));
     shared
         .ties
         .lock()

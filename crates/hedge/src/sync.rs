@@ -1,191 +1,108 @@
-//! Synchronization primitives for the hedge runtime: a oneshot channel
-//! (task completion, in-flight replies) and [`CancelToken`], the
+//! The attempt cell: one allocation that carries everything a wire
+//! attempt shares between the task awaiting it, the connection I/O
+//! thread serving it, and whoever cancels it. [`CancelToken`] — the
 //! cancellation primitive propagated from a hedged query to the
-//! transport and on to the backend (tied requests).
+//! transport and on to the backend (tied requests) — and
+//! [`crate::transport::InFlight`] are both handles onto that cell.
+//!
+//! # Lifecycle
+//!
+//! 1. [`CancelToken::new`] allocates the cell: not cancelled, no reply,
+//!    no wire target. This is the attempt's only allocation.
+//! 2. `Replica::request` attaches one request to it and queues the
+//!    job. A token cancelled before its job is dequeued never touches
+//!    the wire.
+//! 3. The I/O thread writes the frame and, still holding the
+//!    connection's **writer lock**, records the *wire target* (that
+//!    writer and the request's sequence number). From here exactly one
+//!    reply will come back, and `CANCEL <seq>` can chase the request.
+//! 4. When the reply is read — or the socket is given up on — the I/O
+//!    thread clears the wire target, again under the writer lock, and
+//!    then stores the outcome, which wakes the awaiting task. The
+//!    outcome is stored at most once.
+//!
+//! # Lock order
+//!
+//! **Writer lock, then cell state** — never the reverse. The I/O
+//! thread takes the cell while holding the writer (steps 3 and 4);
+//! [`CancelToken::cancel`] flips the flag under the cell lock, *lets go
+//! of it*, and only then takes the writer lock and looks at the cell
+//! again. That second look is what makes a late cancel safe: the wire
+//! target is only ever set or cleared under the writer lock, and a
+//! reconnect swaps the socket and restarts the numbering under that
+//! same lock, so a canceller holding it sees either the target of the
+//! socket it is about to write to, or none — never a sequence number
+//! that belonged to a socket since replaced.
+
+use crate::transport::TransportError;
+use bytes::BytesMut;
+use kvstore::resp::encode_command;
+use kvstore::{Command, Reply};
 
 use std::future::Future;
+use std::io::Write;
+use std::net::TcpStream;
 use std::pin::Pin;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::task::{Context, Poll, Waker};
 
-/// Error returned when a oneshot sender is dropped without sending.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Canceled;
+/// How a wire attempt ended.
+type Outcome = Result<Reply, TransportError>;
 
-impl std::fmt::Display for Canceled {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("oneshot sender dropped without a value")
-    }
-}
+/// A connection's write half, shared between its I/O thread and the
+/// cancellers of the requests it has on the wire.
+pub(crate) type Writer = Arc<Mutex<TcpStream>>;
 
-impl std::error::Error for Canceled {}
-
-enum OneState<T> {
-    Empty(Option<Waker>),
-    Value(T),
-    Closed,
+enum ReplySlot {
+    Empty,
+    Ready(Outcome),
     Taken,
 }
 
-struct OneInner<T> {
-    state: Mutex<OneState<T>>,
-    cv: Condvar,
-}
-
-/// Sending half of a oneshot channel.
-pub struct Sender<T> {
-    inner: Arc<OneInner<T>>,
-}
-
-/// Receiving half of a oneshot channel.
-pub struct Receiver<T> {
-    inner: Arc<OneInner<T>>,
-    // False once converted into a RecvFuture: Drop must then leave the
-    // channel open for the future to consume.
-    armed: bool,
-}
-
-/// Creates a oneshot channel.
-pub fn oneshot<T>() -> (Sender<T>, Receiver<T>) {
-    let inner = Arc::new(OneInner {
-        state: Mutex::new(OneState::Empty(None)),
-        cv: Condvar::new(),
-    });
-    (
-        Sender {
-            inner: inner.clone(),
-        },
-        Receiver { inner, armed: true },
-    )
-}
-
-impl<T> Sender<T> {
-    /// Delivers the value; returns it back if the receiver is gone.
-    pub fn send(self, value: T) -> Result<(), T> {
-        let mut state = self.inner.state.lock().unwrap();
-        match &mut *state {
-            OneState::Empty(waker) => {
-                let waker = waker.take();
-                *state = OneState::Value(value);
-                drop(state);
-                self.inner.cv.notify_all();
-                if let Some(w) = waker {
-                    w.wake();
-                }
-                Ok(())
-            }
-            OneState::Value(_) | OneState::Closed | OneState::Taken => Err(value),
-        }
-    }
-}
-
-impl<T> Drop for Sender<T> {
-    fn drop(&mut self) {
-        let mut state = self.inner.state.lock().unwrap();
-        if let OneState::Empty(waker) = &mut *state {
-            let waker = waker.take();
-            *state = OneState::Closed;
-            drop(state);
-            self.inner.cv.notify_all();
-            if let Some(w) = waker {
-                w.wake();
-            }
-        }
-    }
-}
-
-impl<T> Receiver<T> {
-    /// Awaits the value asynchronously.
-    pub fn recv(mut self) -> RecvFuture<T> {
-        self.armed = false;
-        RecvFuture {
-            inner: self.inner.clone(),
-        }
-    }
-
-    /// Blocks the calling thread until the value (or closure) arrives.
-    pub fn recv_blocking(self) -> Result<T, Canceled> {
-        let mut state = self.inner.state.lock().unwrap();
-        loop {
-            match std::mem::replace(&mut *state, OneState::Taken) {
-                OneState::Value(v) => return Ok(v),
-                OneState::Closed => return Err(Canceled),
-                s @ OneState::Empty(_) => {
-                    *state = s;
-                    state = self.inner.cv.wait(state).unwrap();
-                }
-                OneState::Taken => return Err(Canceled),
-            }
-        }
-    }
-
-    /// Returns the value if it has already arrived.
-    pub fn try_recv(&self) -> Option<Result<T, Canceled>> {
-        let mut state = self.inner.state.lock().unwrap();
-        match std::mem::replace(&mut *state, OneState::Taken) {
-            OneState::Value(v) => Some(Ok(v)),
-            OneState::Closed => Some(Err(Canceled)),
-            s @ OneState::Empty(_) => {
-                *state = s;
-                None
-            }
-            OneState::Taken => Some(Err(Canceled)),
-        }
-    }
-}
-
-impl<T> Drop for Receiver<T> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        // Mark taken so a late send learns the value is undeliverable.
-        let mut state = self.inner.state.lock().unwrap();
-        if matches!(*state, OneState::Empty(_)) {
-            *state = OneState::Taken;
-        }
-    }
-}
-
-/// Future returned by [`Receiver::recv`]. `Unpin`.
-pub struct RecvFuture<T> {
-    inner: Arc<OneInner<T>>,
-}
-
-impl<T> Future for RecvFuture<T> {
-    type Output = Result<T, Canceled>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut state = self.inner.state.lock().unwrap();
-        match std::mem::replace(&mut *state, OneState::Taken) {
-            OneState::Value(v) => Poll::Ready(Ok(v)),
-            OneState::Closed => Poll::Ready(Err(Canceled)),
-            OneState::Empty(_) => {
-                *state = OneState::Empty(Some(cx.waker().clone()));
-                Poll::Pending
-            }
-            OneState::Taken => Poll::Ready(Err(Canceled)),
-        }
-    }
-}
-
-#[derive(Default)]
-struct CtState {
+struct CellState {
     cancelled: bool,
+    /// A request has been attached (see [`CancelToken::attach`]).
+    claimed: bool,
+    reply: ReplySlot,
+    /// The task awaiting the reply.
+    reply_waker: Option<Waker>,
+    /// Where `CANCEL` can reach the request right now: the writer of
+    /// the connection it was written to and its sequence number there.
+    /// Set and cleared only under that writer's lock.
+    wire: Option<(Writer, u64)>,
+    // For callers outside the transport; empty `Vec`s do not allocate.
     wakers: Vec<Waker>,
     callbacks: Vec<Box<dyn FnOnce() + Send>>,
 }
 
-/// A clonable cancellation token.
+/// A clonable cancellation token — a handle onto one attempt cell (see
+/// the module docs).
 ///
 /// A hedged query hands one token to each speculative arm; when a
 /// winner emerges, cancelling the loser's token (a) wakes any task
-/// awaiting [`CancelToken::cancelled`], and (b) fires callbacks the
-/// transport registered — which is how the `CANCEL` frame reaches the
-/// backend server (tied requests, Dean & Barroso §"Tied requests").
-#[derive(Clone, Default)]
+/// awaiting [`CancelToken::cancelled`], (b) writes `CANCEL <seq>` to
+/// the backend if the request is on the wire (tied requests, Dean &
+/// Barroso §"Tied requests"), and (c) runs callbacks registered with
+/// [`CancelToken::on_cancel`].
+#[derive(Clone)]
 pub struct CancelToken {
-    inner: Arc<Mutex<CtState>>,
+    inner: Arc<Mutex<CellState>>,
+}
+
+impl Default for CancelToken {
+    fn default() -> Self {
+        CancelToken {
+            inner: Arc::new(Mutex::new(CellState {
+                cancelled: false,
+                claimed: false,
+                reply: ReplySlot::Empty,
+                reply_waker: None,
+                wire: None,
+                wakers: Vec::new(),
+                callbacks: Vec::new(),
+            })),
+        }
+    }
 }
 
 impl CancelToken {
@@ -194,10 +111,15 @@ impl CancelToken {
         CancelToken::default()
     }
 
-    /// Cancels: wakes waiters and runs registered callbacks (once).
+    fn state(&self) -> MutexGuard<'_, CellState> {
+        self.inner.lock().expect("attempt cell lock poisoned")
+    }
+
+    /// Cancels: wakes waiters, retracts the request if it is on the
+    /// wire, and runs registered callbacks (once).
     pub fn cancel(&self) {
-        let (wakers, callbacks) = {
-            let mut st = self.inner.lock().unwrap();
+        let (wakers, callbacks, writer) = {
+            let mut st = self.state();
             if st.cancelled {
                 return;
             }
@@ -205,10 +127,21 @@ impl CancelToken {
             (
                 std::mem::take(&mut st.wakers),
                 std::mem::take(&mut st.callbacks),
+                st.wire.as_ref().map(|(w, _)| w.clone()),
             )
         };
         for w in wakers {
             w.wake();
+        }
+        if let Some(writer) = writer {
+            // Writer lock first, then the cell again: the target may
+            // have been cleared (reply read, socket replaced) or moved
+            // to a fresh socket (retry) since the flag flipped.
+            let mut stream = writer.lock().expect("writer lock poisoned");
+            let seq = self.state().wire.as_ref().map(|&(_, seq)| seq);
+            if let Some(seq) = seq {
+                write_cancel(&mut stream, seq);
+            }
         }
         for cb in callbacks {
             cb();
@@ -217,32 +150,116 @@ impl CancelToken {
 
     /// Whether [`cancel`](Self::cancel) has been called.
     pub fn is_cancelled(&self) -> bool {
-        self.inner.lock().unwrap().cancelled
+        self.state().cancelled
     }
 
     /// Registers `callback` to run on cancellation; runs it immediately
-    /// if the token is already cancelled.
+    /// if the token is already cancelled. The transport does not use
+    /// this (a wired request is retracted through the cell itself); it
+    /// is for outside callers and allocates only when called.
     pub fn on_cancel(&self, callback: impl FnOnce() + Send + 'static) {
-        let run_now = {
-            let mut st = self.inner.lock().unwrap();
-            if st.cancelled {
-                true
-            } else {
+        {
+            let mut st = self.state();
+            if !st.cancelled {
                 st.callbacks.push(Box::new(callback));
                 return;
             }
-        };
-        if run_now {
-            callback();
         }
+        callback();
     }
 
     /// A future that resolves when the token is cancelled.
     pub fn cancelled(&self) -> Cancelled {
         Cancelled {
-            inner: self.inner.clone(),
+            token: self.clone(),
         }
     }
+
+    /// Attaches a request to this cell and returns the handle to use
+    /// for it: this one — or, when a request is already attached (an
+    /// outside caller cancelling several requests through one token; a
+    /// cell has one reply slot), a fresh cell that this one cancels.
+    pub(crate) fn attach(self) -> CancelToken {
+        if !std::mem::replace(&mut self.state().claimed, true) {
+            return self;
+        }
+        let own = CancelToken::new();
+        own.state().claimed = true;
+        let chained = own.clone();
+        self.on_cancel(move || chained.cancel());
+        own
+    }
+
+    /// Records that the request now sits on `writer`'s socket as
+    /// request `seq`. The caller has just written the frame and still
+    /// holds the writer lock (`stream`). A cancel that came first is
+    /// honoured here, on the spot.
+    pub(crate) fn set_wire(
+        &self,
+        writer: &Writer,
+        stream: &mut MutexGuard<'_, TcpStream>,
+        seq: u64,
+    ) {
+        let mut st = self.state();
+        if st.cancelled {
+            drop(st);
+            write_cancel(stream, seq);
+        } else {
+            st.wire = Some((writer.clone(), seq));
+        }
+    }
+
+    /// Forgets the wire target: the reply was read, or the socket is
+    /// being given up on. The caller holds the writer lock, which is
+    /// what `_stream` witnesses.
+    pub(crate) fn clear_wire(&self, _stream: &MutexGuard<'_, TcpStream>) {
+        self.state().wire = None;
+    }
+
+    /// Stores the attempt's outcome and wakes the awaiting task. Only
+    /// the first call counts: an attempt resolves exactly once.
+    pub(crate) fn complete(&self, outcome: Outcome) {
+        let waker = {
+            let mut st = self.state();
+            if !matches!(st.reply, ReplySlot::Empty) {
+                return;
+            }
+            st.reply = ReplySlot::Ready(outcome);
+            st.reply_waker.take()
+        };
+        if let Some(w) = waker {
+            w.wake();
+        }
+    }
+
+    /// Polls for the outcome (the body of `InFlight::poll`).
+    pub(crate) fn poll_outcome(&self, cx: &mut Context<'_>) -> Poll<Outcome> {
+        let mut st = self.state();
+        match std::mem::replace(&mut st.reply, ReplySlot::Taken) {
+            ReplySlot::Ready(outcome) => Poll::Ready(outcome),
+            ReplySlot::Empty => {
+                st.reply = ReplySlot::Empty;
+                if !st
+                    .reply_waker
+                    .as_ref()
+                    .is_some_and(|w| w.will_wake(cx.waker()))
+                {
+                    st.reply_waker = Some(cx.waker().clone());
+                }
+                Poll::Pending
+            }
+            ReplySlot::Taken => Poll::Ready(Err(TransportError::ConnectionClosed)),
+        }
+    }
+}
+
+/// Writes `CANCEL <seq>` to a connection whose writer lock the caller
+/// holds. Best effort: a socket that refuses it is already dying, and
+/// its reader will notice.
+fn write_cancel(stream: &mut TcpStream, seq: u64) {
+    let mut frame = BytesMut::with_capacity(48);
+    encode_command(&Command::Cancel(seq), &mut frame);
+    let _ = stream.write_all(&frame);
 }
 
 impl std::fmt::Debug for CancelToken {
@@ -255,13 +272,13 @@ impl std::fmt::Debug for CancelToken {
 
 /// Future returned by [`CancelToken::cancelled`]. `Unpin`.
 pub struct Cancelled {
-    inner: Arc<Mutex<CtState>>,
+    token: CancelToken,
 }
 
 impl Future for Cancelled {
     type Output = ();
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let mut st = self.inner.lock().unwrap();
+        let mut st = self.token.state();
         if st.cancelled {
             Poll::Ready(())
         } else {
@@ -274,38 +291,6 @@ impl Future for Cancelled {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn oneshot_send_then_recv() {
-        let (tx, rx) = oneshot();
-        tx.send(5).unwrap();
-        assert_eq!(rx.recv_blocking(), Ok(5));
-    }
-
-    #[test]
-    fn oneshot_drop_sender_closes() {
-        let (tx, rx) = oneshot::<u32>();
-        drop(tx);
-        assert_eq!(rx.recv_blocking(), Err(Canceled));
-    }
-
-    #[test]
-    fn oneshot_drop_receiver_bounces_value() {
-        let (tx, rx) = oneshot::<u32>();
-        drop(rx);
-        assert_eq!(tx.send(9), Err(9));
-    }
-
-    #[test]
-    fn oneshot_cross_thread() {
-        let (tx, rx) = oneshot();
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            tx.send("hello").unwrap();
-        });
-        assert_eq!(rx.recv_blocking(), Ok("hello"));
-        t.join().unwrap();
-    }
 
     #[test]
     fn cancel_token_flags_and_callbacks() {
@@ -322,5 +307,26 @@ mod tests {
         let f3 = fired.clone();
         token.on_cancel(move || *f3.lock().unwrap() += 10);
         assert_eq!(*fired.lock().unwrap(), 11);
+    }
+
+    #[test]
+    fn cell_resolves_once_and_carries_one_request() {
+        let token = CancelToken::new().attach();
+        // A second request through the same token gets its own cell,
+        // cancelled along with the first.
+        let second = token.clone().attach();
+        assert!(!Arc::ptr_eq(&token.inner, &second.inner));
+        token.cancel();
+        assert!(second.is_cancelled());
+        token.complete(Ok(Reply::Pong));
+        token.complete(Err(TransportError::ConnectionClosed)); // ignored
+        let waker = Waker::noop();
+        let mut cx = Context::from_waker(waker);
+        assert_eq!(token.poll_outcome(&mut cx), Poll::Ready(Ok(Reply::Pong)));
+        // Polled again after completion: closed, not a second reply.
+        assert_eq!(
+            token.poll_outcome(&mut cx),
+            Poll::Ready(Err(TransportError::ConnectionClosed))
+        );
     }
 }

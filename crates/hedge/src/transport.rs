@@ -3,7 +3,8 @@
 //! wire.
 //!
 //! Each pooled connection owns a dedicated I/O thread (blocking
-//! sockets; the async layer above parks on oneshot futures). Requests
+//! sockets; the async layer above parks on the attempt cell, see
+//! [`crate::sync`]). Requests
 //! are sequence-numbered per connection; cancelling an in-flight
 //! request writes `CANCEL <seq>` on the same connection, which the
 //! server answers with the `-ERR cancelled` marker if it managed to
@@ -21,7 +22,7 @@
 //! steering reissues elsewhere) instead of erroring every job; a
 //! still-down replica fails fast (dial refusals are immediate).
 
-use crate::sync::{oneshot, CancelToken, RecvFuture, Sender};
+use crate::sync::{CancelToken, Writer};
 use bytes::BytesMut;
 use kvstore::resp::{decode_reply, encode_command};
 use kvstore::{Command, Reply};
@@ -32,7 +33,7 @@ use std::future::Future;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::task::{Context, Poll};
 use std::time::Duration;
@@ -230,12 +231,22 @@ impl TieSpec {
     }
 }
 
+/// One queued request. `token` is the attempt cell: the I/O thread
+/// resolves it with `token.complete(..)`, and a job that is dropped
+/// unresolved — bounced by a failed send, or left in the queue when
+/// the connection goes away — resolves it as `ConnectionClosed` (a
+/// no-op on a cell already resolved).
 struct Job {
     cmd: Command,
     token: CancelToken,
     tie: Option<TieSpec>,
-    reply: Sender<Result<Reply, TransportError>>,
     _ticket: InflightTicket,
+}
+
+impl Drop for Job {
+    fn drop(&mut self) {
+        self.token.complete(Err(TransportError::ConnectionClosed));
+    }
 }
 
 /// One pooled connection: a job queue feeding a dedicated I/O thread.
@@ -350,6 +361,7 @@ impl Replica {
     /// serving replica at dequeue time — server-to-server — instead of
     /// waiting for this client's `CANCEL` round trip.
     pub fn request_tied(&self, cmd: Command, token: CancelToken, tie: Option<TieSpec>) -> InFlight {
+        let token = token.attach();
         // CANCEL and tie frames are transport-internal control frames
         // (no reply, sequence-number-sensitive); a hand-sent one would
         // desynchronize the reply stream, so refuse them here.
@@ -360,11 +372,10 @@ impl Replica {
                 | Command::TiePeer { .. }
                 | Command::CancelTie(_)
         ) {
-            let (tx, rx) = oneshot();
-            let _ = tx.send(Err(TransportError::Protocol(
+            token.complete(Err(TransportError::Protocol(
                 "control frames are sent via CancelToken/TieSpec, not as requests".into(),
             )));
-            return InFlight { rx: rx.recv() };
+            return InFlight { token };
         }
         // Prefer the least-loaded connection; break ties round-robin.
         let start = self.next.fetch_add(1, Ordering::Relaxed) % self.conns.len();
@@ -373,21 +384,18 @@ impl Replica {
             .min_by_key(|&i| self.conns[i].inflight.load(Ordering::Relaxed))
             .unwrap_or(start);
         let conn = &self.conns[pick];
-        let (tx, rx) = oneshot();
         let job = Job {
             cmd,
-            token,
+            token: token.clone(),
             tie,
-            reply: tx,
             _ticket: InflightTicket::new(&conn.inflight),
         };
         if let Some(jobs) = &conn.jobs {
             // On send failure the bounced job drops here, releasing
-            // its ticket; the dropped reply Sender resolves the future
-            // to Canceled, mapped to ConnectionClosed below.
+            // its ticket and resolving the cell as ConnectionClosed.
             let _ = jobs.send(job);
         }
-        InFlight { rx: rx.recv() }
+        InFlight { token }
     }
 }
 
@@ -404,19 +412,16 @@ impl Drop for Replica {
     }
 }
 
-/// Future for a dispatched request. `Unpin`, so it can be raced.
+/// Future for a dispatched request — the awaiting side of the
+/// attempt cell. `Unpin`, so it can be raced.
 pub struct InFlight {
-    rx: RecvFuture<Result<Reply, TransportError>>,
+    token: CancelToken,
 }
 
 impl Future for InFlight {
     type Output = Result<Reply, TransportError>;
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        match Pin::new(&mut self.rx).poll(cx) {
-            Poll::Ready(Ok(r)) => Poll::Ready(r),
-            Poll::Ready(Err(_)) => Poll::Ready(Err(TransportError::ConnectionClosed)),
-            Poll::Pending => Poll::Pending,
-        }
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        self.token.poll_outcome(cx)
     }
 }
 
@@ -457,10 +462,11 @@ fn connect_socket(addr: SocketAddr) -> std::io::Result<TcpStream> {
 /// Per-connection I/O state, replaced wholesale on reconnect.
 struct ConnIo {
     reader: TcpStream,
-    /// Shared with cancel callbacks, which run on other threads while
-    /// this thread is blocked reading the reply. Reconnect swaps the
-    /// stream *inside* the mutex so registered callbacks keep working.
-    writer: Arc<Mutex<TcpStream>>,
+    /// Shared with cancellers, which run on other threads while this
+    /// thread is blocked reading the reply. Reconnect swaps the stream
+    /// *inside* the mutex, so the handle recorded in an attempt cell
+    /// stays good for the life of the connection slot.
+    writer: Writer,
     buf: BytesMut,
     /// Sequence numbers count commands actually sent on the wire — the
     /// server counts the same way, so they stay aligned. A job
@@ -486,7 +492,6 @@ fn attempt_request(
     chunk: &mut [u8],
     frame: &mut BytesMut,
 ) -> Result<Reply, AttemptError> {
-    let my_seq = io.seq;
     frame.clear();
     // The tie registration rides in the same write as the command so
     // the server's reader sees them back to back — on every wire
@@ -500,32 +505,21 @@ fn attempt_request(
         encode_command(&tie.command(), frame);
     }
     encode_command(&job.cmd, frame);
-    if let Err(e) = io.writer.lock().unwrap().write_all(frame) {
-        return Err(AttemptError::Retryable(TransportError::Io(e.to_string())));
+    {
+        let mut stream = io.writer.lock().expect("writer lock poisoned");
+        if let Err(e) = stream.write_all(frame) {
+            return Err(AttemptError::Retryable(TransportError::Io(e.to_string())));
+        }
+        // From here the request is on the wire: exactly one reply will
+        // come back, and a cancel races ahead on the same socket. The
+        // wire target goes into the cell before the writer lock is
+        // released, and comes out again under it below — before this
+        // function returns, hence before any reconnect — which is what
+        // keeps a late cancel from writing a stale sequence number onto
+        // a redialled socket (see `crate::sync`).
+        job.token.set_wire(&io.writer, &mut stream, io.seq);
     }
     io.seq += 1;
-    // From here the request is on the wire: exactly one reply will
-    // come back. A cancel now races ahead on the same socket. The
-    // `done` guard keeps a late cancel from writing a stale sequence
-    // number onto a *reconnected* socket: it must be re-checked
-    // *under the writer lock*, because `reconnect` both swaps the
-    // stream and resets the numbering under that lock — and `done` is
-    // always set before the attempt returns, so a callback that
-    // acquires the lock after a reconnect is guaranteed to see it.
-    let done = Arc::new(AtomicBool::new(false));
-    {
-        let done = done.clone();
-        let writer = io.writer.clone();
-        job.token.on_cancel(move || {
-            let mut w = writer.lock().unwrap();
-            if done.load(Ordering::SeqCst) {
-                return;
-            }
-            let mut cancel_frame = BytesMut::new();
-            encode_command(&Command::Cancel(my_seq), &mut cancel_frame);
-            let _ = w.write_all(&cancel_frame);
-        });
-    }
     // Read exactly one reply (blocking with periodic timeouts).
     let reply = loop {
         match decode_reply(&mut io.buf) {
@@ -544,7 +538,8 @@ fn attempt_request(
             Err(e) => break Err(AttemptError::Retryable(TransportError::Io(e.to_string()))),
         }
     };
-    done.store(true, Ordering::SeqCst);
+    job.token
+        .clear_wire(&io.writer.lock().expect("writer lock poisoned"));
     match reply {
         Ok(Reply::Error(e)) if e == CANCELLED_MARKER => {
             Err(AttemptError::Final(TransportError::Cancelled))
@@ -602,7 +597,7 @@ fn conn_loop(
     for job in jobs.iter() {
         // Cancelled while queued: never touches the wire.
         if job.token.is_cancelled() {
-            let _ = job.reply.send(Err(TransportError::Cancelled));
+            job.token.complete(Err(TransportError::Cancelled));
             continue;
         }
         let dispatched = std::time::Instant::now();
@@ -679,7 +674,7 @@ fn conn_loop(
                 );
             }
         }
-        let _ = job.reply.send(outcome);
+        job.token.complete(outcome);
     }
 }
 
@@ -697,8 +692,7 @@ fn conn_loop(
 /// with the socket error, and the next staged batch dials a fresh
 /// connection (with jittered backoff between failed dials). Cancels
 /// still propagate by sequence number exactly as in the strict loop,
-/// with the same done-guard against retracting on a reconnected
-/// socket.
+/// through the same wire target in the attempt cell.
 fn pipelined_conn_loop(
     addr: SocketAddr,
     stream: TcpStream,
@@ -710,7 +704,6 @@ fn pipelined_conn_loop(
     struct Wired {
         job: Job,
         dispatched: std::time::Instant,
-        done: Arc<AtomicBool>,
     }
     let mut io = ConnIo {
         reader: stream,
@@ -728,13 +721,22 @@ fn pipelined_conn_loop(
     let mut dial_failures = 0usize;
     let mut rng = SmallRng::seed_from_u64(u64::from(addr.port()) ^ 0x919E11);
 
-    fn fail_wired(wired: &mut std::collections::VecDeque<Wired>, e: &TransportError) {
+    /// Fails everything on the wire. The wire targets come out first,
+    /// under the writer lock, so a late cancel that wins that lock
+    /// after the redial finds none and never writes a stale sequence
+    /// number onto the fresh socket.
+    fn fail_wired(
+        writer: &Writer,
+        wired: &mut std::collections::VecDeque<Wired>,
+        e: &TransportError,
+    ) {
+        let stream = writer.lock().expect("writer lock poisoned");
+        for w in wired.iter() {
+            w.job.token.clear_wire(&stream);
+        }
+        drop(stream);
         for w in wired.drain(..) {
-            // `done` before the reply so a late cancel callback that
-            // wins the writer lock after a reconnect sees it set and
-            // never writes a stale sequence onto the fresh socket.
-            w.done.store(true, Ordering::SeqCst);
-            let _ = w.job.reply.send(Err(e.clone()));
+            w.job.token.complete(Err(e.clone()));
         }
     }
 
@@ -754,7 +756,7 @@ fn pipelined_conn_loop(
                 }
             };
             if job.token.is_cancelled() {
-                let _ = job.reply.send(Err(TransportError::Cancelled));
+                job.token.complete(Err(TransportError::Cancelled));
                 continue;
             }
             staged.push(job);
@@ -771,7 +773,7 @@ fn pipelined_conn_loop(
                         health.record_error();
                         let e = TransportError::Io(e.to_string());
                         for job in staged.drain(..) {
-                            let _ = job.reply.send(Err(e.clone()));
+                            job.token.complete(Err(e.clone()));
                         }
                         dial_failures += 1;
                         backoff(dial_failures, &mut rng);
@@ -790,39 +792,23 @@ fn pipelined_conn_loop(
                 }
                 encode_command(&job.cmd, &mut batch);
             }
-            if let Err(e) = io.writer.lock().unwrap().write_all(&batch) {
+            let mut stream = io.writer.lock().expect("writer lock poisoned");
+            if let Err(e) = stream.write_all(&batch) {
+                drop(stream);
                 broken = true;
                 health.record_error();
                 let e = TransportError::Io(e.to_string());
-                fail_wired(&mut wired, &e);
+                fail_wired(&io.writer, &mut wired, &e);
                 for job in staged.drain(..) {
-                    let _ = job.reply.send(Err(e.clone()));
+                    job.token.complete(Err(e.clone()));
                 }
                 continue;
             }
             let dispatched = std::time::Instant::now();
             for job in staged.drain(..) {
-                let my_seq = io.seq;
+                job.token.set_wire(&io.writer, &mut stream, io.seq);
                 io.seq += 1;
-                let done = Arc::new(AtomicBool::new(false));
-                {
-                    let done = done.clone();
-                    let writer = io.writer.clone();
-                    job.token.on_cancel(move || {
-                        let mut w = writer.lock().unwrap();
-                        if done.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        let mut cancel_frame = BytesMut::new();
-                        encode_command(&Command::Cancel(my_seq), &mut cancel_frame);
-                        let _ = w.write_all(&cancel_frame);
-                    });
-                }
-                wired.push_back(Wired {
-                    job,
-                    dispatched,
-                    done,
-                });
+                wired.push_back(Wired { job, dispatched });
             }
         }
 
@@ -838,7 +824,9 @@ fn pipelined_conn_loop(
                         health.record_error();
                         break;
                     };
-                    w.done.store(true, Ordering::SeqCst);
+                    w.job
+                        .token
+                        .clear_wire(&io.writer.lock().expect("writer lock poisoned"));
                     let took_ms = w.dispatched.elapsed().as_secs_f64() * 1e3;
                     let outcome = match reply {
                         Reply::Error(e) if e == CANCELLED_MARKER => {
@@ -850,13 +838,17 @@ fn pipelined_conn_loop(
                             Ok(r)
                         }
                     };
-                    let _ = w.job.reply.send(outcome);
+                    w.job.token.complete(outcome);
                 }
                 Ok(None) => break,
                 Err(e) => {
                     broken = true;
                     health.record_error();
-                    fail_wired(&mut wired, &TransportError::Protocol(e.to_string()));
+                    fail_wired(
+                        &io.writer,
+                        &mut wired,
+                        &TransportError::Protocol(e.to_string()),
+                    );
                     io.buf.clear();
                     break;
                 }
@@ -869,7 +861,7 @@ fn pipelined_conn_loop(
             Ok(0) => {
                 broken = true;
                 health.record_error();
-                fail_wired(&mut wired, &TransportError::ConnectionClosed);
+                fail_wired(&io.writer, &mut wired, &TransportError::ConnectionClosed);
             }
             Ok(n) => io.buf.extend_from_slice(&chunk[..n]),
             Err(e)
@@ -878,7 +870,7 @@ fn pipelined_conn_loop(
             Err(e) => {
                 broken = true;
                 health.record_error();
-                fail_wired(&mut wired, &TransportError::Io(e.to_string()));
+                fail_wired(&io.writer, &mut wired, &TransportError::Io(e.to_string()));
             }
         }
     }

@@ -1,0 +1,242 @@
+//! Attempt-cell semantics under stress, and runtime teardown from the
+//! inside.
+//!
+//! The cell (see `hedge::sync`) replaced five per-attempt objects —
+//! token, oneshot, done flag, boxed cancel callback, callback list —
+//! with one. What those objects guaranteed together must still hold
+//! when a cancel from another thread races the reply, across sockets
+//! that die and get redialled: every attempt resolves exactly once, a
+//! cancel never lands on a socket its request was not written to, and
+//! a token cancelled before dispatch never reaches the wire.
+
+use hedge::{
+    CancelToken, HedgeConfig, HedgedClient, Replica, Runtime, TcpServer, TcpServerConfig,
+    TransportError,
+};
+use kvstore::resp::{decode_command, encode_reply};
+use kvstore::{Command, KvStore, Reply};
+
+use bytes::BytesMut;
+use std::io::{Read, Write};
+use std::net::TcpListener;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
+
+/// What the fake replica saw.
+#[derive(Default)]
+struct Seen {
+    requests: AtomicU64,
+    cancels: AtomicU64,
+    /// `CANCEL n` frames naming a request this connection had not
+    /// received: a sequence number carried over from a dead socket.
+    stale_cancels: AtomicU64,
+    /// Requests that must never have been sent (cancelled up front).
+    forbidden: AtomicU64,
+    connections: AtomicU64,
+}
+
+/// A replica that answers every `PING` at once, counts what it sees,
+/// and every `drop_every` requests slams the connection shut with the
+/// last request unanswered — forcing the client to redial (and, for
+/// an uncancelled job, retry) mid-stream.
+fn fake_replica(
+    listener: TcpListener,
+    seen: Arc<Seen>,
+    stop: Arc<AtomicBool>,
+    drop_every: u64,
+) -> std::thread::JoinHandle<()> {
+    std::thread::spawn(move || {
+        let mut out = BytesMut::new();
+        while let Ok((mut sock, _)) = listener.accept() {
+            if stop.load(Ordering::SeqCst) {
+                return;
+            }
+            seen.connections.fetch_add(1, Ordering::Relaxed);
+            // Replies to a pipelined batch are separate small writes.
+            sock.set_nodelay(true).unwrap();
+            let mut buf = BytesMut::new();
+            let mut chunk = [0u8; 4096];
+            // Requests received on *this* connection: the sequence
+            // numbers a CANCEL here may legitimately name are 0..received.
+            let mut received = 0u64;
+            'conn: loop {
+                while let Some(cmd) = decode_command(&mut buf).expect("client speaks RESP") {
+                    match cmd {
+                        Command::Cancel(n) => {
+                            seen.cancels.fetch_add(1, Ordering::Relaxed);
+                            if n >= received {
+                                seen.stale_cancels.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                        Command::Ping => {
+                            received += 1;
+                            let total = seen.requests.fetch_add(1, Ordering::Relaxed) + 1;
+                            if total % drop_every == 0 {
+                                break 'conn; // unanswered: abrupt close
+                            }
+                            out.clear();
+                            encode_reply(&Reply::Pong, &mut out);
+                            if sock.write_all(&out).is_err() {
+                                break 'conn;
+                            }
+                        }
+                        _ => {
+                            seen.forbidden.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                }
+                match sock.read(&mut chunk) {
+                    Ok(0) | Err(_) => break 'conn,
+                    Ok(n) => buf.extend_from_slice(&chunk[..n]),
+                }
+            }
+        }
+    })
+}
+
+/// Awaits `fut` on `rt`, failing the test instead of hanging it if the
+/// attempt never resolves.
+fn resolve(rt: &Runtime, fut: hedge::InFlight) -> Result<Reply, TransportError> {
+    match rt.block_on(hedge::race(fut, rt.sleep(Duration::from_secs(10)))) {
+        hedge::Either::Left((outcome, _timer)) => outcome,
+        hedge::Either::Right(_) => panic!("an attempt never resolved"),
+    }
+}
+
+#[test]
+fn cancel_racing_completion_across_reconnects_resolves_each_attempt_once() {
+    const ATTEMPTS: usize = 10_000;
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let seen = Arc::new(Seen::default());
+    let stop = Arc::new(AtomicBool::new(false));
+    let server = fake_replica(listener, seen.clone(), stop.clone(), 499);
+
+    // The canceller: cancels each token the moment it is handed over,
+    // from its own thread, so the cancel races the wire write, the
+    // reply read and — every 499th request — the redial.
+    let (to_canceller, tokens) = mpsc::channel::<CancelToken>();
+    let canceller = std::thread::spawn(move || {
+        for token in tokens {
+            token.cancel();
+        }
+    });
+
+    let rt = Runtime::new(1);
+    let mut completed = 0usize;
+    let mut cancelled = 0usize;
+    let mut failed = 0usize;
+    for (pool, pipeline, rounds) in [(1, 1, ATTEMPTS * 4 / 5), (1, 8, ATTEMPTS / 5)] {
+        let replica = Replica::connect_pipelined(addr, pool, pipeline).unwrap();
+        let mut i = 0usize;
+        while i < rounds {
+            // A token cancelled before dispatch: never on the wire
+            // (the fake replica counts any non-PING as forbidden).
+            if i % 50 == 0 {
+                let token = CancelToken::new();
+                token.cancel();
+                let out = resolve(&rt, replica.request(Command::Get("never".into()), token));
+                assert_eq!(out, Err(TransportError::Cancelled));
+            }
+            // `pipeline` attempts in flight at once; every other one
+            // is raced by the canceller.
+            let batch: Vec<_> = (0..pipeline.min(rounds - i))
+                .map(|j| {
+                    let token = CancelToken::new();
+                    let fut = replica.request(Command::Ping, token.clone());
+                    if (i + j) % 2 == 0 {
+                        to_canceller.send(token).unwrap();
+                    }
+                    fut
+                })
+                .collect();
+            i += batch.len();
+            for fut in batch {
+                match resolve(&rt, fut) {
+                    Ok(reply) => {
+                        assert_eq!(reply, Reply::Pong);
+                        completed += 1;
+                    }
+                    // The fake never retracts, so `Cancelled` means the
+                    // job was still queued when its cancel landed.
+                    Err(TransportError::Cancelled) => cancelled += 1,
+                    // A cancelled job whose socket died is not retried:
+                    // it surfaces the socket error.
+                    Err(_) => failed += 1,
+                }
+            }
+        }
+        drop(replica);
+    }
+    drop(to_canceller);
+    canceller.join().unwrap();
+    stop.store(true, Ordering::SeqCst);
+    let _ = std::net::TcpStream::connect(addr); // unblock accept
+    server.join().unwrap();
+
+    assert_eq!(
+        completed + cancelled + failed,
+        ATTEMPTS,
+        "every attempt resolves, once"
+    );
+    assert!(
+        completed > ATTEMPTS / 2,
+        "most attempts complete: {completed}"
+    );
+    assert!(
+        seen.connections.load(Ordering::Relaxed) >= 10,
+        "the run must cross forced reconnects"
+    );
+    assert!(
+        seen.cancels.load(Ordering::Relaxed) > 0,
+        "some cancels must have caught their request on the wire"
+    );
+    assert_eq!(
+        seen.stale_cancels.load(Ordering::Relaxed),
+        0,
+        "a CANCEL named a request its connection never received"
+    );
+    assert_eq!(
+        seen.forbidden.load(Ordering::Relaxed),
+        0,
+        "a token cancelled before dispatch reached the wire"
+    );
+}
+
+#[test]
+fn last_client_handle_may_drop_inside_a_spawned_task() {
+    // The task holds the last `HedgedClient` (and so the last handle
+    // on its runtime) and lets go of it on a worker thread — what a
+    // cancelled loser's drain does when it finishes after the caller
+    // has dropped the client. `ThreadSet::drop` used to join the very
+    // worker it ran on and panic with EDEADLK.
+    let server =
+        TcpServer::bind("127.0.0.1:0", KvStore::new(), TcpServerConfig::default()).unwrap();
+    let client = HedgedClient::connect(
+        &[server.local_addr()],
+        HedgeConfig {
+            workers: 2,
+            ..HedgeConfig::default()
+        },
+    )
+    .unwrap();
+    let gate = Arc::new(AtomicBool::new(false));
+    let (tx, rx) = mpsc::channel();
+    let (inner, open) = (client.clone(), gate.clone());
+    drop(client.runtime().spawn(async move {
+        while !open.load(Ordering::SeqCst) {
+            inner.runtime().sleep(Duration::from_millis(1)).await;
+        }
+        let reply = inner.execute(Command::Ping).await;
+        drop(inner); // the last handle, on a worker
+        tx.send(reply).unwrap();
+    }));
+    drop(client);
+    gate.store(true, Ordering::SeqCst);
+    let reply = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the task must outlive the drop of its own runtime");
+    assert_eq!(reply, Ok(Reply::Pong));
+    server.shutdown();
+}

@@ -36,5 +36,5 @@ mod store;
 pub use dataset::{Dataset, DatasetConfig};
 pub use server::{Connection, MiniServer, ServerStats};
 pub use sets::IntSet;
-pub use store::{fragment_key, Backend, Command, Hit, KvStore, Reply};
+pub use store::{Backend, Command, Hit, KvStore, Reply};
 pub use workload::{Trace, WorkloadConfig};

@@ -1,4 +1,4 @@
-//! Minimal RESP2 (REdis Serialization Protocol) codec, zero-copy.
+//! Minimal RESP2 (REdis Serialization Protocol) codec over borrowed views.
 //!
 //! Enough of the wire protocol to run [`crate::KvStore`] as an actual
 //! network server: commands arrive as RESP arrays of bulk strings and
@@ -17,11 +17,11 @@
 //! * [`decode_command`] copies each argument into its [`Bytes`] slot
 //!   when the [`crate::store::Command`] is built (the store keeps
 //!   those, so they must own their storage);
-//! * [`decode_reply`] copies small bulk bodies but hands back **views**
-//!   into the frozen read buffer for large ones
-//!   ([`ZERO_COPY_STR_THRESHOLD`]) — an O(1) `freeze` + `slice` under
-//!   the `compat` bytes shim, so a big `GET` reply is never memcpy'd
-//!   on the client side;
+//! * [`decode_reply`] copies a bulk body out into its own [`Bytes`] —
+//!   one allocation whatever the size — and advances the read buffer
+//!   in place, so the connection's buffer keeps its capacity from one
+//!   frame to the next (giving the buffer away to avoid the memcpy
+//!   cost two allocations and a regrow on the next read);
 //! * [`peek_command`] validates a frame and classifies it (`CANCEL`
 //!   vs. anything else) **without materializing arguments at all**, so
 //!   a server front-end can forward the raw frame bytes downstream and
@@ -67,11 +67,6 @@ impl std::error::Error for RespError {}
 const MAX_ARRAY: usize = 1_000_000;
 /// Upper bound on a bulk string body.
 const MAX_BULK: usize = 64 * 1024 * 1024;
-
-/// Bulk reply bodies at or past this size decode as zero-copy views
-/// into the frozen read buffer; smaller ones are copied out so the
-/// read buffer keeps its capacity and isn't pinned by tiny values.
-pub const ZERO_COPY_STR_THRESHOLD: usize = 1024;
 
 thread_local! {
     // Scratch for argument/element byte ranges during a parse: reused
@@ -602,9 +597,9 @@ pub fn peek_command(buf: &[u8]) -> Result<Option<(CommandFrame, usize)>, RespErr
     })
 }
 
-/// Outcome of a reply-frame scan: everything but bulk bodies is built
-/// during the scan; bulk bodies stay as ranges so [`decode_reply`] can
-/// choose copy vs. zero-copy view.
+/// Outcome of a reply-frame scan: everything but a bulk body is built
+/// during the scan; the body stays a range until [`decode_reply`]
+/// copies it out.
 enum ParsedReply {
     Ready(Reply),
     StrBody(usize, usize),
@@ -720,36 +715,19 @@ fn parse_reply_at(buf: &[u8]) -> Result<Option<(ParsedReply, usize)>, RespError>
 ///
 /// Member arrays are decoded back into `Reply::Members` (each element
 /// must be an integer bulk string, which is all `encode_reply` emits);
-/// `-ERR msg` decodes to `Reply::Error(msg)`. Bulk bodies of at least
-/// [`ZERO_COPY_STR_THRESHOLD`] bytes come back as zero-copy views into
-/// the (frozen) read buffer; any unconsumed pipelined tail is
-/// re-staged into `buf`.
+/// `-ERR msg` decodes to `Reply::Error(msg)`. A bulk body is copied
+/// into a [`Bytes`] of its own (one allocation) and `buf` keeps its
+/// storage, pipelined tail included.
 pub fn decode_reply(buf: &mut BytesMut) -> Result<Option<Reply>, RespError> {
-    match parse_reply_at(&buf[..])? {
-        None => Ok(None),
-        Some((ParsedReply::Ready(r), consumed)) => {
-            buf.advance(consumed);
-            Ok(Some(r))
-        }
-        Some((ParsedReply::StrBody(s, e), consumed)) => {
-            if e - s >= ZERO_COPY_STR_THRESHOLD {
-                // Freeze the whole read buffer (O(1): the Vec moves
-                // into the shared allocation) and return a view of the
-                // body. The tail — usually empty — is copied back so
-                // decoding can continue.
-                let full = std::mem::take(buf).freeze();
-                let body = full.slice(s..e);
-                if full.len() > consumed {
-                    buf.extend_from_slice(&full[consumed..]);
-                }
-                Ok(Some(Reply::Str(body)))
-            } else {
-                let body = Bytes::copy_from_slice(&buf[s..e]);
-                buf.advance(consumed);
-                Ok(Some(Reply::Str(body)))
-            }
-        }
-    }
+    let Some((parsed, consumed)) = parse_reply_at(&buf[..])? else {
+        return Ok(None);
+    };
+    let reply = match parsed {
+        ParsedReply::Ready(r) => r,
+        ParsedReply::StrBody(s, e) => Reply::Str(Bytes::copy_from_slice(&buf[s..e])),
+    };
+    buf.advance(consumed);
+    Ok(Some(reply))
 }
 
 /// The pre-refactor owned-`Vec` codec, preserved as the differential
@@ -1329,8 +1307,8 @@ mod tests {
     }
 
     #[test]
-    fn large_str_reply_is_zero_copy_and_restages_tail() {
-        let body = vec![b'x'; ZERO_COPY_STR_THRESHOLD + 100];
+    fn large_str_reply_keeps_tail_and_buffer_capacity() {
+        let body = vec![b'x'; 8 * 1024];
         let mut wire = BytesMut::new();
         encode_reply(&Reply::Str(Bytes::from(body.clone())), &mut wire);
         encode_reply(&Reply::Pong, &mut wire); // pipelined tail
@@ -1339,6 +1317,10 @@ mod tests {
         let r2 = decode_reply(&mut wire).unwrap().unwrap();
         assert_eq!(r2, Reply::Pong);
         assert_eq!(decode_reply(&mut wire).unwrap(), None);
+        // The read buffer was drained in place, not given away: the
+        // next frame reuses its storage.
+        wire.extend_from_slice(b"+OK\r\n");
+        assert!(wire.capacity() >= 8 * 1024);
     }
 
     #[test]

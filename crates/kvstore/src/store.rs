@@ -45,9 +45,9 @@ pub enum Command {
     },
     /// Read one erasure-coded fragment of a striped key: slot `slot`
     /// of `key`'s stripe (see `crates/erasure`). Fragments live in a
-    /// reserved corner of the keyspace (see [`fragment_key`]) so a
-    /// plain [`KvStore`] serves them; replies `Str` or `Nil` like
-    /// [`Command::Get`].
+    /// map of their own beside the keyspace (see
+    /// [`KvStore::get_fragment`]) so a plain [`KvStore`] serves them;
+    /// replies `Str` or `Nil` like [`Command::Get`].
     FGet(Bytes, u32),
     /// Write one erasure-coded fragment of a striped key (slot,
     /// payload). Idempotent like [`Command::Set`]; replies `+OK`.
@@ -192,14 +192,17 @@ impl Backend for KvStore {
 #[derive(Clone, Debug, Default)]
 pub struct KvStore {
     map: HashMap<Bytes, Value>,
+    /// Erasure-coded fragments, `key -> [(slot, payload)]`. Keyed by
+    /// the plain key so a read probes with the borrowed `&[u8]` it
+    /// already has (no composite key is built); a replica holds one or
+    /// two slots of a key, so the inner scan is a comparison or two.
+    fragments: HashMap<Bytes, Vec<(u32, Bytes)>>,
 }
 
 impl KvStore {
     /// Creates an empty store.
     pub fn new() -> Self {
-        KvStore {
-            map: HashMap::new(),
-        }
+        KvStore::default()
     }
 
     /// Number of keys.
@@ -232,6 +235,13 @@ impl KvStore {
             Some(Value::Str(s)) => Some(s),
             _ => None,
         }
+    }
+
+    /// Borrow fragment `slot` of striped key `key`, if stored. An
+    /// allocation-free probe: cost estimators and `FGET` share it.
+    pub fn get_fragment(&self, key: &[u8], slot: u32) -> Option<&Bytes> {
+        let slots = self.fragments.get(key)?;
+        slots.iter().find(|(s, _)| *s == slot).map(|(_, v)| v)
     }
 
     /// Executes a command, returning the reply and its cost in
@@ -292,14 +302,16 @@ impl KvStore {
                 (None, _) | (_, None) => (Reply::Int(0), 2),
                 _ => (Reply::Error("WRONGTYPE".into()), 2),
             },
-            Command::FGet(k, slot) => match self.map.get(&fragment_key(k, *slot)) {
-                Some(Value::Str(s)) => (Reply::Str(s.clone()), 1),
-                Some(Value::Set(_)) => (Reply::Error("WRONGTYPE".into()), 1),
+            Command::FGet(k, slot) => match self.get_fragment(k, *slot) {
+                Some(v) => (Reply::Str(v.clone()), 1),
                 None => (Reply::Nil, 1),
             },
             Command::FSet(k, slot, v) => {
-                self.map
-                    .insert(fragment_key(k, *slot), Value::Str(v.clone()));
+                let slots = self.fragments.entry(k.clone()).or_default();
+                match slots.iter_mut().find(|(s, _)| s == slot) {
+                    Some((_, old)) => *old = v.clone(),
+                    None => slots.push((*slot, v.clone())),
+                }
                 (Reply::Ok, 1)
             }
             // The kvstore holds no inverted index; SEARCH belongs to a
@@ -329,20 +341,6 @@ impl KvStore {
             _ => 1,
         }
     }
-}
-
-/// The keyspace slot where fragment (`key`, `slot`) of a striped value
-/// lives: `\0F<slot-le><key>`. The leading NUL keeps fragments out of
-/// the way of ordinary keys (the workload generators never emit NUL
-/// bytes in key names), and the fixed-width little-endian slot keeps
-/// the mapping collision-free across slots of the same key.
-pub fn fragment_key(key: &[u8], slot: u32) -> Bytes {
-    let mut out = Vec::with_capacity(2 + 4 + key.len());
-    out.push(0);
-    out.push(b'F');
-    out.extend_from_slice(&slot.to_le_bytes());
-    out.extend_from_slice(key);
-    Bytes::from(out)
 }
 
 #[cfg(test)]
@@ -377,13 +375,6 @@ mod tests {
         assert_eq!(kv.execute(&Command::Get(b("k"))).0, Reply::Nil);
         assert_eq!(kv.execute(&Command::FGet(b("k"), 2)).0, Reply::Nil);
         assert_eq!(kv.estimate_cost(&Command::FGet(b("k"), 0)), 1);
-    }
-
-    #[test]
-    fn fragment_keys_distinct() {
-        assert_ne!(fragment_key(b"k", 0), fragment_key(b"k", 1));
-        assert_ne!(fragment_key(b"k", 0), fragment_key(b"j", 0));
-        assert_ne!(fragment_key(b"k", 0), Bytes::from_static(b"k"));
     }
 
     #[test]

@@ -118,7 +118,7 @@ fn random_reply(rng: &mut Rng) -> Reply {
     match rng.below(8) {
         0 => Reply::Ok,
         1 => Reply::Pong,
-        // Straddle the zero-copy threshold (1024) from both sides.
+        // Bodies from empty to 2 KiB: short and multi-read-sized.
         2 => Reply::Str(bytes::Bytes::copy_from_slice(&rng.bytes(2048))),
         3 => match rng.below(4) {
             0 => Reply::Int(i64::MIN),

@@ -19,10 +19,12 @@
 //! `HEDGE_ERASURE_ASSERT=1` adds the CI shape assertions).
 //! `HEDGE_TCP_QUERIES=<n>` shrinks those runs for smoke testing.
 //! The TCP/fan-out figures additionally persist machine-readable
-//! results to `BENCH_tcp.json` / `BENCH_fanout.json` in the working
-//! directory. `all` covers the simulator figures only — the TCP and
-//! fan-out sweeps are wall-clock-bound (they really serve the load),
-//! so they are requested explicitly.
+//! results to `BENCH_tcp.json` / `BENCH_fanout.json`: a full-scale run
+//! in the working directory (the committed files at the repo root), a
+//! `--fast` run under `target/bench/`, so a smoke run never overwrites
+//! full-scale numbers. `all` covers the simulator figures only — the
+//! TCP and fan-out sweeps are wall-clock-bound (they really serve the
+//! load), so they are requested explicitly.
 
 use reissue_bench::{
     figs_discipline, figs_erasure, figs_ext, figs_fanout, figs_ramp, figs_sim, figs_sys, figs_tcp,
@@ -135,7 +137,8 @@ fn main() {
         };
         let elapsed = start.elapsed();
         // The serving-path figures also persist machine-readable JSON
-        // (P99s, realized budgets, drop fractions) at the repo root.
+        // (P99s, realized budgets, drop fractions): at the repo root at
+        // full scale, under `target/bench/` at smoke scale.
         let json_name = match fig.as_str() {
             "figtcp_62" | "figtcp_scaleout" | "tcp" => Some("BENCH_tcp.json"),
             "fanout" | "figtcp_fanout" => Some("BENCH_fanout.json"),
@@ -151,9 +154,16 @@ fn main() {
             } else {
                 figs_tcp::tcp_queries(scale)
             };
-            match write_bench_json(std::path::Path::new(name), &fig, queries, &tables) {
-                Ok(()) => eprintln!("[{fig}: wrote {name}]"),
-                Err(e) => eprintln!("warning: failed to write {name}: {e}"),
+            let path = if fast {
+                std::path::Path::new("target/bench").join(name)
+            } else {
+                name.into()
+            };
+            let written = std::fs::create_dir_all(path.parent().expect("a file path"))
+                .and_then(|()| write_bench_json(&path, &fig, queries, &tables));
+            match written {
+                Ok(()) => eprintln!("[{fig}: wrote {}]", path.display()),
+                Err(e) => eprintln!("warning: failed to write {}: {e}", path.display()),
             }
         }
         for t in &tables {

@@ -12,7 +12,8 @@
 //!    either copy reaches the front of a run queue — and the tie
 //!    *collapse* path retracts a reissue immediately when its primary
 //!    turns out to be already executing, exactly the marginal
-//!    just-past-`d` hedges the client style never catches in time.
+//!    just-past-`d` hedges the client style catches only once they
+//!    are in service.
 //!    One row per utilization plateau, both styles at the identical
 //!    aggressive hedge-at-the-median policy (the operating point tied
 //!    requests exist for) under the same governed budget.
@@ -30,18 +31,30 @@
 //!    dodges the queued monster) — four disciplines per row on
 //!    identical traces.
 //!
+//! Since a client `CANCEL` also stops a loser *in service*, nearly
+//! every loser of either style is retracted sooner or later, and the
+//! count of retracted reissues (`*_retract`, and `exec_dup_ratio`
+//! built from it) no longer says what the duplicates cost: a copy
+//! stopped after 40 ms of service counts the same as one that never
+//! ran. The `*_dup_cost` columns do: the cost units the servers
+//! burned beyond one copy of every query, as a share of that one-copy
+//! cost, from the servers' own `total_cost`.
+//!
 //! `HEDGE_TCP_QUERIES=<n>` shrinks the runs for smoke testing;
 //! `HEDGE_DISCIPLINE_ASSERT=1` (the CI smoke) asserts the acceptance
-//! shape in-code: tied retracts at least as many reissues before
-//! execution as client-driven at ρ ≥ 0.6, with server-side
-//! retractions actually firing, and the best non-FIFO discipline's
-//! P99 is no worse than FIFO's. At full scale the separation is
-//! starker — the `exec_dup_ratio` column shows the client style
-//! letting ≥ 2× more duplicates through to execution at ρ ≥ 0.6, and
-//! its P99 degrading under the duplicate load tied mode retracts.
+//! shape in-code: server-side retractions actually fire at ρ ≥ 0.6,
+//! and the best non-FIFO discipline's P99 is no worse than FIFO's. A
+//! full-scale run also asserts that tied duplicates burn no more cost
+//! units than client-cancelled ones at ρ ≥ 0.6. **The CI smoke does
+//! not compare the two styles**: the retracted shares are both 0.97
+//! and a reissue or two apart either way round, and the duplicate
+//! cost that does separate them is carried by reissued monsters, of
+//! which a 400-query run holds one at most (of eleven such rows tied
+//! burned less in nine, more in one, the same in one).
 
 use crate::figs_tcp::{
-    online_config, p99, realized_rate, tcp_queries, TcpWorkload, MAX_IN_FLIGHT, NANOS_PER_OP,
+    online_config, p99, realized_rate, tcp_queries, TcpWorkload, MAX_IN_FLIGHT, MONSTER_EVERY,
+    NANOS_PER_OP,
 };
 use crate::{Scale, Table};
 use hedge::harness::{Cluster, LoadConfig, LoadReport};
@@ -60,6 +73,10 @@ const CANCEL_UTILS: [f64; 3] = [0.45, 0.6, 0.75];
 /// monster the hedge path could not dodge, so this sweep runs hotter
 /// than the cancellation one.
 const DISCIPLINE_UTILS: [f64; 2] = [0.6, 0.85];
+/// Monsters a run must hold before `HEDGE_DISCIPLINE_ASSERT` compares
+/// the duplicate cost of the two cancellation styles (a full-scale run
+/// holds twelve).
+const COST_ASSERT_MONSTERS: usize = 10;
 /// Aging rate for the `ShortestBurn` arm: cost units forgiven per ms
 /// of waiting. At the workload's scale (monster ≈ 3.7M cost units) a
 /// queued monster outranks fresh zero-cost arrivals only after
@@ -68,16 +85,16 @@ const DISCIPLINE_UTILS: [f64; 2] = [0.6, 0.85];
 const SRPT_BOOST: f64 = 1_000.0;
 
 /// One serving run on a fresh cluster with an explicit queue
-/// discipline. Returns the tie-table counters summed over the cluster
-/// alongside the usual report, because the servers die with the
-/// cluster.
+/// discipline. Returns the tie-table counters and the cost units
+/// burned, summed over the cluster, alongside the usual report,
+/// because the servers die with the cluster.
 fn run_disc(
     wl: &TcpWorkload,
     queries: usize,
     util: f64,
     discipline: Discipline,
     cfg: HedgeConfig,
-) -> (LoadReport, HedgedClient, TieStats) {
+) -> (LoadReport, HedgedClient, TieStats, u64) {
     let cluster = Cluster::spawn_with(
         REPLICAS,
         &wl.store,
@@ -98,14 +115,16 @@ fn run_disc(
     };
     let report = cluster.run_load(&client, &load, wl.command_fn());
     let mut ties = TieStats::default();
+    let mut cost_burned = 0;
     for i in 0..cluster.len() {
         let s = cluster.server(i).tie_stats();
         ties.registered += s.registered;
         ties.peer_cancels_sent += s.peer_cancels_sent;
         ties.retractions += s.retractions;
         ties.collapses += s.collapses;
+        cost_burned += cluster.server(i).stats().total_cost;
     }
-    (report, client, ties)
+    (report, client, ties, cost_burned)
 }
 
 /// Calibrates one static `(d*, q*)` at the middle plateau with a
@@ -114,7 +133,7 @@ fn run_disc(
 /// Also returns the run's median latency, the anchor for the
 /// aggressive tied-request operating point below.
 fn calibrated_policy(wl: &TcpWorkload, queries: usize) -> (ReissuePolicy, f64) {
-    let (report, client, _) = run_disc(
+    let (report, client, _, _) = run_disc(
         wl,
         queries,
         CANCEL_UTILS[1],
@@ -135,10 +154,20 @@ fn calibrated_policy(wl: &TcpWorkload, queries: usize) -> (ReissuePolicy, f64) {
 
 /// Confirmed in-time retractions per dispatched reissue, from the
 /// client's own counters (`-ERR cancelled` markers received) — the
-/// same metric for both styles, so the A/B is apples to apples.
+/// same metric for both styles, so the A/B is apples to apples. A
+/// loser stopped in service counts like one that never ran.
 fn retract_frac(client: &HedgedClient) -> f64 {
     let s = client.stats();
     s.cancelled_in_time as f64 / s.reissues.max(1) as f64
+}
+
+/// Cost units one copy of each of the first `queries` arrivals burns:
+/// what the servers' `total_cost` would sum to with no duplicate ever
+/// started (and no arrival dropped).
+fn one_copy_cost(wl: &TcpWorkload, queries: usize) -> u64 {
+    let mut store = wl.store.clone();
+    let mut command = wl.command_fn();
+    (0..queries).map(|i| store.execute(&command(i)).1).sum()
 }
 
 /// The cancellation-style A/B (see module docs). Also runs the
@@ -175,8 +204,11 @@ pub fn figtcp_discipline_matrix(scale: Scale) -> Vec<Table> {
             "tied_collapses",
             "retract_ratio",
             "exec_dup_ratio",
+            "client_dup_cost",
+            "tied_dup_cost",
         ],
     );
+    let one_copy = one_copy_cost(&wl, queries) as f64;
     for &util in &CANCEL_UTILS {
         let arm = |style: CancellationStyle| {
             run_disc(
@@ -193,13 +225,15 @@ pub fn figtcp_discipline_matrix(scale: Scale) -> Vec<Table> {
                 },
             )
         };
-        let (client_rep, client_cl, client_ties) = arm(CancellationStyle::Client);
-        let (tied_rep, tied_cl, tied_ties) = arm(CancellationStyle::Tied);
+        let (client_rep, client_cl, client_ties, client_cost) = arm(CancellationStyle::Client);
+        let (tied_rep, tied_cl, tied_ties, tied_cost) = arm(CancellationStyle::Tied);
         assert_eq!(
             client_ties.registered, 0,
             "client-driven arm must never register server-side ties"
         );
         let (cr, tr) = (retract_frac(&client_cl), retract_frac(&tied_cl));
+        let client_dup = client_cost as f64 / one_copy - 1.0;
+        let tied_dup = tied_cost as f64 / one_copy - 1.0;
         cancel_t.push(vec![
             util,
             p99(&client_rep),
@@ -211,21 +245,33 @@ pub fn figtcp_discipline_matrix(scale: Scale) -> Vec<Table> {
             tied_ties.retractions as f64,
             tied_ties.collapses as f64,
             if cr > 0.0 { tr / cr } else { f64::INFINITY },
-            // Duplicates that burned a replica (reissues *not*
-            // retracted before execution), client over tied — the
-            // wasted-work factor dequeue-time cancellation removes.
+            // Duplicates that ran to their end (reissues never
+            // retracted), client over tied: a ratio of two small
+            // counts, infinite when the tied arm retracted them all.
             if tr < 1.0 {
                 (1.0 - cr) / (1.0 - tr)
             } else {
                 f64::INFINITY
             },
+            // What the duplicates cost, stopped or not: units burned
+            // beyond one copy per query, as a share of that.
+            client_dup,
+            tied_dup,
         ]);
         if assert_shape && util >= 0.6 {
-            assert!(
-                tr >= cr,
-                "dequeue-time peer cancellation must retract at least as many \
-                 reissues as client-driven CANCEL at util {util}: tied {tr:.4} < client {cr:.4}"
-            );
+            // Both styles retract nearly every loser sooner or later
+            // (a client `CANCEL` stops one in service), so the count of
+            // retractions no longer tells them apart. What a tie buys
+            // is *when*: at dequeue, before the copy costs anything.
+            // The monsters carry that cost, so the comparison is made
+            // only by a run with enough of them (see module docs).
+            if queries >= COST_ASSERT_MONSTERS * MONSTER_EVERY {
+                assert!(
+                    tied_dup <= client_dup,
+                    "dequeue-time peer cancellation must burn no more duplicate cost than \
+                     client-driven CANCEL at util {util}: tied {tied_dup:.4} > client {client_dup:.4}"
+                );
+            }
             assert!(
                 tied_ties.retractions + tied_ties.collapses > 0,
                 "the tied arm must retract server-side at util {util}"
@@ -286,7 +332,7 @@ pub fn figtcp_discipline_matrix(scale: Scale) -> Vec<Table> {
                         ..HedgeConfig::default()
                     }
                 };
-                let (rep, cl, _) = run_disc(&wl, queries, util, d, cfg);
+                let (rep, cl, _, _) = run_disc(&wl, queries, util, d, cfg);
                 p99s.push(p99(&rep));
                 rates.push(realized_rate(&cl));
             }
@@ -307,7 +353,9 @@ pub fn figtcp_discipline_matrix(scale: Scale) -> Vec<Table> {
         }
     }
     if assert_shape {
-        eprintln!("[discipline assert ok: tied >= client retractions at rho >= 0.6, non-FIFO <= FIFO P99]");
+        eprintln!(
+            "[discipline assert ok: server-side retractions at rho >= 0.6, non-FIFO <= FIFO P99]"
+        );
     }
     vec![cancel_t, disc_t]
 }

@@ -1,10 +1,11 @@
 //! Extension experiments beyond the paper's figures — the ablations
 //! DESIGN.md calls out for design choices the paper leaves implicit.
 //!
-//! * `ext1` — **in-queue cancellation**: the paper lets every issued
-//!   copy run to completion; production systems (and Lee et al., cited
-//!   by the paper) often cancel the loser. How much tail and load does
-//!   lazy in-queue cancellation recover?
+//! * `ext1` — **cancellation**: the paper lets every issued copy run
+//!   to completion; production systems (and Lee et al., cited by the
+//!   paper) often cancel the loser. How much tail and load does lazy
+//!   in-queue cancellation recover, and how much more does stopping
+//!   the loser in service (what `hedge::TcpServer` does)?
 //! * `ext2` — **reissue routing**: the paper's simulator routes
 //!   reissues uniformly at random (possibly back onto the primary's
 //!   server); classic hedging avoids the primary's replica. How much
@@ -20,40 +21,42 @@
 
 use crate::{eval_fixed, median, parallel_map, tune_single_r, Scale, Table};
 use reissue_core::ReissuePolicy;
-use simulator::ReissueRouting;
+use simulator::{Cancellation, ReissueRouting};
 use workloads::{queueing, WorkloadSpec};
 
 /// Tail percentile for the extension experiments.
 const K: f64 = 0.95;
 
 /// Per-seed paired comparison: tune one policy on `reference` for each
-/// seed, evaluate it on both variants under the same seed, median the
-/// per-seed results. Returns `(p95_a, p95_b, rate_a, rate_b)`.
-fn paired_ab(
+/// seed, evaluate it on the reference and on every variant under the
+/// same seed, median the per-seed results. Returns `(p95, rate)` for
+/// the reference, then for each variant in order.
+fn paired(
     reference: &WorkloadSpec,
-    variant_b: &WorkloadSpec,
+    variants: &[&WorkloadSpec],
     queries: usize,
     seeds: &[u64],
     budget: f64,
     trials: usize,
-) -> (f64, f64, f64, f64) {
-    let mut la = Vec::new();
-    let mut lb = Vec::new();
-    let mut ra = Vec::new();
-    let mut rb = Vec::new();
+) -> Vec<(f64, f64)> {
+    let mut per_spec = vec![(Vec::new(), Vec::new()); 1 + variants.len()];
     for &seed in seeds {
         let tuned = tune_single_r(reference, queries, seed, K, budget, trials, 0.5);
-        let a = eval_fixed(reference, queries, &[seed], K, &tuned.policy);
-        let b = eval_fixed(variant_b, queries, &[seed], K, &tuned.policy);
-        la.push(a.latency);
-        lb.push(b.latency);
-        ra.push(a.rate);
-        rb.push(b.rate);
+        let specs = std::iter::once(reference).chain(variants.iter().copied());
+        for (spec, (latencies, rates)) in specs.zip(&mut per_spec) {
+            let eval = eval_fixed(spec, queries, &[seed], K, &tuned.policy);
+            latencies.push(eval.latency);
+            rates.push(eval.rate);
+        }
     }
-    (median(&la), median(&lb), median(&ra), median(&rb))
+    per_spec
+        .iter()
+        .map(|(latencies, rates)| (median(latencies), median(rates)))
+        .collect()
 }
 
-/// ext1: lazy in-queue cancellation on/off, across budgets.
+/// ext1: no cancellation, lazy in-queue cancellation, and in-service
+/// cancellation (the TCP server's), across budgets.
 pub fn ext1_cancellation(scale: Scale) -> Vec<Table> {
     let queries = scale.queries(40_000);
     let seeds = scale.seeds(3);
@@ -62,23 +65,25 @@ pub fn ext1_cancellation(scale: Scale) -> Vec<Table> {
     let seeds_ref = &seeds;
     let rows: Vec<Vec<f64>> = parallel_map(budgets.to_vec(), |budget| {
         let plain = queueing(0.3, 0.5, 61);
-        let mut cancelling = plain.clone();
-        cancelling.cluster.cancel_queued = true;
+        let mut queued = plain.clone();
+        queued.cluster.cancellation = Cancellation::Queued;
+        let mut in_service = plain.clone();
+        in_service.cluster.cancellation = Cancellation::InService;
 
         // Tune on the paper's (no-cancel) system per seed, evaluate the
-        // same policy under both variants — isolating the cancellation
+        // same policy under all variants — isolating the cancellation
         // mechanism from tuning differences. (Tuning *on* a cancelling
         // system is also confounded: dropped copies censor the primary
         // response log the optimizer consumes.)
-        let (p, c, rp, rc) = paired_ab(
+        let r = paired(
             &plain,
-            &cancelling,
+            &[&queued, &in_service],
             queries,
             seeds_ref,
             budget,
             scale.trials(6),
         );
-        vec![budget, p, c, rp, rc]
+        vec![budget, r[0].0, r[1].0, r[2].0, r[0].1, r[1].1, r[2].1]
     });
 
     let mut t = Table::new(
@@ -87,8 +92,10 @@ pub fn ext1_cancellation(scale: Scale) -> Vec<Table> {
             "budget",
             "p95_no_cancel",
             "p95_cancel",
+            "p95_in_service",
             "rate_no_cancel",
             "rate_cancel",
+            "rate_in_service",
         ],
     );
     for r in rows {
@@ -110,8 +117,8 @@ pub fn ext2_routing(scale: Scale) -> Vec<Table> {
         avoid.cluster.reissue_routing = ReissueRouting::AvoidPrimary;
 
         // One policy per seed, two routing rules (see ext1 on why).
-        let (a, v, _, _) = paired_ab(&any, &avoid, queries, seeds_ref, budget, scale.trials(6));
-        vec![budget, a, v]
+        let r = paired(&any, &[&avoid], queries, seeds_ref, budget, scale.trials(6));
+        vec![budget, r[0].0, r[1].0]
     });
 
     let mut t = Table::new("ext2_routing", &["budget", "p95_any", "p95_avoid_primary"]);

@@ -104,8 +104,9 @@ pub struct StripedStats {
     /// Striped reads decoded with the parity equation standing in for
     /// a missing data fragment.
     pub decodes_with_parity: u64,
-    /// Fragment attempts whose retraction (tied or client-driven)
-    /// landed before execution.
+    /// Fragment attempts whose retraction landed in time: retracted
+    /// before service (tied or client-driven) or during it
+    /// (client-driven only).
     pub cancelled_in_time: u64,
     /// Hedged stripes that produced an exact `(straggler, reissue)`
     /// pair (both sides completed).

@@ -63,6 +63,8 @@ pub enum CancellationStyle {
     /// Client-driven: the race winner's completion triggers `CANCEL`
     /// frames from this client to each loser's replica — retraction
     /// costs a full client→replica hop *after* the winner finished.
+    /// It retracts a loser before or during service: a copy still
+    /// queued never runs, a copy in service is stopped there.
     #[default]
     Client,
     /// Server-side tied requests ("The Tail at Scale"): the primary
@@ -70,8 +72,11 @@ pub enum CancellationStyle {
     /// *dequeues* its copy first retracts the other directly over a
     /// server-to-server channel — bounding the duplicated work by the
     /// replica-to-replica one-way delay instead of the winner's full
-    /// service time. Client-driven `CANCEL` stays armed as a fallback
-    /// for attempts the tie never covered (later stages, lost frames).
+    /// service time. The peer's cancel only ever retracts a *queued*
+    /// copy (two copies that both started must not stop each other).
+    /// Client-driven `CANCEL` stays armed for what the tie does not
+    /// cover: later stages, lost frames, and a loser already in
+    /// service, which only the client may stop.
     Tied,
 }
 
@@ -264,8 +269,9 @@ pub struct HedgeStats {
     pub reissues_by_stage: [u64; MAX_STAGES],
     /// Queries won by a reissue (any stage) rather than the primary.
     pub reissue_wins: u64,
-    /// Loser requests whose cancellation reached the backend in time
-    /// (retracted before execution).
+    /// Loser requests whose cancellation reached the backend in time:
+    /// retracted before or during service, and answered with the
+    /// cancelled marker instead of a reply.
     pub cancelled_in_time: u64,
     /// Raced hedges that produced an exact `(primary, reissue)` pair
     /// for the adapter (both sides completed).

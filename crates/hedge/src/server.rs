@@ -22,6 +22,27 @@
 //! is *retracted* and `-ERR cancelled` takes its reply slot, so the
 //! reply stream stays in order and the server never does the work.
 //!
+//! A request already **in service** is retracted too. Its service time
+//! (`cost × nanos_per_op`, when that is 200 µs or more) is a wait the
+//! sweeper can be woken from: the client's `CANCEL` stops it, the same
+//! `-ERR cancelled` marker takes the reply slot, the server books only
+//! the cost units it burned ([`ServerStats::total_cost`], and one
+//! [`ServerStats::aborted`]), and the replica serves its next head at
+//! once instead of finishing a copy nobody is waiting for. What can be
+//! cancelled, and by whom:
+//!
+//! | the request is… | client `CANCEL` | peer `CANCELTIE` |
+//! |---|---|---|
+//! | queued | retracted | retracted |
+//! | in service (the cost model's service time) | stopped | left to finish |
+//! | inside [`Backend::execute`], or burning < 200 µs | too late: it is atomic | left to finish |
+//!
+//! Only the client may stop running work, because only the client
+//! holds the winner's reply when it cancels. A peer's `CANCELTIE` says
+//! no more than "my copy started": two tied copies that both started
+//! would stop each other and nobody would answer, so `CANCELTIE` keeps
+//! its dequeue-time meaning and is too late once service began.
+//!
 //! ## Server-side ties (dequeue-time peer cancellation)
 //!
 //! The client-driven `CANCEL` retracts a loser only after the winning
@@ -67,6 +88,11 @@ const CANCELLED_FRAME: &[u8] = b"-ERR cancelled\r\n";
 /// and capped rather than trusted: without this a crafted cost could
 /// overflow `u64` nanoseconds or park the sweeper for centuries.
 const MAX_BURN_NANOS: u64 = 5_000_000_000;
+
+/// Service times shorter than this are spun through, not slept: a
+/// sleep would overshoot them by its wake-up latency. They are also
+/// too short to be worth stopping, so only longer ones can be.
+const SPIN_BELOW: Duration = Duration::from_micros(200);
 
 /// Configuration for [`TcpServer`].
 #[derive(Clone, Copy, Debug)]
@@ -131,7 +157,8 @@ struct Entry {
     cancelled: bool,
     /// Currently in the central queue (or held by the sweeper).
     admitted: bool,
-    /// The sweeper has committed to executing it; too late to cancel.
+    /// The sweeper has committed to executing it: too late for a peer's
+    /// `CANCELTIE`; a client `CANCEL` can still stop its service time.
     executing: bool,
 }
 
@@ -145,6 +172,12 @@ struct ConnState {
     id: usize,
     writer: Mutex<TcpStream>,
     inner: Mutex<ConnInner>,
+    /// What the sweeper waits on, paired with `inner`, while this
+    /// connection's head is in service. The stop signals — the head's
+    /// `cancelled` flag, the server's `stop` — are read under `inner`
+    /// before every wait and signalled under it, so none is lost; and
+    /// the flag lives on the entry, so none outlives its request.
+    service_cv: Condvar,
     dead: AtomicBool,
 }
 
@@ -441,6 +474,13 @@ impl<B: Backend> TcpServer<B> {
             self.shared.stop.store(true, Ordering::SeqCst);
             self.shared.sweep_cv.notify_one();
         }
+        // A request in service is not slept out (that could take
+        // `MAX_BURN_NANOS`): wake its wait. `stop` is set, and the
+        // sweeper reads it under `inner` before it waits.
+        for conn in self.shared.conns.lock().unwrap().iter() {
+            let _inner = conn.inner.lock().unwrap();
+            conn.service_cv.notify_one();
+        }
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.local_addr);
         // Dropping the sender disconnects the tie thread's recv loop.
@@ -504,6 +544,7 @@ fn accept_loop<B: Backend>(listener: &TcpListener, shared: &Arc<Shared<B>>) {
                 queue: VecDeque::new(),
                 next_seq: 0,
             }),
+            service_cv: Condvar::new(),
             dead: AtomicBool::new(false),
         });
         next_id += 1;
@@ -541,7 +582,7 @@ fn reader_loop<B: Backend>(mut stream: TcpStream, state: &Arc<ConnState>, shared
         }
         loop {
             match decode_command(&mut buf) {
-                Ok(Some(Command::Cancel(seq))) => client_cancel(shared, state, seq),
+                Ok(Some(Command::Cancel(seq))) => cancel_entry(shared, state, seq, false),
                 Ok(Some(Command::Tie { id, peer })) => pending_tie = Some(TieInfo { id, peer }),
                 Ok(Some(Command::TiePeer {
                     id,
@@ -708,25 +749,27 @@ fn admit_head<B: Backend>(shared: &Shared<B>, conn: &Arc<ConnState>, inner: &mut
     }
 }
 
-/// Marks the entry `seq` on `conn` as cancelled, retracting it
-/// immediately when possible. Returns `true` if the retraction landed
-/// in time (the request will never execute). `by_peer` counts it as a
-/// tie retraction — here, before the `-ERR cancelled` marker can reach
-/// the client, so whoever reads that reply finds the counter moved.
-fn cancel_entry<B: Backend>(
-    shared: &Shared<B>,
-    conn: &Arc<ConnState>,
-    seq: u64,
-    by_peer: bool,
-) -> bool {
+/// Cancels the entry `seq` on `conn`: retracts it if it is still
+/// queued, stops its service time if it is in service and the client
+/// asked. A peer's `CANCELTIE` (`by_peer`) never stops an entry in
+/// service — see the module docs — and is counted as a tie retraction
+/// here, before the `-ERR cancelled` marker can reach the client, so
+/// whoever reads that reply finds the counter moved.
+fn cancel_entry<B: Backend>(shared: &Shared<B>, conn: &Arc<ConnState>, seq: u64, by_peer: bool) {
     let mut inner = conn.inner.lock().unwrap();
     let Some(entry) = inner.queue.iter_mut().find(|e| e.seq == seq) else {
-        return false; // already executed (or never existed): no-op
+        return; // already answered (or never existed): no-op
     };
-    if entry.executing || entry.cancelled {
-        return false;
+    if entry.cancelled || (entry.executing && by_peer) {
+        return;
     }
     entry.cancelled = true;
+    if entry.executing {
+        // The sweeper reads the flag under `inner` before it waits, so
+        // it either sees it there or is already waiting for this.
+        conn.service_cv.notify_one();
+        return;
+    }
     if by_peer {
         shared
             .tie_counters
@@ -752,12 +795,6 @@ fn cancel_entry<B: Backend>(
     }
     // Deeper (non-admitted) entries stay queued; their marker is
     // emitted by `admit_head` when they reach the front.
-    true
-}
-
-/// Client-driven `CANCEL <seq>` on the entry's own connection.
-fn client_cancel<B: Backend>(shared: &Arc<Shared<B>>, state: &Arc<ConnState>, seq: u64) {
-    cancel_entry(shared, state, seq, false);
 }
 
 /// A peer server announced a reissue tied to local tie `id`. If the
@@ -890,27 +927,80 @@ fn sweep_loop<B: Backend>(shared: &Arc<Shared<B>>) {
             }
         }
         let (reply, cost) = shared.store.lock().unwrap().execute(&cmd);
+        // Saturating and capped: cost is data-dependent, and a plain
+        // multiply could overflow into a near-zero burn.
+        let nanos_per_op = shared.nanos_per_op.load(Ordering::Relaxed);
+        let service = Duration::from_nanos(cost.saturating_mul(nanos_per_op).min(MAX_BURN_NANOS));
         {
+            // Counted when service starts, the whole cost with it, so
+            // that a request which is never stopped takes this lock
+            // once; a stopped one hands back below what it did not burn.
             let mut stats = shared.stats.lock().unwrap();
             stats.commands += 1;
             stats.sweeps += 1;
             stats.total_cost += cost;
         }
-        let nanos_per_op = shared.nanos_per_op.load(Ordering::Relaxed);
-        if cost > 0 && nanos_per_op > 0 {
-            // Saturating and capped: cost is data-dependent, and a
-            // plain multiply could overflow into a near-zero burn.
-            let nanos = cost.saturating_mul(nanos_per_op).min(MAX_BURN_NANOS);
-            burn(Duration::from_nanos(nanos));
-        }
-        let mut inner = item.conn.inner.lock().unwrap();
+        let (mut inner, cancelled) = if service >= SPIN_BELOW {
+            let started = Instant::now();
+            let (inner, cancelled) = serve(shared, &item, service);
+            if cancelled {
+                // Settled before the marker is written, so whoever
+                // reads that reply finds the counters moved.
+                let burned = cost.min(started.elapsed().as_nanos() as u64 / nanos_per_op);
+                let mut stats = shared.stats.lock().unwrap();
+                stats.total_cost -= cost - burned;
+                stats.aborted += 1;
+            }
+            (inner, cancelled)
+        } else {
+            if !service.is_zero() {
+                spin(service);
+            }
+            (item.conn.inner.lock().unwrap(), false)
+        };
         if inner.queue.front().map(|e| e.seq) == Some(item.seq) {
             inner.queue.pop_front();
-            scratch.clear();
-            encode_reply(&reply, &mut scratch);
-            write_frame(&item.conn, &scratch);
+            if cancelled {
+                write_frame(&item.conn, CANCELLED_FRAME);
+            } else {
+                scratch.clear();
+                encode_reply(&reply, &mut scratch);
+                write_frame(&item.conn, &scratch);
+            }
             admit_head(shared, &item.conn, &mut inner);
         }
+    }
+}
+
+/// Serves the head of `item`'s connection for `service`: a wait on the
+/// connection's `service_cv` that [`cancel_entry`] and
+/// [`TcpServer::shutdown`] end early. Returns whether the client's
+/// `CANCEL` stopped it, holding `inner`, so the reply slot is filled
+/// before anything else can move the head. (A shutdown ends the wait
+/// as if the time were up: the reply goes out, and the sweeper finds
+/// `stop` set at the top of its loop.)
+fn serve<'a, B: Backend>(
+    shared: &Shared<B>,
+    item: &'a SchedItem,
+    service: Duration,
+) -> (std::sync::MutexGuard<'a, ConnInner>, bool) {
+    let deadline = Instant::now() + service;
+    let mut inner = item.conn.inner.lock().unwrap();
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || shared.stop.load(Ordering::SeqCst) {
+            return (inner, false);
+        }
+        // An entry in service stays at the front until the sweeper
+        // pops it.
+        if inner
+            .queue
+            .front()
+            .is_some_and(|e| e.seq == item.seq && e.cancelled)
+        {
+            return (inner, true);
+        }
+        inner = item.conn.service_cv.wait_timeout(inner, left).unwrap().0;
     }
 }
 
@@ -958,15 +1048,11 @@ fn tie_sender_loop(rx: &mpsc::Receiver<(SocketAddr, Command)>) {
     }
 }
 
-/// Spins (short waits) or sleeps (long waits) for `d`.
-fn burn(d: Duration) {
-    if d >= Duration::from_micros(200) {
-        std::thread::sleep(d);
-    } else {
-        let t0 = Instant::now();
-        while t0.elapsed() < d {
-            std::hint::spin_loop();
-        }
+/// Busy-waits for `d`: a service time too short to sleep through.
+fn spin(d: Duration) {
+    let t0 = Instant::now();
+    while t0.elapsed() < d {
+        std::hint::spin_loop();
     }
 }
 
@@ -1402,6 +1488,38 @@ mod tests {
         assert_eq!(read_reply(&mut blocker), Reply::Int(5_000));
         a.shutdown();
         b.shutdown();
+    }
+
+    #[test]
+    fn shutdown_does_not_sleep_out_the_request_in_service() {
+        let mut store = monster_store();
+        let (_, cost) = store.execute(&Command::SInterCard("big1".into(), "big2".into()));
+        let server = TcpServer::bind(
+            "127.0.0.1:0",
+            store,
+            TcpServerConfig {
+                nanos_per_op: 500_000_000 / cost, // the monster burns 0.5 s
+                ..TcpServerConfig::default()
+            },
+        )
+        .unwrap();
+        let mut c = TcpStream::connect(server.local_addr()).unwrap();
+        send_cmd(&mut c, &Command::SInterCard("big1".into(), "big2".into()));
+        while server.stats().commands == 0 {
+            std::thread::sleep(Duration::from_millis(1)); // until in service
+        }
+        let t0 = Instant::now();
+        server.shutdown();
+        assert!(
+            t0.elapsed() < Duration::from_millis(100),
+            "shutdown waited {:?} for a request in service",
+            t0.elapsed()
+        );
+        assert!(
+            server.shared.reader_threads.lock().unwrap().is_empty()
+                && server.threads.lock().unwrap().is_empty(),
+            "shutdown must join the sweeper and the readers"
+        );
     }
 
     #[test]

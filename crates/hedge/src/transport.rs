@@ -79,9 +79,14 @@ impl std::error::Error for TransportError {}
 ///
 /// * completed requests feed the latency EWMA (queueing included:
 ///   `conn_loop` measures from job dispatch);
-/// * retracted losers feed it as *floor* samples — the request was
-///   outstanding at least that long, so the bound may raise the EWMA
-///   but never lower it (a fast cancel says nothing about speed);
+/// * retracted losers — stopped in a queue or in service after `t` ms
+///   — are censored samples, and the slow copies are exactly the ones
+///   that get stopped. They are completed the memoryless way,
+///   `E[T | T > t] = t + mean`, with the EWMA as the mean: each loss
+///   raises the EWMA by `α·t` and none lowers it (a fast cancel says
+///   nothing about speed). A replica that only ever loses drifts up
+///   and is demoted; one that wins a share `p` of its races in `x` ms
+///   settles near `x + (1 − p)/p · t`;
 /// * socket-level failures feed the error EWMA, successes decay it.
 pub struct ReplicaHealth {
     /// f64 bits; NaN until the first sample arrives.
@@ -125,9 +130,8 @@ impl ReplicaHealth {
     }
 
     /// Lock-free EWMA step: `cell <- cell + alpha * (sample - cell)`,
-    /// seeding with `sample` when the cell is still NaN. With
-    /// `raise_only`, updates that would lower the value are dropped.
-    fn update(cell: &AtomicU64, sample: f64, alpha: f64, raise_only: bool) {
+    /// seeding with `sample` when the cell is still NaN.
+    fn update(cell: &AtomicU64, sample: f64, alpha: f64) {
         let mut cur = cell.load(Ordering::Relaxed);
         loop {
             let old = f64::from_bits(cur);
@@ -136,9 +140,6 @@ impl ReplicaHealth {
             } else {
                 old + alpha * (sample - old)
             };
-            if raise_only && !old.is_nan() && new <= old {
-                return;
-            }
             match cell.compare_exchange_weak(
                 cur,
                 new.to_bits(),
@@ -152,19 +153,18 @@ impl ReplicaHealth {
     }
 
     fn record_latency(&self, ms: f64) {
-        Self::update(&self.latency_ms, ms, LATENCY_ALPHA, false);
-        Self::update(&self.error_rate, 0.0, ERROR_ALPHA, false);
+        Self::update(&self.latency_ms, ms, LATENCY_ALPHA);
+        Self::update(&self.error_rate, 0.0, ERROR_ALPHA);
     }
 
-    /// A retracted request's elapsed-at-cancel bound: the true response
-    /// time was at least `ms`, so this may raise the EWMA, never lower
-    /// it.
+    /// A retracted request, censored at `ms`: its response time would
+    /// have been `ms` plus, memorylessly, the mean (see the type docs).
     fn record_censored_latency(&self, ms: f64) {
-        Self::update(&self.latency_ms, ms, LATENCY_ALPHA, true);
+        Self::update(&self.latency_ms, ms + self.latency_ewma_ms(), LATENCY_ALPHA);
     }
 
     fn record_error(&self) {
-        Self::update(&self.error_rate, 1.0, ERROR_ALPHA, false);
+        Self::update(&self.error_rate, 1.0, ERROR_ALPHA);
     }
 
     /// EWMA of observed response times (ms); `0` before any sample —
@@ -1185,7 +1185,7 @@ mod tests {
     }
 
     #[test]
-    fn replica_health_ewma_tracks_and_floors() {
+    fn replica_health_ewma_tracks_and_completes_censored_samples() {
         let h = ReplicaHealth::new();
         assert_eq!(h.latency_ewma_ms(), 0.0, "optimistic before any sample");
         h.record_latency(10.0);
@@ -1198,11 +1198,37 @@ mod tests {
         }
         let settled = h.latency_ewma_ms();
         assert!((settled - 2.0).abs() < 0.1, "EWMA converges: {settled}");
-        // Censored bounds only ever raise.
+
+        // A censored sample never lowers the EWMA, however early the
+        // cancel: it raises it by α·t.
         h.record_censored_latency(0.1);
-        assert!((h.latency_ewma_ms() - settled).abs() < 1e-12);
-        h.record_censored_latency(1_000.0);
-        assert!(h.latency_ewma_ms() > settled);
+        let raised = h.latency_ewma_ms();
+        assert!(
+            (raised - (settled + LATENCY_ALPHA * 0.1)).abs() < 1e-12,
+            "{settled} -> {raised}"
+        );
+
+        // A replica that only ever loses drifts up by α·t per loss,
+        // without bound: it is demoted even though every one of its
+        // requests was stopped early.
+        for _ in 0..100 {
+            h.record_censored_latency(1.0);
+        }
+        let drifted = h.latency_ewma_ms();
+        assert!(
+            (drifted - (raised + 100.0 * LATENCY_ALPHA)).abs() < 1e-9,
+            "{raised} -> {drifted}"
+        );
+
+        // A replica that wins a share p of its races in x ms and is
+        // stopped at t ms in the rest settles near x + (1 - p)/p · t:
+        // here p = 1/2, x = 2, t = 3.
+        for _ in 0..200 {
+            h.record_latency(2.0);
+            h.record_censored_latency(3.0);
+        }
+        let mixed = h.latency_ewma_ms();
+        assert!((mixed - 5.0).abs() < 0.5, "bounded equilibrium: {mixed}");
     }
 
     #[test]

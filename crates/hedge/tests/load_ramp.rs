@@ -7,7 +7,14 @@
 //! The assertions are the ISSUE's acceptance shape with tolerances
 //! sized for CI-scale runs (tail quantiles of a few hundred samples
 //! are noisy; the committed full-scale `BENCH_ramp.json` carries the
-//! tight numbers):
+//! tight numbers). A plateau's P99 rests on its 12 slowest samples,
+//! and one 30 ms freeze of a shared 2-core box delays more requests
+//! than that, so a single run's P99 measures the box as often as the
+//! policy (both tests used to fail about one full-suite run in two on
+//! such a box). Every P99 and drop rate compared here is therefore the
+//! *median of [`REPS`] repetitions* of its arm, the arms taking turns:
+//! one disturbed repetition moves neither median, while a policy that
+//! is worse in two repetitions of three still fails.
 //!
 //! * the aware policy's P99 is never *meaningfully* worse than
 //!   unhedged at any plateau;
@@ -86,6 +93,9 @@ fn queries_per_phase() -> usize {
 
 const UTILS: [f64; 3] = [0.3, 0.6, 0.95];
 
+/// Repetitions of each arm whose P99s are compared (see module docs).
+const REPS: usize = 3;
+
 fn ramp_config(q: usize) -> LoadConfig {
     LoadConfig {
         queries: q * UTILS.len(),
@@ -112,6 +122,33 @@ fn run_ramp(cfg: HedgeConfig, q: usize) -> (LoadReport, HedgedClient) {
     (report, client)
 }
 
+/// Runs the ramp [`REPS`] times under each of two configurations,
+/// taking turns so that a slow spell of the box falls on both.
+fn run_ramps_alternating(
+    a: &HedgeConfig,
+    b: &HedgeConfig,
+    q: usize,
+) -> [Vec<(LoadReport, HedgedClient)>; 2] {
+    let mut runs = [Vec::new(), Vec::new()];
+    for _ in 0..REPS {
+        runs[0].push(run_ramp(a.clone(), q));
+        runs[1].push(run_ramp(b.clone(), q));
+    }
+    runs
+}
+
+/// The median of `f` over the repetitions `runs` (see module docs).
+fn median(runs: &[(LoadReport, HedgedClient)], f: impl Fn(&LoadReport) -> f64) -> f64 {
+    let mut values: Vec<f64> = runs.iter().map(|(report, _)| f(report)).collect();
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
+}
+
+/// Plateau `k`'s P99, the median over `runs`.
+fn median_p99(runs: &[(LoadReport, HedgedClient)], k: usize) -> f64 {
+    median(runs, |report| report.segments[k].quantile(0.99).unwrap())
+}
+
 fn online(budget: f64, load: Option<LoadShaper>) -> OnlineConfig {
     OnlineConfig {
         k: 0.99,
@@ -130,22 +167,23 @@ fn utilization_aware_hedging_survives_the_sign_flip() {
     let q = queries_per_phase();
     let budget = 0.08;
 
-    let (unhedged, _) = run_ramp(
-        HedgeConfig {
+    let [unhedged_runs, aware_runs] = run_ramps_alternating(
+        &HedgeConfig {
             policy: ReissuePolicy::None,
             online: None,
             ..HedgeConfig::default()
         },
-        q,
-    );
-    let (aware, aware_client) = run_ramp(
-        HedgeConfig {
+        &HedgeConfig {
             policy: ReissuePolicy::None,
             online: Some(online(budget, Some(LoadShaper::default()))),
             ..HedgeConfig::default()
         },
         q,
     );
+    // Everything but the P99s and the drop rates is read off the
+    // first repetition.
+    let (unhedged, _) = &unhedged_runs[0];
+    let (aware, aware_client) = &aware_runs[0];
 
     assert_eq!(unhedged.lost(), 0);
     assert_eq!(aware.lost(), 0);
@@ -190,10 +228,7 @@ fn utilization_aware_hedging_survives_the_sign_flip() {
     // at the low plateau the hedging must pay for itself against the
     // slow-outlier tail.
     for (k, util) in UTILS.iter().enumerate() {
-        let (pu, pa) = (
-            unhedged.segments[k].quantile(0.99).unwrap(),
-            aware.segments[k].quantile(0.99).unwrap(),
-        );
+        let (pu, pa) = (median_p99(&unhedged_runs, k), median_p99(&aware_runs, k));
         assert!(
             pa <= pu * 1.5 + 2.0,
             "aware P99 {pa:.2} ms vs unhedged {pu:.2} ms at util {util} — \
@@ -203,12 +238,11 @@ fn utilization_aware_hedging_survives_the_sign_flip() {
 
     // At the saturated plateau the aware run must not shed more load
     // than the unhedged baseline (the whole point of damping).
-    assert!(
-        aware.segments[2].drop_rate() <= unhedged.segments[2].drop_rate() + 1e-9,
-        "aware drop {} > unhedged drop {}",
-        aware.segments[2].drop_rate(),
-        unhedged.segments[2].drop_rate()
+    let (du, da) = (
+        median(&unhedged_runs, |r| r.segments[2].drop_rate()),
+        median(&aware_runs, |r| r.segments[2].drop_rate()),
     );
+    assert!(da <= du + 1e-9, "aware drop {da} > unhedged drop {du}");
 }
 
 /// A static SingleR policy calibrated by a load-blind adapter at the
@@ -249,17 +283,14 @@ fn aware_beats_mid_calibrated_static_at_both_ends() {
     let static_policy =
         ReissuePolicy::single_r(record.delay.max(0.1), record.probability.clamp(0.001, 1.0));
 
-    let (static_run, _) = run_ramp(
-        HedgeConfig {
+    let [static_runs, aware_runs] = run_ramps_alternating(
+        &HedgeConfig {
             policy: static_policy,
             online: None,
             budget_cap: Some(1.25 * budget),
             ..HedgeConfig::default()
         },
-        q,
-    );
-    let (aware, _) = run_ramp(
-        HedgeConfig {
+        &HedgeConfig {
             policy: ReissuePolicy::None,
             online: Some(online(budget, Some(LoadShaper::default()))),
             ..HedgeConfig::default()
@@ -269,10 +300,7 @@ fn aware_beats_mid_calibrated_static_at_both_ends() {
 
     let ends = [0, UTILS.len() - 1];
     for k in ends {
-        let (ps, pa) = (
-            static_run.segments[k].quantile(0.99).unwrap(),
-            aware.segments[k].quantile(0.99).unwrap(),
-        );
+        let (ps, pa) = (median_p99(&static_runs, k), median_p99(&aware_runs, k));
         assert!(
             pa <= ps * 1.5 + 2.0,
             "aware P99 {pa:.2} ms vs static {ps:.2} ms at util {} — \

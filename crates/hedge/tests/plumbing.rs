@@ -204,6 +204,111 @@ fn cancel_racing_completion_across_reconnects_resolves_each_attempt_once() {
     );
 }
 
+/// The same race against the real server, where a cancel can land on
+/// a request in service: ~300 µs requests, every other one cancelled
+/// from another thread at a random offset into its life.
+#[test]
+fn cancel_racing_service_stops_only_its_own_request() {
+    const REQUESTS: usize = 2_000;
+    const KEYS: usize = 7;
+    let mut store = KvStore::new();
+    for k in 0..KEYS {
+        store.execute(&Command::Set(
+            format!("k{k}").into(),
+            format!("v{k}").into(),
+        ));
+    }
+    // A GET costs one unit: 300 µs of interruptible service.
+    let server = TcpServer::bind(
+        "127.0.0.1:0",
+        store,
+        TcpServerConfig {
+            nanos_per_op: 300_000,
+            ..TcpServerConfig::default()
+        },
+    )
+    .unwrap();
+
+    // The canceller: cancels each token it is handed `after` it was
+    // handed over — before the frame is written, while the request is
+    // queued, in service, or already answered.
+    let (to_canceller, tokens) = mpsc::channel::<(CancelToken, Duration)>();
+    let canceller = std::thread::spawn(move || {
+        for (token, after) in tokens {
+            let until = std::time::Instant::now() + after;
+            while std::time::Instant::now() < until {
+                std::hint::spin_loop();
+            }
+            token.cancel();
+        }
+    });
+
+    let rt = Runtime::new(1);
+    let mut offset_us = 0u64;
+    let mut stopped_or_retracted = 0usize;
+    for (pipeline, rounds) in [(1, REQUESTS / 2), (4, REQUESTS / 2)] {
+        let replica = Replica::connect_pipelined(server.local_addr(), 1, pipeline).unwrap();
+        let mut i = 0usize;
+        while i < rounds {
+            let batch: Vec<_> = (i..rounds.min(i + pipeline))
+                .map(|n| {
+                    let token = CancelToken::new();
+                    let fut = replica
+                        .request(Command::Get(format!("k{}", n % KEYS).into()), token.clone());
+                    if n % 2 == 0 {
+                        // 0..600 µs, stepping through a prime stride.
+                        offset_us = (offset_us + 211) % 600;
+                        to_canceller
+                            .send((token, Duration::from_micros(offset_us)))
+                            .unwrap();
+                    }
+                    (n, fut)
+                })
+                .collect();
+            i += batch.len();
+            for (n, fut) in batch {
+                // One reply per request, in sequence order: the
+                // transport matches replies to requests by position, so
+                // a missing, doubled or misplaced marker would hand
+                // some request another key's value (or hang it).
+                match resolve(&rt, fut) {
+                    Ok(reply) => assert_eq!(
+                        reply,
+                        Reply::Str(format!("v{}", n % KEYS).into()),
+                        "request {n} (pipeline {pipeline}) got another request's reply"
+                    ),
+                    Err(TransportError::Cancelled) => {
+                        assert!(
+                            n % 2 == 0,
+                            "request {n} (pipeline {pipeline}) inherited a cancel it was never sent"
+                        );
+                        stopped_or_retracted += 1;
+                    }
+                    Err(e) => panic!("request {n}: {e}"),
+                }
+            }
+        }
+        drop(replica);
+    }
+    drop(to_canceller);
+    canceller.join().unwrap();
+
+    let stats = server.stats();
+    assert!(
+        stats.aborted > 0,
+        "some cancels must have caught their request in service: {stats:?}"
+    );
+    assert!(
+        stats.aborted as usize <= stopped_or_retracted,
+        "every stop was reported to its client: {stats:?} vs {stopped_or_retracted}"
+    );
+    assert!(
+        stats.commands as usize <= REQUESTS,
+        "nothing ran twice: {stats:?}"
+    );
+    server.shutdown();
+}
+
 #[test]
 fn last_client_handle_may_drop_inside_a_spawned_task() {
     // The task holds the last `HedgedClient` (and so the last handle

@@ -94,12 +94,18 @@ impl Connection {
 /// Statistics from a server run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServerStats {
-    /// Commands executed.
+    /// Commands executed, counted when their service starts.
     pub commands: u64,
     /// Round-robin sweeps performed.
     pub sweeps: u64,
-    /// Total execution cost (elementary ops) of executed commands.
+    /// Total execution cost (elementary ops) served: the full cost of
+    /// every command that ran to its end, and of a command stopped in
+    /// service (`hedge::TcpServer`) only the units burned until then
+    /// (charged in full when service starts, the rest handed back
+    /// when it is stopped).
     pub total_cost: u64,
+    /// Commands stopped in service by their client's `CANCEL`.
+    pub aborted: u64,
     /// Protocol errors encountered (connection input was discarded).
     pub protocol_errors: u64,
 }

@@ -21,6 +21,23 @@ pub enum ReissueRouting {
     AvoidPrimary,
 }
 
+/// What happens to a query's other copies once its first one completes
+/// — the same three behaviours the TCP path has (`hedge::server`).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Cancellation {
+    /// Copies run to completion: the paper's model.
+    #[default]
+    None,
+    /// A copy still queued is dropped when it reaches the head of its
+    /// queue (lazy in-queue cancellation); a copy in service finishes.
+    Queued,
+    /// As `Queued`, and a copy in service on another server is
+    /// preempted the instant the first one completes: that server is
+    /// charged busy time up to that instant and starts its next
+    /// request.
+    InService,
+}
+
 /// Background interference on servers: each server independently
 /// experiences "stalls" — bursts of non-query work (compaction, GC,
 /// co-located batch jobs, page-cache misses) that occupy the worker
@@ -62,11 +79,12 @@ pub struct ClusterConfig {
     pub balancer: Balancer,
     /// Reissue routing rule.
     pub reissue_routing: ReissueRouting,
-    /// If true, requests whose query already completed are dropped when
-    /// they reach the head of a queue (lazy in-queue cancellation).
-    /// The paper does *not* cancel — copies run to completion — so this
-    /// defaults to `false`; it exists for the ablation benches.
-    pub cancel_queued: bool,
+    /// Whether, and how deep, a completed query's other copies are
+    /// cancelled. The paper does *not* cancel — copies run to
+    /// completion — so this defaults to [`Cancellation::None`]; the
+    /// other values exist for the ablation benches and to mirror the
+    /// TCP server.
+    pub cancellation: Cancellation,
     /// Optional per-server background interference.
     pub interference: Option<Interference>,
 }
@@ -78,7 +96,7 @@ impl Default for ClusterConfig {
             discipline: Discipline::Fifo,
             balancer: Balancer::Random,
             reissue_routing: ReissueRouting::Any,
-            cancel_queued: false,
+            cancellation: Cancellation::None,
             interference: None,
         }
     }
@@ -177,6 +195,10 @@ struct Server {
     queue: WaitQueue,
     /// The request in service, if any, with its start time.
     in_service: Option<(QueuedRequest, f64)>,
+    /// Counts preemptions. A `Completion` event carries the count at
+    /// the start of the service it ends; if that service was preempted
+    /// the event finds a later count here and is ignored.
+    generation: u64,
     busy_time: f64,
 }
 
@@ -229,6 +251,7 @@ pub fn simulate(
         .map(|_| Server {
             queue: WaitQueue::new(cluster.discipline),
             in_service: None,
+            generation: 0,
             busy_time: 0.0,
         })
         .collect();
@@ -263,11 +286,14 @@ pub fn simulate(
     while let Some((now, event)) = events.pop() {
         // Makespan = last *completion* time; arrival or timer events
         // that fire later (e.g. a no-op stall reschedule after the last
-        // query drained) must not stretch the utilization denominator.
-        if matches!(
-            event,
-            Event::Completion { .. } | Event::DirectCompletion { .. }
-        ) {
+        // query drained) must not stretch the utilization denominator,
+        // and neither must the stale completion of a preempted service.
+        let live = match event {
+            Event::Completion { server, generation } => servers[server].generation == generation,
+            Event::DirectCompletion { .. } => true,
+            _ => false,
+        };
+        if live {
             makespan = makespan.max(now);
         }
         match event {
@@ -399,29 +425,40 @@ pub fn simulate(
                 }
             }
 
-            Event::Completion { server } => {
+            Event::Completion { .. } if !live => {} // its service was preempted
+
+            Event::Completion { server, .. } => {
                 let (req, started) = servers[server]
                     .in_service
                     .take()
                     .expect("completion without in-service request");
                 servers[server].busy_time += now - started;
                 if req.query != STALL {
+                    let first = !queries[req.query].completed;
                     record_response(&mut queries[req.query], &req, now);
-                }
-
-                // Start the next request, lazily dropping cancelled ones.
-                while let Some(next) = servers[server].queue.pop(now) {
-                    if cluster.cancel_queued && next.query != STALL && queries[next.query].completed
-                    {
-                        continue; // dropped without service
+                    if first && cluster.cancellation == Cancellation::InService {
+                        // Nobody waits for this query's other copies
+                        // any more: preempt the ones in service.
+                        for (s, sibling) in servers.iter_mut().enumerate() {
+                            if let Some((_, started)) = sibling
+                                .in_service
+                                .take_if(|(other, _)| other.query == req.query)
+                            {
+                                sibling.busy_time += now - started;
+                                sibling.generation += 1;
+                                start_next(sibling, s, cluster, &mut queries, now, &mut events);
+                            }
+                        }
                     }
-                    if next.query != STALL && !next.is_reissue {
-                        queries[next.query].primary_wait = now - next.enqueued_at;
-                    }
-                    servers[server].in_service = Some((next, now));
-                    events.push(now + next.service, Event::Completion { server });
-                    break;
                 }
+                start_next(
+                    &mut servers[server],
+                    server,
+                    cluster,
+                    &mut queries,
+                    now,
+                    &mut events,
+                );
             }
 
             Event::DirectCompletion {
@@ -487,10 +524,51 @@ fn offer(
     events: &mut EventQueue,
 ) {
     if server.in_service.is_none() {
-        server.in_service = Some((req, now));
-        events.push(now + req.service, Event::Completion { server: server_idx });
+        start(server, server_idx, req, now, events);
     } else {
         server.queue.push(req);
+    }
+}
+
+/// Puts `req` in service on `server` and schedules its completion.
+fn start(
+    server: &mut Server,
+    server_idx: usize,
+    req: QueuedRequest,
+    now: f64,
+    events: &mut EventQueue,
+) {
+    server.in_service = Some((req, now));
+    events.push(
+        now + req.service,
+        Event::Completion {
+            server: server_idx,
+            generation: server.generation,
+        },
+    );
+}
+
+/// Starts the next queued request on an idle `server`, lazily dropping
+/// copies of completed queries when the cluster cancels.
+fn start_next(
+    server: &mut Server,
+    server_idx: usize,
+    cluster: &ClusterConfig,
+    queries: &mut [QueryState],
+    now: f64,
+    events: &mut EventQueue,
+) {
+    while let Some(next) = server.queue.pop(now) {
+        if next.query != STALL {
+            if cluster.cancellation != Cancellation::None && queries[next.query].completed {
+                continue; // dropped without service
+            }
+            if !next.is_reissue {
+                queries[next.query].primary_wait = now - next.enqueued_at;
+            }
+        }
+        start(server, server_idx, next, now, events);
+        return;
     }
 }
 
@@ -743,7 +821,7 @@ mod tests {
     }
 
     #[test]
-    fn cancel_queued_reduces_wasted_work() {
+    fn queued_cancellation_reduces_wasted_work() {
         let mk_run = || RunConfig {
             queries: 20_000,
             warmup: 2_000,
@@ -755,7 +833,7 @@ mod tests {
         let with_cancel = simulate(
             &ClusterConfig {
                 servers: 6,
-                cancel_queued: true,
+                cancellation: Cancellation::Queued,
                 ..ClusterConfig::default()
             },
             &mk_run(),
@@ -770,6 +848,57 @@ mod tests {
             "cancel {} !< plain {}",
             with_cancel.utilization(),
             without.utilization()
+        );
+    }
+
+    #[test]
+    fn deeper_cancellation_burns_strictly_less_and_loses_no_query() {
+        // Exp(1) service at rho 0.5, hedging every query still
+        // outstanding at the median service time.
+        let run = RunConfig {
+            queries: 20_000,
+            warmup: 2_000,
+            seed: 12,
+            arrival: ArrivalProcess::poisson_for_utilization(0.5, 6, 1.0),
+        };
+        let policy = ReissuePolicy::single_r(std::f64::consts::LN_2, 1.0);
+        let go = |cancellation| {
+            let mut service = IidService::new(Exponential::new(1.0));
+            let r = simulate(
+                &ClusterConfig {
+                    servers: 6,
+                    cancellation,
+                    ..ClusterConfig::default()
+                },
+                &run,
+                &mut service,
+                &policy,
+            );
+            // Every query resolves, once, with the response of a copy
+            // that really finished: a preempted or dropped copy books
+            // nothing, and the other one is never lost with it.
+            assert_eq!(r.records.len(), run.queries);
+            for q in &r.records {
+                let reissue = q.reissue_dispatch_delay + q.reissue_response;
+                let first = [q.primary_response, reissue]
+                    .into_iter()
+                    .filter(|t| t.is_finite())
+                    .fold(f64::INFINITY, f64::min);
+                assert!(
+                    q.latency.is_finite() && (q.latency - first).abs() < 1e-9,
+                    "{cancellation:?}: {q:?}"
+                );
+            }
+            r.utilization()
+        };
+        let (none, queued, in_service) = (
+            go(Cancellation::None),
+            go(Cancellation::Queued),
+            go(Cancellation::InService),
+        );
+        assert!(
+            in_service < queued && queued < none,
+            "in service {in_service} < queued {queued} < none {none}"
         );
     }
 

@@ -10,8 +10,10 @@ pub(crate) enum Event {
     Arrival { query: usize },
     /// Query `query`'s reissue timer (stage `stage`) fires.
     ReissueFire { query: usize, stage: usize },
-    /// The request currently in service on `server` completes.
-    Completion { server: usize },
+    /// The service started on `server` during its preemption
+    /// generation `generation` completes — unless it was preempted
+    /// since.
+    Completion { server: usize, generation: u64 },
     /// A request completes on the infinite-server cluster;
     /// `dispatched` is the time its request was sent.
     DirectCompletion {
@@ -117,10 +119,22 @@ mod tests {
     fn ties_break_by_insertion_order() {
         let mut q = EventQueue::new();
         q.push(5.0, Event::Arrival { query: 0 });
-        q.push(5.0, Event::Completion { server: 1 });
+        q.push(
+            5.0,
+            Event::Completion {
+                server: 1,
+                generation: 1,
+            },
+        );
         q.push(5.0, Event::Arrival { query: 2 });
         assert_eq!(q.pop().unwrap().1, Event::Arrival { query: 0 });
-        assert_eq!(q.pop().unwrap().1, Event::Completion { server: 1 });
+        assert_eq!(
+            q.pop().unwrap().1,
+            Event::Completion {
+                server: 1,
+                generation: 1,
+            }
+        );
         assert_eq!(q.pop().unwrap().1, Event::Arrival { query: 2 });
     }
 

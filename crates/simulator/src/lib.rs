@@ -64,7 +64,7 @@ mod service;
 
 pub use balancer::Balancer;
 pub use cluster::{
-    simulate, ArrivalProcess, ClusterConfig, Interference, ReissueRouting, RunConfig,
+    simulate, ArrivalProcess, Cancellation, ClusterConfig, Interference, ReissueRouting, RunConfig,
 };
 pub use discipline::Discipline;
 pub use result::{QueryRecord, SimResult};

@@ -9,7 +9,8 @@ pub struct QueryRecord {
     pub arrival: f64,
     /// Primary request's response time (arrival → its own completion),
     /// even if a reissue finished the query first. NaN if the primary
-    /// was cancelled in-queue (only with cancellation enabled).
+    /// was cancelled, in its queue or in service (only with
+    /// cancellation enabled).
     pub primary_response: f64,
     /// Whether a reissue request was actually sent.
     pub reissued: bool,

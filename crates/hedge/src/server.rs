@@ -10,8 +10,10 @@
 //! construction. A single sweeper thread pops the central queue,
 //! executes against the shared backend, burns `cost × nanos_per_op`
 //! of wall-clock service time, and writes the reply. The default
-//! discipline, `RoundRobin { connections: 0 }`, reproduces the old
-//! `MiniServer` round-robin sweep exactly.
+//! discipline, `RoundRobin { connections: 0 }`, is Redis's event loop
+//! as §6.2 needs it: one command per connection with pending input per
+//! sweep, so one long `SINTER` delays every other connection's next
+//! command by its full service time.
 //!
 //! ## Tied-request cancellation
 //!
@@ -114,7 +116,7 @@ impl Default for TcpServerConfig {
         TcpServerConfig {
             nanos_per_op: 0,
             // Dynamic round-robin over accept-order connection ids:
-            // the historical MiniServer sweep semantics.
+            // Redis's one-command-per-connection sweep (module docs).
             discipline: Discipline::RoundRobin { connections: 0 },
         }
     }
@@ -593,7 +595,8 @@ fn reader_loop<B: Backend>(mut stream: TcpStream, state: &Arc<ConnState>, shared
                 Ok(Some(cmd)) => enqueue_request(shared, state, cmd, pending_tie.take()),
                 Ok(None) => break,
                 Err(err) => {
-                    // Mirror MiniServer: error reply, drop the rest.
+                    // A frame that does not parse leaves no boundary to
+                    // resume from: error reply, drop the rest.
                     buf.clear();
                     shared.stats.lock().unwrap().protocol_errors += 1;
                     scratch.clear();

@@ -34,7 +34,7 @@ mod sets;
 mod store;
 
 pub use dataset::{Dataset, DatasetConfig};
-pub use server::{Connection, MiniServer, ServerStats};
+pub use server::ServerStats;
 pub use sets::IntSet;
 pub use store::{Backend, Command, Hit, KvStore, Reply};
 pub use workload::{Trace, WorkloadConfig};

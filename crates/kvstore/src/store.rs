@@ -153,10 +153,10 @@ pub enum Reply {
 /// What a replica serves: any state machine that executes [`Command`]s
 /// and reports a deterministic cost in elementary operations.
 ///
-/// `hedge::TcpServer` and `MiniServer` are generic over this trait, so
-/// the same RESP/TCP transport, cancellation, and sweep loop can front
-/// a [`KvStore`], a BM25 index shard, or anything else. The cost is
-/// what the server burns as service time (`cost × nanos_per_op`).
+/// `hedge::TcpServer` is generic over this trait, so the same RESP/TCP
+/// transport, cancellation, and sweep loop can front a [`KvStore`], a
+/// BM25 index shard, or anything else. The cost is what the server
+/// burns as service time (`cost × nanos_per_op`).
 pub trait Backend: Send + 'static {
     /// Executes one command, returning the reply and its cost.
     fn execute(&mut self, cmd: &Command) -> (Reply, u64);

@@ -3,7 +3,7 @@
 //!
 //! Two questions the committed `BENCH_discipline.json` answers:
 //!
-//! 1. **Cancellation** ([`figtcp_cancellation`]) — does dequeue-time
+//! 1. **Cancellation** (`figtcp_cancellation`) — does dequeue-time
 //!    peer cancellation (server-side *tied requests*, "The Tail at
 //!    Scale") retract more speculative work before it executes than
 //!    the client-driven `CANCEL` round trip? The client style can only
@@ -18,7 +18,7 @@
 //!    aggressive hedge-at-the-median policy (the operating point tied
 //!    requests exist for) under the same governed budget.
 //!
-//! 2. **Discipline** ([`figtcp_discipline`]) — with the reissue budget
+//! 2. **Discipline** (`figtcp_discipline`) — with the reissue budget
 //!    held equal, does a non-FIFO run-queue discipline beat FIFO's
 //!    P99? The §6.2 workload's queries of death head-of-line-block a
 //!    FIFO replica; `CostPriority` (shortest-estimated-job-first) and

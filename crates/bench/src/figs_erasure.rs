@@ -2,7 +2,7 @@
 //! erasure tentpole's closing A/B, through the real TCP serving path.
 //!
 //! Two arms serve the same byte workload (8 KiB values, a 1 MiB
-//! monster value every [`MONSTER_EVERY`]th arrival) from `n = 4`
+//! monster value every `MONSTER_EVERY`th arrival) from `n = 4`
 //! servers whose service time is proportional to payload bytes
 //! ([`erasure::StripedBackend`]):
 //!

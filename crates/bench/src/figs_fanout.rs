@@ -12,7 +12,7 @@
 //! the way the harness always has: scripted transient slowness,
 //! staggered across replicas so that ~5% of legs land on a currently
 //! degraded replica at any moment regardless of width (see
-//! [`sickness_script`]). [`figtcp_fanout`] sweeps fan-out width
+//! `sickness_script`). [`figtcp_fanout`] sweeps fan-out width
 //! {1, 10, 100} × reissue budget {2, 5, 8}%, each width served by a
 //! `shard::ShardedCluster` of BM25 index shards (the shared
 //! [`ShardedQueryWorkload`], identical traffic to the example and the

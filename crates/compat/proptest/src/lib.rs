@@ -203,7 +203,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// See [`vec`].
+    /// See [`fn@vec`].
     #[derive(Clone, Debug)]
     pub struct VecStrategy<S> {
         element: S,

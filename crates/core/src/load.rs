@@ -48,7 +48,7 @@
 //! off a saturated cluster: observed latency is service *plus*
 //! queueing. `S̄` therefore tracks the latency EWMA only while the
 //! in-flight EWMA says queues are essentially empty (fewer than
-//! [`UNQUEUED_PER_REPLICA`] outstanding queries per replica), and is
+//! `UNQUEUED_PER_REPLICA` outstanding queries per replica), and is
 //! otherwise frozen except for downward snaps (`S̄` may never exceed an
 //! observed `W̄`). Consequences, both in the safe direction:
 //!
@@ -325,7 +325,7 @@ impl LoadSignal {
     }
 
     /// The current utilization estimate ρ̂ ∈ `[0, 1]` — `0` until
-    /// [`WARMUP_COMPLETIONS`] completions have calibrated the
+    /// `WARMUP_COMPLETIONS` completions have calibrated the
     /// estimators. Lock-free read of the cached value.
     pub fn utilization(&self) -> f64 {
         f64::from_bits(self.rho_bits.load(Ordering::Relaxed))

@@ -1,46 +1,47 @@
 //! The k-of-n fragment-hedging client.
 //!
-//! A striped read dispatches the `k` *data*-fragment requests as its
-//! primary wave (slot `s` lives on replica `(s + o) % n` for the key's
-//! rotation offset `o`, see [`crate::placement_offset`]) and completes
-//! as soon
-//! as the fragments in hand decode — all `k` data fragments, or `k−1`
-//! of them plus a parity clone. The reissue policy's `(d, q)` timer is
-//! armed over the *straggling* fragment exactly as the replica-hedging
-//! client arms it over a whole query: when a stage deadline passes
-//! with the stripe still undecodable (and the coin came up heads and
-//! the budget governor grants quota), the client dispatches fragment
-//! `k + r` — a parity clone on a replica not yet involved — instead of
-//! a second full copy. That is the erasure-coding trade at the heart
-//! of this subsystem: the hedge costs `1/k` of a full read, so at an
-//! equal *byte* budget the fragment client can afford `k×` the reissue
-//! probability of the replica client
-//! ([`reissue_core::kofn::fragment_budget`]).
+//! A striped read is one [`Job`] of the race engine ([`mod@hedge::race`]),
+//! which owns the stage timers, the governor ask, loser retraction and
+//! the `(straggler, first reissue)` pair book for every kind of race.
+//! What makes the race a *stripe* is the job's five answers:
 //!
-//! Loser retraction reuses the serving stack's tied-request machinery:
-//! under [`CancellationStyle::Tied`] every data fragment registers a
-//! tie id and the *first* reissue names the straggler (the
-//! lowest-index still-outstanding data slot) as its peer, so whichever
-//! server dequeues first retracts the other server-to-server;
-//! client-driven `CANCEL` remains the fallback for everything the tie
-//! does not cover. Retractions that land in time book **censored**
-//! `(straggler, reissue)` pairs — the same two-sided race book the
-//! hedged client keeps, minus the online adapter.
+//! 1. the first wave is the `k` *data*-fragment reads;
+//! 2. attempt `s` is `FGET key s` to replica `(s + o) % n` for the
+//!    key's rotation offset `o` (see [`crate::placement_offset`]), so
+//!    the `r`-th reissue fetches fragment `k + r`, a parity clone on a
+//!    replica not yet involved, instead of a second full copy;
+//! 3. a payload is banked, and the read is done as soon as the
+//!    fragments in hand decode (all `k` data fragments, or `k − 1` of
+//!    them plus a parity clone) or all `k` data slots answered `Nil`
+//!    (the key has no stripe);
+//! 4. there are `n` attempts to make, one per fragment;
+//! 5. the result is the decoded value.
+//!
+//! That is the erasure-coding trade at the heart of this subsystem:
+//! the hedge costs `1/k` of a full read, so at an equal *byte* budget
+//! the fragment client can afford `k×` the reissue probability of the
+//! replica client ([`reissue_core::kofn::fragment_budget`]).
+//!
+//! Under [`CancellationStyle::Tied`] the engine has every data
+//! fragment register a tie id and the *first* reissue name the
+//! straggler (the lowest-index data slot still outstanding) as its
+//! peer, so whichever server dequeues first retracts the other
+//! server-to-server; client-driven `CANCEL` remains the fallback for
+//! everything the tie does not cover. Retractions that land in time
+//! book **censored** `(straggler, reissue)` pairs.
 
-use crate::codec::{self, decodable, CodecError};
-use hedge::rt::{race, select_all, Either, Runtime};
-use hedge::{next_tie_id, BudgetGovernor, CancelToken, CancellationStyle};
-use hedge::{InFlight, ReplicaSet, TieSpec, TransportError};
+use crate::codec::{self, decodable};
+use hedge::race::{Core, Job, Verdict, MAX_ATTEMPTS};
+use hedge::rt::Runtime;
+use hedge::{BudgetGovernor, CancelToken, CancellationStyle, HedgeConfig};
+use hedge::{ReplicaSet, TransportError};
 use kvstore::{Command, Reply};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use reissue_core::policy::ReissuePolicy;
 
 use bytes::Bytes;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
 /// Configuration for [`StripedClient`].
 #[derive(Clone, Debug)]
@@ -119,32 +120,11 @@ pub struct StripedStats {
     pub errors: u64,
 }
 
-struct Counters {
-    queries: AtomicU64,
-    reissues: AtomicU64,
-    reissue_wins: AtomicU64,
-    decodes_with_parity: AtomicU64,
-    cancelled_in_time: AtomicU64,
-    pairs_exact: AtomicU64,
-    pairs_censored: AtomicU64,
-    errors: AtomicU64,
-}
-
-struct PolicyState {
-    policy: ReissuePolicy,
-    rng: SmallRng,
-}
-
 struct ScInner {
-    rt: Runtime,
-    replicas: ReplicaSet,
+    core: Arc<Core>,
     k: usize,
     n: usize,
-    state: Mutex<PolicyState>,
-    counters: Counters,
-    latencies_ms: Mutex<reissue_core::metrics::LogHistogram>,
-    governor: Option<Arc<BudgetGovernor>>,
-    cancellation: CancellationStyle,
+    decodes_with_parity: AtomicU64,
 }
 
 /// A fragment-hedging client over `n` replicas holding one stripe slot
@@ -168,47 +148,43 @@ impl StripedClient {
         addrs: &[SocketAddr],
         cfg: StripedConfig,
     ) -> std::io::Result<StripedClient> {
-        if cfg.k == 0 || addrs.len() < cfg.k {
+        let n = addrs.len();
+        if cfg.k == 0 || n < cfg.k {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
-                format!("need at least k={} replicas, got {}", cfg.k, addrs.len()),
+                format!("need at least k={} replicas, got {n}", cfg.k),
             ));
         }
-        let replicas = ReplicaSet::connect(addrs, cfg.pool_per_replica)?;
-        let governor = cfg
-            .governor
-            .clone()
-            .or_else(|| cfg.budget_cap.map(|cap| Arc::new(BudgetGovernor::new(cap))));
+        if n > MAX_ATTEMPTS {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("a stripe spans at most {MAX_ATTEMPTS} replicas, got {n}"),
+            ));
+        }
+        let hedge_cfg = HedgeConfig {
+            policy: cfg.policy,
+            online: None,
+            budget_cap: cfg.budget_cap,
+            governor: cfg.governor,
+            pool_per_replica: cfg.pool_per_replica,
+            pipeline: 1,
+            workers: cfg.workers,
+            seed: cfg.seed,
+            cancellation: cfg.cancellation,
+        };
         Ok(StripedClient {
             inner: Arc::new(ScInner {
-                rt,
-                replicas,
+                core: Arc::new(Core::connect(rt, addrs, hedge_cfg)?),
                 k: cfg.k,
-                n: addrs.len(),
-                state: Mutex::new(PolicyState {
-                    policy: cfg.policy,
-                    rng: SmallRng::seed_from_u64(cfg.seed),
-                }),
-                counters: Counters {
-                    queries: AtomicU64::new(0),
-                    reissues: AtomicU64::new(0),
-                    reissue_wins: AtomicU64::new(0),
-                    decodes_with_parity: AtomicU64::new(0),
-                    cancelled_in_time: AtomicU64::new(0),
-                    pairs_exact: AtomicU64::new(0),
-                    pairs_censored: AtomicU64::new(0),
-                    errors: AtomicU64::new(0),
-                },
-                latencies_ms: Mutex::new(reissue_core::metrics::LogHistogram::latency_ms()),
-                governor,
-                cancellation: cfg.cancellation,
+                n,
+                decodes_with_parity: AtomicU64::new(0),
             }),
         })
     }
 
     /// The executor, for spawning concurrent load generators.
     pub fn runtime(&self) -> &Runtime {
-        &self.inner.rt
+        self.inner.core.runtime()
     }
 
     /// Stripe geometry `(k, n)`.
@@ -218,62 +194,41 @@ impl StripedClient {
 
     /// The budget governor in force, if any.
     pub fn governor(&self) -> Option<&Arc<BudgetGovernor>> {
-        self.inner.governor.as_ref()
+        self.inner.core.governor()
     }
 
-    /// Counter snapshot.
+    /// Counter snapshot: the engine's counters, plus this client's own
+    /// count of parity decodes.
     pub fn stats(&self) -> StripedStats {
-        let c = &self.inner.counters;
+        let s = self.inner.core.stats();
         StripedStats {
-            queries: c.queries.load(Ordering::Relaxed),
-            reissues: c.reissues.load(Ordering::Relaxed),
-            reissue_wins: c.reissue_wins.load(Ordering::Relaxed),
-            decodes_with_parity: c.decodes_with_parity.load(Ordering::Relaxed),
-            cancelled_in_time: c.cancelled_in_time.load(Ordering::Relaxed),
-            pairs_exact: c.pairs_exact.load(Ordering::Relaxed),
-            pairs_censored: c.pairs_censored.load(Ordering::Relaxed),
-            errors: c.errors.load(Ordering::Relaxed),
+            queries: s.queries,
+            reissues: s.reissues,
+            reissue_wins: s.reissue_wins,
+            decodes_with_parity: self.inner.decodes_with_parity.load(Ordering::Relaxed),
+            cancelled_in_time: s.cancelled_in_time,
+            pairs_exact: s.pairs_exact,
+            pairs_censored: s.pairs_censored,
+            errors: s.errors,
         }
     }
 
     /// Quantile of end-to-end striped-read latencies (ms).
     pub fn latency_quantile(&self, q: f64) -> Option<f64> {
-        self.inner
-            .latencies_ms
-            .lock()
-            .unwrap()
-            .quantile(q.clamp(0.0, 1.0))
+        self.inner.core.latency_quantile(q)
     }
 
-    /// Writes `value` as a `(k, n)` stripe: slot `s`'s fragment to the
-    /// key's rotated replica `(s + offset) % n`. Blocking convenience
-    /// for seeding; awaits every `FSET` acknowledgement.
+    /// Writes `value` as a `(k, n)` stripe. Blocking convenience for
+    /// seeding: [`StripedClient::execute`] of a `SET`.
     pub fn put_blocking(&self, key: &[u8], value: &[u8]) -> Result<(), TransportError> {
-        let inner = self.inner.clone();
-        let frags = codec::encode_stripe(value, inner.k, inner.n)
-            .map_err(|e| TransportError::Protocol(e.to_string()))?;
-        let key = Bytes::copy_from_slice(key);
-        let offset = crate::placement_offset(&key, inner.n);
-        self.inner.rt.block_on(async move {
-            for (slot, frag) in frags.into_iter().enumerate() {
-                let cmd = Command::FSet(key.clone(), slot as u32, frag);
-                let reply = inner
-                    .replicas
-                    .replica((slot + offset) % inner.n)
-                    .request_tied(cmd, CancelToken::new(), None)
-                    .await?;
-                if !matches!(reply, Reply::Ok) {
-                    return Err(TransportError::Protocol(format!(
-                        "FSET slot {slot} replied {reply:?}"
-                    )));
-                }
-            }
-            Ok(())
-        })
+        let set = Command::Set(Bytes::copy_from_slice(key), Bytes::copy_from_slice(value));
+        self.execute_blocking(set).map(|_| ())
     }
 
     /// Executes one command. `GET` runs the k-of-n fragment race;
-    /// `SET` writes a stripe; everything else passes through to a
+    /// `SET` writes a stripe (slot `s`'s fragment to the key's rotated
+    /// replica `(s + offset) % n`, awaiting every `FSET`
+    /// acknowledgement); everything else passes through to a
     /// round-robin replica untouched. The returned future is
     /// `'static`: spawn any number concurrently.
     pub fn execute(
@@ -282,26 +237,30 @@ impl StripedClient {
     ) -> impl std::future::Future<Output = Result<Reply, TransportError>> + Send + 'static {
         let inner = self.inner.clone();
         async move {
+            let replicas = inner.core.replicas();
             match cmd {
-                Command::Get(key) => ScInner::striped_get(inner, key).await,
+                Command::Get(key) => inner.core.run(StripeJob::new(inner.clone(), key)).await,
                 Command::Set(key, value) => {
                     let frags = codec::encode_stripe(&value, inner.k, inner.n)
                         .map_err(|e| TransportError::Protocol(e.to_string()))?;
                     let offset = crate::placement_offset(&key, inner.n);
                     for (slot, frag) in frags.into_iter().enumerate() {
                         let cmd = Command::FSet(key.clone(), slot as u32, frag);
-                        inner
-                            .replicas
+                        let reply = replicas
                             .replica((slot + offset) % inner.n)
                             .request_tied(cmd, CancelToken::new(), None)
                             .await?;
+                        if !matches!(reply, Reply::Ok) {
+                            return Err(TransportError::Protocol(format!(
+                                "FSET slot {slot} replied {reply:?}"
+                            )));
+                        }
                     }
                     Ok(Reply::Ok)
                 }
                 other => {
-                    let idx = inner.replicas.pick_primary() % inner.n;
-                    inner
-                        .replicas
+                    let idx = replicas.pick_primary() % inner.n;
+                    replicas
                         .replica(idx)
                         .request_tied(other, CancelToken::new(), None)
                         .await
@@ -313,7 +272,7 @@ impl StripedClient {
     /// Blocking convenience wrapper around [`StripedClient::execute`].
     pub fn execute_blocking(&self, cmd: Command) -> Result<Reply, TransportError> {
         let fut = self.execute(cmd);
-        self.inner.rt.block_on(fut)
+        self.runtime().block_on(fut)
     }
 }
 
@@ -335,442 +294,100 @@ impl hedge::LoadClient for StripedClient {
     }
 }
 
-/// How one fragment attempt ended, for pair booking. The censoring
-/// *bound* (elapsed at retraction) is not retained — this client keeps
-/// pair counters, not an online adapter; wiring the bounds into
-/// `reissue_core::online` is future work.
-#[derive(Clone, Copy)]
-enum Fate {
-    Exact,
-    Censored,
-    Failed,
-}
-
-/// Stripe widths served from inline storage; every geometry this repo
-/// runs (n ≤ 5) fits. Wider stripes fall back to one `Vec` per table.
-const INLINE_SLOTS: usize = 8;
-
-/// One `Option<T>` per stripe slot, for the tables a striped read
-/// keeps (attempt, token, tie id, payload, fate — a slot has at most
-/// one attempt, so everything is indexed by slot and nothing is ever
-/// moved). The length is the stripe width, fixed at construction;
-/// storage is inline up to [`INLINE_SLOTS`].
-enum Slots<T> {
-    Inline([Option<T>; INLINE_SLOTS], usize),
-    Heap(Vec<Option<T>>),
-}
-
-impl<T> Slots<T> {
-    fn new(n: usize) -> Self {
-        if n <= INLINE_SLOTS {
-            Slots::Inline(std::array::from_fn(|_| None), n)
-        } else {
-            Slots::Heap((0..n).map(|_| None).collect())
-        }
-    }
-}
-
-impl<T> std::ops::Deref for Slots<T> {
-    type Target = [Option<T>];
-    fn deref(&self) -> &[Option<T>] {
-        match self {
-            Slots::Inline(a, n) => &a[..*n],
-            Slots::Heap(v) => v,
-        }
-    }
-}
-
-impl<T> std::ops::DerefMut for Slots<T> {
-    fn deref_mut(&mut self) -> &mut [Option<T>] {
-        match self {
-            Slots::Inline(a, n) => &mut a[..*n],
-            Slots::Heap(v) => v,
-        }
-    }
-}
-
-/// The per-slot state of one striped read. Data slots `0..k` are the
-/// primary wave; parity slot `k + r` is the `r`-th reissue dispatched.
-struct Stripe {
-    /// In-flight attempt per slot; `None` before dispatch and once
-    /// resolved. What [`select_all`] polls.
-    futs: Slots<InFlight>,
-    tokens: Slots<CancelToken>,
-    /// Tie id each data slot registered (tied cancellation only).
-    tie_ids: Slots<u64>,
+/// One striped read as a race (see the module docs for its five
+/// answers).
+struct StripeJob {
+    client: Arc<ScInner>,
+    key: Bytes,
+    /// The key's placement rotation.
+    offset: usize,
     /// Payload per slot that answered with one.
-    fragments: Slots<Bytes>,
-    /// How each resolved slot ended.
-    fates: Slots<Fate>,
+    fragments: [Option<Bytes>; MAX_ATTEMPTS],
+    /// Data slots that answered `Nil`.
+    nil_data_slots: usize,
 }
 
-impl ScInner {
-    fn governor_allows(&self) -> bool {
-        self.governor.as_ref().is_none_or(|g| g.allows())
+impl StripeJob {
+    fn new(client: Arc<ScInner>, key: Bytes) -> Self {
+        StripeJob {
+            offset: crate::placement_offset(&key, client.n),
+            client,
+            key,
+            fragments: std::array::from_fn(|_| None),
+            nil_data_slots: 0,
+        }
     }
 
-    /// The k-of-n fragment race (see module docs).
-    async fn striped_get(self: Arc<Self>, key: Bytes) -> Result<Reply, TransportError> {
-        let schedule = {
-            let mut st = self.state.lock().unwrap();
-            let st = &mut *st;
-            st.policy.sample_schedule_indexed(&mut st.rng)
-        };
-        let started = Instant::now();
-        let tied = self.cancellation == CancellationStyle::Tied && !schedule.is_empty();
-        let offset = crate::placement_offset(&key, self.n);
-        let (k, n) = (self.k, self.n);
-        let mut stripe = Stripe {
-            futs: Slots::new(n),
-            tokens: Slots::new(n),
-            tie_ids: Slots::new(n),
-            fragments: Slots::new(n),
-            fates: Slots::new(n),
-        };
+    fn decodable(&self) -> bool {
+        let present = (0..self.client.n).filter(|&s| self.fragments[s].is_some());
+        decodable(self.client.k, present)
+    }
+}
 
-        // Primary wave: the k data fragments, slot s on the key's
-        // rotated replica (s + offset) % n. Under tied cancellation
-        // each registers a tie id so the first reissue can later name
-        // whichever of them is still straggling.
-        for slot in 0..k {
-            let tie = tied.then(|| TieSpec {
-                id: next_tie_id(),
-                peer: None,
+impl Job for StripeJob {
+    fn primaries(&self) -> usize {
+        self.client.k
+    }
+
+    fn capacity(&self) -> usize {
+        self.client.n
+    }
+
+    fn attempt(&mut self, slot: usize, _: &ReplicaSet, _: &[usize]) -> (Command, usize) {
+        let cmd = Command::FGet(self.key.clone(), slot as u32);
+        (cmd, (slot + self.offset) % self.client.n)
+    }
+
+    fn accept(&mut self, slot: usize, reply: Reply) -> Verdict {
+        match reply {
+            Reply::Str(payload) => {
+                self.fragments[slot] = Some(payload);
+                if self.decodable() {
+                    Verdict::Done
+                } else {
+                    Verdict::Progress
+                }
+            }
+            // Absent fragment: not an error in transit, but it can
+            // never contribute to the decode. Once every data slot
+            // has answered so, the key has no stripe, which is an
+            // answer.
+            Reply::Nil => {
+                if slot < self.client.k {
+                    self.nil_data_slots += 1;
+                }
+                if self.nil_data_slots >= self.client.k {
+                    Verdict::Done
+                } else {
+                    Verdict::Useless(None)
+                }
+            }
+            other => Verdict::Useless(Some(TransportError::Protocol(format!(
+                "FGET slot {slot} replied {other:?}"
+            )))),
+        }
+    }
+
+    fn finish(self) -> Result<Reply, TransportError> {
+        let k = self.client.k;
+        if !self.decodable() {
+            return Ok(if self.nil_data_slots >= k {
+                Reply::Nil
+            } else {
+                Reply::Error("ERASURE undecodable: too few fragments".into())
             });
-            stripe.tie_ids[slot] = tie.map(|t| t.id);
-            self.dispatch_fragment(&key, offset, slot, tie, &mut stripe);
         }
-
-        // The schedule is served front to back; `deadline` is the front
-        // stage's current one (a governor denial moves it).
-        let stage_deadline =
-            |delay_ms: f64| started + Duration::from_secs_f64(delay_ms.max(0.0) / 1e3);
-        let mut next = 0usize;
-        let mut deadline = schedule
-            .first()
-            .map_or(started, |&(_, d)| stage_deadline(d));
-        let mut nil_slots = 0usize;
-        let mut dispatched_reissues = 0usize;
-        let mut straggler_slot: Option<usize> = None;
-        let mut last_err: Option<TransportError> = None;
-        let mut winner_was_reissue = false;
-
-        let outcome = loop {
-            let present = (0..n).filter(|&s| stripe.fragments[s].is_some());
-            if decodable(k, present) {
-                break Ok(());
-            }
-            // Every data slot resolved Nil: the key has no stripe.
-            if nil_slots >= k {
-                break Err(None);
-            }
-            let next_slot = k + dispatched_reissues;
-            // Out of parity slots: nothing left to reissue, the rest
-            // of the schedule is moot.
-            let front = schedule.get(next).filter(|_| next_slot < n);
-            let in_flight = stripe.futs.iter().flatten().count();
-            // `None`: the front stage is to be dispatched now.
-            let resolved = match front {
-                // Nothing in flight and not yet decodable: rescue from
-                // the remaining schedule immediately, or give up.
-                _ if in_flight == 0 => {
-                    if front.is_none() || !self.governor_allows() {
-                        break Err(last_err.take());
-                    }
-                    None
-                }
-                None => Some(select_all(&mut stripe.futs).await),
-                // A stage already due goes out before the attempts are
-                // polled, as in the replica-hedging client.
-                Some(_) if deadline <= Instant::now() => None,
-                Some(_) => {
-                    match race(select_all(&mut stripe.futs), self.rt.sleep_until(deadline)).await {
-                        Either::Left((resolved, _timer)) => Some(resolved),
-                        Either::Right(_) => None,
-                    }
-                }
-            };
-            let Some((slot, out)) = resolved else {
-                let &(_stage, delay_ms) = front.expect("a stage is due");
-                if in_flight > 0 && !self.governor_allows() {
-                    // Re-ask one stage-delay later (floored so a d=0
-                    // stage cannot hot-spin), same as the
-                    // replica-hedging client.
-                    deadline = Instant::now() + Duration::from_secs_f64(delay_ms.max(0.1) / 1e3);
-                    continue;
-                }
-                next += 1;
-                if let Some(&(_, d)) = schedule.get(next) {
-                    deadline = stage_deadline(d);
-                }
-                self.dispatch_fragment_reissue(
-                    &key,
-                    offset,
-                    next_slot,
-                    dispatched_reissues == 0,
-                    &mut straggler_slot,
-                    &mut stripe,
-                );
-                dispatched_reissues += 1;
-                continue;
-            };
-            stripe.fates[slot] = Some(match out {
-                Ok(Reply::Str(payload)) => {
-                    stripe.fragments[slot] = Some(payload);
-                    winner_was_reissue = slot >= k;
-                    Fate::Exact
-                }
-                Ok(Reply::Nil) => {
-                    // Absent fragment: not an error in transit, but it
-                    // can never contribute to the decode.
-                    if slot < k {
-                        nil_slots += 1;
-                    }
-                    Fate::Failed
-                }
-                Ok(other) => {
-                    last_err = Some(TransportError::Protocol(format!(
-                        "FGET slot {slot} replied {other:?}"
-                    )));
-                    Fate::Failed
-                }
-                Err(TransportError::Cancelled) => {
-                    // A tied peer retracted this fragment server-side.
-                    self.counters
-                        .cancelled_in_time
-                        .fetch_add(1, Ordering::Relaxed);
-                    last_err = Some(TransportError::Cancelled);
-                    Fate::Censored
-                }
-                Err(e) => {
-                    last_err = Some(e);
-                    Fate::Failed
-                }
-            });
-        };
-
-        // Race resolved: retract every still-outstanding attempt and
-        // drain it asynchronously. Pair participants (the straggler
-        // data slot the first reissue named, and that first reissue)
-        // report into the two-sided book; everything else just counts
-        // its cancel.
-        for (fut, token) in stripe.futs.iter().zip(stripe.tokens.iter()) {
-            if let (Some(_), Some(token)) = (fut, token) {
-                token.cancel();
-            }
+        if self.fragments[..k].iter().flatten().count() < k {
+            self.client
+                .decodes_with_parity
+                .fetch_add(1, Ordering::Relaxed);
         }
-        let book = (dispatched_reissues > 0).then(|| {
-            Arc::new(Mutex::new(PairBook {
-                straggler: None,
-                reissue: None,
-            }))
-        });
-        if let Some(book) = &book {
-            for (slot, fate) in stripe.fates.iter().enumerate() {
-                if let (Some(fate), Some(side)) = (fate, pair_side(slot, k, straggler_slot)) {
-                    self.report_pair_side(book, side, *fate);
-                }
-            }
-            // No straggler was ever named (every data slot had already
-            // resolved when the first reissue went out): close that
-            // side so the reissue's report is not orphaned.
-            if straggler_slot.is_none() {
-                self.report_pair_side(book, PairSide::Straggler, Fate::Failed);
-            }
-        }
-        for (slot, fut) in stripe.futs.iter_mut().enumerate() {
-            let Some(fut) = fut.take() else { continue };
-            match (pair_side(slot, k, straggler_slot), &book) {
-                (Some(side), Some(book)) => self.drain_into_book(fut, book.clone(), side),
-                _ => self.drain_counting(fut),
-            }
-        }
-
-        self.counters.queries.fetch_add(1, Ordering::Relaxed);
-        if let Some(g) = &self.governor {
-            g.note_query();
-        }
-
-        match outcome {
-            Ok(()) => {
-                let have_data = stripe.fragments[..k].iter().flatten().count();
-                if have_data < k {
-                    self.counters
-                        .decodes_with_parity
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                if winner_was_reissue {
-                    self.counters.reissue_wins.fetch_add(1, Ordering::Relaxed);
-                }
-                let present: Vec<&Bytes> = stripe.fragments.iter().flatten().collect();
-                match codec::decode_stripe(&present) {
-                    Ok(value) => {
-                        let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-                        self.latencies_ms.lock().unwrap().record(elapsed_ms);
-                        Ok(Reply::Str(value))
-                    }
-                    Err(e @ CodecError::Insufficient { .. }) => {
-                        // decodable() and decode_stripe() agree on the
-                        // slot arithmetic; reaching this arm means a
-                        // malformed stored fragment, not a logic race.
-                        self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                        Ok(Reply::Error(format!("ERASURE {e}")))
-                    }
-                    Err(e) => {
-                        self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                        Ok(Reply::Error(format!("ERASURE {e}")))
-                    }
-                }
-            }
-            // All data slots answered Nil: the key simply isn't there.
-            Err(None) if nil_slots >= k => Ok(Reply::Nil),
-            Err(maybe_err) => {
-                self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                match maybe_err {
-                    Some(e) => Err(e),
-                    None => Ok(Reply::Error(
-                        "ERASURE undecodable: too few fragments".into(),
-                    )),
-                }
-            }
-        }
+        let present: Vec<&Bytes> = self.fragments.iter().flatten().collect();
+        // decodable() and decode_stripe() agree on the slot arithmetic;
+        // an error here means a malformed stored fragment, not a logic
+        // race.
+        codec::decode_stripe(&present)
+            .map(Reply::Str)
+            .map_err(|e| TransportError::Protocol(format!("ERASURE {e}")))
     }
-
-    /// Puts the read of fragment `slot` on the wire.
-    fn dispatch_fragment(
-        &self,
-        key: &Bytes,
-        offset: usize,
-        slot: usize,
-        tie: Option<TieSpec>,
-        stripe: &mut Stripe,
-    ) {
-        let token = CancelToken::new();
-        stripe.futs[slot] = Some(
-            self.replicas
-                .replica((slot + offset) % self.n)
-                .request_tied(Command::FGet(key.clone(), slot as u32), token.clone(), tie),
-        );
-        stripe.tokens[slot] = Some(token);
-    }
-
-    /// Dispatches parity slot `next_slot` as a fragment reissue. The
-    /// first reissue of a stripe names the straggler — the lowest-index
-    /// data slot still outstanding — and, when tied, makes it its tie
-    /// peer, so the servers race each other to retract the loser.
-    fn dispatch_fragment_reissue(
-        &self,
-        key: &Bytes,
-        offset: usize,
-        next_slot: usize,
-        first: bool,
-        straggler_slot: &mut Option<usize>,
-        stripe: &mut Stripe,
-    ) {
-        self.counters.reissues.fetch_add(1, Ordering::Relaxed);
-        if let Some(g) = &self.governor {
-            g.note_reissue();
-        }
-        let tie = if first {
-            let straggler = (0..self.k).find(|&s| stripe.fates[s].is_none());
-            *straggler_slot = straggler;
-            straggler.and_then(|s| {
-                stripe.tie_ids[s].map(|peer_id| TieSpec {
-                    id: next_tie_id(),
-                    peer: Some((self.replicas.replica((s + offset) % self.n).addr(), peer_id)),
-                })
-            })
-        } else {
-            None
-        };
-        self.dispatch_fragment(key, offset, next_slot, tie, stripe);
-    }
-
-    /// Drains a non-pair loser: completions are discarded, in-time
-    /// retractions counted.
-    fn drain_counting(self: &Arc<Self>, fut: InFlight) {
-        let this = self.clone();
-        self.rt.spawn(async move {
-            if let Err(TransportError::Cancelled) = fut.await {
-                this.counters
-                    .cancelled_in_time
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        });
-    }
-
-    /// Records one side of the `(straggler, first reissue)` pair;
-    /// whichever report fills the second slot emits the pair counters.
-    fn report_pair_side(&self, book: &Arc<Mutex<PairBook>>, side: PairSide, fate: Fate) {
-        let (s, r) = {
-            let mut b = book.lock().unwrap();
-            match side {
-                PairSide::Straggler => b.straggler = Some(fate),
-                PairSide::Reissue => b.reissue = Some(fate),
-            }
-            match (b.straggler, b.reissue) {
-                (Some(s), Some(r)) => (s, r),
-                _ => return,
-            }
-        };
-        match (s, r) {
-            (Fate::Exact, Fate::Exact) => {
-                self.counters.pairs_exact.fetch_add(1, Ordering::Relaxed);
-            }
-            // Both sides censored, or either side failed: nothing a
-            // joint observation could anchor on.
-            (Fate::Censored, Fate::Censored) => {}
-            (Fate::Censored, Fate::Exact) | (Fate::Exact, Fate::Censored) => {
-                self.counters.pairs_censored.fetch_add(1, Ordering::Relaxed);
-            }
-            _ => {}
-        }
-    }
-
-    /// Drains a pair participant that was still outstanding when the
-    /// race resolved, reporting its fate to the book.
-    fn drain_into_book(
-        self: &Arc<Self>,
-        fut: InFlight,
-        book: Arc<Mutex<PairBook>>,
-        side: PairSide,
-    ) {
-        let this = self.clone();
-        self.rt.spawn(async move {
-            let fate = match fut.await {
-                Ok(_) => Fate::Exact,
-                Err(TransportError::Cancelled) => {
-                    this.counters
-                        .cancelled_in_time
-                        .fetch_add(1, Ordering::Relaxed);
-                    Fate::Censored
-                }
-                Err(_) => Fate::Failed,
-            };
-            this.report_pair_side(&book, side, fate);
-        });
-    }
-}
-
-/// Which pair side an attempt belongs to, if any.
-#[derive(Clone, Copy)]
-enum PairSide {
-    Straggler,
-    Reissue,
-}
-
-fn pair_side(slot: usize, k: usize, straggler_slot: Option<usize>) -> Option<PairSide> {
-    if slot == k {
-        Some(PairSide::Reissue) // the first reissue dispatched
-    } else if Some(slot) == straggler_slot {
-        Some(PairSide::Straggler)
-    } else {
-        None
-    }
-}
-
-/// Two-sided `(straggler, first reissue)` booking; `None` = pending.
-struct PairBook {
-    straggler: Option<Fate>,
-    reissue: Option<Fate>,
 }

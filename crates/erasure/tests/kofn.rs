@@ -7,9 +7,11 @@
 
 use bytes::{Bytes, BytesMut};
 use erasure::{StripedBackend, StripedClient, StripedConfig};
-use hedge::{CancellationStyle, TcpServer, TcpServerConfig};
+use hedge::{CancellationStyle, HedgeConfig, HedgedClient, LoadClient, TcpServer, TcpServerConfig};
 use kvstore::resp::encode_command;
-use kvstore::{Command, KvStore, Reply};
+use kvstore::{Backend, Command, KvStore, Reply};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use reissue_core::policy::ReissuePolicy;
 
 use std::io::Write;
@@ -192,4 +194,167 @@ fn stalled_fragment_completes_via_parity_and_books_censored_pair() {
         1,
         "slot 1's FGET must be retracted, not served"
     );
+}
+
+/// 200 sequential reads under `single_r(0, 1)`: every read sends two
+/// copies, answers with the stored value, and once the losers have
+/// drained every copy is accounted for. A copy either started service
+/// on its server (`commands`, which includes the ones then stopped
+/// there, `aborted`) or was retracted (`cancelled_in_time`, which
+/// includes the same stopped ones).
+fn assert_one_reissue_per_read<B: Backend>(
+    client: &impl LoadClient,
+    cancelled_in_time_and_errors: impl Fn() -> (u64, u64),
+    servers: &[TcpServer<B>],
+    key: &'static str,
+    value: &[u8],
+) {
+    let served = || -> (u64, u64) {
+        let stats = servers.iter().map(|s| s.stats());
+        stats.fold((0, 0), |(c, a), s| (c + s.commands, a + s.aborted))
+    };
+    let (commands_before, aborted_before) = served();
+    let rt = client.load_runtime();
+    for _ in 0..200 {
+        let get = Command::Get(Bytes::from_static(key.as_bytes()));
+        let got = rt.block_on(client.load_execute(get)).unwrap();
+        assert_eq!(got, Reply::Str(Bytes::copy_from_slice(value)));
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while rt.live_tasks() > 0 {
+        assert!(Instant::now() < deadline, "losers never drained");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let (queries, reissues) = client.load_counters();
+    let (cancelled_in_time, errors) = cancelled_in_time_and_errors();
+    assert_eq!((queries, reissues, errors), (200, 200, 0));
+    let (commands, aborted) = served();
+    assert_eq!(
+        (commands - commands_before) + cancelled_in_time - (aborted - aborted_before),
+        queries + reissues,
+        "commands {commands_before}->{commands}, aborted {aborted_before}->{aborted}, \
+         cancelled in time {cancelled_in_time}"
+    );
+}
+
+/// A `(1, n)` stripe books like replica hedging: the same engine runs
+/// both, so the same policy over the same number of replicas gives the
+/// same accounting.
+#[test]
+fn one_of_n_stripe_books_like_replica_hedging() {
+    let policy = ReissuePolicy::single_r(0.0, 1.0);
+    let value = vec![0x5Au8; 300];
+
+    let mut store = KvStore::new();
+    store.execute(&Command::Set("k".into(), Bytes::from(value.clone())));
+    let replicas = hedge::spawn_replicas(3, &store, TcpServerConfig::default()).unwrap();
+    let addrs: Vec<_> = replicas.iter().map(|s| s.local_addr()).collect();
+    let hedged = HedgedClient::connect(
+        &addrs,
+        HedgeConfig {
+            policy: policy.clone(),
+            ..HedgeConfig::default()
+        },
+    )
+    .unwrap();
+    let counts = || {
+        let s = hedged.stats();
+        (s.cancelled_in_time, s.errors)
+    };
+    assert_one_reissue_per_read(&hedged, counts, &replicas, "k", &value);
+
+    let fragment_servers = bind_striped_servers("k", &value, 1, &[TcpServerConfig::default(); 3]);
+    let addrs: Vec<_> = fragment_servers.iter().map(|s| s.local_addr()).collect();
+    let striped = StripedClient::connect(
+        &addrs,
+        StripedConfig {
+            k: 1,
+            policy,
+            ..StripedConfig::default()
+        },
+    )
+    .unwrap();
+    let counts = || {
+        let s = striped.stats();
+        (s.cancelled_in_time, s.errors)
+    };
+    assert_one_reissue_per_read(&striped, counts, &fragment_servers, "k", &value);
+}
+
+/// The nothing-in-flight rescue: with one data replica gone its
+/// fragment read fails fast, the other answers, and the stripe is
+/// neither decodable nor waiting on anything. The 50 ms stage is then
+/// dispatched at once and the read decodes through parity.
+#[test]
+fn dead_data_replica_is_rescued_through_parity() {
+    let (k, n) = (2, 4);
+    let value: Vec<u8> = (0..5_000u32).map(|i| (i % 253) as u8).collect();
+    let servers = bind_striped_servers("stripe:r", &value, k, &[TcpServerConfig::default(); 4]);
+    let addrs: Vec<_> = servers.iter().map(|s| s.local_addr()).collect();
+    let client = StripedClient::connect(
+        &addrs,
+        StripedConfig {
+            k,
+            policy: ReissuePolicy::single_r(50.0, 1.0),
+            ..StripedConfig::default()
+        },
+    )
+    .unwrap();
+    servers[(1 + erasure::placement_offset(b"stripe:r", n)) % n].shutdown();
+
+    let got = client
+        .execute_blocking(Command::Get(Bytes::from_static(b"stripe:r")))
+        .unwrap();
+    assert_eq!(got, Reply::Str(Bytes::from(value)));
+    let stats = client.stats();
+    assert_eq!(
+        (stats.reissues, stats.decodes_with_parity, stats.errors),
+        (1, 1, 0),
+        "{stats:?}"
+    );
+}
+
+/// A `d = 0` stage is dispatched before the fragments are polled, so
+/// the reissue count is the coin's head count exactly, however fast
+/// the data fragments answer (the striped input of
+/// `hedging.rs::reissue_rate_tracks_budget`).
+#[test]
+fn zero_delay_stage_fires_on_every_head() {
+    let policy = ReissuePolicy::single_r(0.0, 0.2);
+    let (seed, reads) = (42, 2_000);
+    let value = vec![7u8; 128];
+    let servers = bind_striped_servers("stripe:z", &value, 2, &[TcpServerConfig::default(); 3]);
+    let addrs: Vec<_> = servers.iter().map(|s| s.local_addr()).collect();
+    let client = StripedClient::connect(
+        &addrs,
+        StripedConfig {
+            k: 2,
+            policy: policy.clone(),
+            seed,
+            ..StripedConfig::default()
+        },
+    )
+    .unwrap();
+    for _ in 0..reads {
+        let got = client
+            .execute_blocking(Command::Get(Bytes::from_static(b"stripe:z")))
+            .unwrap();
+        assert_eq!(got, Reply::Str(Bytes::from(value.clone())));
+    }
+    let mut coin = SmallRng::seed_from_u64(seed);
+    let heads = (0..reads)
+        .filter(|_| !policy.sample_schedule_indexed(&mut coin).is_empty())
+        .count();
+    assert_eq!(client.stats().reissues, heads as u64);
+}
+
+/// The engine's attempt table is inline; a stripe wider than it is
+/// refused at connect time, before any socket is opened.
+#[test]
+fn stripe_wider_than_the_attempt_table_is_rejected() {
+    let addrs = vec!["127.0.0.1:1".parse().unwrap(); hedge::race::MAX_ATTEMPTS + 1];
+    let err = StripedClient::connect(&addrs, StripedConfig::default())
+        .err()
+        .expect("ten replicas must be refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
 }

@@ -1,61 +1,29 @@
 //! The hedged client: speculative execution driven by a
 //! [`ReissuePolicy`], with live (`OnlineAdapter`) re-optimization.
 //!
-//! Per query the client:
-//!
-//! 1. dispatches the **primary** to the next replica (round-robin);
-//! 2. samples the policy's full reissue schedule — every stage of a
-//!    `MultipleR` policy flips its probability coin *now*
-//!    (distributionally identical to flipping at fire time, see
-//!    [`ReissuePolicy::sample_schedule_indexed`]), yielding the
-//!    non-decreasing stage deadlines `(d₁,q₁), …, (dₙ,qₙ)` this query
-//!    will arm;
-//! 3. races every in-flight attempt against the next stage's deadline
-//!    timer ([`crate::rt::select_all`], over attempts kept inline in
-//!    the query's own future — arming a schedule allocates nothing);
-//!    a stage that is already due is dispatched *before* the attempts
-//!    are polled; each time a timer fires (and
-//!    the budget governor grants quota) one more **reissue** is
-//!    dispatched, targeted at the healthiest replica not yet carrying
-//!    this query (per-replica latency/error EWMA — see
-//!    [`crate::transport::ReplicaHealth`]);
-//! 4. returns the first reply and cancels every loser via its
-//!    [`CancelToken`] — the transport pushes `CANCEL <seq>` to the
-//!    backend, which retracts the queued frame if it has not executed
-//!    (tied requests);
-//! 5. feeds observations into the [`OnlineAdapter`], which
-//!    re-optimizes `(d, q)` every `reoptimize_every` completions while
-//!    the system serves. Un-raced queries feed the primary stream;
-//!    **raced hedges feed joint `(primary, first-stage reissue)`
-//!    pairs** — exact when the loser completed, censored at the
-//!    loser's elapsed-at-retraction lower bound when the cancel landed
-//!    in time — so the adapter can run the §4.2 *correlated* optimizer
-//!    instead of the independence model (see `reissue_core::online`).
-//!    Later-stage losers feed the marginal reissue stream when they
-//!    complete.
+//! [`HedgedClient`] is the replica-hedging [`Job`] of the race engine
+//! ([`mod@crate::race`], which documents the race itself): one primary to
+//! the next replica round-robin, each reissue the *same command* to
+//! the healthiest replica not yet carrying the query (per-replica
+//! latency/error EWMA, see [`crate::transport::ReplicaHealth`]), and
+//! the first reply wins. This module holds what configures and bounds
+//! that race: [`HedgeConfig`], [`CancellationStyle`] and the
+//! [`BudgetGovernor`].
 
-use crate::rt::{race, select_all, Either, Runtime};
-use crate::sync::CancelToken;
-use crate::transport::{InFlight, ReplicaSet, TieSpec, TransportError};
+use crate::race::{Core, Job, Verdict, MAX_ATTEMPTS};
+use crate::rt::Runtime;
+use crate::transport::{ReplicaSet, TransportError};
 
 use kvstore::{Command, Reply};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-use reissue_core::censored::Obs;
-use reissue_core::load::{LoadSignal, LoadSnapshot};
-use reissue_core::online::{OnlineAdapter, OnlineConfig, ReissueOutcome};
-use reissue_core::policy::{ReissuePolicy, Schedule};
+use reissue_core::load::LoadSnapshot;
+use reissue_core::online::OnlineConfig;
+use reissue_core::policy::ReissuePolicy;
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
 pub use reissue_core::policy::MAX_STAGES;
-
-/// Wire attempts one query can have: the primary and one reissue per
-/// stage.
-const MAX_ATTEMPTS: usize = MAX_STAGES + 1;
 
 /// How a raced query's losing attempts get retracted.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -80,17 +48,6 @@ pub enum CancellationStyle {
     Tied,
 }
 
-/// Process-global tie id source. Replicas key tie state by id alone,
-/// so ids must be unique across every client in the process.
-static NEXT_TIE_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Draws a fresh process-unique tie id. Public so other client layers
-/// (the erasure-coded fragment client) can register tied requests in
-/// the same id space without colliding with this module's hedges.
-pub fn next_tie_id() -> u64 {
-    NEXT_TIE_ID.fetch_add(1, Ordering::Relaxed)
-}
-
 /// Configuration for [`HedgedClient`].
 #[derive(Clone, Debug)]
 pub struct HedgeConfig {
@@ -100,9 +57,9 @@ pub struct HedgeConfig {
     /// `dᵢ` (measured from the primary dispatch) that, if the query is
     /// still outstanding, dispatches one reissue with probability `qᵢ`.
     pub policy: ReissuePolicy,
-    /// When set, an [`OnlineAdapter`] re-optimizes `(d, q)` from
-    /// observed latencies while serving, overriding `policy` once
-    /// warmed up.
+    /// When set, a [`reissue_core::online::OnlineAdapter`] re-optimizes
+    /// `(d, q)` from observed latencies while serving, overriding
+    /// `policy` once warmed up.
     pub online: Option<OnlineConfig>,
     /// Cap on the *realized* reissue rate (reissues / queries),
     /// enforced by a running-counter governor independent of the
@@ -222,11 +179,20 @@ impl BudgetGovernor {
         (self.cap * 200.0).clamp(2.0, 16.0)
     }
 
-    /// Whether one more reissue may be dispatched right now.
-    pub fn allows(&self) -> bool {
+    /// Asks for one reissue and, if granted, records it, in one atomic
+    /// step: granted only while `reissues + 1 ≤ cap × (queries + 1) +
+    /// burst`, so however many queries ask at once, the grants never
+    /// exceed the allowance they were checked against.
+    pub fn try_acquire(&self) -> bool {
         let queries = self.queries.load(Ordering::Relaxed) + 1;
-        let reissues = self.reissues.load(Ordering::Relaxed) + 1;
-        reissues as f64 <= self.cap * queries as f64 + self.burst()
+        let allowance = self.cap * queries as f64 + self.burst();
+        // Relaxed: the compare-exchange makes check-and-count one
+        // step on `reissues`; neither counter publishes other data.
+        self.reissues
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |granted| {
+                ((granted + 1) as f64 <= allowance).then_some(granted + 1)
+            })
+            .is_ok()
     }
 
     /// Records one completed query.
@@ -234,17 +200,12 @@ impl BudgetGovernor {
         self.queries.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one dispatched reissue.
-    pub fn note_reissue(&self) {
-        self.reissues.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Completed queries recorded so far.
     pub fn queries(&self) -> u64 {
         self.queries.load(Ordering::Relaxed)
     }
 
-    /// Dispatched reissues recorded so far.
+    /// Reissues granted so far.
     pub fn reissues(&self) -> u64 {
         self.reissues.load(Ordering::Relaxed)
     }
@@ -287,54 +248,11 @@ pub struct HedgeStats {
     pub errors: u64,
 }
 
-struct PolicyState {
-    policy: ReissuePolicy,
-    adapter: Option<OnlineAdapter>,
-    rng: SmallRng,
-}
-
-struct Counters {
-    queries: AtomicU64,
-    reissues: AtomicU64,
-    reissues_by_stage: [AtomicU64; MAX_STAGES],
-    reissue_wins: AtomicU64,
-    cancelled_in_time: AtomicU64,
-    pairs_exact: AtomicU64,
-    pairs_censored: AtomicU64,
-    errors: AtomicU64,
-    /// Reissue dispatches per replica index — the targeting
-    /// distribution the EWMA-health regression tests watch.
-    reissue_targets: Vec<AtomicU64>,
-}
-
-struct HcInner {
-    rt: Runtime,
-    replicas: ReplicaSet,
-    state: Mutex<PolicyState>,
-    counters: Counters,
-    /// Streaming latency recorder: the shared log-bucketed histogram
-    /// (1% relative quantile error, constant memory) instead of the
-    /// sorted-`Vec`-per-probe this client used to keep.
-    latencies_ms: Mutex<reissue_core::metrics::LogHistogram>,
-    governor: Option<Arc<BudgetGovernor>>,
-    cancellation: CancellationStyle,
-    /// Aggregate load estimator, present iff the online config opts
-    /// into utilization-aware damping ([`OnlineConfig::load`]). Fed on
-    /// every dispatch (primary and reissue) and every query
-    /// resolution; its estimate is pushed into the adapter at each
-    /// observation (see [`HcInner::observe`]).
-    load: Option<LoadSignal>,
-    /// `HEDGE_DEBUG` was set at connect time: trace every query slower
-    /// than 10 ms. Read once — an env lookup takes the process-wide
-    /// environment lock, far too expensive per query.
-    debug: bool,
-}
-
 /// A hedging client over a set of kvstore replicas. Cheap to clone
 /// (all clones share connections, policy state and statistics).
 #[derive(Clone)]
 pub struct HedgedClient {
-    inner: Arc<HcInner>,
+    core: Arc<Core>,
 }
 
 impl HedgedClient {
@@ -353,99 +271,47 @@ impl HedgedClient {
         addrs: &[SocketAddr],
         cfg: HedgeConfig,
     ) -> std::io::Result<HedgedClient> {
-        let replicas = ReplicaSet::connect_pipelined(addrs, cfg.pool_per_replica, cfg.pipeline)?;
-        let governor = cfg.governor.clone().or_else(|| {
-            cfg.budget_cap
-                .or(cfg.online.map(|o| 1.25 * o.budget))
-                .map(|cap| Arc::new(BudgetGovernor::new(cap)))
-        });
-        let adapter = cfg.online.map(OnlineAdapter::new);
-        let load = cfg
-            .online
-            .and_then(|o| o.load.map(|_| LoadSignal::new(addrs.len().max(1))));
-        Ok(HedgedClient {
-            inner: Arc::new(HcInner {
-                rt,
-                replicas,
-                state: Mutex::new(PolicyState {
-                    policy: cfg.policy,
-                    adapter,
-                    rng: SmallRng::seed_from_u64(cfg.seed),
-                }),
-                counters: Counters {
-                    queries: AtomicU64::new(0),
-                    reissues: AtomicU64::new(0),
-                    reissues_by_stage: std::array::from_fn(|_| AtomicU64::new(0)),
-                    reissue_wins: AtomicU64::new(0),
-                    cancelled_in_time: AtomicU64::new(0),
-                    pairs_exact: AtomicU64::new(0),
-                    pairs_censored: AtomicU64::new(0),
-                    errors: AtomicU64::new(0),
-                    reissue_targets: (0..addrs.len()).map(|_| AtomicU64::new(0)).collect(),
-                },
-                latencies_ms: Mutex::new(reissue_core::metrics::LogHistogram::latency_ms()),
-                governor,
-                cancellation: cfg.cancellation,
-                load,
-                debug: std::env::var_os("HEDGE_DEBUG").is_some(),
-            }),
-        })
+        let core = Arc::new(Core::connect(rt, addrs, cfg)?);
+        Ok(HedgedClient { core })
     }
 
     /// The executor, for spawning concurrent load generators.
     pub fn runtime(&self) -> &Runtime {
-        &self.inner.rt
+        self.core.runtime()
     }
 
     /// The budget governor in force, if any (owned or shared).
     pub fn governor(&self) -> Option<&Arc<BudgetGovernor>> {
-        self.inner.governor.as_ref()
+        self.core.governor()
     }
 
     /// The current policy (live view; moves as the adapter re-optimizes).
     pub fn policy(&self) -> ReissuePolicy {
-        self.inner.state.lock().unwrap().policy.clone()
+        self.core.state.lock().unwrap().policy.clone()
     }
 
     /// The online adapter's current `(d, q)` record with its budget
     /// accounting, if online adaptation is enabled.
     pub fn online_policy(&self) -> Option<reissue_core::optimizer::OptimalSingleR> {
-        let st = self.inner.state.lock().unwrap();
+        let st = self.core.state.lock().unwrap();
         st.adapter.as_ref().map(|a| a.policy())
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> HedgeStats {
-        let c = &self.inner.counters;
-        HedgeStats {
-            queries: c.queries.load(Ordering::Relaxed),
-            reissues: c.reissues.load(Ordering::Relaxed),
-            reissues_by_stage: std::array::from_fn(|i| {
-                c.reissues_by_stage[i].load(Ordering::Relaxed)
-            }),
-            reissue_wins: c.reissue_wins.load(Ordering::Relaxed),
-            cancelled_in_time: c.cancelled_in_time.load(Ordering::Relaxed),
-            pairs_exact: c.pairs_exact.load(Ordering::Relaxed),
-            pairs_censored: c.pairs_censored.load(Ordering::Relaxed),
-            errors: c.errors.load(Ordering::Relaxed),
-        }
+        self.core.stats()
     }
 
     /// Reissue dispatches per replica index — the live targeting
     /// distribution (see `ReplicaSet::pick_reissue_excluding`).
     pub fn reissue_target_counts(&self) -> Vec<u64> {
-        self.inner
-            .counters
-            .reissue_targets
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
+        self.core.reissue_target_counts()
     }
 
     /// The health EWMAs for replica `idx`: `(latency_ewma_ms,
     /// error_ewma)`.
     pub fn replica_health(&self, idx: usize) -> (f64, f64) {
-        let h = self.inner.replicas.replica(idx).health();
+        let h = self.core.replicas().replica(idx).health();
         (h.latency_ewma_ms(), h.error_ewma())
     }
 
@@ -453,7 +319,7 @@ impl HedgedClient {
     /// the §4.2 correlated optimizer (`None` when online adaptation is
     /// off).
     pub fn online_correlated(&self) -> Option<bool> {
-        let st = self.inner.state.lock().unwrap();
+        let st = self.core.state.lock().unwrap();
         st.adapter.as_ref().map(|a| a.using_correlated())
     }
 
@@ -461,47 +327,40 @@ impl HedgedClient {
     /// utilization-aware hedging is on (`OnlineConfig::load`); `None`
     /// otherwise. Zero until the load signal warms up.
     pub fn utilization(&self) -> Option<f64> {
-        self.inner.load.as_ref().map(|l| l.utilization())
+        self.core.load.as_ref().map(|l| l.utilization())
     }
 
     /// A snapshot of every load-signal estimator (offered rate,
     /// in-flight, service estimate, ρ̂), when utilization-aware
     /// hedging is on.
     pub fn load_snapshot(&self) -> Option<LoadSnapshot> {
-        self.inner.load.as_ref().map(|l| l.snapshot())
+        self.core.load.as_ref().map(|l| l.snapshot())
     }
 
     /// The adapter's current *effective* (load-damped) reissue budget,
     /// when online adaptation is on.
     pub fn online_effective_budget(&self) -> Option<f64> {
-        let st = self.inner.state.lock().unwrap();
+        let st = self.core.state.lock().unwrap();
         st.adapter.as_ref().map(|a| a.effective_budget())
     }
 
     /// Number of completed queries slower than `threshold_ms`, at the
     /// latency histogram's bucket resolution.
     pub fn latencies_over(&self, threshold_ms: f64) -> usize {
-        self.inner
-            .latencies_ms
-            .lock()
-            .unwrap()
-            .count_over(threshold_ms) as usize
+        let latencies = self.core.latencies_ms.lock().unwrap();
+        latencies.count_over(threshold_ms) as usize
     }
 
     /// Quantile of end-to-end query latencies (ms) over all
     /// completions, within the histogram's 1% relative error.
     pub fn latency_quantile(&self, q: f64) -> Option<f64> {
-        self.inner
-            .latencies_ms
-            .lock()
-            .unwrap()
-            .quantile(q.clamp(0.0, 1.0))
+        self.core.latency_quantile(q)
     }
 
     /// A snapshot of the full latency histogram (log-bucketed; see
     /// [`reissue_core::metrics::LogHistogram`]).
     pub fn latency_histogram(&self) -> reissue_core::metrics::LogHistogram {
-        self.inner.latencies_ms.lock().unwrap().clone()
+        self.core.latencies_ms.lock().unwrap().clone()
     }
 
     /// Executes one command with hedging; resolves to the winning
@@ -511,582 +370,87 @@ impl HedgedClient {
         &self,
         cmd: Command,
     ) -> impl std::future::Future<Output = Result<Reply, TransportError>> + Send + 'static {
-        let inner = self.inner.clone();
-        async move {
-            // Sample the primary and the full reissue schedule
-            // up-front (every stage coin is independent of completion
-            // status, so flipping now is distributionally identical);
-            // each stage's *target* is chosen at fire time, when
-            // health information is current.
-            let primary_idx = inner.replicas.pick_primary();
-            let schedule = {
-                let mut st = inner.state.lock().unwrap();
-                let st = &mut *st;
-                st.policy.sample_schedule_indexed(&mut st.rng)
-            };
-
-            let started = Instant::now();
-            if let Some(load) = &inner.load {
-                load.query_start();
-                load.note_dispatch();
-            }
-            let primary_token = CancelToken::new();
-            // Tied cancellation: register the primary under a fresh
-            // tie id whenever a reissue *may* follow (non-empty
-            // schedule), so a first reissue can name it as the peer to
-            // retract at dequeue time.
-            let primary_tie = (inner.cancellation == CancellationStyle::Tied
-                && !schedule.is_empty())
-            .then(|| TieSpec {
-                id: next_tie_id(),
-                peer: None,
-            });
-            let primary = inner.replicas.replica(primary_idx).request_tied(
-                cmd.clone(),
-                primary_token.clone(),
-                primary_tie,
-            );
-
-            let outcome = if schedule.is_empty() {
-                primary.await.map(|r| (r, false))
-            } else {
-                inner
-                    .staged_race(
-                        &cmd,
-                        primary,
-                        primary_token,
-                        primary_idx,
-                        primary_tie,
-                        started,
-                        &schedule,
-                    )
-                    .await
-            };
-
-            let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-            // Lightweight tail tracing: HEDGE_DEBUG=1 reports every
-            // query slower than 10 ms and whether it had hedged.
-            if inner.debug && elapsed_ms > 10.0 {
-                eprintln!(
-                    "[hedge] slow {elapsed_ms:.2}ms armed={:?} cmd={cmd:?}",
-                    &schedule[..]
-                );
-            }
-            inner.counters.queries.fetch_add(1, Ordering::Relaxed);
-            if let Some(g) = &inner.governor {
-                g.note_query();
-            }
-            if let Some(load) = &inner.load {
-                load.query_end(outcome.is_ok().then_some(elapsed_ms));
-            }
-            match outcome {
-                Ok((reply, raced)) => {
-                    inner.latencies_ms.lock().unwrap().record(elapsed_ms);
-                    // Un-raced completions feed the primary stream
-                    // directly. Raced hedges are *not* observed here:
-                    // their joint (primary, reissue) outcome — exact or
-                    // censored — is assembled by the `RaceBook` once
-                    // both participants resolve, so the adapter sees
-                    // correlated pairs instead of two unpaired streams.
-                    // Retracted losers arrive as censored bounds rather
-                    // than being dropped, so the straggler mass that
-                    // cancellation used to hide from the optimizer now
-                    // reaches it through the Kaplan–Meier completion.
-                    if !raced {
-                        inner.observe(Observation::Primary(elapsed_ms));
-                    }
-                    Ok(reply)
-                }
-                Err(e) => {
-                    inner.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    Err(e)
-                }
-            }
-        }
+        let core = self.core.clone();
+        async move { core.run(ReplicaJob { cmd, reply: None }).await }
     }
 
     /// Blocking convenience wrapper around [`HedgedClient::execute`].
     pub fn execute_blocking(&self, cmd: Command) -> Result<Reply, TransportError> {
         let fut = self.execute(cmd);
-        self.inner.rt.block_on(fut)
+        self.core.runtime().block_on(fut)
     }
 }
 
-enum Observation {
-    Primary(f64),
-    Reissue(f64),
-    /// A raced hedge's joint outcome; either side may be censored
-    /// (lower bound only) when the loser's retraction landed in time.
-    Pair {
-        primary: Obs,
-        reissue: Obs,
-    },
+/// Replica hedging as a race: every attempt is a full copy of one
+/// command, and the first reply of any kind is the answer.
+struct ReplicaJob {
+    cmd: Command,
+    reply: Option<Reply>,
 }
 
-/// How one attempt of a staged race stands.
-#[derive(Clone, Copy)]
-enum AttemptFate {
-    /// Still in flight (or the winner).
-    Racing,
-    /// Resolved with a transport error mid-race.
-    Failed,
-    /// Retracted by the *server* mid-race — a tied peer's dequeue-time
-    /// cancel resolves the loser with `Cancelled` before this client
-    /// ever cancels it. Carries the elapsed-at-retraction censoring
-    /// bound (ms) for the pair book.
-    Retracted(f64),
+impl Job for ReplicaJob {
+    fn primaries(&self) -> usize {
+        1
+    }
+
+    /// The primary and one reissue per stage.
+    fn capacity(&self) -> usize {
+        MAX_ATTEMPTS
+    }
+
+    /// The primary goes round-robin; a reissue to the healthiest
+    /// replica not yet carrying this query.
+    fn attempt(
+        &mut self,
+        slot: usize,
+        replicas: &ReplicaSet,
+        carrying: &[usize],
+    ) -> (Command, usize) {
+        let target = match slot {
+            0 => replicas.pick_primary(),
+            _ => replicas.pick_reissue_excluding(carrying),
+        };
+        (self.cmd.clone(), target)
+    }
+
+    fn accept(&mut self, _slot: usize, reply: Reply) -> Verdict {
+        self.reply = Some(reply);
+        Verdict::Done
+    }
+
+    fn finish(self) -> Result<Reply, TransportError> {
+        self.reply.ok_or(TransportError::ConnectionClosed)
+    }
 }
 
-/// One speculative arm of a staged race.
-struct AttemptMeta {
-    token: CancelToken,
-    dispatched: Instant,
-    fate: AttemptFate,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Barrier;
 
-/// Every attempt of one query, indexed by dispatch order and never
-/// reshuffled: slot 0 is the primary, slot `i` the `i`-th reissue
-/// *actually sent* (coins and the governor may skip stages, so this is
-/// independent of the policy stage index). The adapter's pair is
-/// always slots `(0, 1)`. All inline: the arrays live in the query's
-/// future.
-struct Attempts {
-    /// `None` once an attempt resolved; what [`select_all`] polls.
-    futs: [Option<InFlight>; MAX_ATTEMPTS],
-    meta: [Option<AttemptMeta>; MAX_ATTEMPTS],
-    /// Replica index each attempt went to.
-    targets: [usize; MAX_ATTEMPTS],
-    len: usize,
-}
-
-impl Attempts {
-    fn push(&mut self, fut: InFlight, token: CancelToken, target: usize, dispatched: Instant) {
-        self.futs[self.len] = Some(fut);
-        self.meta[self.len] = Some(AttemptMeta {
-            token,
-            dispatched,
-            fate: AttemptFate::Racing,
+    /// The cap is an invariant under concurrent asks: 8 threads asking
+    /// 10 000 times each against a fixed `queries` are granted the
+    /// allowance exactly, never one more.
+    #[test]
+    fn concurrent_asks_never_exceed_the_allowance() {
+        let governor = BudgetGovernor::new(0.05);
+        for _ in 0..999 {
+            governor.note_query();
+        }
+        let allowance = (0.05 * 1000.0 + governor.burst()).floor() as u64;
+        let start = Barrier::new(8);
+        let granted: u64 = std::thread::scope(|s| {
+            let asking: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        (0..10_000).filter(|_| governor.try_acquire()).count() as u64
+                    })
+                })
+                .collect();
+            asking.into_iter().map(|t| t.join().unwrap()).sum()
         });
-        self.targets[self.len] = target;
-        self.len += 1;
-    }
-
-    fn in_flight(&self) -> usize {
-        self.futs.iter().flatten().count()
-    }
-
-    fn meta(&mut self, i: usize) -> &mut AttemptMeta {
-        self.meta[i].as_mut().expect("attempt was dispatched")
-    }
-
-    fn reissues(&self) -> usize {
-        self.len - 1
-    }
-}
-
-/// Which side of the adapter's `(primary, first reissue)` pair attempt
-/// `i` is: `Some(true)` the primary, `Some(false)` the first reissue
-/// sent, `None` a later reissue (outside the pair).
-fn pair_side(i: usize) -> Option<bool> {
-    match i {
-        0 => Some(true),
-        1 => Some(false),
-        _ => None,
-    }
-}
-
-fn stage_deadline(started: Instant, delay_ms: f64) -> Instant {
-    started + Duration::from_secs_f64(delay_ms.max(0.0) / 1e3)
-}
-
-/// Fate of one pair participant, as it becomes known.
-#[derive(Clone, Copy)]
-enum SideState {
-    Pending,
-    Known(Obs),
-    /// Transport failure: no usable observation from this side.
-    Failed,
-}
-
-/// Assembles the adapter's joint `(primary, first reissue)`
-/// observation from sides that resolve at different times — the winner
-/// synchronously, each loser whenever its drain completes. Whichever
-/// report fills the second slot emits the observation.
-struct RaceBook {
-    primary: SideState,
-    reissue: SideState,
-}
-
-impl HcInner {
-    /// Whether the budget governor permits one more reissue right now
-    /// (see [`BudgetGovernor::allows`]; always true without one).
-    fn governor_allows(&self) -> bool {
-        self.governor.as_ref().is_none_or(|g| g.allows())
-    }
-
-    /// Feeds one latency observation to the adapter and refreshes the
-    /// live policy from it — the serving-time re-optimization loop.
-    fn observe(&self, obs: Observation) {
-        let mut st = self.state.lock().unwrap();
-        let Some(adapter) = st.adapter.as_mut() else {
-            return;
-        };
-        // Push the freshest load estimate first: with
-        // `OnlineConfig::load` set this rescales the live reissue
-        // probability immediately, so the policy tracks a load ramp
-        // between re-optimizations.
-        if let Some(load) = &self.load {
-            adapter.set_utilization(load.utilization());
-        }
-        match obs {
-            Observation::Primary(ms) => adapter.observe_primary(ms),
-            Observation::Reissue(ms) => adapter.observe_reissue(ms),
-            Observation::Pair { primary, reissue } => match (primary, reissue) {
-                (Obs::Exact(x), Obs::Exact(y)) => {
-                    adapter.observe_pair(x, ReissueOutcome::Completed(y));
-                }
-                (Obs::Exact(x), Obs::Censored(lb)) => {
-                    adapter.observe_pair(x, ReissueOutcome::Censored(lb));
-                }
-                (Obs::Censored(lb), Obs::Exact(y)) => {
-                    adapter.observe_pair_censored_primary(lb, y);
-                }
-                // Both sides censored (a later-stage reissue won the
-                // race, so the primary *and* the first reissue were
-                // both retracted): two lower bounds with no completed
-                // side to anchor them carry nothing the KM completion
-                // can use, so the pair is dropped (see `report_side`,
-                // which doesn't count it either).
-                (Obs::Censored(_), Obs::Censored(_)) => {}
-            },
-        }
-        let live = adapter.policy();
-        if live.probability > 0.0 && live.delay.is_finite() && live.delay >= 0.0 {
-            st.policy = ReissuePolicy::single_r(live.delay, live.probability.clamp(0.0, 1.0));
-        }
-    }
-
-    /// Races the primary against a full MultipleR schedule: each stage
-    /// deadline (measured from the primary dispatch) that passes while
-    /// the query is outstanding dispatches one more reissue — governor
-    /// permitting — and every attempt races every other through one
-    /// [`select_all`]. The first *successful* completion wins; all
-    /// still-pending losers are cancelled and drained asynchronously.
-    ///
-    /// A stage that is **already due** is dispatched before the
-    /// attempts are polled. The paper's `d = 0` policy sends both
-    /// copies at once; polling first would skip the stage whenever the
-    /// primary's reply was already in, so the realized reissue rate
-    /// fell short of `q` by the share of primaries that fast.
-    ///
-    /// An attempt that resolves with a transport error does **not**
-    /// decide the race — hedging must never fail a query another
-    /// in-flight (or still-armed) attempt could save, and a crashed
-    /// replica fails *fast*, which would otherwise make it the
-    /// likeliest "winner". The failed attempt just drops out; its
-    /// error surfaces only once every attempt and every remaining
-    /// stage is exhausted.
-    ///
-    /// Returns `(reply, raced)` where `raced` records whether any
-    /// reissue was actually dispatched.
-    #[allow(clippy::too_many_arguments)]
-    async fn staged_race(
-        self: &Arc<Self>,
-        cmd: &Command,
-        primary: InFlight,
-        primary_token: CancelToken,
-        primary_idx: usize,
-        primary_tie: Option<TieSpec>,
-        started: Instant,
-        schedule: &Schedule,
-    ) -> Result<(Reply, bool), TransportError> {
-        let mut attempts = Attempts {
-            futs: std::array::from_fn(|_| None),
-            meta: std::array::from_fn(|_| None),
-            targets: [0; MAX_ATTEMPTS],
-            len: 0,
-        };
-        attempts.push(primary, primary_token, primary_idx, started);
-        // The schedule is served front to back: a stage denied by the
-        // governor re-asks later (moving `deadline`, the front stage's
-        // current one) and blocks the stages behind it, so dispatch
-        // order always follows stage order.
-        let mut next = 0usize;
-        let mut deadline = stage_deadline(started, schedule[0].1);
-        let mut last_err = TransportError::ConnectionClosed;
-
-        let (win, reply) = loop {
-            let front = schedule.get(next).copied();
-            let in_flight = attempts.in_flight();
-            // `None`: the front stage is to be dispatched now.
-            let resolved = match front {
-                // Every dispatched attempt has failed. Rescue from the
-                // remaining schedule *now* — waiting out a stage
-                // deadline only adds latency to a query that already
-                // has nothing in flight — or give up when the stages
-                // (or the governor's quota) run out.
-                _ if in_flight == 0 => {
-                    if front.is_none() || !self.governor_allows() {
-                        return Err(last_err);
-                    }
-                    None
-                }
-                // Schedule exhausted: plain race of what is in flight.
-                None => Some(select_all(&mut attempts.futs).await),
-                Some(_) if deadline <= Instant::now() => None,
-                Some(_) => {
-                    match race(
-                        select_all(&mut attempts.futs),
-                        self.rt.sleep_until(deadline),
-                    )
-                    .await
-                    {
-                        Either::Left((resolved, _timer)) => Some(resolved),
-                        Either::Right(_) => None,
-                    }
-                }
-            };
-            let Some((i, out)) = resolved else {
-                let (stage, delay_ms) = front.expect("a stage is due");
-                if in_flight > 0 && !self.governor_allows() {
-                    // No quota: re-ask one stage-delay later (with a
-                    // small floor so a d=0 stage cannot hot-spin). A
-                    // query still outstanding after several delays is
-                    // precisely the straggler hedging exists for, and
-                    // re-asking gives it priority over the steady
-                    // trickle of marginal just-past-d hedges that
-                    // would otherwise consume the quota
-                    // first-come-first-served.
-                    deadline = Instant::now() + Duration::from_secs_f64(delay_ms.max(0.1) / 1e3);
-                    continue;
-                }
-                next += 1;
-                if let Some(&(_, d)) = schedule.get(next) {
-                    deadline = stage_deadline(started, d);
-                }
-                self.dispatch_stage(cmd, stage, primary_tie, &mut attempts);
-                continue;
-            };
-            match out {
-                Ok(reply) => break (i, reply),
-                Err(TransportError::Cancelled) => {
-                    // A tied peer retracted this attempt server-side:
-                    // a clean in-time cancel, not a failure. Record
-                    // the censoring bound now (the attempt had been
-                    // outstanding exactly this long when the
-                    // retraction confirmed) and keep racing the rest.
-                    self.counters
-                        .cancelled_in_time
-                        .fetch_add(1, Ordering::Relaxed);
-                    let m = attempts.meta(i);
-                    m.fate = AttemptFate::Retracted(m.dispatched.elapsed().as_secs_f64() * 1e3);
-                    last_err = TransportError::Cancelled;
-                }
-                Err(e) => {
-                    // The failed attempt drops out; the survivors (and
-                    // the schedule) keep going.
-                    attempts.meta(i).fate = AttemptFate::Failed;
-                    last_err = e;
-                }
-            }
-        };
-
-        if win > 0 {
-            self.counters.reissue_wins.fetch_add(1, Ordering::Relaxed);
-        }
-        for (fut, m) in attempts.futs.iter().zip(&attempts.meta) {
-            if let (Some(_), Some(m)) = (fut, m) {
-                m.token.cancel();
-            }
-        }
-        let raced = attempts.reissues() > 0;
-        if raced {
-            let book = Arc::new(Mutex::new(RaceBook {
-                primary: SideState::Pending,
-                reissue: SideState::Pending,
-            }));
-            // The winner's side is known right now, mid-race failures
-            // and server-side retractions too; losers still in flight
-            // report as their drains resolve. A winner that is a
-            // *later-stage* reissue is outside the pair — both pair
-            // sides then arrive via the other routes.
-            for i in 0..attempts.len {
-                let m = attempts.meta(i);
-                let (dispatched, fate) = (m.dispatched, m.fate);
-                let known = if i == win {
-                    SideState::Known(Obs::Exact(dispatched.elapsed().as_secs_f64() * 1e3))
-                } else {
-                    match (fate, attempts.futs[i].take()) {
-                        (AttemptFate::Failed, _) => SideState::Failed,
-                        (AttemptFate::Retracted(ms), _) => SideState::Known(Obs::Censored(ms)),
-                        (AttemptFate::Racing, Some(loser)) => {
-                            match pair_side(i) {
-                                Some(is_primary) => self.drain_into_book(
-                                    loser,
-                                    dispatched,
-                                    book.clone(),
-                                    is_primary,
-                                ),
-                                None => self.drain_marginal(loser, dispatched),
-                            }
-                            continue;
-                        }
-                        (AttemptFate::Racing, None) => continue,
-                    }
-                };
-                if let Some(is_primary) = pair_side(i) {
-                    self.report_side(&book, is_primary, known);
-                }
-            }
-        }
-        Ok((reply, raced))
-    }
-
-    /// Dispatches one stage's reissue into an ongoing race: counts it
-    /// (total, per-stage, per-target), targets the healthiest replica
-    /// not already carrying this query, and registers the attempt. The
-    /// *first* dispatched reissue of a tied query carries a fresh tie
-    /// id naming the primary's `(replica address, tie id)` as the peer
-    /// to retract at dequeue time; later stages (and untied queries)
-    /// go untied.
-    fn dispatch_stage(
-        &self,
-        cmd: &Command,
-        stage: usize,
-        primary_tie: Option<TieSpec>,
-        attempts: &mut Attempts,
-    ) {
-        self.counters.reissues.fetch_add(1, Ordering::Relaxed);
-        if let Some(g) = &self.governor {
-            g.note_reissue();
-        }
-        // Every attempt put on the wire feeds the offered-rate
-        // estimate — hedging's own load contribution is part of the
-        // utilization it must react to.
-        if let Some(load) = &self.load {
-            load.note_dispatch();
-        }
-        self.counters.reissues_by_stage[stage.min(MAX_STAGES - 1)].fetch_add(1, Ordering::Relaxed);
-        let tie = primary_tie
-            .filter(|_| attempts.reissues() == 0)
-            .map(|pt| TieSpec {
-                id: next_tie_id(),
-                peer: Some((self.replicas.replica(attempts.targets[0]).addr(), pt.id)),
-            });
-        let idx = self
-            .replicas
-            .pick_reissue_excluding(&attempts.targets[..attempts.len]);
-        if let Some(c) = self.counters.reissue_targets.get(idx) {
-            c.fetch_add(1, Ordering::Relaxed);
-        }
-        let token = CancelToken::new();
-        let fut = self
-            .replicas
-            .replica(idx)
-            .request_tied(cmd.clone(), token.clone(), tie);
-        attempts.push(fut, token, idx, Instant::now());
-    }
-
-    /// Asynchronously drains a pair participant that lost its race and
-    /// reports its fate to the [`RaceBook`]:
-    ///
-    /// * loser **completed** → exact observation (its response time is
-    ///   a valid sample of its stream, now paired with the other
-    ///   side's);
-    /// * loser **retracted in time** → censored: all we know is it had
-    ///   been outstanding for `dispatched.elapsed()` when the
-    ///   retraction confirmed, a lower bound on the response time it
-    ///   would have had;
-    /// * loser failed at the transport → no usable observation; the
-    ///   other side feeds its marginal stream alone.
-    fn drain_into_book(
-        self: &Arc<Self>,
-        loser: InFlight,
-        dispatched: Instant,
-        book: Arc<Mutex<RaceBook>>,
-        is_primary: bool,
-    ) {
-        let this = self.clone();
-        self.rt.spawn(async move {
-            let ms = |d: Instant| d.elapsed().as_secs_f64() * 1e3;
-            let side = match loser.await {
-                Ok(_) => SideState::Known(Obs::Exact(ms(dispatched))),
-                Err(TransportError::Cancelled) => {
-                    this.counters
-                        .cancelled_in_time
-                        .fetch_add(1, Ordering::Relaxed);
-                    SideState::Known(Obs::Censored(ms(dispatched)))
-                }
-                Err(_) => SideState::Failed,
-            };
-            this.report_side(&book, is_primary, side);
-        });
-    }
-
-    /// Asynchronously drains a later-stage loser (outside the pair):
-    /// completions feed the marginal reissue stream; retractions count
-    /// the cancel but yield no marginal sample (a censored bound is
-    /// only usable jointly, and the pair already carries this query's
-    /// joint outcome).
-    fn drain_marginal(self: &Arc<Self>, loser: InFlight, dispatched: Instant) {
-        let this = self.clone();
-        self.rt.spawn(async move {
-            match loser.await {
-                Ok(_) => {
-                    let ms = dispatched.elapsed().as_secs_f64() * 1e3;
-                    this.observe(Observation::Reissue(ms));
-                }
-                Err(TransportError::Cancelled) => {
-                    this.counters
-                        .cancelled_in_time
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                Err(_) => {}
-            }
-        });
-    }
-
-    /// Records one side of the raced pair; the report that completes
-    /// the book emits the joint observation (and the pair counters).
-    fn report_side(&self, book: &Mutex<RaceBook>, is_primary: bool, side: SideState) {
-        let (primary, reissue) = {
-            let mut b = book.lock().unwrap();
-            if is_primary {
-                b.primary = side;
-            } else {
-                b.reissue = side;
-            }
-            match (b.primary, b.reissue) {
-                (SideState::Pending, _) | (_, SideState::Pending) => return,
-                (p, r) => (p, r),
-            }
-        };
-        match (primary, reissue) {
-            (SideState::Known(p), SideState::Known(r)) => {
-                // Both censored (a later-stage reissue won the race)
-                // carries no completable information; the adapter
-                // drops it, so don't count it as a pair either.
-                match (p.is_censored(), r.is_censored()) {
-                    (false, false) => {
-                        self.counters.pairs_exact.fetch_add(1, Ordering::Relaxed);
-                    }
-                    (true, true) => {}
-                    _ => {
-                        self.counters.pairs_censored.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                self.observe(Observation::Pair {
-                    primary: p,
-                    reissue: r,
-                });
-            }
-            (SideState::Known(Obs::Exact(p)), SideState::Failed) => {
-                self.observe(Observation::Primary(p));
-            }
-            (SideState::Failed, SideState::Known(Obs::Exact(r))) => {
-                self.observe(Observation::Reissue(r));
-            }
-            _ => {}
-        }
+        assert_eq!(granted, allowance);
+        assert_eq!(governor.reissues(), allowance);
     }
 }

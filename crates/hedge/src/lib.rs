@@ -23,17 +23,24 @@
 //!   connections per replica, each replica carrying a
 //!   [`transport::ReplicaHealth`] latency/error EWMA that drives
 //!   reissue targeting (and demotes sick replicas until they heal).
-//! * [`client`] — [`client::HedgedClient`]: dispatch the primary, arm
-//!   the policy's full stage schedule `(d₁,q₁), …, (dₙ,qₙ)`, race all
-//!   in-flight attempts, cancel every loser, and feed observations to
-//!   `reissue_core::online::OnlineAdapter` so the policy re-optimizes
-//!   while serving. Raced hedges are fed as joint `(primary, first
-//!   reissue)` pairs — censored at the loser's elapsed-at-retraction
-//!   bound when the tied-request cancel landed in time — which lets
-//!   the adapter run the §4.2 *correlated* optimizer once
+//! * [`mod@race`] — the race engine, [`race::Core::run`]: sample the
+//!   policy's full stage schedule `(d₁,q₁), …, (dₙ,qₙ)`, dispatch the
+//!   first wave, race all in-flight attempts against the stage
+//!   timers, ask the governor before each reissue, cancel every loser,
+//!   and feed observations to `reissue_core::online::OnlineAdapter` so
+//!   the policy re-optimizes while serving. Raced queries are fed as
+//!   joint `(straggler, first reissue)` pairs, censored at the loser's
+//!   elapsed-at-retraction bound when the cancel landed in time,
+//!   which lets the adapter run the §4.2 *correlated* optimizer once
 //!   `OnlineConfig::min_pairs` pairs accumulate, instead of the
 //!   independence model that overvalues hedging the just-past-`d`
-//!   noise band.
+//!   noise band. What is being raced is a [`race::Job`]: replica
+//!   hedging here, k-of-n fragment reads in the `erasure` crate.
+//! * [`client`] — [`client::HedgedClient`], the replica-hedging job
+//!   (one primary, each reissue a full copy to the healthiest replica
+//!   not yet carrying the query, first reply wins), with its
+//!   [`client::HedgeConfig`] and the [`client::BudgetGovernor`] that
+//!   bounds the realized reissue rate.
 //! * [`harness`] — the scale-out experiment harness:
 //!   [`harness::Cluster`] (programmatic N-replica TCP clusters with
 //!   live per-replica sickness scripting) and an open-loop
@@ -85,14 +92,14 @@
 
 pub mod client;
 pub mod harness;
+pub mod race;
 pub mod rt;
 pub mod server;
 pub mod sync;
 pub mod transport;
 
 pub use client::{
-    next_tie_id, BudgetGovernor, CancellationStyle, HedgeConfig, HedgeStats, HedgedClient,
-    MAX_STAGES,
+    BudgetGovernor, CancellationStyle, HedgeConfig, HedgeStats, HedgedClient, MAX_STAGES,
 };
 pub use harness::{
     run_open_loop, Arrivals, Cluster, LoadClient, LoadConfig, LoadReport, SicknessEvent,

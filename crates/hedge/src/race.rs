@@ -1,0 +1,823 @@
+//! The race engine: one query with copies in flight, a stage schedule
+//! `(d₁,q₁), …, (dₙ,qₙ)` measured from the first dispatch, and a
+//! budget on the copies sent.
+//!
+//! Replica hedging and k-of-n fragment hedging are the same race
+//! (Shah et al. analyse both as one `(n, k)` fork-join with
+//! cancellation; replication is the `k = 1` code), so there is one
+//! loop, [`Core::run`], and a [`Job`] that answers the five questions
+//! on which the two differ: how many attempts open the race, which
+//! command goes to which replica for attempt `i`, what a reply means,
+//! how many attempts the job can ever make, and how the result is
+//! built. [`crate::HedgedClient`] runs the replica job; the `erasure`
+//! crate's striped client runs the fragment job.
+//!
+//! Per query the engine:
+//!
+//! 1. samples the policy's full reissue schedule: every stage of a
+//!    `MultipleR` policy flips its probability coin *now*
+//!    (distributionally identical to flipping at fire time, see
+//!    [`ReissuePolicy::sample_schedule_indexed`]), yielding the
+//!    non-decreasing stage deadlines this query will arm;
+//! 2. dispatches the job's **first wave** ([`Job::primaries`]
+//!    attempts). With one primary and an empty schedule there is no
+//!    race: the one attempt is awaited directly;
+//! 3. races every in-flight attempt against the next stage's deadline
+//!    timer ([`crate::rt::select_all`], over attempts kept inline in
+//!    the query's own future, so arming a schedule allocates nothing).
+//!    A stage that is already due is dispatched *before* the attempts
+//!    are polled; each time a timer fires (and the budget governor
+//!    grants quota) one more **reissue** is dispatched;
+//! 4. hands each reply to [`Job::accept`]. The first [`Verdict::Done`]
+//!    ends the race; every attempt still outstanding is cancelled via
+//!    its [`CancelToken`]: the transport pushes `CANCEL <seq>` to the
+//!    backend, which retracts the copy queued or in service;
+//! 5. feeds observations into the [`OnlineAdapter`] when there is one.
+//!    Un-raced queries feed the primary stream; **raced queries feed
+//!    joint `(straggler, first reissue)` pairs**, exact when the loser
+//!    completed, censored at the loser's elapsed-at-retraction lower
+//!    bound when the cancel landed in time, so the adapter can run the
+//!    §4.2 *correlated* optimizer instead of the independence model
+//!    (see `reissue_core::online`). The straggler is the lowest-index
+//!    first-wave attempt still unresolved when the first reissue goes
+//!    out: the primary itself for a one-primary job. Later-stage
+//!    losers feed the marginal reissue stream when they complete.
+//!
+//! `HEDGE_DEBUG=1` (read once, at connect time) traces every query
+//! slower than 10 ms: the stages it armed, the reissues it sent and
+//! the slot that won. The transport traces the slow attempts
+//! themselves, with their commands.
+
+use crate::client::{BudgetGovernor, CancellationStyle, HedgeConfig, HedgeStats};
+use crate::rt::{race, select_all, Either, Runtime};
+use crate::sync::CancelToken;
+use crate::transport::{InFlight, ReplicaSet, TieSpec, TransportError};
+
+use kvstore::{Command, Reply};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+use reissue_core::censored::Obs;
+use reissue_core::load::LoadSignal;
+use reissue_core::metrics::LogHistogram;
+use reissue_core::online::{OnlineAdapter, ReissueOutcome};
+use reissue_core::policy::{ReissuePolicy, Schedule, MAX_STAGES};
+
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+
+/// Wire attempts one query can have: the widest first wave plus its
+/// reissues, and for a one-primary job the primary and one reissue
+/// per stage. The attempt table is inline at this size.
+pub const MAX_ATTEMPTS: usize = MAX_STAGES + 1;
+
+/// Process-global tie id source. Replicas key tie state by id alone,
+/// so ids must be unique across every client in the process.
+static NEXT_TIE_ID: AtomicU64 = AtomicU64::new(1);
+
+fn next_tie_id() -> u64 {
+    NEXT_TIE_ID.fetch_add(1, Ordering::Relaxed)
+}
+
+/// What one reply means to a [`Job`].
+#[derive(Debug)]
+pub enum Verdict {
+    /// The job has its answer: the race is over and this attempt won.
+    Done,
+    /// The reply was banked and more are needed.
+    Progress,
+    /// The reply can never contribute. The attempt drops out like a
+    /// failed one; the error, if any, is what the query surfaces
+    /// should every other attempt and stage run out too.
+    Useless(Option<TransportError>),
+}
+
+/// The five decisions on which one kind of race differs from another.
+/// Attempts are numbered by dispatch order, never reshuffled: slots
+/// `0..primaries` are the first wave, slot `primaries + r` is the
+/// `r`-th reissue *actually sent* (coins and the governor may skip
+/// stages, so this is independent of the policy stage index).
+pub trait Job: Send {
+    /// Attempts dispatched at `t = 0`, at least 1.
+    fn primaries(&self) -> usize;
+
+    /// Attempts the job can ever make, first wave included; the engine
+    /// caps it at [`MAX_ATTEMPTS`]. Stages beyond it are moot.
+    fn capacity(&self) -> usize;
+
+    /// The command of attempt `slot` and the index of the replica it
+    /// goes to. `carrying[i]` is the replica attempt `i` went to, for
+    /// every attempt dispatched so far.
+    fn attempt(
+        &mut self,
+        slot: usize,
+        replicas: &ReplicaSet,
+        carrying: &[usize],
+    ) -> (Command, usize);
+
+    /// Takes attempt `slot`'s reply, banking what the job needs of it.
+    fn accept(&mut self, slot: usize, reply: Reply) -> Verdict;
+
+    /// Builds the result once the race is over: after [`Verdict::Done`],
+    /// or when every attempt and stage ran out with no error to report.
+    fn finish(self) -> Result<Reply, TransportError>;
+}
+
+pub(crate) struct PolicyState {
+    pub(crate) policy: ReissuePolicy,
+    pub(crate) adapter: Option<OnlineAdapter>,
+    rng: SmallRng,
+}
+
+#[derive(Default)]
+struct Counters {
+    queries: AtomicU64,
+    reissues: AtomicU64,
+    reissues_by_stage: [AtomicU64; MAX_STAGES],
+    reissue_wins: AtomicU64,
+    cancelled_in_time: AtomicU64,
+    pairs_exact: AtomicU64,
+    pairs_censored: AtomicU64,
+    errors: AtomicU64,
+    /// Reissue dispatches per replica index: the targeting
+    /// distribution the EWMA-health regression tests watch.
+    reissue_targets: Vec<AtomicU64>,
+}
+
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
+fn ms_since(t: Instant) -> f64 {
+    t.elapsed().as_secs_f64() * 1e3
+}
+
+/// What every race of one client shares: connections, policy state,
+/// counters, governor. [`Core::run`] is the engine.
+pub struct Core {
+    rt: Runtime,
+    replicas: ReplicaSet,
+    pub(crate) state: Mutex<PolicyState>,
+    counters: Counters,
+    /// Streaming latency recorder: the shared log-bucketed histogram
+    /// (1% relative quantile error, constant memory).
+    pub(crate) latencies_ms: Mutex<LogHistogram>,
+    governor: Option<Arc<BudgetGovernor>>,
+    cancellation: CancellationStyle,
+    /// Aggregate load estimator, present iff the online config opts
+    /// into utilization-aware damping (`OnlineConfig::load`). Fed on
+    /// every dispatch (first wave and reissue) and every query
+    /// resolution; its estimate is pushed into the adapter at each
+    /// observation (see [`Core::observe`]).
+    pub(crate) load: Option<LoadSignal>,
+    /// `HEDGE_DEBUG` was set at connect time. Read once: an env lookup
+    /// takes the process-wide environment lock, far too expensive per
+    /// query.
+    debug: bool,
+}
+
+impl Core {
+    /// Connects to the replicas on `rt`. The governor is
+    /// `cfg.governor` if set, else one capped at `cfg.budget_cap`,
+    /// else at 1.25× the online budget when online adaptation is on.
+    pub fn connect(rt: Runtime, addrs: &[SocketAddr], cfg: HedgeConfig) -> std::io::Result<Core> {
+        let replicas = ReplicaSet::connect_pipelined(addrs, cfg.pool_per_replica, cfg.pipeline)?;
+        let governor = cfg.governor.clone().or_else(|| {
+            cfg.budget_cap
+                .or(cfg.online.map(|o| 1.25 * o.budget))
+                .map(|cap| Arc::new(BudgetGovernor::new(cap)))
+        });
+        let load = cfg
+            .online
+            .and_then(|o| o.load.map(|_| LoadSignal::new(addrs.len().max(1))));
+        Ok(Core {
+            rt,
+            replicas,
+            state: Mutex::new(PolicyState {
+                policy: cfg.policy,
+                adapter: cfg.online.map(OnlineAdapter::new),
+                rng: SmallRng::seed_from_u64(cfg.seed),
+            }),
+            counters: Counters {
+                reissue_targets: (0..addrs.len()).map(|_| AtomicU64::new(0)).collect(),
+                ..Counters::default()
+            },
+            latencies_ms: Mutex::new(LogHistogram::latency_ms()),
+            governor,
+            cancellation: cfg.cancellation,
+            load,
+            debug: std::env::var_os("HEDGE_DEBUG").is_some(),
+        })
+    }
+
+    /// The executor the races run on.
+    pub fn runtime(&self) -> &Runtime {
+        &self.rt
+    }
+
+    /// The replicas, for traffic that does not race.
+    pub fn replicas(&self) -> &ReplicaSet {
+        &self.replicas
+    }
+
+    /// The budget governor in force, if any (owned or shared).
+    pub fn governor(&self) -> Option<&Arc<BudgetGovernor>> {
+        self.governor.as_ref()
+    }
+
+    /// Counter snapshot.
+    pub fn stats(&self) -> HedgeStats {
+        let c = &self.counters;
+        let get = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        HedgeStats {
+            queries: get(&c.queries),
+            reissues: get(&c.reissues),
+            reissues_by_stage: std::array::from_fn(|i| get(&c.reissues_by_stage[i])),
+            reissue_wins: get(&c.reissue_wins),
+            cancelled_in_time: get(&c.cancelled_in_time),
+            pairs_exact: get(&c.pairs_exact),
+            pairs_censored: get(&c.pairs_censored),
+            errors: get(&c.errors),
+        }
+    }
+
+    /// Reissue dispatches per replica index.
+    pub(crate) fn reissue_target_counts(&self) -> Vec<u64> {
+        let targets = self.counters.reissue_targets.iter();
+        targets.map(|c| c.load(Ordering::Relaxed)).collect()
+    }
+
+    /// Quantile of end-to-end query latencies (ms) over all successful
+    /// completions, within the histogram's 1% relative error.
+    pub fn latency_quantile(&self, q: f64) -> Option<f64> {
+        let latencies = self.latencies_ms.lock().unwrap();
+        latencies.quantile(q.clamp(0.0, 1.0))
+    }
+
+    /// Runs one query to its result: the race described in the module
+    /// docs, over whatever `job` dispatches.
+    ///
+    /// An attempt that resolves with a transport error does **not**
+    /// decide the race: hedging must never fail a query another
+    /// in-flight (or still-armed) attempt could save, and a crashed
+    /// replica fails *fast*, which would otherwise make it the
+    /// likeliest "winner". The failed attempt just drops out; its
+    /// error surfaces only once every attempt and every remaining
+    /// stage is exhausted.
+    ///
+    /// Every query counts in `queries` (and in the governor's
+    /// denominator). One that was won and built its result records its
+    /// latency; any other counts in `errors`.
+    pub async fn run<J: Job>(self: &Arc<Self>, mut job: J) -> Result<Reply, TransportError> {
+        // Only the coins are flipped up front; each attempt's *target*
+        // is chosen at dispatch time, when health information is
+        // current.
+        let schedule = {
+            let mut st = self.state.lock().unwrap();
+            let st = &mut *st;
+            st.policy.sample_schedule_indexed(&mut st.rng)
+        };
+        let started = Instant::now();
+        if let Some(load) = &self.load {
+            load.query_start();
+        }
+        let raced = if job.primaries() == 1 && schedule.is_empty() {
+            self.unraced(&mut job).await
+        } else {
+            self.staged_race(&mut job, &schedule, started).await
+        };
+
+        let won = raced.won.is_some();
+        let result = match raced.last_err {
+            Some(e) if !won => Err(e),
+            _ => job.finish(),
+        };
+        let elapsed_ms = ms_since(started);
+        if self.debug && elapsed_ms > 10.0 {
+            eprintln!(
+                "[hedge] slow {elapsed_ms:.2}ms armed={:?} reissues={} won={:?}",
+                &schedule[..],
+                raced.reissues,
+                raced.won
+            );
+        }
+        bump(&self.counters.queries);
+        if let Some(g) = &self.governor {
+            g.note_query();
+        }
+        let ok = won && result.is_ok();
+        if let Some(load) = &self.load {
+            load.query_end(ok.then_some(elapsed_ms));
+        }
+        if ok {
+            self.latencies_ms.lock().unwrap().record(elapsed_ms);
+            // Un-raced completions feed the primary stream directly.
+            // Raced queries are *not* observed here: their joint
+            // (straggler, reissue) outcome, exact or censored, is
+            // assembled by the `RaceBook` once both participants
+            // resolve, so the adapter sees correlated pairs instead of
+            // two unpaired streams, and the straggler mass that
+            // cancellation hides reaches it through the Kaplan–Meier
+            // completion.
+            if raced.reissues == 0 {
+                self.observe(Observation::Primary(elapsed_ms));
+            }
+        } else {
+            bump(&self.counters.errors);
+        }
+        result
+    }
+
+    /// One primary, no stage armed: nothing to race, so no attempt
+    /// table, no token kept and no timer. The request path of an
+    /// unhedged client, and of the share of a hedged client's queries
+    /// whose coins all came up tails.
+    async fn unraced<J: Job>(&self, job: &mut J) -> Raced {
+        let (cmd, target) = job.attempt(0, &self.replicas, &[]);
+        if let Some(load) = &self.load {
+            load.note_dispatch();
+        }
+        let replica = self.replicas.replica(target);
+        let out = replica.request_tied(cmd, CancelToken::new(), None).await;
+        let (won, last_err) = match out.map(|reply| job.accept(0, reply)) {
+            Ok(Verdict::Done) => (Some(0), None),
+            Ok(Verdict::Progress) => (None, None),
+            Ok(Verdict::Useless(e)) => (None, e),
+            Err(e) => (None, Some(e)),
+        };
+        Raced {
+            won,
+            reissues: 0,
+            last_err,
+        }
+    }
+
+    /// Races the job's first wave against the sampled schedule: each
+    /// stage deadline (measured from `started`) that passes while the
+    /// query is unresolved dispatches one more attempt, governor
+    /// permitting, and every attempt races every other through one
+    /// [`select_all`]. Once the race is over, all still-pending losers
+    /// are cancelled and drained asynchronously.
+    ///
+    /// A stage that is **already due** is dispatched before the
+    /// attempts are polled. The paper's `d = 0` policy sends both
+    /// copies at once; polling first would skip the stage whenever the
+    /// primary's reply was already in, so the realized reissue rate
+    /// fell short of `q` by the share of primaries that fast.
+    async fn staged_race<J: Job>(
+        self: &Arc<Self>,
+        job: &mut J,
+        schedule: &Schedule,
+        started: Instant,
+    ) -> Raced {
+        let capacity = job.capacity().min(MAX_ATTEMPTS);
+        let mut attempts = Attempts::new(job.primaries());
+        assert!(
+            (1..=capacity).contains(&attempts.primaries),
+            "a job opens with 1..=capacity attempts"
+        );
+        // Tied cancellation: every first-wave attempt registers a tie
+        // id whenever a reissue *may* follow (non-empty schedule), so
+        // the first reissue can name whichever of them is straggling
+        // as the peer to retract at dequeue time.
+        let tied = self.cancellation == CancellationStyle::Tied && !schedule.is_empty();
+        for _ in 0..attempts.primaries {
+            let tie = tied.then(|| TieSpec {
+                id: next_tie_id(),
+                peer: None,
+            });
+            self.dispatch(job, tie, started, &mut attempts);
+        }
+        // The schedule is served front to back: a stage denied by the
+        // governor re-asks later (moving `deadline`, the front stage's
+        // current one) and blocks the stages behind it, so dispatch
+        // order always follows stage order.
+        let mut next = 0usize;
+        let mut deadline = schedule
+            .first()
+            .map_or(started, |&(_, d)| stage_deadline(started, d));
+        let mut last_err = None;
+
+        let won = loop {
+            // A job out of attempts has nothing left to reissue: the
+            // rest of the schedule is moot.
+            let front = schedule.get(next).filter(|_| attempts.len < capacity);
+            let in_flight = attempts.futs.iter().flatten().count();
+            // `None`: the front stage is to be dispatched now.
+            let resolved = match front {
+                // Nothing in flight and no answer: rescue from the
+                // remaining schedule *now* (waiting out a stage
+                // deadline only adds latency to a query that has
+                // nothing to wait for), or give up when the stages run
+                // out.
+                None if in_flight == 0 => break None,
+                Some(_) if in_flight == 0 => None,
+                // Schedule exhausted: plain race of what is in flight.
+                None => Some(select_all(&mut attempts.futs).await),
+                Some(_) if deadline <= Instant::now() => None,
+                Some(_) => {
+                    match race(
+                        select_all(&mut attempts.futs),
+                        self.rt.sleep_until(deadline),
+                    )
+                    .await
+                    {
+                        Either::Left((resolved, _timer)) => Some(resolved),
+                        Either::Right(_) => None,
+                    }
+                }
+            };
+            let Some((slot, out)) = resolved else {
+                let &(stage, delay_ms) = front.expect("a stage is due");
+                if !self.governor.as_ref().is_none_or(|g| g.try_acquire()) {
+                    // No quota, and nothing in flight to wait for: the
+                    // query fails with what it has.
+                    if in_flight == 0 {
+                        break None;
+                    }
+                    // Re-ask one stage-delay later (with a small floor
+                    // so a d=0 stage cannot hot-spin). A query still
+                    // outstanding after several delays is precisely
+                    // the straggler hedging exists for, and re-asking
+                    // gives it priority over the steady trickle of
+                    // marginal just-past-d hedges that would otherwise
+                    // consume the quota first-come-first-served.
+                    deadline = Instant::now() + Duration::from_secs_f64(delay_ms.max(0.1) / 1e3);
+                    continue;
+                }
+                next += 1;
+                if let Some(&(_, d)) = schedule.get(next) {
+                    deadline = stage_deadline(started, d);
+                }
+                self.dispatch_reissue(job, stage, &mut attempts);
+                continue;
+            };
+            let elapsed_ms = ms_since(attempts.meta(slot).dispatched);
+            let fate = match out.map(|reply| job.accept(slot, reply)) {
+                Ok(Verdict::Done) => {
+                    attempts.meta(slot).fate = SideState::Known(Obs::Exact(elapsed_ms));
+                    break Some(slot);
+                }
+                Ok(Verdict::Progress) => SideState::Known(Obs::Exact(elapsed_ms)),
+                // The attempt drops out; the survivors (and the
+                // schedule) keep going.
+                Ok(Verdict::Useless(e)) => {
+                    last_err = e.or(last_err);
+                    SideState::Failed
+                }
+                Err(TransportError::Cancelled) => {
+                    // A tied peer retracted this attempt server-side:
+                    // a clean in-time cancel, not a failure. The
+                    // attempt had been outstanding exactly this long
+                    // when the retraction confirmed: its censoring
+                    // bound.
+                    bump(&self.counters.cancelled_in_time);
+                    last_err = Some(TransportError::Cancelled);
+                    SideState::Known(Obs::Censored(elapsed_ms))
+                }
+                Err(e) => {
+                    last_err = Some(e);
+                    SideState::Failed
+                }
+            };
+            attempts.meta(slot).fate = fate;
+        };
+
+        if won.is_some_and(|slot| slot >= attempts.primaries) {
+            bump(&self.counters.reissue_wins);
+        }
+        for (fut, m) in attempts.futs.iter().zip(&attempts.meta) {
+            if let (Some(_), Some(m)) = (fut, m) {
+                m.token.cancel();
+            }
+        }
+        // The pair's sides resolve at different times: an attempt that
+        // resolved mid-race (the winner, a failure, a server-side
+        // retraction) is known right now; one still in flight reports
+        // when its drain resolves. A winner that is a *later-stage*
+        // reissue is outside the pair, and both sides then arrive via
+        // the other routes.
+        let reissues = attempts.len - attempts.primaries;
+        let book = (reissues > 0).then(|| Arc::new(Mutex::new(RaceBook::default())));
+        if let (Some(book), None) = (&book, attempts.straggler) {
+            // Every first-wave attempt had already resolved when the
+            // first reissue went out: close that side so the reissue's
+            // report is not orphaned.
+            self.report_side(book, true, SideState::Failed);
+        }
+        for slot in 0..attempts.len {
+            let side = attempts.pair_side(slot).zip(book.as_ref());
+            let (dispatched, fate) = {
+                let m = attempts.meta(slot);
+                (m.dispatched, m.fate)
+            };
+            match (attempts.futs[slot].take(), side) {
+                (Some(loser), side) => {
+                    let side = side.map(|(is_primary, book)| (is_primary, book.clone()));
+                    self.drain(loser, dispatched, side, slot >= attempts.primaries);
+                }
+                (None, Some((is_primary, book))) => self.report_side(book, is_primary, fate),
+                (None, None) => {}
+            }
+        }
+        Raced {
+            won,
+            reissues,
+            last_err,
+        }
+    }
+
+    /// Puts attempt `attempts.len` on the wire and registers it.
+    /// Returns the replica index it went to.
+    fn dispatch<J: Job>(
+        &self,
+        job: &mut J,
+        tie: Option<TieSpec>,
+        at: Instant,
+        attempts: &mut Attempts,
+    ) -> usize {
+        let slot = attempts.len;
+        let (cmd, target) = job.attempt(slot, &self.replicas, &attempts.targets[..slot]);
+        // Every attempt put on the wire feeds the offered-rate
+        // estimate: hedging's own load contribution is part of the
+        // utilization it must react to.
+        if let Some(load) = &self.load {
+            load.note_dispatch();
+        }
+        let token = CancelToken::new();
+        let replica = self.replicas.replica(target);
+        attempts.futs[slot] = Some(replica.request_tied(cmd, token.clone(), tie));
+        attempts.meta[slot] = Some(AttemptMeta {
+            token,
+            dispatched: at,
+            fate: SideState::Pending,
+            tie_id: tie.map(|t| t.id),
+        });
+        attempts.targets[slot] = target;
+        attempts.len += 1;
+        target
+    }
+
+    /// Dispatches one stage's reissue into an ongoing race and counts
+    /// it (total, per-stage, per-target). The *first* reissue names
+    /// the straggler, the lowest-index first-wave attempt still
+    /// unresolved, as the other side of the adapter's pair; on a tied
+    /// query it also carries a fresh tie id naming the straggler's
+    /// `(replica address, tie id)` as the peer to retract at dequeue
+    /// time. Later stages (and untied queries) go untied.
+    fn dispatch_reissue<J: Job>(&self, job: &mut J, stage: usize, attempts: &mut Attempts) {
+        bump(&self.counters.reissues);
+        bump(&self.counters.reissues_by_stage[stage.min(MAX_STAGES - 1)]);
+        let mut tie = None;
+        if attempts.len == attempts.primaries {
+            attempts.straggler = (0..attempts.primaries).find(|&s| attempts.futs[s].is_some());
+            if let Some(s) = attempts.straggler {
+                let addr = self.replicas.replica(attempts.targets[s]).addr();
+                tie = attempts.meta(s).tie_id.map(|peer_id| TieSpec {
+                    id: next_tie_id(),
+                    peer: Some((addr, peer_id)),
+                });
+            }
+        }
+        let target = self.dispatch(job, tie, Instant::now(), attempts);
+        if let Some(c) = self.counters.reissue_targets.get(target) {
+            bump(c);
+        }
+    }
+
+    /// Asynchronously drains an attempt that was still outstanding
+    /// when its race ended.
+    ///
+    /// A pair participant reports its fate to the [`RaceBook`]:
+    ///
+    /// * loser **completed** → exact observation (its response time is
+    ///   a valid sample of its stream, now paired with the other
+    ///   side's);
+    /// * loser **retracted in time** → censored: all we know is it had
+    ///   been outstanding for `dispatched.elapsed()` when the
+    ///   retraction confirmed, a lower bound on the response time it
+    ///   would have had;
+    /// * loser failed at the transport → no usable observation; the
+    ///   other side feeds its marginal stream alone.
+    ///
+    /// A loser outside the pair counts its cancel; a later-stage
+    /// reissue that completes also feeds the marginal reissue stream
+    /// (a censored bound is only usable jointly, and the pair already
+    /// carries this query's joint outcome).
+    fn drain(
+        self: &Arc<Self>,
+        loser: InFlight,
+        dispatched: Instant,
+        side: Option<(bool, Arc<Mutex<RaceBook>>)>,
+        is_reissue: bool,
+    ) {
+        let this = self.clone();
+        self.rt.spawn(async move {
+            let out = loser.await;
+            let ms = ms_since(dispatched);
+            let fate = match out {
+                Ok(_) => SideState::Known(Obs::Exact(ms)),
+                Err(TransportError::Cancelled) => {
+                    bump(&this.counters.cancelled_in_time);
+                    SideState::Known(Obs::Censored(ms))
+                }
+                Err(_) => SideState::Failed,
+            };
+            match (side, fate) {
+                (Some((is_primary, book)), fate) => this.report_side(&book, is_primary, fate),
+                (None, SideState::Known(Obs::Exact(ms))) if is_reissue => {
+                    this.observe(Observation::Reissue(ms));
+                }
+                _ => {}
+            }
+        });
+    }
+
+    /// Records one side of the raced pair; the report that completes
+    /// the book emits the joint observation (and the pair counters).
+    fn report_side(&self, book: &Mutex<RaceBook>, is_primary: bool, side: SideState) {
+        let (primary, reissue) = {
+            let mut b = book.lock().unwrap();
+            if is_primary {
+                b.primary = side;
+            } else {
+                b.reissue = side;
+            }
+            match (b.primary, b.reissue) {
+                (SideState::Pending, _) | (_, SideState::Pending) => return,
+                (p, r) => (p, r),
+            }
+        };
+        match (primary, reissue) {
+            (SideState::Known(p), SideState::Known(r)) => {
+                // Both censored (a later-stage reissue won the race)
+                // carries no completable information; the adapter
+                // drops it, so don't count it as a pair either.
+                match (p.is_censored(), r.is_censored()) {
+                    (false, false) => bump(&self.counters.pairs_exact),
+                    (true, true) => {}
+                    _ => bump(&self.counters.pairs_censored),
+                }
+                self.observe(Observation::Pair {
+                    primary: p,
+                    reissue: r,
+                });
+            }
+            (SideState::Known(Obs::Exact(p)), SideState::Failed) => {
+                self.observe(Observation::Primary(p));
+            }
+            (SideState::Failed, SideState::Known(Obs::Exact(r))) => {
+                self.observe(Observation::Reissue(r));
+            }
+            _ => {}
+        }
+    }
+
+    /// Feeds one latency observation to the adapter and refreshes the
+    /// live policy from it: the serving-time re-optimization loop.
+    fn observe(&self, obs: Observation) {
+        let mut st = self.state.lock().unwrap();
+        let Some(adapter) = st.adapter.as_mut() else {
+            return;
+        };
+        // Push the freshest load estimate first: with
+        // `OnlineConfig::load` set this rescales the live reissue
+        // probability immediately, so the policy tracks a load ramp
+        // between re-optimizations.
+        if let Some(load) = &self.load {
+            adapter.set_utilization(load.utilization());
+        }
+        match obs {
+            Observation::Primary(ms) => adapter.observe_primary(ms),
+            Observation::Reissue(ms) => adapter.observe_reissue(ms),
+            Observation::Pair { primary, reissue } => match (primary, reissue) {
+                (Obs::Exact(x), Obs::Exact(y)) => {
+                    adapter.observe_pair(x, ReissueOutcome::Completed(y));
+                }
+                (Obs::Exact(x), Obs::Censored(lb)) => {
+                    adapter.observe_pair(x, ReissueOutcome::Censored(lb));
+                }
+                (Obs::Censored(lb), Obs::Exact(y)) => {
+                    adapter.observe_pair_censored_primary(lb, y);
+                }
+                // Both sides censored (a later-stage reissue won the
+                // race, so the straggler *and* the first reissue were
+                // both retracted): two lower bounds with no completed
+                // side to anchor them carry nothing the KM completion
+                // can use, so the pair is dropped (see `report_side`,
+                // which doesn't count it either).
+                (Obs::Censored(_), Obs::Censored(_)) => {}
+            },
+        }
+        let live = adapter.policy();
+        if live.probability > 0.0 && live.delay.is_finite() && live.delay >= 0.0 {
+            st.policy = ReissuePolicy::single_r(live.delay, live.probability.clamp(0.0, 1.0));
+        }
+    }
+}
+
+/// How one query's race ended.
+struct Raced {
+    /// The slot whose reply the job called [`Verdict::Done`].
+    won: Option<usize>,
+    /// Reissues actually dispatched.
+    reissues: usize,
+    /// The last error an attempt resolved with; what the query fails
+    /// with when nothing won.
+    last_err: Option<TransportError>,
+}
+
+enum Observation {
+    Primary(f64),
+    Reissue(f64),
+    /// A raced query's joint outcome; either side may be censored
+    /// (lower bound only) when the loser's retraction landed in time.
+    Pair {
+        primary: Obs,
+        reissue: Obs,
+    },
+}
+
+/// Fate of one attempt, as it becomes known; for a pair participant,
+/// what it reports to the [`RaceBook`].
+#[derive(Clone, Copy, Default)]
+enum SideState {
+    /// Still in flight.
+    #[default]
+    Pending,
+    /// Completed (exact response time) or retracted (the
+    /// elapsed-at-retraction lower bound), in ms.
+    Known(Obs),
+    /// Transport failure or a useless reply: no usable observation.
+    Failed,
+}
+
+/// Assembles the adapter's joint `(straggler, first reissue)`
+/// observation from sides that resolve at different times: the winner
+/// synchronously, each loser whenever its drain completes. Whichever
+/// report fills the second slot emits the observation.
+#[derive(Default)]
+struct RaceBook {
+    primary: SideState,
+    reissue: SideState,
+}
+
+/// One speculative arm of a race.
+struct AttemptMeta {
+    token: CancelToken,
+    dispatched: Instant,
+    fate: SideState,
+    /// The tie id a first-wave attempt registered (tied cancellation
+    /// only).
+    tie_id: Option<u64>,
+}
+
+/// Every attempt of one query, indexed by slot (see [`Job`]). All
+/// inline: the arrays live in the query's future.
+struct Attempts {
+    /// `None` once an attempt resolved; what [`select_all`] polls.
+    futs: [Option<InFlight>; MAX_ATTEMPTS],
+    meta: [Option<AttemptMeta>; MAX_ATTEMPTS],
+    /// Replica index each attempt went to.
+    targets: [usize; MAX_ATTEMPTS],
+    len: usize,
+    /// Size of the first wave.
+    primaries: usize,
+    /// The first-wave slot the first reissue was paired with.
+    straggler: Option<usize>,
+}
+
+impl Attempts {
+    fn new(primaries: usize) -> Self {
+        Attempts {
+            futs: std::array::from_fn(|_| None),
+            meta: std::array::from_fn(|_| None),
+            targets: [0; MAX_ATTEMPTS],
+            len: 0,
+            primaries,
+            straggler: None,
+        }
+    }
+
+    fn meta(&mut self, slot: usize) -> &mut AttemptMeta {
+        self.meta[slot].as_mut().expect("attempt was dispatched")
+    }
+
+    /// Which side of the adapter's `(straggler, first reissue)` pair
+    /// attempt `slot` is: `Some(true)` the straggler, `Some(false)`
+    /// the first reissue sent, `None` outside the pair.
+    fn pair_side(&self, slot: usize) -> Option<bool> {
+        if slot == self.primaries {
+            Some(false)
+        } else if Some(slot) == self.straggler {
+            Some(true)
+        } else {
+            None
+        }
+    }
+}
+
+fn stage_deadline(started: Instant, delay_ms: f64) -> Instant {
+    started + Duration::from_secs_f64(delay_ms.max(0.0) / 1e3)
+}

@@ -28,7 +28,7 @@
 //!   observable via [`Runtime::timer_insert_ops`].
 //! - **Stealing is the fallback, not the fast path.** Only when a
 //!   spawn finds its round-robin-assigned owner's queue backed up past
-//!   [`SPAWN_QUEUE_DEPTH`] does the task go to the shared overflow
+//!   `SPAWN_QUEUE_DEPTH` does the task go to the shared overflow
 //!   injector, where any idle worker may claim its *first* poll.
 //!   Subsequent wakes still route to the owner.
 //!

@@ -328,9 +328,9 @@ impl Replica {
 
     /// Reissue-targeting score — lower is better. Health EWMAs carry
     /// the signal (latency, inflated by the multiplicative error
-    /// penalty, plus an *absolute* error term — see [`ERROR_MS_EQUIV`]);
+    /// penalty, plus an *absolute* error term — see `ERROR_MS_EQUIV`);
     /// the in-flight count is a light tiebreak (see
-    /// [`INFLIGHT_MS_WEIGHT`]).
+    /// `INFLIGHT_MS_WEIGHT`).
     pub fn health_score(&self) -> f64 {
         let h = &self.health;
         h.latency_ewma_ms() * (1.0 + ERROR_PENALTY * h.error_ewma())

@@ -32,7 +32,7 @@
 //! formatting — no `format!` temporaries on the wire path.
 //!
 //! The previous owned-`Vec` implementation is preserved verbatim in
-//! [`reference`] as a differential oracle: the equivalence suite in
+//! [`mod@reference`] as a differential oracle: the equivalence suite in
 //! `tests/resp_equivalence.rs` drives both decoders over random frame
 //! sequences split at every byte boundary.
 

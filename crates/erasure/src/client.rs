@@ -149,17 +149,19 @@ impl StripedClient {
         cfg: StripedConfig,
     ) -> std::io::Result<StripedClient> {
         let n = addrs.len();
+        let invalid = |why: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, why);
         if cfg.k == 0 || n < cfg.k {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("need at least k={} replicas, got {n}", cfg.k),
-            ));
+            return Err(invalid(format!(
+                "need at least k={} replicas, got {n}",
+                cfg.k
+            )));
         }
+        // The race engine keeps a read's attempts, one per fragment, in
+        // an inline table of this size.
         if n > MAX_ATTEMPTS {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("a stripe spans at most {MAX_ATTEMPTS} replicas, got {n}"),
-            ));
+            return Err(invalid(format!(
+                "a stripe spans at most {MAX_ATTEMPTS} replicas, got {n}"
+            )));
         }
         let hedge_cfg = HedgeConfig {
             policy: cfg.policy,
@@ -174,7 +176,7 @@ impl StripedClient {
         };
         Ok(StripedClient {
             inner: Arc::new(ScInner {
-                core: Arc::new(Core::connect(rt, addrs, hedge_cfg)?),
+                core: Core::connect(rt, addrs, hedge_cfg)?,
                 k: cfg.k,
                 n,
                 decodes_with_parity: AtomicU64::new(0),
@@ -239,7 +241,7 @@ impl StripedClient {
         async move {
             let replicas = inner.core.replicas();
             match cmd {
-                Command::Get(key) => inner.core.run(StripeJob::new(inner.clone(), key)).await,
+                Command::Get(key) => inner.core.run(StripeJob::new(&inner, key)).await,
                 Command::Set(key, value) => {
                     let frags = codec::encode_stripe(&value, inner.k, inner.n)
                         .map_err(|e| TransportError::Protocol(e.to_string()))?;
@@ -296,8 +298,8 @@ impl hedge::LoadClient for StripedClient {
 
 /// One striped read as a race (see the module docs for its five
 /// answers).
-struct StripeJob {
-    client: Arc<ScInner>,
+struct StripeJob<'a> {
+    client: &'a ScInner,
     key: Bytes,
     /// The key's placement rotation.
     offset: usize,
@@ -307,8 +309,8 @@ struct StripeJob {
     nil_data_slots: usize,
 }
 
-impl StripeJob {
-    fn new(client: Arc<ScInner>, key: Bytes) -> Self {
+impl<'a> StripeJob<'a> {
+    fn new(client: &'a ScInner, key: Bytes) -> Self {
         StripeJob {
             offset: crate::placement_offset(&key, client.n),
             client,
@@ -324,7 +326,7 @@ impl StripeJob {
     }
 }
 
-impl Job for StripeJob {
+impl Job for StripeJob<'_> {
     fn primaries(&self) -> usize {
         self.client.k
     }

@@ -271,7 +271,7 @@ impl HedgedClient {
         addrs: &[SocketAddr],
         cfg: HedgeConfig,
     ) -> std::io::Result<HedgedClient> {
-        let core = Arc::new(Core::connect(rt, addrs, cfg)?);
+        let core = Core::connect(rt, addrs, cfg)?;
         Ok(HedgedClient { core })
     }
 

@@ -181,7 +181,13 @@ impl Core {
     /// Connects to the replicas on `rt`. The governor is
     /// `cfg.governor` if set, else one capped at `cfg.budget_cap`,
     /// else at 1.25× the online budget when online adaptation is on.
-    pub fn connect(rt: Runtime, addrs: &[SocketAddr], cfg: HedgeConfig) -> std::io::Result<Core> {
+    /// Shared from the start: the losers a race leaves behind drain on
+    /// tasks that hold the core.
+    pub fn connect(
+        rt: Runtime,
+        addrs: &[SocketAddr],
+        cfg: HedgeConfig,
+    ) -> std::io::Result<Arc<Core>> {
         let replicas = ReplicaSet::connect_pipelined(addrs, cfg.pool_per_replica, cfg.pipeline)?;
         let governor = cfg.governor.clone().or_else(|| {
             cfg.budget_cap
@@ -191,7 +197,7 @@ impl Core {
         let load = cfg
             .online
             .and_then(|o| o.load.map(|_| LoadSignal::new(addrs.len().max(1))));
-        Ok(Core {
+        Ok(Arc::new(Core {
             rt,
             replicas,
             state: Mutex::new(PolicyState {
@@ -208,7 +214,7 @@ impl Core {
             cancellation: cfg.cancellation,
             load,
             debug: std::env::var_os("HEDGE_DEBUG").is_some(),
-        })
+        }))
     }
 
     /// The executor the races run on.

@@ -29,9 +29,13 @@
 //! * [`backend`] — [`StripedBackend`], a `kvstore::Backend` wrapper
 //!   whose service cost is proportional to payload bytes, so fragment
 //!   reads genuinely occupy a server for `~1/k` of a full read's time.
-//! * [`client`] — [`StripedClient`], the k-of-n race: primary wave of
-//!   `k` fragment reads, policy-timed parity reissues, tied-request
-//!   retraction of the straggler, and censored-pair booking.
+//! * [`client`] — [`StripedClient`], the k-of-n read as a job of the
+//!   race engine `hedge::race` (the one that runs replica hedging;
+//!   replication is the `k = 1` code): a first wave of `k` fragment
+//!   reads, parity fragments as the reissues, done when the fragments
+//!   in hand decode. Stage timers, the budget governor, tied-request
+//!   retraction of the straggler and censored-pair booking are the
+//!   engine's.
 //!
 //! Fragments travel the existing RESP wire as `FGET`/`FSET` commands
 //! and live in a map of their own beside the keyspace

@@ -162,10 +162,12 @@ fn fanout_queries(scale: Scale, width: usize) -> usize {
 /// Scale": per-query cost is identical for primary and reissue (it is
 /// the same query) and queueing is synchronized across groups (every
 /// fan-out hits all of them), so *machine state* is what a reissue to
-/// the sibling replica can actually dodge. Primaries are targeted
-/// round-robin (blind); reissue targeting is health-EWMA-aware, so the
-/// hedged phases route rescues to the healthy sibling while the
-/// unhedged baseline eats every window.
+/// the sibling replica can actually dodge. A primary goes to the
+/// replica with the fewest of its leg's requests outstanding, which a
+/// slow-but-answering replica seldom has at a fan-out's arrival rate;
+/// reissue targeting is health-EWMA-aware, so the hedged phases route
+/// rescues to the healthy sibling while the unhedged baseline eats
+/// most of every window.
 fn sickness_script(width: usize, queries: usize) -> Vec<FanoutSickness> {
     let healthy = nanos_per_op(width);
     // Narrow fan-outs split their slow time into several shorter,

@@ -22,6 +22,12 @@
 //!   redundancy's benefit flips sign with load ("Low Latency via
 //!   Redundancy"), now through real sockets.
 //!
+//! Every arm's primaries go to the replica with the fewest
+//! outstanding (`ReplicaSet::pick_primary`), the unhedged arm's too:
+//! the unhedged column is what dispatch alone leaves of the monsters'
+//! head-of-line blocking, and the hedged columns what a second send
+//! adds to or takes from that.
+//!
 //! `HEDGE_TCP_QUERIES=<n>` overrides the per-phase query count (the
 //! CI smoke job runs a few hundred); at small counts the tables still
 //! generate but the tails are noisy and the online adapter may not

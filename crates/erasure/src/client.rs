@@ -230,8 +230,8 @@ impl StripedClient {
     /// Executes one command. `GET` runs the k-of-n fragment race;
     /// `SET` writes a stripe (slot `s`'s fragment to the key's rotated
     /// replica `(s + offset) % n`, awaiting every `FSET`
-    /// acknowledgement); everything else passes through to a
-    /// round-robin replica untouched. The returned future is
+    /// acknowledgement); everything else passes through untouched to
+    /// the replica with the fewest outstanding. The returned future is
     /// `'static`: spawn any number concurrently.
     pub fn execute(
         &self,
@@ -261,9 +261,8 @@ impl StripedClient {
                     Ok(Reply::Ok)
                 }
                 other => {
-                    let idx = replicas.pick_primary() % inner.n;
                     replicas
-                        .replica(idx)
+                        .replica(replicas.pick_primary())
                         .request_tied(other, CancelToken::new(), None)
                         .await
                 }

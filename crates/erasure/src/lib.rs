@@ -50,8 +50,10 @@
 //! idle until a reissue — giving the data replicas `n/k×` the load of
 //! a replica-hedged group at the same offered rate and poisoning any
 //! equal-budget comparison. Rotation spreads both the primary and the
-//! reissue bytes uniformly, exactly as replica hedging's round-robin
-//! primary does.
+//! reissue bytes uniformly by count, as replica hedging's primary
+//! dispatch does; unlike that dispatch
+//! ([`hedge::transport::ReplicaSet::pick_primary`]) it is fixed per
+//! key and does not look at what each replica has outstanding.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

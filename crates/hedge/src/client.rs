@@ -3,7 +3,8 @@
 //!
 //! [`HedgedClient`] is the replica-hedging [`Job`] of the race engine
 //! ([`mod@crate::race`], which documents the race itself): one primary to
-//! the next replica round-robin, each reissue the *same command* to
+//! the replica with the fewest requests of this client outstanding
+//! ([`ReplicaSet::pick_primary`]), each reissue the *same command* to
 //! the healthiest replica not yet carrying the query (per-replica
 //! latency/error EWMA, see [`crate::transport::ReplicaHealth`]), and
 //! the first reply wins. This module holds what configures and bounds
@@ -398,8 +399,8 @@ impl Job for ReplicaJob {
         MAX_ATTEMPTS
     }
 
-    /// The primary goes round-robin; a reissue to the healthiest
-    /// replica not yet carrying this query.
+    /// The primary goes to the replica with the fewest outstanding; a
+    /// reissue to the healthiest replica not yet carrying this query.
     fn attempt(
         &mut self,
         slot: usize,

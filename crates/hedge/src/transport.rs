@@ -69,13 +69,18 @@ impl std::error::Error for TransportError {}
 
 /// Per-replica health signal: decayed EWMAs of response time and
 /// transport error rate, updated by the connection I/O threads as
-/// outcomes resolve and read by the hedging layer to pick reissue
-/// targets (see [`ReplicaSet::pick_reissue_excluding`]).
+/// outcomes resolve and read by the hedging layer to place requests
+/// (see [`ReplicaSet::pick_primary`] and
+/// [`ReplicaSet::pick_reissue_excluding`]).
 ///
-/// Raw in-flight counts only see load *this client* put on a replica;
-/// a replica head-of-line-blocked by someone else's monster query, or
-/// one flapping its connections, looks idle by that measure. The EWMA
-/// sees what actually matters — how the replica has been *responding*:
+/// The outstanding count ([`Replica::inflight`]) is exact and current
+/// for the load *this client* put on a replica: one request stuck
+/// behind a monster raises it at once and keeps it raised until the
+/// replica answers, which is all primary dispatch needs from a slow
+/// replica. It is blind in two cases: a replica blocked by *another*
+/// client's monster, and one that fails fast (refused dials, resets),
+/// both of which look idle. The EWMAs see how the replica has been
+/// *responding*:
 ///
 /// * completed requests feed the latency EWMA (queueing included:
 ///   `conn_loop` measures from job dispatch);
@@ -120,6 +125,14 @@ const ERROR_PENALTY: f64 = 4.0;
 /// tens of ms worse than any healthy replica regardless of its
 /// (possibly empty) latency history.
 const ERROR_MS_EQUIV: f64 = 50.0;
+/// While a replica is demoted from primary dispatch (it is
+/// [`ReplicaHealth::failing`]), one primary in this many is sent to it
+/// all the same. A skipped replica gets no successes to decay its
+/// error EWMA, so the probe is what re-admits it once it heals: 7
+/// answered probes bring an EWMA of 1 under one half, about 110
+/// primaries. It is also what an outage costs, a sixteenth of the
+/// primaries instead of a `1/n`-th.
+const PROBE_EVERY: usize = 16;
 
 impl ReplicaHealth {
     fn new() -> Self {
@@ -181,6 +194,13 @@ impl ReplicaHealth {
     /// EWMA of the transport-error indicator, in `[0, 1]`.
     pub fn error_ewma(&self) -> f64 {
         f64::from_bits(self.error_rate.load(Ordering::Relaxed))
+    }
+
+    /// Whether the replica has lately failed more attempts than it
+    /// answered (error EWMA above one half): the point at which
+    /// primary dispatch stops trusting its outstanding count.
+    pub fn failing(&self) -> bool {
+        self.error_ewma() > 0.5
     }
 }
 
@@ -339,7 +359,8 @@ impl Replica {
     }
 
     /// Requests currently queued or on the wire across this replica's
-    /// pool — the hedging layer's load signal.
+    /// pool: what primary dispatch ranks replicas by, and a tiebreak
+    /// in reissue targeting.
     pub fn inflight(&self) -> u64 {
         self.conns
             .iter()
@@ -922,9 +943,36 @@ impl ReplicaSet {
         &self.replicas[idx]
     }
 
-    /// Picks the next primary replica, round-robin.
+    /// Picks the primary replica: the one with the fewest requests
+    /// of this client outstanding ([`Replica::inflight`]), ties broken
+    /// round robin from a rotating start (as [`Replica::request_tied`]
+    /// picks its connection), so an idle set is served in rotation. A
+    /// replica blocked by a query of death keeps the requests already
+    /// sent to it outstanding and gets no more until it answers (the
+    /// paper's Min-of-All balancer, Figure 5b, with the client's own
+    /// counts for queue lengths).
+    ///
+    /// A replica that fails fast looks idle by that count, so a
+    /// [`failing`](ReplicaHealth::failing) one ranks behind every
+    /// other whatever the counts, except on each `PROBE_EVERY`-th
+    /// pick, where the failing rank in front, in a rotation of their
+    /// own: the probe that re-admits a replica once it heals. A slow
+    /// but answering replica needs neither, its count corrects itself
+    /// after one stuck request. A one-replica set answers `0` and
+    /// reads nothing.
     pub fn pick_primary(&self) -> usize {
-        self.next.fetch_add(1, Ordering::Relaxed) % self.replicas.len()
+        let n = self.replicas.len();
+        if n == 1 {
+            return 0;
+        }
+        let failing = |i: usize| self.replicas[i].health.failing();
+        let turn = self.next.fetch_add(1, Ordering::Relaxed);
+        let probe = turn % PROBE_EVERY == 0 && (0..n).any(failing);
+        let start = if probe { turn / PROBE_EVERY } else { turn } % n;
+        (0..n)
+            .map(|off| (start + off) % n)
+            .min_by_key(|&i| (failing(i) != probe, self.replicas[i].inflight()))
+            .expect("non-empty replica set")
     }
 
     /// Picks the reissue target: the healthiest replica other than the
@@ -1288,6 +1336,101 @@ mod tests {
         // All excluded: fall back to the global best rather than panic.
         let all = set.pick_reissue_excluding(&[0, 1, 2]);
         assert!(all < 3);
+    }
+
+    /// `n` listeners and a set of one connection to each. The test
+    /// keeps the accepted sockets: a request sent to one is never
+    /// answered, and stays outstanding until its socket is dropped.
+    fn silent_set(n: usize) -> (ReplicaSet, Vec<TcpStream>) {
+        let listeners: Vec<_> = (0..n)
+            .map(|_| std::net::TcpListener::bind("127.0.0.1:0").unwrap())
+            .collect();
+        let addrs: Vec<_> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+        let set = ReplicaSet::connect(&addrs, 1).unwrap();
+        let socks = listeners.iter().map(|l| l.accept().unwrap().0).collect();
+        (set, socks)
+    }
+
+    fn picks(set: &ReplicaSet, n: usize) -> Vec<usize> {
+        (0..n).map(|_| set.pick_primary()).collect()
+    }
+
+    fn assert_rotation(picked: &[usize], n: usize) {
+        for (i, &p) in picked.iter().enumerate() {
+            assert_eq!(p, (picked[0] + i) % n, "pick {i} of {picked:?}");
+        }
+    }
+
+    #[test]
+    fn pick_primary_rotates_when_idle_and_skips_the_replica_with_requests_outstanding() {
+        let (set, mut socks) = silent_set(3);
+        // Nothing outstanding: plain rotation, 10 picks each.
+        assert_rotation(&picks(&set, 30), 3);
+
+        // Two requests parked on replica 1 (one on the wire, one
+        // queued behind it on the same connection).
+        let tokens = [CancelToken::new(), CancelToken::new()];
+        let _parked: Vec<_> = tokens
+            .iter()
+            .map(|t| set.replica(1).request(Command::Ping, t.clone()))
+            .collect();
+        assert_eq!(set.replica(1).inflight(), 2);
+        let picked = picks(&set, 30);
+        assert!(!picked.contains(&1), "{picked:?}");
+
+        // Cancelled, and the silent peer gone: the wire attempt ends,
+        // the queued one never starts, both tickets come back.
+        tokens.iter().for_each(CancelToken::cancel);
+        drop(socks.remove(1));
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while set.replica(1).inflight() > 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "tickets never released"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_rotation(&picks(&set, 30), 3);
+    }
+
+    #[test]
+    fn pick_primary_demotes_a_failing_replica_and_probes_it_back_in() {
+        let (set, _socks) = silent_set(3);
+        // Replica 2 fails fast: nothing outstanding, errors only.
+        for _ in 0..20 {
+            set.replica(2).health().record_error();
+        }
+        // Turns 0..48: replica 2 gets the probes (turns 0, 16, 32) and
+        // nothing else.
+        let picked = picks(&set, 3 * PROBE_EVERY);
+        let probes = [0, PROBE_EVERY, 2 * PROBE_EVERY];
+        for (turn, &p) in picked.iter().enumerate() {
+            assert_eq!(p == 2, probes.contains(&turn), "turn {turn}: {picked:?}");
+        }
+        assert_eq!(set.pick_primary(), 2, "turn 48 is the next probe");
+        // Between probes a failing replica counts as busy whatever the
+        // counts say: the healthy two carry requests, it carries none.
+        let _parked: Vec<_> = (0..2)
+            .map(|r| set.replica(r).request(Command::Ping, CancelToken::new()))
+            .collect();
+        assert_ne!(set.pick_primary(), 2);
+        // Answered probes decay the error EWMA and re-admit it.
+        while set.replica(2).health().failing() {
+            set.replica(2).health().record_latency(1.0);
+        }
+        assert_eq!(set.pick_primary(), 2, "the only idle replica");
+    }
+
+    #[test]
+    fn one_replica_set_picks_without_reading_a_counter() {
+        let (set, _socks) = silent_set(1);
+        let _parked = set.replica(0).request(Command::Ping, CancelToken::new());
+        assert_eq!(picks(&set, 20), vec![0; 20]);
+        assert_eq!(
+            set.next.load(Ordering::Relaxed),
+            0,
+            "returned before its turn"
+        );
     }
 
     #[test]

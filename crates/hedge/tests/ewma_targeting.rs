@@ -124,9 +124,10 @@ fn reissue_targets_shift_away_from_sick_replica_and_return() {
     let heal_shares = target_shares(&before_heal, &after_heal);
 
     // Recovery path: the healed replica keeps receiving primaries
-    // (round-robin is health-blind by design), whose fast completions
-    // decay the EWMA back toward the baseline; reissue targeting
-    // follows. The floor of 0.12 is far above the ~0 share a
+    // (it answers, so nothing of this sequential client is outstanding
+    // on it at pick time and it keeps its turn in the rotation), whose
+    // fast completions decay the EWMA back toward the baseline;
+    // reissue targeting follows. The floor of 0.12 is far above the ~0 share a
     // never-recovering score would produce, yet comfortably below the
     // ~1/3 steady state, so it tolerates the early healed-phase draws
     // that still avoid the replica.

@@ -7,8 +7,11 @@ use hedge::{HedgeConfig, HedgedClient};
 use kvstore::{Command, IntSet, KvStore, Reply};
 use reissue_core::policy::ReissuePolicy;
 
-/// A store whose `SINTERCARD work work2` costs ~4 000 elementary ops:
-/// at 500 ns/op that is ~2 ms of service burn per query.
+/// A store whose `SINTERCARD work work2` probes 4 000 members into a
+/// 4 000-member set: 50 000 cost units under the probe cost model
+/// (`IntSet::intersect_probe`: 12 binary-search steps per probe and one
+/// unit per common member), which is what a replica burns; the
+/// pre-execution `estimate_cost` reads 4 002.
 fn work_store() -> KvStore {
     let mut store = KvStore::new();
     store.load_set("work", IntSet::from_unsorted((0..4_000u32).collect()));
@@ -16,8 +19,18 @@ fn work_store() -> KvStore {
     store
 }
 
-const WORK_CMD_COST_NANOS_FAST: u64 = 250; // ~1 ms per query
-const WORK_CMD_COST_NANOS_SICK: u64 = 5_000; // ~20 ms per query
+/// Service time of one `work_cmd` on a healthy and on a sick replica.
+const HEALTHY_MS: f64 = 1.0;
+const SICK_MS: f64 = 20.0;
+
+/// The burn rate at which one `work_cmd` takes `ms` milliseconds, from
+/// the cost the store itself charges for the command: a rate written
+/// down as a number goes stale when the cost model moves, and the
+/// tests then run at a load their comments do not state.
+fn nanos_per_op_for(ms: f64) -> u64 {
+    let (_, units) = work_store().execute(&work_cmd(0));
+    (ms * 1e6 / units as f64).round() as u64
+}
 
 fn work_cmd(_i: usize) -> Command {
     Command::SInterCard("work".into(), "work2".into())
@@ -33,27 +46,29 @@ fn work_cmd(_i: usize) -> Command {
 fn six_replicas_scripted_sickness_hedged_beats_unhedged() {
     let queries = 900;
     // Sicken replicas 0 and 1 from arrival 250 to arrival 500: a
-    // third of the cluster serves 20 ms/query instead of 1 ms.
+    // third of the cluster serves 20 ms/query instead of 1 ms. Healthy,
+    // 1 000 arrivals/s of 1 ms each on 6 replicas is ρ ≈ 0.17.
+    let (healthy, sick) = (nanos_per_op_for(HEALTHY_MS), nanos_per_op_for(SICK_MS));
     let script = vec![
         SicknessEvent {
             at_query: 250,
             replica: 0,
-            nanos_per_op: WORK_CMD_COST_NANOS_SICK,
+            nanos_per_op: sick,
         },
         SicknessEvent {
             at_query: 250,
             replica: 1,
-            nanos_per_op: WORK_CMD_COST_NANOS_SICK,
+            nanos_per_op: sick,
         },
         SicknessEvent {
             at_query: 500,
             replica: 0,
-            nanos_per_op: WORK_CMD_COST_NANOS_FAST,
+            nanos_per_op: healthy,
         },
         SicknessEvent {
             at_query: 500,
             replica: 1,
-            nanos_per_op: WORK_CMD_COST_NANOS_FAST,
+            nanos_per_op: healthy,
         },
     ];
     let load = LoadConfig {
@@ -66,7 +81,7 @@ fn six_replicas_scripted_sickness_hedged_beats_unhedged() {
     };
 
     let run = |policy: ReissuePolicy, budget_cap: Option<f64>| {
-        let cluster = Cluster::spawn(6, &work_store(), WORK_CMD_COST_NANOS_FAST).unwrap();
+        let cluster = Cluster::spawn(6, &work_store(), healthy).unwrap();
         let client = HedgedClient::connect(
             &cluster.addrs(),
             HedgeConfig {
@@ -84,6 +99,7 @@ fn six_replicas_scripted_sickness_hedged_beats_unhedged() {
     // ── Unhedged baseline ──────────────────────────────────────────
     let (base, base_stats) = run(ReissuePolicy::None, None);
     assert_eq!(base.dispatched + base.dropped, queries as u64);
+    assert_eq!(base.dropped, 0, "unhedged arm saturated");
     assert_eq!(base.lost(), 0, "unhedged run lost queries: {base:?}");
     assert_eq!(base.failed, 0);
     assert_eq!(base_stats.reissues, 0);
@@ -93,6 +109,7 @@ fn six_replicas_scripted_sickness_hedged_beats_unhedged() {
     let cap = 0.40;
     let (hedged, stats) = run(ReissuePolicy::single_r(4.0, 1.0), Some(cap));
     assert_eq!(hedged.dispatched + hedged.dropped, queries as u64);
+    assert_eq!(hedged.dropped, 0, "hedged arm saturated");
     assert_eq!(hedged.lost(), 0, "hedged run lost queries: {hedged:?}");
     assert_eq!(hedged.failed, 0);
     let p99_hedged = hedged.quantile(0.99).unwrap();
@@ -129,7 +146,7 @@ fn six_replicas_scripted_sickness_hedged_beats_unhedged() {
 #[test]
 fn overload_reports_drops_and_stays_bounded() {
     // 3 replicas × ~2 ms/query ≈ 1 500 qps capacity; offer 5 000 qps.
-    let cluster = Cluster::spawn(3, &work_store(), 500).unwrap();
+    let cluster = Cluster::spawn(3, &work_store(), nanos_per_op_for(2.0)).unwrap();
     let client = HedgedClient::connect(&cluster.addrs(), HedgeConfig::default()).unwrap();
     let queries = 1_500;
     let cap = 32;
@@ -213,7 +230,7 @@ fn burst_arrivals_account_exactly() {
 fn rate_script_segments_account_exactly() {
     use hedge::harness::RateEvent;
 
-    let cluster = Cluster::spawn(3, &work_store(), WORK_CMD_COST_NANOS_FAST).unwrap();
+    let cluster = Cluster::spawn(3, &work_store(), nanos_per_op_for(HEALTHY_MS)).unwrap();
     let client = HedgedClient::connect(&cluster.addrs(), HedgeConfig::default()).unwrap();
     let queries = 600;
     let slow = Arrivals::Poisson { mean_us: 2_000 };

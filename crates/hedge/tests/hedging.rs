@@ -289,10 +289,11 @@ fn failed_reissue_does_not_kill_healthy_primary() {
     .unwrap();
 
     for i in 0..10 {
-        // pick_primary round-robins, so odd queries have their primary
-        // on the dead replica and must be saved the other way around:
-        // the primary fails fast and the reissue to the healthy
-        // replica wins.
+        // A replica that fails fast looks idle, so until its error
+        // EWMA demotes it (and on every probe after that) pick_primary
+        // puts a primary on the dead replica. Those queries must be
+        // saved the other way around: the primary fails fast and the
+        // reissue to the healthy replica wins.
         let r = client
             .execute_blocking(Command::SInterCard("evens".into(), "threes".into()))
             .unwrap_or_else(|e| panic!("query {i} failed through a healthy replica: {e}"));

@@ -6,7 +6,11 @@
 //! "queries of death" behind round-robin connection sweeps, an
 //! open-loop generator offers the trace on a fixed clock, and the
 //! shared log-bucketed histogram records every wall-clock latency.
-//! The run compares:
+//! A primary goes to the replica with the fewest of this client's
+//! requests outstanding, so a replica blocked by a monster gets no
+//! more work until it answers; what hedging has left to remove is the
+//! body's own queueing, so the phases below now differ by tenths of a
+//! millisecond where they used to differ by tens. The run compares:
 //!
 //! 1. **Unhedged** — every query to one replica, no reissues.
 //! 2. **Hedged, independence model** — `hedge::HedgedClient` with the
@@ -58,8 +62,13 @@ const NANOS_PER_OP: u64 = 150;
 /// One in `MONSTER_EVERY` queries intersects the two huge sets below —
 /// §6.2's rare "query of death" (~500k probe ops ≈ 70 ms of service
 /// time vs ~0.5 ms typical). At 0.2% of the trace the monsters sit
-/// *below* the P99 rank, so the P99 measures their head-of-line
-/// **victims** — exactly the latency hedging can remove.
+/// *below* the P99 rank. Under blind dispatch the P99 measured their
+/// head-of-line victims (a third of the ≈87 arrivals of each 70 ms,
+/// 49–68 ms). Queue-aware dispatch leaves next to none (13 queries
+/// above 10 ms for 12 monsters: an arrival that finds every replica
+/// with one request outstanding cannot tell the monster from a regular
+/// query), so the unhedged P99 is the body's own queueing, 0.9–1.6 ms,
+/// and the hedged phases have a tenth of a millisecond to win or lose.
 const MONSTER_EVERY: usize = 500;
 /// Open-loop dispatch interval: ~0.8 ms between queries keeps baseline
 /// utilization near 25% of the 3-replica cluster's capacity.
@@ -351,9 +360,19 @@ fn main() {
             Some(true),
             "correlated optimizer should engage at full scale"
         );
+        // Not a strict `<`: primaries dodge a blocked replica by
+        // themselves, so there are no head-of-line victims left for a
+        // reissue to rescue (13 queries above 10 ms for 12 monsters).
+        // Both P99s are the body's own queueing (unhedged 0.89–1.62,
+        // hedged 0.91–1.09 ms over six runs) and their order is noise
+        // (it flipped in 3 of the 6, by at most 0.2 ms). What the run
+        // can still say is that hedging within its budget does not
+        // *cost* the tail, with the jitter allowance of the §3
+        // comparison below.
         assert!(
-            p99_hedged < p99_unhedged,
-            "hedged P99 {p99_hedged:.2} ms should beat unhedged {p99_unhedged:.2} ms"
+            p99_hedged <= p99_unhedged * 1.01 + 0.5,
+            "hedged P99 {p99_hedged:.2} ms must not cost the unhedged \
+             {p99_unhedged:.2} ms more than jitter (±1% + 0.5 ms)"
         );
         // The §3 comparison: at an equal realized reissue budget
         // (±1 percentage point), the two-stage schedule's P99 must not
@@ -387,8 +406,8 @@ fn main() {
              equal budget"
         );
         println!(
-            "hedged P99 beats unhedged at the true target P{:.0}: \
-             {p99_hedged:.2} ms < {p99_unhedged:.2} ms ({:.1}x reduction; \
+            "hedged P99 against unhedged at the true target P{:.0}: \
+             {p99_hedged:.2} ms vs {p99_unhedged:.2} ms ({:.2}x; \
              independent-model phase: {p99_ind:.2} ms); §3 static A/B at \
              equal budget ({r_multi:.3} vs {r_srs:.3}): DoubleR \
              {p99_multi:.2} ms ≤ SingleR {p99_srs:.2} ms",

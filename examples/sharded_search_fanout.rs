@@ -70,9 +70,11 @@ fn main() {
     // tail-at-scale ingredient: transient 4x slow windows staggered
     // across replicas (the independent per-machine noise a fan-out
     // compounds — with ~2.5% of legs degraded at any moment, a third
-    // of 16-wide fan-outs touch a slow replica). Primaries are
-    // targeted blind round-robin; reissues are health-aware, so the
-    // hedged phase can route around what the baseline must eat.
+    // of 16-wide fan-outs touch a slow replica). A primary goes to the
+    // replica with the fewest outstanding, which only sees a slow
+    // replica while a request is stuck on it; reissues are
+    // health-aware, so the hedged phase can route around what the
+    // baseline must still eat.
     let mean_us = (wl.mean_leg_ms() * 1e3 / (REPLICAS as f64 * UTIL)).max(1.0) as u64;
     let window = QUERIES / 10;
     let script: Vec<FanoutSickness> = (0..4)

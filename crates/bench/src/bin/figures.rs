@@ -1,8 +1,11 @@
 //! Regenerates the paper's figures. See `reissue_bench` crate docs.
 //!
 //! ```text
-//! figures [--fast] [--no-csv] <fig2a|fig2b|fig3|fig4|fig5a|fig5b|fig5c|fig6|fig7a|fig7b|fig7c|fig8|fig9|figtcp_62|figtcp_scaleout|tcp|fanout|ramp|discipline|erasure|throughput|all>...
+//! figures [--fast] [--no-csv] <id>...
 //! ```
+//!
+//! Run with no argument, it prints every id it accepts (the `FIGURES`
+//! table below, which is also what dispatches them).
 //!
 //! `tcp` regenerates the §6.2 figures through the real TCP serving
 //! path (see `figs_tcp`); `figtcp_62` and `figtcp_scaleout` select
@@ -28,45 +31,72 @@
 
 use reissue_bench::{
     figs_discipline, figs_erasure, figs_ext, figs_fanout, figs_ramp, figs_sim, figs_sys, figs_tcp,
-    figs_throughput, out_dir, write_bench_json, Scale, Table,
+    out_dir, write_bench_json, Scale, Table,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::Ordering;
 use std::time::Instant;
 
-/// Counting global allocator for the allocations/request column of the
-/// `throughput` figure (`reissue_bench::alloc_count` holds the counter;
-/// the lib crate forbids `unsafe`, so the `GlobalAlloc` impl lives
-/// here). Pure pass-through to [`System`] plus one relaxed increment
-/// per allocation event — cheap enough to leave installed for every
-/// figure.
-struct CountingAlloc;
+/// One figure: the ids that select it, its generator, and for the
+/// serving-path figures the JSON file its results persist to. The
+/// usage line and the dispatch both read this table.
+type Figure = (
+    &'static [&'static str],
+    fn(Scale) -> Vec<Table>,
+    Option<&'static str>,
+);
 
-// SAFETY: delegates every operation verbatim to `System`; the only
-// addition is a relaxed atomic increment, which allocates nothing.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        reissue_bench::alloc_count::ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
+const FIGURES: &[Figure] = &[
+    (&["fig2a"], figs_sim::fig2a, None),
+    (&["fig2b"], figs_sim::fig2b, None),
+    (&["fig3", "fig3a", "fig3b", "fig3c"], figs_sim::fig3, None),
+    (&["fig4"], figs_sim::fig4, None),
+    (&["fig5a"], figs_sim::fig5a, None),
+    (&["fig5b"], figs_sim::fig5b, None),
+    (&["fig5c"], figs_sim::fig5c, None),
+    (&["fig6"], figs_sim::fig6, None),
+    (&["fig7a"], figs_sys::fig7a, None),
+    (&["fig7b"], figs_sys::fig7b, None),
+    (&["fig7c"], figs_sys::fig7c, None),
+    (&["fig8"], figs_sys::fig8, None),
+    (&["fig9"], figs_sys::fig9, None),
+    (&["fig7to9"], figs_sys::fig7_to_9, None),
+    (&["ext1"], figs_ext::ext1_cancellation, None),
+    (&["ext2"], figs_ext::ext2_routing, None),
+    (&["ext3"], figs_ext::ext3_multiple_r, None),
+    (&["ext4"], figs_ext::ext4_online_correlated, None),
+    (&["ext"], figs_ext::all, None),
+    (&["figtcp_62"], figs_tcp::figtcp_62, Some("BENCH_tcp.json")),
+    (
+        &["figtcp_scaleout"],
+        figs_tcp::figtcp_scaleout,
+        Some("BENCH_tcp.json"),
+    ),
+    (&["tcp"], figs_tcp::all, Some("BENCH_tcp.json")),
+    (
+        &["fanout", "figtcp_fanout"],
+        figs_fanout::figtcp_fanout,
+        Some("BENCH_fanout.json"),
+    ),
+    (
+        &["ramp", "figtcp_ramp"],
+        figs_ramp::figtcp_ramp,
+        Some("BENCH_ramp.json"),
+    ),
+    (
+        &["discipline", "figtcp_discipline"],
+        figs_discipline::figtcp_discipline_matrix,
+        Some("BENCH_discipline.json"),
+    ),
+    (
+        &["erasure", "figtcp_erasure"],
+        figs_erasure::figtcp_erasure,
+        Some("BENCH_erasure.json"),
+    ),
+];
 
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        reissue_bench::alloc_count::ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        reissue_bench::alloc_count::ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+/// What `all` expands to: the simulator figures.
+const ALL: &[&str] = &[
+    "fig2a", "fig2b", "fig3", "fig4", "fig5a", "fig5b", "fig5c", "fig6", "fig7to9", "ext",
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -79,81 +109,36 @@ fn main() {
         .cloned()
         .collect();
     if figs.is_empty() {
+        let ids: Vec<&str> = FIGURES
+            .iter()
+            .flat_map(|(ids, ..)| ids.iter().copied())
+            .collect();
         eprintln!(
-            "usage: figures [--fast] [--no-csv] <fig2a|fig2b|fig3|fig4|fig5a|fig5b|fig5c|fig6|fig7a|fig7b|fig7c|fig8|fig9|figtcp_62|figtcp_scaleout|tcp|fanout|ramp|discipline|erasure|throughput|all>..."
+            "usage: figures [--fast] [--no-csv] <{}|all>...",
+            ids.join("|")
         );
         std::process::exit(2);
     }
     if figs.iter().any(|f| f == "all") {
-        figs = vec![
-            "fig2a".into(),
-            "fig2b".into(),
-            "fig3".into(),
-            "fig4".into(),
-            "fig5a".into(),
-            "fig5b".into(),
-            "fig5c".into(),
-            "fig6".into(),
-            "fig7to9".into(),
-            "ext".into(),
-        ];
+        figs = ALL.iter().map(|id| id.to_string()).collect();
     }
 
     let dir = out_dir();
     for fig in figs {
         let start = Instant::now();
-        let tables: Vec<Table> = match fig.as_str() {
-            "fig2a" => figs_sim::fig2a(scale),
-            "fig2b" => figs_sim::fig2b(scale),
-            "fig3" | "fig3a" | "fig3b" | "fig3c" => figs_sim::fig3(scale),
-            "fig4" => figs_sim::fig4(scale),
-            "fig5a" => figs_sim::fig5a(scale),
-            "fig5b" => figs_sim::fig5b(scale),
-            "fig5c" => figs_sim::fig5c(scale),
-            "fig6" => figs_sim::fig6(scale),
-            "fig7a" => figs_sys::fig7a(scale),
-            "fig7b" => figs_sys::fig7b(scale),
-            "fig7c" => figs_sys::fig7c(scale),
-            "fig8" => figs_sys::fig8(scale),
-            "fig9" => figs_sys::fig9(scale),
-            "fig7to9" => figs_sys::fig7_to_9(scale),
-            "ext1" => figs_ext::ext1_cancellation(scale),
-            "ext2" => figs_ext::ext2_routing(scale),
-            "ext3" => figs_ext::ext3_multiple_r(scale),
-            "ext4" => figs_ext::ext4_online_correlated(scale),
-            "ext" => figs_ext::all(scale),
-            "figtcp_62" => figs_tcp::figtcp_62(scale),
-            "figtcp_scaleout" => figs_tcp::figtcp_scaleout(scale),
-            "tcp" => figs_tcp::all(scale),
-            "fanout" | "figtcp_fanout" => figs_fanout::figtcp_fanout(scale),
-            "ramp" | "figtcp_ramp" => figs_ramp::figtcp_ramp(scale),
-            "discipline" | "figtcp_discipline" => figs_discipline::figtcp_discipline_matrix(scale),
-            "erasure" | "figtcp_erasure" => figs_erasure::figtcp_erasure(scale),
-            "throughput" => figs_throughput::figtcp_throughput(scale),
-            other => {
-                eprintln!("unknown figure id: {other}");
-                std::process::exit(2);
-            }
+        let Some(&(_, generate, json_name)) =
+            FIGURES.iter().find(|(ids, ..)| ids.contains(&fig.as_str()))
+        else {
+            eprintln!("unknown figure id: {fig}");
+            std::process::exit(2);
         };
+        let tables = generate(scale);
         let elapsed = start.elapsed();
         // The serving-path figures also persist machine-readable JSON
         // (P99s, realized budgets, drop fractions): at the repo root at
         // full scale, under `target/bench/` at smoke scale.
-        let json_name = match fig.as_str() {
-            "figtcp_62" | "figtcp_scaleout" | "tcp" => Some("BENCH_tcp.json"),
-            "fanout" | "figtcp_fanout" => Some("BENCH_fanout.json"),
-            "ramp" | "figtcp_ramp" => Some("BENCH_ramp.json"),
-            "discipline" | "figtcp_discipline" => Some("BENCH_discipline.json"),
-            "erasure" | "figtcp_erasure" => Some("BENCH_erasure.json"),
-            "throughput" => Some("BENCH_throughput.json"),
-            _ => None,
-        };
         if let Some(name) = json_name {
-            let queries = if fig == "throughput" {
-                figs_throughput::throughput_queries(scale)
-            } else {
-                figs_tcp::tcp_queries(scale)
-            };
+            let queries = figs_tcp::tcp_queries(scale);
             let path = if fast {
                 std::path::Path::new("target/bench").join(name)
             } else {

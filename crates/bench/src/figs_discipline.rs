@@ -21,9 +21,10 @@
 //! 2. **Discipline** (`figtcp_discipline`) — with the reissue budget
 //!    held equal, does a non-FIFO run-queue discipline beat FIFO's
 //!    P99? The §6.2 workload's queries of death head-of-line-block a
-//!    FIFO replica; `CostPriority` (shortest-estimated-job-first) and
-//!    `ShortestBurn` (the same with an aging bound against starvation)
-//!    let the cheap traffic overtake a *queued* monster, and
+//!    FIFO replica; `ShortestBurn` (shortest-estimated-job-first),
+//!    unaged in the `cost` column and with an aging bound against
+//!    starvation in the `srpt` column, lets the cheap traffic
+//!    overtake a *queued* monster, and
 //!    `RoundRobin` isolates connections from each other. Two rows per
 //!    utilization — an unhedged arm (budget 0, where the reordering
 //!    win lives) and a hedged arm at the calibrated `(d*, q*)` (where
@@ -283,7 +284,7 @@ pub fn figtcp_discipline_matrix(scale: Scale) -> Vec<Table> {
     let disciplines: [(&str, Discipline); 4] = [
         ("fifo", Discipline::Fifo),
         ("rr", Discipline::RoundRobin { connections: 0 }),
-        ("cost", Discipline::CostPriority),
+        ("cost", Discipline::ShortestBurn { boost: 0.0 }),
         ("srpt", Discipline::ShortestBurn { boost: SRPT_BOOST }),
     ];
     let mut disc_t = Table::new(

@@ -24,38 +24,6 @@ pub mod figs_ramp;
 pub mod figs_sim;
 pub mod figs_sys;
 pub mod figs_tcp;
-pub mod figs_throughput;
-
-/// Process-wide heap-allocation counter fed by the counting global
-/// allocator the `figures` binary installs (the lib crate forbids
-/// `unsafe`, so the `GlobalAlloc` impl lives in the binary). In any
-/// other host — unit tests, downstream crates — the counter stays at
-/// zero and [`alloc_count::installed`] reports `false`.
-pub mod alloc_count {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    /// Total allocation *events* (alloc + alloc_zeroed + realloc)
-    /// since process start. Incremented relaxed by the counting
-    /// allocator; byte sizes are deliberately not tracked — the
-    /// hot-path refactor targets allocation **count**, the per-event
-    /// allocator-lock/metadata cost.
-    pub static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-    /// Current allocation-event count.
-    pub fn allocations() -> u64 {
-        ALLOCATIONS.load(Ordering::Relaxed)
-    }
-
-    /// Whether a counting allocator is actually installed in this
-    /// process (probes by forcing a heap allocation and watching the
-    /// counter move).
-    pub fn installed() -> bool {
-        let before = allocations();
-        let probe: Vec<u8> = Vec::with_capacity(64);
-        std::hint::black_box(&probe);
-        allocations() > before
-    }
-}
 
 use reissue_core::adaptive::AdaptiveResult;
 use reissue_core::ReissuePolicy;

@@ -48,18 +48,17 @@ pub enum Discipline {
         /// Number of fixed sub-queues, or 0 for dynamic ids.
         connections: usize,
     },
-    /// Shortest-job-first on the *estimated* cost: the cheapest queued
-    /// request runs next, FIFO among ties. Non-preemptive, so a
+    /// Shortest-job-first on the *estimated* cost, with aging: the
+    /// effective priority of a queued item is `cost − boost · wait`,
+    /// and the lowest runs next, FIFO among ties. Non-preemptive, so a
     /// monster that already started still blocks, but one that is
     /// still queued no longer delays the cheap traffic behind it.
-    CostPriority,
-    /// SRPT-ish cost priority with aging: the effective priority of a
-    /// queued item is `cost − boost · wait`, so an expensive request
-    /// overtaken by cheap arrivals gains priority as it waits.
     ///
-    /// With `boost > 0` the starvation bound is explicit: after
-    /// waiting `cost / boost` time units, an item outranks any
-    /// zero-cost newcomer and must be served before it.
+    /// `boost: 0.0` is plain cost priority, under which a steady
+    /// stream of cheap arrivals can starve an expensive request. With
+    /// `boost > 0` the starvation bound is explicit: after waiting
+    /// `cost / boost` time units, an item outranks any zero-cost
+    /// newcomer and must be served before it.
     ShortestBurn {
         /// Priority units forgiven per unit of waiting time (cost
         /// units per ms in both the simulator and the TCP server).
@@ -70,8 +69,7 @@ pub enum Discipline {
 /// What a [`WaitQueue`] needs to know about a queued request.
 pub trait QueueItem {
     /// Estimated service cost, in whatever unit the host measures
-    /// ([`Discipline::CostPriority`] and [`Discipline::ShortestBurn`]
-    /// compare these).
+    /// ([`Discipline::ShortestBurn`] compares these).
     fn cost(&self) -> f64;
     /// Enqueue timestamp on the host's clock (ms); `pop` receives
     /// *now* on the same clock.
@@ -138,10 +136,6 @@ impl<T: QueueItem> WaitQueue<T> {
                 cursor: 0,
                 connections,
                 len: 0,
-            },
-            Discipline::CostPriority => WaitQueue::Priority {
-                items: Vec::new(),
-                boost: 0.0,
             },
             Discipline::ShortestBurn { boost } => WaitQueue::Priority {
                 items: Vec::new(),
@@ -384,7 +378,7 @@ mod tests {
 
     #[test]
     fn cost_priority_is_sjf_with_fifo_ties() {
-        let mut q = WaitQueue::new(Discipline::CostPriority);
+        let mut q = WaitQueue::new(Discipline::ShortestBurn { boost: 0.0 });
         q.push(item(0, 5.0, 0.0, false, 0));
         q.push(item(1, 1.0, 1.0, false, 0));
         q.push(item(2, 1.0, 2.0, false, 0));
@@ -434,7 +428,7 @@ mod tests {
 
     #[test]
     fn take_retracts_only_queued_items() {
-        let mut q = WaitQueue::new(Discipline::CostPriority);
+        let mut q = WaitQueue::new(Discipline::ShortestBurn { boost: 0.0 });
         q.push(item(0, 1.0, 0.0, false, 0));
         q.push(item(1, 2.0, 1.0, true, 0));
         assert_eq!(q.take(|it| it.id == 1).unwrap().id, 1);

@@ -169,7 +169,6 @@ impl StripedClient {
             budget_cap: cfg.budget_cap,
             governor: cfg.governor,
             pool_per_replica: cfg.pool_per_replica,
-            pipeline: 1,
             workers: cfg.workers,
             seed: cfg.seed,
             cancellation: cfg.cancellation,

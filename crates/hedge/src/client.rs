@@ -95,21 +95,10 @@ pub struct HedgeConfig {
     /// the same governor so hedging is per-shard but the *budget* is
     /// cross-shard.
     pub governor: Option<Arc<BudgetGovernor>>,
-    /// TCP connections per replica.
+    /// TCP connections per replica. Each carries one request at a time
+    /// (see [`crate::transport`]), so this is also the most requests of
+    /// this client a replica can hold on the wire.
     pub pool_per_replica: usize,
-    /// Requests each pooled connection keeps on the wire at once.
-    ///
-    /// `1` (the default) is strict request/reply: a connection writes
-    /// one frame and blocks for its reply, with per-attempt retries on
-    /// fresh sockets. Values above 1 pipeline: a connection batches up
-    /// to `pipeline` queued frames into single socket writes and
-    /// matches replies FIFO — amortizing syscalls and wakeups across
-    /// requests, which is where closed-loop throughput goes once the
-    /// per-request CPU cost is the bottleneck. Pipelined connections
-    /// trade away mid-stream retries (a dead socket fails everything
-    /// on the wire rather than replaying it), so hedged/tail-latency
-    /// serving should keep the default.
-    pub pipeline: usize,
     /// Executor worker threads.
     pub workers: usize,
     /// Seed for the reissue coin flips.
@@ -130,7 +119,6 @@ impl Default for HedgeConfig {
             budget_cap: None,
             governor: None,
             pool_per_replica: 4,
-            pipeline: 1,
             workers: 4,
             seed: 0x5EED,
             cancellation: CancellationStyle::Client,

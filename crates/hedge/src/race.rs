@@ -188,7 +188,7 @@ impl Core {
         addrs: &[SocketAddr],
         cfg: HedgeConfig,
     ) -> std::io::Result<Arc<Core>> {
-        let replicas = ReplicaSet::connect_pipelined(addrs, cfg.pool_per_replica, cfg.pipeline)?;
+        let replicas = ReplicaSet::connect(addrs, cfg.pool_per_replica)?;
         let governor = cfg.governor.clone().or_else(|| {
             cfg.budget_cap
                 .or(cfg.online.map(|o| 1.25 * o.budget))

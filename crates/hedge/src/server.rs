@@ -1240,15 +1240,15 @@ mod tests {
     #[test]
     fn cost_priority_discipline_reorders_across_connections() {
         // Three connections: a monster occupying the sweeper, then a
-        // big and a small request queued behind it. Under CostPriority
-        // the small one must be served before the big one even though
-        // it arrived later.
+        // big and a small request queued behind it. Under unaged
+        // ShortestBurn the small one must be served before the big
+        // one even though it arrived later.
         let server = TcpServer::bind(
             "127.0.0.1:0",
             monster_store(),
             TcpServerConfig {
                 nanos_per_op: 500,
-                discipline: Discipline::CostPriority,
+                discipline: Discipline::ShortestBurn { boost: 0.0 },
             },
         )
         .unwrap();

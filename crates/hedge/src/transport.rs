@@ -4,13 +4,23 @@
 //!
 //! Each pooled connection owns a dedicated I/O thread (blocking
 //! sockets; the async layer above parks on the attempt cell, see
-//! [`crate::sync`]). Requests
-//! are sequence-numbered per connection; cancelling an in-flight
-//! request writes `CANCEL <seq>` on the same connection, which the
-//! server answers with the `-ERR cancelled` marker if it managed to
-//! retract the frame (see [`crate::server`]). Either way every request
-//! gets exactly one reply, so the connection re-synchronizes by
-//! construction.
+//! [`crate::sync`]) running the one connection loop there is: write a
+//! frame, read its reply, take the next job. A connection never writes
+//! a second request before the first is answered. That is an invariant,
+//! not a default, and three things rest on it: an attempt that dies
+//! with its socket can be replayed alone on a fresh one (nothing else
+//! was on the wire to fail or to reorder), `CANCEL <seq>` names the
+//! one request a server can still be holding for this connection, and
+//! whatever [`Replica::inflight`] counts beyond one request per
+//! connection waits in this client's queues, where a cancel costs no
+//! wire frame, not in a socket buffer behind a slow request.
+//!
+//! Requests are sequence-numbered per connection; cancelling an
+//! in-flight request writes `CANCEL <seq>` on the same connection,
+//! which the server answers with the `-ERR cancelled` marker if it
+//! managed to retract the frame (see [`crate::server`]). Either way
+//! every request gets exactly one reply, so the connection
+//! re-synchronizes by construction.
 //!
 //! A connection that breaks (replica restart, broken pipe) does not
 //! poison its pool slot: the request that observed the failure is
@@ -289,20 +299,8 @@ pub struct Replica {
 }
 
 impl Replica {
-    /// Connects `pool` sockets to `addr` with strict request/reply
-    /// connections (pipeline depth 1).
+    /// Connects `pool` sockets to `addr`.
     pub fn connect(addr: SocketAddr, pool: usize) -> std::io::Result<Replica> {
-        Self::connect_pipelined(addr, pool, 1)
-    }
-
-    /// Connects `pool` sockets to `addr`, each keeping up to
-    /// `pipeline` requests on the wire (see
-    /// [`crate::HedgeConfig::pipeline`]).
-    pub fn connect_pipelined(
-        addr: SocketAddr,
-        pool: usize,
-        pipeline: usize,
-    ) -> std::io::Result<Replica> {
         let health = Arc::new(ReplicaHealth::new());
         let conns = (0..pool.max(1))
             .map(|i| {
@@ -313,13 +311,7 @@ impl Replica {
                 let health = health.clone();
                 let handle = std::thread::Builder::new()
                     .name(format!("hedge-conn-{addr}-{i}"))
-                    .spawn(move || {
-                        if pipeline > 1 {
-                            pipelined_conn_loop(addr, stream, writer, &rx, &health, pipeline)
-                        } else {
-                            conn_loop(addr, stream, writer, &rx, &health)
-                        }
-                    })
+                    .spawn(move || conn_loop(addr, stream, writer, &rx, &health))
                     .expect("spawn connection I/O thread");
                 Ok(Conn {
                     jobs: Some(tx),
@@ -699,204 +691,6 @@ fn conn_loop(
     }
 }
 
-/// Pipelined connection I/O loop (`pipeline > 1`).
-///
-/// Keeps up to `pipeline` requests on the wire at once: queued jobs
-/// are staged together, their frames coalesced into a *single*
-/// `write(2)`, and replies matched back FIFO — one read often
-/// completes several jobs. That amortizes the per-request kernel cost
-/// (write + read syscalls, futex wakeups, context switches) that
-/// bounds closed-loop throughput once user-space work is slim.
-///
-/// The error model is simpler than [`conn_loop`]'s: a frame on the
-/// wire is never replayed. A socket failure fails every in-flight job
-/// with the socket error, and the next staged batch dials a fresh
-/// connection (with jittered backoff between failed dials). Cancels
-/// still propagate by sequence number exactly as in the strict loop,
-/// through the same wire target in the attempt cell.
-fn pipelined_conn_loop(
-    addr: SocketAddr,
-    stream: TcpStream,
-    writer: TcpStream,
-    jobs: &mpsc::Receiver<Job>,
-    health: &ReplicaHealth,
-    pipeline: usize,
-) {
-    struct Wired {
-        job: Job,
-        dispatched: std::time::Instant,
-    }
-    let mut io = ConnIo {
-        reader: stream,
-        writer: Arc::new(Mutex::new(writer)),
-        buf: BytesMut::new(),
-        seq: 0,
-    };
-    let mut chunk = [0u8; 16 * 1024];
-    // Pooled buffers: the coalesced request batch and the staged jobs
-    // waiting to join the wire. Neither reallocates across batches.
-    let mut batch = BytesMut::new();
-    let mut staged: Vec<Job> = Vec::new();
-    let mut wired: std::collections::VecDeque<Wired> = std::collections::VecDeque::new();
-    let mut broken = false;
-    let mut dial_failures = 0usize;
-    let mut rng = SmallRng::seed_from_u64(u64::from(addr.port()) ^ 0x919E11);
-
-    /// Fails everything on the wire. The wire targets come out first,
-    /// under the writer lock, so a late cancel that wins that lock
-    /// after the redial finds none and never writes a stale sequence
-    /// number onto the fresh socket.
-    fn fail_wired(
-        writer: &Writer,
-        wired: &mut std::collections::VecDeque<Wired>,
-        e: &TransportError,
-    ) {
-        let stream = writer.lock().expect("writer lock poisoned");
-        for w in wired.iter() {
-            w.job.token.clear_wire(&stream);
-        }
-        drop(stream);
-        for w in wired.drain(..) {
-            w.job.token.complete(Err(e.clone()));
-        }
-    }
-
-    loop {
-        // Stage: top the wire up to `pipeline` jobs. Block for work
-        // only when fully idle; otherwise take what is already queued.
-        while wired.len() + staged.len() < pipeline {
-            let job = if wired.is_empty() && staged.is_empty() {
-                match jobs.recv() {
-                    Ok(j) => j,
-                    Err(_) => return, // pool dropped, nothing in flight
-                }
-            } else {
-                match jobs.try_recv() {
-                    Ok(j) => j,
-                    Err(_) => break,
-                }
-            };
-            if job.token.is_cancelled() {
-                job.token.complete(Err(TransportError::Cancelled));
-                continue;
-            }
-            staged.push(job);
-        }
-
-        if !staged.is_empty() {
-            if broken {
-                match reconnect(addr, &mut io) {
-                    Ok(()) => {
-                        broken = false;
-                        dial_failures = 0;
-                    }
-                    Err(e) => {
-                        health.record_error();
-                        let e = TransportError::Io(e.to_string());
-                        for job in staged.drain(..) {
-                            job.token.complete(Err(e.clone()));
-                        }
-                        dial_failures += 1;
-                        backoff(dial_failures, &mut rng);
-                        continue;
-                    }
-                }
-            }
-            // One write for the whole batch. Tie registrations ride
-            // immediately before their command (frames on this path
-            // are never replayed, so every staged job is a first
-            // attempt).
-            batch.clear();
-            for job in &staged {
-                if let Some(tie) = &job.tie {
-                    encode_command(&tie.command(), &mut batch);
-                }
-                encode_command(&job.cmd, &mut batch);
-            }
-            let mut stream = io.writer.lock().expect("writer lock poisoned");
-            if let Err(e) = stream.write_all(&batch) {
-                drop(stream);
-                broken = true;
-                health.record_error();
-                let e = TransportError::Io(e.to_string());
-                fail_wired(&io.writer, &mut wired, &e);
-                for job in staged.drain(..) {
-                    job.token.complete(Err(e.clone()));
-                }
-                continue;
-            }
-            let dispatched = std::time::Instant::now();
-            for job in staged.drain(..) {
-                job.token.set_wire(&io.writer, &mut stream, io.seq);
-                io.seq += 1;
-                wired.push_back(Wired { job, dispatched });
-            }
-        }
-
-        // Reap: deliver every complete reply already buffered, then
-        // read once if the wire still owes us replies.
-        loop {
-            match decode_reply(&mut io.buf) {
-                Ok(Some(reply)) => {
-                    let Some(w) = wired.pop_front() else {
-                        // A reply with no request on the wire: the
-                        // stream is desynced; dial fresh.
-                        broken = true;
-                        health.record_error();
-                        break;
-                    };
-                    w.job
-                        .token
-                        .clear_wire(&io.writer.lock().expect("writer lock poisoned"));
-                    let took_ms = w.dispatched.elapsed().as_secs_f64() * 1e3;
-                    let outcome = match reply {
-                        Reply::Error(e) if e == CANCELLED_MARKER => {
-                            health.record_censored_latency(took_ms);
-                            Err(TransportError::Cancelled)
-                        }
-                        r => {
-                            health.record_latency(took_ms);
-                            Ok(r)
-                        }
-                    };
-                    w.job.token.complete(outcome);
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    broken = true;
-                    health.record_error();
-                    fail_wired(
-                        &io.writer,
-                        &mut wired,
-                        &TransportError::Protocol(e.to_string()),
-                    );
-                    io.buf.clear();
-                    break;
-                }
-            }
-        }
-        if broken || wired.is_empty() {
-            continue;
-        }
-        match io.reader.read(&mut chunk) {
-            Ok(0) => {
-                broken = true;
-                health.record_error();
-                fail_wired(&io.writer, &mut wired, &TransportError::ConnectionClosed);
-            }
-            Ok(n) => io.buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(e) => {
-                broken = true;
-                health.record_error();
-                fail_wired(&io.writer, &mut wired, &TransportError::Io(e.to_string()));
-            }
-        }
-    }
-}
-
 /// The set of replica backends a [`crate::HedgedClient`] hedges
 /// across.
 pub struct ReplicaSet {
@@ -907,20 +701,10 @@ pub struct ReplicaSet {
 impl ReplicaSet {
     /// Connects to every address with `pool` connections each.
     pub fn connect(addrs: &[SocketAddr], pool: usize) -> std::io::Result<ReplicaSet> {
-        Self::connect_pipelined(addrs, pool, 1)
-    }
-
-    /// Connects with an explicit per-connection pipeline depth (see
-    /// [`crate::HedgeConfig::pipeline`]).
-    pub fn connect_pipelined(
-        addrs: &[SocketAddr],
-        pool: usize,
-        pipeline: usize,
-    ) -> std::io::Result<ReplicaSet> {
         assert!(!addrs.is_empty(), "need at least one replica");
         let replicas = addrs
             .iter()
-            .map(|&a| Replica::connect_pipelined(a, pool, pipeline).map(Arc::new))
+            .map(|&a| Replica::connect(a, pool).map(Arc::new))
             .collect::<std::io::Result<Vec<_>>>()?;
         Ok(ReplicaSet {
             replicas,
@@ -1446,102 +1230,5 @@ mod tests {
         std::thread::sleep(Duration::from_millis(30));
         assert_eq!(server.stats().commands, 0, "nothing should execute");
         server.shutdown();
-    }
-
-    #[test]
-    fn pipelined_connection_matches_replies_to_requests_fifo() {
-        // One socket, depth 8, 64 concurrent distinct GETs: every
-        // future must resolve to *its own* key's value, which only
-        // holds if the FIFO reply matching in the pipelined loop is
-        // exact across coalesced writes and batched reads.
-        let server =
-            TcpServer::bind("127.0.0.1:0", KvStore::new(), TcpServerConfig::default()).unwrap();
-        server.with_store(|store| {
-            for i in 0..64 {
-                let (reply, _) = store.execute(&Command::Set(
-                    format!("k{i}").into(),
-                    format!("v{i}").into(),
-                ));
-                assert_eq!(reply, Reply::Ok);
-            }
-        });
-        let replica = Arc::new(Replica::connect_pipelined(server.local_addr(), 1, 8).unwrap());
-        let rt = Runtime::new(2);
-        let handles: Vec<_> = (0..64)
-            .map(|i| {
-                let replica = replica.clone();
-                rt.spawn(async move {
-                    let r = replica
-                        .request(Command::Get(format!("k{i}").into()), CancelToken::new())
-                        .await
-                        .unwrap();
-                    assert_eq!(r, Reply::Str(format!("v{i}").into()), "reply for k{i}");
-                })
-            })
-            .collect();
-        for h in handles {
-            rt.block_on(h);
-        }
-        assert_eq!(server.stats().commands, 64);
-        server.shutdown();
-    }
-
-    #[test]
-    fn pipelined_connection_fails_inflight_and_redials() {
-        use kvstore::resp::{decode_command, encode_reply};
-
-        // A replica that answers one request per connection and slams
-        // the socket: the pipelined loop must fail what was on the
-        // wire *without replaying it* and dial fresh for later jobs.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            for _ in 0..2 {
-                let Ok((mut s, _)) = listener.accept() else {
-                    return;
-                };
-                let mut buf = BytesMut::new();
-                let mut chunk = [0u8; 1024];
-                loop {
-                    if let Ok(Some(_)) = decode_command(&mut buf) {
-                        let mut out = BytesMut::new();
-                        encode_reply(&Reply::Pong, &mut out);
-                        s.write_all(&out).unwrap();
-                        break; // drop the socket: abrupt close
-                    }
-                    let n = s.read(&mut chunk).unwrap();
-                    if n == 0 {
-                        break;
-                    }
-                    buf.extend_from_slice(&chunk[..n]);
-                }
-            }
-        });
-
-        let replica = Replica::connect_pipelined(addr, 1, 4).unwrap();
-        let rt = Runtime::new(1);
-        assert_eq!(
-            rt.block_on(replica.request(Command::Ping, CancelToken::new())),
-            Ok(Reply::Pong)
-        );
-        // The socket is now closed server-side; the next request dies
-        // on the wire and surfaces the socket error (no silent retry).
-        let dead = rt.block_on(replica.request(Command::Ping, CancelToken::new()));
-        assert!(dead.is_err(), "in-flight request must fail, got {dead:?}");
-        // A later job triggers the redial and succeeds.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            match rt.block_on(replica.request(Command::Ping, CancelToken::new())) {
-                Ok(r) => {
-                    assert_eq!(r, Reply::Pong);
-                    break;
-                }
-                Err(_) if std::time::Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) => panic!("redial never succeeded: {e:?}"),
-            }
-        }
-        server.join().unwrap();
     }
 }

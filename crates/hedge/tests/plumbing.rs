@@ -9,16 +9,17 @@
 //! cancel never lands on a socket its request was not written to, and
 //! a token cancelled before dispatch never reaches the wire.
 
+use hedge::server::CANCELLED_MARKER;
 use hedge::{
     CancelToken, HedgeConfig, HedgedClient, Replica, Runtime, TcpServer, TcpServerConfig,
     TransportError,
 };
-use kvstore::resp::{decode_command, encode_reply};
+use kvstore::resp::{decode_command, decode_reply, encode_command, encode_reply};
 use kvstore::{Command, KvStore, Reply};
 
 use bytes::BytesMut;
 use std::io::{Read, Write};
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
@@ -34,6 +35,11 @@ struct Seen {
     /// Requests that must never have been sent (cancelled up front).
     forbidden: AtomicU64,
     connections: AtomicU64,
+    /// The most request frames (`CANCEL`s not counted) one socket read
+    /// delivered. The fake answers a request before it reads again, so
+    /// a second one in the same read was written before the first was
+    /// answered.
+    most_requests_per_read: AtomicU64,
 }
 
 /// A replica that answers every `PING` at once, counts what it sees,
@@ -53,7 +59,6 @@ fn fake_replica(
                 return;
             }
             seen.connections.fetch_add(1, Ordering::Relaxed);
-            // Replies to a pipelined batch are separate small writes.
             sock.set_nodelay(true).unwrap();
             let mut buf = BytesMut::new();
             let mut chunk = [0u8; 4096];
@@ -61,6 +66,7 @@ fn fake_replica(
             // numbers a CANCEL here may legitimately name are 0..received.
             let mut received = 0u64;
             'conn: loop {
+                let before = received;
                 while let Some(cmd) = decode_command(&mut buf).expect("client speaks RESP") {
                     match cmd {
                         Command::Cancel(n) => {
@@ -86,6 +92,8 @@ fn fake_replica(
                         }
                     }
                 }
+                seen.most_requests_per_read
+                    .fetch_max(received - before, Ordering::Relaxed);
                 match sock.read(&mut chunk) {
                     Ok(0) | Err(_) => break 'conn,
                     Ok(n) => buf.extend_from_slice(&chunk[..n]),
@@ -93,6 +101,13 @@ fn fake_replica(
             }
         }
     })
+}
+
+fn spin_for(d: Duration) {
+    let until = std::time::Instant::now() + d;
+    while std::time::Instant::now() < until {
+        std::hint::spin_loop();
+    }
 }
 
 /// Awaits `fut` on `rt`, failing the test instead of hanging it if the
@@ -127,8 +142,11 @@ fn cancel_racing_completion_across_reconnects_resolves_each_attempt_once() {
     let mut completed = 0usize;
     let mut cancelled = 0usize;
     let mut failed = 0usize;
-    for (pool, pipeline, rounds) in [(1, 1, ATTEMPTS * 4 / 5), (1, 8, ATTEMPTS / 5)] {
-        let replica = Replica::connect_pipelined(addr, pool, pipeline).unwrap();
+    // One connection; `queued` attempts handed to it at once, so that
+    // in the second arm seven wait in its queue behind the one on the
+    // wire, where their cancels find them.
+    for (queued, rounds) in [(1, ATTEMPTS * 4 / 5), (8, ATTEMPTS / 5)] {
+        let replica = Replica::connect(addr, 1).unwrap();
         let mut i = 0usize;
         while i < rounds {
             // A token cancelled before dispatch: never on the wire
@@ -139,9 +157,8 @@ fn cancel_racing_completion_across_reconnects_resolves_each_attempt_once() {
                 let out = resolve(&rt, replica.request(Command::Get("never".into()), token));
                 assert_eq!(out, Err(TransportError::Cancelled));
             }
-            // `pipeline` attempts in flight at once; every other one
-            // is raced by the canceller.
-            let batch: Vec<_> = (0..pipeline.min(rounds - i))
+            // Every other attempt is raced by the canceller.
+            let batch: Vec<_> = (0..queued.min(rounds - i))
                 .map(|j| {
                     let token = CancelToken::new();
                     let fut = replica.request(Command::Ping, token.clone());
@@ -202,6 +219,11 @@ fn cancel_racing_completion_across_reconnects_resolves_each_attempt_once() {
         0,
         "a token cancelled before dispatch reached the wire"
     );
+    assert_eq!(
+        seen.most_requests_per_read.load(Ordering::Relaxed),
+        1,
+        "a connection wrote a second request before the first was answered"
+    );
 }
 
 /// The same race against the real server, where a cancel can land on
@@ -235,63 +257,94 @@ fn cancel_racing_service_stops_only_its_own_request() {
     let (to_canceller, tokens) = mpsc::channel::<(CancelToken, Duration)>();
     let canceller = std::thread::spawn(move || {
         for (token, after) in tokens {
-            let until = std::time::Instant::now() + after;
-            while std::time::Instant::now() < until {
-                std::hint::spin_loop();
-            }
+            spin_for(after);
             token.cancel();
         }
     });
-
-    let rt = Runtime::new(1);
+    let key = |n: usize| format!("k{}", n % KEYS);
+    // 0..600 µs, stepping through a prime stride.
     let mut offset_us = 0u64;
+    let mut next_offset = move || {
+        offset_us = (offset_us + 211) % 600;
+        Duration::from_micros(offset_us)
+    };
+    // One reply per request, in sequence order: replies are matched to
+    // requests by position, so a missing, doubled or misplaced marker
+    // would hand some request another key's value (or hang it).
     let mut stopped_or_retracted = 0usize;
-    for (pipeline, rounds) in [(1, REQUESTS / 2), (4, REQUESTS / 2)] {
-        let replica = Replica::connect_pipelined(server.local_addr(), 1, pipeline).unwrap();
-        let mut i = 0usize;
-        while i < rounds {
-            let batch: Vec<_> = (i..rounds.min(i + pipeline))
-                .map(|n| {
-                    let token = CancelToken::new();
-                    let fut = replica
-                        .request(Command::Get(format!("k{}", n % KEYS).into()), token.clone());
-                    if n % 2 == 0 {
-                        // 0..600 µs, stepping through a prime stride.
-                        offset_us = (offset_us + 211) % 600;
-                        to_canceller
-                            .send((token, Duration::from_micros(offset_us)))
-                            .unwrap();
-                    }
-                    (n, fut)
-                })
-                .collect();
-            i += batch.len();
-            for (n, fut) in batch {
-                // One reply per request, in sequence order: the
-                // transport matches replies to requests by position, so
-                // a missing, doubled or misplaced marker would hand
-                // some request another key's value (or hang it).
-                match resolve(&rt, fut) {
-                    Ok(reply) => assert_eq!(
-                        reply,
-                        Reply::Str(format!("v{}", n % KEYS).into()),
-                        "request {n} (pipeline {pipeline}) got another request's reply"
-                    ),
-                    Err(TransportError::Cancelled) => {
-                        assert!(
-                            n % 2 == 0,
-                            "request {n} (pipeline {pipeline}) inherited a cancel it was never sent"
-                        );
-                        stopped_or_retracted += 1;
-                    }
-                    Err(e) => panic!("request {n}: {e}"),
-                }
-            }
+    let mut check = |n: usize, arm: &str, outcome: Result<Reply, TransportError>| match outcome {
+        Ok(reply) => assert_eq!(
+            reply,
+            Reply::Str(format!("v{}", n % KEYS).into()),
+            "request {n} ({arm}) got another request's reply"
+        ),
+        Err(TransportError::Cancelled) => {
+            assert!(
+                n % 2 == 0,
+                "request {n} ({arm}) inherited a cancel it was never sent"
+            );
+            stopped_or_retracted += 1;
         }
-        drop(replica);
+        Err(e) => panic!("request {n} ({arm}): {e}"),
+    };
+
+    // The client's connection: one request on the wire, the cancel
+    // from another thread.
+    let rt = Runtime::new(1);
+    let replica = Replica::connect(server.local_addr(), 1).unwrap();
+    for n in 0..REQUESTS / 2 {
+        let token = CancelToken::new();
+        let fut = replica.request(Command::Get(key(n).into()), token.clone());
+        if n % 2 == 0 {
+            to_canceller.send((token, next_offset())).unwrap();
+        }
+        check(n, "client", resolve(&rt, fut));
     }
+    drop(replica);
     drop(to_canceller);
     canceller.join().unwrap();
+
+    // What no client of this crate writes and the server must still
+    // take from outside: four requests in one write, so that a cancel
+    // finds its request behind others of its own connection. A
+    // connection numbers its requests from zero, `CANCEL <seq>` names
+    // one of them and has no reply of its own.
+    let mut sock = TcpStream::connect(server.local_addr()).unwrap();
+    sock.set_nodelay(true).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let (mut out, mut buf) = (BytesMut::new(), BytesMut::new());
+    let mut chunk = [0u8; 4096];
+    for first in (0..REQUESTS / 2).step_by(4) {
+        let batch = first..(first + 4).min(REQUESTS / 2);
+        out.clear();
+        for n in batch.clone() {
+            encode_command(&Command::Get(key(n).into()), &mut out);
+        }
+        sock.write_all(&out).unwrap();
+        for n in batch.clone().filter(|n| n % 2 == 0) {
+            spin_for(next_offset());
+            out.clear();
+            encode_command(&Command::Cancel(n as u64), &mut out);
+            sock.write_all(&out).unwrap();
+        }
+        for n in batch {
+            let reply = loop {
+                if let Some(reply) = decode_reply(&mut buf).expect("server speaks RESP") {
+                    break reply;
+                }
+                let read = sock.read(&mut chunk).expect("a request was never answered");
+                assert!(read > 0, "server closed mid-reply");
+                buf.extend_from_slice(&chunk[..read]);
+            };
+            let outcome = match reply {
+                Reply::Error(e) if e == CANCELLED_MARKER => Err(TransportError::Cancelled),
+                reply => Ok(reply),
+            };
+            check(n, "four per write", outcome);
+        }
+    }
+    assert!(buf.is_empty(), "a reply nobody asked for: {buf:?}");
 
     let stats = server.stats();
     assert!(

@@ -216,15 +216,15 @@ fn cheap_tail_under(discipline: Discipline) -> f64 {
 }
 
 /// The discipline A/B shape at CI scale: under head-of-line-blocking
-/// monsters, shortest-job-first (`CostPriority`) must serve the cheap
-/// traffic ahead of the *queued* monster, beating FIFO's cheap-query
-/// tail. FIFO drains both monsters (~2 × 220 ms of service) before the
+/// monsters, shortest-job-first (unaged `ShortestBurn`) must serve the
+/// cheap traffic ahead of the *queued* monster, beating FIFO's
+/// cheap-query tail. FIFO drains both monsters (~2 × 220 ms of service) before the
 /// later-admitted cheap wave, while shortest-job-first waits out only
 /// the monster already executing.
 #[test]
 fn cost_priority_beats_fifo_tail_under_monsters() {
     let fifo = cheap_tail_under(Discipline::Fifo);
-    let sjf = cheap_tail_under(Discipline::CostPriority);
+    let sjf = cheap_tail_under(Discipline::ShortestBurn { boost: 0.0 });
     assert!(
         sjf < fifo,
         "shortest-job-first must beat FIFO's cheap-query tail under \

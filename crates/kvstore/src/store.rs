@@ -162,9 +162,9 @@ pub trait Backend: Send + 'static {
     fn execute(&mut self, cmd: &Command) -> (Reply, u64);
 
     /// Cheap *pre-execution* cost estimate for queue scheduling
-    /// (`Discipline::CostPriority` / `Discipline::ShortestBurn` order
-    /// by it). Must not mutate state and should be O(1)-ish — it runs
-    /// at enqueue time on the reader path. The default claims every
+    /// (`Discipline::ShortestBurn` orders by it). Must not mutate state
+    /// and should be O(1)-ish — it runs at enqueue time on the reader
+    /// path. The default claims every
     /// command costs 1, which degrades cost-aware disciplines to FIFO
     /// without breaking them.
     fn estimate_cost(&self, cmd: &Command) -> u64 {

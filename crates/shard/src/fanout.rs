@@ -181,10 +181,6 @@ impl FanoutClient {
                     budget_cap: None,
                     governor: governor.clone(),
                     pool_per_replica: cfg.pool_per_replica,
-                    // Hedged legs stay strict request/reply: pipelining
-                    // trades away the retraction/retry semantics the
-                    // tail-latency path depends on.
-                    pipeline: 1,
                     workers: cfg.workers,
                     seed: cfg
                         .seed

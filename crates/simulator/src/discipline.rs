@@ -136,7 +136,7 @@ mod tests {
 
     #[test]
     fn cost_priority_serves_cheapest_first() {
-        let mut q = WaitQueue::new(Discipline::CostPriority);
+        let mut q = WaitQueue::new(Discipline::ShortestBurn { boost: 0.0 });
         q.push(QueuedRequest {
             query: 1,
             is_reissue: false,

@@ -3,32 +3,57 @@
 //! A striped read is one [`Job`] of the race engine ([`mod@hedge::race`]),
 //! which owns the stage timers, the governor ask, loser retraction and
 //! the `(straggler, first reissue)` pair book for every kind of race.
-//! What makes the race a *stripe* is the job's five answers:
+//! What makes the race a *stripe* is the job's six answers:
 //!
-//! 1. the first wave is the `k` *data*-fragment reads;
-//! 2. attempt `s` is `FGET key s` to replica `(s + o) % n` for the
-//!    key's rotation offset `o` (see [`crate::placement_offset`]), so
-//!    the `r`-th reissue fetches fragment `k + r`, a parity clone on a
-//!    replica not yet involved, instead of a second full copy;
+//! 1. the first wave is `k` fragment reads that decode: the `k`
+//!    least-loaded of the key's placed fragments, ranked as
+//!    [`ReplicaSet::pick_primary`] ranks replicas (a
+//!    [failing](hedge::transport::ReplicaHealth::failing) replica
+//!    last, then fewest requests of this client outstanding), ties to
+//!    the data slot. Any `k − 1` data fragments and a parity clone
+//!    decode, so that is the `k` data slots with the most loaded one
+//!    swapped for the least loaded parity clone when the clone's
+//!    replica has strictly fewer outstanding: a read goes around the
+//!    one server a monster fragment is blocking, and an idle group
+//!    decodes without parity;
+//! 2. each reissue is `FGET` of the least-loaded slot not yet asked
+//!    that can still contribute: a data slot, or a parity clone while
+//!    no parity payload is in hand, never a second full copy. Where a
+//!    slot lives is still the key's rotation ([`crate::placement_offset`]:
+//!    slot `s` on replica `(s + o) % n`); *which* slots are read is
+//!    decided per read. The engine numbers attempts by dispatch order,
+//!    so the job keeps the attempt → slot table;
 //! 3. a payload is banked, and the read is done as soon as the
 //!    fragments in hand decode (all `k` data fragments, or `k − 1` of
-//!    them plus a parity clone) or all `k` data slots answered `Nil`
-//!    (the key has no stripe);
-//! 4. there are `n` attempts to make, one per fragment;
-//! 5. the result is the decoded value.
+//!    them plus a parity clone) or `k` of the slots asked answered
+//!    `Nil` (the key has no stripe);
+//! 4. there are `n` attempts to make, one per fragment, fewer once a
+//!    parity payload is in hand (its clones are then not worth asking);
+//! 5. the front stage is held while fewer than `k − 1` fragments are
+//!    in hand: XOR parity repairs one erasure, so until then no single
+//!    reissue could be the decoding fragment, and a monster read whose
+//!    `k` fragments are all slow would only block one more server with
+//!    a read that cannot end the race. A held stage that is past due
+//!    goes out with the `(k − 1)`-th fragment. `k = 1` never holds;
+//! 6. the result is the decoded value.
+//!
+//! The demotion of a failing replica has no probe of its own (unlike
+//! `pick_primary`): a fragment replica that healed is read again by
+//! reissues, rescues and writes, and re-admitted once their successes
+//! bring its error EWMA back under one half.
 //!
 //! That is the erasure-coding trade at the heart of this subsystem:
 //! the hedge costs `1/k` of a full read, so at an equal *byte* budget
 //! the fragment client can afford `k×` the reissue probability of the
 //! replica client ([`reissue_core::kofn::fragment_budget`]).
 //!
-//! Under [`CancellationStyle::Tied`] the engine has every data
+//! Under [`CancellationStyle::Tied`] the engine has every first-wave
 //! fragment register a tie id and the *first* reissue name the
-//! straggler (the lowest-index data slot still outstanding) as its
-//! peer, so whichever server dequeues first retracts the other
-//! server-to-server; client-driven `CANCEL` remains the fallback for
-//! everything the tie does not cover. Retractions that land in time
-//! book **censored** `(straggler, reissue)` pairs.
+//! straggler (the earliest-dispatched first-wave attempt still
+//! outstanding) as its peer, so whichever server dequeues first
+//! retracts the other server-to-server; client-driven `CANCEL` remains
+//! the fallback for everything the tie does not cover. Retractions
+//! that land in time book **censored** `(straggler, reissue)` pairs.
 
 use crate::codec::{self, decodable};
 use hedge::race::{Core, Job, Verdict, MAX_ATTEMPTS};
@@ -226,7 +251,8 @@ impl StripedClient {
         self.execute_blocking(set).map(|_| ())
     }
 
-    /// Executes one command. `GET` runs the k-of-n fragment race;
+    /// Executes one command. `GET` runs the k-of-n fragment race over
+    /// the least-loaded fragments that decode (see the module docs);
     /// `SET` writes a stripe (slot `s`'s fragment to the key's rotated
     /// replica `(s + offset) % n`, awaiting every `FSET`
     /// acknowledgement); everything else passes through untouched to
@@ -294,17 +320,107 @@ impl hedge::LoadClient for StripedClient {
     }
 }
 
-/// One striped read as a race (see the module docs for its five
+/// Which slots of one stripe a read has asked, in what order, and which
+/// answered with a payload: everything the choice of the next slot
+/// depends on apart from the replicas' load. Slot sets are bit masks
+/// (bit `s` is slot `s`; a stripe spans at most [`MAX_ATTEMPTS`]
+/// replicas).
+#[derive(Clone, Copy)]
+struct Slots {
+    k: usize,
+    n: usize,
+    /// Slot fetched by attempt `i`. The engine numbers attempts by
+    /// dispatch order; which fragment each one asked for is kept here.
+    of_attempt: [u8; MAX_ATTEMPTS],
+    attempts: usize,
+    asked: u16,
+    banked: u16,
+}
+
+impl Slots {
+    fn new(k: usize, n: usize) -> Self {
+        Slots {
+            k,
+            n,
+            of_attempt: [0; MAX_ATTEMPTS],
+            attempts: 0,
+            asked: 0,
+            banked: 0,
+        }
+    }
+
+    fn data(&self) -> u16 {
+        (1 << self.k) - 1
+    }
+
+    /// Slots still worth asking. An unasked data slot always is. The
+    /// parity clones all carry the one equation XOR has: the first
+    /// wave takes at most one of them (two would not decode with
+    /// `k − 2` data fragments), and a reissue asks for another only
+    /// until one has answered (a clone that is merely slow may be
+    /// overtaken by the next).
+    fn open(&self) -> u16 {
+        let unasked = !self.asked & ((1 << self.n) - 1);
+        let spoken_for = if self.attempts < self.k {
+            self.asked
+        } else {
+            self.banked
+        };
+        if spoken_for & !self.data() == 0 {
+            unasked
+        } else {
+            unasked & self.data()
+        }
+    }
+
+    /// Attempts made plus attempts still worth making.
+    fn capacity(&self) -> usize {
+        self.attempts + self.open().count_ones() as usize
+    }
+
+    /// Takes the open slot `rank` puts first, ties to the lowest slot,
+    /// so a data slot goes before a parity clone no better placed and
+    /// an idle group decodes without parity.
+    fn take<R: Ord>(&mut self, rank: impl Fn(usize) -> R) -> usize {
+        let open = self.open();
+        let slot = (0..self.n)
+            .filter(|s| open >> s & 1 == 1)
+            .min_by_key(|&s| rank(s))
+            .expect("the engine dispatches within capacity()");
+        self.of_attempt[self.attempts] = slot as u8;
+        self.attempts += 1;
+        self.asked |= 1 << slot;
+        slot
+    }
+
+    fn banked_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.n).filter(|s| self.banked >> s & 1 == 1)
+    }
+
+    fn data_in_hand(&self) -> usize {
+        (self.banked & self.data()).count_ones() as usize
+    }
+
+    /// Independent fragments in hand: the data fragments, and one for
+    /// any number of parity clones.
+    fn in_hand(&self) -> usize {
+        let parity = self.banked & !self.data() != 0;
+        self.data_in_hand() + usize::from(parity)
+    }
+}
+
+/// One striped read as a race (see the module docs for its six
 /// answers).
 struct StripeJob<'a> {
     client: &'a ScInner,
     key: Bytes,
     /// The key's placement rotation.
     offset: usize,
+    slots: Slots,
     /// Payload per slot that answered with one.
     fragments: [Option<Bytes>; MAX_ATTEMPTS],
-    /// Data slots that answered `Nil`.
-    nil_data_slots: usize,
+    /// Slots that answered `Nil`.
+    nil_slots: usize,
 }
 
 impl<'a> StripeJob<'a> {
@@ -313,14 +429,14 @@ impl<'a> StripeJob<'a> {
             offset: crate::placement_offset(&key, client.n),
             client,
             key,
+            slots: Slots::new(client.k, client.n),
             fragments: std::array::from_fn(|_| None),
-            nil_data_slots: 0,
+            nil_slots: 0,
         }
     }
 
     fn decodable(&self) -> bool {
-        let present = (0..self.client.n).filter(|&s| self.fragments[s].is_some());
-        decodable(self.client.k, present)
+        decodable(self.client.k, self.slots.banked_slots())
     }
 }
 
@@ -330,18 +446,32 @@ impl Job for StripeJob<'_> {
     }
 
     fn capacity(&self) -> usize {
-        self.client.n
+        self.slots.capacity()
     }
 
-    fn attempt(&mut self, slot: usize, _: &ReplicaSet, _: &[usize]) -> (Command, usize) {
+    /// XOR parity repairs one erasure, so a reissue can be the
+    /// decoding fragment only once `k − 1` are in hand.
+    fn holds(&self) -> bool {
+        self.slots.in_hand() + 1 < self.client.k
+    }
+
+    fn attempt(&mut self, _: usize, replicas: &ReplicaSet, _: &[usize]) -> (Command, usize) {
+        let (n, offset) = (self.client.n, self.offset);
+        // `pick_primary`'s rank, over the replicas holding this key.
+        let slot = self.slots.take(|s| {
+            let replica = replicas.replica((s + offset) % n);
+            (replica.health().failing(), replica.inflight())
+        });
         let cmd = Command::FGet(self.key.clone(), slot as u32);
-        (cmd, (slot + self.offset) % self.client.n)
+        (cmd, (slot + offset) % n)
     }
 
-    fn accept(&mut self, slot: usize, reply: Reply) -> Verdict {
+    fn accept(&mut self, attempt: usize, reply: Reply) -> Verdict {
+        let slot = usize::from(self.slots.of_attempt[attempt]);
         match reply {
             Reply::Str(payload) => {
                 self.fragments[slot] = Some(payload);
+                self.slots.banked |= 1 << slot;
                 if self.decodable() {
                     Verdict::Done
                 } else {
@@ -349,14 +479,13 @@ impl Job for StripeJob<'_> {
                 }
             }
             // Absent fragment: not an error in transit, but it can
-            // never contribute to the decode. Once every data slot
-            // has answered so, the key has no stripe, which is an
-            // answer.
+            // never contribute to the decode. A stripe is written
+            // whole, so once `k` of its slots (each attempt asks a
+            // different one, data or parity) have answered so, the key
+            // has no stripe, which is an answer.
             Reply::Nil => {
-                if slot < self.client.k {
-                    self.nil_data_slots += 1;
-                }
-                if self.nil_data_slots >= self.client.k {
+                self.nil_slots += 1;
+                if self.nil_slots >= self.client.k {
                     Verdict::Done
                 } else {
                     Verdict::Useless(None)
@@ -371,13 +500,13 @@ impl Job for StripeJob<'_> {
     fn finish(self) -> Result<Reply, TransportError> {
         let k = self.client.k;
         if !self.decodable() {
-            return Ok(if self.nil_data_slots >= k {
+            return Ok(if self.nil_slots >= k {
                 Reply::Nil
             } else {
                 Reply::Error("ERASURE undecodable: too few fragments".into())
             });
         }
-        if self.fragments[..k].iter().flatten().count() < k {
+        if self.slots.data_in_hand() < k {
             self.client
                 .decodes_with_parity
                 .fetch_add(1, Ordering::Relaxed);
@@ -389,5 +518,73 @@ impl Job for StripeJob<'_> {
         codec::decode_stripe(&present)
             .map(Reply::Str)
             .map_err(|e| TransportError::Protocol(format!("ERASURE {e}")))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every geometry up to `(4, 6)` under every pattern of failing
+    /// flags and outstanding counts (two levels each: four ranks per
+    /// slot, ties included).
+    #[test]
+    fn every_wave_decodes_and_every_reissue_can_contribute() {
+        for n in 1..=6usize {
+            for k in 1..=n.min(4) {
+                for pattern in 0..4usize.pow(n as u32) {
+                    let rank = |s: usize| {
+                        let r = pattern >> (2 * s) & 3;
+                        (r >= 2, r % 2)
+                    };
+                    let mut slots = Slots::new(k, n);
+                    let wave: Vec<usize> = (0..k).map(|_| slots.take(rank)).collect();
+
+                    // The k data slots, the most loaded swapped for the
+                    // least loaded parity clone iff that one ranks
+                    // strictly better.
+                    let worst_data = (0..k).max_by_key(|&s| rank(s)).unwrap();
+                    let swap = (k..n)
+                        .min_by_key(|&s| rank(s))
+                        .filter(|&p| rank(p) < rank(worst_data));
+                    let mut expected: Vec<usize> = (0..k)
+                        .filter(|&s| swap.is_none() || s != worst_data)
+                        .chain(swap)
+                        .collect();
+                    expected.sort_unstable();
+                    let mut sorted = wave.clone();
+                    sorted.sort_unstable();
+                    let case = format!("k={k} n={n} pattern={pattern:#x} wave={wave:?}");
+                    assert_eq!(sorted, expected, "{case}");
+                    assert_eq!(slots.asked.count_ones() as usize, k, "{case}");
+                    assert!(decodable(k, wave.iter().copied()), "{case}");
+                    assert!(wave.iter().filter(|&&s| s >= k).count() <= 1, "{case}");
+
+                    // Reissues, from every subset of the wave banked,
+                    // with and without their own payloads arriving.
+                    for banked in 0..1u16 << k {
+                        for reissues_answer in [false, true] {
+                            let mut slots = slots;
+                            for (i, &s) in wave.iter().enumerate() {
+                                slots.banked |= (banked >> i & 1) << s;
+                            }
+                            while slots.attempts < slots.capacity() {
+                                let before = slots;
+                                let s = slots.take(rank);
+                                assert_eq!(before.asked >> s & 1, 0, "{case}: {s} asked twice");
+                                assert!(
+                                    s < k || before.banked & !before.data() == 0,
+                                    "{case}: clone {s} asked with parity in hand"
+                                );
+                                if reissues_answer {
+                                    slots.banked |= 1 << s;
+                                }
+                            }
+                            assert_eq!(slots.asked & slots.data(), slots.data(), "{case}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -169,23 +169,18 @@ pub fn parse_fragment(bytes: &[u8]) -> Result<Fragment<'_>, CodecError> {
 /// least one parity clone. Duplicates are tolerated if byte-identical;
 /// conflicting duplicates and mixed-stripe fragments are rejected.
 pub fn decode_stripe(fragments: &[impl AsRef<[u8]>]) -> Result<Bytes, CodecError> {
-    let mut parsed = Vec::with_capacity(fragments.len());
-    for f in fragments {
-        parsed.push(parse_fragment(f.as_ref())?);
-    }
-    let first = parsed
-        .first()
-        .ok_or(CodecError::Insufficient {
-            data: 0,
-            parity: 0,
-            k: 0,
-        })?
-        .clone();
+    let none = CodecError::Insufficient {
+        data: 0,
+        parity: 0,
+        k: 0,
+    };
+    let first = parse_fragment(fragments.first().ok_or(none)?.as_ref())?;
     let (k, n, orig_len) = (first.k as usize, first.n as usize, first.orig_len as usize);
     let flen = fragment_len(orig_len, k);
     let mut data: Vec<Option<&[u8]>> = vec![None; k];
     let mut parity: Option<&[u8]> = None;
-    for f in &parsed {
+    for f in fragments {
+        let f = parse_fragment(f.as_ref())?;
         if (f.k as usize, f.n as usize, f.orig_len as usize) != (k, n, orig_len) {
             return Err(CodecError::Inconsistent("mixed stripe parameters"));
         }
@@ -222,21 +217,16 @@ pub fn decode_stripe(fragments: &[impl AsRef<[u8]>]) -> Result<Bytes, CodecError
         }
     } else {
         // Exactly one data stripe missing: it is the XOR of parity and
-        // every present stripe.
+        // every present stripe, built in its own place in `value`.
         let missing = data.iter().position(|d| d.is_none()).expect("one missing");
-        let mut rebuilt = parity.expect("parity present").to_vec();
+        let parity = parity.expect("parity present");
+        for d in &data {
+            value.extend_from_slice(d.unwrap_or(parity));
+        }
+        let rebuilt = &mut value[missing * flen..(missing + 1) * flen];
         for d in data.iter().flatten() {
             for (r, b) in rebuilt.iter_mut().zip(*d) {
                 *r ^= b;
-            }
-        }
-        for (slot, d) in data.iter().enumerate() {
-            match d {
-                Some(d) => value.extend_from_slice(d),
-                None => {
-                    debug_assert_eq!(slot, missing);
-                    value.extend_from_slice(&rebuilt);
-                }
             }
         }
     }

@@ -5,8 +5,8 @@
 //! request for every reissue. Erasure-coded striping shrinks that
 //! price to `1/k`: a value is split into `k` data fragments plus
 //! `n − k` XOR-parity fragments spread over a replica group, a read
-//! fans out the `k` data fragments, and the `(d, q)` reissue timer
-//! arms over the *straggling fragment* — the hedge fetches one parity
+//! fans out `k` fragment reads, and the `(d, q)` reissue timer arms
+//! over the *straggling fragment* — the hedge fetches one more
 //! fragment instead of a second full copy, and the stripe completes as
 //! soon as **any** decodable k-subset is in hand (Aggarwal et al.'s
 //! "Taming Tail Latency for Erasure-coded, Distributed Storage
@@ -31,11 +31,12 @@
 //!   reads genuinely occupy a server for `~1/k` of a full read's time.
 //! * [`client`] — [`StripedClient`], the k-of-n read as a job of the
 //!   race engine `hedge::race` (the one that runs replica hedging;
-//!   replication is the `k = 1` code): a first wave of `k` fragment
-//!   reads, parity fragments as the reissues, done when the fragments
-//!   in hand decode. Stage timers, the budget governor, tied-request
-//!   retraction of the straggler and censored-pair booking are the
-//!   engine's.
+//!   replication is the `k = 1` code): a first wave of the `k`
+//!   least-loaded fragments that decode, the least-loaded fragment
+//!   still useful as each reissue (held until it could be the decoding
+//!   one), done when the fragments in hand decode. Stage timers, the
+//!   budget governor, tied-request retraction of the straggler and
+//!   censored-pair booking are the engine's.
 //!
 //! Fragments travel the existing RESP wire as `FGET`/`FSET` commands
 //! and live in a map of their own beside the keyspace
@@ -49,11 +50,12 @@
 //! data fragments on replicas `0..k` and leave the parity replicas
 //! idle until a reissue — giving the data replicas `n/k×` the load of
 //! a replica-hedged group at the same offered rate and poisoning any
-//! equal-budget comparison. Rotation spreads both the primary and the
-//! reissue bytes uniformly by count, as replica hedging's primary
-//! dispatch does; unlike that dispatch
-//! ([`hedge::transport::ReplicaSet::pick_primary`]) it is fixed per
-//! key and does not look at what each replica has outstanding.
+//! equal-budget comparison. Rotation spreads the stored bytes, and the
+//! reads of an idle group, uniformly by count. It is the *storage*
+//! map only: which `k` of a key's `n` placed fragments a read asks
+//! for is decided per read by what each replica has outstanding, the
+//! way replica hedging places its primary
+//! ([`hedge::transport::ReplicaSet::pick_primary`]; see [`client`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,7 +3,10 @@
 //! byte-expensive blocker. The hedged read must complete via the
 //! parity fragment, retract the straggler, and book the censored
 //! `(straggler, reissue)` pair — the full fragment-hedging loop the
-//! tentpole promises.
+//! tentpole promises. Then the two halves of load-aware dispatch, by
+//! their accounting: a first wave that leaves out the data replica this
+//! client already has a request at, and a reissue that waits until it
+//! could be the decoding fragment.
 
 use bytes::{Bytes, BytesMut};
 use erasure::{StripedBackend, StripedClient, StripedConfig};
@@ -29,9 +32,6 @@ fn bind_striped_servers(
     k: usize,
     cfgs: &[TcpServerConfig],
 ) -> Vec<TcpServer<StripedBackend>> {
-    let n = cfgs.len();
-    let frags = erasure::encode_stripe(value, k, n).unwrap();
-    let offset = erasure::placement_offset(key.as_bytes(), n);
     let servers: Vec<_> = cfgs
         .iter()
         .map(|cfg| {
@@ -43,6 +43,15 @@ fn bind_striped_servers(
             .unwrap()
         })
         .collect();
+    seed_stripe(&servers, key, value, k);
+    servers
+}
+
+/// Stores `key`'s `(k, n)` stripe straight into the servers' stores.
+fn seed_stripe(servers: &[TcpServer<StripedBackend>], key: &str, value: &[u8], k: usize) {
+    let n = servers.len();
+    let frags = erasure::encode_stripe(value, k, n).unwrap();
+    let offset = erasure::placement_offset(key.as_bytes(), n);
     for (slot, frag) in frags.iter().enumerate() {
         servers[(slot + offset) % n].with_store(|s| {
             s.store_mut().execute(&Command::FSet(
@@ -52,7 +61,6 @@ fn bind_striped_servers(
             ))
         });
     }
-    servers
 }
 
 /// Plain striped round-trip, no hedging: put through the client, get
@@ -312,6 +320,154 @@ fn dead_data_replica_is_rescued_through_parity() {
         (1, 1, 0),
         "{stats:?}"
     );
+}
+
+/// The first `count` keys `{prefix}{i}` of a `(2, 4)` group with a data
+/// slot on replica 0 (slot 0 there at offset 0, slot 1 at offset 3).
+fn keys_with_data_on_replica_zero(prefix: &str, count: usize) -> Vec<String> {
+    (0..)
+        .map(|i| format!("{prefix}{i}"))
+        .filter(|key| [0, 3].contains(&erasure::placement_offset(key.as_bytes(), 4)))
+        .take(count)
+        .collect()
+}
+
+/// Servers, client, and the `(key, value)` stripes stored.
+type BusyGroup = (
+    Vec<TcpServer<StripedBackend>>,
+    StripedClient,
+    Vec<(String, Vec<u8>)>,
+);
+
+/// A `(2, 4)` group holding four stripes with a data slot on replica 0,
+/// and a client that has a ~1 s read outstanding there: a blocker sent
+/// *through the client*, so the client's own count for that replica is
+/// 1 while it burns. (A pass-through command goes to the replica with
+/// the fewest outstanding, round robin from replica 0 on a new client.)
+fn group_with_replica_zero_busy(policy: ReissuePolicy) -> BusyGroup {
+    let mut cfgs = [TcpServerConfig::default(); 4];
+    cfgs[0].nanos_per_op = 60_000;
+    let stored: Vec<(String, Vec<u8>)> = keys_with_data_on_replica_zero("stripe:b", 4)
+        .into_iter()
+        .enumerate()
+        .map(|(i, key)| (key, (0..900u32).map(|b| (b + i as u32) as u8).collect()))
+        .collect();
+    let servers = bind_striped_servers(&stored[0].0, &stored[0].1, 2, &cfgs);
+    for (key, value) in &stored[1..] {
+        seed_stripe(&servers, key, value, 2);
+    }
+    // 1 MiB at 64 bytes per unit and 60 us per unit: ~1 s of burn.
+    let big = Command::FSet("blocker".into(), 0, Bytes::from(vec![0xBB; 1 << 20]));
+    servers[0].with_store(|s| s.store_mut().execute(&big));
+
+    let addrs: Vec<_> = servers.iter().map(|s| s.local_addr()).collect();
+    let client = StripedClient::connect(
+        &addrs,
+        StripedConfig {
+            k: 2,
+            policy,
+            ..StripedConfig::default()
+        },
+    )
+    .unwrap();
+    // Detached: the read resolves when the burn ends or the server goes.
+    let blocker = client.execute(Command::FGet("blocker".into(), 0));
+    client.runtime().spawn(blocker);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while servers[0].stats().commands == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the blocker never reached replica 0"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    (servers, client, stored)
+}
+
+/// Load-aware first wave: while the client has a request outstanding
+/// at a data replica, reads of the keys placed on it take the parity
+/// clone instead and never send that replica a fragment.
+#[test]
+fn busy_data_replica_is_left_out_of_the_first_wave() {
+    let (servers, client, stored) = group_with_replica_zero_busy(ReissuePolicy::None);
+    for (key, value) in stored.iter().cycle().take(50) {
+        let got = client
+            .execute_blocking(Command::Get(Bytes::from(key.clone())))
+            .unwrap();
+        assert_eq!(got, Reply::Str(Bytes::from(value.clone())));
+    }
+    let stats = client.stats();
+    assert_eq!(
+        (stats.decodes_with_parity, stats.reissues, stats.errors),
+        (50, 0, 0),
+        "{stats:?}"
+    );
+    assert_eq!(
+        servers[0].stats().commands,
+        1,
+        "replica 0 served the blocker and nothing else"
+    );
+}
+
+/// A key that was never written answers `Nil` from whichever `k` slots
+/// the wave asked, a parity slot included: no reissue, no error.
+#[test]
+fn absent_key_reads_nil_with_a_parity_slot_in_the_wave() {
+    for policy in [ReissuePolicy::None, ReissuePolicy::single_r(50.0, 1.0)] {
+        let (servers, client, _) = group_with_replica_zero_busy(policy);
+        let absent = keys_with_data_on_replica_zero("absent:", 1).remove(0);
+        let got = client
+            .execute_blocking(Command::Get(Bytes::from(absent)))
+            .unwrap();
+        assert_eq!(got, Reply::Nil);
+        let stats = client.stats();
+        assert_eq!((stats.reissues, stats.errors), (0, 0), "{stats:?}");
+        assert_eq!(servers[0].stats().commands, 1, "the wave went around");
+    }
+}
+
+/// The hold: with both of a read's fragments slow, the 1 ms stage
+/// cannot be the decoding fragment (nothing is in hand), so it waits
+/// for the first of them instead of occupying a parity server.
+#[test]
+fn reissue_waits_while_no_fragment_is_in_hand() {
+    let (k, n) = (2, 4);
+    let key = "stripe:slow";
+    let offset = erasure::placement_offset(key.as_bytes(), n);
+    // A 30 000-byte fragment is 469 units: ~200 ms at 430 us each.
+    let slow = TcpServerConfig {
+        nanos_per_op: 430_000,
+        ..TcpServerConfig::default()
+    };
+    let mut cfgs = [TcpServerConfig::default(); 4];
+    cfgs[offset % n] = slow;
+    cfgs[(1 + offset) % n] = slow;
+    let value: Vec<u8> = (0..60_000u32).map(|i| (i % 247) as u8).collect();
+    let servers = bind_striped_servers(key, &value, k, &cfgs);
+    let addrs: Vec<_> = servers.iter().map(|s| s.local_addr()).collect();
+    let client = StripedClient::connect(
+        &addrs,
+        StripedConfig {
+            k,
+            policy: ReissuePolicy::single_r(1.0, 1.0),
+            ..StripedConfig::default()
+        },
+    )
+    .unwrap();
+
+    let rt = client.runtime();
+    let read = rt.spawn(client.execute(Command::Get(Bytes::from_static(key.as_bytes()))));
+    std::thread::sleep(Duration::from_millis(100));
+    assert_eq!(client.stats().reissues, 0, "the due stage is held");
+    for parity_slot in k..n {
+        let parity_server = &servers[(parity_slot + offset) % n];
+        assert_eq!(parity_server.stats().commands, 0);
+    }
+    let got = rt.block_on(read).unwrap();
+    assert_eq!(got, Reply::Str(Bytes::from(value)));
+    let stats = client.stats();
+    // The stage may go out once the first fragment lands.
+    assert!(stats.reissues <= 1 && stats.errors == 0, "{stats:?}");
 }
 
 /// A `d = 0` stage is dispatched before the fragments are polled, so

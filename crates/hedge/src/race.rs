@@ -5,12 +5,13 @@
 //! Replica hedging and k-of-n fragment hedging are the same race
 //! (Shah et al. analyse both as one `(n, k)` fork-join with
 //! cancellation; replication is the `k = 1` code), so there is one
-//! loop, [`Core::run`], and a [`Job`] that answers the five questions
+//! loop, [`Core::run`], and a [`Job`] that answers the six questions
 //! on which the two differ: how many attempts open the race, which
 //! command goes to which replica for attempt `i`, what a reply means,
-//! how many attempts the job can ever make, and how the result is
-//! built. [`crate::HedgedClient`] runs the replica job; the `erasure`
-//! crate's striped client runs the fragment job.
+//! how many attempts the job can still make, whether a reissue sent
+//! now could complete it, and how the result is built.
+//! [`crate::HedgedClient`] runs the replica job; the `erasure` crate's
+//! striped client runs the fragment job.
 //!
 //! Per query the engine:
 //!
@@ -27,7 +28,11 @@
 //!    the query's own future, so arming a schedule allocates nothing).
 //!    A stage that is already due is dispatched *before* the attempts
 //!    are polled; each time a timer fires (and the budget governor
-//!    grants quota) one more **reissue** is dispatched;
+//!    grants quota) one more **reissue** is dispatched. A job may
+//!    *hold* the front stage while attempts are in flight and no
+//!    single reissue could complete it ([`Job::holds`]): the stage
+//!    then waits for the reply that makes it useful and, if past due
+//!    by then, goes out with it;
 //! 4. hands each reply to [`Job::accept`]. The first [`Verdict::Done`]
 //!    ends the race; every attempt still outstanding is cancelled via
 //!    its [`CancelToken`]: the transport pushes `CANCEL <seq>` to the
@@ -93,18 +98,35 @@ pub enum Verdict {
     Useless(Option<TransportError>),
 }
 
-/// The five decisions on which one kind of race differs from another.
+/// The six decisions on which one kind of race differs from another.
 /// Attempts are numbered by dispatch order, never reshuffled: slots
 /// `0..primaries` are the first wave, slot `primaries + r` is the
 /// `r`-th reissue *actually sent* (coins and the governor may skip
-/// stages, so this is independent of the policy stage index).
+/// stages, so this is independent of the policy stage index). What an
+/// attempt number *means* to the job (which fragment it fetched, say)
+/// is the job's own table to keep.
 pub trait Job: Send {
     /// Attempts dispatched at `t = 0`, at least 1.
     fn primaries(&self) -> usize;
 
-    /// Attempts the job can ever make, first wave included; the engine
-    /// caps it at [`MAX_ATTEMPTS`]. Stages beyond it are moot.
+    /// Attempts the job can make in all, those already dispatched
+    /// included; the engine caps it at [`MAX_ATTEMPTS`]. Read again
+    /// before each stage, since a reply may close options (a second
+    /// copy of what is now in hand is not worth asking for): stages
+    /// beyond it are moot.
     fn capacity(&self) -> usize;
+
+    /// Whether the front stage should wait although it may be due: no
+    /// single further attempt could complete the job, so a reissue
+    /// sent now would occupy a server without being able to end the
+    /// race. Asked only while an attempt is in flight (the rescue of a
+    /// query with nothing outstanding is never held), and asked again
+    /// after every reply, so a held stage that is past due goes out as
+    /// soon as the reply that makes it useful is banked. A job done at
+    /// its first useful reply never holds, which is the default.
+    fn holds(&self) -> bool {
+        false
+    }
 
     /// The command of attempt `slot` and the index of the replica it
     /// goes to. `carrying[i]` is the replica attempt `i` went to, for
@@ -370,17 +392,18 @@ impl Core {
     /// attempts are polled. The paper's `d = 0` policy sends both
     /// copies at once; polling first would skip the stage whenever the
     /// primary's reply was already in, so the realized reissue rate
-    /// fell short of `q` by the share of primaries that fast.
+    /// fell short of `q` by the share of primaries that fast. A stage
+    /// the job [holds](Job::holds) is the exception: it stays in front
+    /// while the attempts in flight are raced without a timer.
     async fn staged_race<J: Job>(
         self: &Arc<Self>,
         job: &mut J,
         schedule: &Schedule,
         started: Instant,
     ) -> Raced {
-        let capacity = job.capacity().min(MAX_ATTEMPTS);
         let mut attempts = Attempts::new(job.primaries());
         assert!(
-            (1..=capacity).contains(&attempts.primaries),
+            (1..=job.capacity().min(MAX_ATTEMPTS)).contains(&attempts.primaries),
             "a job opens with 1..=capacity attempts"
         );
         // Tied cancellation: every first-wave attempt registers a tie
@@ -406,10 +429,15 @@ impl Core {
         let mut last_err = None;
 
         let won = loop {
-            // A job out of attempts has nothing left to reissue: the
-            // rest of the schedule is moot.
-            let front = schedule.get(next).filter(|_| attempts.len < capacity);
             let in_flight = attempts.futs.iter().flatten().count();
+            // A job out of attempts has nothing left to reissue: the
+            // rest of the schedule is moot. A stage the job holds is
+            // not in front for this turn of the loop either: what is
+            // in flight is raced as if the schedule had run out, and
+            // the next reply brings the question back.
+            let front = schedule.get(next).filter(|_| {
+                attempts.len < job.capacity().min(MAX_ATTEMPTS) && !(in_flight > 0 && job.holds())
+            });
             // `None`: the front stage is to be dispatched now.
             let resolved = match front {
                 // Nothing in flight and no answer: rescue from the
@@ -419,7 +447,8 @@ impl Core {
                 // out.
                 None if in_flight == 0 => break None,
                 Some(_) if in_flight == 0 => None,
-                // Schedule exhausted: plain race of what is in flight.
+                // Schedule exhausted or held: plain race of what is in
+                // flight.
                 None => Some(select_all(&mut attempts.futs).await),
                 Some(_) if deadline <= Instant::now() => None,
                 Some(_) => {

@@ -217,7 +217,8 @@ impl ReplicaHealth {
 /// RAII share of a connection's in-flight count. Owned by the [`Job`]
 /// so the decrement happens exactly once wherever the job ends up —
 /// completed by the I/O thread, dropped in the queue when the
-/// connection dies, or bounced by a failed send.
+/// connection dies, or bounced by a failed send — and always *before*
+/// the attempt resolves ([`Job::complete`]).
 struct InflightTicket(Arc<AtomicU64>);
 
 impl InflightTicket {
@@ -262,7 +263,7 @@ impl TieSpec {
 }
 
 /// One queued request. `token` is the attempt cell: the I/O thread
-/// resolves it with `token.complete(..)`, and a job that is dropped
+/// resolves it through [`Job::complete`], and a job that is dropped
 /// unresolved — bounced by a failed send, or left in the queue when
 /// the connection goes away — resolves it as `ConnectionClosed` (a
 /// no-op on a cell already resolved).
@@ -270,12 +271,24 @@ struct Job {
     cmd: Command,
     token: CancelToken,
     tie: Option<TieSpec>,
-    _ticket: InflightTicket,
+    /// `None` once the attempt resolved.
+    ticket: Option<InflightTicket>,
+}
+
+impl Job {
+    /// Resolves the attempt, its share of the in-flight count released
+    /// first: the waiter this wakes may choose the target of its next
+    /// request at once, by those counts, and a request that has been
+    /// answered is not outstanding.
+    fn complete(&mut self, outcome: Result<Reply, TransportError>) {
+        self.ticket = None;
+        self.token.complete(outcome);
+    }
 }
 
 impl Drop for Job {
     fn drop(&mut self) {
-        self.token.complete(Err(TransportError::ConnectionClosed));
+        self.complete(Err(TransportError::ConnectionClosed));
     }
 }
 
@@ -401,7 +414,7 @@ impl Replica {
             cmd,
             token: token.clone(),
             tie,
-            _ticket: InflightTicket::new(&conn.inflight),
+            ticket: Some(InflightTicket::new(&conn.inflight)),
         };
         if let Some(jobs) = &conn.jobs {
             // On send failure the bounced job drops here, releasing
@@ -607,10 +620,10 @@ fn conn_loop(
     // and scans `environ`, which is far too expensive per job.
     let debug = std::env::var_os("HEDGE_DEBUG").is_some();
 
-    for job in jobs.iter() {
+    for mut job in jobs.iter() {
         // Cancelled while queued: never touches the wire.
         if job.token.is_cancelled() {
-            job.token.complete(Err(TransportError::Cancelled));
+            job.complete(Err(TransportError::Cancelled));
             continue;
         }
         let dispatched = std::time::Instant::now();
@@ -677,17 +690,35 @@ fn conn_loop(
             // Failed attempts already fed the error EWMA one by one.
             Err(_) => {}
         }
-        if debug {
-            let took = took_ms;
-            if took > 10.0 {
-                eprintln!(
-                    "[conn {:?}] took {took:.2}ms cmd={:?} outcome={outcome:?}",
-                    std::thread::current().name(),
-                    job.cmd,
-                );
-            }
+        if debug && took_ms > 10.0 {
+            eprintln!(
+                "[conn {:?}] took {took_ms:.2}ms cmd={} outcome={}",
+                std::thread::current().name(),
+                brief_command(&job.cmd),
+                brief_outcome(&outcome),
+            );
         }
-        job.token.complete(outcome);
+        job.complete(outcome);
+    }
+}
+
+/// A command as the `HEDGE_DEBUG` trace prints it: a stored value is
+/// named by its length. A monster's payload is hundreds of KiB, and
+/// printing it escaped costs more than the request being traced.
+fn brief_command(cmd: &Command) -> String {
+    match cmd {
+        Command::Set(key, value) => format!("Set({key:?}, <{} bytes>)", value.len()),
+        Command::FSet(key, slot, frag) => format!("FSet({key:?}, {slot}, <{} bytes>)", frag.len()),
+        other => format!("{other:?}"),
+    }
+}
+
+/// An attempt's outcome for the same trace: the reply's variant, with
+/// a length in place of a bulk's bytes.
+fn brief_outcome(outcome: &Result<Reply, TransportError>) -> String {
+    match outcome {
+        Ok(Reply::Str(bulk)) => format!("Ok(Str(<{} bytes>))", bulk.len()),
+        other => format!("{other:?}"),
     }
 }
 

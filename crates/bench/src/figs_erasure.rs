@@ -45,7 +45,8 @@ use shard::StripedGroup;
 
 use bytes::Bytes;
 
-/// Stripe geometry: 2 data fragments + 2 parity clones.
+/// Stripe geometry: 2 data fragments + 2 parity rows; any 2 of the 4
+/// decode.
 const K_DATA: usize = 2;
 /// Servers per arm (replica copies, or stripe slots).
 const N_SLOTS: usize = 4;

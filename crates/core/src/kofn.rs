@@ -1,8 +1,9 @@
 //! Byte-budget accounting for k-of-n fragment reads.
 //!
 //! With an erasure-coded stripe a value of `V` bytes splits into `k`
-//! data fragments of `ceil(V / k)` bytes each (plus parity clones of
-//! the same size), so the *primary wave* of a read transfers the same
+//! data fragments of `ceil(V / k)` bytes each (plus `n − k` parity
+//! fragments of the same size, any `k` of the `n` decoding), so the
+//! *primary wave* of a read transfers the same
 //! `≈ V` bytes whether it is one full-copy replica read or `k`
 //! fragment reads — but a **reissue** costs a full extra `V` bytes
 //! under replica hedging and only `V / k` under fragment hedging

@@ -5,42 +5,42 @@
 //! the `(straggler, first reissue)` pair book for every kind of race.
 //! What makes the race a *stripe* is the job's six answers:
 //!
-//! 1. the first wave is `k` fragment reads that decode: the `k`
-//!    least-loaded of the key's placed fragments, ranked as
-//!    [`ReplicaSet::pick_primary`] ranks replicas (a
+//! 1. the first wave is `k` fragment reads, and any `k` fragments
+//!    decode ([`crate::codec`] is an MDS code), so it is simply the
+//!    `k` least-loaded of the key's `n` placed fragments, ranked as
+//!    [`ReplicaSet::pick_primary`] ranks replicas
+//!    ([`ReplicaSet::dispatch_rank`]: a
 //!    [failing](hedge::transport::ReplicaHealth::failing) replica
 //!    last, then fewest requests of this client outstanding), ties to
-//!    the data slot. Any `k − 1` data fragments and a parity clone
-//!    decode, so that is the `k` data slots with the most loaded one
-//!    swapped for the least loaded parity clone when the clone's
-//!    replica has strictly fewer outstanding: a read goes around the
-//!    one server a monster fragment is blocking, and an idle group
-//!    decodes without parity;
-//! 2. each reissue is `FGET` of the least-loaded slot not yet asked
-//!    that can still contribute: a data slot, or a parity clone while
-//!    no parity payload is in hand, never a second full copy. Where a
-//!    slot lives is still the key's rotation ([`crate::placement_offset`]:
-//!    slot `s` on replica `(s + o) % n`); *which* slots are read is
-//!    decided per read. The engine numbers attempts by dispatch order,
-//!    so the job keeps the attempt → slot table;
-//! 3. a payload is banked, and the read is done as soon as the
-//!    fragments in hand decode (all `k` data fragments, or `k − 1` of
-//!    them plus a parity clone) or `k` of the slots asked answered
-//!    `Nil` (the key has no stripe);
-//! 4. there are `n` attempts to make, one per fragment, fewer once a
-//!    parity payload is in hand (its clones are then not worth asking);
+//!    the lowest slot. A read goes around every server a monster
+//!    fragment is blocking, up to `n − k` of them, and an idle group
+//!    reads the data slots and decodes by concatenation;
+//! 2. each reissue is `FGET` of the least-loaded slot not yet asked,
+//!    never a second full copy. Where a slot lives is still the key's
+//!    rotation ([`crate::placement_offset`]: slot `s` on replica
+//!    `(s + o) % n`); *which* slots are read is decided per read. The
+//!    engine numbers attempts by dispatch order, so the job keeps the
+//!    attempt → slot table;
+//! 3. a payload is banked, and the read is done as soon as `k`
+//!    fragments are in hand or `k` of the slots asked answered `Nil`
+//!    (the key has no stripe);
+//! 4. there are `n` attempts to make, one per fragment;
 //! 5. the front stage is held while fewer than `k − 1` fragments are
-//!    in hand: XOR parity repairs one erasure, so until then no single
-//!    reissue could be the decoding fragment, and a monster read whose
-//!    `k` fragments are all slow would only block one more server with
-//!    a read that cannot end the race. A held stage that is past due
-//!    goes out with the `(k − 1)`-th fragment. `k = 1` never holds;
+//!    in hand: until then no single reissue could be the decoding
+//!    fragment, and a monster read whose `k` fragments are all slow
+//!    would only block one more server with a read that cannot end the
+//!    race. A held stage that is past due goes out with the
+//!    `(k − 1)`-th fragment. `k = 1` never holds;
 //! 6. the result is the decoded value.
 //!
-//! The demotion of a failing replica has no probe of its own (unlike
-//! `pick_primary`): a fragment replica that healed is read again by
-//! reissues, rescues and writes, and re-admitted once their successes
-//! bring its error EWMA back under one half.
+//! A failing replica ranks last, so with `n > k` it would never be
+//! read again by an unhedged, read-only client, and never get the
+//! successes that bring its error EWMA back under one half. Reads take
+//! their turn from the counter `pick_primary` uses
+//! ([`ReplicaSet::probe_turn`]): while some replica is failing, one
+//! read in sixteen ranks the failing ones *first* in its wave. That is
+//! also what an outage costs an unhedged stripe, a sixteenth of its
+//! reads; a hedged one rescues the probe through its next stage.
 //!
 //! That is the erasure-coding trade at the heart of this subsystem:
 //! the hedge costs `1/k` of a full read, so at an equal *byte* budget
@@ -55,9 +55,10 @@
 //! the fallback for everything the tie does not cover. Retractions
 //! that land in time book **censored** `(straggler, reissue)` pairs.
 
-use crate::codec::{self, decodable};
+use crate::codec;
 use hedge::race::{Core, Job, Verdict, MAX_ATTEMPTS};
 use hedge::rt::Runtime;
+use hedge::transport::InFlight;
 use hedge::{BudgetGovernor, CancelToken, CancellationStyle, HedgeConfig};
 use hedge::{ReplicaSet, TransportError};
 use kvstore::{Command, Reply};
@@ -73,7 +74,7 @@ use std::sync::Arc;
 pub struct StripedConfig {
     /// Data fragments per stripe. The replica count `n` is taken from
     /// the address list; for each key, `k` replicas hold its data
-    /// fragments and the other `n − k` hold parity clones (which
+    /// fragments and the other `n − k` hold its parity rows (which
     /// replica holds which slot rotates per key, see
     /// [`crate::placement_offset`]).
     pub k: usize,
@@ -127,8 +128,8 @@ pub struct StripedStats {
     /// (the last fragment to arrive before decodability was a parity
     /// reissue).
     pub reissue_wins: u64,
-    /// Striped reads decoded with the parity equation standing in for
-    /// a missing data fragment.
+    /// Striped reads decoded with at least one parity fragment
+    /// standing in for a data fragment.
     pub decodes_with_parity: u64,
     /// Fragment attempts whose retraction landed in time: retracted
     /// before service (tied or client-driven) or during it
@@ -252,12 +253,13 @@ impl StripedClient {
     }
 
     /// Executes one command. `GET` runs the k-of-n fragment race over
-    /// the least-loaded fragments that decode (see the module docs);
-    /// `SET` writes a stripe (slot `s`'s fragment to the key's rotated
-    /// replica `(s + offset) % n`, awaiting every `FSET`
-    /// acknowledgement); everything else passes through untouched to
-    /// the replica with the fewest outstanding. The returned future is
-    /// `'static`: spawn any number concurrently.
+    /// the `k` least-loaded fragments (see the module docs); `SET`
+    /// writes a stripe as one wave (slot `s`'s fragment to the key's
+    /// rotated replica `(s + offset) % n`, all `n` `FSET`s dispatched
+    /// before the first acknowledgement is awaited; the first error in
+    /// slot order is the one returned); everything else passes through
+    /// untouched to the replica with the fewest outstanding. The
+    /// returned future is `'static`: spawn any number concurrently.
     pub fn execute(
         &self,
         cmd: Command,
@@ -271,12 +273,14 @@ impl StripedClient {
                     let frags = codec::encode_stripe(&value, inner.k, inner.n)
                         .map_err(|e| TransportError::Protocol(e.to_string()))?;
                     let offset = crate::placement_offset(&key, inner.n);
+                    let mut acks: [Option<InFlight>; MAX_ATTEMPTS] = std::array::from_fn(|_| None);
                     for (slot, frag) in frags.into_iter().enumerate() {
                         let cmd = Command::FSet(key.clone(), slot as u32, frag);
-                        let reply = replicas
-                            .replica((slot + offset) % inner.n)
-                            .request_tied(cmd, CancelToken::new(), None)
-                            .await?;
+                        let replica = replicas.replica((slot + offset) % inner.n);
+                        acks[slot] = Some(replica.request_tied(cmd, CancelToken::new(), None));
+                    }
+                    for (slot, ack) in acks.into_iter().flatten().enumerate() {
+                        let reply = ack.await?;
                         if !matches!(reply, Reply::Ok) {
                             return Err(TransportError::Protocol(format!(
                                 "FSET slot {slot} replied {reply:?}"
@@ -320,14 +324,13 @@ impl hedge::LoadClient for StripedClient {
     }
 }
 
-/// Which slots of one stripe a read has asked, in what order, and which
-/// answered with a payload: everything the choice of the next slot
-/// depends on apart from the replicas' load. Slot sets are bit masks
-/// (bit `s` is slot `s`; a stripe spans at most [`MAX_ATTEMPTS`]
+/// Which slots of one stripe a read has asked, in what order, and how
+/// many answered with a payload: everything the choice of the next
+/// slot depends on apart from the replicas' load. Slot sets are bit
+/// masks (bit `s` is slot `s`; a stripe spans at most [`MAX_ATTEMPTS`]
 /// replicas).
 #[derive(Clone, Copy)]
 struct Slots {
-    k: usize,
     n: usize,
     /// Slot fetched by attempt `i`. The engine numbers attempts by
     /// dispatch order; which fragment each one asked for is kept here.
@@ -338,9 +341,8 @@ struct Slots {
 }
 
 impl Slots {
-    fn new(k: usize, n: usize) -> Self {
+    fn new(n: usize) -> Self {
         Slots {
-            k,
             n,
             of_attempt: [0; MAX_ATTEMPTS],
             attempts: 0,
@@ -349,42 +351,12 @@ impl Slots {
         }
     }
 
-    fn data(&self) -> u16 {
-        (1 << self.k) - 1
-    }
-
-    /// Slots still worth asking. An unasked data slot always is. The
-    /// parity clones all carry the one equation XOR has: the first
-    /// wave takes at most one of them (two would not decode with
-    /// `k − 2` data fragments), and a reissue asks for another only
-    /// until one has answered (a clone that is merely slow may be
-    /// overtaken by the next).
-    fn open(&self) -> u16 {
-        let unasked = !self.asked & ((1 << self.n) - 1);
-        let spoken_for = if self.attempts < self.k {
-            self.asked
-        } else {
-            self.banked
-        };
-        if spoken_for & !self.data() == 0 {
-            unasked
-        } else {
-            unasked & self.data()
-        }
-    }
-
-    /// Attempts made plus attempts still worth making.
-    fn capacity(&self) -> usize {
-        self.attempts + self.open().count_ones() as usize
-    }
-
-    /// Takes the open slot `rank` puts first, ties to the lowest slot,
-    /// so a data slot goes before a parity clone no better placed and
-    /// an idle group decodes without parity.
+    /// Takes the slot not yet asked that `rank` puts first, ties to the
+    /// lowest slot, so a data slot goes before a parity slot no better
+    /// placed and an idle group decodes by concatenation.
     fn take<R: Ord>(&mut self, rank: impl Fn(usize) -> R) -> usize {
-        let open = self.open();
         let slot = (0..self.n)
-            .filter(|s| open >> s & 1 == 1)
+            .filter(|s| self.asked >> s & 1 == 0)
             .min_by_key(|&s| rank(s))
             .expect("the engine dispatches within capacity()");
         self.of_attempt[self.attempts] = slot as u8;
@@ -393,19 +365,9 @@ impl Slots {
         slot
     }
 
-    fn banked_slots(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.n).filter(|s| self.banked >> s & 1 == 1)
-    }
-
-    fn data_in_hand(&self) -> usize {
-        (self.banked & self.data()).count_ones() as usize
-    }
-
-    /// Independent fragments in hand: the data fragments, and one for
-    /// any number of parity clones.
+    /// Fragments in hand. Any `k` of them decode.
     fn in_hand(&self) -> usize {
-        let parity = self.banked & !self.data() != 0;
-        self.data_in_hand() + usize::from(parity)
+        self.banked.count_ones() as usize
     }
 }
 
@@ -416,9 +378,12 @@ struct StripeJob<'a> {
     key: Bytes,
     /// The key's placement rotation.
     offset: usize,
+    /// This read's wave ranks the failing replicas first.
+    probe: bool,
     slots: Slots,
-    /// Payload per slot that answered with one.
-    fragments: [Option<Bytes>; MAX_ATTEMPTS],
+    /// The payloads in hand, in arrival order (a fragment names its
+    /// own slot); the first `slots.in_hand()` entries.
+    fragments: [Bytes; MAX_ATTEMPTS],
     /// Slots that answered `Nil`.
     nil_slots: usize,
 }
@@ -427,16 +392,17 @@ impl<'a> StripeJob<'a> {
     fn new(client: &'a ScInner, key: Bytes) -> Self {
         StripeJob {
             offset: crate::placement_offset(&key, client.n),
+            probe: client.core.replicas().probe_turn(),
             client,
             key,
-            slots: Slots::new(client.k, client.n),
-            fragments: std::array::from_fn(|_| None),
+            slots: Slots::new(client.n),
+            fragments: std::array::from_fn(|_| Bytes::new()),
             nil_slots: 0,
         }
     }
 
     fn decodable(&self) -> bool {
-        decodable(self.client.k, self.slots.banked_slots())
+        self.slots.in_hand() >= self.client.k
     }
 }
 
@@ -446,22 +412,24 @@ impl Job for StripeJob<'_> {
     }
 
     fn capacity(&self) -> usize {
-        self.slots.capacity()
+        self.client.n
     }
 
-    /// XOR parity repairs one erasure, so a reissue can be the
-    /// decoding fragment only once `k − 1` are in hand.
+    /// A reissue can be the decoding fragment only once `k − 1` are in
+    /// hand.
     fn holds(&self) -> bool {
         self.slots.in_hand() + 1 < self.client.k
     }
 
-    fn attempt(&mut self, _: usize, replicas: &ReplicaSet, _: &[usize]) -> (Command, usize) {
-        let (n, offset) = (self.client.n, self.offset);
-        // `pick_primary`'s rank, over the replicas holding this key.
-        let slot = self.slots.take(|s| {
-            let replica = replicas.replica((s + offset) % n);
-            (replica.health().failing(), replica.inflight())
-        });
+    fn attempt(&mut self, attempt: usize, replicas: &ReplicaSet, _: &[usize]) -> (Command, usize) {
+        let (k, n, offset) = (self.client.k, self.client.n, self.offset);
+        // `pick_primary`'s rank, over the replicas holding this key. A
+        // probe is the wave's business: a reissue is sent to end the
+        // race.
+        let probe = self.probe && attempt < k;
+        let slot = self
+            .slots
+            .take(|s| replicas.dispatch_rank((s + offset) % n, probe));
         let cmd = Command::FGet(self.key.clone(), slot as u32);
         (cmd, (slot + offset) % n)
     }
@@ -470,7 +438,7 @@ impl Job for StripeJob<'_> {
         let slot = usize::from(self.slots.of_attempt[attempt]);
         match reply {
             Reply::Str(payload) => {
-                self.fragments[slot] = Some(payload);
+                self.fragments[self.slots.in_hand()] = payload;
                 self.slots.banked |= 1 << slot;
                 if self.decodable() {
                     Verdict::Done
@@ -506,16 +474,14 @@ impl Job for StripeJob<'_> {
                 Reply::Error("ERASURE undecodable: too few fragments".into())
             });
         }
-        if self.slots.data_in_hand() < k {
+        if self.slots.banked.trailing_ones() < k as u32 {
             self.client
                 .decodes_with_parity
                 .fetch_add(1, Ordering::Relaxed);
         }
-        let present: Vec<&Bytes> = self.fragments.iter().flatten().collect();
-        // decodable() and decode_stripe() agree on the slot arithmetic;
-        // an error here means a malformed stored fragment, not a logic
-        // race.
-        codec::decode_stripe(&present)
+        // `k` distinct slots are in hand; an error here means a
+        // malformed stored fragment, not a logic race.
+        codec::decode_stripe(&self.fragments[..self.slots.in_hand()])
             .map(Reply::Str)
             .map_err(|e| TransportError::Protocol(format!("ERASURE {e}")))
     }
@@ -524,6 +490,7 @@ impl Job for StripeJob<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::decodable;
 
     /// Every geometry up to `(4, 6)` under every pattern of failing
     /// flags and outstanding counts (two levels each: four ranks per
@@ -537,50 +504,43 @@ mod tests {
                         let r = pattern >> (2 * s) & 3;
                         (r >= 2, r % 2)
                     };
-                    let mut slots = Slots::new(k, n);
+                    let mut slots = Slots::new(n);
                     let wave: Vec<usize> = (0..k).map(|_| slots.take(rank)).collect();
 
-                    // The k data slots, the most loaded swapped for the
-                    // least loaded parity clone iff that one ranks
-                    // strictly better.
-                    let worst_data = (0..k).max_by_key(|&s| rank(s)).unwrap();
-                    let swap = (k..n)
-                        .min_by_key(|&s| rank(s))
-                        .filter(|&p| rank(p) < rank(worst_data));
-                    let mut expected: Vec<usize> = (0..k)
-                        .filter(|&s| swap.is_none() || s != worst_data)
-                        .chain(swap)
-                        .collect();
-                    expected.sort_unstable();
-                    let mut sorted = wave.clone();
-                    sorted.sort_unstable();
+                    // Exactly the k lowest-ranked slots, best first,
+                    // ties to the lowest index: no slot is special.
+                    let mut expected: Vec<usize> = (0..n).collect();
+                    expected.sort_by_key(|&s| (rank(s), s));
+                    expected.truncate(k);
                     let case = format!("k={k} n={n} pattern={pattern:#x} wave={wave:?}");
-                    assert_eq!(sorted, expected, "{case}");
+                    assert_eq!(wave, expected, "{case}");
                     assert_eq!(slots.asked.count_ones() as usize, k, "{case}");
                     assert!(decodable(k, wave.iter().copied()), "{case}");
-                    assert!(wave.iter().filter(|&&s| s >= k).count() <= 1, "{case}");
 
                     // Reissues, from every subset of the wave banked,
-                    // with and without their own payloads arriving.
+                    // with and without their own payloads arriving:
+                    // always the best slot not yet asked, whatever is
+                    // in hand, until all `n` have been.
                     for banked in 0..1u16 << k {
                         for reissues_answer in [false, true] {
                             let mut slots = slots;
                             for (i, &s) in wave.iter().enumerate() {
                                 slots.banked |= (banked >> i & 1) << s;
                             }
-                            while slots.attempts < slots.capacity() {
+                            while slots.attempts < n {
                                 let before = slots;
                                 let s = slots.take(rank);
                                 assert_eq!(before.asked >> s & 1, 0, "{case}: {s} asked twice");
-                                assert!(
-                                    s < k || before.banked & !before.data() == 0,
-                                    "{case}: clone {s} asked with parity in hand"
-                                );
+                                let best_unasked = (0..n)
+                                    .filter(|s| before.asked >> s & 1 == 0)
+                                    .min_by_key(|&s| (rank(s), s));
+                                assert_eq!(Some(s), best_unasked, "{case}");
                                 if reissues_answer {
                                     slots.banked |= 1 << s;
+                                    assert_eq!(slots.in_hand(), before.in_hand() + 1, "{case}");
                                 }
                             }
-                            assert_eq!(slots.asked & slots.data(), slots.data(), "{case}");
+                            assert_eq!(slots.asked, (1 << n) - 1, "{case}");
                         }
                     }
                 }

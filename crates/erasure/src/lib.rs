@@ -4,11 +4,11 @@
 //! Replica-level hedging (the `hedge` crate) pays a whole duplicate
 //! request for every reissue. Erasure-coded striping shrinks that
 //! price to `1/k`: a value is split into `k` data fragments plus
-//! `n − k` XOR-parity fragments spread over a replica group, a read
+//! `n − k` parity fragments spread over a replica group, a read
 //! fans out `k` fragment reads, and the `(d, q)` reissue timer arms
 //! over the *straggling fragment* — the hedge fetches one more
 //! fragment instead of a second full copy, and the stripe completes as
-//! soon as **any** decodable k-subset is in hand (Aggarwal et al.'s
+//! soon as **any** `k` of its `n` fragments are in hand (Aggarwal et al.'s
 //! "Taming Tail Latency for Erasure-coded, Distributed Storage
 //! Systems"; the reissue *policy* is unchanged from the paper this
 //! repo reproduces — only the unit of reissue shrinks).
@@ -22,19 +22,20 @@
 //!
 //! The three layers:
 //!
-//! * [`codec`] — the XOR stripe codec: self-describing fragments,
-//!   any-decodable-subset reconstruction, parity clones for `n > k+1`
-//!   (dispatch redundancy only; Reed–Solomon multi-parity is the
-//!   recorded follow-up).
+//! * [`codec`] — the stripe codec, a systematic MDS code over GF(2⁸):
+//!   self-describing fragments, `n − k` independent parity rows,
+//!   reconstruction from any `k` distinct slots. Parity row 0 is the
+//!   XOR of the data stripes, so a `(k, k + 1)` stripe is a plain XOR
+//!   stripe and a `(1, n)` stripe is `n` copies.
 //! * [`backend`] — [`StripedBackend`], a `kvstore::Backend` wrapper
 //!   whose service cost is proportional to payload bytes, so fragment
 //!   reads genuinely occupy a server for `~1/k` of a full read's time.
 //! * [`client`] — [`StripedClient`], the k-of-n read as a job of the
 //!   race engine `hedge::race` (the one that runs replica hedging;
 //!   replication is the `k = 1` code): a first wave of the `k`
-//!   least-loaded fragments that decode, the least-loaded fragment
-//!   still useful as each reissue (held until it could be the decoding
-//!   one), done when the fragments in hand decode. Stage timers, the
+//!   least-loaded fragments, the least-loaded fragment not yet asked
+//!   as each reissue (held until it could be the decoding one), done
+//!   when `k` fragments are in hand. Stage timers, the
 //!   budget governor, tied-request retraction of the straggler and
 //!   censored-pair booking are the engine's.
 //!
@@ -74,7 +75,7 @@ pub use codec::{decodable, decode_stripe, encode_stripe, fragment_len, CodecErro
 /// FNV-1a over the key bytes, reduced mod `n` — deterministic across
 /// clients and seeders, uniform enough that a keyspace of more than a
 /// handful of keys loads all `n` replicas evenly (each replica serves
-/// data fragments for a `k/n` share of keys and parity reissues for
+/// data fragments for a `k/n` share of keys and parity fragments for
 /// the rest).
 pub fn placement_offset(key: &[u8], n: usize) -> usize {
     if n == 0 {

@@ -1,8 +1,10 @@
 //! Property tests (vendored proptest shim — deterministic per-test
-//! RNG, no shrinking) for the XOR stripe codec: split → any decodable
-//! k-subset → byte-identical value, across random lengths (odd sizes
-//! and non-multiples of k included), random geometries, and subsets
-//! that substitute a parity clone for a data fragment.
+//! RNG, no shrinking) for the MDS stripe codec: split → any k-subset →
+//! byte-identical value, across random lengths (odd sizes and
+//! non-multiples of k included), random geometries, and subsets that
+//! substitute parity rows for data fragments; and the exhaustive
+//! version of the same claim for every geometry the fragment client
+//! can address.
 
 use erasure::codec::{decodable, decode_stripe, encode_stripe, fragment_len, CodecError};
 use proptest::prelude::*;
@@ -46,8 +48,9 @@ proptest! {
     }
 
     /// Parity-in-the-k-set: for every data slot `m`, the subset that
-    /// drops `m` and substitutes one parity clone still reconstructs
-    /// byte-identically — and this matches the `decodable` predicate.
+    /// drops `m` and substitutes one parity row, whichever, still
+    /// reconstructs byte-identically — and this matches the `decodable`
+    /// predicate.
     #[test]
     fn any_k_of_n_with_parity_roundtrip(
         k in 1usize..6,
@@ -97,10 +100,11 @@ proptest! {
         }
     }
 
-    /// Undecodable subsets are rejected, never silently wrong: any
-    /// k-subset with two parity clones (k − 2 data equations), and any
-    /// subset smaller than k without parity, errors with
-    /// `Insufficient`.
+    /// Two parity rows displace two data fragments and the stripe
+    /// still decodes (the XOR-clone codec, whose parity slots were one
+    /// equation, rejected exactly this subset). Undecodable subsets
+    /// are rejected, never silently wrong: any `k − 1` fragments, data
+    /// or parity, error with `Insufficient`.
     #[test]
     fn undecodable_subsets_error(
         k in 2usize..6,
@@ -110,19 +114,58 @@ proptest! {
         let n = k + 2;
         let value = payload(len, seed);
         let frags = encode_stripe(&value, k, n).unwrap();
-        // Two parity clones displace two data fragments.
+        // Two parity rows displace two data fragments.
         let subset: Vec<_> = (2..k).chain([k, k + 1]).collect();
-        prop_assert!(!decodable(k, subset.iter().copied()));
+        prop_assert!(decodable(k, subset.iter().copied()));
         let picked: Vec<_> = subset.iter().map(|&s| &frags[s]).collect();
+        let got = decode_stripe(&picked).unwrap();
+        prop_assert_eq!(&got[..], &value[..], "k={k} len={len} via both parity rows");
+        // One fewer, with both parity rows in it or with none.
+        prop_assert!(!decodable(k, subset[1..].iter().copied()));
         prop_assert!(matches!(
-            decode_stripe(&picked),
+            decode_stripe(&picked[1..]),
             Err(CodecError::Insufficient { .. })
         ));
-        // k − 1 data fragments alone.
         let short: Vec<_> = (1..k).map(|s| &frags[s]).collect();
         prop_assert!(matches!(
             decode_stripe(&short),
             Err(CodecError::Insufficient { .. })
         ));
+    }
+}
+
+/// Any `k` of `n`, exhaustively: every `k`-subset of every `(k, n)`
+/// with `n ≤ 9` (the widest stripe the fragment client addresses)
+/// round-trips values of length 0, 1, `k − 1`, `k` and 4 097, fragments
+/// handed over highest slot first, and every `(k − 1)`-subset is
+/// `Insufficient` with its data / parity counts.
+#[test]
+fn every_k_subset_of_every_geometry_to_nine_decodes() {
+    for n in 1..=9usize {
+        for k in 1..=n {
+            for len in [0, 1, k - 1, k, 4097] {
+                let value = payload(len, (n * 100 + k * 10 + len) as u64);
+                let frags = encode_stripe(&value, k, n).unwrap();
+                for subset in 0..1u32 << n {
+                    let size = subset.count_ones() as usize;
+                    if size + 1 < k || size > k {
+                        continue;
+                    }
+                    let slots = (0..n).rev().filter(|s| subset >> s & 1 == 1);
+                    let picked: Vec<_> = slots.clone().map(|s| &frags[s]).collect();
+                    let case = format!("k={k} n={n} len={len} slots={subset:#b}");
+                    assert_eq!(decodable(k, slots.clone()), size == k, "{case}");
+                    if size == k {
+                        let got = decode_stripe(&picked).unwrap_or_else(|e| panic!("{case}: {e}"));
+                        assert_eq!(&got[..], &value[..], "{case}");
+                    } else if size > 0 {
+                        let data = slots.filter(|&s| s < k).count();
+                        let parity = size - data;
+                        let expected = CodecError::Insufficient { data, parity, k };
+                        assert_eq!(decode_stripe(&picked), Err(expected), "{case}");
+                    }
+                }
+            }
+        }
     }
 }

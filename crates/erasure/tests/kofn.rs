@@ -3,22 +3,26 @@
 //! byte-expensive blocker. The hedged read must complete via the
 //! parity fragment, retract the straggler, and book the censored
 //! `(straggler, reissue)` pair — the full fragment-hedging loop the
-//! tentpole promises. Then the two halves of load-aware dispatch, by
-//! their accounting: a first wave that leaves out the data replica this
-//! client already has a request at, and a reissue that waits until it
-//! could be the decoding fragment.
+//! tentpole promises. Then load-aware dispatch by its accounting: a
+//! first wave that leaves out every replica this client already has a
+//! request at (one data replica, or both: any `k` of `n` decode), a
+//! reissue that waits until it could be the decoding fragment, the
+//! probe that re-admits a fragment replica that failed and healed, and
+//! a `SET` that writes its `n` fragments as one wave.
 
 use bytes::{Bytes, BytesMut};
 use erasure::{StripedBackend, StripedClient, StripedConfig};
 use hedge::{CancellationStyle, HedgeConfig, HedgedClient, LoadClient, TcpServer, TcpServerConfig};
-use kvstore::resp::encode_command;
+use kvstore::resp::{decode_command, encode_command, encode_reply};
 use kvstore::{Backend, Command, KvStore, Reply};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use reissue_core::policy::ReissuePolicy;
 
-use std::io::Write;
-use std::net::TcpStream;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const BYTES_PER_UNIT: u64 = 64;
@@ -385,8 +389,8 @@ fn group_with_replica_zero_busy(policy: ReissuePolicy) -> BusyGroup {
 }
 
 /// Load-aware first wave: while the client has a request outstanding
-/// at a data replica, reads of the keys placed on it take the parity
-/// clone instead and never send that replica a fragment.
+/// at a data replica, reads of the keys placed on it take a parity
+/// slot instead and never send that replica a fragment.
 #[test]
 fn busy_data_replica_is_left_out_of_the_first_wave() {
     let (servers, client, stored) = group_with_replica_zero_busy(ReissuePolicy::None);
@@ -407,6 +411,343 @@ fn busy_data_replica_is_left_out_of_the_first_wave() {
         1,
         "replica 0 served the blocker and nothing else"
     );
+}
+
+/// Any `k` of `n`: with the client's own long read outstanding at
+/// *both* data replicas of a key, an unhedged read is the two parity
+/// slots. It answers from them while both data servers are still
+/// burning, and neither is sent a fragment.
+#[test]
+fn both_data_replicas_busy_reads_from_the_two_parity_slots() {
+    let (k, n) = (2, 4);
+    let key = "stripe:pinned";
+    let offset = erasure::placement_offset(key.as_bytes(), n);
+    // A blocker stripe placed like the key: its data slots are on the
+    // key's two data replicas.
+    let blocker = (0..)
+        .map(|i| format!("blocker:{i}"))
+        .find(|b| erasure::placement_offset(b.as_bytes(), n) == offset)
+        .unwrap();
+    let data_replicas = [offset % n, (1 + offset) % n];
+    let mut cfgs = [TcpServerConfig::default(); 4];
+    for replica in data_replicas {
+        // A 512 KiB fragment at 64 bytes per unit and 120 us per unit:
+        // ~1 s of burn.
+        cfgs[replica].nanos_per_op = 120_000;
+    }
+    let value: Vec<u8> = (0..9_001u32).map(|i| (i % 239) as u8).collect();
+    let servers = bind_striped_servers(key, &value, k, &cfgs);
+    seed_stripe(&servers, &blocker, &vec![0xBB; 1 << 20], k);
+    let addrs: Vec<_> = servers.iter().map(|s| s.local_addr()).collect();
+    let client = StripedClient::connect(
+        &addrs,
+        StripedConfig {
+            k,
+            ..StripedConfig::default()
+        },
+    )
+    .unwrap();
+
+    // An idle group reads the data slots: the blocker's wave is the two
+    // data replicas. Detached; it resolves when the burns end or the
+    // servers go.
+    let rt = client.runtime();
+    rt.spawn(client.execute(Command::Get(Bytes::from(blocker))));
+    let burning = || data_replicas.map(|r| servers[r].stats().commands);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while burning() != [1, 1] {
+        assert!(
+            Instant::now() < deadline,
+            "the blocker's wave: {:?}",
+            burning()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    for _ in 0..20 {
+        let got = client
+            .execute_blocking(Command::Get(Bytes::from_static(key.as_bytes())))
+            .unwrap();
+        assert_eq!(got, Reply::Str(Bytes::from(value.clone())));
+    }
+    let stats = client.stats();
+    assert_eq!(
+        (stats.queries, stats.decodes_with_parity, stats.reissues),
+        (20, 20, 0),
+        "20 reads done, the blocker still out: {stats:?}"
+    );
+    assert_eq!(stats.errors, 0);
+    assert_eq!(burning(), [1, 1], "a busy data replica was sent a fragment");
+    for replica in data_replicas {
+        assert_eq!(servers[replica].stats().aborted, 0, "still in service");
+    }
+    servers.iter().for_each(TcpServer::shutdown);
+}
+
+/// A fragment server of one fragment, not a `TcpServer`: while
+/// `failing` it closes every connection at the first command,
+/// unanswered; otherwise it answers any `FGET` with its fragment and
+/// anything else with an error. Same listener throughout, so healing
+/// does not change the address.
+struct FakeFragmentServer {
+    addr: SocketAddr,
+    failing: Arc<AtomicBool>,
+    stop: Arc<AtomicBool>,
+    answered: Arc<AtomicU64>,
+    acceptor: std::thread::JoinHandle<()>,
+}
+
+impl FakeFragmentServer {
+    fn spawn(fragment: Bytes, failing: bool) -> FakeFragmentServer {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let failing = Arc::new(AtomicBool::new(failing));
+        let stop = Arc::new(AtomicBool::new(false));
+        let answered = Arc::new(AtomicU64::new(0));
+        let acceptor = {
+            let (failing, stop, answered) = (failing.clone(), stop.clone(), answered.clone());
+            std::thread::spawn(move || {
+                let mut conns = Vec::new();
+                for sock in listener.incoming() {
+                    if stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let Ok(sock) = sock else { continue };
+                    let (failing, answered) = (failing.clone(), answered.clone());
+                    let fragment = fragment.clone();
+                    conns.push(std::thread::spawn(move || {
+                        serve_fragment(sock, &fragment, &failing, &answered)
+                    }));
+                }
+                for conn in conns {
+                    conn.join().unwrap();
+                }
+            })
+        };
+        FakeFragmentServer {
+            addr,
+            failing,
+            stop,
+            answered,
+            acceptor,
+        }
+    }
+
+    fn answered(&self) -> u64 {
+        self.answered.load(Ordering::SeqCst)
+    }
+
+    /// Ends the accept loop and joins every connection thread; call
+    /// after the client is dropped, so their reads see the close.
+    fn stop(self) {
+        self.stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.addr); // wake `incoming`
+        self.acceptor.join().unwrap();
+    }
+}
+
+fn serve_fragment(
+    mut sock: TcpStream,
+    fragment: &Bytes,
+    failing: &AtomicBool,
+    answered: &AtomicU64,
+) {
+    let mut buf = BytesMut::new();
+    let mut chunk = [0u8; 4096];
+    let mut out = BytesMut::new();
+    loop {
+        match sock.read(&mut chunk) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+        }
+        while let Ok(Some(cmd)) = decode_command(&mut buf) {
+            if failing.load(Ordering::SeqCst) {
+                return; // dropped with the request unanswered
+            }
+            let reply = match cmd {
+                Command::FGet(..) => Reply::Str(fragment.clone()),
+                _ => Reply::Error("ERR a fake of one fragment".into()),
+            };
+            out.clear();
+            encode_reply(&reply, &mut out);
+            if sock.write_all(&out).is_err() {
+                return;
+            }
+            answered.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+}
+
+/// A `(2, 4)` group of three real fragment servers and a fake one at
+/// the replica that holds `slot` of `key`, and an unhedged client.
+fn group_with_a_fake_at_slot(
+    key: &str,
+    value: &[u8],
+    slot: usize,
+    failing: bool,
+) -> (
+    Vec<TcpServer<StripedBackend>>,
+    FakeFragmentServer,
+    StripedClient,
+) {
+    let (k, n) = (2, 4);
+    let servers = bind_striped_servers(key, value, k, &[TcpServerConfig::default(); 4]);
+    let fragment = erasure::encode_stripe(value, k, n)
+        .unwrap()
+        .swap_remove(slot);
+    let fake = FakeFragmentServer::spawn(fragment, failing);
+    let fake_idx = (slot + erasure::placement_offset(key.as_bytes(), n)) % n;
+    let mut addrs: Vec<_> = servers.iter().map(|s| s.local_addr()).collect();
+    addrs[fake_idx] = fake.addr;
+    let cfg = StripedConfig {
+        k,
+        ..StripedConfig::default()
+    };
+    let client = StripedClient::connect(&addrs, cfg).unwrap();
+    (servers, fake, client)
+}
+
+/// The starvation "the `k` best of `n`" would leave, and its cure. A
+/// fragment replica that fails fast is demoted behind the other three,
+/// which is right while it is down; an unhedged, read-only client
+/// would then never read it again (without the probe this test reads
+/// `answered == 0` after the heal, every read decoding around the
+/// healthy replica). One read in sixteen ranks the failing replica
+/// first, as `pick_primary` does: answered probes decay its error
+/// EWMA and it gets its slot back.
+#[test]
+fn demoted_fragment_replica_is_probed_and_readmitted() {
+    let key = "stripe:probe";
+    let value: Vec<u8> = (0..3_000u32).map(|i| (i % 241) as u8).collect();
+    // Data slot 0: an idle group reads it, so the outage is noticed.
+    let (servers, fake, client) = group_with_a_fake_at_slot(key, &value, 0, true);
+    let reads = |count: usize| -> usize {
+        let read = || client.execute_blocking(Command::Get(Bytes::from_static(key.as_bytes())));
+        let replies = (0..count).map(|_| read());
+        let failed = replies.filter(|reply| match reply {
+            Ok(reply) => {
+                assert_eq!(*reply, Reply::Str(Bytes::from(value.clone())));
+                false
+            }
+            Err(_) => true,
+        });
+        failed.count()
+    };
+
+    // Failing: unhedged, so a read with the dead replica in its wave is
+    // an error. That is the first seven (until the error EWMA passes
+    // one half) and then the probes, one read in 16; every other read
+    // decodes from the other three replicas.
+    let failed = reads(64);
+    assert_eq!(client.stats().errors, failed as u64);
+    assert_eq!(fake.answered(), 0);
+    assert!(
+        (1..=20).contains(&failed),
+        "{failed} of 64 reads had the failing replica in their wave"
+    );
+
+    // Healed: nothing but the probe would ever ask it again.
+    fake.failing.store(false, Ordering::SeqCst);
+    let failed = reads(400);
+    let answered = fake.answered();
+    eprintln!("healed replica answered {answered} of the next 400 reads");
+    assert_eq!(failed, 0, "a healed replica answers");
+    assert!(
+        answered > 100,
+        "the healed replica served {answered} of 400 reads: still demoted"
+    );
+
+    drop(client);
+    fake.stop();
+    servers.iter().for_each(TcpServer::shutdown);
+}
+
+/// A striped `SET` is one write wave: all `n` `FSET`s are on the wire
+/// before the first acknowledgement is awaited, so it takes about one
+/// server's burn, not `n` of them in a row.
+#[test]
+fn striped_set_is_one_write_wave() {
+    // A 6 400-byte value is two 3 208-byte fragments of 51 units at 64
+    // bytes per unit: ~200 ms of burn per `FSET` at 4 ms per unit.
+    let cfg = TcpServerConfig {
+        nanos_per_op: 4_000_000,
+        ..TcpServerConfig::default()
+    };
+    let servers = bind_striped_servers("unused", b"", 2, &[cfg; 4]);
+    let addrs: Vec<_> = servers.iter().map(|s| s.local_addr()).collect();
+    let cfg = StripedConfig {
+        k: 2,
+        ..StripedConfig::default()
+    };
+    let client = StripedClient::connect(&addrs, cfg).unwrap();
+    let value: Vec<u8> = (0..6_400u32).map(|i| (i % 233) as u8).collect();
+
+    let started = Instant::now();
+    let rt = client.runtime();
+    let set = Command::Set("stripe:wave".into(), Bytes::from(value.clone()));
+    let write = rt.spawn(client.execute(set));
+    // Every server has its fragment in service (`commands` counts at
+    // service start) well inside the first one's burn; one round trip
+    // at a time, the last would start three burns in.
+    let in_service = || -> Vec<u64> { servers.iter().map(|s| s.stats().commands).collect() };
+    while in_service() != [1, 1, 1, 1] {
+        assert!(
+            started.elapsed() < Duration::from_millis(150),
+            "150 ms into the write: {:?}",
+            in_service()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(rt.block_on(write).unwrap(), Reply::Ok);
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(600),
+        "four ~200 ms burns side by side, not in a row: {elapsed:?}"
+    );
+
+    for s in &servers {
+        s.set_nanos_per_op(0);
+    }
+    let got = client.execute_blocking(Command::Get("stripe:wave".into()));
+    assert_eq!(got.unwrap(), Reply::Str(Bytes::from(value)));
+}
+
+/// The acknowledgements are awaited in slot order, so when several
+/// replicas refuse their fragment the error returned is the lowest
+/// slot's, as it was when the write went one round trip at a time.
+#[test]
+fn striped_set_returns_the_first_error_in_slot_order() {
+    let key = "stripe:refused";
+    let offset = erasure::placement_offset(key.as_bytes(), 4);
+    let servers = bind_striped_servers(key, b"", 2, &[TcpServerConfig::default(); 4]);
+    // Fakes (which answer `FSET` with an error) at slots 3 and 1.
+    let fakes = [3, 1].map(|_| FakeFragmentServer::spawn(Bytes::new(), false));
+    let mut addrs: Vec<_> = servers.iter().map(|s| s.local_addr()).collect();
+    addrs[(3 + offset) % 4] = fakes[0].addr;
+    addrs[(1 + offset) % 4] = fakes[1].addr;
+    let cfg = StripedConfig {
+        k: 2,
+        ..StripedConfig::default()
+    };
+    let client = StripedClient::connect(&addrs, cfg).unwrap();
+
+    let err = client
+        .put_blocking(key.as_bytes(), b"some value")
+        .unwrap_err();
+    assert!(
+        matches!(&err, hedge::TransportError::Protocol(why) if why.starts_with("FSET slot 1 ")),
+        "{err:?}"
+    );
+    // The whole wave went out all the same.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while fakes.iter().map(|f| f.answered()).sum::<u64>() < 2 {
+        assert!(Instant::now() < deadline, "slot 3's FSET never arrived");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    drop(client);
+    fakes.into_iter().for_each(FakeFragmentServer::stop);
+    servers.iter().for_each(TcpServer::shutdown);
 }
 
 /// A key that was never written answers `Nil` from whichever `k` slots

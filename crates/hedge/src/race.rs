@@ -122,8 +122,10 @@ pub trait Job: Send {
     /// race. Asked only while an attempt is in flight (the rescue of a
     /// query with nothing outstanding is never held), and asked again
     /// after every reply, so a held stage that is past due goes out as
-    /// soon as the reply that makes it useful is banked. A job done at
-    /// its first useful reply never holds, which is the default.
+    /// soon as the reply that makes it useful is banked. A striped read
+    /// holds until `k − 1` fragments, whichever, are in hand (any `k`
+    /// decode). A job done at its first useful reply never holds,
+    /// which is the default.
     fn holds(&self) -> bool {
         false
     }

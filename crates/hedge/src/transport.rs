@@ -780,14 +780,38 @@ impl ReplicaSet {
         if n == 1 {
             return 0;
         }
-        let failing = |i: usize| self.replicas[i].health.failing();
-        let turn = self.next.fetch_add(1, Ordering::Relaxed);
-        let probe = turn % PROBE_EVERY == 0 && (0..n).any(failing);
+        let (turn, probe) = self.take_turn();
         let start = if probe { turn / PROBE_EVERY } else { turn } % n;
         (0..n)
             .map(|off| (start + off) % n)
-            .min_by_key(|&i| (failing(i) != probe, self.replicas[i].inflight()))
+            .min_by_key(|&i| self.dispatch_rank(i, probe))
             .expect("non-empty replica set")
+    }
+
+    /// Takes the next dispatch turn and says whether it is a probe:
+    /// every `PROBE_EVERY`-th turn is, while some replica is
+    /// [`failing`](ReplicaHealth::failing).
+    fn take_turn(&self) -> (usize, bool) {
+        let turn = self.next.fetch_add(1, Ordering::Relaxed);
+        let failing = || self.replicas.iter().any(|r| r.health.failing());
+        (turn, turn % PROBE_EVERY == 0 && failing())
+    }
+
+    /// [`ReplicaSet::pick_primary`]'s turn counter, for a dispatcher
+    /// that places a first wave of its own over these replicas (the
+    /// striped read's `k` fragments): one turn per query, `true` when
+    /// the query is the probe that lets a demoted replica back in.
+    pub fn probe_turn(&self) -> bool {
+        self.take_turn().1
+    }
+
+    /// What [`ReplicaSet::pick_primary`] minimises over, smaller being
+    /// the better target for a first-wave attempt: a failing replica
+    /// behind every other (in front of them on a `probe` turn), then
+    /// the fewest requests of this client outstanding.
+    pub fn dispatch_rank(&self, idx: usize, probe: bool) -> (bool, u64) {
+        let replica = &self.replicas[idx];
+        (replica.health.failing() != probe, replica.inflight())
     }
 
     /// Picks the reissue target: the healthiest replica other than the

@@ -25,8 +25,8 @@
 //!   bounded admission, exact completion accounting, aggregate-vs-leg
 //!   latency histograms, and `(shard, replica)` sickness scripting;
 //! * [`StripedGroup`] — the erasure-coded variant of one shard's
-//!   replica group: `n` servers holding one stripe slot each (data
-//!   fragments + parity clones) instead of `n` full copies, read
+//!   replica group: `n` servers holding one stripe slot each (`k`
+//!   data fragments + `n − k` parity rows) instead of `n` full copies, read
 //!   through `erasure::StripedClient`'s k-of-n fragment race.
 
 #![forbid(unsafe_code)]

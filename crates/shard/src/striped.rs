@@ -2,9 +2,9 @@
 //!
 //! A [`StripedGroup`] is the striped counterpart of one shard's
 //! [`hedge::harness::Cluster`]: `n` TCP servers that each hold **one
-//! stripe slot** of every key — data fragments on `k` of them, parity
-//! clones on the rest, rotated per key so every server carries an
-//! even mix — instead of `n` identical full copies. Reads go
+//! stripe slot** of every key — data fragments on `k` of them, one
+//! parity row each on the rest, rotated per key so every server
+//! carries an even mix — instead of `n` identical full copies. Reads go
 //! through [`erasure::StripedClient`]'s k-of-n race, so the group's
 //! hedge unit is a `1/k`-sized fragment rather than a whole request.
 //!

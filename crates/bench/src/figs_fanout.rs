@@ -40,15 +40,13 @@
 use crate::figs_tcp::tcp_queries;
 use crate::{median, Scale, Table};
 
-use hedge::harness::Arrivals;
+use hedge::{Arrivals, LoadConfig, LoadReport, SicknessEvent};
+use reissue_core::metrics::LogHistogram;
 use reissue_core::online::OnlineConfig;
 use reissue_core::policy::ReissuePolicy;
 use searchengine::workload::QueryWorkloadConfig;
 use searchengine::{CorpusConfig, ShardedQueryWorkload};
-use shard::{
-    run_fanout_load, FanoutClient, FanoutConfig, FanoutLoadConfig, FanoutLoadReport,
-    FanoutSickness, ShardedCluster,
-};
+use shard::{FanoutClient, FanoutConfig, ShardedCluster};
 
 /// The fan-out experiments target P99, like the other §6 figures.
 const K: f64 = 0.99;
@@ -113,14 +111,14 @@ fn workload(scale: Scale, shards: usize) -> ShardedQueryWorkload {
     )
 }
 
-fn load_config(wl: &ShardedQueryWorkload, queries: usize, width: usize) -> FanoutLoadConfig {
+fn load_config(wl: &ShardedQueryWorkload, queries: usize, width: usize) -> LoadConfig {
     let mean_us = (wl.mean_leg_ms() * 1e3 / (REPLICAS_PER_SHARD as f64 * UTIL)).max(1.0) as u64;
-    FanoutLoadConfig {
+    LoadConfig {
         queries,
         arrivals: Arrivals::Poisson { mean_us },
         max_in_flight: MAX_IN_FLIGHT,
         seed: 0x10AD ^ (width as u64) << 8,
-        script: Vec::new(),
+        ..LoadConfig::default()
     }
 }
 
@@ -168,7 +166,7 @@ fn fanout_queries(scale: Scale, width: usize) -> usize {
 /// reissue targeting is health-EWMA-aware, so the hedged phases route
 /// rescues to the healthy sibling while the unhedged baseline eats
 /// most of every window.
-fn sickness_script(width: usize, queries: usize) -> Vec<FanoutSickness> {
+fn sickness_script(width: usize, queries: usize) -> Vec<SicknessEvent> {
     let healthy = nanos_per_op(width);
     // Narrow fan-outs split their slow time into several shorter,
     // staggered episodes. At width 1 a single contiguous window means
@@ -187,17 +185,16 @@ fn sickness_script(width: usize, queries: usize) -> Vec<FanoutSickness> {
         .flat_map(|i| {
             let s = i / episodes;
             let start = queries / 4 + i * span / slots;
-            let replica = s % REPLICAS_PER_SHARD;
+            // `ShardedCluster::run_load`'s flat replica index.
+            let replica = s * REPLICAS_PER_SHARD + s % REPLICAS_PER_SHARD;
             [
-                FanoutSickness {
+                SicknessEvent {
                     at_query: start,
-                    shard: s,
                     replica,
                     nanos_per_op: 4 * healthy,
                 },
-                FanoutSickness {
+                SicknessEvent {
                     at_query: (start + window).min(queries.saturating_sub(1)),
-                    shard: s,
                     replica,
                     nanos_per_op: healthy,
                 },
@@ -208,26 +205,28 @@ fn sickness_script(width: usize, queries: usize) -> Vec<FanoutSickness> {
 
 /// One phase: fresh fan-out client on the (reused) cluster, a
 /// discarded warmup, then the measured open-loop run under the
-/// staggered sickness script. Dropping the previous phase's client
-/// first frees its runtime and connections; the cluster is healed
-/// before handing the report back.
+/// staggered sickness script, whose leg latencies are returned beside
+/// its report (the warmup's are not in them). Dropping the previous
+/// phase's client first frees its runtime and connections; the cluster
+/// is healed before handing the report back.
 fn run_phase(
     cluster: &ShardedCluster<searchengine::SearchBackend>,
     wl: &ShardedQueryWorkload,
     queries: usize,
     cfg: FanoutConfig,
-) -> (FanoutLoadReport, FanoutClient) {
+) -> (LoadReport, LogHistogram, FanoutClient) {
     let client = FanoutClient::connect(cluster, cfg).expect("connect fan-out client");
     let warm = load_config(wl, WARMUP_QUERIES, cluster.shards());
-    let _ = run_fanout_load(cluster, &client, &warm, wl.command_fn());
+    let _ = cluster.run_load(&client, &warm, wl.command_fn());
     let mut load = load_config(wl, queries, cluster.shards());
     load.script = sickness_script(cluster.shards(), queries);
-    let report = run_fanout_load(cluster, &client, &load, wl.command_fn());
+    let legs = client.record_legs();
+    let report = cluster.run_load(&legs, &load, wl.command_fn());
     cluster.heal_all();
-    (report, client)
+    (report, legs.latencies().all, client)
 }
 
-fn agg_p99(report: &FanoutLoadReport) -> f64 {
+fn agg_p99(report: &LoadReport) -> f64 {
     report.quantile(K).unwrap_or(f64::NAN)
 }
 
@@ -278,15 +277,16 @@ pub fn figtcp_fanout(scale: Scale) -> Vec<Table> {
 
         // Unhedged baseline, once per width: both the per-leg and the
         // aggregate tail, so the table shows the compounding directly.
-        let (base, base_client) = run_phase(&cluster, &wl, queries, FanoutConfig::default());
-        let unhedged_leg_p99 = base.leg_quantile(K).unwrap_or(f64::NAN);
+        let (base, base_leg_ms, base_client) =
+            run_phase(&cluster, &wl, queries, FanoutConfig::default());
+        let unhedged_leg_p99 = base_leg_ms.quantile(K).unwrap_or(f64::NAN);
         let unhedged_agg_p99 = agg_p99(&base);
         drop(base_client);
 
         for &budget in &BUDGETS {
             // Per-leg online-correlated adaptation under the shared
             // cross-shard governor.
-            let (online, online_client) = run_phase(
+            let (online, _, online_client) = run_phase(
                 &cluster,
                 &wl,
                 queries,
@@ -316,7 +316,7 @@ pub fn figtcp_fanout(scale: Scale) -> Vec<Table> {
 
             // Static SingleR frozen from the adapted artifacts, same
             // shared governed budget.
-            let (stat, static_client) = run_phase(
+            let (stat, _, static_client) = run_phase(
                 &cluster,
                 &wl,
                 queries,

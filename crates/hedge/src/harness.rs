@@ -3,7 +3,7 @@
 //! latency recording.
 //!
 //! Every scale experiment in this repository needs the same three
-//! pieces, and before this module each call site hand-rolled them:
+//! pieces:
 //!
 //! * a **[`Cluster`]** — `n` [`TcpServer`] replicas of one dataset
 //!   snapshot on ephemeral local ports, with live per-replica
@@ -67,9 +67,10 @@ use std::time::{Duration, Instant};
 /// replica read, a k-of-n fragment fan-out, …) as long as it can clone
 /// the client into the pacer task, spawn `'static` execute futures on
 /// the client's runtime, and snapshot two counters for per-segment
-/// reissue-rate deltas. [`HedgedClient`] and `erasure::StripedClient`
-/// both implement it, so every load experiment shares one pacer,
-/// admission bound, and drain loop.
+/// reissue-rate deltas. [`HedgedClient`], `erasure::StripedClient`
+/// and `shard::FanoutClient` (a whole scatter-gather per arrival)
+/// implement it, so every load experiment shares one pacer, admission
+/// bound, and drain loop.
 pub trait LoadClient: Clone + Send + 'static {
     /// The runtime the pacer and completion tasks run on.
     fn load_runtime(&self) -> &Runtime;
@@ -151,10 +152,8 @@ impl Arrivals {
     }
 
     /// The gap to sleep *after* arrival `i` (µs). Burst arrivals
-    /// sleep only at burst boundaries. Public so other open-loop
-    /// pacers (e.g. `shard::run_fanout_load`) sample the identical
-    /// arrival process.
-    pub fn gap_after_us(&self, i: usize, rng: &mut SmallRng) -> u64 {
+    /// sleep only at burst boundaries.
+    fn gap_after_us(&self, i: usize, rng: &mut SmallRng) -> u64 {
         match *self {
             Arrivals::Fixed { interval_us } => interval_us,
             Arrivals::Poisson { mean_us } => {

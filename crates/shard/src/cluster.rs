@@ -7,8 +7,8 @@
 //! data) while the unit of request fan-out is the whole cluster.
 
 use hedge::harness::Cluster;
-use hedge::TcpServer;
-use kvstore::{Backend, KvStore};
+use hedge::{run_open_loop, LoadClient, LoadConfig, LoadReport, TcpServer};
+use kvstore::{Backend, Command, KvStore};
 
 use std::net::SocketAddr;
 
@@ -90,12 +90,29 @@ impl<B: Backend> ShardedCluster<B> {
     pub fn total_commands(&self) -> u64 {
         self.groups.iter().map(|g| g.total_commands()).sum()
     }
+
+    /// Drives `cfg.queries` arrivals through `client` open-loop: one
+    /// fan-out per arrival for a [`crate::FanoutClient`] (or its
+    /// [`crate::LegRecorder`]). A [`hedge::SicknessEvent`] names its
+    /// target by the flat index `shard * replicas_per_shard + replica`.
+    /// See [`hedge::run_open_loop`] for the pacing and accounting
+    /// contract.
+    pub fn run_load<C: LoadClient>(
+        &self,
+        client: &C,
+        cfg: &LoadConfig,
+        make_cmd: impl FnMut(usize) -> Command + Send + 'static,
+    ) -> LoadReport {
+        let per_shard = self.replicas_per_shard;
+        run_open_loop(client, cfg, make_cmd, |flat, nanos_per_op| {
+            self.set_nanos_per_op(flat / per_shard, flat % per_shard, nanos_per_op)
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kvstore::Command;
 
     #[test]
     fn spawns_distinct_groups_with_distinct_data() {

@@ -19,19 +19,24 @@
 //!
 //! Single-key commands route by [`Keyspace`] hash instead of fanning
 //! out ([`FanoutClient::execute_routed`]).
+//!
+//! Under open-loop load a fan-out is one arrival: [`FanoutClient`] is
+//! a [`hedge::LoadClient`] of [`ShardedCluster::run_load`]. What that
+//! loop has no notion of, the latency of each leg, is recorded by the
+//! client handle a run is given ([`LegRecorder`]).
 
 use crate::cluster::ShardedCluster;
 use crate::partition::Keyspace;
 
 use hedge::rt::Runtime;
 use hedge::transport::TransportError;
-use hedge::{BudgetGovernor, HedgeConfig, HedgedClient};
+use hedge::{BudgetGovernor, HedgeConfig, HedgedClient, LoadClient};
 use kvstore::{Backend, Command, Hit, Reply};
 use reissue_core::metrics::LogHistogram;
 use reissue_core::online::OnlineConfig;
 use reissue_core::policy::ReissuePolicy;
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Configuration for [`FanoutClient`].
@@ -230,13 +235,8 @@ impl FanoutClient {
         if let Some(g) = &self.governor {
             return g.realized_rate();
         }
-        let (mut q, mut r) = (0u64, 0u64);
-        for leg in &self.legs {
-            let s = leg.stats();
-            q += s.queries;
-            r += s.reissues;
-        }
-        r as f64 / q.max(1) as f64
+        let (queries, reissues) = self.load_counters();
+        reissues as f64 / queries.max(1) as f64
     }
 
     /// Every leg's latency histogram merged into one — the per-shard
@@ -321,6 +321,112 @@ impl FanoutClient {
     ) -> Result<Reply, TransportError> {
         let fut = self.execute_routed(key, cmd);
         self.rt.block_on(fut)
+    }
+
+    /// A handle on this client that records the latency of every leg
+    /// it serves: give a fresh one to each measured
+    /// [`ShardedCluster::run_load`] (a warm-up driven through the plain
+    /// client is then not in its histograms).
+    pub fn record_legs(&self) -> LegRecorder {
+        LegRecorder {
+            client: self.clone(),
+            legs: Arc::new(Mutex::new(LegLatencies {
+                all: LogHistogram::latency_ms(),
+                by_shard: vec![LogHistogram::latency_ms(); self.shards()],
+            })),
+        }
+    }
+
+    /// One open-loop arrival: `cmd` broadcast to every shard. A fan-out
+    /// that some leg answered is `Ok` (the first such leg's reply: it
+    /// serves partial results), one that no leg answered is the last
+    /// leg's error. Successful legs are timed into `record`.
+    fn broadcast(
+        &self,
+        cmd: Command,
+        record: Option<Arc<Mutex<LegLatencies>>>,
+    ) -> impl std::future::Future<Output = Result<Reply, TransportError>> + Send + 'static {
+        let fut = self.execute_all(move |_| cmd.clone());
+        async move {
+            let reply = fut.await;
+            if let Some(record) = record {
+                let mut legs = record.lock().expect("leg histograms poisoned");
+                for leg in reply.legs.iter().filter(|l| l.result.is_ok()) {
+                    legs.all.record(leg.ms);
+                    legs.by_shard[leg.shard].record(leg.ms);
+                }
+            }
+            let results = reply.legs.into_iter().map(|leg| leg.result);
+            results.reduce(Result::or).expect("at least one shard")
+        }
+    }
+}
+
+/// A fan-out is the unit of load: one arrival queries every shard and
+/// completes when its slowest leg has, so [`hedge::LoadReport`]'s
+/// latencies are the aggregate ones.
+impl LoadClient for FanoutClient {
+    fn load_runtime(&self) -> &Runtime {
+        &self.rt
+    }
+
+    fn load_execute(
+        &self,
+        cmd: Command,
+    ) -> impl std::future::Future<Output = Result<Reply, TransportError>> + Send + 'static {
+        self.broadcast(cmd, None)
+    }
+
+    /// Summed over the legs, so a segment's reissue rate is per leg
+    /// query: the fraction the shared budget caps.
+    fn load_counters(&self) -> (u64, u64) {
+        let stats = self.legs.iter().map(|leg| leg.stats());
+        stats.fold((0, 0), |(q, r), s| (q + s.queries, r + s.reissues))
+    }
+}
+
+/// Successful legs' latencies of one load run, ms, each clocked from
+/// its fan-out's dispatch.
+#[derive(Clone)]
+pub struct LegLatencies {
+    /// Every leg in one histogram: the per-shard tail the aggregate
+    /// compounds.
+    pub all: LogHistogram,
+    /// The same legs, one histogram per shard; merging them reproduces
+    /// `all` exactly (the log-histogram merge is lossless).
+    pub by_shard: Vec<LogHistogram>,
+}
+
+/// A [`FanoutClient`] that also records per-leg latency, which the
+/// open-loop harness (one latency per arrival) has no place for. Made
+/// by [`FanoutClient::record_legs`]; clones share the histograms.
+#[derive(Clone)]
+pub struct LegRecorder {
+    client: FanoutClient,
+    legs: Arc<Mutex<LegLatencies>>,
+}
+
+impl LegRecorder {
+    /// What has been recorded so far.
+    pub fn latencies(&self) -> LegLatencies {
+        self.legs.lock().expect("leg histograms poisoned").clone()
+    }
+}
+
+impl LoadClient for LegRecorder {
+    fn load_runtime(&self) -> &Runtime {
+        self.client.load_runtime()
+    }
+
+    fn load_execute(
+        &self,
+        cmd: Command,
+    ) -> impl std::future::Future<Output = Result<Reply, TransportError>> + Send + 'static {
+        self.client.broadcast(cmd, Some(self.legs.clone()))
+    }
+
+    fn load_counters(&self) -> (u64, u64) {
+        self.client.load_counters()
     }
 }
 

@@ -21,9 +21,12 @@
 //!   [`hedge::BudgetGovernor`]** (extra load is global: `N` locally
 //!   entitled legs would burst to `N×` the budget exactly when every
 //!   shard slows at once);
-//! * [`run_fanout_load`] — the open-loop fan-out load harness with
-//!   bounded admission, exact completion accounting, aggregate-vs-leg
-//!   latency histograms, and `(shard, replica)` sickness scripting;
+//! * [`ShardedCluster::run_load`] — open-loop load with a fan-out as
+//!   the unit of arrival, over the one harness every load experiment
+//!   shares ([`hedge::run_open_loop`]: bounded admission, exact
+//!   completion accounting, sickness scripting by flat replica index);
+//!   the aggregate latencies are its report's, the per-leg ones are
+//!   kept by the client handle of the run ([`LegRecorder`]);
 //! * [`StripedGroup`] — the erasure-coded variant of one shard's
 //!   replica group: `n` servers holding one stripe slot each (`k`
 //!   data fragments + `n − k` parity rows) instead of `n` full copies, read
@@ -34,12 +37,10 @@
 
 pub mod cluster;
 pub mod fanout;
-pub mod load;
 pub mod partition;
 pub mod striped;
 
 pub use cluster::ShardedCluster;
-pub use fanout::{FanoutClient, FanoutConfig, FanoutReply, LegReply};
-pub use load::{run_fanout_load, FanoutLoadConfig, FanoutLoadReport, FanoutSickness};
+pub use fanout::{FanoutClient, FanoutConfig, FanoutReply, LegLatencies, LegRecorder, LegReply};
 pub use partition::{fnv1a, Keyspace};
 pub use striped::StripedGroup;

@@ -14,18 +14,19 @@
 //! only changes how *one* shard's bytes spread over its replicas.
 
 use erasure::{encode_stripe, CodecError, StripedBackend};
-use hedge::{run_open_loop, LoadClient, LoadConfig, LoadReport, TcpServer, TcpServerConfig};
+use hedge::harness::Cluster;
+use hedge::{LoadClient, LoadConfig, LoadReport, TcpServer};
 use kvstore::{Command, KvStore};
 
 use bytes::Bytes;
 use std::net::SocketAddr;
 
-/// One shard's striped replica group: `n` servers, one stripe slot
-/// each. Dropping the handle shuts every server down.
+/// One shard's striped replica group: a [`Cluster`] of `n` fragment
+/// servers, one stripe slot each, plus the geometry's `k`. Dropping
+/// the handle shuts every server down.
 pub struct StripedGroup {
-    servers: Vec<TcpServer<StripedBackend>>,
+    servers: Cluster<StripedBackend>,
     k: usize,
-    baseline_nanos_per_op: u64,
 }
 
 impl StripedGroup {
@@ -43,23 +44,10 @@ impl StripedGroup {
     ) -> std::io::Result<StripedGroup> {
         assert!(k > 0, "a stripe needs at least one data fragment");
         assert!(n >= k, "need at least k slots");
-        let cfg = TcpServerConfig {
-            nanos_per_op,
-            ..TcpServerConfig::default()
-        };
-        let servers = (0..n)
-            .map(|_| {
-                TcpServer::bind(
-                    "127.0.0.1:0",
-                    StripedBackend::new(KvStore::new(), bytes_per_unit),
-                    cfg,
-                )
-            })
-            .collect::<std::io::Result<Vec<_>>>()?;
+        let empty = StripedBackend::new(KvStore::new(), bytes_per_unit);
         Ok(StripedGroup {
-            servers,
+            servers: Cluster::spawn(n, &empty, nanos_per_op)?,
             k,
-            baseline_nanos_per_op: nanos_per_op,
         })
     }
 
@@ -72,12 +60,12 @@ impl StripedGroup {
     /// [`erasure::StripedClient`], which maps each key's slot `s` to
     /// replica `(s + erasure::placement_offset(key, n)) % n`.
     pub fn addrs(&self) -> Vec<SocketAddr> {
-        self.servers.iter().map(|s| s.local_addr()).collect()
+        self.servers.addrs()
     }
 
     /// Direct access to slot `idx`'s server.
     pub fn server(&self, idx: usize) -> &TcpServer<StripedBackend> {
-        &self.servers[idx]
+        self.servers.server(idx)
     }
 
     /// Seeds one key's stripe directly into the stores (no network):
@@ -91,7 +79,7 @@ impl StripedGroup {
         let frags = encode_stripe(value, self.k, n)?;
         let offset = erasure::placement_offset(key, n);
         for (slot, frag) in frags.into_iter().enumerate() {
-            self.servers[(slot + offset) % n].with_store(|s| {
+            self.servers.server((slot + offset) % n).with_store(|s| {
                 s.store_mut().execute(&Command::FSet(
                     Bytes::copy_from_slice(key),
                     slot as u32,
@@ -102,27 +90,8 @@ impl StripedGroup {
         Ok(())
     }
 
-    /// Changes slot `idx`'s service burn while it serves (sicken /
-    /// heal).
-    pub fn set_nanos_per_op(&self, idx: usize, nanos_per_op: u64) {
-        self.servers[idx].set_nanos_per_op(nanos_per_op);
-    }
-
-    /// Restores every server to the spawn-time service burn.
-    pub fn heal_all(&self) {
-        for s in &self.servers {
-            s.set_nanos_per_op(self.baseline_nanos_per_op);
-        }
-    }
-
-    /// Total commands executed across all slots.
-    pub fn total_commands(&self) -> u64 {
-        self.servers.iter().map(|s| s.stats().commands).sum()
-    }
-
     /// Drives `cfg.queries` arrivals through `client` open-loop
-    /// against this group — the striped counterpart of
-    /// [`hedge::harness::Cluster::run_load`], with the sickness script
+    /// against this group: [`Cluster::run_load`], the sickness script
     /// applied to this group's fragment servers. See
     /// [`hedge::run_open_loop`] for the pacing and accounting
     /// contract.
@@ -132,9 +101,7 @@ impl StripedGroup {
         cfg: &LoadConfig,
         make_cmd: impl FnMut(usize) -> Command + Send + 'static,
     ) -> LoadReport {
-        run_open_loop(client, cfg, make_cmd, |idx, nanos_per_op| {
-            self.set_nanos_per_op(idx, nanos_per_op)
-        })
+        self.servers.run_load(client, cfg, make_cmd)
     }
 }
 

@@ -6,11 +6,9 @@ use kvstore::{Command, KvStore, Reply};
 use reissue_core::online::OnlineConfig;
 use searchengine::workload::{QueryWorkloadConfig, TermRankDist};
 use searchengine::{CorpusConfig, ShardedQueryWorkload};
-use shard::{
-    run_fanout_load, FanoutClient, FanoutConfig, FanoutLoadConfig, FanoutSickness, ShardedCluster,
-};
+use shard::{FanoutClient, FanoutConfig, LegLatencies, ShardedCluster};
 
-use hedge::harness::Arrivals;
+use hedge::{Arrivals, LoadConfig, SicknessEvent};
 
 fn small_workload(shards: usize) -> ShardedQueryWorkload {
     ShardedQueryWorkload::generate(
@@ -118,33 +116,37 @@ fn sick_shard_degrades_gracefully_within_shared_budget() {
     .unwrap();
 
     let queries = 400;
-    let report = run_fanout_load(
-        &cluster,
-        &client,
-        &FanoutLoadConfig {
+    // Replica 0 of shard 2, by `run_load`'s flat index.
+    let sick = 2 * cluster.replicas_per_shard();
+    let legs = client.record_legs();
+    let report = cluster.run_load(
+        &legs,
+        &LoadConfig {
             queries,
             arrivals: Arrivals::Fixed { interval_us: 2_000 },
             max_in_flight: 64,
             script: vec![
                 // One replica of shard 2 goes 40x slow mid-run...
-                FanoutSickness {
+                SicknessEvent {
                     at_query: 100,
-                    shard: 2,
-                    replica: 0,
+                    replica: sick,
                     nanos_per_op: 6_000,
                 },
                 // ...and heals before the end.
-                FanoutSickness {
+                SicknessEvent {
                     at_query: 300,
-                    shard: 2,
-                    replica: 0,
+                    replica: sick,
                     nanos_per_op: 150,
                 },
             ],
-            ..FanoutLoadConfig::default()
+            ..LoadConfig::default()
         },
         wl.command_fn(),
     );
+    let LegLatencies {
+        all: leg_ms,
+        by_shard: leg_ms_by_shard,
+    } = legs.latencies();
 
     // Exact accounting: nothing lost, nothing failed outright — a
     // slow replica degrades a leg, hedging and retries absorb it.
@@ -156,7 +158,7 @@ fn sick_shard_degrades_gracefully_within_shared_budget() {
     // Aggregate latency compounds per-leg latency: the all-legs P99
     // cannot be better than the single-leg P99.
     let agg_p99 = report.quantile(0.99).unwrap();
-    let leg_p99 = report.leg_quantile(0.99).unwrap();
+    let leg_p99 = leg_ms.quantile(0.99).unwrap();
     assert!(
         agg_p99 >= leg_p99 * 0.99,
         "aggregate P99 {agg_p99:.2} ms below leg P99 {leg_p99:.2} ms"
@@ -178,20 +180,20 @@ fn sick_shard_degrades_gracefully_within_shared_budget() {
     // The per-shard leg recorders merge losslessly back into the
     // directly recorded leg histogram: identical counts and quantiles.
     let mut merged = reissue_core::metrics::LogHistogram::latency_ms();
-    for h in &report.leg_ms_by_shard {
+    for h in &leg_ms_by_shard {
         merged.merge(h);
     }
-    assert_eq!(merged.len(), report.leg_ms.len());
+    assert_eq!(merged.len(), leg_ms.len());
     for p in [0.5, 0.9, 0.99, 1.0] {
         assert_eq!(
             merged.quantile(p),
-            report.leg_ms.quantile(p),
+            leg_ms.quantile(p),
             "merged per-shard quantile p={p} diverges from direct recording"
         );
     }
     // Bucket counts merge exactly; the mean's sum accumulator adds the
     // same values in a different order, so allow float associativity.
-    let (m, d) = (merged.mean().unwrap(), report.leg_ms.mean().unwrap());
+    let (m, d) = (merged.mean().unwrap(), leg_ms.mean().unwrap());
     assert!(
         (m - d).abs() <= 1e-9 * d.abs().max(1.0),
         "merged per-shard mean {m} diverges from direct recording {d}"
@@ -199,5 +201,54 @@ fn sick_shard_degrades_gracefully_within_shared_budget() {
 
     // The client-side merged histogram agrees in count with the legs'
     // own recorders (each leg records every completion it served).
-    assert!(client.merged_leg_histogram().len() >= report.leg_ms.len());
+    assert!(client.merged_leg_histogram().len() >= leg_ms.len());
+}
+
+/// The harness sees one `Result` per fan-out: `Ok` while any leg
+/// answers (the dead shard's legs fail and are not timed), `Err` once
+/// none does. Accounting only.
+#[test]
+fn load_counts_a_fanout_failed_only_when_every_leg_did() {
+    let cluster = ShardedCluster::spawn(vec![KvStore::new(); 3], 2, 0).unwrap();
+    let client = FanoutClient::connect(&cluster, FanoutConfig::default()).unwrap();
+    let queries = 120;
+    let load = LoadConfig {
+        queries,
+        arrivals: Arrivals::Fixed { interval_us: 500 },
+        max_in_flight: 32,
+        ..LoadConfig::default()
+    };
+    // A shut-down replica's port is free again, and a server of a
+    // test running beside this one may be given it and answer: take it
+    // back and close whatever connects.
+    let shut_down = |shard: usize| {
+        for (r, addr) in cluster.group_addrs(shard).into_iter().enumerate() {
+            cluster.server(shard, r).shutdown();
+            let dead = std::net::TcpListener::bind(addr).unwrap();
+            std::thread::spawn(move || dead.incoming().for_each(drop));
+        }
+    };
+
+    shut_down(1);
+    let legs = client.record_legs();
+    let report = cluster.run_load(&legs, &load, |_| Command::Ping);
+    assert_eq!(report.dispatched + report.dropped, queries as u64);
+    assert_eq!(report.failed, 0, "two of three shards still answer");
+    assert_eq!(report.completed, report.dispatched);
+    assert!(report.completed > 0);
+    let LegLatencies { all, by_shard } = legs.latencies();
+    assert_eq!(by_shard[0].len(), report.completed);
+    assert!(by_shard[1].is_empty(), "a failed leg is not timed");
+    assert_eq!(by_shard[2].len(), report.completed);
+    assert_eq!(all.len(), 2 * report.completed);
+
+    shut_down(0);
+    shut_down(2);
+    let legs = client.record_legs();
+    let report = cluster.run_load(&legs, &load, |_| Command::Ping);
+    assert_eq!(report.dispatched + report.dropped, queries as u64);
+    assert_eq!(report.failed, report.dispatched, "no leg answers");
+    assert_eq!(report.completed, 0);
+    assert!(report.dispatched > 0);
+    assert!(legs.latencies().all.is_empty());
 }

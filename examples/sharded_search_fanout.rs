@@ -18,12 +18,11 @@
 //! cargo run --release --example sharded_search_fanout
 //! ```
 
+use reissue::hedge::{Arrivals, LoadConfig, SicknessEvent};
 use reissue::online::OnlineConfig;
 use reissue::policy::ReissuePolicy;
 use reissue::search::{CorpusConfig, QueryWorkloadConfig, ShardedQueryWorkload};
-use reissue::shard::{
-    run_fanout_load, FanoutClient, FanoutConfig, FanoutLoadConfig, FanoutSickness, ShardedCluster,
-};
+use reissue::shard::{FanoutClient, FanoutConfig, ShardedCluster};
 
 const SHARDS: usize = 16;
 const REPLICAS: usize = 2;
@@ -77,47 +76,46 @@ fn main() {
     // baseline must still eat.
     let mean_us = (wl.mean_leg_ms() * 1e3 / (REPLICAS as f64 * UTIL)).max(1.0) as u64;
     let window = QUERIES / 10;
-    let script: Vec<FanoutSickness> = (0..4)
+    let script: Vec<SicknessEvent> = (0..4)
         .flat_map(|i| {
-            let shard = 2 + 4 * i;
+            // Replica `i % REPLICAS` of shard `2 + 4 i`, by the flat
+            // index `ShardedCluster::run_load` scripts sickness with.
+            let replica = (2 + 4 * i) * REPLICAS + i % REPLICAS;
             let start = QUERIES / 4 + i * QUERIES / 8;
             [
-                FanoutSickness {
+                SicknessEvent {
                     at_query: start,
-                    shard,
-                    replica: i % REPLICAS,
+                    replica,
                     nanos_per_op: 4 * NANOS_PER_OP,
                 },
-                FanoutSickness {
+                SicknessEvent {
                     at_query: start + window,
-                    shard,
-                    replica: i % REPLICAS,
+                    replica,
                     nanos_per_op: NANOS_PER_OP,
                 },
             ]
         })
         .collect();
-    let warmup = FanoutLoadConfig {
+    let warmup = LoadConfig {
         queries: 60,
-        arrivals: reissue::hedge::harness::Arrivals::Poisson { mean_us },
+        arrivals: Arrivals::Poisson { mean_us },
         max_in_flight: 32,
-        ..FanoutLoadConfig::default()
+        ..LoadConfig::default()
     };
-    let load = FanoutLoadConfig {
+    let load = LoadConfig {
         queries: QUERIES,
-        arrivals: reissue::hedge::harness::Arrivals::Poisson { mean_us },
-        max_in_flight: 32,
         script,
-        ..FanoutLoadConfig::default()
+        ..warmup.clone()
     };
 
     // Phase 1 — unhedged: watch the per-leg tail compound.
     let base_client =
         FanoutClient::connect(&cluster, FanoutConfig::default()).expect("connect fan-out client");
-    let _ = run_fanout_load(&cluster, &base_client, &warmup, wl.command_fn());
-    let base = run_fanout_load(&cluster, &base_client, &load, wl.command_fn());
+    let _ = cluster.run_load(&base_client, &warmup, wl.command_fn());
+    let base_legs = base_client.record_legs();
+    let base = cluster.run_load(&base_legs, &load, wl.command_fn());
     cluster.heal_all();
-    let leg_p99 = base.leg_quantile(0.99).unwrap_or(f64::NAN);
+    let leg_p99 = base_legs.latencies().all.quantile(0.99).unwrap_or(f64::NAN);
     let agg_p99 = base.quantile(0.99).unwrap_or(f64::NAN);
     println!(
         "\nunhedged: leg P99 = {:.1} ms, aggregate P99 = {:.1} ms \
@@ -127,7 +125,7 @@ fn main() {
         agg_p99,
         100.0 * (1.0 - 0.99f64.powi(SHARDS as i32))
     );
-    drop(base_client);
+    drop((base_legs, base_client));
 
     // Phase 2 — per-shard static SingleR under one shared cross-shard
     // budget. A deep delay self-targets the stragglers: on a healthy
@@ -145,8 +143,8 @@ fn main() {
         },
     )
     .expect("connect hedged fan-out client");
-    let _ = run_fanout_load(&cluster, &hedged_client, &warmup, wl.command_fn());
-    let hedged = run_fanout_load(&cluster, &hedged_client, &load, wl.command_fn());
+    let _ = cluster.run_load(&hedged_client, &warmup, wl.command_fn());
+    let hedged = cluster.run_load(&hedged_client, &load, wl.command_fn());
     cluster.heal_all();
     println!(
         "hedged (reissue past d = {:.0} ms) @ {:.0}% shared budget: \
@@ -179,8 +177,8 @@ fn main() {
         },
     )
     .expect("connect online fan-out client");
-    let _ = run_fanout_load(&cluster, &online_client, &warmup, wl.command_fn());
-    let online = run_fanout_load(&cluster, &online_client, &load, wl.command_fn());
+    let _ = cluster.run_load(&online_client, &warmup, wl.command_fn());
+    let online = cluster.run_load(&online_client, &load, wl.command_fn());
     cluster.heal_all();
     println!(
         "online-adapted @ {:.0}% shared budget: aggregate P99 = {:.1} ms, \

@@ -7,13 +7,33 @@
 //! configured cross-connection discipline (FIFO, cost-priority,
 //! shortest-expected-burn, round-robin, …) can reorder freely while
 //! per-connection reply order — the RESP contract — is preserved by
-//! construction. A single sweeper thread pops the central queue,
+//! construction. One head is served at a time, by whichever thread
+//! holds the single **service slot**: it pops the central queue,
 //! executes against the shared backend, burns `cost × nanos_per_op`
 //! of wall-clock service time, and writes the reply. The default
 //! discipline, `RoundRobin { connections: 0 }`, is Redis's event loop
 //! as §6.2 needs it: one command per connection with pending input per
 //! sweep, so one long `SINTER` delays every other connection's next
 //! command by its full service time.
+//!
+//! ## Who serves: the sweeper, or the reader in place
+//!
+//! A reader whose decoded head finds the slot free and the central
+//! queue empty takes the slot and serves the head itself, in place:
+//! with nothing queued, every discipline would have picked that head.
+//! It keeps the slot while the next head it pops turns out short too,
+//! so a busy server of short requests never wakes its sweeper thread.
+//! A head whose service burn is 200 µs or more is handed to the sweeper
+//! thread, slot and all, once it has executed: only the sweeper waits
+//! out a burn that long, so a client's `CANCEL`, read by that head's
+//! reader meanwhile, can stop it (below). Shorter burns are spun
+//! through wherever they run and cannot be stopped anyway.
+//! [`ServerStats::sweeps`] counts the commands the sweeper served; the
+//! rest of [`ServerStats::commands`] were served in place.
+//!
+//! Nothing polls: an idle reader blocks in `read()` with no timeout,
+//! an idle sweeper on its condvar, and [`TcpServer::shutdown`] wakes
+//! the readers by shutting their sockets down.
 //!
 //! ## Tied-request cancellation
 //!
@@ -26,12 +46,12 @@
 //!
 //! A request already **in service** is retracted too. Its service time
 //! (`cost × nanos_per_op`, when that is 200 µs or more) is a wait the
-//! sweeper can be woken from: the client's `CANCEL` stops it, the same
-//! `-ERR cancelled` marker takes the reply slot, the server books only
-//! the cost units it burned ([`ServerStats::total_cost`], and one
-//! [`ServerStats::aborted`]), and the replica serves its next head at
-//! once instead of finishing a copy nobody is waiting for. What can be
-//! cancelled, and by whom:
+//! sweeper serves it in and can be woken from: the client's `CANCEL`
+//! stops it, the same `-ERR cancelled` marker takes the reply slot, the
+//! server books only the cost units it burned
+//! ([`ServerStats::total_cost`], and one [`ServerStats::aborted`]), and
+//! the replica serves its next head at once instead of finishing a copy
+//! nobody is waiting for. What can be cancelled, and by whom:
 //!
 //! | the request is… | client `CANCEL` | peer `CANCELTIE` |
 //! |---|---|---|
@@ -72,7 +92,7 @@ use bytes::BytesMut;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -157,10 +177,12 @@ struct Entry {
     is_reissue: bool,
     /// Retracted; emits the cancelled marker when it reaches the head.
     cancelled: bool,
-    /// Currently in the central queue (or held by the sweeper).
+    /// Currently in the central queue (or held by the service slot's
+    /// holder).
     admitted: bool,
-    /// The sweeper has committed to executing it: too late for a peer's
-    /// `CANCELTIE`; a client `CANCEL` can still stop its service time.
+    /// The slot's holder has committed to executing it: too late for a
+    /// peer's `CANCELTIE`; a client `CANCEL` can still stop its service
+    /// time (a long one, which the sweeper serves).
     executing: bool,
 }
 
@@ -205,6 +227,48 @@ impl QueueItem for SchedItem {
     fn connection(&self) -> usize {
         self.conn.id
     }
+}
+
+/// Who holds the single service slot (see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Slot {
+    /// Nobody: the next head to arrive with nothing queued is served
+    /// in place by the reader that decoded it.
+    Free,
+    /// A reader, serving short heads in place.
+    Reader,
+    /// The sweeper thread.
+    Sweeper,
+}
+
+/// The central queue and the service slot, under one lock.
+struct Sched {
+    queue: WaitQueue<SchedItem>,
+    slot: Slot,
+    /// A head a reader executed and found too long to serve in place,
+    /// handed to the sweeper with the slot.
+    handoff: Option<Running>,
+}
+
+impl Sched {
+    fn new(discipline: Discipline) -> Self {
+        Sched {
+            queue: WaitQueue::new(discipline),
+            slot: Slot::Free,
+            handoff: None,
+        }
+    }
+}
+
+/// A head whose command has executed: its reply and the service time
+/// it still has to burn.
+struct Running {
+    item: SchedItem,
+    reply: Reply,
+    cost: u64,
+    service: Duration,
+    /// When execution ended and the service time began.
+    started: Instant,
 }
 
 /// A registered tie: where the tied request currently sits.
@@ -313,15 +377,16 @@ struct TieCounters {
 struct Shared<B: Backend> {
     store: Mutex<B>,
     stats: Mutex<ServerStats>,
-    /// Central cross-connection wait queue. Lock order: a connection's
-    /// `inner` may be held while taking `sched` (admission, take), and
-    /// `ties` is only ever taken last or alone — never the reverse.
-    sched: Mutex<WaitQueue<SchedItem>>,
+    /// Central cross-connection wait queue and the service slot. Lock
+    /// order: a connection's `inner` may be held while taking `sched`
+    /// (admission, take), and `ties` is only ever taken last or alone —
+    /// never the reverse.
+    sched: Mutex<Sched>,
     /// What the idle sweeper blocks on, paired with `sched`. Everything
-    /// it wakes for — a push, `stop`, `reap` — changes under the
-    /// `sched` lock, and the sweeper checks all three under that lock
-    /// before it waits, so no wake-up can fall between check and wait
-    /// and the wait needs no timeout.
+    /// it wakes for — a push while the slot is free, a hand-off, `stop`,
+    /// `reap` — changes under the `sched` lock, and the sweeper checks
+    /// all of them under that lock before it waits, so no wake-up can
+    /// fall between check and wait and the wait needs no timeout.
     sweep_cv: Condvar,
     /// A connection died since the last reap (see [`mark_dead`]).
     reap: AtomicBool,
@@ -377,7 +442,7 @@ impl<B: Backend> TcpServer<B> {
         let shared = Arc::new(Shared {
             store: Mutex::new(store),
             stats: Mutex::new(ServerStats::default()),
-            sched: Mutex::new(WaitQueue::new(cfg.discipline)),
+            sched: Mutex::new(Sched::new(cfg.discipline)),
             sweep_cv: Condvar::new(),
             reap: AtomicBool::new(false),
             conns: Mutex::new(Vec::new()),
@@ -490,16 +555,22 @@ impl<B: Backend> TcpServer<B> {
         for t in self.threads.lock().unwrap().drain(..) {
             let _ = t.join();
         }
-        // Readers exit within one read-timeout tick of the stop flag;
-        // joining them here (instead of leaking detached threads) means
-        // no reader can touch the store after shutdown returns.
+        // With the accept thread joined, every reader's connection is
+        // in `conns` (a reaped one's reader has exited, or its socket
+        // was shut down when its write failed). Shutting the sockets
+        // down ends the readers' blocking reads; joining them here
+        // (instead of leaking detached threads) means no reader can
+        // touch the store after shutdown returns.
+        for conn in self.shared.conns.lock().unwrap().iter() {
+            let _ = conn.writer.lock().unwrap().shutdown(Shutdown::Both);
+        }
         for t in self.shared.reader_threads.lock().unwrap().drain(..) {
             let _ = t.join();
         }
         // Drop every connection (and queued scheduler entries holding
         // them) so client sockets see EOF once shutdown returns.
         self.shared.conns.lock().unwrap().clear();
-        *self.shared.sched.lock().unwrap() = WaitQueue::new(Discipline::Fifo);
+        *self.shared.sched.lock().unwrap() = Sched::new(Discipline::Fifo);
         self.shared.ties.lock().unwrap().regs.clear();
     }
 }
@@ -535,7 +606,6 @@ fn accept_loop<B: Backend>(listener: &TcpListener, shared: &Arc<Shared<B>>) {
             break;
         }
         let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(20)));
         let Ok(writer) = stream.try_clone() else {
             continue;
         };
@@ -568,18 +638,14 @@ fn reader_loop<B: Backend>(mut stream: TcpStream, state: &Arc<ConnState>, shared
     // A `TIE` control frame applies to the next request on this
     // connection; it consumes no sequence number and gets no reply.
     let mut pending_tie: Option<TieInfo> = None;
-    // A failed reply write marks the connection dead from another
-    // thread; this one then stops reading and reports the death.
+    // A failed reply write marks the connection dead (and shuts its
+    // socket down) from another thread; this one then stops reading
+    // and reports the death. `shutdown` ends the read the same way.
     while !shared.stop.load(Ordering::SeqCst) && !state.dead.load(Ordering::SeqCst) {
         match stream.read(&mut chunk) {
-            Ok(0) => break, // peer closed
+            Ok(0) => break, // peer closed, or shut down
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(_) => break,
         }
         loop {
@@ -592,7 +658,11 @@ fn reader_loop<B: Backend>(mut stream: TcpStream, state: &Arc<ConnState>, shared
                     peer_id,
                 })) => handle_tie_peer(shared, id, peer_addr, peer_id),
                 Ok(Some(Command::CancelTie(id))) => handle_cancel_tie(shared, id),
-                Ok(Some(cmd)) => enqueue_request(shared, state, cmd, pending_tie.take()),
+                Ok(Some(cmd)) => {
+                    if let Some(head) = enqueue_request(shared, state, cmd, pending_tie.take()) {
+                        serve_in_place(shared, head, &mut scratch);
+                    }
+                }
                 Ok(None) => break,
                 Err(err) => {
                     // A frame that does not parse leaves no boundary to
@@ -631,6 +701,8 @@ fn write_frame(conn: &ConnState, bytes: &[u8]) {
     let mut writer = conn.writer.lock().unwrap();
     if writer.write_all(bytes).is_err() {
         conn.dead.store(true, Ordering::SeqCst);
+        // Ends the connection's reader, wherever it is blocked.
+        let _ = writer.shutdown(Shutdown::Both);
     }
 }
 
@@ -638,13 +710,15 @@ fn write_frame(conn: &ConnState, bytes: &[u8]) {
 /// its cost, registers its tie (if prefixed), admits the connection
 /// head to the central queue, and — for reissues — announces the tie
 /// to the peer server *after* registration and enqueue, so a racing
-/// `CANCELTIE` can never miss.
+/// `CANCELTIE` can never miss. Returns the head instead of queueing it
+/// when the calling reader took the service slot to serve it in place
+/// (see [`admit_head`]).
 fn enqueue_request<B: Backend>(
     shared: &Arc<Shared<B>>,
     state: &Arc<ConnState>,
     cmd: Command,
     tie: Option<TieInfo>,
-) {
+) -> Option<SchedItem> {
     let cost = shared.store.lock().unwrap().estimate_cost(&cmd);
     let is_reissue = tie.is_some_and(|t| t.peer.is_some());
     let mut tie = tie;
@@ -694,7 +768,7 @@ fn enqueue_request<B: Backend>(
         admitted: false,
         executing: false,
     });
-    admit_head(shared, state, &mut inner);
+    let in_place = admit_head(shared, state, &mut inner, true);
     drop(inner);
     if is_reissue && !precancelled {
         if let Some(TieInfo {
@@ -715,19 +789,28 @@ fn enqueue_request<B: Backend>(
             );
         }
     }
+    in_place
 }
 
 /// Advances a connection's head: emits cancelled markers for retracted
 /// entries that reached the front (their reply slot, in order), and
 /// admits the first live entry into the central queue. Caller holds
 /// `inner`.
-fn admit_head<B: Backend>(shared: &Shared<B>, conn: &Arc<ConnState>, inner: &mut ConnInner) {
+///
+/// `in_place` is a reader admitting the head it just decoded: if the
+/// service slot is free and nothing is queued, the head is not queued
+/// but returned, the slot taken for the reader to serve it
+/// ([`serve_in_place`]). Every other admission returns `None`.
+fn admit_head<B: Backend>(
+    shared: &Shared<B>,
+    conn: &Arc<ConnState>,
+    inner: &mut ConnInner,
+    in_place: bool,
+) -> Option<SchedItem> {
     loop {
-        let Some(front) = inner.queue.front_mut() else {
-            return;
-        };
+        let front = inner.queue.front_mut()?;
         if front.admitted {
-            return;
+            return None;
         }
         if front.cancelled {
             if let Some(t) = front.tie {
@@ -745,10 +828,19 @@ fn admit_head<B: Backend>(shared: &Shared<B>, conn: &Arc<ConnState>, inner: &mut
             enqueued_at: front.enqueued_at,
             is_reissue: front.is_reissue,
         };
-        shared.sched.lock().unwrap().push(item);
-        // One sweeper, so one waiter at most.
-        shared.sweep_cv.notify_one();
-        return;
+        let mut sched = shared.sched.lock().unwrap();
+        if in_place && sched.slot == Slot::Free && sched.queue.is_empty() {
+            sched.slot = Slot::Reader;
+            return Some(item);
+        }
+        sched.queue.push(item);
+        // Whoever holds the slot pops the queue before letting go of
+        // it, so only a free slot means an idle sweeper to wake (one
+        // sweeper, so one waiter at most).
+        if sched.slot == Slot::Free {
+            shared.sweep_cv.notify_one();
+        }
+        return None;
     }
 }
 
@@ -780,20 +872,21 @@ fn cancel_entry<B: Backend>(shared: &Shared<B>, conn: &Arc<ConnState>, seq: u64,
             .fetch_add(1, Ordering::Relaxed);
     }
     if entry.admitted {
-        // The head is in the central queue — or already in the
-        // sweeper's hands. Take it back if it is still queued; if the
-        // take misses, the sweeper holds it and will honor the
-        // `cancelled` flag before executing.
+        // The head is in the central queue — or already in the hands
+        // of the slot's holder. Take it back if it is still queued; if
+        // the take misses, the holder will honor the `cancelled` flag
+        // before executing.
         let taken = shared
             .sched
             .lock()
             .unwrap()
+            .queue
             .take(|it| Arc::ptr_eq(&it.conn, conn) && it.seq == seq);
         if taken.is_some() {
             if let Some(e) = inner.queue.front_mut() {
                 e.admitted = false;
             }
-            admit_head(shared, conn, &mut inner);
+            admit_head(shared, conn, &mut inner, false);
         }
     }
     // Deeper (non-admitted) entries stay queued; their marker is
@@ -868,13 +961,22 @@ fn handle_cancel_tie<B: Backend>(shared: &Arc<Shared<B>>, id: u64) {
     cancel_entry(shared, &conn, seq, true);
 }
 
+/// What the sweeper takes the slot for.
+enum Turn {
+    /// A head a reader executed and handed over (see [`Sched::handoff`]).
+    HandedOver(Running),
+    /// The head the discipline popped.
+    Popped(SchedItem),
+}
+
 fn sweep_loop<B: Backend>(shared: &Arc<Shared<B>>) {
     let mut scratch = BytesMut::new();
     loop {
-        // Next admitted head, or block until there is one. An idle
+        // The next head to serve, or block until there is one. An idle
         // server costs no CPU: the wait has no timeout (see
-        // `Shared::sweep_cv` for why none is needed).
-        let item = {
+        // `Shared::sweep_cv` for why none is needed). While a reader
+        // holds the slot the queue is its to drain.
+        let turn = {
             let mut sched = shared.sched.lock().unwrap();
             loop {
                 if shared.stop.load(Ordering::SeqCst) {
@@ -886,97 +988,175 @@ fn sweep_loop<B: Backend>(shared: &Arc<Shared<B>>) {
                     sched = shared.sched.lock().unwrap();
                     continue;
                 }
-                if let Some(item) = sched.pop(shared.now_ms()) {
-                    break item;
+                if let Some(running) = sched.handoff.take() {
+                    break Turn::HandedOver(running);
+                }
+                if sched.slot != Slot::Reader {
+                    if let Some(item) = sched.queue.pop(shared.now_ms()) {
+                        sched.slot = Slot::Sweeper;
+                        break Turn::Popped(item);
+                    }
+                    sched.slot = Slot::Free;
                 }
                 sched = shared.sweep_cv.wait(sched).unwrap();
             }
         };
-        let mut inner = item.conn.inner.lock().unwrap();
-        if item.conn.dead.load(Ordering::SeqCst) {
-            if inner.queue.front().map(|e| e.seq) == Some(item.seq) {
-                inner.queue.pop_front();
-            }
-            continue;
-        }
-        let Some(front) = inner.queue.front_mut() else {
-            continue;
+        let running = match turn {
+            Turn::HandedOver(running) => running,
+            Turn::Popped(item) => match start_head(shared, item, true) {
+                Some(running) => running,
+                None => continue,
+            },
         };
-        if front.seq != item.seq {
-            continue; // stale: the entry was retracted under us
-        }
-        if front.cancelled {
-            // Cancelled after admission but before we committed:
-            // re-route through the marker path (a bonus retraction).
-            front.admitted = false;
-            admit_head(shared, &item.conn, &mut inner);
-            continue;
-        }
-        front.executing = true;
-        let cmd = front.cmd.clone();
-        let tie = front.tie;
-        drop(inner);
-        // Dequeue-time peer cancellation: this copy won the queue race,
-        // so retract the twin *now* — before execution — rather than
-        // after the reply has crossed the network.
-        if let Some(t) = tie {
-            shared.ties.lock().unwrap().finish(t.id);
-            if let Some((peer_addr, peer_id)) = t.peer {
-                shared.send_tie(peer_addr, Command::CancelTie(peer_id));
-                shared
-                    .tie_counters
-                    .peer_cancels_sent
-                    .fetch_add(1, Ordering::Relaxed);
+        finish_head(shared, running, &mut scratch);
+    }
+}
+
+/// Serves heads on a reader thread that took the free slot for `head`:
+/// each in turn while its burn is short, then the next the discipline
+/// pops, until the queue is empty (the slot is free again) or a head
+/// turns out to burn [`SPIN_BELOW`] or more (it goes to the sweeper
+/// with the slot, see the module docs).
+fn serve_in_place<B: Backend>(shared: &Shared<B>, mut head: SchedItem, scratch: &mut BytesMut) {
+    loop {
+        if let Some(running) = start_head(shared, head, false) {
+            if running.service >= SPIN_BELOW {
+                let mut sched = shared.sched.lock().unwrap();
+                sched.slot = Slot::Sweeper;
+                sched.handoff = Some(running);
+                shared.sweep_cv.notify_one();
+                return;
             }
+            finish_head(shared, running, scratch);
         }
-        let (reply, cost) = shared.store.lock().unwrap().execute(&cmd);
-        // Saturating and capped: cost is data-dependent, and a plain
-        // multiply could overflow into a near-zero burn.
-        let nanos_per_op = shared.nanos_per_op.load(Ordering::Relaxed);
-        let service = Duration::from_nanos(cost.saturating_mul(nanos_per_op).min(MAX_BURN_NANOS));
-        {
-            // Counted when service starts, the whole cost with it, so
-            // that a request which is never stopped takes this lock
-            // once; a stopped one hands back below what it did not burn.
-            let mut stats = shared.stats.lock().unwrap();
-            stats.commands += 1;
-            stats.sweeps += 1;
-            stats.total_cost += cost;
-        }
-        let (mut inner, cancelled) = if service >= SPIN_BELOW {
-            let started = Instant::now();
-            let (inner, cancelled) = serve(shared, &item, service);
-            if cancelled {
-                // Settled before the marker is written, so whoever
-                // reads that reply finds the counters moved.
-                let burned = cost.min(started.elapsed().as_nanos() as u64 / nanos_per_op);
-                let mut stats = shared.stats.lock().unwrap();
-                stats.total_cost -= cost - burned;
-                stats.aborted += 1;
+        let mut sched = shared.sched.lock().unwrap();
+        match sched.queue.pop(shared.now_ms()) {
+            Some(next) => head = next,
+            None => {
+                sched.slot = Slot::Free;
+                return;
             }
-            (inner, cancelled)
-        } else {
-            if !service.is_zero() {
-                spin(service);
-            }
-            (item.conn.inner.lock().unwrap(), false)
-        };
-        if inner.queue.front().map(|e| e.seq) == Some(item.seq) {
-            inner.queue.pop_front();
-            if cancelled {
-                write_frame(&item.conn, CANCELLED_FRAME);
-            } else {
-                scratch.clear();
-                encode_reply(&reply, &mut scratch);
-                write_frame(&item.conn, &scratch);
-            }
-            admit_head(shared, &item.conn, &mut inner);
         }
     }
 }
 
-/// Serves the head of `item`'s connection for `service`: a wait on the
-/// connection's `service_cv` that [`cancel_entry`] and
+/// Starts serving `item`, whose thread holds the slot: commits to it if
+/// it is still its connection's live head, retracts its tied twin,
+/// executes the command and books it. `None` when the head went away,
+/// or was cancelled, before it started.
+fn start_head<B: Backend>(
+    shared: &Shared<B>,
+    item: SchedItem,
+    by_sweeper: bool,
+) -> Option<Running> {
+    let mut inner = item.conn.inner.lock().unwrap();
+    if item.conn.dead.load(Ordering::SeqCst) {
+        if inner.queue.front().map(|e| e.seq) == Some(item.seq) {
+            inner.queue.pop_front();
+        }
+        return None;
+    }
+    let front = inner.queue.front_mut()?;
+    if front.seq != item.seq {
+        return None; // stale: the entry was retracted under us
+    }
+    if front.cancelled {
+        // Cancelled after admission but before we committed:
+        // re-route through the marker path (a bonus retraction).
+        front.admitted = false;
+        admit_head(shared, &item.conn, &mut inner, false);
+        return None;
+    }
+    front.executing = true;
+    let cmd = front.cmd.clone();
+    let tie = front.tie;
+    drop(inner);
+    // Dequeue-time peer cancellation: this copy won the queue race,
+    // so retract the twin *now* — before execution — rather than
+    // after the reply has crossed the network.
+    if let Some(t) = tie {
+        shared.ties.lock().unwrap().finish(t.id);
+        if let Some((peer_addr, peer_id)) = t.peer {
+            shared.send_tie(peer_addr, Command::CancelTie(peer_id));
+            shared
+                .tie_counters
+                .peer_cancels_sent
+                .fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    let (reply, cost) = shared.store.lock().unwrap().execute(&cmd);
+    let started = Instant::now();
+    // Saturating and capped: cost is data-dependent, and a plain
+    // multiply could overflow into a near-zero burn.
+    let nanos_per_op = shared.nanos_per_op.load(Ordering::Relaxed);
+    let service = Duration::from_nanos(cost.saturating_mul(nanos_per_op).min(MAX_BURN_NANOS));
+    {
+        // Counted when service starts, the whole cost with it, so
+        // that a request which is never stopped takes this lock
+        // once; a stopped one hands back below what it did not burn.
+        let mut stats = shared.stats.lock().unwrap();
+        stats.commands += 1;
+        // A reader hands every long burn to the sweeper.
+        if by_sweeper || service >= SPIN_BELOW {
+            stats.sweeps += 1;
+        }
+        stats.total_cost += cost;
+    }
+    Some(Running {
+        item,
+        reply,
+        cost,
+        service,
+        started,
+    })
+}
+
+/// Burns `running`'s service time — spun through when short, waited
+/// out interruptibly (on the sweeper) when long — and fills its reply
+/// slot: the reply, or the cancelled marker when the client's `CANCEL`
+/// stopped it in service. Then admits its connection's next head.
+fn finish_head<B: Backend>(shared: &Shared<B>, running: Running, scratch: &mut BytesMut) {
+    let Running {
+        item,
+        reply,
+        cost,
+        service,
+        started,
+    } = running;
+    let deadline = started + service;
+    let (mut inner, cancelled) = if service >= SPIN_BELOW {
+        let (inner, cancelled) = serve(shared, &item, deadline);
+        if cancelled {
+            // Settled before the marker is written, so whoever
+            // reads that reply finds the counters moved.
+            let burned = u128::from(cost) * started.elapsed().as_nanos() / service.as_nanos();
+            let burned = cost.min(burned as u64);
+            let mut stats = shared.stats.lock().unwrap();
+            stats.total_cost -= cost - burned;
+            stats.aborted += 1;
+        }
+        (inner, cancelled)
+    } else {
+        while Instant::now() < deadline {
+            std::hint::spin_loop();
+        }
+        (item.conn.inner.lock().unwrap(), false)
+    };
+    if inner.queue.front().map(|e| e.seq) == Some(item.seq) {
+        inner.queue.pop_front();
+        if cancelled {
+            write_frame(&item.conn, CANCELLED_FRAME);
+        } else {
+            scratch.clear();
+            encode_reply(&reply, scratch);
+            write_frame(&item.conn, scratch);
+        }
+        admit_head(shared, &item.conn, &mut inner, false);
+    }
+}
+
+/// Serves the head of `item`'s connection until `deadline`: a wait on
+/// the connection's `service_cv` that [`cancel_entry`] and
 /// [`TcpServer::shutdown`] end early. Returns whether the client's
 /// `CANCEL` stopped it, holding `inner`, so the reply slot is filled
 /// before anything else can move the head. (A shutdown ends the wait
@@ -985,17 +1165,16 @@ fn sweep_loop<B: Backend>(shared: &Arc<Shared<B>>) {
 fn serve<'a, B: Backend>(
     shared: &Shared<B>,
     item: &'a SchedItem,
-    service: Duration,
+    deadline: Instant,
 ) -> (std::sync::MutexGuard<'a, ConnInner>, bool) {
-    let deadline = Instant::now() + service;
     let mut inner = item.conn.inner.lock().unwrap();
     loop {
         let left = deadline.saturating_duration_since(Instant::now());
         if left.is_zero() || shared.stop.load(Ordering::SeqCst) {
             return (inner, false);
         }
-        // An entry in service stays at the front until the sweeper
-        // pops it.
+        // An entry in service stays at the front until it is
+        // answered.
         if inner
             .queue
             .front()
@@ -1048,14 +1227,6 @@ fn tie_sender_loop(rx: &mpsc::Receiver<(SocketAddr, Command)>) {
                 }
             }
         }
-    }
-}
-
-/// Busy-waits for `d`: a service time too short to sleep through.
-fn spin(d: Duration) {
-    let t0 = Instant::now();
-    while t0.elapsed() < d {
-        std::hint::spin_loop();
     }
 }
 

@@ -9,13 +9,14 @@
 //!
 //! 1. [`CancelToken::new`] allocates the cell: not cancelled, no reply,
 //!    no wire target. This is the attempt's only allocation.
-//! 2. `Replica::request` attaches one request to it and queues the
-//!    job. A token cancelled before its job is dequeued never touches
-//!    the wire.
-//! 3. The I/O thread writes the frame and, still holding the
-//!    connection's **writer lock**, records the *wire target* (that
-//!    writer and the request's sequence number). From here exactly one
-//!    reply will come back, and `CANCEL <seq>` can chase the request.
+//! 2. `Replica::request` attaches one request to it. A token cancelled
+//!    before its request reaches the wire never touches it.
+//! 3. Whoever writes the frame — the caller itself on an idle
+//!    connection, or the connection's I/O thread for a request that
+//!    queued — records the *wire target* (the connection's writer and
+//!    the request's sequence number) while still holding the **writer
+//!    lock**. From here exactly one reply will come back, and
+//!    `CANCEL <seq>` can chase the request.
 //! 4. When the reply is read — or the socket is given up on — the I/O
 //!    thread clears the wire target, again under the writer lock, and
 //!    then stores the outcome, which wakes the awaiting task. The
@@ -23,16 +24,19 @@
 //!
 //! # Lock order
 //!
-//! **Writer lock, then cell state** — never the reverse. The I/O
-//! thread takes the cell while holding the writer (steps 3 and 4);
-//! [`CancelToken::cancel`] flips the flag under the cell lock, *lets go
-//! of it*, and only then takes the writer lock and looks at the cell
-//! again. That second look is what makes a late cancel safe: the wire
-//! target is only ever set or cleared under the writer lock, and a
-//! reconnect swaps the socket and restarts the numbering under that
-//! same lock, so a canceller holding it sees either the target of the
-//! socket it is about to write to, or none — never a sequence number
-//! that belonged to a socket since replaced.
+//! **Connection state, then writer, then cell state** — never the
+//! reverse. Both writers of a connection's frames hold its state lock
+//! (the one-request-on-the-wire check, the shared sequence counter) and
+//! take the writer and then the cell inside it (steps 3 and 4), as does
+//! a redial, which swaps the socket and restarts the numbering.
+//! [`CancelToken::cancel`] never takes the state lock: it flips the
+//! flag under the cell lock, *lets go of it*, and only then takes the
+//! writer lock and looks at the cell again. That second look is what
+//! makes a late cancel safe: the wire target is only ever set or
+//! cleared under the writer lock, and a redial swaps the socket under
+//! that same lock, so a canceller holding it sees either the target of
+//! the socket it is about to write to, or none — never a sequence
+//! number that belonged to a socket since replaced.
 
 use crate::transport::TransportError;
 use bytes::BytesMut;
@@ -49,8 +53,8 @@ use std::task::{Context, Poll, Waker};
 /// How a wire attempt ended.
 type Outcome = Result<Reply, TransportError>;
 
-/// A connection's write half, shared between its I/O thread and the
-/// cancellers of the requests it has on the wire.
+/// A connection's write half, shared between the writers of its frames
+/// and the cancellers of the request it has on the wire.
 pub(crate) type Writer = Arc<Mutex<TcpStream>>;
 
 enum ReplySlot {

@@ -2,25 +2,42 @@
 //! in-flight request per connection, cancellation propagated on the
 //! wire.
 //!
-//! Each pooled connection owns a dedicated I/O thread (blocking
-//! sockets; the async layer above parks on the attempt cell, see
-//! [`crate::sync`]) running the one connection loop there is: write a
-//! frame, read its reply, take the next job. A connection never writes
-//! a second request before the first is answered. That is an invariant,
-//! not a default, and three things rest on it: an attempt that dies
-//! with its socket can be replayed alone on a fresh one (nothing else
-//! was on the wire to fail or to reorder), `CANCEL <seq>` names the
-//! one request a server can still be holding for this connection, and
-//! whatever [`Replica::inflight`] counts beyond one request per
-//! connection waits in this client's queues, where a cancel costs no
-//! wire frame, not in a socket buffer behind a slow request.
+//! A connection never writes a second request before the first is
+//! answered. That is an invariant, not a default, and three things rest
+//! on it: an attempt that dies with its socket can be replayed alone on
+//! a fresh one (nothing else was on the wire to fail or to reorder),
+//! `CANCEL <seq>` names the one request a server can still be holding
+//! for this connection, and whatever [`Replica::inflight`] counts
+//! beyond one request per connection waits in this client's queues,
+//! where a cancel costs no wire frame, not in a socket buffer behind a
+//! slow request.
 //!
-//! Requests are sequence-numbered per connection; cancelling an
-//! in-flight request writes `CANCEL <seq>` on the same connection,
-//! which the server answers with the `-ERR cancelled` marker if it
-//! managed to retract the frame (see [`crate::server`]). Either way
-//! every request gets exactly one reply, so the connection
-//! re-synchronizes by construction.
+//! # Thread model
+//!
+//! Sockets are blocking; the async layer above parks on the attempt
+//! cell (see [`crate::sync`]). Two kinds of thread write a
+//! connection's frames, and one reads them:
+//!
+//! * **The caller.** A request that finds its connection idle —
+//!   nothing on the wire, nothing queued, the socket not known broken
+//!   — is written by the thread that makes it, under the connection's
+//!   state lock. That is the common case, and it costs no hand-off.
+//! * **The connection's I/O thread** (`hedge-conn-*`) waits in `read()`
+//!   for the reply to whatever is on the wire and resolves it. It
+//!   writes only what the caller could not: the next request queued
+//!   behind a busy connection, a retry on a redialled socket, and the
+//!   first request queued behind a broken one.
+//!
+//! A request therefore crosses two threads of this client at most: its
+//! caller's, and the I/O thread that wakes it with the reply.
+//!
+//! Requests are sequence-numbered per connection, from one counter
+//! both writers draw on under the state lock; cancelling an in-flight
+//! request writes `CANCEL <seq>` on the same connection, which the
+//! server answers with the `-ERR cancelled` marker if it managed to
+//! retract the frame (see [`crate::server`]). Either way every request
+//! gets exactly one reply, so the connection re-synchronizes by
+//! construction.
 //!
 //! A connection that breaks (replica restart, broken pipe) does not
 //! poison its pool slot: the request that observed the failure is
@@ -31,6 +48,10 @@
 //! a flapping one degrades (each failed attempt feeds the error EWMA,
 //! steering reissues elsewhere) instead of erroring every job; a
 //! still-down replica fails fast (dial refusals are immediate).
+//!
+//! An idle connection costs nothing: its I/O thread blocks in `read()`
+//! with no timeout, or on a condvar while its socket is broken, and
+//! dropping the [`Replica`] wakes it by shutting the socket down.
 
 use crate::sync::{CancelToken, Writer};
 use bytes::BytesMut;
@@ -39,14 +60,15 @@ use kvstore::{Command, Reply};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use std::collections::VecDeque;
 use std::future::Future;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::task::{Context, Poll};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::server::CANCELLED_MARKER;
 
@@ -92,8 +114,8 @@ impl std::error::Error for TransportError {}
 /// both of which look idle. The EWMAs see how the replica has been
 /// *responding*:
 ///
-/// * completed requests feed the latency EWMA (queueing included:
-///   `conn_loop` measures from job dispatch);
+/// * completed requests feed the latency EWMA (server queueing
+///   included: it is measured from the request's first write);
 /// * retracted losers — stopped in a queue or in service after `t` ms
 ///   — are censored samples, and the slow copies are exactly the ones
 ///   that get stopped. They are completed the memoryless way,
@@ -216,9 +238,9 @@ impl ReplicaHealth {
 
 /// RAII share of a connection's in-flight count. Owned by the [`Job`]
 /// so the decrement happens exactly once wherever the job ends up —
-/// completed by the I/O thread, dropped in the queue when the
-/// connection dies, or bounced by a failed send — and always *before*
-/// the attempt resolves ([`Job::complete`]).
+/// completed by the I/O thread, or dropped in the queue when the
+/// connection goes away — and always *before* the attempt resolves
+/// ([`Job::complete`]).
 struct InflightTicket(Arc<AtomicU64>);
 
 impl InflightTicket {
@@ -262,17 +284,23 @@ impl TieSpec {
     }
 }
 
-/// One queued request. `token` is the attempt cell: the I/O thread
-/// resolves it through [`Job::complete`], and a job that is dropped
-/// unresolved — bounced by a failed send, or left in the queue when
-/// the connection goes away — resolves it as `ConnectionClosed` (a
-/// no-op on a cell already resolved).
+/// One request on a connection. `token` is the attempt cell: the I/O
+/// thread resolves it through [`Job::complete`], and a job that is
+/// dropped unresolved — left on the wire or in the queue when the
+/// connection goes away — resolves it as `ConnectionClosed` (a no-op on
+/// a cell already resolved).
 struct Job {
     cmd: Command,
     token: CancelToken,
     tie: Option<TieSpec>,
     /// `None` once the attempt resolved.
     ticket: Option<InflightTicket>,
+    /// When the request was first written, or left the queue to be:
+    /// what its latency sample is measured from.
+    dispatched: Instant,
+    /// Attempts that failed so far, dials included (at most
+    /// [`MAX_ATTEMPTS`]).
+    failures: usize,
 }
 
 impl Job {
@@ -292,10 +320,113 @@ impl Drop for Job {
     }
 }
 
-/// One pooled connection: a job queue feeding a dedicated I/O thread.
+/// What a connection's callers and its I/O thread share.
+struct ConnShared {
+    state: Mutex<ConnState>,
+    /// What the I/O thread waits on while its socket is broken and
+    /// nothing is queued: a request queued there, or the connection
+    /// closing, signals it (under `state`).
+    work: Condvar,
+    /// The socket's write half, shared with the cancellers of the
+    /// request on the wire. A redial swaps the stream *inside* the
+    /// mutex, so the handle recorded in an attempt cell stays good for
+    /// the life of the connection.
+    writer: Writer,
+}
+
+impl ConnShared {
+    fn state(&self) -> MutexGuard<'_, ConnState> {
+        self.state.lock().expect("connection state lock poisoned")
+    }
+}
+
+/// A connection's request state. Its lock is the first of the
+/// transport's three (see [`crate::sync`]): a writer of frames holds it
+/// across the write.
+struct ConnState {
+    /// The request whose frame is on the wire: the next reply read on
+    /// this socket is its.
+    wire: Option<Job>,
+    /// Requests waiting for the wire, in order.
+    queue: VecDeque<Job>,
+    /// Sequence number of the next frame written on this socket. It
+    /// counts frames actually written, as the server does, so a job
+    /// cancelled before dispatch consumes none; only a fresh socket
+    /// restarts it (at zero, on both sides).
+    seq: u64,
+    /// Pooled encode buffer: every frame of this connection is built
+    /// here, never reallocated across jobs.
+    frame: BytesMut,
+    /// The socket is known broken. Nothing is written on it any more:
+    /// requests queue, and the I/O thread dials a fresh socket for the
+    /// first of them.
+    broken: bool,
+    /// The [`Replica`] is being dropped.
+    closed: bool,
+}
+
+impl ConnState {
+    /// Whether a caller may write its request itself.
+    fn idle(&self) -> bool {
+        self.wire.is_none() && self.queue.is_empty() && !self.broken
+    }
+
+    /// Writes `job`'s frame and puts the job on the wire: the one place
+    /// a request frame is written, by the caller or the I/O thread, with
+    /// this state locked and nothing else on the wire.
+    ///
+    /// The tie registration rides in the same write as the command so
+    /// the server's reader sees them back to back — on every wire
+    /// attempt, including retries after a redial: a retry lands on a
+    /// fresh socket of the *same* server, where re-registering the tie
+    /// id is an idempotent table insert, and the tombstoned `TieTable`
+    /// already converges when the peer's CANCELTIE arrived before the
+    /// re-registration. Sending the retry untied would let the copy
+    /// execute unretractable, silently understating retractions.
+    ///
+    /// A write that fails leaves the job on the wire and shuts the
+    /// socket down, so the I/O thread's read ends and settles it as a
+    /// request that died with its socket.
+    fn send(&mut self, writer: &Writer, job: Job) {
+        debug_assert!(self.wire.is_none(), "a second request on the wire");
+        self.frame.clear();
+        if let Some(tie) = &job.tie {
+            encode_command(&tie.command(), &mut self.frame);
+        }
+        encode_command(&job.cmd, &mut self.frame);
+        let mut stream = writer.lock().expect("writer lock poisoned");
+        if stream.write_all(&self.frame).is_ok() {
+            // From here exactly one reply will come back, and a cancel
+            // races ahead on the same socket. The wire target goes into
+            // the cell before the writer lock is released, and comes out
+            // again under it when the reply is read — before any redial
+            // — which is what keeps a late cancel from writing a stale
+            // sequence number onto a fresh socket (see `crate::sync`).
+            job.token.set_wire(writer, &mut stream, self.seq);
+            self.seq += 1;
+        } else {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        self.wire = Some(job);
+    }
+
+    /// The next queued job that still wants the wire. A job cancelled
+    /// while queued never touches it: it resolves as `Cancelled` here.
+    fn pop_live(&mut self) -> Option<Job> {
+        while let Some(mut job) = self.queue.pop_front() {
+            if !job.token.is_cancelled() {
+                job.dispatched = Instant::now();
+                return Some(job);
+            }
+            job.complete(Err(TransportError::Cancelled));
+        }
+        None
+    }
+}
+
+/// One pooled connection and its I/O thread.
 struct Conn {
-    // None only during drop (closing the channel ends the I/O loop).
-    jobs: Option<mpsc::Sender<Job>>,
+    shared: Arc<ConnShared>,
     inflight: Arc<AtomicU64>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
@@ -318,17 +449,37 @@ impl Replica {
         let conns = (0..pool.max(1))
             .map(|i| {
                 let stream = connect_socket(addr)?;
-                let writer = stream.try_clone()?;
-                let (tx, rx) = mpsc::channel::<Job>();
-                let inflight = Arc::new(AtomicU64::new(0));
-                let health = health.clone();
+                let shared = Arc::new(ConnShared {
+                    state: Mutex::new(ConnState {
+                        wire: None,
+                        queue: VecDeque::new(),
+                        seq: 0,
+                        frame: BytesMut::new(),
+                        broken: false,
+                        closed: false,
+                    }),
+                    work: Condvar::new(),
+                    writer: Arc::new(Mutex::new(stream.try_clone()?)),
+                });
+                let io = IoThread {
+                    addr,
+                    conn: shared.clone(),
+                    health: health.clone(),
+                    reader: stream,
+                    buf: BytesMut::new(),
+                    rng: SmallRng::seed_from_u64(u64::from(addr.port()) ^ 0xBAC0FF),
+                    // Hoisted: an env lookup takes the process-wide
+                    // environment lock and scans `environ`, which is far
+                    // too expensive per job.
+                    debug: std::env::var_os("HEDGE_DEBUG").is_some(),
+                };
                 let handle = std::thread::Builder::new()
                     .name(format!("hedge-conn-{addr}-{i}"))
-                    .spawn(move || conn_loop(addr, stream, writer, &rx, &health))
+                    .spawn(move || io.run())
                     .expect("spawn connection I/O thread");
                 Ok(Conn {
-                    jobs: Some(tx),
-                    inflight,
+                    shared,
+                    inflight: Arc::new(AtomicU64::new(0)),
                     handle: Some(handle),
                 })
             })
@@ -403,6 +554,11 @@ impl Replica {
             )));
             return InFlight { token };
         }
+        // Cancelled before dispatch: never touches the wire.
+        if token.is_cancelled() {
+            token.complete(Err(TransportError::Cancelled));
+            return InFlight { token };
+        }
         // Prefer the least-loaded connection; break ties round-robin.
         let start = self.next.fetch_add(1, Ordering::Relaxed) % self.conns.len();
         let pick = (0..self.conns.len())
@@ -415,11 +571,21 @@ impl Replica {
             token: token.clone(),
             tie,
             ticket: Some(InflightTicket::new(&conn.inflight)),
+            dispatched: Instant::now(),
+            failures: 0,
         };
-        if let Some(jobs) = &conn.jobs {
-            // On send failure the bounced job drops here, releasing
-            // its ticket and resolving the cell as ConnectionClosed.
-            let _ = jobs.send(job);
+        let mut st = conn.shared.state();
+        if st.idle() {
+            // Written here, on the caller's thread: the I/O thread only
+            // has to read the reply. With nothing on the wire the send
+            // buffer is empty, so a frame that fits in it is written
+            // without waiting on the server.
+            st.send(&conn.shared.writer, job);
+        } else {
+            st.queue.push_back(job);
+            if st.broken {
+                conn.shared.work.notify_one();
+            }
         }
         InFlight { token }
     }
@@ -428,9 +594,20 @@ impl Replica {
 impl Drop for Replica {
     fn drop(&mut self) {
         for conn in &mut self.conns {
-            // Closing the channel ends the I/O thread's job loop once
-            // the in-flight job (if any) finishes.
-            conn.jobs = None;
+            {
+                // Under the state lock, so an I/O thread installing a
+                // freshly dialed socket either sees `closed` or has
+                // installed the socket this shuts down.
+                let mut st = conn.shared.state();
+                st.closed = true;
+                let _ = conn
+                    .shared
+                    .writer
+                    .lock()
+                    .expect("writer lock poisoned")
+                    .shutdown(Shutdown::Both);
+                conn.shared.work.notify_one();
+            }
             if let Some(h) = conn.handle.take() {
                 let _ = h.join();
             }
@@ -481,216 +658,204 @@ fn backoff(attempt: usize, rng: &mut SmallRng) {
 fn connect_socket(addr: SocketAddr) -> std::io::Result<TcpStream> {
     let stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(Duration::from_millis(20)))?;
     Ok(stream)
 }
 
-/// Per-connection I/O state, replaced wholesale on reconnect.
-struct ConnIo {
-    reader: TcpStream,
-    /// Shared with cancellers, which run on other threads while this
-    /// thread is blocked reading the reply. Reconnect swaps the stream
-    /// *inside* the mutex, so the handle recorded in an attempt cell
-    /// stays good for the life of the connection slot.
-    writer: Writer,
-    buf: BytesMut,
-    /// Sequence numbers count commands actually sent on the wire — the
-    /// server counts the same way, so they stay aligned. A job
-    /// cancelled before dispatch must NOT consume a number; a fresh
-    /// connection restarts both sides at zero.
-    seq: u64,
-}
-
-/// A single request attempt's failure mode: retryable failures are
-/// socket-level (the connection died; a fresh socket may succeed),
-/// final failures are answered as-is.
-enum AttemptError {
-    Retryable(TransportError),
-    Final(TransportError),
-}
-
-/// Writes the job's frame and reads exactly one reply on the current
-/// socket. `frame` is the connection's pooled encode buffer — cleared
-/// and refilled here, never reallocated across jobs.
-fn attempt_request(
-    io: &mut ConnIo,
-    job: &Job,
+/// Reads until one whole reply is buffered in `buf`. A reply that does
+/// not parse is a `Protocol` error (the stream is desynced); anything
+/// else that ends the read is the socket dying.
+fn read_reply(
+    reader: &mut TcpStream,
+    buf: &mut BytesMut,
     chunk: &mut [u8],
-    frame: &mut BytesMut,
-) -> Result<Reply, AttemptError> {
-    frame.clear();
-    // The tie registration rides in the same write as the command so
-    // the server's reader sees them back to back — on every wire
-    // attempt, including retries after a reconnect: a retry lands on a
-    // fresh socket of the *same* server, where re-registering the tie
-    // id is an idempotent table insert, and the tombstoned `TieTable`
-    // already converges when the peer's CANCELTIE arrived before the
-    // re-registration. Sending the retry untied would let the copy
-    // execute unretractable, silently understating retractions.
-    if let Some(tie) = &job.tie {
-        encode_command(&tie.command(), frame);
-    }
-    encode_command(&job.cmd, frame);
-    {
-        let mut stream = io.writer.lock().expect("writer lock poisoned");
-        if let Err(e) = stream.write_all(frame) {
-            return Err(AttemptError::Retryable(TransportError::Io(e.to_string())));
-        }
-        // From here the request is on the wire: exactly one reply will
-        // come back, and a cancel races ahead on the same socket. The
-        // wire target goes into the cell before the writer lock is
-        // released, and comes out again under it below — before this
-        // function returns, hence before any reconnect — which is what
-        // keeps a late cancel from writing a stale sequence number onto
-        // a redialled socket (see `crate::sync`).
-        job.token.set_wire(&io.writer, &mut stream, io.seq);
-    }
-    io.seq += 1;
-    // Read exactly one reply (blocking with periodic timeouts).
-    let reply = loop {
-        match decode_reply(&mut io.buf) {
-            Ok(Some(r)) => break Ok(r),
+) -> Result<Reply, TransportError> {
+    loop {
+        match decode_reply(buf) {
+            Ok(Some(reply)) => return Ok(reply),
             Ok(None) => {}
-            // Desync: surface the error; the caller reconnects before
-            // the next job.
-            Err(e) => break Err(AttemptError::Final(TransportError::Protocol(e.to_string()))),
+            Err(e) => return Err(TransportError::Protocol(e.to_string())),
         }
-        match io.reader.read(chunk) {
-            Ok(0) => break Err(AttemptError::Retryable(TransportError::ConnectionClosed)),
-            Ok(n) => io.buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(e) => break Err(AttemptError::Retryable(TransportError::Io(e.to_string()))),
+        match reader.read(chunk) {
+            Ok(0) => return Err(TransportError::ConnectionClosed),
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(TransportError::Io(e.to_string())),
         }
-    };
-    job.token
-        .clear_wire(&io.writer.lock().expect("writer lock poisoned"));
-    match reply {
-        Ok(Reply::Error(e)) if e == CANCELLED_MARKER => {
-            Err(AttemptError::Final(TransportError::Cancelled))
-        }
-        Ok(r) => Ok(r),
-        Err(e) => Err(e),
     }
 }
 
-/// Replaces the connection's socket with a freshly dialed one,
-/// resetting the reply buffer and the sequence counter (the server
-/// numbers each connection from zero).
-fn reconnect(addr: SocketAddr, io: &mut ConnIo) -> std::io::Result<()> {
-    let stream = connect_socket(addr)?;
-    *io.writer.lock().unwrap() = stream.try_clone()?;
-    io.reader = stream;
-    io.buf.clear();
-    io.seq = 0;
-    Ok(())
+/// A connection's I/O thread: the one loop that reads its replies.
+struct IoThread {
+    addr: SocketAddr,
+    conn: Arc<ConnShared>,
+    health: Arc<ReplicaHealth>,
+    /// The socket's read half, replaced with the write half on redial.
+    reader: TcpStream,
+    buf: BytesMut,
+    rng: SmallRng,
+    debug: bool,
 }
 
-fn conn_loop(
-    addr: SocketAddr,
-    stream: TcpStream,
-    writer: TcpStream,
-    jobs: &mpsc::Receiver<Job>,
-    health: &ReplicaHealth,
-) {
-    let mut io = ConnIo {
-        reader: stream,
-        writer: Arc::new(Mutex::new(writer)),
-        buf: BytesMut::new(),
-        seq: 0,
-    };
-    let mut chunk = [0u8; 16 * 1024];
-    // Pooled encode buffer: request frames are built in place here for
-    // every job on this connection instead of allocating per attempt.
-    let mut frame = BytesMut::new();
-    // Set when the socket is known broken, so the next job reconnects
-    // up front instead of burning its first attempt on a dead socket.
-    // The slot is never poisoned permanently: every job gets fresh
-    // sockets (bounded by `MAX_ATTEMPTS`, with jittered backoff
-    // between dials) before its error is surfaced. A replica *restart*
-    // heals transparently; a *flapping* replica degrades — every
-    // failed attempt feeds the error EWMA, steering reissue targeting
-    // away — rather than erroring the whole fan-out leg; a replica
-    // that is still down fails fast (connection refusals return
-    // immediately, so the bounded loop costs only the backoff).
-    let mut broken = false;
-    let mut rng = SmallRng::seed_from_u64(u64::from(addr.port()) ^ 0xBAC0FF);
-    // Hoisted: an env lookup takes the process-wide environment lock
-    // and scans `environ`, which is far too expensive per job.
-    let debug = std::env::var_os("HEDGE_DEBUG").is_some();
-
-    for mut job in jobs.iter() {
-        // Cancelled while queued: never touches the wire.
-        if job.token.is_cancelled() {
-            job.complete(Err(TransportError::Cancelled));
-            continue;
+impl IoThread {
+    /// Reads the reply to whatever is on the wire and resolves it; while
+    /// the socket is broken, dials a fresh one for the first queued
+    /// request instead. Returns when the [`Replica`] is dropped; jobs
+    /// still on the wire or queued then resolve as `ConnectionClosed`.
+    ///
+    /// The slot is never poisoned permanently: every job gets fresh
+    /// sockets (bounded by `MAX_ATTEMPTS`, with jittered backoff between
+    /// dials) before its error is surfaced. A replica *restart* heals
+    /// transparently; a *flapping* replica degrades — every failed
+    /// attempt feeds the error EWMA, steering reissue targeting away —
+    /// rather than erroring the whole fan-out leg; a replica that is
+    /// still down fails fast (connection refusals return immediately,
+    /// so the bounded loop costs only the backoff).
+    fn run(mut self) {
+        let mut chunk = [0u8; 16 * 1024];
+        loop {
+            let first = {
+                let mut st = self.conn.state();
+                loop {
+                    if st.closed {
+                        return;
+                    }
+                    if st.wire.is_some() || !st.broken {
+                        break None;
+                    }
+                    match st.pop_live() {
+                        Some(job) => break Some(job),
+                        None => {
+                            st = self
+                                .conn
+                                .work
+                                .wait(st)
+                                .expect("connection state lock poisoned")
+                        }
+                    }
+                }
+            };
+            let redial = match first {
+                Some(job) => job,
+                // Something is on the wire, or the socket is idle and
+                // the next caller to write on it will be answered here.
+                None => {
+                    let read = read_reply(&mut self.reader, &mut self.buf, &mut chunk);
+                    match self.settle(read) {
+                        Some(retry) => retry,
+                        None => continue,
+                    }
+                }
+            };
+            self.redial(redial);
         }
-        let dispatched = std::time::Instant::now();
-        // Bounded retries on fresh sockets: attempt 1 may run on the
-        // existing connection, later attempts only after a reconnect.
-        // A retried command may execute twice if the connection died
-        // after the server executed but before it replied — safe only
-        // for commands whose *reply* is unaffected by re-execution
-        // (`retry_safe`), so counting mutations surface the ambiguous
-        // failure to the caller instead. Each failed attempt (dial or
-        // request) penalizes the error EWMA individually, so the
-        // health signal sees flapping even when the job eventually
-        // succeeds.
-        let mut attempt = 0usize;
-        let outcome = loop {
-            if broken {
-                if let Err(e) = reconnect(addr, &mut io) {
-                    health.record_error();
-                    attempt += 1;
-                    if attempt >= MAX_ATTEMPTS || job.token.is_cancelled() {
-                        break Err(TransportError::Io(e.to_string()));
-                    }
-                    backoff(attempt, &mut rng);
-                    continue;
-                }
-                broken = false;
-            }
-            match attempt_request(&mut io, &job, &mut chunk, &mut frame) {
-                Ok(reply) => break Ok(reply),
-                Err(AttemptError::Final(e)) => {
-                    if matches!(e, TransportError::Protocol(_)) {
-                        // Desynced reply stream: dial fresh next job.
-                        broken = true;
-                        health.record_error();
-                    }
-                    break Err(e);
-                }
-                Err(AttemptError::Retryable(e)) => {
-                    broken = true;
-                    health.record_error();
-                    attempt += 1;
-                    // A cancelled loser must not be re-executed — and
-                    // the failure surfaces as the transport error, NOT
-                    // `Cancelled`: the server never confirmed a
-                    // retraction (the request may well have executed
-                    // before the connection died), so the caller must
-                    // not count it as a clean in-time cancel or derive
-                    // a censoring bound from it.
-                    if attempt >= MAX_ATTEMPTS || job.token.is_cancelled() || !retry_safe(&job.cmd)
+    }
+
+    /// Resolves the request on the wire with what the socket read.
+    /// Returns it instead when it died with its socket and may be tried
+    /// again on a fresh one; then writes the next queued request.
+    fn settle(&mut self, read: Result<Reply, TransportError>) -> Option<Job> {
+        let mut st = self.conn.state();
+        if st.closed {
+            return None;
+        }
+        let Some(mut job) = st.wire.take() else {
+            // The socket ended, or spoke, with nothing asked of it.
+            st.broken = true;
+            return None;
+        };
+        job.token
+            .clear_wire(&self.conn.writer.lock().expect("writer lock poisoned"));
+        let outcome = match read {
+            Ok(Reply::Error(e)) if e == CANCELLED_MARKER => Err(TransportError::Cancelled),
+            Ok(reply) => Ok(reply),
+            Err(e) => {
+                // Desynced or dead: the next request dials fresh.
+                st.broken = true;
+                self.health.record_error();
+                // A retried command may execute twice if the connection
+                // died after the server executed but before it replied
+                // — safe only for commands whose *reply* is unaffected
+                // by re-execution (`retry_safe`), so counting mutations
+                // surface the ambiguous failure to the caller instead.
+                // A cancelled loser is not re-executed either, and its
+                // failure surfaces as the transport error, NOT
+                // `Cancelled`: the server never confirmed a retraction
+                // (the request may well have executed before the
+                // connection died), so the caller must not count it as
+                // a clean in-time cancel or derive a censoring bound
+                // from it.
+                if !matches!(e, TransportError::Protocol(_)) {
+                    job.failures += 1;
+                    if job.failures < MAX_ATTEMPTS
+                        && !job.token.is_cancelled()
+                        && retry_safe(&job.cmd)
                     {
-                        break Err(e);
+                        return Some(job);
                     }
-                    backoff(attempt, &mut rng);
                 }
+                Err(e)
             }
         };
-        let took_ms = dispatched.elapsed().as_secs_f64() * 1e3;
+        drop(st);
+        self.finish(job, outcome);
+        let mut st = self.conn.state();
+        if st.wire.is_none() && !st.broken && !st.closed {
+            if let Some(next) = st.pop_live() {
+                st.send(&self.conn.writer, next);
+            }
+        }
+        None
+    }
+
+    /// Dials a fresh socket and writes `job` on it: a retry (after its
+    /// backoff), or the first request queued behind a broken socket.
+    /// Each failed dial feeds the error EWMA and counts against the
+    /// job's attempts, so the health signal sees flapping even when the
+    /// job eventually succeeds.
+    fn redial(&mut self, mut job: Job) {
+        if job.failures > 0 {
+            backoff(job.failures, &mut self.rng);
+        }
+        loop {
+            match connect_socket(self.addr).and_then(|s| Ok((s.try_clone()?, s))) {
+                Ok((writer, reader)) => {
+                    let mut st = self.conn.state();
+                    if st.closed {
+                        return;
+                    }
+                    *self.conn.writer.lock().expect("writer lock poisoned") = writer;
+                    self.reader = reader;
+                    self.buf.clear();
+                    st.seq = 0;
+                    st.broken = false;
+                    st.send(&self.conn.writer, job);
+                    return;
+                }
+                Err(e) => {
+                    self.health.record_error();
+                    job.failures += 1;
+                    if job.failures >= MAX_ATTEMPTS || job.token.is_cancelled() {
+                        return self.finish(job, Err(TransportError::Io(e.to_string())));
+                    }
+                    backoff(job.failures, &mut self.rng);
+                }
+            }
+        }
+    }
+
+    /// Feeds the outcome to the replica's health and resolves the job.
+    fn finish(&self, mut job: Job, outcome: Result<Reply, TransportError>) {
+        let took_ms = job.dispatched.elapsed().as_secs_f64() * 1e3;
         match &outcome {
             // Server-level error replies (WRONGTYPE, …) still measure a
             // responsive replica, so they count as latency samples.
-            Ok(_) => health.record_latency(took_ms),
+            Ok(_) => self.health.record_latency(took_ms),
             // A clean retraction is not a speed sample — only a bound.
-            Err(TransportError::Cancelled) => health.record_censored_latency(took_ms),
+            Err(TransportError::Cancelled) => self.health.record_censored_latency(took_ms),
             // Failed attempts already fed the error EWMA one by one.
             Err(_) => {}
         }
-        if debug && took_ms > 10.0 {
+        if self.debug && took_ms > 10.0 {
             eprintln!(
                 "[conn {:?}] took {took_ms:.2}ms cmd={} outcome={}",
                 std::thread::current().name(),

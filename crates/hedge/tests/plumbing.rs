@@ -29,8 +29,10 @@ use std::time::Duration;
 struct Seen {
     requests: AtomicU64,
     cancels: AtomicU64,
-    /// `CANCEL n` frames naming a request this connection had not
-    /// received: a sequence number carried over from a dead socket.
+    /// `CANCEL n` frames naming anything but the one request this
+    /// connection has outstanding, the last it received: a sequence
+    /// number carried over from a dead socket, or drawn from another
+    /// writer's counter.
     stale_cancels: AtomicU64,
     /// Requests that must never have been sent (cancelled up front).
     forbidden: AtomicU64,
@@ -62,8 +64,9 @@ fn fake_replica(
             sock.set_nodelay(true).unwrap();
             let mut buf = BytesMut::new();
             let mut chunk = [0u8; 4096];
-            // Requests received on *this* connection: the sequence
-            // numbers a CANCEL here may legitimately name are 0..received.
+            // Requests received on *this* connection. One is on the
+            // wire at a time, so a CANCEL here may name only the last
+            // of them, `received - 1`.
             let mut received = 0u64;
             'conn: loop {
                 let before = received;
@@ -71,7 +74,7 @@ fn fake_replica(
                     match cmd {
                         Command::Cancel(n) => {
                             seen.cancels.fetch_add(1, Ordering::Relaxed);
-                            if n >= received {
+                            if n + 1 != received {
                                 seen.stale_cancels.fetch_add(1, Ordering::Relaxed);
                             }
                         }
@@ -212,7 +215,7 @@ fn cancel_racing_completion_across_reconnects_resolves_each_attempt_once() {
     assert_eq!(
         seen.stale_cancels.load(Ordering::Relaxed),
         0,
-        "a CANCEL named a request its connection never received"
+        "a CANCEL named a request other than the one its connection had outstanding"
     );
     assert_eq!(
         seen.forbidden.load(Ordering::Relaxed),

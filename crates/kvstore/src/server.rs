@@ -9,7 +9,9 @@
 pub struct ServerStats {
     /// Commands executed, counted when their service starts.
     pub commands: u64,
-    /// Round-robin sweeps performed.
+    /// Commands the sweeper thread served. `hedge::TcpServer` serves
+    /// the rest of `commands` in place, on the reader that decoded
+    /// them (`commands − sweeps`).
     pub sweeps: u64,
     /// Total execution cost (elementary ops) served: the full cost of
     /// every command that ran to its end, and of a command stopped in

@@ -23,19 +23,6 @@
 //!    the configuration that lets the adapter serve the *true* target
 //!    quantile (`k: 0.99`) instead of compensating with an artificially
 //!    deep one.
-//! 4. **The §3 SingleR-vs-MultipleR comparison, static vs static** —
-//!    two more phases replay the trace under *fixed* policies built
-//!    from phase 3's artifacts: a SingleR comparator at the adapted
-//!    `(d*, q*)`, and a two-stage DoubleR with the identical main
-//!    stage plus a near-degenerate deep rescue stage. Per Theorem 3.2
-//!    the extra stage buys no asymptotic advantage at equal budget —
-//!    and this workload shows *why* the optimal MultipleR collapses
-//!    toward SingleR: any stage with substantial probability past
-//!    `d*` mostly re-reissues the queries of death themselves (they
-//!    are what is still outstanding that deep), and a third monster
-//!    copy blacks out the whole cluster. The solved DoubleR therefore
-//!    keeps its deep stage nearly degenerate, and the run verifies it
-//!    matches the SingleR phase's P99 at an equal realized budget.
 //!
 //! Run with: `cargo run --release --example hedged_kv_cluster`
 //!
@@ -134,38 +121,23 @@ fn report(label: &str, run: &LoadReport, client: &HedgedClient) -> f64 {
         stats.pairs_censored,
         run.dropped,
     );
-    // Per-stage breakdown, for multi-stage phases only.
-    if stats.reissues_by_stage.iter().skip(1).any(|&c| c > 0) {
-        let last = stats
-            .reissues_by_stage
-            .iter()
-            .rposition(|&c| c > 0)
-            .unwrap_or(0);
-        let used: Vec<String> = stats.reissues_by_stage[..=last]
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("stage {}: {c}", i + 1))
-            .collect();
-        println!("  {:<26} reissues by stage — {}", "", used.join(", "));
-    }
     p99
 }
 
-/// Runs one phase over a fresh cluster and returns
-/// `(client, report, p99)`.
+/// Runs one phase over a fresh cluster and returns `(client, p99)`.
 fn phase(
     label: &str,
     dataset: &Dataset,
     trace: &Trace,
     queries: usize,
     cfg: HedgeConfig,
-) -> (HedgedClient, LoadReport, f64) {
+) -> (HedgedClient, f64) {
     let cluster =
         Cluster::spawn(REPLICAS, &store_with_monsters(dataset), NANOS_PER_OP).expect("bind");
     let client = HedgedClient::connect(&cluster.addrs(), cfg).expect("connect client");
     let run = run_phase(&cluster, &client, trace, queries);
     let p99 = report(label, &run, &client);
-    (client, run, p99)
+    (client, p99)
 }
 
 /// An online-adaptive phase (the `min_pairs` gate selects the §4.1 vs
@@ -176,7 +148,7 @@ fn hedged_phase(
     trace: &Trace,
     queries: usize,
     min_pairs: usize,
-) -> (HedgedClient, LoadReport, f64) {
+) -> (HedgedClient, f64) {
     phase(
         label,
         dataset,
@@ -227,7 +199,7 @@ fn main() {
     );
 
     // ── Phase 1: no hedging ────────────────────────────────────────
-    let (_, _, p99_unhedged) = phase(
+    let (_, p99_unhedged) = phase(
         "unhedged",
         &dataset,
         &trace,
@@ -241,7 +213,7 @@ fn main() {
     );
 
     // ── Phase 2: hedged, independence-model SingleR (A) ────────────
-    let (ind, _, p99_ind) = hedged_phase(
+    let (ind, p99_ind) = hedged_phase(
         "hedged (independent)",
         &dataset,
         &trace,
@@ -253,8 +225,7 @@ fn main() {
     drop(ind);
 
     // ── Phase 3: hedged, correlated SingleR from censored pairs (B) ─
-    let (hedged, hedged_run, p99_hedged) =
-        hedged_phase("hedged (correlated)", &dataset, &trace, queries, 48);
+    let (hedged, p99_hedged) = hedged_phase("hedged (correlated)", &dataset, &trace, queries, 48);
     let final_policy = hedged.policy();
     let record = hedged.online_policy().expect("online adapter active");
     println!(
@@ -283,80 +254,9 @@ fn main() {
         "raced hedges must produce (primary, reissue) pairs"
     );
 
-    // ── Phases 4a/4b: the §3 SingleR-vs-MultipleR comparison, static
-    //    vs static at equal expected budget ──────────────────────────
-    // Theorem 3.2 says the optimal MultipleR policy is matched by a
-    // SingleR policy of the same budget; these phases run that
-    // comparison end-to-end over TCP instead of in the analytical
-    // model, replaying the trace under two *fixed* policies built from
-    // phase 3's artifacts (static comparators, so neither side pays
-    // adapter warm-up and the realized rates are directly comparable):
-    //
-    // * **SingleR comparator**: the adapted `(d*, q*)` as-is.
-    // * **DoubleR**: the *identical* main stage `(d*, q*)` plus a
-    //   near-degenerate deep rescue stage — a second chance for
-    //   stragglers whose first reissue also landed badly. Identical
-    //   main stages are the point, not a shortcut: the realized rate
-    //   of a static policy is dominated by hedging's feedback on its
-    //   own victim population, so two phases whose main stages differ
-    //   — even at equal *solved* spend — drift apart in realized
-    //   budget run to run, and under a binding governor the
-    //   earlier-delay side has strictly higher demand and starves
-    //   worse. With the main stages equal, both effects cancel by
-    //   construction and the deep stage's sliver (≤ 0.1% of queries)
-    //   is the entire difference. The deep `q₂` is kept near zero
-    //   deliberately — this workload demonstrates why the optimal
-    //   MultipleR collapses toward SingleR (Thm 3.2): whatever is
-    //   still outstanding past `d*` is mostly the monsters themselves,
-    //   and `q₁·q₂` is the probability a monster gets a *third* copy,
-    //   which blacks out the entire 3-replica cluster for its whole
-    //   service time.
-    let samples = hedged_run.latency_ms.len().max(1) as f64;
-    let surv = |d: f64| (hedged_run.latency_ms.count_over(d) as f64 / samples).max(1e-4);
-    let d_star = record.delay.max(0.1);
-    let q_star = record.probability.clamp(0.001, 1.0);
-    let spend_target = q_star * surv(d_star);
-    let d2 = 1.3 * d_star;
-    let q2 = 0.004;
-    let single_static = ReissuePolicy::single_r(d_star, q_star);
-    let double_static = ReissuePolicy::double_r(d_star, q_star, d2, q2);
-    let correlated_engaged = hedged.online_correlated();
-    println!(
-        "  §3 comparators from phase 3: {single_static} vs {double_static} \
-         (shared main-stage spend {spend_target:.3}; deep-stage sliver {:.4})",
-        q2 * surv(d2),
-    );
-    drop(hedged);
-
-    let static_phase = |label: &str, policy: ReissuePolicy| {
-        let (client, run, p99) = phase(
-            label,
-            &dataset,
-            &trace,
-            queries,
-            HedgeConfig {
-                policy,
-                online: None,
-                // The same safety valve the online phases get by
-                // default; with identical main stages both phases put
-                // identical demand on it, so any clipping lands on
-                // them equally.
-                budget_cap: Some(1.25 * BUDGET),
-                workers: WORKERS,
-                ..HedgeConfig::default()
-            },
-        );
-        let stats = client.stats();
-        let rate = stats.reissues as f64 / stats.queries.max(1) as f64;
-        drop(run);
-        (p99, rate, stats)
-    };
-    let (p99_srs, r_srs, _) = static_phase("hedged (SingleR static)", single_static);
-    let (p99_multi, r_multi, stats_multi) = static_phase("hedged (DoubleR static)", double_static);
-
     if full_scale {
         assert_eq!(
-            correlated_engaged,
+            hedged.online_correlated(),
             Some(true),
             "correlated optimizer should engage at full scale"
         );
@@ -367,50 +267,18 @@ fn main() {
         // hedged 0.91–1.09 ms over six runs) and their order is noise
         // (it flipped in 3 of the 6, by at most 0.2 ms). What the run
         // can still say is that hedging within its budget does not
-        // *cost* the tail, with the jitter allowance of the §3
-        // comparison below.
+        // *cost* the tail: 1% relative plus 0.5 ms absolute, since both
+        // P99s sit in the low-single-digit body, where half a
+        // millisecond of scheduler jitter dwarfs any percentage.
         assert!(
             p99_hedged <= p99_unhedged * 1.01 + 0.5,
             "hedged P99 {p99_hedged:.2} ms must not cost the unhedged \
              {p99_unhedged:.2} ms more than jitter (±1% + 0.5 ms)"
         );
-        // The §3 comparison: at an equal realized reissue budget
-        // (±1 percentage point), the two-stage schedule's P99 must not
-        // lose to the SingleR comparator — and, per Theorem 3.2, has
-        // no asymptotic edge to win big by either; its few-ms edge
-        // here comes from the earlier main stage rescuing monster
-        // victims sooner at the same spend.
-        assert!(
-            (r_multi - r_srs).abs() <= 0.01,
-            "DoubleR realized rate {r_multi:.3} must match the static \
-             SingleR comparator's {r_srs:.3} within ±1 point for a \
-             fair §3 comparison"
-        );
-        assert!(
-            stats_multi.reissues_by_stage.iter().sum::<u64>() == stats_multi.reissues,
-            "per-stage accounting must cover every dispatch: {stats_multi:?}"
-        );
-        // The DoubleR side is the SingleR comparator plus a free
-        // rescue sliver, so it is weakly better by construction — but
-        // Thm 3.2 predicts near-equality, and the quantities compared
-        // are two wall-clock P99s. Allow 1% relative plus 0.5 ms
-        // absolute: in deep-d* regimes (P99 tens of ms) the relative
-        // term dominates, while in shallow-d* regimes the adapter
-        // rescues every monster victim and both P99s sit in the
-        // low-single-digit body, where half a millisecond of scheduler
-        // jitter dwarfs any percentage of the quantile.
-        assert!(
-            p99_multi <= p99_srs * 1.01 + 0.5,
-            "DoubleR P99 {p99_multi:.2} ms must not lose to the static \
-             SingleR comparator's {p99_srs:.2} ms (±1% + 0.5 ms) at \
-             equal budget"
-        );
         println!(
             "hedged P99 against unhedged at the true target P{:.0}: \
              {p99_hedged:.2} ms vs {p99_unhedged:.2} ms ({:.2}x; \
-             independent-model phase: {p99_ind:.2} ms); §3 static A/B at \
-             equal budget ({r_multi:.3} vs {r_srs:.3}): DoubleR \
-             {p99_multi:.2} ms ≤ SingleR {p99_srs:.2} ms",
+             independent-model phase: {p99_ind:.2} ms)",
             100.0 * TARGET_K,
             p99_unhedged / p99_hedged
         );
@@ -418,9 +286,7 @@ fn main() {
         println!(
             "smoke run ({queries} queries): skipping tail assertions \
              (unhedged {p99_unhedged:.2} ms, independent {p99_ind:.2} ms, \
-             correlated {p99_hedged:.2} ms; §3 static A/B: SingleR \
-             {p99_srs:.2} ms at {r_srs:.3} vs DoubleR {p99_multi:.2} ms \
-             at {r_multi:.3})"
+             correlated {p99_hedged:.2} ms)"
         );
     }
 }

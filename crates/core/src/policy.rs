@@ -24,6 +24,14 @@ impl Stage {
         assert!((0.0..=1.0).contains(&prob), "stage prob must be in [0,1]");
         Stage { delay, prob }
     }
+
+    /// Flips this stage's coin for one query: heads with probability
+    /// `prob`. Draws one uniform from `rng` if and only if
+    /// `0 < prob < 1`, so a deterministic stage leaves the stream
+    /// untouched. The runtime and the simulator both flip through here.
+    pub fn flip(&self, rng: &mut SmallRng) -> bool {
+        self.prob >= 1.0 || (self.prob > 0.0 && rng.gen::<f64>() < self.prob)
+    }
 }
 
 /// Bound on the stages of one policy. Eight is far beyond any useful
@@ -232,7 +240,7 @@ impl ReissuePolicy {
     pub fn sample_schedule_indexed(&self, rng: &mut SmallRng) -> Schedule {
         let mut out = Schedule::default();
         let mut flip = |i: usize, delay: f64, prob: f64| {
-            if prob >= 1.0 || (prob > 0.0 && rng.gen::<f64>() < prob) {
+            if (Stage { delay, prob }).flip(rng) {
                 out.push(i, delay);
             }
         };

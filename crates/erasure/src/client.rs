@@ -1,8 +1,8 @@
 //! The k-of-n fragment-hedging client.
 //!
 //! A striped read is one [`Job`] of the race engine ([`mod@hedge::race`]),
-//! which owns the stage timers, the governor ask, loser retraction and
-//! the `(straggler, first reissue)` pair book for every kind of race.
+//! which owns the reissue timer, the governor ask, loser retraction and
+//! the `(straggler, reissue)` pair book for every kind of race.
 //! What makes the race a *stripe* is the job's six answers:
 //!
 //! 1. the first wave is `k` fragment reads, and any `k` fragments
@@ -15,7 +15,7 @@
 //!    the lowest slot. A read goes around every server a monster
 //!    fragment is blocking, up to `n − k` of them, and an idle group
 //!    reads the data slots and decodes by concatenation;
-//! 2. each reissue is `FGET` of the least-loaded slot not yet asked,
+//! 2. the reissue is `FGET` of the least-loaded slot not yet asked,
 //!    never a second full copy. Where a slot lives is still the key's
 //!    rotation ([`crate::placement_offset`]: slot `s` on replica
 //!    `(s + o) % n`); *which* slots are read is decided per read. The
@@ -25,12 +25,12 @@
 //!    fragments are in hand or `k` of the slots asked answered `Nil`
 //!    (the key has no stripe);
 //! 4. there are `n` attempts to make, one per fragment;
-//! 5. the front stage is held while fewer than `k − 1` fragments are
-//!    in hand: until then no single reissue could be the decoding
-//!    fragment, and a monster read whose `k` fragments are all slow
-//!    would only block one more server with a read that cannot end the
-//!    race. A held stage that is past due goes out with the
-//!    `(k − 1)`-th fragment. `k = 1` never holds;
+//! 5. the reissue is held while fewer than `k − 1` fragments are in
+//!    hand: until then it could not be the decoding fragment, and a
+//!    monster read whose `k` fragments are all slow would only block
+//!    one more server with a read that cannot end the race. A held
+//!    reissue that is past due goes out with the `(k − 1)`-th
+//!    fragment. `k = 1` never holds;
 //! 6. the result is the decoded value.
 //!
 //! A failing replica ranks last, so with `n > k` it would never be
@@ -40,7 +40,7 @@
 //! ([`ReplicaSet::probe_turn`]): while some replica is failing, one
 //! read in sixteen ranks the failing ones *first* in its wave. That is
 //! also what an outage costs an unhedged stripe, a sixteenth of its
-//! reads; a hedged one rescues the probe through its next stage.
+//! reads; a hedged one rescues the probe through its reissue.
 //!
 //! That is the erasure-coding trade at the heart of this subsystem:
 //! the hedge costs `1/k` of a full read, so at an equal *byte* budget
@@ -48,7 +48,7 @@
 //! replica client ([`reissue_core::kofn::fragment_budget`]).
 //!
 //! Under [`CancellationStyle::Tied`] the engine has every first-wave
-//! fragment register a tie id and the *first* reissue name the
+//! fragment register a tie id and the reissue name the
 //! straggler (the earliest-dispatched first-wave attempt still
 //! outstanding) as its peer, so whichever server dequeues first
 //! retracts the other server-to-server; client-driven `CANCEL` remains
@@ -78,9 +78,10 @@ pub struct StripedConfig {
     /// replica holds which slot rotates per key, see
     /// [`crate::placement_offset`]).
     pub k: usize,
-    /// The reissue policy armed over the straggling fragment. Stage
-    /// delays are measured from the primary wave's dispatch, exactly
-    /// like the replica-hedging client measures them from its primary.
+    /// The reissue policy armed over the straggling fragment: `None`,
+    /// `SingleD` or `SingleR`, with `d` measured from the first wave's
+    /// dispatch, as the replica-hedging client measures it from its
+    /// primary. A `MultipleR` is refused at connect (`InvalidInput`).
     pub policy: ReissuePolicy,
     /// Cap on the realized fragment-reissue rate (reissues / striped
     /// reads); see [`hedge::BudgetGovernor`]. Remember the equal-byte

@@ -11,7 +11,7 @@
 //! that race: [`HedgeConfig`], [`CancellationStyle`] and the
 //! [`BudgetGovernor`].
 
-use crate::race::{Core, Job, Verdict, MAX_ATTEMPTS};
+use crate::race::{Core, Job, Verdict};
 use crate::rt::Runtime;
 use crate::transport::{ReplicaSet, TransportError};
 
@@ -24,8 +24,6 @@ use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-pub use reissue_core::policy::MAX_STAGES;
-
 /// How a raced query's losing attempts get retracted.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CancellationStyle {
@@ -37,26 +35,27 @@ pub enum CancellationStyle {
     #[default]
     Client,
     /// Server-side tied requests ("The Tail at Scale"): the primary
-    /// and the first reissue register a tie, and whichever replica
+    /// and the reissue register a tie, and whichever replica
     /// *dequeues* its copy first retracts the other directly over a
     /// server-to-server channel — bounding the duplicated work by the
     /// replica-to-replica one-way delay instead of the winner's full
     /// service time. The peer's cancel only ever retracts a *queued*
     /// copy (two copies that both started must not stop each other).
     /// Client-driven `CANCEL` stays armed for what the tie does not
-    /// cover: later stages, lost frames, and a loser already in
-    /// service, which only the client may stop.
+    /// cover: lost frames, and a loser already in service, which only
+    /// the client may stop.
     Tied,
 }
 
 /// Configuration for [`HedgedClient`].
 #[derive(Clone, Debug)]
 pub struct HedgeConfig {
-    /// The starting policy (used as-is when `online` is `None`). All
-    /// families execute natively: `None`, `SingleD`, `SingleR`, and
-    /// multi-stage `MultipleR` schedules — stage `i` arms a timer at
-    /// `dᵢ` (measured from the primary dispatch) that, if the query is
-    /// still outstanding, dispatches one reissue with probability `qᵢ`.
+    /// The starting policy (used as-is when `online` is `None`):
+    /// `None`, `SingleD` or `SingleR`. With probability `q` a query
+    /// arms a timer at `d` (measured from the primary dispatch) that,
+    /// if the query is still outstanding, dispatches one reissue. A
+    /// `MultipleR` is refused at connect (`InvalidInput`): at an equal
+    /// budget a SingleR policy is as good (the paper's Theorem 3.2).
     pub policy: ReissuePolicy,
     /// When set, a [`reissue_core::online::OnlineAdapter`] re-optimizes
     /// `(d, q)` from observed latencies while serving, overriding
@@ -73,20 +72,9 @@ pub struct HedgeConfig {
     /// on — a governor pinned exactly at the steady-state demand
     /// denies hedges first-come-first-served, which starves precisely
     /// the stragglers that arrive in bursts behind a query of death.
-    ///
-    /// **Interaction with `MultipleR`:** the cap counts *total*
-    /// reissues across all stages — a 3-stage schedule can spend up to
-    /// 3 units of quota on one query, so the governor compares
-    /// `Σᵢ (stage-i dispatches)` against `cap × queries`. The policy's
-    /// own expected spend is `Σᵢ qᵢ·P(T > dᵢ)` (Equation 4: a stage
-    /// whose deadline the query never reaches consumes nothing), which
-    /// is what the optimizer holds at the budget; the governor only
-    /// clips realized bursts. When a stage's timer fires without
-    /// quota, that stage *re-asks* one stage-delay later rather than
-    /// silently dropping — a query still outstanding after several
-    /// delays is precisely the straggler hedging exists for — and
-    /// later stages queue behind it, preserving the schedule's
-    /// dispatch order.
+    /// A reissue denied quota *re-asks* one delay later rather than
+    /// being dropped: a query still outstanding after several delays
+    /// is precisely the straggler hedging exists for.
     pub budget_cap: Option<f64>,
     /// An externally shared governor. When set it takes precedence
     /// over `budget_cap`: several clients handed clones of one
@@ -104,7 +92,7 @@ pub struct HedgeConfig {
     /// Seed for the reissue coin flips.
     pub seed: u64,
     /// How losing attempts are retracted (see [`CancellationStyle`]).
-    /// `Tied` registers the primary and the first reissue as a
+    /// `Tied` registers the primary and the reissue as a
     /// server-side tied pair so the serving replica cancels the peer
     /// at dequeue time; `Client` (default) relies on this client's
     /// `CANCEL` after the race resolves.
@@ -210,14 +198,10 @@ impl BudgetGovernor {
 pub struct HedgeStats {
     /// Queries completed.
     pub queries: u64,
-    /// Reissues actually dispatched across all stages (a timer fired,
-    /// the stage's coin had come up heads, and the governor granted
-    /// quota).
+    /// Reissues actually dispatched (the query's coin came up heads,
+    /// its timer fired, and the governor granted quota).
     pub reissues: u64,
-    /// Dispatched reissues broken down by policy stage index. Sums to
-    /// `reissues`.
-    pub reissues_by_stage: [u64; MAX_STAGES],
-    /// Queries won by a reissue (any stage) rather than the primary.
+    /// Queries won by the reissue rather than the primary.
     pub reissue_wins: u64,
     /// Loser requests whose cancellation reached the backend in time:
     /// retracted before or during service, and answered with the
@@ -230,10 +214,10 @@ pub struct HedgeStats {
     /// retracted in time; only its elapsed-at-cancel lower bound is
     /// known).
     pub pairs_censored: u64,
-    /// Queries that failed outright — every attempt (primary and all
-    /// dispatched reissues) resolved with a transport error and no
-    /// stage quota remained. A single attempt's failure never counts
-    /// here while another attempt can still save the query.
+    /// Queries that failed outright — every attempt (the primary and
+    /// the reissue, if one went out) resolved with a transport error.
+    /// A single attempt's failure never counts here while another
+    /// attempt can still save the query.
     pub errors: u64,
 }
 
@@ -271,7 +255,10 @@ impl HedgedClient {
 
     /// The current policy (live view; moves as the adapter re-optimizes).
     pub fn policy(&self) -> ReissuePolicy {
-        self.core.state.lock().unwrap().policy.clone()
+        match self.core.state.lock().unwrap().stage {
+            Some(s) => ReissuePolicy::single_r(s.delay, s.prob),
+            None => ReissuePolicy::None,
+        }
     }
 
     /// The online adapter's current `(d, q)` record with its budget
@@ -357,9 +344,9 @@ impl Job for ReplicaJob {
         1
     }
 
-    /// The primary and one reissue per stage.
+    /// The primary and the reissue.
     fn capacity(&self) -> usize {
-        MAX_ATTEMPTS
+        2
     }
 
     /// The primary goes to the replica with the fewest outstanding; a

@@ -1,6 +1,6 @@
 //! Speculative-execution runtime: hedged (reissued) requests against
-//! real TCP kvstore replicas, driven by any of the paper's policy
-//! families — SingleD, SingleR, and multi-stage MultipleR schedules.
+//! real TCP kvstore replicas, driven by the paper's one-stage policy
+//! families, SingleD and SingleR.
 //!
 //! The sibling crates *choose* reissue policies; this crate *executes*
 //! them. It turns the reproduction from a calculator into a serving
@@ -23,13 +23,13 @@
 //!   connections per replica, each replica carrying a
 //!   [`transport::ReplicaHealth`] latency/error EWMA that drives
 //!   reissue targeting (and demotes sick replicas until they heal).
-//! * [`mod@race`] — the race engine, [`race::Core::run`]: sample the
-//!   policy's full stage schedule `(d₁,q₁), …, (dₙ,qₙ)`, dispatch the
-//!   first wave, race all in-flight attempts against the stage
-//!   timers, ask the governor before each reissue, cancel every loser,
-//!   and feed observations to `reissue_core::online::OnlineAdapter` so
-//!   the policy re-optimizes while serving. Raced queries are fed as
-//!   joint `(straggler, first reissue)` pairs, censored at the loser's
+//! * [`mod@race`] — the race engine, [`race::Core::run`]: flip the
+//!   SingleR coin `q`, dispatch the first wave, race all in-flight
+//!   attempts against the timer at `d`, ask the governor before the
+//!   reissue, cancel every loser, and feed observations to
+//!   `reissue_core::online::OnlineAdapter` so the policy re-optimizes
+//!   while serving. Raced queries are fed as joint
+//!   `(straggler, reissue)` pairs, censored at the loser's
 //!   elapsed-at-retraction bound when the cancel landed in time,
 //!   which lets the adapter run the §4.2 *correlated* optimizer once
 //!   `OnlineConfig::min_pairs` pairs accumulate, instead of the
@@ -98,9 +98,7 @@ pub mod server;
 pub mod sync;
 pub mod transport;
 
-pub use client::{
-    BudgetGovernor, CancellationStyle, HedgeConfig, HedgeStats, HedgedClient, MAX_STAGES,
-};
+pub use client::{BudgetGovernor, CancellationStyle, HedgeConfig, HedgeStats, HedgedClient};
 pub use harness::{
     run_open_loop, Arrivals, Cluster, LoadClient, LoadConfig, LoadReport, SicknessEvent,
 };

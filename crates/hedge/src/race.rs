@@ -1,5 +1,5 @@
-//! The race engine: one query with copies in flight, a stage schedule
-//! `(d₁,q₁), …, (dₙ,qₙ)` measured from the first dispatch, and a
+//! The race engine: one query with copies in flight, at most one
+//! reissue stage `(d, q)` measured from the first dispatch, and a
 //! budget on the copies sent.
 //!
 //! Replica hedging and k-of-n fragment hedging are the same race
@@ -13,44 +13,44 @@
 //! [`crate::HedgedClient`] runs the replica job; the `erasure` crate's
 //! striped client runs the fragment job.
 //!
+//! The engine arms a SingleR policy or nothing. At an equal budget a
+//! SingleR policy is as good as any MultipleR one (the paper's
+//! Theorems 3.1 and 3.2), so [`Core::connect`] refuses a `MultipleR`.
+//!
 //! Per query the engine:
 //!
-//! 1. samples the policy's full reissue schedule: every stage of a
-//!    `MultipleR` policy flips its probability coin *now*
-//!    (distributionally identical to flipping at fire time, see
-//!    [`ReissuePolicy::sample_schedule_indexed`]), yielding the
-//!    non-decreasing stage deadlines this query will arm;
+//! 1. flips the stage's coin *now* ([`Stage::flip`]; distributionally
+//!    identical to flipping at fire time), arming at most one
+//!    deadline;
 //! 2. dispatches the job's **first wave** ([`Job::primaries`]
-//!    attempts). With one primary and an empty schedule there is no
-//!    race: the one attempt is awaited directly;
-//! 3. races every in-flight attempt against the next stage's deadline
-//!    timer ([`crate::rt::select_all`], over attempts kept inline in
-//!    the query's own future, so arming a schedule allocates nothing).
-//!    A stage that is already due is dispatched *before* the attempts
-//!    are polled; each time a timer fires (and the budget governor
-//!    grants quota) one more **reissue** is dispatched. A job may
-//!    *hold* the front stage while attempts are in flight and no
-//!    single reissue could complete it ([`Job::holds`]): the stage
-//!    then waits for the reply that makes it useful and, if past due
-//!    by then, goes out with it;
+//!    attempts). With one primary and nothing armed there is no race:
+//!    the one attempt is awaited directly;
+//! 3. races every in-flight attempt against the deadline timer
+//!    ([`crate::rt::select_all`], over attempts kept inline in the
+//!    query's own future, so arming allocates nothing). A deadline
+//!    that is already due is dispatched *before* the attempts are
+//!    polled; when the timer fires (and the budget governor grants
+//!    quota) the **reissue** is dispatched. A job may *hold* the
+//!    reissue while attempts are in flight and no single reissue could
+//!    complete it ([`Job::holds`]): it then waits for the reply that
+//!    makes it useful and, if past due by then, goes out with it;
 //! 4. hands each reply to [`Job::accept`]. The first [`Verdict::Done`]
 //!    ends the race; every attempt still outstanding is cancelled via
 //!    its [`CancelToken`]: the transport pushes `CANCEL <seq>` to the
 //!    backend, which retracts the copy queued or in service;
 //! 5. feeds observations into the [`OnlineAdapter`] when there is one.
 //!    Un-raced queries feed the primary stream; **raced queries feed
-//!    joint `(straggler, first reissue)` pairs**, exact when the loser
+//!    joint `(straggler, reissue)` pairs**, exact when the loser
 //!    completed, censored at the loser's elapsed-at-retraction lower
 //!    bound when the cancel landed in time, so the adapter can run the
 //!    §4.2 *correlated* optimizer instead of the independence model
 //!    (see `reissue_core::online`). The straggler is the lowest-index
-//!    first-wave attempt still unresolved when the first reissue goes
-//!    out: the primary itself for a one-primary job. Later-stage
-//!    losers feed the marginal reissue stream when they complete.
+//!    first-wave attempt still unresolved when the reissue goes out:
+//!    the primary itself for a one-primary job.
 //!
 //! `HEDGE_DEBUG=1` (read once, at connect time) traces every query
-//! slower than 10 ms: the stages it armed, the reissues it sent and
-//! the slot that won. The transport traces the slow attempts
+//! slower than 10 ms: the delay it armed, whether the reissue went out
+//! and the slot that won. The transport traces the slow attempts
 //! themselves, with their commands.
 
 use crate::client::{BudgetGovernor, CancellationStyle, HedgeConfig, HedgeStats};
@@ -65,17 +65,18 @@ use reissue_core::censored::Obs;
 use reissue_core::load::LoadSignal;
 use reissue_core::metrics::LogHistogram;
 use reissue_core::online::{OnlineAdapter, ReissueOutcome};
-use reissue_core::policy::{ReissuePolicy, Schedule, MAX_STAGES};
+use reissue_core::policy::{ReissuePolicy, Stage};
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Wire attempts one query can have: the widest first wave plus its
-/// reissues, and for a one-primary job the primary and one reissue
-/// per stage. The attempt table is inline at this size.
-pub const MAX_ATTEMPTS: usize = MAX_STAGES + 1;
+/// Wire attempts one query can have, and so the widest stripe: a
+/// striped read asks each of its `n` fragments at most once, first
+/// wave and reissue together. The attempt table is inline at this
+/// size, and nine covers every `(k, n)` the codec is tested on.
+pub const MAX_ATTEMPTS: usize = 9;
 
 /// Process-global tie id source. Replicas key tie state by id alone,
 /// so ids must be unique across every client in the process.
@@ -99,32 +100,29 @@ pub enum Verdict {
 }
 
 /// The six decisions on which one kind of race differs from another.
-/// Attempts are numbered by dispatch order, never reshuffled: slots
-/// `0..primaries` are the first wave, slot `primaries + r` is the
-/// `r`-th reissue *actually sent* (coins and the governor may skip
-/// stages, so this is independent of the policy stage index). What an
-/// attempt number *means* to the job (which fragment it fetched, say)
-/// is the job's own table to keep.
+/// Attempts are numbered by dispatch order: slots `0..primaries` are
+/// the first wave, slot `primaries` the reissue, if one is sent. What
+/// an attempt number *means* to the job (which fragment it fetched,
+/// say) is the job's own table to keep.
 pub trait Job: Send {
     /// Attempts dispatched at `t = 0`, at least 1.
     fn primaries(&self) -> usize;
 
-    /// Attempts the job can make in all, those already dispatched
-    /// included; the engine caps it at [`MAX_ATTEMPTS`]. Read again
-    /// before each stage, since a reply may close options (a second
-    /// copy of what is now in hand is not worth asking for): stages
-    /// beyond it are moot.
+    /// Attempts the job can make in all, the first wave included; the
+    /// engine caps it at [`MAX_ATTEMPTS`]. A job whose first wave
+    /// already makes them all has nothing to reissue (a striped read
+    /// with `k = n`).
     fn capacity(&self) -> usize;
 
-    /// Whether the front stage should wait although it may be due: no
+    /// Whether the reissue should wait although it may be due: no
     /// single further attempt could complete the job, so a reissue
     /// sent now would occupy a server without being able to end the
     /// race. Asked only while an attempt is in flight (the rescue of a
     /// query with nothing outstanding is never held), and asked again
-    /// after every reply, so a held stage that is past due goes out as
-    /// soon as the reply that makes it useful is banked. A striped read
-    /// holds until `k − 1` fragments, whichever, are in hand (any `k`
-    /// decode). A job done at its first useful reply never holds,
+    /// after every reply, so a held reissue that is past due goes out
+    /// as soon as the reply that makes it useful is banked. A striped
+    /// read holds until `k − 1` fragments, whichever, are in hand (any
+    /// `k` decode). A job done at its first useful reply never holds,
     /// which is the default.
     fn holds(&self) -> bool {
         false
@@ -144,12 +142,13 @@ pub trait Job: Send {
     fn accept(&mut self, slot: usize, reply: Reply) -> Verdict;
 
     /// Builds the result once the race is over: after [`Verdict::Done`],
-    /// or when every attempt and stage ran out with no error to report.
+    /// or when every attempt ran out with no error to report.
     fn finish(self) -> Result<Reply, TransportError>;
 }
 
 pub(crate) struct PolicyState {
-    pub(crate) policy: ReissuePolicy,
+    /// The live reissue stage; `None` never reissues.
+    pub(crate) stage: Option<Stage>,
     pub(crate) adapter: Option<OnlineAdapter>,
     rng: SmallRng,
 }
@@ -158,7 +157,6 @@ pub(crate) struct PolicyState {
 struct Counters {
     queries: AtomicU64,
     reissues: AtomicU64,
-    reissues_by_stage: [AtomicU64; MAX_STAGES],
     reissue_wins: AtomicU64,
     cancelled_in_time: AtomicU64,
     pairs_exact: AtomicU64,
@@ -207,11 +205,24 @@ impl Core {
     /// else at 1.25× the online budget when online adaptation is on.
     /// Shared from the start: the losers a race leaves behind drain on
     /// tasks that hold the core.
+    ///
+    /// A `MultipleR` policy is refused with
+    /// [`std::io::ErrorKind::InvalidInput`] before any socket is
+    /// opened: the engine arms one reissue stage.
     pub fn connect(
         rt: Runtime,
         addrs: &[SocketAddr],
         cfg: HedgeConfig,
     ) -> std::io::Result<Arc<Core>> {
+        let stage = match &cfg.policy {
+            ReissuePolicy::MultipleR { .. } => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    "the race engine arms one reissue stage: use SingleR, not MultipleR",
+                ))
+            }
+            policy => policy.stages().first().copied(),
+        };
         let replicas = ReplicaSet::connect(addrs, cfg.pool_per_replica)?;
         let governor = cfg.governor.clone().or_else(|| {
             cfg.budget_cap
@@ -225,7 +236,7 @@ impl Core {
             rt,
             replicas,
             state: Mutex::new(PolicyState {
-                policy: cfg.policy,
+                stage,
                 adapter: cfg.online.map(OnlineAdapter::new),
                 rng: SmallRng::seed_from_u64(cfg.seed),
             }),
@@ -258,7 +269,6 @@ impl Core {
         HedgeStats {
             queries: get(&c.queries),
             reissues: get(&c.reissues),
-            reissues_by_stage: std::array::from_fn(|i| get(&c.reissues_by_stage[i])),
             reissue_wins: get(&c.reissue_wins),
             cancelled_in_time: get(&c.cancelled_in_time),
             pairs_exact: get(&c.pairs_exact),
@@ -281,29 +291,28 @@ impl Core {
     /// in-flight (or still-armed) attempt could save, and a crashed
     /// replica fails *fast*, which would otherwise make it the
     /// likeliest "winner". The failed attempt just drops out; its
-    /// error surfaces only once every attempt and every remaining
-    /// stage is exhausted.
+    /// error surfaces only once every attempt, and the reissue if it
+    /// is still to go, is exhausted.
     ///
     /// Every query counts in `queries` (and in the governor's
     /// denominator). One that was won and built its result records its
     /// latency; any other counts in `errors`.
     pub async fn run<J: Job>(self: &Arc<Self>, mut job: J) -> Result<Reply, TransportError> {
-        // Only the coins are flipped up front; each attempt's *target*
-        // is chosen at dispatch time, when health information is
-        // current.
-        let schedule = {
+        // Only the coin is flipped up front; each attempt's *target* is
+        // chosen at dispatch time, when health information is current.
+        let armed = {
             let mut st = self.state.lock().unwrap();
             let st = &mut *st;
-            st.policy.sample_schedule_indexed(&mut st.rng)
+            st.stage.filter(|s| s.flip(&mut st.rng)).map(|s| s.delay)
         };
         let started = Instant::now();
         if let Some(load) = &self.load {
             load.query_start();
         }
-        let raced = if job.primaries() == 1 && schedule.is_empty() {
+        let raced = if job.primaries() == 1 && armed.is_none() {
             self.unraced(&mut job).await
         } else {
-            self.staged_race(&mut job, &schedule, started).await
+            self.staged_race(&mut job, armed, started).await
         };
 
         let won = raced.won.is_some();
@@ -314,10 +323,8 @@ impl Core {
         let elapsed_ms = ms_since(started);
         if self.debug && elapsed_ms > 10.0 {
             eprintln!(
-                "[hedge] slow {elapsed_ms:.2}ms armed={:?} reissues={} won={:?}",
-                &schedule[..],
-                raced.reissues,
-                raced.won
+                "[hedge] slow {elapsed_ms:.2}ms armed={armed:?} reissued={} won={:?}",
+                raced.reissued, raced.won
             );
         }
         bump(&self.counters.queries);
@@ -338,7 +345,7 @@ impl Core {
             // two unpaired streams, and the straggler mass that
             // cancellation hides reaches it through the Kaplan–Meier
             // completion.
-            if raced.reissues == 0 {
+            if !raced.reissued {
                 self.observe(Observation::Primary(elapsed_ms));
             }
         } else {
@@ -347,10 +354,10 @@ impl Core {
         result
     }
 
-    /// One primary, no stage armed: nothing to race, so no attempt
+    /// One primary, nothing armed: nothing to race, so no attempt
     /// table, no token kept and no timer. The request path of an
     /// unhedged client, and of the share of a hedged client's queries
-    /// whose coins all came up tails.
+    /// whose coin came up tails.
     async fn unraced<J: Job>(&self, job: &mut J) -> Raced {
         let (cmd, target) = job.attempt(0, &self.replicas, &[]);
         if let Some(load) = &self.load {
@@ -366,29 +373,29 @@ impl Core {
         };
         Raced {
             won,
-            reissues: 0,
+            reissued: false,
             last_err,
         }
     }
 
-    /// Races the job's first wave against the sampled schedule: each
-    /// stage deadline (measured from `started`) that passes while the
-    /// query is unresolved dispatches one more attempt, governor
-    /// permitting, and every attempt races every other through one
-    /// [`select_all`]. Once the race is over, all still-pending losers
-    /// are cancelled and drained asynchronously.
+    /// Races the job's first wave against the armed deadline,
+    /// `delay_ms` after `started`: if it passes while the query is
+    /// unresolved, the reissue goes out, governor permitting, and
+    /// every attempt races every other through one [`select_all`].
+    /// Once the race is over, all still-pending losers are cancelled
+    /// and drained asynchronously.
     ///
-    /// A stage that is **already due** is dispatched before the
+    /// A reissue that is **already due** is dispatched before the
     /// attempts are polled. The paper's `d = 0` policy sends both
-    /// copies at once; polling first would skip the stage whenever the
-    /// primary's reply was already in, so the realized reissue rate
-    /// fell short of `q` by the share of primaries that fast. A stage
-    /// the job [holds](Job::holds) is the exception: it stays in front
-    /// while the attempts in flight are raced without a timer.
+    /// copies at once; polling first would skip the reissue whenever
+    /// the primary's reply was already in, so the realized reissue rate
+    /// fell short of `q` by the share of primaries that fast. A reissue
+    /// the job [holds](Job::holds) is the exception: it waits while the
+    /// attempts in flight are raced without a timer.
     async fn staged_race<J: Job>(
         self: &Arc<Self>,
         job: &mut J,
-        schedule: &Schedule,
+        armed: Option<f64>,
         started: Instant,
     ) -> Raced {
         let mut attempts = Attempts::new(job.primaries());
@@ -397,10 +404,10 @@ impl Core {
             "a job opens with 1..=capacity attempts"
         );
         // Tied cancellation: every first-wave attempt registers a tie
-        // id whenever a reissue *may* follow (non-empty schedule), so
-        // the first reissue can name whichever of them is straggling
-        // as the peer to retract at dequeue time.
-        let tied = self.cancellation == CancellationStyle::Tied && !schedule.is_empty();
+        // id whenever a reissue *may* follow, so the reissue can name
+        // whichever of them is straggling as the peer to retract at
+        // dequeue time.
+        let tied = self.cancellation == CancellationStyle::Tied && armed.is_some();
         for _ in 0..attempts.primaries {
             let tie = tied.then(|| TieSpec {
                 id: next_tie_id(),
@@ -408,40 +415,33 @@ impl Core {
             });
             self.dispatch(job, tie, started, &mut attempts);
         }
-        // The schedule is served front to back: a stage denied by the
-        // governor re-asks later (moving `deadline`, the front stage's
-        // current one) and blocks the stages behind it, so dispatch
-        // order always follows stage order.
-        let mut next = 0usize;
-        let mut deadline = schedule
-            .first()
-            .map_or(started, |&(_, d)| stage_deadline(started, d));
+        // The reissue still to be sent: its delay, and the deadline it
+        // is due at, which a governor denial moves.
+        let mut reissue = armed.map(|d| (d, stage_deadline(started, d)));
         let mut last_err = None;
 
         let won = loop {
             let in_flight = attempts.futs.iter().flatten().count();
-            // A job out of attempts has nothing left to reissue: the
-            // rest of the schedule is moot. A stage the job holds is
-            // not in front for this turn of the loop either: what is
-            // in flight is raced as if the schedule had run out, and
-            // the next reply brings the question back.
-            let front = schedule.get(next).filter(|_| {
+            // A job out of attempts has nothing left to reissue. A held
+            // reissue is not due for this turn of the loop either: what
+            // is in flight is raced without a timer, and the next reply
+            // brings the question back.
+            let due = reissue.filter(|_| {
                 attempts.len < job.capacity().min(MAX_ATTEMPTS) && !(in_flight > 0 && job.holds())
             });
-            // `None`: the front stage is to be dispatched now.
-            let resolved = match front {
-                // Nothing in flight and no answer: rescue from the
-                // remaining schedule *now* (waiting out a stage
-                // deadline only adds latency to a query that has
-                // nothing to wait for), or give up when the stages run
-                // out.
+            // `None`: the reissue is to be dispatched now.
+            let resolved = match due {
+                // Nothing in flight and no answer: rescue with the
+                // reissue *now* (waiting out its deadline only adds
+                // latency to a query that has nothing to wait for), or
+                // give up when there is none.
                 None if in_flight == 0 => break None,
                 Some(_) if in_flight == 0 => None,
-                // Schedule exhausted or held: plain race of what is in
+                // No reissue to send, or held: plain race of what is in
                 // flight.
                 None => Some(select_all(&mut attempts.futs).await),
-                Some(_) if deadline <= Instant::now() => None,
-                Some(_) => {
+                Some((_, deadline)) if deadline <= Instant::now() => None,
+                Some((_, deadline)) => {
                     match race(
                         select_all(&mut attempts.futs),
                         self.rt.sleep_until(deadline),
@@ -454,28 +454,26 @@ impl Core {
                 }
             };
             let Some((slot, out)) = resolved else {
-                let &(stage, delay_ms) = front.expect("a stage is due");
+                let (delay_ms, _) = due.expect("the reissue is due");
                 if !self.governor.as_ref().is_none_or(|g| g.try_acquire()) {
                     // No quota, and nothing in flight to wait for: the
                     // query fails with what it has.
                     if in_flight == 0 {
                         break None;
                     }
-                    // Re-ask one stage-delay later (with a small floor
-                    // so a d=0 stage cannot hot-spin). A query still
+                    // Re-ask one delay later (with a small floor so a
+                    // d=0 stage cannot hot-spin). A query still
                     // outstanding after several delays is precisely
                     // the straggler hedging exists for, and re-asking
                     // gives it priority over the steady trickle of
                     // marginal just-past-d hedges that would otherwise
                     // consume the quota first-come-first-served.
-                    deadline = Instant::now() + Duration::from_secs_f64(delay_ms.max(0.1) / 1e3);
+                    let deadline = Instant::now() + Duration::from_secs_f64(delay_ms.max(0.1) / 1e3);
+                    reissue = Some((delay_ms, deadline));
                     continue;
                 }
-                next += 1;
-                if let Some(&(_, d)) = schedule.get(next) {
-                    deadline = stage_deadline(started, d);
-                }
-                self.dispatch_reissue(job, stage, &mut attempts);
+                reissue = None;
+                self.dispatch_reissue(job, &mut attempts);
                 continue;
             };
             let elapsed_ms = ms_since(attempts.meta(slot).dispatched);
@@ -520,15 +518,13 @@ impl Core {
         // The pair's sides resolve at different times: an attempt that
         // resolved mid-race (the winner, a failure, a server-side
         // retraction) is known right now; one still in flight reports
-        // when its drain resolves. A winner that is a *later-stage*
-        // reissue is outside the pair, and both sides then arrive via
-        // the other routes.
-        let reissues = attempts.len - attempts.primaries;
-        let book = (reissues > 0).then(|| Arc::new(Mutex::new(RaceBook::default())));
+        // when its drain resolves.
+        let reissued = attempts.len > attempts.primaries;
+        let book = reissued.then(|| Arc::new(Mutex::new(RaceBook::default())));
         if let (Some(book), None) = (&book, attempts.straggler) {
             // Every first-wave attempt had already resolved when the
-            // first reissue went out: close that side so the reissue's
-            // report is not orphaned.
+            // reissue went out: close that side so the reissue's report
+            // is not orphaned.
             self.report_side(book, true, SideState::Failed);
         }
         for slot in 0..attempts.len {
@@ -540,7 +536,7 @@ impl Core {
             match (attempts.futs[slot].take(), side) {
                 (Some(loser), side) => {
                     let side = side.map(|(is_primary, book)| (is_primary, book.clone()));
-                    self.drain(loser, dispatched, side, slot >= attempts.primaries);
+                    self.drain(loser, dispatched, side);
                 }
                 (None, Some((is_primary, book))) => self.report_side(book, is_primary, fate),
                 (None, None) => {}
@@ -548,7 +544,7 @@ impl Core {
         }
         Raced {
             won,
-            reissues,
+            reissued,
             last_err,
         }
     }
@@ -584,26 +580,22 @@ impl Core {
         target
     }
 
-    /// Dispatches one stage's reissue into an ongoing race and counts
-    /// it (total, per-stage, per-target). The *first* reissue names
-    /// the straggler, the lowest-index first-wave attempt still
-    /// unresolved, as the other side of the adapter's pair; on a tied
-    /// query it also carries a fresh tie id naming the straggler's
-    /// `(replica address, tie id)` as the peer to retract at dequeue
-    /// time. Later stages (and untied queries) go untied.
-    fn dispatch_reissue<J: Job>(&self, job: &mut J, stage: usize, attempts: &mut Attempts) {
+    /// Dispatches the reissue into an ongoing race and counts it (total
+    /// and per target). It names the straggler, the lowest-index
+    /// first-wave attempt still unresolved, as the other side of the
+    /// adapter's pair; on a tied query it also carries a fresh tie id
+    /// naming the straggler's `(replica address, tie id)` as the peer
+    /// to retract at dequeue time.
+    fn dispatch_reissue<J: Job>(&self, job: &mut J, attempts: &mut Attempts) {
         bump(&self.counters.reissues);
-        bump(&self.counters.reissues_by_stage[stage.min(MAX_STAGES - 1)]);
         let mut tie = None;
-        if attempts.len == attempts.primaries {
-            attempts.straggler = (0..attempts.primaries).find(|&s| attempts.futs[s].is_some());
-            if let Some(s) = attempts.straggler {
-                let addr = self.replicas.replica(attempts.targets[s]).addr();
-                tie = attempts.meta(s).tie_id.map(|peer_id| TieSpec {
-                    id: next_tie_id(),
-                    peer: Some((addr, peer_id)),
-                });
-            }
+        attempts.straggler = (0..attempts.primaries).find(|&s| attempts.futs[s].is_some());
+        if let Some(s) = attempts.straggler {
+            let addr = self.replicas.replica(attempts.targets[s]).addr();
+            tie = attempts.meta(s).tie_id.map(|peer_id| TieSpec {
+                id: next_tie_id(),
+                peer: Some((addr, peer_id)),
+            });
         }
         let target = self.dispatch(job, tie, Instant::now(), attempts);
         if let Some(c) = self.counters.reissue_targets.get(target) {
@@ -626,16 +618,13 @@ impl Core {
     /// * loser failed at the transport → no usable observation; the
     ///   other side feeds its marginal stream alone.
     ///
-    /// A loser outside the pair counts its cancel; a later-stage
-    /// reissue that completes also feeds the marginal reissue stream
-    /// (a censored bound is only usable jointly, and the pair already
-    /// carries this query's joint outcome).
+    /// A loser outside the pair (a first-wave fragment other than the
+    /// straggler) only counts its cancel.
     fn drain(
         self: &Arc<Self>,
         loser: InFlight,
         dispatched: Instant,
         side: Option<(bool, Arc<Mutex<RaceBook>>)>,
-        is_reissue: bool,
     ) {
         let this = self.clone();
         self.rt.spawn(async move {
@@ -649,18 +638,17 @@ impl Core {
                 }
                 Err(_) => SideState::Failed,
             };
-            match (side, fate) {
-                (Some((is_primary, book)), fate) => this.report_side(&book, is_primary, fate),
-                (None, SideState::Known(Obs::Exact(ms))) if is_reissue => {
-                    this.observe(Observation::Reissue(ms));
-                }
-                _ => {}
+            if let Some((is_primary, book)) = side {
+                this.report_side(&book, is_primary, fate);
             }
         });
     }
 
     /// Records one side of the raced pair; the report that completes
     /// the book emits the joint observation (and the pair counters).
+    /// Both sides are never censored: with one reissue a won race
+    /// leaves at most one copy unanswered, and a tie retracts only one
+    /// of its pair.
     fn report_side(&self, book: &Mutex<RaceBook>, is_primary: bool, side: SideState) {
         let (primary, reissue) = {
             let mut b = book.lock().unwrap();
@@ -674,29 +662,26 @@ impl Core {
                 (p, r) => (p, r),
             }
         };
-        match (primary, reissue) {
-            (SideState::Known(p), SideState::Known(r)) => {
-                // Both censored (a later-stage reissue won the race)
-                // carries no completable information; the adapter
-                // drops it, so don't count it as a pair either.
-                match (p.is_censored(), r.is_censored()) {
-                    (false, false) => bump(&self.counters.pairs_exact),
-                    (true, true) => {}
-                    _ => bump(&self.counters.pairs_censored),
-                }
-                self.observe(Observation::Pair {
-                    primary: p,
-                    reissue: r,
-                });
+        use SideState::Known;
+        let obs = match (primary, reissue) {
+            (Known(Obs::Exact(x)), Known(Obs::Exact(y))) => {
+                bump(&self.counters.pairs_exact);
+                Observation::Pair(x, ReissueOutcome::Completed(y))
             }
-            (SideState::Known(Obs::Exact(p)), SideState::Failed) => {
-                self.observe(Observation::Primary(p));
+            (Known(Obs::Exact(x)), Known(Obs::Censored(lb))) => {
+                bump(&self.counters.pairs_censored);
+                Observation::Pair(x, ReissueOutcome::Censored(lb))
             }
-            (SideState::Failed, SideState::Known(Obs::Exact(r))) => {
-                self.observe(Observation::Reissue(r));
+            (Known(Obs::Censored(lb)), Known(Obs::Exact(y))) => {
+                bump(&self.counters.pairs_censored);
+                Observation::CensoredPrimary(lb, y)
             }
-            _ => {}
-        }
+            (Known(Obs::Exact(x)), _) => Observation::Primary(x),
+            (_, Known(Obs::Exact(y))) => Observation::Reissue(y),
+            // A failed side leaves nothing to complete a censored one.
+            _ => return,
+        };
+        self.observe(obs);
     }
 
     /// Feeds one latency observation to the adapter and refreshes the
@@ -716,28 +701,12 @@ impl Core {
         match obs {
             Observation::Primary(ms) => adapter.observe_primary(ms),
             Observation::Reissue(ms) => adapter.observe_reissue(ms),
-            Observation::Pair { primary, reissue } => match (primary, reissue) {
-                (Obs::Exact(x), Obs::Exact(y)) => {
-                    adapter.observe_pair(x, ReissueOutcome::Completed(y));
-                }
-                (Obs::Exact(x), Obs::Censored(lb)) => {
-                    adapter.observe_pair(x, ReissueOutcome::Censored(lb));
-                }
-                (Obs::Censored(lb), Obs::Exact(y)) => {
-                    adapter.observe_pair_censored_primary(lb, y);
-                }
-                // Both sides censored (a later-stage reissue won the
-                // race, so the straggler *and* the first reissue were
-                // both retracted): two lower bounds with no completed
-                // side to anchor them carry nothing the KM completion
-                // can use, so the pair is dropped (see `report_side`,
-                // which doesn't count it either).
-                (Obs::Censored(_), Obs::Censored(_)) => {}
-            },
+            Observation::Pair(x, reissue) => adapter.observe_pair(x, reissue),
+            Observation::CensoredPrimary(lb, y) => adapter.observe_pair_censored_primary(lb, y),
         }
         let live = adapter.policy();
         if live.probability > 0.0 && live.delay.is_finite() && live.delay >= 0.0 {
-            st.policy = ReissuePolicy::single_r(live.delay, live.probability.clamp(0.0, 1.0));
+            st.stage = Some(Stage::new(live.delay, live.probability.min(1.0)));
         }
     }
 }
@@ -746,8 +715,8 @@ impl Core {
 struct Raced {
     /// The slot whose reply the job called [`Verdict::Done`].
     won: Option<usize>,
-    /// Reissues actually dispatched.
-    reissues: usize,
+    /// Whether the reissue was dispatched.
+    reissued: bool,
     /// The last error an attempt resolved with; what the query fails
     /// with when nothing won.
     last_err: Option<TransportError>,
@@ -756,12 +725,13 @@ struct Raced {
 enum Observation {
     Primary(f64),
     Reissue(f64),
-    /// A raced query's joint outcome; either side may be censored
-    /// (lower bound only) when the loser's retraction landed in time.
-    Pair {
-        primary: Obs,
-        reissue: Obs,
-    },
+    /// A raced query's joint outcome: the straggler's response time
+    /// and the reissue's, which is a lower bound when its retraction
+    /// landed in time.
+    Pair(f64, ReissueOutcome),
+    /// The straggler was retracted in time (its lower bound) and the
+    /// reissue completed.
+    CensoredPrimary(f64, f64),
 }
 
 /// Fate of one attempt, as it becomes known; for a pair participant,
@@ -778,8 +748,8 @@ enum SideState {
     Failed,
 }
 
-/// Assembles the adapter's joint `(straggler, first reissue)`
-/// observation from sides that resolve at different times: the winner
+/// Assembles the adapter's joint `(straggler, reissue)` observation
+/// from sides that resolve at different times: the winner
 /// synchronously, each loser whenever its drain completes. Whichever
 /// report fills the second slot emits the observation.
 #[derive(Default)]
@@ -809,7 +779,7 @@ struct Attempts {
     len: usize,
     /// Size of the first wave.
     primaries: usize,
-    /// The first-wave slot the first reissue was paired with.
+    /// The first-wave slot the reissue was paired with.
     straggler: Option<usize>,
 }
 
@@ -829,9 +799,9 @@ impl Attempts {
         self.meta[slot].as_mut().expect("attempt was dispatched")
     }
 
-    /// Which side of the adapter's `(straggler, first reissue)` pair
-    /// attempt `slot` is: `Some(true)` the straggler, `Some(false)`
-    /// the first reissue sent, `None` outside the pair.
+    /// Which side of the adapter's `(straggler, reissue)` pair attempt
+    /// `slot` is: `Some(true)` the straggler, `Some(false)` the
+    /// reissue, `None` outside the pair.
     fn pair_side(&self, slot: usize) -> Option<bool> {
         if slot == self.primaries {
             Some(false)

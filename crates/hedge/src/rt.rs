@@ -503,9 +503,9 @@ impl Runtime {
     }
 
     /// A future that resolves at `deadline` (immediately if it has
-    /// passed). Deadline-based timers keep a multi-stage reissue
-    /// schedule anchored to the *primary dispatch*: re-arming with
-    /// relative sleeps would accumulate scheduling slop per stage.
+    /// passed). Deadline-based timers keep a reissue anchored to the
+    /// *primary dispatch*, however late the race gets round to arming
+    /// it.
     pub fn sleep_until(&self, deadline: Instant) -> Sleep {
         // Home worker: the one polling right now if we are on this
         // runtime, else round-robin. Used only when the sleep is
@@ -555,8 +555,8 @@ impl Runtime {
     ///
     /// Each [`Sleep`] arm is exactly one insertion (a hashed-slot Vec
     /// push — no reheapify, no rebalancing), so the delta across
-    /// arming an `n`-stage reissue schedule is exactly `n`: the O(1)
-    /// per-stage cost is asserted by counter, not inspection.
+    /// arming `n` timers is exactly `n`: the O(1) per-timer cost is
+    /// asserted by counter, not inspection.
     pub fn timer_insert_ops(&self) -> u64 {
         self.inner
             .workers
@@ -992,9 +992,9 @@ mod tests {
     #[test]
     fn arming_multistage_schedule_is_one_insert_per_stage() {
         // The O(1) acceptance check, by counter rather than by code
-        // inspection: arming every stage of a 4-stage MultipleR
-        // schedule costs exactly one wheel insertion per stage — no
-        // reheapify, no per-existing-timer work.
+        // inspection: arming four staggered deadlines (four races'
+        // reissue timers, say) costs exactly one wheel insertion each
+        // — no reheapify, no per-existing-timer work.
         let rt = Runtime::new(1);
         let waker = Waker::from(Arc::new(NoopWake));
         let mut cx = Context::from_waker(&waker);

@@ -986,9 +986,8 @@ impl ReplicaSet {
     }
 
     /// Picks the reissue target with the lowest [`Replica::health_score`]
-    /// among replicas not in `exclude` — for a multi-stage schedule,
-    /// `exclude` carries the primary plus every earlier stage's target,
-    /// so each reissue explores a fresh replica while any remain.
+    /// among replicas not in `exclude`, the replicas already carrying
+    /// the query.
     ///
     /// Health-aware targeting matters under queries of death: *where* a
     /// redundant copy lands matters as much as *when* it is sent

@@ -34,60 +34,6 @@ impl Stage {
     }
 }
 
-/// Bound on the stages of one policy. Eight is far beyond any useful
-/// schedule (Thm 3.2: one stage already suffices at the optimum), and
-/// a fixed bound lets a runtime keep a query's sampled [`Schedule`],
-/// its attempts and its per-stage counters in inline arrays.
-/// [`ReissuePolicy::multiple_r`] rejects longer policies; sampling a
-/// hand-built longer `MultipleR` flips only the first `MAX_STAGES`
-/// coins.
-pub const MAX_STAGES: usize = 8;
-
-/// One query's sampled reissue schedule: the `(stage index, delay)` of
-/// every stage whose coin came up heads, in stage order. Inline (no
-/// heap) and `Copy`; dereferences to a slice.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Schedule {
-    len: usize,
-    entries: [(usize, f64); MAX_STAGES],
-}
-
-impl Schedule {
-    fn push(&mut self, stage: usize, delay: f64) {
-        self.entries[self.len] = (stage, delay);
-        self.len += 1;
-    }
-}
-
-impl std::ops::Deref for Schedule {
-    type Target = [(usize, f64)];
-    fn deref(&self) -> &[(usize, f64)] {
-        &self.entries[..self.len]
-    }
-}
-
-impl IntoIterator for Schedule {
-    type Item = (usize, f64);
-    type IntoIter = std::iter::Take<std::array::IntoIter<(usize, f64), MAX_STAGES>>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.entries.into_iter().take(self.len)
-    }
-}
-
-impl<'a> IntoIterator for &'a Schedule {
-    type Item = &'a (usize, f64);
-    type IntoIter = std::slice::Iter<'a, (usize, f64)>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
-impl PartialEq<Vec<(usize, f64)>> for Schedule {
-    fn eq(&self, other: &Vec<(usize, f64)>) -> bool {
-        self[..] == other[..]
-    }
-}
-
 /// A reissue policy, as defined in §2–§3 of the paper.
 ///
 /// All variants are special cases of MultipleR:
@@ -175,14 +121,10 @@ impl ReissuePolicy {
     /// Builds a MultipleR policy from stages, validating ordering.
     ///
     /// # Panics
-    /// Panics if delays are not non-decreasing, any stage is invalid,
-    /// or there are more than [`MAX_STAGES`] stages.
+    /// Panics if delays are not non-decreasing or any stage is
+    /// invalid.
     pub fn multiple_r(stages: Vec<(f64, f64)>) -> Self {
         let stages: Vec<Stage> = stages.iter().map(|&(d, q)| Stage::new(d, q)).collect();
-        assert!(
-            stages.len() <= MAX_STAGES,
-            "MultipleR takes at most {MAX_STAGES} stages"
-        );
         assert!(
             stages.windows(2).all(|w| w[0].delay <= w[1].delay),
             "MultipleR stage delays must be non-decreasing"
@@ -223,38 +165,32 @@ impl ReissuePolicy {
     /// Flipping all coins up-front is distributionally identical to
     /// flipping at fire time, because the coins are independent of the
     /// completion status, and it lets the simulator schedule timer
-    /// events at arrival.
+    /// events at arrival. Each stage flips through [`Stage::flip`].
     pub fn sample_schedule(&self, rng: &mut SmallRng) -> Vec<f64> {
-        self.sample_schedule_indexed(rng)
-            .into_iter()
-            .map(|(_, d)| d)
-            .collect()
-    }
-
-    /// Like [`sample_schedule`](Self::sample_schedule), but each
-    /// scheduled delay is tagged with its *stage index* in
-    /// [`stages`](Self::stages) order — what a runtime needs to account
-    /// reissues per stage (a lost coin toss leaves a hole in the
-    /// sequence, so positions alone cannot identify the stage).
-    /// Allocation-free: this runs once per served query.
-    pub fn sample_schedule_indexed(&self, rng: &mut SmallRng) -> Schedule {
-        let mut out = Schedule::default();
-        let mut flip = |i: usize, delay: f64, prob: f64| {
-            if (Stage { delay, prob }).flip(rng) {
-                out.push(i, delay);
+        let one;
+        let stages: &[Stage] = match self {
+            ReissuePolicy::None => &[],
+            ReissuePolicy::SingleD { delay } => {
+                one = [Stage {
+                    delay: *delay,
+                    prob: 1.0,
+                }];
+                &one
             }
+            ReissuePolicy::SingleR { delay, prob } => {
+                one = [Stage {
+                    delay: *delay,
+                    prob: *prob,
+                }];
+                &one
+            }
+            ReissuePolicy::MultipleR { stages } => stages,
         };
-        match self {
-            ReissuePolicy::None => {}
-            ReissuePolicy::SingleD { delay } => flip(0, *delay, 1.0),
-            ReissuePolicy::SingleR { delay, prob } => flip(0, *delay, *prob),
-            ReissuePolicy::MultipleR { stages } => {
-                for (i, s) in stages.iter().take(MAX_STAGES).enumerate() {
-                    flip(i, s.delay, s.prob);
-                }
-            }
-        }
-        out
+        stages
+            .iter()
+            .filter(|s| s.flip(rng))
+            .map(|s| s.delay)
+            .collect()
     }
 }
 
@@ -283,6 +219,7 @@ impl std::fmt::Display for ReissuePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn rng() -> SmallRng {
@@ -356,29 +293,29 @@ mod tests {
 
     #[test]
     fn indexed_schedule_tags_surviving_stages() {
-        // Middle stage can never fire (q = 0): the indexed schedule
-        // must report stage indices 0 and 2, not 0 and 1.
+        // Middle stage can never fire (q = 0): the schedule must hold
+        // the delays of stages 0 and 2 only.
         let p = ReissuePolicy::multiple_r(vec![(1.0, 1.0), (2.0, 0.0), (5.0, 1.0)]);
         let mut r = rng();
         for _ in 0..50 {
-            assert_eq!(p.sample_schedule_indexed(&mut r), vec![(0, 1.0), (2, 5.0)]);
+            assert_eq!(p.sample_schedule(&mut r), vec![1.0, 5.0]);
         }
     }
 
     #[test]
     fn indexed_schedule_per_stage_rates() {
         // Each stage flips its own independent coin: empirical fire
-        // rates must match q per stage. 50k trials give a binomial
-        // σ ≈ 0.002 at q = 0.7, so ±0.015 is a ~7σ band — tight enough
-        // to catch a swapped or shared coin, loose enough to never
-        // flake on the pinned seed.
+        // rates must match q per stage (the distinct delays name the
+        // stages). 50k trials give a binomial σ ≈ 0.002 at q = 0.7, so
+        // ±0.015 is a ~7σ band — tight enough to catch a swapped or
+        // shared coin, loose enough to never flake on the pinned seed.
         let p = ReissuePolicy::multiple_r(vec![(1.0, 0.3), (4.0, 0.7)]);
         let mut r = rng();
         let n = 50_000;
         let mut hits = [0usize; 2];
         for _ in 0..n {
-            for (idx, _) in p.sample_schedule_indexed(&mut r) {
-                hits[idx] += 1;
+            for delay in p.sample_schedule(&mut r) {
+                hits[usize::from(delay == 4.0)] += 1;
             }
         }
         for (idx, q) in [(0usize, 0.3), (1, 0.7)] {
@@ -387,6 +324,75 @@ mod tests {
                 (rate - q).abs() < 0.015,
                 "stage {idx}: rate {rate} vs q {q}"
             );
+        }
+    }
+
+    /// Builds a valid MultipleR stage vector from raw draws: each
+    /// delay is the previous one plus `0.01 +` its draw, so delays
+    /// strictly increase and a sampled delay names its stage.
+    /// Probabilities are clamped into [0, 1]: draws above 1 saturate,
+    /// exercising the deterministic q = 1 path in ~1 in 6 stages.
+    fn stages_from_draws(raw: &[(f64, f64)]) -> Vec<(f64, f64)> {
+        let mut delay = 0.0;
+        raw.iter()
+            .map(|&(step, q)| {
+                delay += 0.01 + step;
+                (delay, q.min(1.0))
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// Sampled schedules are order-preserving sub-vectors of the
+        /// stage list: delays strictly increasing, each one a stage's.
+        #[test]
+        fn sampled_schedules_preserve_stage_order(
+            raw in proptest::collection::vec((0.0f64..5.0, 0.0f64..1.2), 1..5),
+            seed in any::<u64>(),
+        ) {
+            let stages = stages_from_draws(&raw);
+            let policy = ReissuePolicy::multiple_r(stages.clone());
+            let mut rng = SmallRng::seed_from_u64(seed);
+            for _ in 0..64 {
+                let sched = policy.sample_schedule(&mut rng);
+                for w in sched.windows(2) {
+                    prop_assert!(w[0] < w[1], "stages must keep their order");
+                }
+                for &delay in &sched {
+                    prop_assert!(stages.iter().any(|&(d, _)| d == delay), "{delay} is no stage's");
+                }
+            }
+        }
+
+        /// Each stage fires its own independent coin: empirical rates
+        /// match q per stage. Tolerance: 2 000 draws give binomial
+        /// σ ≤ 0.011, so 4σ + 0.01 slack never flakes on the pinned
+        /// per-test RNG but catches a shared or swapped coin (whose
+        /// error is O(q)).
+        #[test]
+        fn sampled_schedules_fire_each_coin_at_its_rate(
+            raw in proptest::collection::vec((0.0f64..5.0, 0.0f64..1.2), 1..5),
+            seed in any::<u64>(),
+        ) {
+            let stages = stages_from_draws(&raw);
+            let policy = ReissuePolicy::multiple_r(stages.clone());
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let n = 2_000;
+            let mut hits = vec![0usize; stages.len()];
+            for _ in 0..n {
+                for delay in policy.sample_schedule(&mut rng) {
+                    hits[stages.iter().position(|&(d, _)| d == delay).unwrap()] += 1;
+                }
+            }
+            for (idx, &(_, q)) in stages.iter().enumerate() {
+                let rate = hits[idx] as f64 / f64::from(n);
+                let sigma = (q * (1.0 - q) / f64::from(n)).sqrt();
+                prop_assert!(
+                    (rate - q).abs() <= 4.0 * sigma + 0.01,
+                    "stage {idx}: rate {rate} vs q {q}"
+                );
+            }
         }
     }
 

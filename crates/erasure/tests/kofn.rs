@@ -840,7 +840,7 @@ fn zero_delay_stage_fires_on_every_head() {
     }
     let mut coin = SmallRng::seed_from_u64(seed);
     let heads = (0..reads)
-        .filter(|_| !policy.sample_schedule_indexed(&mut coin).is_empty())
+        .filter(|_| !policy.sample_schedule(&mut coin).is_empty())
         .count();
     assert_eq!(client.stats().reissues, heads as u64);
 }

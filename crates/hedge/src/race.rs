@@ -705,8 +705,14 @@ impl Core {
             Observation::CensoredPrimary(lb, y) => adapter.observe_pair_censored_primary(lb, y),
         }
         let live = adapter.policy();
+        let reoptimized = adapter.reoptimizations() > 0;
         if live.probability > 0.0 && live.delay.is_finite() && live.delay >= 0.0 {
             st.stage = Some(Stage::new(live.delay, live.probability.min(1.0)));
+        } else if live.probability == 0.0 && reoptimized {
+            // Damped fully off (ρ̂ at or past `LoadShaper::rho_max`).
+            // Before the first re-optimization the adapter's `q` is a
+            // placeholder 0, and the configured policy holds.
+            st.stage = None;
         }
     }
 }

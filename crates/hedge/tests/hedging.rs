@@ -5,6 +5,7 @@
 use hedge::{HedgeConfig, HedgedClient, TcpServer, TcpServerConfig};
 use kvstore::resp::{decode_command, decode_reply, encode_command, encode_reply};
 use kvstore::{Command, IntSet, KvStore, Reply};
+use reissue_core::load::LoadShaper;
 use reissue_core::online::OnlineConfig;
 use reissue_core::policy::ReissuePolicy;
 
@@ -446,6 +447,66 @@ fn raced_hedges_feed_censored_pairs_to_adapter() {
         record.budget_used <= 0.5 + 1e-9,
         "adapter budget accounting must hold: {record:?}"
     );
+}
+
+/// (2d) Past `LoadShaper::rho_max` the adapter damps `q` to exactly
+/// 0, and the client must stop hedging: once the adapter has
+/// re-optimized, a live `q` of 0 turns the policy off instead of
+/// leaving the last non-zero `q` armed. A knee at 0 and `rho_max` 0.01
+/// put any measured load past saturation.
+#[test]
+fn saturated_adapter_turns_hedging_off() {
+    let servers = [
+        TcpServer::bind("127.0.0.1:0", small_store(), TcpServerConfig::default()).unwrap(),
+        TcpServer::bind("127.0.0.1:0", small_store(), TcpServerConfig::default()).unwrap(),
+        TcpServer::bind("127.0.0.1:0", small_store(), TcpServerConfig::default()).unwrap(),
+    ];
+    let addrs: Vec<_> = servers.iter().map(|s| s.local_addr()).collect();
+    let client = HedgedClient::connect(
+        &addrs,
+        HedgeConfig {
+            policy: ReissuePolicy::single_r(0.0, 1.0),
+            online: Some(OnlineConfig {
+                k: 0.95,
+                budget: 0.1,
+                window: 64,
+                reoptimize_every: 32,
+                learning_rate: 0.5,
+                min_pairs: usize::MAX,
+                load: Some(LoadShaper {
+                    rho_knee: 0.0,
+                    rho_max: 0.01,
+                    gamma: 1.0,
+                }),
+            }),
+            seed: 5,
+            ..HedgeConfig::default()
+        },
+    )
+    .unwrap();
+    let get = || {
+        let r = client.execute_blocking(Command::Get("greeting".into()));
+        assert_eq!(r.unwrap(), Reply::Str("hello".into()));
+    };
+
+    let mut served = 0;
+    while client.policy() != ReissuePolicy::None && served < 5_000 {
+        get();
+        served += 1;
+    }
+    assert_eq!(
+        client.policy(),
+        ReissuePolicy::None,
+        "after {served} queries the adapter reads {:?}",
+        client.online_policy()
+    );
+    assert!(client.stats().reissues > 0, "the starting policy hedged");
+    let before = client.stats().reissues;
+    for _ in 0..500 {
+        get();
+    }
+    assert_eq!(client.stats().reissues, before, "hedging stays off");
+    assert_eq!(client.policy(), ReissuePolicy::None);
 }
 
 /// (3) Every RESP command type used by `kvstore::store::Command`

@@ -403,7 +403,7 @@ impl Job for StripeJob<'_> {
         self.slots.in_hand() + 1 < self.client.k
     }
 
-    fn attempt(&mut self, attempt: usize, replicas: &ReplicaSet, _: &[usize]) -> (Command, usize) {
+    fn attempt(&mut self, attempt: usize, replicas: &ReplicaSet) -> (Command, usize) {
         let (k, n, offset) = (self.client.k, self.client.n, self.offset);
         // `pick_primary`'s rank, over the replicas holding this key. A
         // probe is the wave's business: a reissue is sent to end the

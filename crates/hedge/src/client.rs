@@ -4,9 +4,9 @@
 //! [`HedgedClient`] is the replica-hedging [`Job`] of the race engine
 //! ([`mod@crate::race`], which documents the race itself): one primary to
 //! the replica with the fewest requests of this client outstanding
-//! ([`ReplicaSet::pick_primary`]), each reissue the *same command* to
-//! the healthiest replica not yet carrying the query (per-replica
-//! latency/error EWMA, see [`crate::transport::ReplicaHealth`]), and
+//! ([`ReplicaSet::pick_primary`]), the reissue the *same command* to
+//! the healthiest other replica (per-replica latency/error EWMA, see
+//! [`crate::transport::ReplicaHealth`]), and
 //! the first reply wins. This module holds what configures and bounds
 //! that race: [`HedgeConfig`], [`CancellationStyle`] and the
 //! [`BudgetGovernor`].
@@ -274,7 +274,7 @@ impl HedgedClient {
     }
 
     /// Reissue dispatches per replica index — the live targeting
-    /// distribution (see `ReplicaSet::pick_reissue_excluding`).
+    /// distribution (see `ReplicaSet::pick_reissue`).
     pub fn reissue_target_counts(&self) -> Vec<u64> {
         self.core.reissue_target_counts()
     }
@@ -322,7 +322,12 @@ impl HedgedClient {
         cmd: Command,
     ) -> impl std::future::Future<Output = Result<Reply, TransportError>> + Send + 'static {
         let core = self.core.clone();
-        async move { core.run(ReplicaJob { cmd, reply: None }).await }
+        let job = ReplicaJob {
+            cmd,
+            primary: 0,
+            reply: None,
+        };
+        async move { core.run(job).await }
     }
 
     /// Blocking convenience wrapper around [`HedgedClient::execute`].
@@ -336,6 +341,8 @@ impl HedgedClient {
 /// command, and the first reply of any kind is the answer.
 struct ReplicaJob {
     cmd: Command,
+    /// The replica the primary went to.
+    primary: usize,
     reply: Option<Reply>,
 }
 
@@ -349,19 +356,14 @@ impl Job for ReplicaJob {
         2
     }
 
-    /// The primary goes to the replica with the fewest outstanding; a
-    /// reissue to the healthiest replica not yet carrying this query.
-    fn attempt(
-        &mut self,
-        slot: usize,
-        replicas: &ReplicaSet,
-        carrying: &[usize],
-    ) -> (Command, usize) {
-        let target = match slot {
-            0 => replicas.pick_primary(),
-            _ => replicas.pick_reissue_excluding(carrying),
-        };
-        (self.cmd.clone(), target)
+    /// The primary goes to the replica with the fewest outstanding; the
+    /// reissue to the healthiest other replica.
+    fn attempt(&mut self, slot: usize, replicas: &ReplicaSet) -> (Command, usize) {
+        if slot == 0 {
+            self.primary = replicas.pick_primary();
+            return (self.cmd.clone(), self.primary);
+        }
+        (self.cmd.clone(), replicas.pick_reissue(self.primary))
     }
 
     fn accept(&mut self, _slot: usize, reply: Reply) -> Verdict {

@@ -37,8 +37,8 @@
 //!   noise band. What is being raced is a [`race::Job`]: replica
 //!   hedging here, k-of-n fragment reads in the `erasure` crate.
 //! * [`client`] — [`client::HedgedClient`], the replica-hedging job
-//!   (one primary, each reissue a full copy to the healthiest replica
-//!   not yet carrying the query, first reply wins), with its
+//!   (one primary, the reissue a full copy to the healthiest other
+//!   replica, first reply wins), with its
 //!   [`client::HedgeConfig`] and the [`client::BudgetGovernor`] that
 //!   bounds the realized reissue rate.
 //! * [`harness`] — the scale-out experiment harness:

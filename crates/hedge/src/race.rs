@@ -129,14 +129,8 @@ pub trait Job: Send {
     }
 
     /// The command of attempt `slot` and the index of the replica it
-    /// goes to. `carrying[i]` is the replica attempt `i` went to, for
-    /// every attempt dispatched so far.
-    fn attempt(
-        &mut self,
-        slot: usize,
-        replicas: &ReplicaSet,
-        carrying: &[usize],
-    ) -> (Command, usize);
+    /// goes to.
+    fn attempt(&mut self, slot: usize, replicas: &ReplicaSet) -> (Command, usize);
 
     /// Takes attempt `slot`'s reply, banking what the job needs of it.
     fn accept(&mut self, slot: usize, reply: Reply) -> Verdict;
@@ -359,7 +353,7 @@ impl Core {
     /// unhedged client, and of the share of a hedged client's queries
     /// whose coin came up tails.
     async fn unraced<J: Job>(&self, job: &mut J) -> Raced {
-        let (cmd, target) = job.attempt(0, &self.replicas, &[]);
+        let (cmd, target) = job.attempt(0, &self.replicas);
         if let Some(load) = &self.load {
             load.note_dispatch();
         }
@@ -417,7 +411,7 @@ impl Core {
         }
         // The reissue still to be sent: its delay, and the deadline it
         // is due at, which a governor denial moves.
-        let mut reissue = armed.map(|d| (d, stage_deadline(started, d)));
+        let mut reissue = armed.map(|d| (d, ms_after(started, d)));
         let mut last_err = None;
 
         let won = loop {
@@ -468,8 +462,7 @@ impl Core {
                     // gives it priority over the steady trickle of
                     // marginal just-past-d hedges that would otherwise
                     // consume the quota first-come-first-served.
-                    let deadline = Instant::now() + Duration::from_secs_f64(delay_ms.max(0.1) / 1e3);
-                    reissue = Some((delay_ms, deadline));
+                    reissue = Some((delay_ms, ms_after(Instant::now(), delay_ms.max(0.1))));
                     continue;
                 }
                 reissue = None;
@@ -559,7 +552,7 @@ impl Core {
         attempts: &mut Attempts,
     ) -> usize {
         let slot = attempts.len;
-        let (cmd, target) = job.attempt(slot, &self.replicas, &attempts.targets[..slot]);
+        let (cmd, target) = job.attempt(slot, &self.replicas);
         // Every attempt put on the wire feeds the offered-rate
         // estimate: hedging's own load contribution is part of the
         // utilization it must react to.
@@ -819,6 +812,6 @@ impl Attempts {
     }
 }
 
-fn stage_deadline(started: Instant, delay_ms: f64) -> Instant {
-    started + Duration::from_secs_f64(delay_ms.max(0.0) / 1e3)
+fn ms_after(t: Instant, ms: f64) -> Instant {
+    t + Duration::from_secs_f64(ms.max(0.0) / 1e3)
 }

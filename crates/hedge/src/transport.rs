@@ -103,7 +103,7 @@ impl std::error::Error for TransportError {}
 /// transport error rate, updated by the connection I/O threads as
 /// outcomes resolve and read by the hedging layer to place requests
 /// (see [`ReplicaSet::pick_primary`] and
-/// [`ReplicaSet::pick_reissue_excluding`]).
+/// [`ReplicaSet::pick_reissue`]).
 ///
 /// The outstanding count ([`Replica::inflight`]) is exact and current
 /// for the load *this client* put on a replica: one request stuck
@@ -979,15 +979,9 @@ impl ReplicaSet {
         (replica.health.failing() != probe, replica.inflight())
     }
 
-    /// Picks the reissue target: the healthiest replica other than the
-    /// primary (falls back to the primary itself in a 1-replica set).
-    pub fn pick_reissue(&self, primary: usize) -> usize {
-        self.pick_reissue_excluding(&[primary])
-    }
-
-    /// Picks the reissue target with the lowest [`Replica::health_score`]
-    /// among replicas not in `exclude`, the replicas already carrying
-    /// the query.
+    /// Picks the reissue target: the replica with the lowest
+    /// [`Replica::health_score`] other than the primary (the primary
+    /// itself in a one-replica set).
     ///
     /// Health-aware targeting matters under queries of death: *where* a
     /// redundant copy lands matters as much as *when* it is sent
@@ -996,19 +990,12 @@ impl ReplicaSet {
     /// raw in-flight counts. The latency/error EWMA sees how the
     /// replica has actually been responding and demotes it until it
     /// heals (see [`ReplicaHealth`]).
-    ///
-    /// Falls back to the all-replica minimum when `exclude` covers the
-    /// whole set.
-    pub fn pick_reissue_excluding(&self, exclude: &[usize]) -> usize {
-        let best = |indices: &mut dyn Iterator<Item = usize>| {
-            indices
-                .map(|i| (i, self.replicas[i].health_score()))
-                .min_by(|a, b| a.1.total_cmp(&b.1))
-                .map(|(i, _)| i)
-        };
-        best(&mut (0..self.replicas.len()).filter(|i| !exclude.contains(i)))
-            .or_else(|| best(&mut (0..self.replicas.len())))
-            .expect("non-empty replica set")
+    pub fn pick_reissue(&self, primary: usize) -> usize {
+        (0..self.replicas.len())
+            .filter(|&i| i != primary)
+            .map(|i| (i, self.replicas[i].health_score()))
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .map_or(primary, |(i, _)| i)
     }
 }
 
@@ -1321,7 +1308,7 @@ mod tests {
     }
 
     #[test]
-    fn pick_reissue_excluding_prefers_healthy_and_falls_back() {
+    fn pick_reissue_prefers_healthy_and_falls_back() {
         let servers: Vec<_> = (0..3)
             .map(|_| {
                 TcpServer::bind("127.0.0.1:0", KvStore::new(), TcpServerConfig::default()).unwrap()
@@ -1335,10 +1322,10 @@ mod tests {
             set.replica(2).health().record_latency(1.0);
         }
         assert_eq!(set.pick_reissue(0), 2, "healthy replica wins");
-        assert_eq!(set.pick_reissue_excluding(&[0, 2]), 1);
-        // All excluded: fall back to the global best rather than panic.
-        let all = set.pick_reissue_excluding(&[0, 1, 2]);
-        assert!(all < 3);
+        assert_eq!(set.pick_reissue(2), 0, "never the primary, however healthy");
+        // One replica: the primary itself rather than a panic.
+        let one = ReplicaSet::connect(&addrs[..1], 1).unwrap();
+        assert_eq!(one.pick_reissue(0), 0);
     }
 
     /// `n` listeners and a set of one connection to each. The test

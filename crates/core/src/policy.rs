@@ -167,30 +167,15 @@ impl ReissuePolicy {
     /// completion status, and it lets the simulator schedule timer
     /// events at arrival. Each stage flips through [`Stage::flip`].
     pub fn sample_schedule(&self, rng: &mut SmallRng) -> Vec<f64> {
-        let one;
-        let stages: &[Stage] = match self {
-            ReissuePolicy::None => &[],
-            ReissuePolicy::SingleD { delay } => {
-                one = [Stage {
-                    delay: *delay,
-                    prob: 1.0,
-                }];
-                &one
+        let mut flip = |s: Stage| s.flip(rng).then_some(s.delay);
+        match *self {
+            ReissuePolicy::None => Vec::new(),
+            ReissuePolicy::SingleD { delay } => Vec::from_iter(flip(Stage { delay, prob: 1.0 })),
+            ReissuePolicy::SingleR { delay, prob } => Vec::from_iter(flip(Stage { delay, prob })),
+            ReissuePolicy::MultipleR { ref stages } => {
+                stages.iter().filter_map(|&s| flip(s)).collect()
             }
-            ReissuePolicy::SingleR { delay, prob } => {
-                one = [Stage {
-                    delay: *delay,
-                    prob: *prob,
-                }];
-                &one
-            }
-            ReissuePolicy::MultipleR { stages } => stages,
-        };
-        stages
-            .iter()
-            .filter(|s| s.flip(rng))
-            .map(|s| s.delay)
-            .collect()
+        }
     }
 }
 

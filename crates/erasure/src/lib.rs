@@ -34,9 +34,9 @@
 //!   race engine `hedge::race` (the one that runs replica hedging;
 //!   replication is the `k = 1` code): a first wave of the `k`
 //!   least-loaded fragments, the least-loaded fragment not yet asked
-//!   as each reissue (held until it could be the decoding one), done
-//!   when `k` fragments are in hand. Stage timers, the
-//!   budget governor, tied-request retraction of the straggler and
+//!   as the reissue (held until it could be the decoding one), done
+//!   when `k` fragments are in hand. The reissue timer, the budget
+//!   governor, tied-request retraction of the straggler and
 //!   censored-pair booking are the engine's.
 //!
 //! Fragments travel the existing RESP wire as `FGET`/`FSET` commands

@@ -856,18 +856,26 @@ fn stripe_wider_than_the_attempt_table_is_rejected() {
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
 }
 
-/// The race engine arms one reissue stage: a `MultipleR` policy is
-/// refused at connect time, before any socket is opened (nothing
-/// listens on port 1, so a dial would fail differently).
+/// The race engine arms one reissue stage: both of its clients refuse
+/// a `MultipleR` policy at connect time, before any socket is opened
+/// (nothing listens on port 1, so a dial would fail differently).
 #[test]
 fn multiple_r_policy_is_rejected() {
+    let policy = ReissuePolicy::multiple_r(vec![(1.0, 0.5), (2.0, 0.5)]);
     let addrs = vec!["127.0.0.1:1".parse().unwrap(); 3];
-    let cfg = StripedConfig {
-        policy: ReissuePolicy::multiple_r(vec![(1.0, 0.5), (2.0, 0.5)]),
+    let striped = StripedConfig {
+        policy: policy.clone(),
         ..StripedConfig::default()
     };
-    let err = StripedClient::connect(&addrs, cfg)
-        .err()
-        .expect("MultipleR must be refused");
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    let hedged = HedgeConfig {
+        policy,
+        ..HedgeConfig::default()
+    };
+    for err in [
+        StripedClient::connect(&addrs, striped).err(),
+        HedgedClient::connect(&addrs, hedged).err(),
+    ] {
+        let err = err.expect("MultipleR must be refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    }
 }

@@ -121,22 +121,6 @@ fn hedged_request_wins_on_fast_replica_and_cancels_slow() {
     );
 }
 
-/// (1a) The race engine arms one reissue stage: a `MultipleR` policy
-/// is refused at connect time, before any socket is opened (nothing
-/// listens on port 1, so a dial would fail differently).
-#[test]
-fn multiple_r_policy_is_rejected() {
-    let addrs = ["127.0.0.1:1".parse().unwrap()];
-    let cfg = HedgeConfig {
-        policy: ReissuePolicy::multiple_r(vec![(1.0, 0.5), (2.0, 0.5)]),
-        ..HedgeConfig::default()
-    };
-    let err = HedgedClient::connect(&addrs, cfg)
-        .err()
-        .expect("MultipleR must be refused");
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-}
-
 /// (1b) A dead replica must not decide a race: its near-instant
 /// transport failures would otherwise be the first "completion" in
 /// the select, cancelling a healthy in-flight primary and failing a

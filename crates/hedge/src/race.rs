@@ -372,8 +372,8 @@ impl Core {
         }
     }
 
-    /// Races the job's first wave against the armed deadline,
-    /// `delay_ms` after `started`: if it passes while the query is
+    /// Races the job's first wave against the deadline `armed` ms after
+    /// `started`, if any: if it passes while the query is
     /// unresolved, the reissue goes out, governor permitting, and
     /// every attempt races every other through one [`select_all`].
     /// Once the race is over, all still-pending losers are cancelled

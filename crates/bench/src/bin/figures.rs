@@ -12,22 +12,21 @@
 //! one of the two TCP figures, `fanout` runs the sharded
 //! scatter-gather width × budget sweep (see `figs_fanout`), and
 //! `ramp` A/Bs utilization-aware hedging over a scripted 0.3 → 0.9
-//! load ramp (see `figs_ramp`; persists `BENCH_ramp.json`;
-//! `HEDGE_RAMP_ASSERT=1` adds the CI sanity assertion), and
-//! `discipline` A/Bs cancellation style × server queue discipline
-//! (see `figs_discipline`; persists `BENCH_discipline.json`;
-//! `HEDGE_DISCIPLINE_ASSERT=1` adds the CI shape assertions), and
-//! `erasure` A/Bs replica hedging vs fragment hedging at equal byte
-//! budget (see `figs_erasure`; persists `BENCH_erasure.json`;
-//! `HEDGE_ERASURE_ASSERT=1` adds the CI shape assertions).
-//! `HEDGE_TCP_QUERIES=<n>` shrinks those runs for smoke testing.
-//! The TCP/fan-out figures additionally persist machine-readable
-//! results to `BENCH_tcp.json` / `BENCH_fanout.json`: a full-scale run
-//! in the working directory (the committed files at the repo root), a
-//! `--fast` run under `target/bench/`, so a smoke run never overwrites
-//! full-scale numbers. `all` covers the simulator figures only — the
-//! TCP and fan-out sweeps are wall-clock-bound (they really serve the
-//! load), so they are requested explicitly.
+//! load ramp (see `figs_ramp`), `discipline` A/Bs cancellation style ×
+//! server queue discipline (see `figs_discipline`), and `erasure` A/Bs
+//! replica hedging vs fragment hedging at equal byte budget (see
+//! `figs_erasure`). `ramp` and `discipline` assert their acceptance
+//! shape on every run.
+//!
+//! `Scale` is the only size setting: `--fast` runs 400 queries per
+//! phase through the TCP figures (a 200-fan-out base for `fanout`)
+//! where a full-scale run serves 6 000. Every serving-path figure
+//! persists machine-readable results to its `BENCH_<id>.json`: a
+//! full-scale run in the working directory (the committed files at the
+//! repo root), a `--fast` run under `target/bench/`, so a smoke run
+//! never overwrites full-scale numbers. `all` covers the simulator
+//! figures only — the TCP and fan-out sweeps are wall-clock-bound (they
+//! really serve the load), so they are requested explicitly.
 
 use reissue_bench::{
     figs_discipline, figs_erasure, figs_ext, figs_fanout, figs_ramp, figs_sim, figs_sys, figs_tcp,
@@ -138,7 +137,13 @@ fn main() {
         // (P99s, realized budgets, drop fractions): at the repo root at
         // full scale, under `target/bench/` at smoke scale.
         if let Some(name) = json_name {
-            let queries = figs_tcp::tcp_queries(scale);
+            // A figure whose tables carry their own counts (fan-out's
+            // widths) records the smallest, its base count.
+            let queries = tables
+                .iter()
+                .filter_map(|t| t.queries_per_phase)
+                .min()
+                .unwrap_or(figs_tcp::tcp_queries(scale));
             let path = if fast {
                 std::path::Path::new("target/bench").join(name)
             } else {

@@ -25,9 +25,10 @@
 //! * **static SingleR** — `(d*, q*)` frozen from the adapted run and
 //!   replayed at equal governed budget.
 //!
-//! `HEDGE_TCP_QUERIES=<n>` overrides the per-phase fan-out count, as
-//! for the other TCP figures. Output also lands in `BENCH_fanout.json`
-//! (see the `figures` binary).
+//! The base fan-out count per phase is 6 000 at full scale and 200 at
+//! `--fast`, boosted at the narrow widths (see `fanout_queries`).
+//! Output also lands in `BENCH_fanout.json` (see the `figures`
+//! binary).
 //!
 //! Reading the output honestly: the recovery comparison is sharpest at
 //! widths 1 and 10. Width 100 really serves 200 TCP servers from one
@@ -37,7 +38,6 @@
 //! and the shared governor at scale, and its unhedged leg-vs-aggregate
 //! gap still shows the compounding.
 
-use crate::figs_tcp::tcp_queries;
 use crate::{median, Scale, Table};
 
 use hedge::{Arrivals, LoadConfig, LoadReport, SicknessEvent};
@@ -139,9 +139,13 @@ const WARMUP_QUERIES: usize = 60;
 /// widths is roughly total-work-neutral and leaves the expensive
 /// width-100 phases at the base count. Each table records its own
 /// `queries_per_phase` so the JSON says how many samples stand behind
-/// each width's rows.
+/// each width's rows. The base count is 6 000 at full scale and 200 at
+/// `--fast`: width 100 really serves 200 servers.
 fn fanout_queries(scale: Scale, width: usize) -> usize {
-    let base = tcp_queries(scale);
+    let base = match scale {
+        Scale::Full => 6_000,
+        Scale::Fast => 200,
+    };
     match width {
         0..=1 => base * 16,
         2..=10 => base * 2,

@@ -28,10 +28,9 @@
 //! head-of-line blocking, and the hedged columns what a second send
 //! adds to or takes from that.
 //!
-//! `HEDGE_TCP_QUERIES=<n>` overrides the per-phase query count (the
-//! CI smoke job runs a few hundred); at small counts the tables still
-//! generate but the tails are noisy and the online adapter may not
-//! warm up.
+//! [`tcp_queries`] sets the per-phase query count: 6 000 at full
+//! scale, 400 at `--fast`. At 400 the tables still generate, but the
+//! tails are noisy and the online adapter may not warm up.
 
 use crate::{Scale, Table};
 use hedge::harness::{Arrivals, Cluster, LoadConfig, LoadReport};
@@ -52,16 +51,13 @@ pub(crate) const MONSTER_EVERY: usize = 500;
 /// Bounded admission for every run; drops are reported per point.
 pub(crate) const MAX_IN_FLIGHT: usize = 512;
 
-/// Per-phase query count: `HEDGE_TCP_QUERIES` if set, otherwise
-/// scale-dependent (6 000 full / 1 500 fast).
+/// Per-phase query count of the TCP figures: 6 000 at full scale, 400
+/// at `--fast` (the CI smoke).
 pub fn tcp_queries(scale: Scale) -> usize {
-    std::env::var("HEDGE_TCP_QUERIES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(match scale {
-            Scale::Full => 6_000,
-            Scale::Fast => 1_500,
-        })
+    match scale {
+        Scale::Full => 6_000,
+        Scale::Fast => 400,
+    }
 }
 
 /// The §6.2 workload behind every TCP figure: a mid-scale instance of

@@ -30,9 +30,8 @@
 //! The committed `BENCH_ramp.json` carries one row per plateau; the
 //! acceptance shape is aware P99 ≤ unhedged at every plateau, beating
 //! static at both ends, with the aware reissue rate decreasing in ρ.
-//! `HEDGE_RAMP_ASSERT=1` (the CI smoke) additionally asserts in-code
-//! that the aware run's drop rate at the 90% plateau is no higher
-//! than the unhedged run's.
+//! Every run also asserts that the aware run's drop rate at the 90%
+//! plateau is no higher than the unhedged run's.
 
 use crate::figs_tcp::{
     online_config, run_phase, tcp_queries, TcpWorkload, MAX_IN_FLIGHT, NANOS_PER_OP,
@@ -231,18 +230,16 @@ pub fn figtcp_ramp(scale: Scale) -> Vec<Table> {
             aware.segments[k].drop_rate(),
         ]);
     }
-    if std::env::var("HEDGE_RAMP_ASSERT").as_deref() == Ok("1") {
-        let last = UTILS.len() - 1;
-        let (da, du) = (
-            aware.segments[last].drop_rate(),
-            unhedged.segments[last].drop_rate(),
-        );
-        assert!(
-            da <= du + 1e-9,
-            "utilization-aware hedging must not shed more load than unhedged \
-             at the saturated plateau: aware drop {da:.4} > unhedged drop {du:.4}"
-        );
-        eprintln!("[ramp assert ok: aware drop {da:.4} <= unhedged drop {du:.4} at util 0.9]");
-    }
+    let last = UTILS.len() - 1;
+    let (da, du) = (
+        aware.segments[last].drop_rate(),
+        unhedged.segments[last].drop_rate(),
+    );
+    assert!(
+        da <= du + 1e-9,
+        "utilization-aware hedging must not shed more load than unhedged \
+         at the saturated plateau: aware drop {da:.4} > unhedged drop {du:.4}"
+    );
+    eprintln!("[ramp assert ok: aware drop {da:.4} <= unhedged drop {du:.4} at util 0.9]");
     vec![t]
 }

@@ -27,10 +27,10 @@
 //! its **own** unhedged P50 at the same utilization, so both timers
 //! discriminate stragglers from their own bulk.
 //!
-//! Sweeps utilization {0.3, 0.6, 0.85}. `HEDGE_ERASURE_ASSERT=1` adds
-//! the CI shape assertions (budgets match everywhere; fragment P99 ≤
-//! replica P99 in at least one cell). `HEDGE_TCP_QUERIES=<n>` shrinks
-//! the run for smoke testing (tails get noisy below a few thousand).
+//! Sweeps utilization {0.3, 0.6, 0.85}. The figure asserts nothing: a
+//! cell's P99 rests on the 60 slowest of 6 000 reads at full scale, so
+//! judge it over several runs. `--fast` (400 queries per phase) only
+//! checks that the path runs and persists its table.
 
 use crate::figs_tcp::{tcp_queries, MAX_IN_FLIGHT};
 use crate::{Scale, Table};
@@ -251,8 +251,6 @@ pub fn figtcp_erasure(scale: Scale) -> Vec<Table> {
             "budget_ok",
         ],
     );
-    let mut frag_won_somewhere = false;
-    let mut budgets_ok_everywhere = true;
     for &util in &UTILS {
         // Per-arm delay calibration from each arm's own unhedged
         // median: the timer fires on every straggler (q = 1) and the
@@ -279,59 +277,25 @@ pub fn figtcp_erasure(scale: Scale) -> Vec<Table> {
             Some(q_frag_cap),
         );
 
-        if std::env::var("HEDGE_ERASURE_DEBUG").as_deref() == Ok("1") {
-            for (name, r) in [
-                ("replica_base", &replica_base),
-                ("frag_base", &frag_base),
-                ("replica", &replica),
-                ("frag", &frag),
-            ] {
-                eprintln!(
-                    "[debug util={util} {name}: p50={:?} p90={:?} p99={:?} max={:?} drop={:.4} dispatched={} failed={}]",
-                    r.quantile(0.50),
-                    r.quantile(0.90),
-                    r.quantile(0.99),
-                    r.quantile(1.0),
-                    r.drop_rate(),
-                    r.dispatched,
-                    r.failed,
-                );
-            }
-        }
         // Realized per-query byte cost in units of the value size: the
         // replica arm's reissue moves a whole value (k = 1), the
         // fragment arm's a 1/k fragment.
         let replica_bytes = bytes_per_query(1, replica_rate);
         let frag_bytes = bytes_per_query(K_DATA, frag_rate);
         let ok = budgets_match(replica_bytes, frag_bytes, 0.05);
-        budgets_ok_everywhere &= ok;
-        let (rp, fp) = (p99(&replica), p99(&frag));
-        frag_won_somewhere |= fp <= rp;
         t.push(vec![
             util,
             p99(&replica_base),
             p99(&frag_base),
-            rp,
+            p99(&replica),
             replica_rate,
             replica_bytes,
-            fp,
+            p99(&frag),
             frag_rate,
             frag_bytes,
             frag_censored as f64,
             if ok { 1.0 } else { 0.0 },
         ]);
-    }
-    if std::env::var("HEDGE_ERASURE_ASSERT").as_deref() == Ok("1") {
-        assert!(
-            budgets_ok_everywhere,
-            "realized byte budgets diverged beyond ±5% in at least one cell:\n{}",
-            t.render()
-        );
-        assert!(
-            frag_won_somewhere,
-            "fragment hedging beat replica hedging nowhere:\n{}",
-            t.render()
-        );
     }
     vec![t]
 }

@@ -77,15 +77,14 @@ fn run_ramp(
     wl: &TcpWorkload,
     queries_per_phase: usize,
     cfg: HedgeConfig,
-) -> (LoadReport, HedgedClient) {
+) -> LoadReport {
     let cluster = Cluster::spawn(REPLICAS, &wl.store, NANOS_PER_OP).expect("bind replicas");
     let client = HedgedClient::connect(&cluster.addrs(), cfg).expect("connect client");
-    let report = cluster.run_load(
+    cluster.run_load(
         &client,
         &ramp_config(wl, queries_per_phase),
         wl.command_fn(),
-    );
-    (report, client)
+    )
 }
 
 /// The load-ramp figure: one row per utilization plateau, four
@@ -109,16 +108,10 @@ pub fn figtcp_ramp(scale: Scale) -> Vec<Table> {
         },
     );
     let record = calib_client.online_policy().expect("calibration adapter");
-    if std::env::var("HEDGE_RAMP_DEBUG").is_ok() {
-        eprintln!(
-            "[static calibration: d* {:.3} ms, q* {:.4}]",
-            record.delay, record.probability
-        );
-    }
     let static_policy =
         ReissuePolicy::single_r(record.delay.max(0.1), record.probability.clamp(0.001, 1.0));
 
-    let (unhedged, _) = run_ramp(
+    let unhedged = run_ramp(
         &wl,
         queries_per_phase,
         HedgeConfig {
@@ -127,7 +120,7 @@ pub fn figtcp_ramp(scale: Scale) -> Vec<Table> {
             ..HedgeConfig::default()
         },
     );
-    let (static_run, _) = run_ramp(
+    let static_run = run_ramp(
         &wl,
         queries_per_phase,
         HedgeConfig {
@@ -137,7 +130,7 @@ pub fn figtcp_ramp(scale: Scale) -> Vec<Table> {
             ..HedgeConfig::default()
         },
     );
-    let (blind, _) = run_ramp(
+    let blind = run_ramp(
         &wl,
         queries_per_phase,
         HedgeConfig {
@@ -146,7 +139,7 @@ pub fn figtcp_ramp(scale: Scale) -> Vec<Table> {
             ..HedgeConfig::default()
         },
     );
-    let (aware, aware_client) = run_ramp(
+    let aware = run_ramp(
         &wl,
         queries_per_phase,
         HedgeConfig {
@@ -159,46 +152,6 @@ pub fn figtcp_ramp(scale: Scale) -> Vec<Table> {
         },
     );
 
-    if std::env::var("HEDGE_RAMP_DEBUG").is_ok() {
-        eprintln!("[aware load snapshot: {:?}]", aware_client.load_snapshot());
-        // ρ̂ trajectory at 1/6-phase granularity (extra aware run).
-        let cluster = Cluster::spawn(REPLICAS, &wl.store, NANOS_PER_OP).expect("bind replicas");
-        let client = HedgedClient::connect(
-            &cluster.addrs(),
-            HedgeConfig {
-                policy: ReissuePolicy::None,
-                online: Some(OnlineConfig {
-                    load: Some(LoadShaper::default()),
-                    ..online_config(BUDGET)
-                }),
-                ..HedgeConfig::default()
-            },
-        )
-        .expect("connect client");
-        let mut cfg = ramp_config(&wl, queries_per_phase);
-        let step = (queries_per_phase / 6).max(1);
-        for at in (step..cfg.queries).step_by(step) {
-            cfg.rate_script.push(RateEvent {
-                at_query: at,
-                arrivals: wl.arrivals_for(
-                    REPLICAS,
-                    UTILS[(at / queries_per_phase).min(UTILS.len() - 1)],
-                ),
-            });
-        }
-        let rep = cluster.run_load(&client, &cfg, wl.command_fn());
-        for s in &rep.segments {
-            eprintln!(
-                "[seg {:>5}..{:>5} rho_end {:.3} rho_mean {:.3} rate {:.4} p99 {:>8.2}]",
-                s.start,
-                s.end,
-                s.utilization_end,
-                s.utilization_mean,
-                s.reissue_rate(),
-                s.quantile(0.99).unwrap_or(f64::NAN)
-            );
-        }
-    }
     let mut t = Table::new(
         "figtcp_ramp",
         &[

@@ -25,9 +25,6 @@
 //!   ramp;
 //! * at the saturated plateau the aware run sheds no more load than
 //!   unhedged.
-//!
-//! `HEDGE_TCP_QUERIES=<n>` scales the per-plateau arrival count (CI
-//! smoke uses a few hundred).
 
 use hedge::harness::{Arrivals, Cluster, LoadConfig, LoadReport, RateEvent};
 use hedge::{HedgeConfig, HedgedClient};
@@ -84,12 +81,8 @@ fn arrivals_at(util: f64) -> Arrivals {
     }
 }
 
-fn queries_per_phase() -> usize {
-    std::env::var("HEDGE_TCP_QUERIES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1_200)
-}
+/// Arrivals per utilization plateau.
+const QUERIES_PER_PHASE: usize = 1_200;
 
 const UTILS: [f64; 3] = [0.3, 0.6, 0.95];
 
@@ -164,7 +157,7 @@ fn online(budget: f64, load: Option<LoadShaper>) -> OnlineConfig {
 #[test]
 fn utilization_aware_hedging_survives_the_sign_flip() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let q = queries_per_phase();
+    let q = QUERIES_PER_PHASE;
     let budget = 0.08;
 
     let [unhedged_runs, aware_runs] = run_ramps_alternating(
@@ -252,7 +245,7 @@ fn utilization_aware_hedging_survives_the_sign_flip() {
 #[test]
 fn aware_beats_mid_calibrated_static_at_both_ends() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let q = queries_per_phase();
+    let q = QUERIES_PER_PHASE;
     let budget = 0.08;
 
     // Calibrate at the middle plateau only (no ramp).

@@ -24,8 +24,6 @@
 //!
 //! Run with: `cargo run --release --example load_adaptive_hedging`
 //!
-//! `HEDGE_TCP_QUERIES=<n>` scales the per-plateau arrival count.
-//!
 //! [`LoadSignal`]: reissue_core::load::LoadSignal
 //! [`LoadShaper`]: reissue_core::load::LoadShaper
 
@@ -69,12 +67,8 @@ fn arrivals_at(util: f64) -> Arrivals {
     }
 }
 
-fn queries_per_phase() -> usize {
-    std::env::var("HEDGE_TCP_QUERIES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1_500)
-}
+/// Arrivals per plateau.
+const QUERIES_PER_PHASE: usize = 1_500;
 
 fn surge_config(q: usize) -> LoadConfig {
     LoadConfig {
@@ -99,7 +93,7 @@ fn run(label: &str, cfg: HedgeConfig, q: usize) -> (LoadReport, HedgedClient) {
 }
 
 fn main() {
-    let q = queries_per_phase();
+    let q = QUERIES_PER_PHASE;
     println!(
         "load surge over TCP: {REPLICAS} replicas, {q} arrivals/plateau, \
          utilization {:.0}% -> {:.0}%\n",

@@ -162,6 +162,12 @@ mod tests {
         let _ = Ecdf::new(vec![]);
     }
 
+    #[test]
+    #[should_panic(expected = "NaN")]
+    fn nan_panics() {
+        let _ = Ecdf::new(vec![1.0, f64::NAN]);
+    }
+
     proptest! {
         #[test]
         fn cdf_monotone(

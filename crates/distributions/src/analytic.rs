@@ -1,7 +1,7 @@
-//! Analytic distributions: Pareto, LogNormal, Exponential, Weibull,
-//! Uniform and Deterministic.
+//! Analytic distributions: Pareto, LogNormal, Exponential and
+//! Deterministic.
 
-use crate::math::{gamma, norm_cdf, norm_quantile};
+use crate::math::{norm_cdf, norm_quantile};
 use crate::{Cdf, Dist, Sample};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -235,107 +235,6 @@ impl Dist for Exponential {
 }
 
 // ---------------------------------------------------------------------
-// Weibull
-// ---------------------------------------------------------------------
-
-/// Weibull distribution with shape `k` and scale `lambda`.
-///
-/// Not used by the paper directly; provided because Weibull interpolates
-/// between heavy- (k < 1) and light-tailed (k > 1) service times, which
-/// the extended sensitivity benches exercise.
-#[derive(Clone, Copy, Debug)]
-pub struct Weibull {
-    shape: f64,
-    scale: f64,
-}
-
-impl Weibull {
-    /// Creates a Weibull distribution.
-    ///
-    /// # Panics
-    /// Panics unless `shape > 0` and `scale > 0`.
-    pub fn new(shape: f64, scale: f64) -> Self {
-        assert!(shape > 0.0 && scale > 0.0, "Weibull needs shape>0, scale>0");
-        Weibull { shape, scale }
-    }
-}
-
-impl Sample for Weibull {
-    fn sample(&self, rng: &mut SmallRng) -> f64 {
-        self.scale * (-open_unit(rng).ln()).powf(1.0 / self.shape)
-    }
-}
-
-impl Cdf for Weibull {
-    fn cdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            0.0
-        } else {
-            1.0 - (-(x / self.scale).powf(self.shape)).exp()
-        }
-    }
-}
-
-impl Dist for Weibull {
-    fn quantile(&self, p: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&p), "quantile p out of range: {p}");
-        if p >= 1.0 {
-            return f64::INFINITY;
-        }
-        self.scale * (-(1.0 - p).ln()).powf(1.0 / self.shape)
-    }
-
-    fn mean(&self) -> f64 {
-        self.scale * gamma(1.0 + 1.0 / self.shape)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Uniform
-// ---------------------------------------------------------------------
-
-/// Continuous uniform distribution on `[lo, hi)`.
-#[derive(Clone, Copy, Debug)]
-pub struct Uniform {
-    lo: f64,
-    hi: f64,
-}
-
-impl Uniform {
-    /// Creates a uniform distribution on `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics unless `lo < hi`.
-    pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(lo < hi, "Uniform needs lo < hi");
-        Uniform { lo, hi }
-    }
-}
-
-impl Sample for Uniform {
-    fn sample(&self, rng: &mut SmallRng) -> f64 {
-        self.lo + (self.hi - self.lo) * rng.gen::<f64>()
-    }
-}
-
-impl Cdf for Uniform {
-    fn cdf(&self, x: f64) -> f64 {
-        ((x - self.lo) / (self.hi - self.lo)).clamp(0.0, 1.0)
-    }
-}
-
-impl Dist for Uniform {
-    fn quantile(&self, p: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&p), "quantile p out of range: {p}");
-        self.lo + p * (self.hi - self.lo)
-    }
-
-    fn mean(&self) -> f64 {
-        (self.lo + self.hi) / 2.0
-    }
-}
-
-// ---------------------------------------------------------------------
 // Deterministic
 // ---------------------------------------------------------------------
 
@@ -455,29 +354,6 @@ mod tests {
         check_quantile_agreement(&d, 104);
         let m = sample_mean(&d, 100_000, 105);
         assert!((m - 10.0).abs() < 0.3, "m={m}");
-    }
-
-    #[test]
-    fn weibull_basic() {
-        // k=1 reduces to Exponential(1/scale).
-        let w = Weibull::new(1.0, 5.0);
-        let e = Exponential::new(0.2);
-        for x in [0.5, 1.0, 5.0, 20.0] {
-            assert!((w.cdf(x) - e.cdf(x)).abs() < 1e-12, "x={x}");
-        }
-        assert!((w.mean() - 5.0).abs() < 1e-9);
-        check_quantile_agreement(&Weibull::new(0.7, 3.0), 106);
-    }
-
-    #[test]
-    fn uniform_basic() {
-        let d = Uniform::new(2.0, 6.0);
-        assert!((d.mean() - 4.0).abs() < 1e-12);
-        assert_eq!(d.cdf(1.0), 0.0);
-        assert_eq!(d.cdf(7.0), 1.0);
-        assert!((d.cdf(3.0) - 0.25).abs() < 1e-12);
-        assert!((d.quantile(0.25) - 3.0).abs() < 1e-12);
-        check_quantile_agreement(&d, 107);
     }
 
     #[test]

@@ -2,21 +2,20 @@
 //! reissue-policy reproduction.
 //!
 //! The paper's workloads draw service times from Pareto(1.1, 2.0),
-//! LogNormal(1, 1) and Exponential(0.1) distributions, correlate the
-//! reissue service time with the primary via `Y = r·x + Z`, and estimate
-//! distributions empirically from response-time logs. This crate
-//! implements all of those as small, deterministic, allocation-free
-//! samplers:
+//! LogNormal(1, 1) and Exponential(0.1) distributions and correlate the
+//! reissue service time with the primary via `Y = r·x + Z`. This crate
+//! implements those as small, deterministic, allocation-free samplers:
 //!
-//! * [`Pareto`], [`LogNormal`], [`Exponential`], [`Weibull`],
-//!   [`Uniform`], [`Deterministic`] — analytic distributions implementing
-//!   both [`Sample`] and [`Cdf`];
+//! * [`Pareto`], [`LogNormal`], [`Exponential`], [`Deterministic`] —
+//!   analytic distributions implementing both [`Sample`] and [`Cdf`];
 //! * [`CorrelatedPair`] — the paper's `Y = r·x + Z` generator (§5.1);
-//! * [`Empirical`] — a resampling distribution built from a trace;
-//! * [`Shifted`] / [`Scaled`] — combinators for calibration;
 //! * [`rng`] — seeded [`rand::rngs::SmallRng`] streams with splitmix-based
 //!   sub-stream derivation so every simulation component gets an
 //!   independent, reproducible stream.
+//!
+//! The empirical CDF of a response-time log is `reissue_core::Ecdf`,
+//! and the simulator replays measured engine costs through its own
+//! `TraceService`; neither is a sampler of this crate.
 //!
 //! Everything is pure computation: given the same seed, every sampler
 //! yields the same sequence on every platform.
@@ -29,11 +28,9 @@ pub mod rng;
 
 mod analytic;
 mod correlated;
-mod empirical;
 
-pub use analytic::{Deterministic, Exponential, LogNormal, Pareto, Uniform, Weibull};
+pub use analytic::{Deterministic, Exponential, LogNormal, Pareto};
 pub use correlated::{pearson, CorrelatedPair};
-pub use empirical::Empirical;
 
 use rand::rngs::SmallRng;
 
@@ -70,90 +67,14 @@ pub trait Dist: Sample + Cdf {
     fn mean(&self) -> f64;
 }
 
-/// A distribution shifted right by `offset`.
-#[derive(Clone, Copy, Debug)]
-pub struct Shifted<D> {
-    /// Inner distribution.
-    pub inner: D,
-    /// Additive offset applied to samples.
-    pub offset: f64,
-}
-
-impl<D: Sample> Sample for Shifted<D> {
-    fn sample(&self, rng: &mut SmallRng) -> f64 {
-        self.inner.sample(rng) + self.offset
-    }
-}
-
-impl<D: Cdf> Cdf for Shifted<D> {
-    fn cdf(&self, x: f64) -> f64 {
-        self.inner.cdf(x - self.offset)
-    }
-}
-
-impl<D: Dist> Dist for Shifted<D> {
-    fn quantile(&self, p: f64) -> f64 {
-        self.inner.quantile(p) + self.offset
-    }
-    fn mean(&self) -> f64 {
-        self.inner.mean() + self.offset
-    }
-}
-
-/// A distribution scaled by a positive `factor`.
-#[derive(Clone, Copy, Debug)]
-pub struct Scaled<D> {
-    /// Inner distribution.
-    pub inner: D,
-    /// Multiplicative factor applied to samples (must be positive).
-    pub factor: f64,
-}
-
-impl<D: Sample> Sample for Scaled<D> {
-    fn sample(&self, rng: &mut SmallRng) -> f64 {
-        self.inner.sample(rng) * self.factor
-    }
-}
-
-impl<D: Cdf> Cdf for Scaled<D> {
-    fn cdf(&self, x: f64) -> f64 {
-        self.inner.cdf(x / self.factor)
-    }
-}
-
-impl<D: Dist> Dist for Scaled<D> {
-    fn quantile(&self, p: f64) -> f64 {
-        self.inner.quantile(p) * self.factor
-    }
-    fn mean(&self) -> f64 {
-        self.inner.mean() * self.factor
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::seeded;
 
     #[test]
-    fn shifted_scaled_roundtrip() {
-        let d = Shifted {
-            inner: Scaled {
-                inner: Exponential::new(1.0),
-                factor: 2.0,
-            },
-            offset: 5.0,
-        };
-        assert!((d.mean() - 7.0).abs() < 1e-12);
-        assert!((d.quantile(d.cdf(9.0)) - 9.0).abs() < 1e-9);
-        let mut r = seeded(1);
-        let mean: f64 = d.sample_n(&mut r, 20_000).iter().sum::<f64>() / 20_000.0;
-        assert!((mean - 7.0).abs() < 0.15, "mean={mean}");
-    }
-
-    #[test]
     fn sample_n_length() {
         let mut r = seeded(2);
-        assert_eq!(Uniform::new(0.0, 1.0).sample_n(&mut r, 17).len(), 17);
+        assert_eq!(Exponential::new(1.0).sample_n(&mut r, 17).len(), 17);
     }
 }

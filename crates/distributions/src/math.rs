@@ -1,8 +1,8 @@
 //! Special functions needed by the analytic distributions.
 //!
 //! Implemented from standard rational approximations so the crate stays
-//! dependency-free: `erf` (Abramowitz & Stegun 7.1.26), the inverse
-//! standard-normal CDF (Acklam's algorithm) and `ln Γ` (Lanczos).
+//! dependency-free: `erf` (Abramowitz & Stegun 7.1.26) and the inverse
+//! standard-normal CDF (Acklam's algorithm).
 
 /// Error function, absolute error ≤ 1.5e−7 (A&S 7.1.26).
 pub fn erf(x: f64) -> f64 {
@@ -91,39 +91,6 @@ pub fn norm_quantile(p: f64) -> f64 {
     x - u / (1.0 + x * u / 2.0)
 }
 
-/// Natural log of the gamma function (Lanczos, g = 7, n = 9).
-pub fn ln_gamma(x: f64) -> f64 {
-    const G: f64 = 7.0;
-    const COEF: [f64; 9] = [
-        0.999_999_999_999_809_9,
-        676.5203681218851,
-        -1259.1392167224028,
-        771.323_428_777_653_1,
-        -176.615_029_162_140_6,
-        12.507343278686905,
-        -0.13857109526572012,
-        9.984_369_578_019_572e-6,
-        1.5056327351493116e-7,
-    ];
-    if x < 0.5 {
-        // Reflection formula.
-        let pi = std::f64::consts::PI;
-        return (pi / (pi * x).sin()).ln() - ln_gamma(1.0 - x);
-    }
-    let x = x - 1.0;
-    let mut acc = COEF[0];
-    for (i, &c) in COEF.iter().enumerate().skip(1) {
-        acc += c / (x + i as f64);
-    }
-    let t = x + G + 0.5;
-    0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + acc.ln()
-}
-
-/// Gamma function `Γ(x)` for moderate arguments.
-pub fn gamma(x: f64) -> f64 {
-    ln_gamma(x).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,23 +129,5 @@ mod tests {
         assert!(norm_quantile(-0.1).is_nan());
         assert!(norm_quantile(1.1).is_nan());
         assert!(norm_quantile(f64::NAN).is_nan());
-    }
-
-    #[test]
-    fn ln_gamma_factorials() {
-        // Γ(n) = (n-1)!
-        let mut fact = 1.0f64;
-        for n in 1..10 {
-            assert!((ln_gamma(n as f64) - fact.ln()).abs() < 1e-9, "n={n}");
-            fact *= n as f64;
-        }
-    }
-
-    #[test]
-    fn gamma_half() {
-        // Γ(1/2) = sqrt(pi)
-        assert!((gamma(0.5) - std::f64::consts::PI.sqrt()).abs() < 1e-9);
-        // Γ(3/2) = sqrt(pi)/2
-        assert!((gamma(1.5) - std::f64::consts::PI.sqrt() / 2.0).abs() < 1e-9);
     }
 }

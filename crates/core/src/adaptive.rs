@@ -104,20 +104,6 @@ pub struct AdaptiveConfig {
     pub tolerance: f64,
 }
 
-impl AdaptiveConfig {
-    /// A configuration matching the paper's system experiments:
-    /// `λ = 0.5`, 10 trials (§6.1).
-    pub fn paper_system(k: f64, budget: f64) -> Self {
-        AdaptiveConfig {
-            k,
-            budget,
-            learning_rate: 0.5,
-            max_trials: 10,
-            tolerance: 0.05,
-        }
-    }
-}
-
 /// Runs the adaptive SingleR policy refinement of §4.3.
 ///
 /// Starts from the immediate-reissue probe `SingleR(d = 0, q = B)`

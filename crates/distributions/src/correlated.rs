@@ -1,6 +1,6 @@
 //! The paper's correlated primary/reissue service-time generator.
 
-use crate::{Cdf, Sample};
+use crate::Sample;
 use rand::rngs::SmallRng;
 
 /// Generates correlated (primary, reissue) service-time pairs using the
@@ -58,13 +58,6 @@ impl<D: Sample> CorrelatedPair<D> {
         let x = self.sample_primary(rng);
         let y = self.sample_reissue(x, rng);
         (x, y)
-    }
-}
-
-impl<D: Cdf> CorrelatedPair<D> {
-    /// CDF of the primary service time (the base distribution).
-    pub fn primary_cdf(&self, x: f64) -> f64 {
-        self.base.cdf(x)
     }
 }
 

@@ -9,55 +9,27 @@ use simulator::RunConfig;
 /// Adapts a [`WorkloadSpec`] to the adaptive optimizer's
 /// [`System`] interface.
 ///
-/// By default trials are *paired*: every trial reuses the same seed, so
-/// the arrival and service draws are common random numbers and the only
+/// Trials are *paired*: every trial reuses the same seed, so the
+/// arrival and service draws are common random numbers and the only
 /// thing that changes between trials is the policy (and the load it
 /// induces). This is the standard DES variance-reduction technique and
 /// matters enormously under Pareto(1.1) service times, whose
-/// single-run P95 estimates are noisy. [`SimSystem::fresh_seeds`]
-/// switches to a new seed per trial, mimicking repeated physical runs.
+/// single-run P95 estimates are noisy.
 pub struct SimSystem<'a> {
     spec: &'a WorkloadSpec,
     run: RunConfig,
-    trial: u64,
-    paired: bool,
 }
 
 impl<'a> SimSystem<'a> {
-    /// Wraps a spec with a per-trial run configuration (paired seeds).
+    /// Wraps a spec with the run configuration every trial repeats.
     pub fn new(spec: &'a WorkloadSpec, run: RunConfig) -> Self {
-        SimSystem {
-            spec,
-            run,
-            trial: 0,
-            paired: true,
-        }
-    }
-
-    /// Uses a distinct seed per trial instead of common random numbers.
-    pub fn fresh_seeds(mut self) -> Self {
-        self.paired = false;
-        self
-    }
-
-    /// Number of trials executed so far.
-    pub fn trials_run(&self) -> u64 {
-        self.trial
+        SimSystem { spec, run }
     }
 }
 
 impl System for SimSystem<'_> {
     fn run(&mut self, policy: &ReissuePolicy) -> RunSample {
-        let seed = if self.paired {
-            self.run.seed
-        } else {
-            self.run
-                .seed
-                .wrapping_add(self.trial.wrapping_mul(1_000_003))
-        };
-        let cfg = RunConfig { seed, ..self.run };
-        self.trial += 1;
-        self.spec.run(&cfg, policy).to_run_sample()
+        self.spec.run(&self.run, policy).to_run_sample()
     }
 }
 
@@ -131,18 +103,8 @@ mod tests {
         let mut sys = SimSystem::new(&spec, RunConfig::new(2_000));
         let a = sys.run(&ReissuePolicy::None);
         let b = sys.run(&ReissuePolicy::None);
-        assert_eq!(sys.trials_run(), 2);
         // Paired (common random numbers): identical realizations.
         assert_eq!(a.latency, b.latency);
-    }
-
-    #[test]
-    fn sim_system_fresh_seeds_differ() {
-        let spec = queueing(0.3, 0.0, 1);
-        let mut sys = SimSystem::new(&spec, RunConfig::new(2_000)).fresh_seeds();
-        let a = sys.run(&ReissuePolicy::None);
-        let b = sys.run(&ReissuePolicy::None);
-        assert_ne!(a.latency, b.latency);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Workload specifications: a serializable recipe for a simulation.
 
 use distributions::rng::stream;
-use distributions::{Dist, Exponential, LogNormal, Pareto, Sample};
+use distributions::{Dist, Exponential, LogNormal, Pareto};
 use reissue_core::ReissuePolicy;
 use simulator::{
     simulate, ArrivalProcess, ClusterConfig, CorrelatedService, IidService, RunConfig,
@@ -39,14 +39,6 @@ impl DistSpec {
             DistSpec::Pareto { shape, mode } => Pareto::new(shape, mode).mean(),
             DistSpec::LogNormal { mu, sigma } => LogNormal::new(mu, sigma).mean(),
             DistSpec::Exponential { rate } => Exponential::new(rate).mean(),
-        }
-    }
-
-    fn sample(&self, rng: &mut rand::rngs::SmallRng) -> f64 {
-        match *self {
-            DistSpec::Pareto { shape, mode } => Pareto::new(shape, mode).sample(rng),
-            DistSpec::LogNormal { mu, sigma } => LogNormal::new(mu, sigma).sample(rng),
-            DistSpec::Exponential { rate } => Exponential::new(rate).sample(rng),
         }
     }
 }
@@ -187,21 +179,11 @@ impl WorkloadSpec {
             .map(|p| p.0)
             .collect()
     }
-
-    /// Direct access to the underlying distribution sampler for
-    /// analytic workloads (used by tests).
-    pub fn dist_sample(&self, rng: &mut rand::rngs::SmallRng) -> Option<f64> {
-        match &self.service {
-            ServiceSpec::Iid(d) | ServiceSpec::Correlated { dist: d, .. } => Some(d.sample(rng)),
-            ServiceSpec::Trace { .. } => None,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use distributions::rng::seeded;
     use simulator::Balancer;
 
     #[test]
@@ -260,21 +242,5 @@ mod tests {
         };
         let pairs = spec.sample_pairs(4, 0);
         assert_eq!(pairs, vec![(5.0, 5.0), (7.0, 7.0), (5.0, 5.0), (7.0, 7.0)]);
-    }
-
-    #[test]
-    fn dist_sample_none_for_trace() {
-        let spec = WorkloadSpec {
-            name: "trace".into(),
-            cluster: ClusterConfig::default(),
-            service: ServiceSpec::Trace {
-                costs_ms: vec![1.0],
-                jitter: 0.0,
-            },
-            utilization: Some(0.3),
-            seed: 1,
-        };
-        let mut rng = seeded(1);
-        assert!(spec.dist_sample(&mut rng).is_none());
     }
 }

@@ -112,6 +112,3 @@ pub use reissue_core::model;
 pub use reissue_core::online;
 pub use reissue_core::optimizer;
 pub use reissue_core::policy;
-
-/// The crate version, for binaries that want to report it.
-pub const VERSION: &str = env!("CARGO_PKG_VERSION");

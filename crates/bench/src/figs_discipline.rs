@@ -326,6 +326,8 @@ pub fn figtcp_discipline_matrix(scale: Scale) -> Vec<Table> {
             }
         }
     }
-    eprintln!("[discipline assert ok: server-side retractions at rho >= 0.6, non-FIFO <= FIFO P99]");
+    eprintln!(
+        "[discipline assert ok: server-side retractions at rho >= 0.6, non-FIFO <= FIFO P99]"
+    );
     vec![cancel_t, disc_t]
 }

@@ -73,11 +73,7 @@ fn ramp_config(wl: &TcpWorkload, queries_per_phase: usize) -> LoadConfig {
 }
 
 /// One continuous ramp run on a fresh cluster.
-fn run_ramp(
-    wl: &TcpWorkload,
-    queries_per_phase: usize,
-    cfg: HedgeConfig,
-) -> LoadReport {
+fn run_ramp(wl: &TcpWorkload, queries_per_phase: usize, cfg: HedgeConfig) -> LoadReport {
     let cluster = Cluster::spawn(REPLICAS, &wl.store, NANOS_PER_OP).expect("bind replicas");
     let client = HedgedClient::connect(&cluster.addrs(), cfg).expect("connect client");
     cluster.run_load(

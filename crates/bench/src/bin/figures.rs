@@ -57,7 +57,6 @@ const FIGURES: &[Figure] = &[
     (&["fig7c"], figs_sys::fig7c, None),
     (&["fig8"], figs_sys::fig8, None),
     (&["fig9"], figs_sys::fig9, None),
-    (&["fig7to9"], figs_sys::fig7_to_9, None),
     (&["ext1"], figs_ext::ext1_cancellation, None),
     (&["ext2"], figs_ext::ext2_routing, None),
     (&["ext3"], figs_ext::ext3_multiple_r, None),
@@ -94,7 +93,8 @@ const FIGURES: &[Figure] = &[
 
 /// What `all` expands to: the simulator figures.
 const ALL: &[&str] = &[
-    "fig2a", "fig2b", "fig3", "fig4", "fig5a", "fig5b", "fig5c", "fig6", "fig7to9", "ext",
+    "fig2a", "fig2b", "fig3", "fig4", "fig5a", "fig5b", "fig5c", "fig6", "fig7a", "fig7b", "fig7c",
+    "fig8", "fig9", "ext",
 ];
 
 fn main() {

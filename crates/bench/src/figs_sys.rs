@@ -2,7 +2,9 @@
 //!
 //! The paper runs Redis and Lucene on a 10-server testbed; here the
 //! engines are this repository's `kvstore` and `searchengine` crates,
-//! whose *measured* per-query costs drive the cluster simulator.
+//! whose *measured* per-query costs drive the cluster simulator. Every
+//! figure reads its costs from [`traces`], which runs the engines once
+//! per process and scale.
 
 use crate::{
     eval_policy, eval_tuned_single_d, eval_tuned_single_r, parallel_map, tune_single_r, Scale,
@@ -11,6 +13,7 @@ use crate::{
 use reissue_core::budget::optimize_budget;
 use reissue_core::metrics::{Histogram, LogHistogram};
 use reissue_core::ReissuePolicy;
+use std::sync::OnceLock;
 use workloads::{lucene_cluster, lucene_trace, redis_cluster, redis_trace, WorkloadSpec};
 
 /// The §6 experiments target P99.
@@ -32,9 +35,19 @@ impl Sys {
     }
 }
 
-/// Generates both engine traces once (expensive: real engine
-/// executions) and returns `(redis_costs, lucene_costs)`.
-pub fn traces(scale: Scale) -> (Vec<f64>, Vec<f64>) {
+/// Both engine traces at `scale`, `(redis_costs, lucene_costs)`. They
+/// are expensive (real engine executions), so each scale's pair is
+/// generated on first use and shared by every later figure.
+pub fn traces(scale: Scale) -> &'static (Vec<f64>, Vec<f64>) {
+    static FULL: OnceLock<(Vec<f64>, Vec<f64>)> = OnceLock::new();
+    static FAST: OnceLock<(Vec<f64>, Vec<f64>)> = OnceLock::new();
+    match scale {
+        Scale::Full => FULL.get_or_init(|| generate_traces(scale)),
+        Scale::Fast => FAST.get_or_init(|| generate_traces(scale)),
+    }
+}
+
+fn generate_traces(scale: Scale) -> (Vec<f64>, Vec<f64>) {
     match scale {
         Scale::Full => (redis_trace(1), lucene_trace(1)),
         Scale::Fast => {
@@ -82,11 +95,6 @@ fn cluster_for(sys: Sys, costs: &[f64], util: f64, seed: u64) -> WorkloadSpec {
 /// systems at 40 % utilization.
 pub fn fig7a(scale: Scale) -> Vec<Table> {
     let (redis_costs, lucene_costs) = traces(scale);
-    fig7a_with(scale, &redis_costs, &lucene_costs)
-}
-
-/// Figure 7a with pre-generated traces (so `all` shares the engines).
-pub fn fig7a_with(scale: Scale, redis_costs: &[f64], lucene_costs: &[f64]) -> Vec<Table> {
     let queries = scale.queries(40_000);
     let seeds = scale.seeds(3);
     let rates = [0.0, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06];
@@ -138,11 +146,6 @@ pub fn fig7a_with(scale: Scale, redis_costs: &[f64], lucene_costs: &[f64]) -> Ve
 /// Figure 7b: P99 vs reissue rate at 20/40/60 % utilization (SingleR).
 pub fn fig7b(scale: Scale) -> Vec<Table> {
     let (redis_costs, lucene_costs) = traces(scale);
-    fig7b_with(scale, &redis_costs, &lucene_costs)
-}
-
-/// Figure 7b with pre-generated traces.
-pub fn fig7b_with(scale: Scale, redis_costs: &[f64], lucene_costs: &[f64]) -> Vec<Table> {
     let queries = scale.queries(40_000);
     let seeds = scale.seeds(2);
     let utils = [0.2, 0.4, 0.6];
@@ -202,11 +205,6 @@ pub fn fig7b_with(scale: Scale, redis_costs: &[f64], lucene_costs: &[f64]) -> Ve
 /// §4.4 expanding binary search.
 pub fn fig7c(scale: Scale) -> Vec<Table> {
     let (redis_costs, lucene_costs) = traces(scale);
-    fig7c_with(scale, &redis_costs, &lucene_costs)
-}
-
-/// Figure 7c with pre-generated traces.
-pub fn fig7c_with(scale: Scale, redis_costs: &[f64], lucene_costs: &[f64]) -> Vec<Table> {
     let queries = scale.queries(25_000);
     let utils = [0.2, 0.3, 0.4, 0.5, 0.6];
     let search_trials = scale.trials(10);
@@ -261,11 +259,6 @@ pub fn fig7c_with(scale: Scale, redis_costs: &[f64], lucene_costs: &[f64]) -> Ve
 /// 20 % utilization — probed budget and P99 per trial.
 pub fn fig8(scale: Scale) -> Vec<Table> {
     let (redis_costs, _) = traces(scale);
-    fig8_with(scale, &redis_costs)
-}
-
-/// Figure 8 with a pre-generated trace.
-pub fn fig8_with(scale: Scale, redis_costs: &[f64]) -> Vec<Table> {
     let queries = scale.queries(25_000);
     let spec = redis_cluster(redis_costs.to_vec(), 0.20, 73);
     // Same realization as fig7c's 20%-util point, so the two figures
@@ -308,11 +301,6 @@ pub fn fig8_with(scale: Scale, redis_costs: &[f64]) -> Vec<Table> {
 /// σ_L = 21.88).
 pub fn fig9(scale: Scale) -> Vec<Table> {
     let (redis_costs, lucene_costs) = traces(scale);
-    fig9_with(&redis_costs, &lucene_costs)
-}
-
-/// Figure 9 with pre-generated traces.
-pub fn fig9_with(redis_costs: &[f64], lucene_costs: &[f64]) -> Vec<Table> {
     let mut tables = Vec::new();
     for (name, costs) in [("redis", redis_costs), ("lucene", lucene_costs)] {
         let mut h = Histogram::new(20.0, 12); // 20 ms bins to 240 ms
@@ -346,17 +334,5 @@ pub fn fig9_with(redis_costs: &[f64], lucene_costs: &[f64]) -> Vec<Table> {
         ]);
         tables.push(s);
     }
-    tables
-}
-
-/// Runs all §6 figures sharing one pair of engine traces.
-pub fn fig7_to_9(scale: Scale) -> Vec<Table> {
-    let (redis_costs, lucene_costs) = traces(scale);
-    let mut tables = Vec::new();
-    tables.extend(fig7a_with(scale, &redis_costs, &lucene_costs));
-    tables.extend(fig7b_with(scale, &redis_costs, &lucene_costs));
-    tables.extend(fig7c_with(scale, &redis_costs, &lucene_costs));
-    tables.extend(fig8_with(scale, &redis_costs));
-    tables.extend(fig9_with(&redis_costs, &lucene_costs));
     tables
 }

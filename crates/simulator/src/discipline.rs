@@ -45,113 +45,31 @@ pub(crate) type WaitQueue = reissue_core::discipline::WaitQueue<QueuedRequest>;
 mod tests {
     use super::*;
 
-    fn req(query: usize, is_reissue: bool, connection: usize) -> QueuedRequest {
-        QueuedRequest {
+    /// The adapter feeds the shared queue the request's reissue flag and
+    /// connection: `core::discipline`'s own tests cover the orders.
+    #[test]
+    fn queued_requests_reach_the_shared_queue() {
+        let req = |query, is_reissue, connection| QueuedRequest {
             query,
             is_reissue,
             service: 1.0,
             enqueued_at: 0.0,
             connection,
-        }
-    }
+        };
+        let drain = |q: &mut WaitQueue| {
+            std::iter::from_fn(|| q.pop(0.0).map(|r| r.query)).collect::<Vec<_>>()
+        };
 
-    #[test]
-    fn fifo_order() {
-        let mut q = WaitQueue::new(Discipline::Fifo);
-        q.push(req(1, false, 0));
-        q.push(req(2, true, 0));
-        q.push(req(3, false, 0));
-        let order: Vec<usize> = std::iter::from_fn(|| q.pop(0.0).map(|r| r.query)).collect();
-        assert_eq!(order, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn prioritized_fifo_serves_primaries_first() {
         let mut q = WaitQueue::new(Discipline::PrioritizedFifo);
         q.push(req(1, true, 0));
         q.push(req(2, false, 0));
         q.push(req(3, true, 0));
-        q.push(req(4, false, 0));
-        let order: Vec<usize> = std::iter::from_fn(|| q.pop(0.0).map(|r| r.query)).collect();
-        assert_eq!(order, vec![2, 4, 1, 3]); // primaries FIFO, then reissues FIFO
-    }
+        assert_eq!(drain(&mut q), vec![2, 1, 3]);
 
-    #[test]
-    fn prioritized_lifo_reverses_reissues() {
-        let mut q = WaitQueue::new(Discipline::PrioritizedLifo);
-        q.push(req(1, true, 0));
-        q.push(req(2, true, 0));
-        q.push(req(3, false, 0));
-        let order: Vec<usize> = std::iter::from_fn(|| q.pop(0.0).map(|r| r.query)).collect();
-        assert_eq!(order, vec![3, 2, 1]); // primary, then reissues LIFO
-    }
-
-    #[test]
-    fn round_robin_cycles_connections() {
-        let mut q = WaitQueue::new(Discipline::RoundRobin { connections: 3 });
-        // Connection 0 backlogged; 1 and 2 have one request each.
+        let mut q = WaitQueue::new(Discipline::RoundRobin { connections: 2 });
         q.push(req(10, false, 0));
         q.push(req(11, false, 0));
-        q.push(req(12, false, 0));
         q.push(req(20, false, 1));
-        q.push(req(30, false, 2));
-        let order: Vec<usize> = std::iter::from_fn(|| q.pop(0.0).map(|r| r.query)).collect();
-        // One per connection per turn: 10, 20, 30, then drain 0.
-        assert_eq!(order, vec![10, 20, 30, 11, 12]);
-    }
-
-    #[test]
-    fn round_robin_len_tracks() {
-        let mut q = WaitQueue::new(Discipline::RoundRobin { connections: 2 });
-        assert_eq!(q.len(), 0);
-        q.push(req(1, false, 0));
-        q.push(req(2, false, 1));
-        assert_eq!(q.len(), 2);
-        q.pop(0.0);
-        assert_eq!(q.len(), 1);
-        q.pop(0.0);
-        assert!(q.pop(0.0).is_none());
-    }
-
-    #[test]
-    fn connection_ids_wrap() {
-        let mut q = WaitQueue::new(Discipline::RoundRobin { connections: 2 });
-        q.push(req(1, false, 7)); // 7 % 2 == 1
-        q.push(req(2, false, 0));
-        // Cursor starts at 0: connection 0 first.
-        assert_eq!(q.pop(0.0).unwrap().query, 2);
-        assert_eq!(q.pop(0.0).unwrap().query, 1);
-    }
-
-    #[test]
-    fn zero_connections_means_dynamic_ids() {
-        // connections == 0 is no longer rejected: sub-queues are keyed
-        // by raw connection id (the TCP server's accept-order ids).
-        let mut q = WaitQueue::new(Discipline::RoundRobin { connections: 0 });
-        q.push(req(1, false, 40));
-        q.push(req(2, false, 7));
-        assert_eq!(q.pop(0.0).unwrap().query, 2);
-        assert_eq!(q.pop(0.0).unwrap().query, 1);
-    }
-
-    #[test]
-    fn cost_priority_serves_cheapest_first() {
-        let mut q = WaitQueue::new(Discipline::ShortestBurn { boost: 0.0 });
-        q.push(QueuedRequest {
-            query: 1,
-            is_reissue: false,
-            service: 9.0,
-            enqueued_at: 0.0,
-            connection: 0,
-        });
-        q.push(QueuedRequest {
-            query: 2,
-            is_reissue: false,
-            service: 1.0,
-            enqueued_at: 1.0,
-            connection: 0,
-        });
-        assert_eq!(q.pop(2.0).unwrap().query, 2);
-        assert_eq!(q.pop(2.0).unwrap().query, 1);
+        assert_eq!(drain(&mut q), vec![10, 20, 11]);
     }
 }

@@ -4,8 +4,9 @@
 //! figures [--fast] [--no-csv] <id>...
 //! ```
 //!
-//! Run with no argument, it prints every id it accepts (the `FIGURES`
-//! table below, which is also what dispatches them).
+//! Run with no id, it prints every id it accepts (the `FIGURES` table
+//! below, which is also what dispatches them) and exits 2; so does any
+//! `--` flag other than these two, before it runs anything.
 //!
 //! `tcp` regenerates the §6.2 figures through the real TCP serving
 //! path (see `figs_tcp`); `figtcp_62` and `figtcp_scaleout` select
@@ -97,26 +98,59 @@ const ALL: &[&str] = &[
     "fig8", "fig9", "ext",
 ];
 
+/// What the command line asks for.
+#[derive(Debug, PartialEq)]
+struct Args {
+    fast: bool,
+    no_csv: bool,
+    figs: Vec<String>,
+}
+
+/// Parses `[--fast] [--no-csv] <id>...`, flags and ids in any order.
+/// Any other `--` flag is an error: a mistyped `--fast` must not run
+/// the full-scale sweep, which overwrites the committed `BENCH_*.json`.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args {
+        fast: false,
+        no_csv: false,
+        figs: Vec::new(),
+    };
+    for arg in args {
+        match arg.as_str() {
+            "--fast" => parsed.fast = true,
+            "--no-csv" => parsed.no_csv = true,
+            flag if flag.starts_with("--") => return Err(format!("unknown flag: {flag}")),
+            id => parsed.figs.push(id.to_string()),
+        }
+    }
+    Ok(parsed)
+}
+
+fn usage() -> ! {
+    let ids: Vec<&str> = FIGURES
+        .iter()
+        .flat_map(|(ids, ..)| ids.iter().copied())
+        .collect();
+    eprintln!(
+        "usage: figures [--fast] [--no-csv] <{}|all>...",
+        ids.join("|")
+    );
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let no_csv = args.iter().any(|a| a == "--no-csv");
+    let Args {
+        fast,
+        no_csv,
+        mut figs,
+    } = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage()
+    });
     let scale = if fast { Scale::Fast } else { Scale::Full };
-    let mut figs: Vec<String> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .cloned()
-        .collect();
     if figs.is_empty() {
-        let ids: Vec<&str> = FIGURES
-            .iter()
-            .flat_map(|(ids, ..)| ids.iter().copied())
-            .collect();
-        eprintln!(
-            "usage: figures [--fast] [--no-csv] <{}|all>...",
-            ids.join("|")
-        );
-        std::process::exit(2);
+        usage();
     }
     if figs.iter().any(|f| f == "all") {
         figs = ALL.iter().map(|id| id.to_string()).collect();
@@ -176,5 +210,39 @@ fn main() {
             }
         }
         eprintln!("[{} done in {:.1?}]", fig, elapsed);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    #[test]
+    fn a_mistyped_flag_is_refused() {
+        assert!(parse_args(&args(&["--fats", "tcp"])).is_err());
+        assert!(parse_args(&args(&["tcp", "--no-csv", "--fast=1"])).is_err());
+    }
+
+    #[test]
+    fn ids_and_flags_parse_in_any_order() {
+        let expected = Args {
+            fast: true,
+            no_csv: true,
+            figs: args(&["tcp", "fig3"]),
+        };
+        for words in [
+            ["--fast", "--no-csv", "tcp", "fig3"],
+            ["tcp", "--fast", "fig3", "--no-csv"],
+            ["tcp", "fig3", "--no-csv", "--fast"],
+        ] {
+            assert_eq!(parse_args(&args(&words)).as_ref(), Ok(&expected));
+        }
+        let plain = parse_args(&args(&["all"])).unwrap();
+        assert!(!plain.fast && !plain.no_csv);
+        assert_eq!(plain.figs, args(&["all"]));
     }
 }

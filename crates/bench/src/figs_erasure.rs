@@ -36,7 +36,6 @@ use crate::figs_tcp::{tcp_queries, MAX_IN_FLIGHT};
 use crate::{Scale, Table};
 use erasure::{StripedBackend, StripedClient, StripedConfig};
 use hedge::harness::{Arrivals, Cluster, LoadConfig, LoadReport};
-use hedge::rt::Runtime;
 use hedge::{CancellationStyle, HedgeConfig, HedgedClient, TcpServerConfig};
 use kvstore::{Command, KvStore};
 use reissue_core::kofn::{budgets_match, bytes_per_query, fragment_budget};
@@ -129,12 +128,8 @@ fn server_config() -> TcpServerConfig {
     }
 }
 
-/// One replica-arm run: `N_SLOTS` full copies behind a hedged client
-/// on a figure-lifetime runtime (losers drain after teardown; the
-/// caller's runtime clone keeps the workers alive past the last
-/// client-held clone).
+/// One replica-arm run: `N_SLOTS` full copies behind a hedged client.
 fn run_replica_arm(
-    rt: &Runtime,
     queries: usize,
     util: f64,
     policy: ReissuePolicy,
@@ -153,8 +148,7 @@ fn run_replica_arm(
     ));
     let backend = StripedBackend::new(store, BYTES_PER_UNIT);
     let cluster = Cluster::spawn_with(N_SLOTS, &backend, server_config()).expect("bind replicas");
-    let client = HedgedClient::connect_with_runtime(
-        rt.clone(),
+    let client = HedgedClient::connect(
         &cluster.addrs(),
         HedgeConfig {
             policy,
@@ -182,7 +176,6 @@ fn run_replica_arm(
 /// the k-of-n client. Also returns the censored-pair count — evidence
 /// the tied retraction path ran.
 fn run_fragment_arm(
-    rt: &Runtime,
     queries: usize,
     util: f64,
     policy: ReissuePolicy,
@@ -198,8 +191,7 @@ fn run_fragment_arm(
     group
         .seed(b"ec:monster", &value(usize::MAX, MONSTER_LEN))
         .expect("seed monster stripe");
-    let client = StripedClient::connect_with_runtime(
-        rt.clone(),
+    let client = StripedClient::connect(
         &group.addrs(),
         StripedConfig {
             k: K_DATA,
@@ -230,11 +222,6 @@ fn p99(report: &LoadReport) -> f64 {
 pub fn figtcp_erasure(scale: Scale) -> Vec<Table> {
     let queries = tcp_queries(scale);
     let q_frag_cap = fragment_budget(RATE, K_DATA);
-    // One runtime per arm for the whole figure: loser drains can
-    // outlive their client, and the last runtime clone must not drop
-    // on one of its own workers.
-    let replica_rt = Runtime::new(4);
-    let frag_rt = Runtime::new(4);
     let mut t = Table::new(
         "figtcp_erasure",
         &[
@@ -255,22 +242,18 @@ pub fn figtcp_erasure(scale: Scale) -> Vec<Table> {
         // Per-arm delay calibration from each arm's own unhedged
         // median: the timer fires on every straggler (q = 1) and the
         // governor admits the first RATE (resp. k·RATE) per query.
-        let (replica_base, _) =
-            run_replica_arm(&replica_rt, queries, util, ReissuePolicy::None, None);
-        let (frag_base, _, _) =
-            run_fragment_arm(&frag_rt, queries, util, ReissuePolicy::None, None);
+        let (replica_base, _) = run_replica_arm(queries, util, ReissuePolicy::None, None);
+        let (frag_base, _, _) = run_fragment_arm(queries, util, ReissuePolicy::None, None);
         let d_replica = replica_base.quantile(0.50).unwrap_or(1.0).max(0.05);
         let d_frag = frag_base.quantile(0.50).unwrap_or(1.0).max(0.05);
 
         let (replica, replica_rate) = run_replica_arm(
-            &replica_rt,
             queries,
             util,
             ReissuePolicy::single_r(d_replica, 1.0),
             Some(RATE),
         );
         let (frag, frag_rate, frag_censored) = run_fragment_arm(
-            &frag_rt,
             queries,
             util,
             ReissuePolicy::single_r(d_frag, 1.0),

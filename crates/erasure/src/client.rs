@@ -90,8 +90,7 @@ pub struct StripedConfig {
     pub budget_cap: Option<f64>,
     /// TCP connections per replica.
     pub pool_per_replica: usize,
-    /// Executor worker threads (ignored by
-    /// [`StripedClient::connect_with_runtime`]).
+    /// Worker threads of the runtime [`StripedClient::connect`] starts.
     pub workers: usize,
     /// Seed for the reissue coin flips.
     pub seed: u64,
@@ -161,16 +160,6 @@ impl StripedClient {
     /// Connects to the `n` fragment replicas (`addrs[i]` serves slot
     /// `i`) and starts a fresh runtime.
     pub fn connect(addrs: &[SocketAddr], cfg: StripedConfig) -> std::io::Result<StripedClient> {
-        let rt = Runtime::new(cfg.workers);
-        Self::connect_with_runtime(rt, addrs, cfg)
-    }
-
-    /// Connects on an existing runtime.
-    pub fn connect_with_runtime(
-        rt: Runtime,
-        addrs: &[SocketAddr],
-        cfg: StripedConfig,
-    ) -> std::io::Result<StripedClient> {
         let n = addrs.len();
         let invalid = |why: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, why);
         if cfg.k == 0 || n < cfg.k {
@@ -198,7 +187,7 @@ impl StripedClient {
         };
         Ok(StripedClient {
             inner: Arc::new(ScInner {
-                core: Core::connect(rt, addrs, hedge_cfg)?,
+                core: Core::connect(Runtime::new(cfg.workers), addrs, hedge_cfg)?,
                 k: cfg.k,
                 n,
                 decodes_with_parity: AtomicU64::new(0),

@@ -20,9 +20,10 @@
 //!   holds, which is what keeps an over-capacity run from deadlocking
 //!   or eating the heap);
 //! * a **streaming latency recorder** — per-query wall-clock latencies
-//!   land in a shared [`LogHistogram`] (log-bucketed, 1% relative
-//!   quantile error, constant memory), so a million-query sweep costs
-//!   a few hundred counters instead of a sorted `Vec` per quantile.
+//!   land in their segment's [`LogHistogram`] (log-bucketed, 1%
+//!   relative quantile error, constant memory, merged into the run's
+//!   at the end), so a million-query sweep costs a few hundred
+//!   counters instead of a sorted `Vec` per quantile.
 //!
 //! Completion accounting is exact: every dispatched query resolves as
 //! either `completed` or `failed`, and [`LoadReport::lost`] — the
@@ -475,11 +476,6 @@ pub fn run_open_loop<C: LoadClient>(
         in_flight: AtomicUsize::new(0),
         peak_in_flight: AtomicUsize::new(0),
         offered: AtomicU64::new(0),
-        dispatched: AtomicU64::new(0),
-        dropped: AtomicU64::new(0),
-        completed: AtomicU64::new(0),
-        failed: AtomicU64::new(0),
-        latency_ms: Mutex::new(LogHistogram::latency_ms()),
     });
     // Segment boundaries: every rate-script index strictly inside
     // the run opens a new segment (one segment when the script is
@@ -541,13 +537,11 @@ pub fn run_open_loop<C: LoadClient>(
                 // either way; only the dispatch is conditional.
                 let outstanding = shared.in_flight.load(Ordering::Relaxed);
                 if outstanding >= max_in_flight {
-                    shared.dropped.fetch_add(1, Ordering::Relaxed);
                     segs[cur_seg].dropped.fetch_add(1, Ordering::Relaxed);
                 } else {
                     let now = outstanding + 1;
                     shared.in_flight.fetch_add(1, Ordering::Relaxed);
                     shared.peak_in_flight.fetch_max(now, Ordering::Relaxed);
-                    shared.dispatched.fetch_add(1, Ordering::Relaxed);
                     segs[cur_seg].dispatched.fetch_add(1, Ordering::Relaxed);
                     // Latency clock starts at admission, not at the
                     // completion task's first poll: the time a
@@ -565,13 +559,10 @@ pub fn run_open_loop<C: LoadClient>(
                         match fut.await {
                             Ok(_) => {
                                 let ms = t0.elapsed().as_secs_f64() * 1e3;
-                                shared.latency_ms.lock().unwrap().record(ms);
-                                shared.completed.fetch_add(1, Ordering::Relaxed);
                                 segs[seg].latency_ms.lock().unwrap().record(ms);
                                 segs[seg].completed.fetch_add(1, Ordering::Relaxed);
                             }
                             Err(_) => {
-                                shared.failed.fetch_add(1, Ordering::Relaxed);
                                 segs[seg].failed.fetch_add(1, Ordering::Relaxed);
                             }
                         }
@@ -639,8 +630,12 @@ pub fn run_open_loop<C: LoadClient>(
     // error), so this terminates once the slowest straggler —
     // monster service times included — finishes.
     loop {
-        let done = shared.completed.load(Ordering::Relaxed) + shared.failed.load(Ordering::Relaxed);
-        if done >= shared.dispatched.load(Ordering::Relaxed) {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let done: u64 = segs
+            .iter()
+            .map(|s| load(&s.completed) + load(&s.failed))
+            .sum();
+        if done >= segs.iter().map(|s| load(&s.dispatched)).sum() {
             break;
         }
         std::thread::sleep(Duration::from_millis(2));
@@ -680,12 +675,17 @@ pub fn run_open_loop<C: LoadClient>(
         })
         .collect();
 
-    let latency_ms = shared.latency_ms.lock().unwrap().clone();
+    // The run's counters and latencies are its segments', summed.
+    let mut latency_ms = LogHistogram::latency_ms();
+    for s in &segments {
+        latency_ms.merge(&s.latency_ms);
+    }
+    let sum = |count: fn(&SegmentReport) -> u64| segments.iter().map(count).sum();
     LoadReport {
-        dispatched: shared.dispatched.load(Ordering::Relaxed),
-        dropped: shared.dropped.load(Ordering::Relaxed),
-        completed: shared.completed.load(Ordering::Relaxed),
-        failed: shared.failed.load(Ordering::Relaxed),
+        dispatched: sum(|s| s.dispatched),
+        dropped: sum(|s| s.dropped),
+        completed: sum(|s| s.completed),
+        failed: sum(|s| s.failed),
         peak_in_flight: shared.peak_in_flight.load(Ordering::Relaxed),
         elapsed: started.elapsed(),
         latency_ms,
@@ -699,15 +699,11 @@ struct RunShared {
     /// Arrivals offered so far (dispatched + dropped) — the script
     /// clock.
     offered: AtomicU64,
-    dispatched: AtomicU64,
-    dropped: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    latency_ms: Mutex<LogHistogram>,
 }
 
-/// Per-segment slice of [`RunShared`]; indexed by the dispatch-time
-/// segment so stragglers land in the segment that offered them.
+/// A segment's counters, the only ones a run keeps (the report's are
+/// their sums); indexed by the dispatch-time segment so stragglers land
+/// in the segment that offered them.
 struct SegShared {
     dispatched: AtomicU64,
     dropped: AtomicU64,

@@ -86,7 +86,6 @@ pub fn compute_optimal_single_r(rx: &[f64], ry: &[f64], k: f64, budget: f64) -> 
     let mut ys = ry.to_vec();
     ys.sort_by(f64::total_cmp);
 
-    let n = xs.len();
     let mut cx_t = FingerCursor::new(&xs); // Pr(X ≤ t): t non-increasing
     let mut cx_d = FingerCursor::new(&xs); // Pr(X > d): d non-decreasing
     let mut cy = FingerCursor::new(&ys); //   Pr(Y ≤ t−d): t−d non-increasing
@@ -94,7 +93,7 @@ pub fn compute_optimal_single_r(rx: &[f64], ry: &[f64], k: f64, budget: f64) -> 
     // SingleRSuccessRate (Figure 1, lines 15–20), with q clamped to 1:
     // for d beyond the B-quantile the un-clamped q = B/Pr(X>d) exceeds 1,
     // which would credit the policy with more reissues than exist.
-    let mut success = |t: f64, d: f64| -> f64 {
+    let success = |t: f64, d: f64| -> f64 {
         let p_x_le_t = cx_t.cdf(t);
         let p_x_gt_d = 1.0 - cx_d.cdf(d);
         let p_y = cy.cdf(t - d);
@@ -105,7 +104,22 @@ pub fn compute_optimal_single_r(rx: &[f64], ry: &[f64], k: f64, budget: f64) -> 
         };
         p_x_le_t + q * (1.0 - p_x_le_t) * p_y
     };
+    sweep(&xs, k, budget, success)
+}
 
+/// The search both optimizer variants share (Figure 1, lines 1–13)
+/// over the sorted primaries `xs`: sweep the delay `d` upward while the
+/// tail latency `t` sweeps downward as long as `success(t, d)` stays
+/// above `k`, then report the policy at the final `(d*, t)`. The
+/// variants differ only in `success`, whose cursors rely on `t` never
+/// rising and `d` never falling during the sweep.
+fn sweep(
+    xs: &[f64],
+    k: f64,
+    budget: f64,
+    mut success: impl FnMut(f64, f64) -> f64,
+) -> OptimalSingleR {
+    let n = xs.len();
     // Lines 1–3: trivial starting policy.
     let mut lo = 0usize; // index of min{Q}
     let mut hi = n - 1; // index of max{Q} / current t
@@ -132,19 +146,7 @@ pub fn compute_optimal_single_r(rx: &[f64], ry: &[f64], k: f64, budget: f64) -> 
         }
     }
 
-    finish(&xs, k, budget, d_star, t, &mut |t, d| success(t, d))
-}
-
-/// Shared tail of both optimizer variants: computes the returned policy
-/// record for the final `(d*, t)`.
-fn finish(
-    xs: &[f64],
-    _k: f64,
-    budget: f64,
-    d_star: f64,
-    t: f64,
-    success: &mut dyn FnMut(f64, f64) -> f64,
-) -> OptimalSingleR {
+    // Line 13 and the returned record.
     let ecdf = Ecdf::from_sorted(xs.to_vec());
     let outstanding = ecdf.sf_weak(d_star);
     let probability = if budget <= 0.0 {
@@ -205,7 +207,6 @@ pub fn compute_optimal_single_r_correlated(
 
     let mut xs = rx.to_vec();
     xs.sort_by(f64::total_cmp);
-    let n = xs.len();
 
     // Pairs sorted by primary time descending: as t decreases, pairs
     // whose tx > t are activated in order.
@@ -221,7 +222,7 @@ pub fn compute_optimal_single_r_correlated(
     let mut cx_t = FingerCursor::new(&xs);
     let mut cx_d = FingerCursor::new(&xs);
 
-    let mut success = |t: f64, d: f64| -> f64 {
+    let success = |t: f64, d: f64| -> f64 {
         let p_x_le_t = cx_t.cdf(t);
         let p_x_gt_d = 1.0 - cx_d.cdf(d);
         // Activate pairs with tx > t. t is non-increasing across all
@@ -246,31 +247,7 @@ pub fn compute_optimal_single_r_correlated(
         };
         p_x_le_t + q * (1.0 - p_x_le_t) * p_y
     };
-
-    let mut lo = 0usize;
-    let mut hi = n - 1;
-    let mut d_star = xs[0];
-    let mut t = xs[n - 1];
-
-    while lo <= hi {
-        let d = xs[lo];
-        lo += 1;
-        if d > t {
-            break;
-        }
-        let mut alpha = success(t, d);
-        while alpha > k && t > d && hi > 0 {
-            hi -= 1;
-            t = xs[hi];
-            d_star = d;
-            alpha = success(t, d);
-        }
-        if lo > hi {
-            break;
-        }
-    }
-
-    finish(&xs, k, budget, d_star, t, &mut |t, d| success(t, d))
+    sweep(&xs, k, budget, success)
 }
 
 /// Predicts the `k`-th percentile tail latency of a *given* SingleR

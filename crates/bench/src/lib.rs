@@ -11,8 +11,9 @@
 //! ```
 //!
 //! Output: an aligned table per series on stdout and a CSV per table in
-//! `target/figures/`. `--fast` shrinks run lengths ~10× for smoke
-//! testing.
+//! `target/figures/`. `--fast` ([`Scale::Fast`]) is the only size
+//! setting: simulator runs ~10× shorter, TCP figures at 400 queries per
+//! phase instead of 6 000.
 
 #![forbid(unsafe_code)]
 

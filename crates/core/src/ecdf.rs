@@ -2,6 +2,19 @@
 
 use distributions::Cdf;
 
+/// `|{x ∈ sorted : x < t}| / |sorted|`: the paper's `DiscreteCDF` over
+/// a non-empty ascending slice.
+pub(crate) fn strict_cdf(sorted: &[f64], t: f64) -> f64 {
+    sorted.partition_point(|&x| x < t) as f64 / sorted.len() as f64
+}
+
+/// Nearest-rank `p`-quantile of a non-empty ascending slice,
+/// `p ∈ [0, 1]`.
+pub(crate) fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
+    let n = sorted.len();
+    sorted[((p * n as f64).ceil() as usize).clamp(1, n) - 1]
+}
+
 /// An empirical CDF over response-time samples.
 ///
 /// Implements the paper's `DiscreteCDF(R, t) = |{x ∈ R : x < t}| / |R|`
@@ -77,7 +90,7 @@ impl Ecdf {
 
     /// `Pr(X < t)` — the paper's `DiscreteCDF`.
     pub fn cdf_strict(&self, t: f64) -> f64 {
-        self.sorted.partition_point(|&x| x < t) as f64 / self.sorted.len() as f64
+        strict_cdf(&self.sorted, t)
     }
 
     /// `Pr(X ≥ t) = 1 − DiscreteCDF(t)`.
@@ -91,9 +104,7 @@ impl Ecdf {
     /// Panics if `p ∉ [0, 1]`.
     pub fn quantile(&self, p: f64) -> f64 {
         assert!((0.0..=1.0).contains(&p), "quantile p out of range: {p}");
-        let n = self.sorted.len();
-        let rank = ((p * n as f64).ceil() as usize).clamp(1, n) - 1;
-        self.sorted[rank]
+        nearest_rank(&self.sorted, p)
     }
 
     /// Sample mean.

@@ -10,9 +10,7 @@ pub fn quantile(xs: &[f64], p: f64) -> f64 {
     assert!((0.0..=1.0).contains(&p), "p out of range: {p}");
     let mut v = xs.to_vec();
     v.sort_by(f64::total_cmp);
-    let n = v.len();
-    let rank = ((p * n as f64).ceil() as usize).clamp(1, n) - 1;
-    v[rank]
+    crate::ecdf::nearest_rank(&v, p)
 }
 
 /// The paper's *remediation rate* (§5.1, Figure 3b): among queries that

@@ -4,9 +4,9 @@
 //! Production response-time distributions move on hourly/daily cycles.
 //! §4.3's batch loop re-optimizes between full runs; this module keeps
 //! the policy fresh *while the system serves traffic*: response times
-//! stream in, a sliding window holds the last `window` observations in
-//! order-statistic treaps (so quantiles and CDF evaluations stay
-//! `O(log n)` under churn), and every `reoptimize_every` completed
+//! stream in, a sliding window holds the last `window` observations
+//! both in arrival order and sorted (so a CDF evaluation is one binary
+//! search and a quantile one index), and every `reoptimize_every` completed
 //! observations the SingleR parameters are recomputed from the window
 //! with the same learning-rate damping as the batch loop.
 //!
@@ -92,11 +92,11 @@
 //! ```
 
 use crate::censored::{complete_pairs_with, KaplanMeier, Obs};
+use crate::ecdf::{nearest_rank, strict_cdf};
 use crate::load::LoadShaper;
 use crate::optimizer::{
     compute_optimal_single_r, compute_optimal_single_r_correlated, OptimalSingleR,
 };
-use rangequery::Treap;
 use std::collections::VecDeque;
 
 /// Recent-sample count the regime-shift detector inspects (and the
@@ -163,13 +163,45 @@ pub enum ReissueOutcome {
     Censored(f64),
 }
 
+/// One marginal window: its samples in arrival order (for eviction)
+/// and the same samples ascending (for the CDF and quantile probes).
+#[derive(Clone, Debug, Default)]
+struct Window {
+    order: VecDeque<f64>,
+    sorted: Vec<f64>,
+}
+
+impl Window {
+    fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Appends `v` and evicts the oldest samples past `cap`.
+    fn push(&mut self, v: f64, cap: usize) {
+        let at = self.sorted.partition_point(|&x| x < v);
+        self.sorted.insert(at, v);
+        self.order.push_back(v);
+        self.truncate(cap);
+    }
+
+    /// Evicts the oldest samples until at most `cap` remain.
+    fn truncate(&mut self, cap: usize) {
+        while self.order.len() > cap {
+            let old = self.order.pop_front().unwrap();
+            let at = self.sorted.partition_point(|&x| x < old);
+            self.sorted.remove(at);
+        }
+    }
+}
+
 /// Streaming SingleR policy maintenance over a sliding window.
 ///
-/// The window lives in two [`Treap`]s (primary and reissue response
-/// times) plus eviction queues, so inserts, evictions and the quantile
-/// probes the optimizer needs are all logarithmic; raced hedges
+/// The primary and reissue response times each live in a window kept
+/// in arrival order and sorted: an insert or eviction is a binary
+/// search plus a shift of the sorted vector, the optimizer's CDF probe
+/// is a binary search and a quantile is an index. Raced hedges
 /// additionally land in a bounded pair window with per-side censoring.
-/// Re-optimization extracts the windows as sorted vectors (`O(w)`) and
+/// Re-optimization reads the sorted windows directly and
 /// runs `ComputeOptimalSingleR` — the §4.2 correlated variant once
 /// [`OnlineConfig::min_pairs`] censored-completed pairs are available,
 /// the §4.1 independent variant before that — then moves the live delay
@@ -177,10 +209,8 @@ pub enum ReissueOutcome {
 #[derive(Clone, Debug)]
 pub struct OnlineAdapter {
     cfg: OnlineConfig,
-    primary: Treap,
-    primary_order: VecDeque<f64>,
-    reissue: Treap,
-    reissue_order: VecDeque<f64>,
+    primary: Window,
+    reissue: Window,
     pairs: VecDeque<(Obs, Obs)>,
     censored_in_window: usize,
     seen_since_opt: usize,
@@ -217,10 +247,8 @@ impl OnlineAdapter {
         }
         OnlineAdapter {
             cfg,
-            primary: Treap::new(0xA11CE),
-            primary_order: VecDeque::with_capacity(cfg.window + 1),
-            reissue: Treap::new(0xB0B),
-            reissue_order: VecDeque::with_capacity(cfg.window + 1),
+            primary: Window::default(),
+            reissue: Window::default(),
             pairs: VecDeque::new(),
             censored_in_window: 0,
             seen_since_opt: 0,
@@ -238,7 +266,7 @@ impl OnlineAdapter {
     /// Records a completed primary request's response time.
     pub fn observe_primary(&mut self, response: f64) {
         assert!(response.is_finite(), "response must be finite");
-        self.push_primary(response);
+        self.primary.push(response, self.cfg.window);
         self.note_observation();
     }
 
@@ -246,7 +274,7 @@ impl OnlineAdapter {
     /// from its own dispatch).
     pub fn observe_reissue(&mut self, response: f64) {
         assert!(response.is_finite(), "response must be finite");
-        self.push_reissue(response);
+        self.reissue.push(response, self.cfg.window);
         self.note_observation();
     }
 
@@ -265,7 +293,7 @@ impl OnlineAdapter {
         let y = match reissue {
             ReissueOutcome::Completed(v) => {
                 assert!(v.is_finite(), "response must be finite");
-                self.push_reissue(v);
+                self.reissue.push(v, self.cfg.window);
                 Obs::Exact(v)
             }
             ReissueOutcome::Censored(lb) => {
@@ -273,7 +301,7 @@ impl OnlineAdapter {
                 Obs::Censored(lb.max(0.0))
             }
         };
-        self.push_primary(primary_ms);
+        self.primary.push(primary_ms, self.cfg.window);
         self.push_pair(Obs::Exact(primary_ms), y);
         self.note_observation();
     }
@@ -295,30 +323,12 @@ impl OnlineAdapter {
             primary_lower_bound_ms.is_finite() && reissue_ms.is_finite(),
             "response must be finite"
         );
-        self.push_reissue(reissue_ms);
+        self.reissue.push(reissue_ms, self.cfg.window);
         self.push_pair(
             Obs::Censored(primary_lower_bound_ms.max(0.0)),
             Obs::Exact(reissue_ms),
         );
         self.note_observation();
-    }
-
-    fn push_primary(&mut self, response: f64) {
-        self.primary.insert(response);
-        self.primary_order.push_back(response);
-        if self.primary_order.len() > self.cfg.window {
-            let old = self.primary_order.pop_front().unwrap();
-            self.primary.remove(old);
-        }
-    }
-
-    fn push_reissue(&mut self, response: f64) {
-        self.reissue.insert(response);
-        self.reissue_order.push_back(response);
-        if self.reissue_order.len() > self.cfg.window {
-            let old = self.reissue_order.pop_front().unwrap();
-            self.reissue.remove(old);
-        }
     }
 
     fn push_pair(&mut self, x: Obs, y: Obs) {
@@ -342,7 +352,7 @@ impl OnlineAdapter {
         let mut x_obs: Vec<Obs> = rx.iter().map(|&v| Obs::Exact(v)).collect();
         x_obs.extend(pairs.iter().map(|p| p.0).filter(|o| o.is_censored()));
         let km_x = KaplanMeier::fit(&x_obs);
-        let mut y_obs: Vec<Obs> = self.reissue_order.iter().map(|&v| Obs::Exact(v)).collect();
+        let mut y_obs: Vec<Obs> = self.reissue.order.iter().map(|&v| Obs::Exact(v)).collect();
         y_obs.extend(pairs.iter().map(|p| p.1).filter(|o| o.is_censored()));
         let km_y = KaplanMeier::fit(&y_obs);
         complete_pairs_with(&km_x, &km_y, pairs)
@@ -352,7 +362,7 @@ impl OnlineAdapter {
     fn note_observation(&mut self) {
         self.seen_since_opt += 1;
         if self.seen_since_opt >= self.cfg.reoptimize_every
-            && self.primary_order.len() >= self.cfg.window.min(64)
+            && self.primary.len() >= self.cfg.window.min(64)
         {
             self.reoptimize();
             self.seen_since_opt = 0;
@@ -367,16 +377,14 @@ impl OnlineAdapter {
     /// check per side — robust even to strongly bimodal workloads,
     /// where a location-based (median-ratio) detector false-trips.
     fn detect_shift(&self) -> bool {
-        if self.primary_order.len() < 2 * SHIFT_RECENT {
+        if self.primary.len() < 2 * SHIFT_RECENT {
             return false;
         }
-        let (Some(hi), Some(lo)) = (self.primary.quantile(0.75), self.primary.quantile(0.25))
-        else {
-            return false;
-        };
+        let hi = nearest_rank(&self.primary.sorted, 0.75);
+        let lo = nearest_rank(&self.primary.sorted, 0.25);
         let mut above = 0usize;
         let mut below = 0usize;
-        for &v in self.primary_order.iter().rev().take(SHIFT_RECENT) {
+        for &v in self.primary.order.iter().rev().take(SHIFT_RECENT) {
             if v > hi {
                 above += 1;
             } else if v < lo {
@@ -391,14 +399,8 @@ impl OnlineAdapter {
     /// window is cleared outright (Kaplan–Meier completion against
     /// stale marginals would impute the old regime back in).
     fn reset_window_to_recent(&mut self) {
-        while self.primary_order.len() > SHIFT_RECENT {
-            let old = self.primary_order.pop_front().unwrap();
-            self.primary.remove(old);
-        }
-        while self.reissue_order.len() > SHIFT_RECENT {
-            let old = self.reissue_order.pop_front().unwrap();
-            self.reissue.remove(old);
-        }
+        self.primary.truncate(SHIFT_RECENT);
+        self.reissue.truncate(SHIFT_RECENT);
         self.pairs.clear();
         self.censored_in_window = 0;
         self.shift_resets += 1;
@@ -409,7 +411,6 @@ impl OnlineAdapter {
         if shifted {
             self.reset_window_to_recent();
         }
-        let mut rx = self.primary.to_sorted_vec();
         let opt = if self.pairs.len() >= self.cfg.min_pairs.max(2) {
             // §4.2 path: complete the censored pairs Kaplan–Meier-style
             // and price the joint structure into the policy.
@@ -424,6 +425,7 @@ impl OnlineAdapter {
             // latency of stragglers that were never hedged (the
             // q-coin spares most of them), so pooling restores the
             // deep tail the imputation needs.
+            let mut rx = self.primary.sorted.clone();
             let pairs: Vec<(Obs, Obs)> = self.pairs.iter().copied().collect();
             let completed = self.complete_with_marginals(&pairs, &rx);
             // Censored primaries (reissue-won races whose primary was
@@ -452,13 +454,14 @@ impl OnlineAdapter {
             // §4.1 fallback: with no reissue observations yet, treat
             // reissues as exchangeable with primaries (the batch loop's
             // fallback).
+            let rx = &self.primary.sorted;
             let ry = if self.reissue.len() >= 16 {
-                self.reissue.to_sorted_vec()
+                &self.reissue.sorted
             } else {
-                rx.clone()
+                rx
             };
             self.used_correlated = false;
-            compute_optimal_single_r(&rx, &ry, self.cfg.k, self.effective_budget())
+            compute_optimal_single_r(rx, ry, self.cfg.k, self.effective_budget())
         };
         // Damped update, as in §4.3 — except after a shift reset,
         // where damping toward the *old* regime's delay is exactly the
@@ -478,7 +481,7 @@ impl OnlineAdapter {
     /// current window and delay.
     fn refresh_probability(&mut self) {
         let budget = self.effective_budget();
-        let outstanding = 1.0 - self.primary.cdf(self.delay);
+        let outstanding = 1.0 - strict_cdf(&self.primary.sorted, self.delay);
         let q_budget = if budget <= 0.0 {
             0.0
         } else if outstanding > 0.0 {
@@ -548,10 +551,10 @@ impl OnlineAdapter {
     /// (delay/probability are the *live, damped* values; predictions
     /// come from the last re-optimization).
     pub fn policy(&self) -> OptimalSingleR {
-        let outstanding = if self.primary.is_empty() {
+        let outstanding = if self.primary.sorted.is_empty() {
             0.0
         } else {
-            1.0 - self.primary.cdf(self.delay)
+            1.0 - strict_cdf(&self.primary.sorted, self.delay)
         };
         OptimalSingleR {
             delay: self.delay,
@@ -563,9 +566,11 @@ impl OnlineAdapter {
         }
     }
 
-    /// Current window quantile of primary response times, `O(log n)`.
+    /// Current window quantile of primary response times (nearest
+    /// rank), `O(1)`; `None` for an empty window or `p ∉ [0, 1]`.
     pub fn window_quantile(&self, p: f64) -> Option<f64> {
-        self.primary.quantile(p)
+        let sorted = &self.primary.sorted;
+        (!sorted.is_empty() && (0.0..=1.0).contains(&p)).then(|| nearest_rank(sorted, p))
     }
 
     /// Number of re-optimizations performed.
@@ -587,7 +592,7 @@ impl OnlineAdapter {
 
     /// Observations currently held in the primary window.
     pub fn window_len(&self) -> usize {
-        self.primary_order.len()
+        self.primary.len()
     }
 
     /// Raced pairs currently held in the pair window.

@@ -16,13 +16,9 @@
 //!   monotone) 2-D dominance counts `|{ i : xᵢ > qx ∧ yᵢ ≤ qy }|` in
 //!   `O(log² n)`, the general-purpose orthogonal range query structure
 //!   referenced in §4.2 of the paper.
-//! * [`Treap`] — a randomized balanced BST with order statistics, used as a
-//!   *dynamic* empirical CDF (online insertions + rank/quantile queries) by
-//!   the adaptive optimizer.
 //!
-//! All structures are deterministic given their inputs (the treap takes an
-//! explicit seed) and are validated against brute-force oracles by unit and
-//! property tests.
+//! All structures are deterministic given their inputs and are validated
+//! against brute-force oracles by unit and property tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,12 +26,10 @@
 mod fenwick;
 mod finger;
 mod merge_sort_tree;
-mod treap;
 
 pub use fenwick::FenwickTree;
 pub use finger::FingerCursor;
 pub use merge_sort_tree::MergeSortTree;
-pub use treap::Treap;
 
 /// Counts elements of a sorted slice strictly less than `v`.
 ///

@@ -10,8 +10,8 @@
 //! # Pinning model
 //!
 //! The executor is sharded thread-per-core: every worker thread owns a
-//! private run queue, a private condvar, and a private hashed timer
-//! wheel. Each task is assigned an **owner** worker at spawn time and
+//! private run queue, a private condvar, and a private deadline-sorted
+//! timer queue. Each task is assigned an **owner** worker at spawn time and
 //! stays pinned to it for life:
 //!
 //! - **Wakes are pinned.** A completion (oneshot send, cancel, timer
@@ -20,12 +20,14 @@
 //!   reply therefore wakes the core that owns the requesting task —
 //!   there is no global queue for every waker to contend on.
 //! - **Timers are pinned.** [`Runtime::sleep`] arms an entry in the
-//!   wheel of the worker polling the sleeping task (falling back to
-//!   the sleep's home worker when polled off-runtime, e.g. under
-//!   [`Runtime::block_on`]). Workers drive their own wheels between
+//!   timer queue of the worker polling the sleeping task (falling back
+//!   to the sleep's home worker when polled off-runtime, e.g. under
+//!   [`Runtime::block_on`]). Workers drive their own timers between
 //!   queue pops — there is no dedicated timer thread and no global
-//!   `Mutex<BinaryHeap>`; arming is a single hashed-slot push, O(1),
-//!   observable via [`Runtime::timer_insert_ops`].
+//!   `Mutex<BinaryHeap>`. Arming inserts at the deadline's sorted
+//!   position, an append when deadlines arrive in order (a query arms
+//!   one reissue timer, `d` after its dispatch), and allocates nothing
+//!   once the queue has reached its working size.
 //! - **Stealing is the fallback, not the fast path.** Only when a
 //!   spawn finds its round-robin-assigned owner's queue backed up past
 //!   `SPAWN_QUEUE_DEPTH` does the task go to the shared overflow
@@ -67,14 +69,8 @@ const TASK_NOTIFIED: u8 = 3;
 /// an idle worker can steal its first poll.
 const SPAWN_QUEUE_DEPTH: usize = 128;
 
-/// Timer wheel geometry: 64 hashed slots at 1ms ticks. A deadline
-/// hashes to slot `tick % 64`; entries carry their exact deadline so
-/// collisions across rotations are resolved by comparison at expiry.
-const WHEEL_SLOTS: u64 = 64;
-const TICK_MICROS: u64 = 1_000;
-
 // Which worker (of which runtime) the current thread is. Lets
-// `Sleep::poll` arm the wheel of the core actually polling the task,
+// `Sleep::poll` arm the timers of the core actually polling the task,
 // and `spawn` detect on-runtime spawns. The pointer is only ever
 // *compared* (never dereferenced); worker threads outlive their
 // runtime handle, so a stale pointer cannot alias a live runtime.
@@ -195,104 +191,40 @@ impl<T: Send + 'static> Runnable for Task<T> {
     }
 }
 
-/// A hashed timer wheel: arming is one Vec push into the slot the
-/// deadline's tick hashes to — O(1), no reheapify — counted in
-/// `insert_ops` so tests can assert the cost rather than inspect it.
-struct TimerWheel {
-    slots: Vec<Vec<(Instant, Waker)>>,
-    epoch: Instant,
-    /// First tick not yet fully processed by `expire`.
-    cursor: u64,
-    len: usize,
-    /// Cached minimum deadline (None when empty); gives workers their
-    /// `wait_timeout` bound without scanning slots.
-    earliest: Option<Instant>,
-    insert_ops: u64,
-}
+/// One worker's timers, ascending by deadline (ties in arming
+/// order). The storage is reused, so arming allocates nothing once
+/// warm.
+#[derive(Default)]
+struct Timers(VecDeque<(Instant, Waker)>);
 
-impl TimerWheel {
-    fn new() -> Self {
-        TimerWheel {
-            slots: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
-            epoch: Instant::now(),
-            cursor: 0,
-            len: 0,
-            earliest: None,
-            insert_ops: 0,
-        }
-    }
-
-    fn tick_of(&self, t: Instant) -> u64 {
-        (t.saturating_duration_since(self.epoch).as_micros() as u64) / TICK_MICROS
-    }
-
-    /// Arms `waker` to fire at `deadline`. Returns whether the wheel's
-    /// minimum moved earlier (the caller must then re-signal the
+impl Timers {
+    /// Arms `waker` to fire at `deadline`. Returns whether it is the
+    /// new earliest deadline (the caller must then re-signal the
     /// owning worker so its `wait_timeout` shortens).
     fn arm(&mut self, deadline: Instant, waker: Waker) -> bool {
-        // Past deadlines land in the cursor tick: fired next expiry.
-        let tick = self.tick_of(deadline).max(self.cursor);
-        let slot = (tick % WHEEL_SLOTS) as usize;
-        self.slots[slot].push((deadline, waker));
-        self.len += 1;
-        self.insert_ops += 1;
-        let new_min = self.earliest.is_none_or(|e| deadline < e);
-        if new_min {
-            self.earliest = Some(deadline);
-        }
-        new_min
+        let at = self.0.partition_point(|(d, _)| *d <= deadline);
+        self.0.insert(at, (deadline, waker));
+        at == 0
     }
 
     fn next_deadline(&self) -> Option<Instant> {
-        self.earliest
+        self.0.front().map(|(d, _)| *d)
     }
 
-    /// Moves every entry with `deadline <= now` into `due`, sorted by
-    /// deadline — so waking in `due` order fires timers in schedule
-    /// order even when slot hashing interleaved their storage.
+    /// Moves every entry with `deadline <= now` into `due`, in
+    /// deadline order: the due prefix.
     fn expire(&mut self, now: Instant, due: &mut Vec<(Instant, Waker)>) {
-        let now_tick = self.tick_of(now);
-        if self.len == 0 {
-            self.cursor = now_tick;
-            return;
-        }
-        if self.earliest.is_some_and(|e| e > now) {
-            return;
-        }
-        // Sweep the ticks the cursor has fallen behind by; once a full
-        // rotation behind, one pass over all slots covers everything.
-        let span = (now_tick.saturating_sub(self.cursor) + 1).min(WHEEL_SLOTS);
-        let start = due.len();
-        for i in 0..span {
-            let slot = ((self.cursor + i) % WHEEL_SLOTS) as usize;
-            let entries = &mut self.slots[slot];
-            let mut j = 0;
-            while j < entries.len() {
-                if entries[j].0 <= now {
-                    due.push(entries.swap_remove(j));
-                    self.len -= 1;
-                } else {
-                    j += 1;
-                }
-            }
-        }
-        self.cursor = now_tick;
-        due[start..].sort_by_key(|(deadline, _)| *deadline);
-        self.earliest = self
-            .slots
-            .iter()
-            .flatten()
-            .map(|(deadline, _)| *deadline)
-            .min();
+        let n = self.0.partition_point(|(d, _)| *d <= now);
+        due.extend(self.0.drain(..n));
     }
 }
 
 /// Per-worker shard: private run queue, private wakeup signal,
-/// private timer wheel.
+/// private timers.
 struct WorkerShard {
     queue: Mutex<VecDeque<Arc<dyn Runnable>>>,
     cv: Condvar,
-    wheel: Mutex<TimerWheel>,
+    timers: Mutex<Timers>,
 }
 
 struct RtInner {
@@ -415,7 +347,7 @@ impl Drop for ThreadSet {
 
 impl Runtime {
     /// Starts a runtime with `workers` sharded poller threads (min 1).
-    /// Each worker drives its own run queue and timer wheel; there is
+    /// Each worker drives its own run queue and timers; there is
     /// no separate timer thread.
     pub fn new(workers: usize) -> Self {
         let inner = Arc::new(RtInner {
@@ -423,7 +355,7 @@ impl Runtime {
                 .map(|_| WorkerShard {
                     queue: Mutex::new(VecDeque::new()),
                     cv: Condvar::new(),
-                    wheel: Mutex::new(TimerWheel::new()),
+                    timers: Mutex::default(),
                 })
                 .collect(),
             injector: Mutex::new(VecDeque::new()),
@@ -550,27 +482,6 @@ impl Runtime {
     pub fn live_tasks(&self) -> u64 {
         self.inner.live_tasks.load(Ordering::Relaxed)
     }
-
-    /// Total timer-wheel insertion operations across all workers.
-    ///
-    /// Each [`Sleep`] arm is exactly one insertion (a hashed-slot Vec
-    /// push — no reheapify, no rebalancing), so the delta across
-    /// arming `n` timers is exactly `n`: the O(1) per-timer cost is
-    /// asserted by counter, not inspection.
-    pub fn timer_insert_ops(&self) -> u64 {
-        self.inner
-            .workers
-            .iter()
-            .map(|w| w.wheel.lock().unwrap().insert_ops)
-            .sum()
-    }
-}
-
-/// Worker index of the calling thread, when it is one of a runtime's
-/// pollers (`None` on external threads). Instrumentation for asserting
-/// the pinning model.
-pub fn current_worker() -> Option<usize> {
-    CURRENT.get().map(|(_, i)| i)
 }
 
 fn worker_loop(rt: &Arc<RtInner>, me: usize) {
@@ -580,7 +491,11 @@ fn worker_loop(rt: &Arc<RtInner>, me: usize) {
     'outer: loop {
         // Drive this worker's own timers first: expired entries wake
         // their (owner-pinned) tasks before the next queue pop.
-        shard.wheel.lock().unwrap().expire(Instant::now(), &mut due);
+        shard
+            .timers
+            .lock()
+            .unwrap()
+            .expire(Instant::now(), &mut due);
         for (_, waker) in due.drain(..) {
             waker.wake();
         }
@@ -606,7 +521,7 @@ fn worker_loop(rt: &Arc<RtInner>, me: usize) {
                 }
                 // Bind before matching: a guard in the scrutinee
                 // would live across the cv wait and deadlock armers.
-                let next = shard.wheel.lock().unwrap().next_deadline();
+                let next = shard.timers.lock().unwrap().next_deadline();
                 match next {
                     Some(deadline) => {
                         let now = Instant::now();
@@ -633,10 +548,10 @@ fn worker_loop(rt: &Arc<RtInner>, me: usize) {
 pub struct Sleep {
     deadline: Instant,
     rt: Arc<RtInner>,
-    /// Wheel to arm when polled off-runtime; on-runtime polls arm the
-    /// polling worker's own wheel instead.
+    /// Worker whose timers to arm when polled off-runtime; on-runtime
+    /// polls arm the polling worker's own timers instead.
     home: usize,
-    /// The waker registered in a wheel, if any: re-polls by the same
+    /// The waker registered in a timer queue, if any: re-polls by the same
     /// task skip re-arming (the armed entry still fires for it).
     armed: Option<Waker>,
 }
@@ -657,7 +572,7 @@ impl Future for Sleep {
         };
         let shard = &this.rt.workers[target];
         let new_min = shard
-            .wheel
+            .timers
             .lock()
             .unwrap()
             .arm(this.deadline, cx.waker().clone());
@@ -793,6 +708,12 @@ impl<F: Future + Unpin> Future for SelectAll<'_, F> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+
+    /// Worker index of the calling thread, when it is one of a
+    /// runtime's pollers (`None` on external threads).
+    fn current_worker() -> Option<usize> {
+        CURRENT.get().map(|(_, i)| i)
+    }
 
     #[test]
     fn block_on_plain_value() {
@@ -990,50 +911,42 @@ mod tests {
     }
 
     #[test]
-    fn arming_multistage_schedule_is_one_insert_per_stage() {
-        // The O(1) acceptance check, by counter rather than by code
-        // inspection: arming four staggered deadlines (four races'
-        // reissue timers, say) costs exactly one wheel insertion each
-        // — no reheapify, no per-existing-timer work.
+    fn repolled_sleep_arms_once() {
+        // A race re-polls its reissue timer on every wake of the
+        // attempts it races (select_all-style): the same task's waker
+        // must not arm a second entry.
         let rt = Runtime::new(1);
+        let armed = || -> usize {
+            rt.inner
+                .workers
+                .iter()
+                .map(|w| w.timers.lock().unwrap().0.len())
+                .sum()
+        };
         let waker = Waker::from(Arc::new(NoopWake));
         let mut cx = Context::from_waker(&waker);
-        let base = Instant::now() + Duration::from_secs(3600);
-        let stages = 4;
-        let mut sleeps: Vec<Sleep> = (0..stages)
-            .map(|k| rt.sleep_until(base + Duration::from_millis(2 * k as u64)))
-            .collect();
-        let before = rt.timer_insert_ops();
-        for s in &mut sleeps {
-            assert!(Pin::new(s).poll(&mut cx).is_pending());
+        let mut sleep = rt.sleep(Duration::from_secs(3600));
+        let before = armed();
+        for _ in 0..3 {
+            assert!(Pin::new(&mut sleep).poll(&mut cx).is_pending());
+            assert_eq!(armed() - before, 1, "a re-polled sleep must arm once");
         }
-        assert_eq!(
-            rt.timer_insert_ops() - before,
-            stages as u64,
-            "arming {stages} stages must cost exactly {stages} insertions"
-        );
-        // Re-polling an armed schedule (same task waker) re-inserts
-        // nothing: select_all-style repolls are free.
-        for s in &mut sleeps {
-            assert!(Pin::new(s).poll(&mut cx).is_pending());
-        }
-        assert_eq!(rt.timer_insert_ops() - before, stages as u64);
     }
 
     #[test]
     fn wheel_fires_in_deadline_order_under_concurrent_arming() {
         // Satellite property: with timers armed concurrently from
         // multiple threads — some "cancelled" (their Sleep dropped;
-        // the wheel entry goes stale but must not disturb order) —
+        // the entry goes stale but must not disturb order) —
         // every expire batch comes out sorted by deadline, nothing
         // fires early, and nothing is lost.
-        let wheel = Arc::new(Mutex::new(TimerWheel::new()));
+        let timers = Arc::new(Mutex::new(Timers::default()));
         let base = Instant::now();
         let armed_count = Arc::new(AtomicUsize::new(0));
         // Hand-rolled xorshift: no external proptest in this tree.
         let mut threads = Vec::new();
         for t in 0..4u64 {
-            let wheel = wheel.clone();
+            let timers = timers.clone();
             let armed_count = armed_count.clone();
             threads.push(std::thread::spawn(move || {
                 let mut rng = 0x9E37_79B9u64.wrapping_mul(t + 1) | 1;
@@ -1041,8 +954,8 @@ mod tests {
                     rng ^= rng << 13;
                     rng ^= rng >> 7;
                     rng ^= rng << 17;
-                    // Deadlines spread over ~4 wheel rotations, some
-                    // already in the past.
+                    // Deadlines spread over 250 ms, some already in
+                    // the past.
                     let offset_us = (rng % 250_000) as i64 - 5_000;
                     let deadline = if offset_us < 0 {
                         base - Duration::from_micros((-offset_us) as u64)
@@ -1050,7 +963,7 @@ mod tests {
                         base + Duration::from_micros(offset_us as u64)
                     };
                     let waker = Waker::from(Arc::new(NoopWake));
-                    wheel.lock().unwrap().arm(deadline, waker);
+                    timers.lock().unwrap().arm(deadline, waker);
                     armed_count.fetch_add(1, Ordering::SeqCst);
                 }
             }));
@@ -1061,7 +974,7 @@ mod tests {
         let deadline_all = base + Duration::from_millis(260);
         loop {
             let now = Instant::now();
-            wheel.lock().unwrap().expire(now, &mut due);
+            timers.lock().unwrap().expire(now, &mut due);
             for (d, _) in &due {
                 assert!(*d <= now, "timer fired {:?} early", *d - now);
             }
@@ -1082,14 +995,14 @@ mod tests {
         }
         // Drain stragglers armed after the last sweep.
         std::thread::sleep(Duration::from_millis(5));
-        wheel.lock().unwrap().expire(Instant::now(), &mut due);
+        timers.lock().unwrap().expire(Instant::now(), &mut due);
         fired.extend(due.drain(..).map(|(d, _)| d));
         assert_eq!(
             fired.len(),
             armed_count.load(Ordering::SeqCst),
             "every armed timer must eventually fire"
         );
-        assert_eq!(wheel.lock().unwrap().len, 0);
+        assert!(timers.lock().unwrap().0.is_empty());
     }
 
     #[test]

@@ -61,7 +61,7 @@ const WARMUP: usize = 300;
 const ROUNDS: usize = 1_000;
 
 /// Mean allocations per call of `op`, process-wide, after a warm-up
-/// that lets pooled buffers, queues and timer-wheel slots reach their
+/// that lets pooled buffers, run queues and timer queues reach their
 /// steady capacity.
 fn allocs_per_call(mut op: impl FnMut()) -> f64 {
     for _ in 0..WARMUP {

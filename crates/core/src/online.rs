@@ -609,8 +609,10 @@ impl OnlineAdapter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::quantile;
     use distributions::rng::seeded;
     use distributions::{Exponential, LogNormal, Sample};
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::Rng;
 
@@ -1121,5 +1123,76 @@ mod tests {
             a.observe_primary(x);
         }
         assert_eq!(a.shift_resets(), 0, "stationary bimodal stream tripped");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// The windows against a from-scratch oracle, the last `window`
+        /// primaries (the last [`SHIFT_RECENT`] right after a reset):
+        /// after every step of a mixed stream with ties and one upward
+        /// regime shift, `window_quantile` is `metrics::quantile` of
+        /// the oracle and the live policy's `outstanding_at_delay` is
+        /// its `1 − Pr(X < d)`.
+        #[test]
+        fn windows_match_a_from_scratch_oracle(
+            steps in proptest::collection::vec((0u8..5, 0u32..40, 0u32..40), 600..900),
+            shift_at in 200usize..400,
+        ) {
+            let window = 128;
+            let mut a = OnlineAdapter::new(OnlineConfig {
+                window,
+                reoptimize_every: 16,
+                min_pairs: 32,
+                ..cfg()
+            });
+            let mut oracle: VecDeque<f64> = VecDeque::new();
+            let mut resets = 0;
+            for (i, (kind, x, y)) in steps.into_iter().enumerate() {
+                // Coarse values before the shift force ties; after it,
+                // nearly distinct ones let the detector's quartile count
+                // reach its threshold.
+                let (x, y) = if i < shift_at {
+                    (f64::from(x), f64::from(y) * 0.5)
+                } else {
+                    (1e3 + 50.0 * f64::from(x) + f64::from(y) / 40.0, f64::from(y) * 0.5)
+                };
+                match kind {
+                    0 => a.observe_primary(x),
+                    1 => a.observe_reissue(y),
+                    2 => a.observe_pair(x, ReissueOutcome::Completed(y)),
+                    3 => a.observe_pair(x, ReissueOutcome::Censored(y)),
+                    _ => a.observe_pair_censored_primary(x, y),
+                }
+                // Kinds 1 and 4 carry no exact primary.
+                if kind != 1 && kind != 4 {
+                    oracle.push_back(x);
+                    if oracle.len() > window {
+                        oracle.pop_front();
+                    }
+                }
+                if a.shift_resets() > resets {
+                    resets = a.shift_resets();
+                    while oracle.len() > SHIFT_RECENT {
+                        oracle.pop_front();
+                    }
+                }
+                let win: Vec<f64> = oracle.iter().copied().collect();
+                prop_assert_eq!(a.window_len(), win.len());
+                for p in [0.0, 0.25, 0.5, 0.75, 0.99, 1.0] {
+                    let want = (!win.is_empty()).then(|| quantile(&win, p));
+                    prop_assert_eq!(a.window_quantile(p), want);
+                }
+                let policy = a.policy();
+                let want = if win.is_empty() {
+                    0.0
+                } else {
+                    let below = win.iter().filter(|&&v| v < policy.delay).count();
+                    1.0 - below as f64 / win.len() as f64
+                };
+                prop_assert_eq!(policy.outstanding_at_delay, want);
+            }
+            prop_assert!(resets >= 1, "the stream must cross a regime-shift reset");
+            prop_assert_eq!(a.window_quantile(1.5), None);
+        }
     }
 }

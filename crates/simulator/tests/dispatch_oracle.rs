@@ -6,45 +6,51 @@
 //! Time is in units of the mean service time (0.5 ms on the TCP
 //! workload): three FIFO servers at ρ 0.4, every 500th arrival a query
 //! of death of 140 units (the 70 ms monster), the other 499 sized so
-//! the mean stays 1, no reissues. The latency limit is 20 units (the
-//! benchmark's 10 ms).
+//! the mean stays 1. The latency limit is 20 units (the benchmark's
+//! 10 ms). The dispatch test sends no reissues; the sign oracle below
+//! it asks whether any SingleR point is worth sending.
 
 use reissue_core::ReissuePolicy;
 use simulator::{
-    simulate, ArrivalProcess, Balancer, ClusterConfig, Discipline, RunConfig, TraceService,
+    simulate, ArrivalProcess, Balancer, Cancellation, ClusterConfig, Discipline, ReissueRouting,
+    RunConfig, SimResult, TraceService,
 };
 
 const MONSTER: f64 = 140.0;
 const EVERY: usize = 500;
 const LIMIT: f64 = 20.0;
 
-/// `(mean latency, share of queries over the limit)`.
-fn kv_death(balancer: Balancer, seed: u64) -> (f64, f64) {
+/// One kv-death run: `cluster` serving the trace under `policy`.
+fn kv_death_run(cluster: ClusterConfig, policy: &ReissuePolicy, seed: u64) -> SimResult {
     let mut costs = vec![(EVERY as f64 - MONSTER) / (EVERY - 1) as f64; EVERY];
     costs[EVERY - 1] = MONSTER;
-    let cluster = ClusterConfig {
-        servers: 3,
-        discipline: Discipline::Fifo,
-        balancer,
-        ..ClusterConfig::default()
-    };
     let run = RunConfig {
         queries: 100_000,
         warmup: 10_000,
         seed,
         arrival: ArrivalProcess::poisson_for_utilization(0.4, 3, 1.0),
     };
-    let result = simulate(
-        &cluster,
-        &run,
-        &mut TraceService::new(costs, 0.0),
-        &ReissuePolicy::None,
-    );
-    assert!((result.utilization() - 0.4).abs() < 0.01, "same work");
+    simulate(&cluster, &run, &mut TraceService::new(costs, 0.0), policy)
+}
+
+/// `(mean latency, share of queries over the limit)`.
+fn mean_and_over(result: &SimResult) -> (f64, f64) {
     let latencies = result.latencies();
     let n = latencies.len() as f64;
     let over = latencies.iter().filter(|&&l| l > LIMIT).count() as f64;
     (latencies.iter().sum::<f64>() / n, over / n)
+}
+
+fn kv_death(balancer: Balancer, seed: u64) -> (f64, f64) {
+    let cluster = ClusterConfig {
+        servers: 3,
+        discipline: Discipline::Fifo,
+        balancer,
+        ..ClusterConfig::default()
+    };
+    let result = kv_death_run(cluster, &ReissuePolicy::None, seed);
+    assert!((result.utilization() - 0.4).abs() < 0.01, "same work");
+    mean_and_over(&result)
 }
 
 /// Seeds 1, 2, 3 read: blind mean 11.95 / 12.29 / 12.17 and 13.5 /
@@ -68,4 +74,86 @@ fn shortest_queue_dispatch_removes_the_head_of_line_victims() {
             "seed {seed}: over the limit {blind_over:.4} -> {aware_over:.4}"
         );
     }
+}
+
+/// Shortest-queue dispatch, reissues to another server, losers
+/// stopped in service: the TCP client's shape.
+const HEDGING: ClusterConfig = ClusterConfig {
+    servers: 3,
+    discipline: Discipline::Fifo,
+    balancer: Balancer::MinOfAll,
+    reissue_routing: ReissueRouting::AvoidPrimary,
+    cancellation: Cancellation::InService,
+    interference: None,
+};
+
+/// Seed-averaged `(realized reissue rate, mean, P99, share over the
+/// limit)` of one policy on the hedging cluster.
+fn hedged_kv_death(policy: &ReissuePolicy) -> [f64; 4] {
+    let mut sum = [0.0; 4];
+    for seed in [1, 2, 3] {
+        let result = kv_death_run(HEDGING, policy, seed);
+        let (mean, over) = mean_and_over(&result);
+        let row = [result.reissue_rate(), mean, result.quantile(0.99), over];
+        for (s, v) in sum.iter_mut().zip(row) {
+            *s += v / 3.0;
+        }
+    }
+    sum
+}
+
+/// The sign oracle (ROADMAP, *Hedging earns its budget, or abstains*):
+/// on the kv-death shape with shortest-queue dispatch, reissues to
+/// another server and in-service cancellation, does any SingleR point
+/// at a 5% budget beat no hedging? `q = min(1, 0.05 / Pr(X ≥ d))`
+/// with `Pr` from the seed-1 unhedged run; a point counts when its
+/// realized rate is within the 5%. Seeds 1–3 average:
+///
+/// | `d` | rate | mean | P99 | over 20 |
+/// |-----|------|------|-----|---------|
+/// | none | 0 | 1.384 | 1.44 | 0.0050 |
+/// | 0.5 | 0.050 | 1.402 | 2.14 | 0.0050 |
+/// | 1 | 0.141 | 1.760 | 8.50 | 0.0044 |
+/// | 2 | 0.170 | 1.896 | 9.54 | 0.0037 |
+/// | 3 | 0.109 | 1.917 | 9.55 | 0.0041 |
+/// | 5 | 0.049 | 1.955 | 9.94 | 0.0048 |
+/// | 10 | 0.027 | 1.966 | 13.76 | 0.0044 |
+/// | 20 | 0.025 | 2.062 | 23.20 | 0.0246 |
+/// | 40 | 0.019 | 2.176 | 42.24 | 0.0217 |
+///
+/// No point beats no hedging on mean or P99: the only slow queries are
+/// the monsters, whose copy is as slow as they are, so a reissue only
+/// adds a second server's worth of queueing behind them. At `d` 1–3
+/// the realized rate overshoots the 5% the unhedged tail promised:
+/// the reissues' own load lengthens the tail they are sized against
+/// (the budget item's self-induced-load hypothesis). Only the share
+/// over the limit moves the right way anywhere (0.0050 → 0.0044 at
+/// `d` 10), at 9.6 times no hedging's P99; from `d` 20 it is four to
+/// five times worse.
+#[test]
+fn no_single_r_point_beats_no_hedging_on_kv_death() {
+    let [_, none_mean, none_p99, none_over] = hedged_kv_death(&ReissuePolicy::None);
+    let unhedged = kv_death_run(HEDGING, &ReissuePolicy::None, 1).latencies();
+    let mut counted = 0;
+    for d in [0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 20.0, 40.0] {
+        let tail = unhedged.iter().filter(|&&x| x >= d).count() as f64 / unhedged.len() as f64;
+        let q = (0.05 / tail).min(1.0);
+        let [rate, mean, p99, over] = hedged_kv_death(&ReissuePolicy::single_r(d, q));
+        let row = format!("d {d}: rate {rate:.3} mean {mean:.3} p99 {p99:.2} over {over:.4}");
+        if (1.0..=3.0).contains(&d) {
+            assert!(rate > 0.1, "{row}: the budget should overshoot");
+        }
+        if rate > 0.05 {
+            continue;
+        }
+        counted += 1;
+        assert!(
+            mean > none_mean && p99 > 1.4 * none_p99,
+            "{row} beats no hedging"
+        );
+        if d >= 20.0 {
+            assert!(over > 4.0 * none_over, "{row}");
+        }
+    }
+    assert_eq!(counted, 5, "d 0.5, 5, 10, 20 and 40 keep within the budget");
 }

@@ -7,8 +7,8 @@
 //! system:
 //!
 //! * [`rt`] — a minimal multi-threaded async executor with timers and
-//!   a [`rt::race`] combinator (the environment cannot fetch tokio, so
-//!   the runtime is ~300 lines of `std`).
+//!   a [`rt::race`] combinator, built on `std` alone in place of
+//!   tokio.
 //! * [`sync`] — the attempt cell: one allocation per wire attempt
 //!   holding its reply slot, waker, cancelled flag and wire target,
 //!   with the [`sync::CancelToken`] propagated from a hedged query to

@@ -75,8 +75,9 @@ use crate::server::CANCELLED_MARKER;
 /// Transport-level failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TransportError {
-    /// The request was cancelled (tied-request retraction) before it
-    /// executed.
+    /// The request was retracted: cancelled before it was dispatched,
+    /// retracted while queued (a client `CANCEL` or a tied peer's), or
+    /// stopped in service by a client `CANCEL`.
     Cancelled,
     /// The connection died before a reply arrived.
     ConnectionClosed,

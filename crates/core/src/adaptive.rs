@@ -16,6 +16,7 @@
 use crate::ecdf::Ecdf;
 use crate::optimizer::{
     compute_optimal_single_r, compute_optimal_single_r_correlated, predict_latency,
+    reissue_probability,
 };
 use crate::policy::ReissuePolicy;
 
@@ -180,13 +181,8 @@ pub fn adapt<S: System + ?Sized>(system: &mut S, cfg: &AdaptiveConfig) -> Adapti
         // d' = d + λ(d_local − d); q re-targeted to the budget under the
         // newly observed primary distribution.
         delay += cfg.learning_rate * (local.delay - delay);
-        let ecdf = Ecdf::new(sample.primary.clone());
-        let outstanding = ecdf.sf_weak(delay);
-        prob = if outstanding > 0.0 {
-            (cfg.budget / outstanding).min(1.0)
-        } else {
-            1.0
-        };
+        let outstanding = Ecdf::new(sample.primary.clone()).sf_weak(delay);
+        prob = reissue_probability(cfg.budget, outstanding);
         pending_prediction = predict_latency(&sample.primary, &sample.pairs, cfg.k, delay, prob);
 
         if pred_ok && rate_ok && delay_ok && trials.len() > 1 {

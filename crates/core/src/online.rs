@@ -95,7 +95,8 @@ use crate::censored::{complete_pairs_with, KaplanMeier, Obs};
 use crate::ecdf::{nearest_rank, strict_cdf};
 use crate::load::LoadShaper;
 use crate::optimizer::{
-    compute_optimal_single_r, compute_optimal_single_r_correlated, OptimalSingleR,
+    compute_optimal_single_r, compute_optimal_single_r_correlated, reissue_probability,
+    OptimalSingleR,
 };
 use std::collections::VecDeque;
 
@@ -482,13 +483,7 @@ impl OnlineAdapter {
     fn refresh_probability(&mut self) {
         let budget = self.effective_budget();
         let outstanding = 1.0 - strict_cdf(&self.primary.sorted, self.delay);
-        let q_budget = if budget <= 0.0 {
-            0.0
-        } else if outstanding > 0.0 {
-            (budget / outstanding).min(1.0)
-        } else {
-            1.0
-        };
+        let q_budget = reissue_probability(budget, outstanding);
         // The damping multiplies the probability a second time (the
         // budget above is already damped). Budget damping alone
         // cannot suppress deep-delay reissues: at a delay past the

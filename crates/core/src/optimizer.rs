@@ -11,7 +11,7 @@
 //! `Θ(N + sort(N))` (independent) or `Θ(N log N)` (correlated, via a
 //! Fenwick sweep over reissue-time ranks).
 
-use crate::ecdf::Ecdf;
+use crate::ecdf::strict_cdf;
 use rangequery::{FenwickTree, FingerCursor};
 
 /// The result of `ComputeOptimalSingleR`: the optimal SingleR policy
@@ -49,6 +49,20 @@ impl OptimalSingleR {
     }
 }
 
+/// The budget rule `q = min(1, B / Pr(X ≥ d))`: the reissue
+/// probability that spends the budget `B` at a delay where a fraction
+/// `outstanding = Pr(X ≥ d)` of primaries is still out. No budget never
+/// reissues; a delay nothing reaches may reissue every query.
+pub(crate) fn reissue_probability(budget: f64, outstanding: f64) -> f64 {
+    if budget <= 0.0 {
+        0.0
+    } else if outstanding > 0.0 {
+        (budget / outstanding).min(1.0)
+    } else {
+        1.0
+    }
+}
+
 fn validate_inputs(rx: &[f64], k: f64, budget: f64) {
     assert!(!rx.is_empty(), "need at least one primary sample");
     assert!((0.0..1.0).contains(&k), "percentile k must be in [0,1)");
@@ -80,45 +94,38 @@ pub fn compute_optimal_single_r(rx: &[f64], ry: &[f64], k: f64, budget: f64) -> 
     validate_inputs(rx, k, budget);
     assert!(!ry.is_empty(), "need at least one reissue sample");
     assert!(ry.iter().all(|v| v.is_finite()), "samples must be finite");
+    let ys = sorted(ry);
+    sweep(
+        &sorted(rx),
+        k,
+        budget,
+        ReissueCdf::Marginal(FingerCursor::new(&ys)),
+    )
+}
 
-    let mut xs = rx.to_vec();
-    xs.sort_by(f64::total_cmp);
-    let mut ys = ry.to_vec();
-    ys.sort_by(f64::total_cmp);
-
-    let mut cx_t = FingerCursor::new(&xs); // Pr(X ≤ t): t non-increasing
-    let mut cx_d = FingerCursor::new(&xs); // Pr(X > d): d non-decreasing
-    let mut cy = FingerCursor::new(&ys); //   Pr(Y ≤ t−d): t−d non-increasing
-
-    // SingleRSuccessRate (Figure 1, lines 15–20), with q clamped to 1:
-    // for d beyond the B-quantile the un-clamped q = B/Pr(X>d) exceeds 1,
-    // which would credit the policy with more reissues than exist.
-    let success = |t: f64, d: f64| -> f64 {
-        let p_x_le_t = cx_t.cdf(t);
-        let p_x_gt_d = 1.0 - cx_d.cdf(d);
-        let p_y = cy.cdf(t - d);
-        let q = if p_x_gt_d > 0.0 {
-            (budget / p_x_gt_d).min(1.0)
-        } else {
-            0.0
-        };
-        p_x_le_t + q * (1.0 - p_x_le_t) * p_y
-    };
-    sweep(&xs, k, budget, success)
+fn sorted(samples: &[f64]) -> Vec<f64> {
+    let mut v = samples.to_vec();
+    v.sort_by(f64::total_cmp);
+    v
 }
 
 /// The search both optimizer variants share (Figure 1, lines 1–13)
 /// over the sorted primaries `xs`: sweep the delay `d` upward while the
-/// tail latency `t` sweeps downward as long as `success(t, d)` stays
+/// tail latency `t` sweeps downward as long as the success rate stays
 /// above `k`, then report the policy at the final `(d*, t)`. The
-/// variants differ only in `success`, whose cursors rely on `t` never
+/// variants differ only in `reissue`, whose cursors rely on `t` never
 /// rising and `d` never falling during the sweep.
-fn sweep(
-    xs: &[f64],
-    k: f64,
-    budget: f64,
-    mut success: impl FnMut(f64, f64) -> f64,
-) -> OptimalSingleR {
+fn sweep(xs: &[f64], k: f64, budget: f64, mut reissue: ReissueCdf) -> OptimalSingleR {
+    let mut cx_t = FingerCursor::new(xs); // Pr(X < t): t non-increasing
+    let mut cx_d = FingerCursor::new(xs); // Pr(X < d): d non-decreasing
+                                          // SingleRSuccessRate (Figure 1, lines 15–20), with q clamped to 1:
+                                          // for d beyond the B-quantile the un-clamped q = B/Pr(X ≥ d) exceeds
+                                          // 1, which would credit the policy with more reissues than exist.
+    let mut success = |t: f64, d: f64| {
+        let q = reissue_probability(budget, 1.0 - cx_d.cdf(d));
+        reissue.success(cx_t.cdf(t), q, t, d)
+    };
+
     let n = xs.len();
     // Lines 1–3: trivial starting policy.
     let mut lo = 0usize; // index of min{Q}
@@ -147,15 +154,8 @@ fn sweep(
     }
 
     // Line 13 and the returned record.
-    let ecdf = Ecdf::from_sorted(xs.to_vec());
-    let outstanding = ecdf.sf_weak(d_star);
-    let probability = if budget <= 0.0 {
-        0.0
-    } else if outstanding > 0.0 {
-        (budget / outstanding).min(1.0)
-    } else {
-        1.0
-    };
+    let outstanding = 1.0 - strict_cdf(xs, d_star);
+    let probability = reissue_probability(budget, outstanding);
     OptimalSingleR {
         delay: d_star,
         probability,
@@ -166,22 +166,92 @@ fn sweep(
     }
 }
 
+/// The reissue term of Figure 1's success rate, `Pr(Y < t − d | X > t)`,
+/// for `t` and `t − d` that never rise from one call to the next.
+enum ReissueCdf<'a> {
+    /// Reissues independent of their primary (§4.1): the marginal
+    /// `Pr(Y < t − d)` over the sorted reissue samples.
+    Marginal(FingerCursor<'a>),
+    /// Joint `(primary, reissue)` samples (§4.2). As `t` falls, each
+    /// pair enters a Fenwick tree over reissue-time ranks once its
+    /// primary exceeds `t`, so the conditional is a prefix sum over the
+    /// pairs entered so far: `Θ(N log N)` over a whole sweep.
+    Joint {
+        /// The pairs by primary time, descending.
+        by_x: Vec<(f64, f64)>,
+        /// The reissue times, ascending: the tree's rank space.
+        ys: Vec<f64>,
+        tree: FenwickTree,
+        /// `by_x[..entered]` are in the tree: the pairs with `x > t`.
+        entered: usize,
+        /// Count `y ≤ t − d` rather than `y < t − d`.
+        inclusive: bool,
+    },
+}
+
+impl ReissueCdf<'_> {
+    fn joint(pairs: &[(f64, f64)], inclusive: bool) -> Self {
+        let mut by_x = pairs.to_vec();
+        by_x.sort_by(|a, b| b.0.total_cmp(&a.0));
+        let mut ys: Vec<f64> = pairs.iter().map(|p| p.1).collect();
+        ys.sort_by(f64::total_cmp);
+        ReissueCdf::Joint {
+            tree: FenwickTree::new(ys.len()),
+            by_x,
+            ys,
+            entered: 0,
+            inclusive,
+        }
+    }
+
+    /// `Pr(Y < t − d | X > t)`, or 0 when no pair has `x > t`: a reissue
+    /// cannot be credited with helping a tail no sample reaches.
+    fn cdf(&mut self, t: f64, d: f64) -> f64 {
+        match self {
+            ReissueCdf::Marginal(ys) => ys.cdf(t - d),
+            ReissueCdf::Joint {
+                by_x,
+                ys,
+                tree,
+                entered,
+                inclusive,
+            } => {
+                while *entered < by_x.len() && by_x[*entered].0 > t {
+                    let y = by_x[*entered].1;
+                    tree.add(ys.partition_point(|&v| v < y), 1);
+                    *entered += 1;
+                }
+                if *entered == 0 {
+                    return 0.0;
+                }
+                let below = ys.partition_point(|&y| y < t - d || (*inclusive && y == t - d));
+                tree.prefix_sum(below) as f64 / *entered as f64
+            }
+        }
+    }
+
+    /// Figure 1's `SingleRSuccessRate` (lines 15–20): a query meets `t`
+    /// when its primary does (`p_x_lt_t = Pr(X < t)`), or when the coin
+    /// `q` sends a reissue at `d` that does.
+    fn success(&mut self, p_x_lt_t: f64, q: f64, t: f64, d: f64) -> f64 {
+        p_x_lt_t + q * (1.0 - p_x_lt_t) * self.cdf(t, d)
+    }
+}
+
 /// The correlation-aware `ComputeOptimalSingleR` of §4.2.
 ///
 /// Takes the marginal primary samples `rx` plus joint samples `pairs =
 /// (tx, ty)` — the response times of a query's primary and reissue
-/// requests — and replaces `Pr(Y ≤ t−d)` with the conditional
-/// `Pr(Y ≤ t−d | X > t)` in the success-rate computation, so positively
+/// requests — and replaces `Pr(Y < t−d)` with the conditional
+/// `Pr(Y < t−d | X > t)` in the success-rate computation, so positively
 /// correlated slowness (slow primaries predict slow reissues) is priced
 /// into the policy.
 ///
-/// Implementation: as `t` sweeps downward the active set `{i : txᵢ > t}`
-/// only grows, so the pairs are inserted into a Fenwick tree over
-/// reissue-time ranks as their primaries cross `t`; each conditional CDF
-/// evaluation is then a prefix sum. Total `Θ(N log N)` — matching the
-/// paper's bound for the 2-D range-query formulation (the paper's
-/// general structure, [`rangequery::MergeSortTree`], is what this sweep
-/// is property-tested against).
+/// As `t` sweeps downward the active set `{i : txᵢ > t}` only grows, so
+/// the pairs enter a Fenwick tree over reissue-time ranks as their
+/// primaries cross `t`; each conditional CDF evaluation is then a prefix
+/// sum. Total `Θ(N log N)`, the paper's bound for the 2-D range-query
+/// formulation.
 ///
 /// When no pair has `tx > t` the conditional is undefined; the success
 /// term then falls back to 0 (a reissue cannot be credited with helping
@@ -204,50 +274,7 @@ pub fn compute_optimal_single_r_correlated(
         pairs.iter().all(|p| p.0.is_finite() && p.1.is_finite()),
         "pairs must be finite"
     );
-
-    let mut xs = rx.to_vec();
-    xs.sort_by(f64::total_cmp);
-
-    // Pairs sorted by primary time descending: as t decreases, pairs
-    // whose tx > t are activated in order.
-    let mut by_x: Vec<(f64, f64)> = pairs.to_vec();
-    by_x.sort_by(|a, b| b.0.total_cmp(&a.0));
-    // Rank space for reissue times.
-    let mut y_sorted: Vec<f64> = pairs.iter().map(|p| p.1).collect();
-    y_sorted.sort_by(f64::total_cmp);
-
-    let mut fenwick = FenwickTree::new(y_sorted.len());
-    let mut next_pair = 0usize; // pairs[..next_pair] are active (tx > t)
-
-    let mut cx_t = FingerCursor::new(&xs);
-    let mut cx_d = FingerCursor::new(&xs);
-
-    let success = |t: f64, d: f64| -> f64 {
-        let p_x_le_t = cx_t.cdf(t);
-        let p_x_gt_d = 1.0 - cx_d.cdf(d);
-        // Activate pairs with tx > t. t is non-increasing across all
-        // calls, so this pointer only advances.
-        while next_pair < by_x.len() && by_x[next_pair].0 > t {
-            let rank = y_sorted.partition_point(|&y| y < by_x[next_pair].1);
-            fenwick.add(rank.min(y_sorted.len() - 1), 1);
-            next_pair += 1;
-        }
-        let denom = fenwick.total();
-        let p_y = if denom == 0 {
-            0.0
-        } else {
-            // Strict Pr(Y < t−d | X > t), consistent with DiscreteCDF.
-            let below = y_sorted.partition_point(|&y| y < t - d);
-            fenwick.prefix_sum(below) as f64 / denom as f64
-        };
-        let q = if p_x_gt_d > 0.0 {
-            (budget / p_x_gt_d).min(1.0)
-        } else {
-            0.0
-        };
-        p_x_le_t + q * (1.0 - p_x_le_t) * p_y
-    };
-    sweep(&xs, k, budget, success)
+    sweep(&sorted(rx), k, budget, ReissueCdf::joint(pairs, false))
 }
 
 /// Predicts the `k`-th percentile tail latency of a *given* SingleR
@@ -255,15 +282,16 @@ pub fn compute_optimal_single_r_correlated(
 /// sample value `t` whose success rate
 ///
 /// ```text
-/// α(t) = Pr(X ≤ t) + q · Pr(X > t) · Pr(Y ≤ t−d | X > t)
+/// α(t) = Pr(X < t) + q · Pr(X ≥ t) · Pr(Y < t−d | X > t)
 /// ```
 ///
-/// reaches `k`. The conditional term uses the joint `pairs` via a
-/// merge-sort tree (falling back to the marginal of `rx` when fewer
-/// than two pairs exist). This is the apples-to-apples predictor the
-/// adaptive loop compares against the next trial's observation —
-/// unlike [`compute_optimal_single_r`]'s output, which predicts the
-/// *optimizer's* policy rather than the λ-blended one actually run.
+/// reaches `k`. The conditional term uses the joint `pairs` through the
+/// optimizer's own Fenwick sweep (falling back to the marginal of `rx`
+/// when fewer than two pairs exist). This is the apples-to-apples
+/// predictor the adaptive loop compares against the next trial's
+/// observation — unlike [`compute_optimal_single_r`]'s output, which
+/// predicts the *optimizer's* policy rather than the λ-blended one
+/// actually run.
 ///
 /// `O(N log N)`.
 ///
@@ -273,50 +301,29 @@ pub fn predict_latency(rx: &[f64], pairs: &[(f64, f64)], k: f64, d: f64, q: f64)
     assert!(!rx.is_empty(), "need at least one primary sample");
     assert!((0.0..=1.0).contains(&q), "q must be in [0,1]");
     assert!((0.0..1.0).contains(&k), "percentile k must be in [0,1)");
-    let mut xs = rx.to_vec();
-    xs.sort_by(f64::total_cmp);
-    let n = xs.len() as f64;
-    let use_pairs = pairs.len() >= 2;
-    let tree = if use_pairs {
-        Some(rangequery::MergeSortTree::new(pairs))
+    let xs = sorted(rx);
+    let mut reissue = if pairs.len() >= 2 {
+        ReissueCdf::joint(pairs, true)
     } else {
-        None
+        ReissueCdf::Marginal(FingerCursor::new(&xs))
     };
-    let mut ys = if use_pairs { Vec::new() } else { xs.clone() };
-    ys.sort_by(f64::total_cmp);
-
-    for (i, &t) in xs.iter().enumerate() {
-        let p_le = i as f64 / n; // strict Pr(X < t), DiscreteCDF convention
-        let p_y = match &tree {
-            Some(tree) => {
-                let denom = tree.count_above(t);
-                if denom == 0 {
-                    0.0
-                } else {
-                    // Strict Pr(Y < t−d | X > t): subtract ties at t−d.
-                    let le = tree.count_above_le(t, t - d);
-                    le as f64 / denom as f64
-                }
-            }
-            None => {
-                if t >= d {
-                    ys.partition_point(|&y| y < t - d) as f64 / ys.len() as f64
-                } else {
-                    0.0
-                }
-            }
-        };
-        let alpha = p_le + q * (1.0 - p_le) * p_y;
-        if alpha >= k {
-            return t;
+    // The sweep needs `t` falling: walk down from the largest sample and
+    // keep the smallest `t` whose success rate reaches `k`. The rank
+    // `i / n` is the strict Pr(X < t) at the first of a run of ties.
+    let n = xs.len() as f64;
+    let mut t_k = xs[xs.len() - 1];
+    for (i, &t) in xs.iter().enumerate().rev() {
+        if reissue.success(i as f64 / n, q, t, d) >= k {
+            t_k = t;
         }
     }
-    *xs.last().unwrap()
+    t_k
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ecdf::Ecdf;
     use crate::model::{expected_budget, policy_quantile, success_probability};
     use crate::policy::ReissuePolicy;
     use distributions::rng::seeded;

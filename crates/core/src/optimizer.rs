@@ -330,7 +330,6 @@ mod tests {
     use distributions::{CorrelatedPair, Dist, Exponential, Pareto, Sample};
     use proptest::prelude::*;
     use rand::Rng;
-    use rangequery::MergeSortTree;
 
     fn exp_samples(n: usize, rate: f64, seed: u64) -> Vec<f64> {
         let mut rng = seeded(seed);
@@ -518,9 +517,9 @@ mod tests {
     }
 
     #[test]
-    fn fenwick_sweep_matches_merge_sort_tree() {
-        // The success-rate internals: conditional CDF from the Fenwick
-        // sweep must equal the MergeSortTree oracle at the sweep points.
+    fn fenwick_sweep_matches_brute_force() {
+        // The joint reissue CDF along a falling t, denominator and
+        // conditional alike, against a direct count over the pairs.
         let mut rng = seeded(13);
         let d = Exponential::new(1.0);
         let pairs: Vec<(f64, f64)> = (0..2_000)
@@ -529,29 +528,23 @@ mod tests {
                 (x, 0.5 * x + d.sample(&mut rng))
             })
             .collect();
-        let tree = MergeSortTree::new(&pairs);
-        let mut y_sorted: Vec<f64> = pairs.iter().map(|p| p.1).collect();
-        y_sorted.sort_by(f64::total_cmp);
-        let mut by_x = pairs.clone();
-        by_x.sort_by(|a, b| b.0.total_cmp(&a.0));
-        let mut fenwick = FenwickTree::new(y_sorted.len());
-        let mut next = 0usize;
-        // Descending t sweep mirroring the optimizer.
+        let mut reissue = ReissueCdf::joint(&pairs, false);
         let mut ts: Vec<f64> = pairs.iter().map(|p| p.0).collect();
         ts.sort_by(|a, b| b.total_cmp(a));
         for &t in ts.iter().take(500) {
-            while next < by_x.len() && by_x[next].0 > t {
-                let rank = y_sorted.partition_point(|&y| y < by_x[next].1);
-                fenwick.add(rank.min(y_sorted.len() - 1), 1);
-                next += 1;
-            }
-            let denom = fenwick.total() as usize;
-            assert_eq!(denom, tree.count_above(t), "denominator at t={t}");
-            let v = t * 0.5;
-            let below = y_sorted.partition_point(|&y| y < v);
-            let got = fenwick.prefix_sum(below) as usize;
-            let want = pairs.iter().filter(|p| p.0 > t && p.1 < v).count();
-            assert_eq!(got, want, "numerator at t={t}");
+            let got = reissue.cdf(t, 0.5 * t);
+            let ReissueCdf::Joint { entered, .. } = reissue else {
+                unreachable!()
+            };
+            let above = pairs.iter().filter(|p| p.0 > t).count();
+            assert_eq!(entered, above, "denominator at t={t}");
+            let below = pairs.iter().filter(|p| p.0 > t && p.1 < 0.5 * t).count();
+            let want = if above == 0 {
+                0.0
+            } else {
+                below as f64 / above as f64
+            };
+            assert_eq!(got, want, "conditional at t={t}");
         }
     }
 

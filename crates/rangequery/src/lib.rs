@@ -12,10 +12,6 @@
 //! * [`FenwickTree`] — a binary indexed tree over value ranks, used for the
 //!   sweep-line estimation of the conditional CDF
 //!   `Pr(Y ≤ t−d | X > t)` inside the correlation-aware optimizer.
-//! * [`MergeSortTree`] — a static structure answering arbitrary (non-
-//!   monotone) 2-D dominance counts `|{ i : xᵢ > qx ∧ yᵢ ≤ qy }|` in
-//!   `O(log² n)`, the general-purpose orthogonal range query structure
-//!   referenced in §4.2 of the paper.
 //!
 //! All structures are deterministic given their inputs and are validated
 //! against brute-force oracles by unit and property tests.
@@ -25,11 +21,9 @@
 
 mod fenwick;
 mod finger;
-mod merge_sort_tree;
 
 pub use fenwick::FenwickTree;
 pub use finger::FingerCursor;
-pub use merge_sort_tree::MergeSortTree;
 
 /// Counts elements of a sorted slice strictly less than `v`.
 ///

@@ -64,44 +64,9 @@ impl FenwickTree {
         s
     }
 
-    /// Sum over the half-open range `lo..hi`.
-    pub fn range_sum(&self, lo: usize, hi: usize) -> u64 {
-        if hi <= lo {
-            return 0;
-        }
-        self.prefix_sum(hi) - self.prefix_sum(lo)
-    }
-
     /// Sum of all slots.
     pub fn total(&self) -> u64 {
         self.prefix_sum(self.len())
-    }
-
-    /// Smallest index `i` such that `prefix_sum(i + 1) >= target`,
-    /// or `None` if `target > total()`. `target` must be at least 1.
-    ///
-    /// This is the classic Fenwick "select" used to answer quantile
-    /// queries over a dynamic multiset in `O(log n)`.
-    pub fn select(&self, target: u64) -> Option<usize> {
-        if target == 0 || target > self.total() {
-            return None;
-        }
-        let mut pos = 0usize;
-        let mut remaining = target;
-        // Highest power of two <= len
-        let mut step = self.tree.len().next_power_of_two();
-        if step > self.tree.len() {
-            step >>= 1;
-        }
-        while step > 0 {
-            let next = pos + step;
-            if next < self.tree.len() && self.tree[next] < remaining {
-                remaining -= self.tree[next];
-                pos = next;
-            }
-            step >>= 1;
-        }
-        Some(pos) // pos is 0-based slot index (pos+1 in 1-based tree terms, minus 1)
     }
 }
 
@@ -116,7 +81,6 @@ mod tests {
         assert!(ft.is_empty());
         assert_eq!(ft.total(), 0);
         assert_eq!(ft.prefix_sum(0), 0);
-        assert_eq!(ft.select(1), None);
     }
 
     #[test]
@@ -126,21 +90,6 @@ mod tests {
         ft.add(0, 5);
         assert_eq!(ft.prefix_sum(0), 0);
         assert_eq!(ft.prefix_sum(1), 5);
-        assert_eq!(ft.select(1), Some(0));
-        assert_eq!(ft.select(5), Some(0));
-        assert_eq!(ft.select(6), None);
-    }
-
-    #[test]
-    fn range_sum_basic() {
-        let mut ft = FenwickTree::new(10);
-        for i in 0..10 {
-            ft.add(i, (i + 1) as u64);
-        }
-        assert_eq!(ft.range_sum(0, 10), 55);
-        assert_eq!(ft.range_sum(3, 7), 4 + 5 + 6 + 7);
-        assert_eq!(ft.range_sum(7, 3), 0);
-        assert_eq!(ft.range_sum(4, 4), 0);
     }
 
     #[test]
@@ -148,30 +97,6 @@ mod tests {
     fn add_out_of_bounds_panics() {
         let mut ft = FenwickTree::new(4);
         ft.add(4, 1);
-    }
-
-    #[test]
-    fn select_matches_scan() {
-        let mut ft = FenwickTree::new(16);
-        let counts = [0u64, 3, 0, 0, 2, 7, 0, 1, 0, 0, 4, 0, 0, 0, 0, 9];
-        for (i, &c) in counts.iter().enumerate() {
-            if c > 0 {
-                ft.add(i, c);
-            }
-        }
-        let total: u64 = counts.iter().sum();
-        for target in 1..=total {
-            let mut acc = 0;
-            let mut expect = None;
-            for (i, &c) in counts.iter().enumerate() {
-                acc += c;
-                if acc >= target {
-                    expect = Some(i);
-                    break;
-                }
-            }
-            assert_eq!(ft.select(target), expect, "target {target}");
-        }
     }
 
     proptest! {
@@ -187,21 +112,6 @@ mod tests {
                 if i < counts.len() {
                     acc += counts[i];
                 }
-            }
-        }
-
-        #[test]
-        fn select_is_inverse_of_prefix(counts in proptest::collection::vec(0u64..5, 1..100)) {
-            let mut ft = FenwickTree::new(counts.len());
-            for (i, &c) in counts.iter().enumerate() {
-                ft.add(i, c);
-            }
-            let total = ft.total();
-            prop_assume!(total > 0);
-            for target in 1..=total {
-                let i = ft.select(target).unwrap();
-                prop_assert!(ft.prefix_sum(i + 1) >= target);
-                prop_assert!(ft.prefix_sum(i) < target);
             }
         }
     }

@@ -24,49 +24,3 @@ mod finger;
 
 pub use fenwick::FenwickTree;
 pub use finger::FingerCursor;
-
-/// Counts elements of a sorted slice strictly less than `v`.
-///
-/// This is the brute-force oracle for [`FingerCursor`]; it is `O(log n)`
-/// (binary search) and is exposed because several callers need one-shot,
-/// non-monotone rank queries where building a cursor is not worthwhile.
-///
-/// # Examples
-/// ```
-/// let xs = [1.0, 2.0, 2.0, 5.0];
-/// assert_eq!(rangequery::count_less(&xs, 2.0), 1);
-/// assert_eq!(rangequery::count_less(&xs, 2.5), 3);
-/// ```
-pub fn count_less(sorted: &[f64], v: f64) -> usize {
-    sorted.partition_point(|&x| x < v)
-}
-
-/// Counts elements of a sorted slice less than or equal to `v`.
-pub fn count_le(sorted: &[f64], v: f64) -> usize {
-    sorted.partition_point(|&x| x <= v)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn count_less_empty() {
-        assert_eq!(count_less(&[], 1.0), 0);
-        assert_eq!(count_le(&[], 1.0), 0);
-    }
-
-    #[test]
-    fn count_less_vs_le_on_ties() {
-        let xs = [3.0, 3.0, 3.0];
-        assert_eq!(count_less(&xs, 3.0), 0);
-        assert_eq!(count_le(&xs, 3.0), 3);
-    }
-
-    #[test]
-    fn count_less_extremes() {
-        let xs = [1.0, 4.0, 9.0];
-        assert_eq!(count_less(&xs, f64::NEG_INFINITY), 0);
-        assert_eq!(count_less(&xs, f64::INFINITY), 3);
-    }
-}

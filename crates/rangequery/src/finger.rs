@@ -79,11 +79,6 @@ impl<'a> FingerCursor<'a> {
     pub fn steps(&self) -> u64 {
         self.steps
     }
-
-    /// The underlying sorted slice.
-    pub fn samples(&self) -> &'a [f64] {
-        self.sorted
-    }
 }
 
 #[cfg(test)]

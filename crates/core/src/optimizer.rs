@@ -184,13 +184,11 @@ enum ReissueCdf<'a> {
         tree: FenwickTree,
         /// `by_x[..entered]` are in the tree: the pairs with `x > t`.
         entered: usize,
-        /// Count `y ≤ t − d` rather than `y < t − d`.
-        inclusive: bool,
     },
 }
 
 impl ReissueCdf<'_> {
-    fn joint(pairs: &[(f64, f64)], inclusive: bool) -> Self {
+    fn joint(pairs: &[(f64, f64)]) -> Self {
         let mut by_x = pairs.to_vec();
         by_x.sort_by(|a, b| b.0.total_cmp(&a.0));
         let mut ys: Vec<f64> = pairs.iter().map(|p| p.1).collect();
@@ -200,7 +198,6 @@ impl ReissueCdf<'_> {
             by_x,
             ys,
             entered: 0,
-            inclusive,
         }
     }
 
@@ -214,7 +211,6 @@ impl ReissueCdf<'_> {
                 ys,
                 tree,
                 entered,
-                inclusive,
             } => {
                 while *entered < by_x.len() && by_x[*entered].0 > t {
                     let y = by_x[*entered].1;
@@ -224,7 +220,7 @@ impl ReissueCdf<'_> {
                 if *entered == 0 {
                     return 0.0;
                 }
-                let below = ys.partition_point(|&y| y < t - d || (*inclusive && y == t - d));
+                let below = ys.partition_point(|&y| y < t - d);
                 tree.prefix_sum(below) as f64 / *entered as f64
             }
         }
@@ -274,7 +270,7 @@ pub fn compute_optimal_single_r_correlated(
         pairs.iter().all(|p| p.0.is_finite() && p.1.is_finite()),
         "pairs must be finite"
     );
-    sweep(&sorted(rx), k, budget, ReissueCdf::joint(pairs, false))
+    sweep(&sorted(rx), k, budget, ReissueCdf::joint(pairs))
 }
 
 /// Predicts the `k`-th percentile tail latency of a *given* SingleR
@@ -303,7 +299,7 @@ pub fn predict_latency(rx: &[f64], pairs: &[(f64, f64)], k: f64, d: f64, q: f64)
     assert!((0.0..1.0).contains(&k), "percentile k must be in [0,1)");
     let xs = sorted(rx);
     let mut reissue = if pairs.len() >= 2 {
-        ReissueCdf::joint(pairs, true)
+        ReissueCdf::joint(pairs)
     } else {
         ReissueCdf::Marginal(FingerCursor::new(&xs))
     };
@@ -528,7 +524,7 @@ mod tests {
                 (x, 0.5 * x + d.sample(&mut rng))
             })
             .collect();
-        let mut reissue = ReissueCdf::joint(&pairs, false);
+        let mut reissue = ReissueCdf::joint(&pairs);
         let mut ts: Vec<f64> = pairs.iter().map(|p| p.0).collect();
         ts.sort_by(|a, b| b.total_cmp(a));
         for &t in ts.iter().take(500) {
@@ -631,6 +627,15 @@ mod tests {
         let realized = crate::metrics::quantile(&latencies, k);
         let rel = (predicted - realized).abs() / realized;
         assert!(rel < 0.05, "predicted={predicted} realized={realized}");
+    }
+
+    #[test]
+    fn predict_latency_conditional_is_strict() {
+        // At t = 1 both pairs have x > t, and neither reissue beats
+        // t − d = 1 strictly: Pr(Y < 1 | X > 1) = 0, so α(1) = 0 and the
+        // prediction is the next sample, 4 (α(4) = 0.5).
+        let p = predict_latency(&[1.0, 4.0], &[(4.0, 1.0), (4.0, 5.0)], 0.5, 0.0, 1.0);
+        assert_eq!(p, 4.0);
     }
 
     #[test]

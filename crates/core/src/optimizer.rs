@@ -333,6 +333,15 @@ mod tests {
     }
 
     #[test]
+    fn reissue_probability_edges() {
+        assert_eq!(reissue_probability(0.0, 0.5), 0.0, "no budget, no reissue");
+        assert_eq!(reissue_probability(0.0, 0.0), 0.0, "no budget, no reissue");
+        assert_eq!(reissue_probability(0.1, 0.0), 1.0, "nothing outstanding");
+        assert_eq!(reissue_probability(0.3, 0.2), 1.0, "clamped at 1");
+        assert_eq!(reissue_probability(0.1, 0.5), 0.2);
+    }
+
+    #[test]
     fn budget_is_respected() {
         let rx = exp_samples(20_000, 1.0, 1);
         let ry = exp_samples(20_000, 1.0, 2);
@@ -636,6 +645,63 @@ mod tests {
         // prediction is the next sample, 4 (α(4) = 0.5).
         let p = predict_latency(&[1.0, 4.0], &[(4.0, 1.0), (4.0, 5.0)], 0.5, 0.0, 1.0);
         assert_eq!(p, 4.0);
+    }
+
+    /// `predict_latency` by definition: `α(t)` counted directly over
+    /// the samples at every sorted `t`, `O(N²)`.
+    fn predict_latency_brute_force(
+        rx: &[f64],
+        pairs: &[(f64, f64)],
+        k: f64,
+        d: f64,
+        q: f64,
+    ) -> f64 {
+        let mut xs = rx.to_vec();
+        xs.sort_by(f64::total_cmp);
+        let n = xs.len() as f64;
+        for (i, &t) in xs.iter().enumerate() {
+            let p_y = if pairs.len() >= 2 {
+                let above = pairs.iter().filter(|p| p.0 > t).count();
+                let below = pairs.iter().filter(|p| p.0 > t && p.1 < t - d).count();
+                if above == 0 {
+                    0.0
+                } else {
+                    below as f64 / above as f64
+                }
+            } else {
+                xs.iter().filter(|&&y| y < t - d).count() as f64 / n
+            };
+            let p = i as f64 / n;
+            if p + q * (1.0 - p) * p_y >= k {
+                return t;
+            }
+        }
+        xs[xs.len() - 1]
+    }
+
+    proptest! {
+        #[test]
+        fn predict_latency_matches_brute_force(
+            rx in proptest::collection::vec(0u8..16, 1..41),
+            pairs in proptest::collection::vec((0u8..16, 0u8..16), 0..41),
+            d in 0u8..12,
+            q in 0.0f64..=1.0,
+            k in 0.0f64..1.0,
+        ) {
+            // Integer samples and delays, so that ties fall on t, on
+            // t − d and between primaries.
+            let rx: Vec<f64> = rx.into_iter().map(f64::from).collect();
+            let pairs: Vec<(f64, f64)> =
+                pairs.into_iter().map(|(x, y)| (f64::from(x), f64::from(y))).collect();
+            let d = f64::from(d);
+            // The pairs branch, then the marginal one.
+            for pairs in [&pairs[..], &pairs[..pairs.len().min(1)]] {
+                prop_assert_eq!(
+                    predict_latency(&rx, pairs, k, d, q),
+                    predict_latency_brute_force(&rx, pairs, k, d, q)
+                );
+            }
+        }
     }
 
     #[test]

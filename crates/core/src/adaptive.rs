@@ -250,9 +250,7 @@ mod tests {
             tolerance: 0.05,
         };
         let result = adapt(&mut sys, &cfg);
-        let base = Exponential::new(1.0);
         let base_p95 = -(0.05f64).ln(); // Exp(1) P95
-        let _ = base;
         let last = result.trials.last().unwrap();
         assert!(
             last.observed < base_p95,

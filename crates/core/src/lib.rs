@@ -16,8 +16,9 @@
 //! * [`ecdf`] — the paper's `DiscreteCDF` (Figure 1, line 21): a strict
 //!   `<` empirical CDF over sorted response-time samples.
 //! * [`optimizer`] — `ComputeOptimalSingleR` (Figure 1): the
-//!   `Θ(N + sort N)` data-driven parameter search, plus the
-//!   `Θ(N log N)` correlation-aware variant of §4.2.
+//!   `Θ(N + sort N)` data-driven parameter search, the
+//!   `Θ(N log N)` correlation-aware variant of §4.2, and the predicted
+//!   tail latency of a given `(d, q)`, all on one success-rate sweep.
 //! * [`adaptive`] — iterative adaptation for load-dependent queueing
 //!   delays (§4.3): refine the reissue delay with a learning rate until
 //!   predicted and observed tail latencies converge.
@@ -32,11 +33,11 @@
 //!   ([`load::LoadShaper`]) that shrinks the effective reissue budget
 //!   as estimated utilization rises, so online adaptation survives
 //!   redundancy's load-dependent sign flip.
-//! * [`metrics`] — exact and streaming quantiles, latency-reduction
-//!   ratios, the paper's *remediation rate*, and service-time histograms.
+//! * [`metrics`] — exact and log-bucketed streaming quantiles, the
+//!   paper's *remediation rate*, and service-time histograms.
 //! * [`discipline`] — the server-side queue disciplines (FIFO,
-//!   primary-priority, round-robin, cost-priority, aged
-//!   shortest-burn) shared by the cluster simulator and the TCP
+//!   primary-priority FIFO and LIFO, round-robin, aged shortest-burn)
+//!   shared by the cluster simulator and the TCP
 //!   serving path, so reissue policy × scheduling interactions are
 //!   measured on identical semantics.
 //!

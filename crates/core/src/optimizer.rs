@@ -10,6 +10,11 @@
 //! all monotone, so finger cursors make the whole search
 //! `Θ(N + sort(N))` (independent) or `Θ(N log N)` (correlated, via a
 //! Fenwick sweep over reissue-time ranks).
+//!
+//! [`predict_latency`], the §4.3 loop's predictor for a *given* `(d,
+//! q)`, walks `t` down the same way. All three estimators evaluate one
+//! success rate, `Pr(X < t) + q · Pr(X ≥ t) · Pr(Y < t−d | X > t)`, and
+//! one budget rule, `q = min(1, B / Pr(X ≥ d))`.
 
 use crate::ecdf::strict_cdf;
 use rangequery::{FenwickTree, FingerCursor};

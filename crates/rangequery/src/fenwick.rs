@@ -3,10 +3,10 @@
 /// A Fenwick tree (binary indexed tree) maintaining an array of
 /// non-negative counts with `O(log n)` point updates and prefix sums.
 ///
-/// Indices are `0..n`. The tree is used by the correlation-aware
-/// optimizer as the sweep-line structure: response-time pairs are
-/// inserted by descending primary time and prefix sums over reissue-time
-/// ranks yield `|{ i : xᵢ > t ∧ yᵢ ≤ v }|`.
+/// Indices are `0..n`. The tree is the optimizer's sweep-line
+/// structure: response-time pairs are inserted by descending primary
+/// time and prefix sums over reissue-time ranks yield
+/// `|{ i : xᵢ > t ∧ yᵢ < v }|`.
 ///
 /// # Examples
 /// ```

@@ -11,7 +11,10 @@
 //!   the optimizer `Θ(N + sort(N))` rather than `Θ(N log N)`.
 //! * [`FenwickTree`] — a binary indexed tree over value ranks, used for the
 //!   sweep-line estimation of the conditional CDF
-//!   `Pr(Y ≤ t−d | X > t)` inside the correlation-aware optimizer.
+//!   `Pr(Y < t−d | X > t)` inside the correlation-aware optimizer and
+//!   `predict_latency`. Pairs enter it as their primary crosses a
+//!   falling `t`, which answers the paper's §4.2 range counts without
+//!   a static 2-D structure.
 //!
 //! All structures are deterministic given their inputs and are validated
 //! against brute-force oracles by unit and property tests.

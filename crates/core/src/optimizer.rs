@@ -123,9 +123,10 @@ fn sorted(samples: &[f64]) -> Vec<f64> {
 fn sweep(xs: &[f64], k: f64, budget: f64, mut reissue: ReissueCdf) -> OptimalSingleR {
     let mut cx_t = FingerCursor::new(xs); // Pr(X < t): t non-increasing
     let mut cx_d = FingerCursor::new(xs); // Pr(X < d): d non-decreasing
-                                          // SingleRSuccessRate (Figure 1, lines 15–20), with q clamped to 1:
-                                          // for d beyond the B-quantile the un-clamped q = B/Pr(X ≥ d) exceeds
-                                          // 1, which would credit the policy with more reissues than exist.
+
+    // SingleRSuccessRate (Figure 1, lines 15–20), with q clamped to 1:
+    // for d beyond the B-quantile the un-clamped q = B/Pr(X ≥ d) exceeds
+    // 1, which would credit the policy with more reissues than exist.
     let mut success = |t: f64, d: f64| {
         let q = reissue_probability(budget, 1.0 - cx_d.cdf(d));
         reissue.success(cx_t.cdf(t), q, t, d)

@@ -1,4 +1,4 @@
-//! Binary indexed (Fenwick) tree over `usize` counts.
+//! Binary indexed (Fenwick) tree over `u64` counts.
 
 /// A Fenwick tree (binary indexed tree) maintaining an array of
 /// non-negative counts with `O(log n)` point updates and prefix sums.
@@ -15,7 +15,7 @@
 /// ft.add(5, 1);
 /// assert_eq!(ft.prefix_sum(3), 0); // indices 0..3
 /// assert_eq!(ft.prefix_sum(4), 2); // indices 0..4
-/// assert_eq!(ft.total(), 3);
+/// assert_eq!(ft.prefix_sum(8), 3); // every slot
 /// ```
 #[derive(Clone, Debug)]
 pub struct FenwickTree {
@@ -63,11 +63,6 @@ impl FenwickTree {
         }
         s
     }
-
-    /// Sum of all slots.
-    pub fn total(&self) -> u64 {
-        self.prefix_sum(self.len())
-    }
 }
 
 #[cfg(test)]
@@ -79,14 +74,13 @@ mod tests {
     fn empty_tree() {
         let ft = FenwickTree::new(0);
         assert!(ft.is_empty());
-        assert_eq!(ft.total(), 0);
         assert_eq!(ft.prefix_sum(0), 0);
     }
 
     #[test]
     fn single_slot() {
         let mut ft = FenwickTree::new(1);
-        assert_eq!(ft.total(), 0);
+        assert_eq!(ft.prefix_sum(1), 0);
         ft.add(0, 5);
         assert_eq!(ft.prefix_sum(0), 0);
         assert_eq!(ft.prefix_sum(1), 5);

@@ -105,4 +105,4 @@ pub use harness::{
 pub use rt::{race, select_all, Either, JoinHandle, Runtime, SelectAll, Sleep};
 pub use server::{spawn_replicas, Discipline, TcpServer, TcpServerConfig, TieStats};
 pub use sync::CancelToken;
-pub use transport::{InFlight, Replica, ReplicaHealth, ReplicaSet, TieSpec, TransportError};
+pub use transport::{InFlight, Replica, ReplicaHealth, ReplicaSet, TransportError};

@@ -56,7 +56,7 @@
 use crate::client::{BudgetGovernor, CancellationStyle, HedgeConfig, HedgeStats};
 use crate::rt::{race, select_all, Either, Runtime};
 use crate::sync::CancelToken;
-use crate::transport::{InFlight, ReplicaSet, TieSpec, TransportError};
+use crate::transport::{InFlight, ReplicaSet, TransportError};
 
 use kvstore::{Command, Reply};
 use rand::rngs::SmallRng;
@@ -397,17 +397,8 @@ impl Core {
             (1..=job.capacity().min(MAX_ATTEMPTS)).contains(&attempts.primaries),
             "a job opens with 1..=capacity attempts"
         );
-        // Tied cancellation: every first-wave attempt registers a tie
-        // id whenever a reissue *may* follow, so the reissue can name
-        // whichever of them is straggling as the peer to retract at
-        // dequeue time.
-        let tied = self.cancellation == CancellationStyle::Tied && armed.is_some();
         for _ in 0..attempts.primaries {
-            let tie = tied.then(|| TieSpec {
-                id: next_tie_id(),
-                peer: None,
-            });
-            self.dispatch(job, tie, started, &mut attempts);
+            self.dispatch(job, None, started, &mut attempts);
         }
         // The reissue still to be sent: its delay, and the deadline it
         // is due at, which a governor denial moves.
@@ -483,8 +474,8 @@ impl Core {
                     SideState::Failed
                 }
                 Err(TransportError::Cancelled) => {
-                    // A tied peer retracted this attempt server-side:
-                    // a clean in-time cancel, not a failure. The
+                    // The primary's server retracted this reissue: a
+                    // clean in-time cancel, not a failure. The
                     // attempt had been outstanding exactly this long
                     // when the retraction confirmed: its censoring
                     // bound.
@@ -547,7 +538,7 @@ impl Core {
     fn dispatch<J: Job>(
         &self,
         job: &mut J,
-        tie: Option<TieSpec>,
+        tie: Option<u64>,
         at: Instant,
         attempts: &mut Attempts,
     ) -> usize {
@@ -566,7 +557,6 @@ impl Core {
             token,
             dispatched: at,
             fate: SideState::Pending,
-            tie_id: tie.map(|t| t.id),
         });
         attempts.targets[slot] = target;
         attempts.len += 1;
@@ -576,21 +566,20 @@ impl Core {
     /// Dispatches the reissue into an ongoing race and counts it (total
     /// and per target). It names the straggler, the lowest-index
     /// first-wave attempt still unresolved, as the other side of the
-    /// adapter's pair; on a tied query it also carries a fresh tie id
-    /// naming the straggler's `(replica address, tie id)` as the peer
-    /// to retract at dequeue time.
+    /// adapter's pair. On a tied query the reissue registers at its
+    /// server under a fresh tie id, and the straggler's cell names it
+    /// to the straggler's server, which retracts it when it dequeues
+    /// the straggler (see [`crate::server`]).
     fn dispatch_reissue<J: Job>(&self, job: &mut J, attempts: &mut Attempts) {
         bump(&self.counters.reissues);
-        let mut tie = None;
         attempts.straggler = (0..attempts.primaries).find(|&s| attempts.futs[s].is_some());
-        if let Some(s) = attempts.straggler {
-            let addr = self.replicas.replica(attempts.targets[s]).addr();
-            tie = attempts.meta(s).tie_id.map(|peer_id| TieSpec {
-                id: next_tie_id(),
-                peer: Some((addr, peer_id)),
-            });
-        }
+        let tied = self.cancellation == CancellationStyle::Tied;
+        let tie = attempts.straggler.filter(|_| tied).map(|_| next_tie_id());
         let target = self.dispatch(job, tie, Instant::now(), attempts);
+        if let (Some(s), Some(id)) = (attempts.straggler, tie) {
+            let addr = self.replicas.replica(target).addr();
+            attempts.meta(s).token.tie((addr, id));
+        }
         if let Some(c) = self.counters.reissue_targets.get(target) {
             bump(c);
         }
@@ -640,8 +629,8 @@ impl Core {
     /// Records one side of the raced pair; the report that completes
     /// the book emits the joint observation (and the pair counters).
     /// Both sides are never censored: with one reissue a won race
-    /// leaves at most one copy unanswered, and a tie retracts only one
-    /// of its pair.
+    /// leaves at most one copy unanswered, and a tie retracts only the
+    /// reissue.
     fn report_side(&self, book: &Mutex<RaceBook>, is_primary: bool, side: SideState) {
         let (primary, reissue) = {
             let mut b = book.lock().unwrap();
@@ -762,9 +751,6 @@ struct AttemptMeta {
     token: CancelToken,
     dispatched: Instant,
     fate: SideState,
-    /// The tie id a first-wave attempt registered (tied cancellation
-    /// only).
-    tie_id: Option<u64>,
 }
 
 /// Every attempt of one query, indexed by slot (see [`Job`]). All

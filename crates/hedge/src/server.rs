@@ -1,5 +1,5 @@
 //! A TCP transport for the kvstore with a pluggable queue
-//! [`Discipline`] and server-side *tied requests*.
+//! [`Discipline`], client retraction and server-side *tied requests*.
 //!
 //! Every accepted socket gets a reader thread that decodes RESP frames
 //! into per-connection FIFO queues. Only each connection's **head**
@@ -35,7 +35,7 @@
 //! an idle sweeper on its condvar, and [`TcpServer::shutdown`] wakes
 //! the readers by shutting their sockets down.
 //!
-//! ## Tied-request cancellation
+//! ## Client retraction
 //!
 //! Requests on a connection carry an implicit sequence number (0, 1,
 //! 2, …, counted by both sides). A client that no longer needs request
@@ -51,36 +51,48 @@
 //! server books only the cost units it burned
 //! ([`ServerStats::total_cost`], and one [`ServerStats::aborted`]), and
 //! the replica serves its next head at once instead of finishing a copy
-//! nobody is waiting for. What can be cancelled, and by whom:
+//! nobody is waiting for.
 //!
-//! | the request is… | client `CANCEL` | peer `CANCELTIE` |
+//! ## Tied requests (the primary's server retracts the reissue)
+//!
+//! A client `CANCEL` retracts a loser only after the winning reply has
+//! crossed the network *twice* (reply to client, cancel back to
+//! server). Following "The Tail at Scale", every raced query is also
+//! *tied*, in one direction:
+//!
+//! 1. The reissue carries `TIE <id>`, which registers it here under the
+//!    client-global tie id `id`. Such a request is a reissue, which is
+//!    what the `Prioritized*` disciplines order by.
+//! 2. At the same moment the client writes `TIE <seq> <addr> <id>` on
+//!    the primary's connection: request `seq` there has a twin,
+//!    registered at server `addr`.
+//! 3. The primary's server keeps the twin while the primary is queued
+//!    and sends `CANCELTIE <id>` to `addr` when it dequeues the
+//!    primary. If the primary is already in service or answered when
+//!    the `TIE` arrives, the tie *collapses*: `CANCELTIE` goes out at
+//!    once.
+//! 4. The reissue's server retracts the reissue on `CANCELTIE` while it
+//!    is still queued. A `CANCELTIE` that overtook its reissue is kept
+//!    in a bounded pre-cancel set, and the reissue is born cancelled.
+//!
+//! The reissue's server never sends a `CANCELTIE`: retracting the
+//! primary when the reissue is dequeued measured no cheaper than the
+//! client's own `CANCEL`, which follows it a round trip later anyway.
+//! `CANCELTIE`s travel over a small server-to-server channel, best
+//! effort; a lost one leaves the retraction to the client. What can be
+//! cancelled, and by whom:
+//!
+//! | the request is… | client `CANCEL` | the primary's server's `CANCELTIE` (reissues only) |
 //! |---|---|---|
 //! | queued | retracted | retracted |
 //! | in service (the cost model's service time) | stopped | left to finish |
 //! | inside [`Backend::execute`], or burning < 200 µs | too late: it is atomic | left to finish |
 //!
 //! Only the client may stop running work, because only the client
-//! holds the winner's reply when it cancels. A peer's `CANCELTIE` says
-//! no more than "my copy started": two tied copies that both started
-//! would stop each other and nobody would answer, so `CANCELTIE` keeps
-//! its dequeue-time meaning and is too late once service began.
-//!
-//! ## Server-side ties (dequeue-time peer cancellation)
-//!
-//! The client-driven `CANCEL` retracts a loser only after the winning
-//! reply has crossed the network *twice* (reply to client, cancel back
-//! to server). Following "The Tail at Scale", a tied pair instead
-//! cancels at **dequeue time**: the primary is prefixed with
-//! `TIE <id>` and the reissue with `TIE <id'> <addr> <id>` naming its
-//! peer. The reissue's server announces itself to the primary's server
-//! (`TIEPEER`) *after* registering and enqueueing — so a subsequent
-//! `CANCELTIE` always finds the registration — and whichever server
-//! dequeues its copy first sends `CANCELTIE` to the other over a small
-//! server-to-server channel, retracting the twin while it still sits
-//! in a queue. The wasted-work window shrinks from a full response
-//! round-trip to one queue-exchange latency. If the announce arrives
-//! after the primary already left the queue, the receiving server
-//! *collapses* the tie by answering `CANCELTIE` immediately.
+//! holds the winner's reply when it cancels. A `CANCELTIE` says no more
+//! than "the primary started", and a started primary may still lose,
+//! so `CANCELTIE` keeps its dequeue-time meaning and is too late once
+//! the reissue's service began.
 
 use kvstore::resp::{decode_command, encode_command, encode_reply};
 use kvstore::server::ServerStats;
@@ -145,24 +157,27 @@ impl Default for TcpServerConfig {
 /// Server-side tie protocol counters (see [`TcpServer::tie_stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TieStats {
-    /// Tie prefixes registered (primaries and reissues).
+    /// Reissues registered here (their `TIE <id>` prefix).
     pub registered: u64,
-    /// `CANCELTIE` messages sent to a peer at dequeue time.
+    /// `CANCELTIE`s sent to a reissue's server when its primary was
+    /// dequeued here.
     pub peer_cancels_sent: u64,
-    /// Queued requests retracted here because a peer's `CANCELTIE`
-    /// arrived in time.
+    /// Queued reissues retracted here because their primary's
+    /// `CANCELTIE` arrived in time.
     pub retractions: u64,
-    /// `TIEPEER` announces that arrived after the local copy already
-    /// left the queue (tie collapsed; `CANCELTIE` answered at once).
+    /// Ties that reached a primary already in service or answered:
+    /// collapsed, `CANCELTIE` sent at once.
     pub collapses: u64,
 }
 
-/// A tie prefix attached to the next request on a connection.
+/// A request's part in a tie (see the module docs).
 #[derive(Clone, Copy, Debug)]
-struct TieInfo {
-    id: u64,
-    /// `Some((peer server, peer tie id))` on reissues.
-    peer: Option<(SocketAddr, u64)>,
+enum Tie {
+    /// A reissue registered here under this tie id.
+    Reissue(u64),
+    /// A primary whose reissue is registered at this server under this
+    /// tie id: sent `CANCELTIE` when the primary is dequeued.
+    Primary(SocketAddr, u64),
 }
 
 /// One queued request on a connection.
@@ -173,16 +188,15 @@ struct Entry {
     cost: u64,
     /// Milliseconds since server start, for age-based disciplines.
     enqueued_at: f64,
-    tie: Option<TieInfo>,
-    is_reissue: bool,
+    tie: Option<Tie>,
     /// Retracted; emits the cancelled marker when it reaches the head.
     cancelled: bool,
     /// Currently in the central queue (or held by the service slot's
     /// holder).
     admitted: bool,
     /// The slot's holder has committed to executing it: too late for a
-    /// peer's `CANCELTIE`; a client `CANCEL` can still stop its service
-    /// time (a long one, which the sweeper serves).
+    /// `CANCELTIE`; a client `CANCEL` can still stop its service time
+    /// (a long one, which the sweeper serves).
     executing: bool,
 }
 
@@ -271,7 +285,7 @@ struct Running {
     started: Instant,
 }
 
-/// A registered tie: where the tied request currently sits.
+/// A registered reissue: where it currently sits.
 struct TieReg {
     conn: Arc<ConnState>,
     seq: u64,
@@ -310,61 +324,20 @@ impl BoundedSet {
         // The stale `order` slot is left behind; eviction tolerates it.
         self.set.remove(&id)
     }
-
-    fn contains(&self, id: u64) -> bool {
-        self.set.contains(&id)
-    }
 }
 
-/// All tie state, under one leaf mutex. The protocol messages
-/// (`TIEPEER`, `CANCELTIE`) travel on separate sockets from the tied
-/// requests themselves, so any arrival order is possible; the
-/// tombstone sets make every ordering converge:
+/// The reissues registered here, under one leaf mutex. A `CANCELTIE`
+/// travels from the primary's server on a socket of its own, so it can
+/// overtake the reissue it names (the reissue's reader can stall
+/// behind a slow `Backend::execute` while estimating costs):
 ///
-/// * `regs` — ties whose request is queued here right now.
-/// * `done` — ties that already left a queue here (dequeued for
-///   execution, or retracted). A `TIEPEER` for a done tie collapses
-///   (answer `CANCELTIE` at once); a `CANCELTIE` for one is a no-op.
-/// * `pending_peers` — `TIEPEER` arrived before its tie registered
-///   (the reader can stall behind a long `Backend::execute` while
-///   estimating costs): attach the peer at registration time.
-/// * `precancelled` — `CANCELTIE` arrived before its tie registered:
-///   the request is born cancelled and never executes.
+/// * `regs` — reissues queued here right now;
+/// * `precancelled` — `CANCELTIE`s that found no registration: a
+///   reissue that registers later is born cancelled and never runs.
+///   One for a reissue that already left the queue just ages out.
 struct TieTable {
     regs: HashMap<u64, TieReg>,
-    done: BoundedSet,
-    pending_peers: HashMap<u64, (SocketAddr, u64)>,
-    pending_order: VecDeque<u64>,
     precancelled: BoundedSet,
-}
-
-impl TieTable {
-    fn new() -> Self {
-        TieTable {
-            regs: HashMap::new(),
-            done: BoundedSet::new(),
-            pending_peers: HashMap::new(),
-            pending_order: VecDeque::new(),
-            precancelled: BoundedSet::new(),
-        }
-    }
-
-    /// Marks a tie as having left the queue (executed or retracted).
-    fn finish(&mut self, id: u64) {
-        self.regs.remove(&id);
-        self.done.insert(id);
-    }
-
-    fn store_pending_peer(&mut self, id: u64, peer: (SocketAddr, u64)) {
-        if self.pending_peers.insert(id, peer).is_none() {
-            self.pending_order.push_back(id);
-            if self.pending_order.len() > BoundedSet::CAP {
-                if let Some(old) = self.pending_order.pop_front() {
-                    self.pending_peers.remove(&old);
-                }
-            }
-        }
-    }
 }
 
 struct TieCounters {
@@ -391,17 +364,17 @@ struct Shared<B: Backend> {
     /// A connection died since the last reap (see [`mark_dead`]).
     reap: AtomicBool,
     conns: Mutex<Vec<Arc<ConnState>>>,
-    /// Tie registrations and out-of-order tombstones.
+    /// Reissue registrations and early `CANCELTIE`s.
     ties: Mutex<TieTable>,
-    /// Outbound server-to-server tie messages; `None` once shut down.
-    tie_tx: Mutex<Option<mpsc::Sender<(SocketAddr, Command)>>>,
+    /// Outbound `CANCELTIE`s: (reissue's server, tie id); `None` once
+    /// shut down.
+    tie_tx: Mutex<Option<mpsc::Sender<(SocketAddr, u64)>>>,
     tie_counters: TieCounters,
     stop: AtomicBool,
     /// Live copy of [`TcpServerConfig::nanos_per_op`]; see
     /// [`TcpServer::set_nanos_per_op`].
     nanos_per_op: AtomicU64,
     epoch: Instant,
-    local_addr: SocketAddr,
     /// Reader threads, tracked so shutdown can join them (they used to
     /// be spawned detached and leaked past shutdown).
     reader_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -412,9 +385,10 @@ impl<B: Backend> Shared<B> {
         self.epoch.elapsed().as_secs_f64() * 1e3
     }
 
-    fn send_tie(&self, addr: SocketAddr, cmd: Command) {
+    /// Sends `CANCELTIE <id>` to the reissue's server at `addr`.
+    fn cancel_tie(&self, (addr, id): (SocketAddr, u64)) {
         if let Some(tx) = self.tie_tx.lock().unwrap().as_ref() {
-            let _ = tx.send((addr, cmd));
+            let _ = tx.send((addr, id));
         }
     }
 }
@@ -446,7 +420,10 @@ impl<B: Backend> TcpServer<B> {
             sweep_cv: Condvar::new(),
             reap: AtomicBool::new(false),
             conns: Mutex::new(Vec::new()),
-            ties: Mutex::new(TieTable::new()),
+            ties: Mutex::new(TieTable {
+                regs: HashMap::new(),
+                precancelled: BoundedSet::new(),
+            }),
             tie_tx: Mutex::new(Some(tie_tx)),
             tie_counters: TieCounters {
                 registered: AtomicU64::new(0),
@@ -457,7 +434,6 @@ impl<B: Backend> TcpServer<B> {
             stop: AtomicBool::new(false),
             nanos_per_op: AtomicU64::new(cfg.nanos_per_op),
             epoch: Instant::now(),
-            local_addr,
             reader_threads: Mutex::new(Vec::new()),
         });
 
@@ -635,9 +611,10 @@ fn reader_loop<B: Backend>(mut stream: TcpStream, state: &Arc<ConnState>, shared
     let mut buf = BytesMut::new();
     let mut chunk = [0u8; 16 * 1024];
     let mut scratch = BytesMut::new();
-    // A `TIE` control frame applies to the next request on this
-    // connection; it consumes no sequence number and gets no reply.
-    let mut pending_tie: Option<TieInfo> = None;
+    // A reissue's `TIE <id>` applies to the next request on this
+    // connection; control frames consume no sequence number and get no
+    // reply.
+    let mut pending_tie: Option<u64> = None;
     // A failed reply write marks the connection dead (and shuts its
     // socket down) from another thread; this one then stops reading
     // and reports the death. `shutdown` ends the read the same way.
@@ -651,12 +628,11 @@ fn reader_loop<B: Backend>(mut stream: TcpStream, state: &Arc<ConnState>, shared
         loop {
             match decode_command(&mut buf) {
                 Ok(Some(Command::Cancel(seq))) => cancel_entry(shared, state, seq, false),
-                Ok(Some(Command::Tie { id, peer })) => pending_tie = Some(TieInfo { id, peer }),
-                Ok(Some(Command::TiePeer {
-                    id,
-                    peer_addr,
-                    peer_id,
-                })) => handle_tie_peer(shared, id, peer_addr, peer_id),
+                Ok(Some(Command::Tie { id, peer: None })) => pending_tie = Some(id),
+                Ok(Some(Command::Tie {
+                    id: seq,
+                    peer: Some(twin),
+                })) => attach_twin(shared, state, seq, twin),
                 Ok(Some(Command::CancelTie(id))) => handle_cancel_tie(shared, id),
                 Ok(Some(cmd)) => {
                     if let Some(head) = enqueue_request(shared, state, cmd, pending_tie.take()) {
@@ -707,54 +683,35 @@ fn write_frame(conn: &ConnState, bytes: &[u8]) {
 }
 
 /// Enqueues a decoded request: assigns its sequence number, estimates
-/// its cost, registers its tie (if prefixed), admits the connection
-/// head to the central queue, and — for reissues — announces the tie
-/// to the peer server *after* registration and enqueue, so a racing
-/// `CANCELTIE` can never miss. Returns the head instead of queueing it
-/// when the calling reader took the service slot to serve it in place
-/// (see [`admit_head`]).
+/// its cost, registers it if it is a reissue (`tie`), and admits the
+/// connection head to the central queue. Returns the head instead of
+/// queueing it when the calling reader took the service slot to serve
+/// it in place (see [`admit_head`]).
 fn enqueue_request<B: Backend>(
     shared: &Arc<Shared<B>>,
     state: &Arc<ConnState>,
     cmd: Command,
-    tie: Option<TieInfo>,
+    tie: Option<u64>,
 ) -> Option<SchedItem> {
     let cost = shared.store.lock().unwrap().estimate_cost(&cmd);
-    let is_reissue = tie.is_some_and(|t| t.peer.is_some());
-    let mut tie = tie;
     let mut precancelled = false;
     let mut inner = state.inner.lock().unwrap();
     let seq = inner.next_seq;
     inner.next_seq += 1;
-    if let Some(t) = tie.as_mut() {
+    if let Some(id) = tie {
+        let c = &shared.tie_counters;
+        c.registered.fetch_add(1, Ordering::Relaxed);
         let mut table = shared.ties.lock().unwrap();
-        shared
-            .tie_counters
-            .registered
-            .fetch_add(1, Ordering::Relaxed);
-        if table.precancelled.remove(t.id) {
-            // The peer's CANCELTIE outran this request (the reader can
-            // stall behind a slow execute): born cancelled.
-            table.done.insert(t.id);
+        if table.precancelled.remove(id) {
+            // The primary's CANCELTIE got here first: born cancelled.
             precancelled = true;
-            shared
-                .tie_counters
-                .retractions
-                .fetch_add(1, Ordering::Relaxed);
+            c.retractions.fetch_add(1, Ordering::Relaxed);
         } else {
-            if let Some(peer) = table.pending_peers.remove(&t.id) {
-                // A TIEPEER announce got here first; adopt it.
-                if t.peer.is_none() {
-                    t.peer = Some(peer);
-                }
-            }
-            table.regs.insert(
-                t.id,
-                TieReg {
-                    conn: state.clone(),
-                    seq,
-                },
-            );
+            let reg = TieReg {
+                conn: state.clone(),
+                seq,
+            };
+            table.regs.insert(id, reg);
         }
     }
     inner.queue.push_back(Entry {
@@ -762,34 +719,12 @@ fn enqueue_request<B: Backend>(
         cmd,
         cost,
         enqueued_at: shared.now_ms(),
-        tie,
-        is_reissue,
+        tie: tie.map(Tie::Reissue),
         cancelled: precancelled,
         admitted: false,
         executing: false,
     });
-    let in_place = admit_head(shared, state, &mut inner, true);
-    drop(inner);
-    if is_reissue && !precancelled {
-        if let Some(TieInfo {
-            id,
-            peer: Some((peer_addr, peer_id)),
-        }) = tie
-        {
-            // Announce the reissue to the primary's server. Ordering:
-            // the registration above is already visible, so the peer's
-            // eventual CANCELTIE always finds it.
-            shared.send_tie(
-                peer_addr,
-                Command::TiePeer {
-                    id: peer_id,
-                    peer_addr: shared.local_addr,
-                    peer_id: id,
-                },
-            );
-        }
-    }
-    in_place
+    admit_head(shared, state, &mut inner, true)
 }
 
 /// Advances a connection's head: emits cancelled markers for retracted
@@ -813,8 +748,8 @@ fn admit_head<B: Backend>(
             return None;
         }
         if front.cancelled {
-            if let Some(t) = front.tie {
-                shared.ties.lock().unwrap().finish(t.id);
+            if let Some(Tie::Reissue(id)) = front.tie {
+                shared.ties.lock().unwrap().regs.remove(&id);
             }
             write_frame(conn, CANCELLED_FRAME);
             inner.queue.pop_front();
@@ -826,7 +761,7 @@ fn admit_head<B: Backend>(
             seq: front.seq,
             cost: front.cost as f64,
             enqueued_at: front.enqueued_at,
-            is_reissue: front.is_reissue,
+            is_reissue: matches!(front.tie, Some(Tie::Reissue(_))),
         };
         let mut sched = shared.sched.lock().unwrap();
         if in_place && sched.slot == Slot::Free && sched.queue.is_empty() {
@@ -846,7 +781,7 @@ fn admit_head<B: Backend>(
 
 /// Cancels the entry `seq` on `conn`: retracts it if it is still
 /// queued, stops its service time if it is in service and the client
-/// asked. A peer's `CANCELTIE` (`by_peer`) never stops an entry in
+/// asked. A primary's `CANCELTIE` (`by_peer`) never stops a reissue in
 /// service — see the module docs — and is counted as a tie retraction
 /// here, before the `-ERR cancelled` marker can reach the client, so
 /// whoever reads that reply finds the counter moved.
@@ -893,37 +828,26 @@ fn cancel_entry<B: Backend>(shared: &Shared<B>, conn: &Arc<ConnState>, seq: u64,
     // emitted by `admit_head` when they reach the front.
 }
 
-/// A peer server announced a reissue tied to local tie `id`. If the
-/// local copy is still queued, remember the peer so dequeue sends
-/// `CANCELTIE`; if it already left the queue, collapse the tie by
-/// cancelling the peer right away.
-fn handle_tie_peer<B: Backend>(
-    shared: &Arc<Shared<B>>,
-    id: u64,
-    peer_addr: SocketAddr,
-    peer_id: u64,
+/// The client named the twin of request `seq` on `conn`: a reissue
+/// registered at `twin`. Still queued, the request keeps it, to retract
+/// it when dequeued. In service or answered, the tie collapses:
+/// `CANCELTIE` goes out at once. A request the client already
+/// cancelled has no use for its twin.
+fn attach_twin<B: Backend>(
+    shared: &Shared<B>,
+    conn: &ConnState,
+    seq: u64,
+    twin: (SocketAddr, u64),
 ) {
-    let reg = {
-        let mut table = shared.ties.lock().unwrap();
-        match table.regs.get(&id) {
-            Some(r) => Some((r.conn.clone(), r.seq)),
-            None if table.done.contains(id) => None, // left the queue: collapse
-            None => {
-                // Announce outran the tied request itself; hold the
-                // peer until registration adopts it.
-                table.store_pending_peer(id, (peer_addr, peer_id));
-                return;
-            }
-        }
-    };
-    if let Some((conn, seq)) = reg {
+    {
         let mut inner = conn.inner.lock().unwrap();
         if let Some(entry) = inner.queue.iter_mut().find(|e| e.seq == seq) {
-            if !entry.executing && !entry.cancelled {
-                if let Some(t) = entry.tie.as_mut() {
-                    t.peer = Some((peer_addr, peer_id));
-                    return;
-                }
+            if entry.cancelled {
+                return;
+            }
+            if !entry.executing {
+                entry.tie = Some(Tie::Primary(twin.0, twin.1));
+                return;
             }
         }
     }
@@ -931,34 +855,24 @@ fn handle_tie_peer<B: Backend>(
         .tie_counters
         .collapses
         .fetch_add(1, Ordering::Relaxed);
-    shared.send_tie(peer_addr, Command::CancelTie(peer_id));
+    shared.cancel_tie(twin);
 }
 
-/// A peer server dequeued the twin of tie `id`: retract our copy if it
-/// is still queued.
+/// The primary tied to reissue `id` was dequeued: retract the reissue
+/// if it is still queued, or have it born cancelled if it has not
+/// registered yet.
 fn handle_cancel_tie<B: Backend>(shared: &Arc<Shared<B>>, id: u64) {
     let reg = {
         let mut table = shared.ties.lock().unwrap();
-        match table.regs.remove(&id) {
-            Some(r) => {
-                table.done.insert(id);
-                Some((r.conn, r.seq))
-            }
-            None => {
-                if !table.done.contains(id) {
-                    // Cancel outran the tied request: remember it so
-                    // the request is born cancelled when it arrives.
-                    table.precancelled.insert(id);
-                    table.pending_peers.remove(&id);
-                }
-                None
-            }
+        let reg = table.regs.remove(&id);
+        if reg.is_none() {
+            table.precancelled.insert(id);
         }
+        reg
     };
-    let Some((conn, seq)) = reg else {
-        return; // already dequeued/retracted, or pre-cancelled
-    };
-    cancel_entry(shared, &conn, seq, true);
+    if let Some(r) = reg {
+        cancel_entry(shared, &r.conn, r.seq, true);
+    }
 }
 
 /// What the sweeper takes the slot for.
@@ -1041,8 +955,8 @@ fn serve_in_place<B: Backend>(shared: &Shared<B>, mut head: SchedItem, scratch: 
 }
 
 /// Starts serving `item`, whose thread holds the slot: commits to it if
-/// it is still its connection's live head, retracts its tied twin,
-/// executes the command and books it. `None` when the head went away,
+/// it is still its connection's live head, retracts a primary's tied
+/// reissue, executes the command and books it. `None` when the head went away,
 /// or was cancelled, before it started.
 fn start_head<B: Backend>(
     shared: &Shared<B>,
@@ -1071,18 +985,22 @@ fn start_head<B: Backend>(
     let cmd = front.cmd.clone();
     let tie = front.tie;
     drop(inner);
-    // Dequeue-time peer cancellation: this copy won the queue race,
-    // so retract the twin *now* — before execution — rather than
-    // after the reply has crossed the network.
-    if let Some(t) = tie {
-        shared.ties.lock().unwrap().finish(t.id);
-        if let Some((peer_addr, peer_id)) = t.peer {
-            shared.send_tie(peer_addr, Command::CancelTie(peer_id));
+    // Dequeue-time retraction: the primary is served, so retract its
+    // reissue *now*, before execution, rather than after the reply has
+    // crossed the network. A reissue dequeued here leaves its primary
+    // alone: only the primary's server retracts.
+    match tie {
+        Some(Tie::Primary(addr, id)) => {
+            shared.cancel_tie((addr, id));
             shared
                 .tie_counters
                 .peer_cancels_sent
                 .fetch_add(1, Ordering::Relaxed);
         }
+        Some(Tie::Reissue(id)) => {
+            shared.ties.lock().unwrap().regs.remove(&id);
+        }
+        None => {}
     }
     let (reply, cost) = shared.store.lock().unwrap().execute(&cmd);
     let started = Instant::now();
@@ -1204,16 +1122,15 @@ fn reap_dead<B: Backend>(shared: &Arc<Shared<B>>) {
         .retain(|_, r| !r.conn.dead.load(Ordering::SeqCst));
 }
 
-/// Forwards tie-protocol messages (`TIEPEER`, `CANCELTIE`) to peer
-/// servers over cached client connections. Write-only: the peers treat
-/// these as control frames and never reply. Exits when the sender side
-/// is dropped at shutdown.
-fn tie_sender_loop(rx: &mpsc::Receiver<(SocketAddr, Command)>) {
+/// Forwards `CANCELTIE`s to reissues' servers over cached client
+/// connections. Write-only: the peers treat these as control frames
+/// and never reply. Exits when the sender side is dropped at shutdown.
+fn tie_sender_loop(rx: &mpsc::Receiver<(SocketAddr, u64)>) {
     let mut conns: HashMap<SocketAddr, TcpStream> = HashMap::new();
     let mut buf = BytesMut::new();
-    while let Ok((addr, cmd)) = rx.recv() {
+    while let Ok((addr, id)) = rx.recv() {
         buf.clear();
-        encode_command(&cmd, &mut buf);
+        encode_command(&Command::CancelTie(id), &mut buf);
         let sent = match conns.get_mut(&addr) {
             Some(stream) => stream.write_all(&buf).is_ok(),
             None => false,
@@ -1442,224 +1359,132 @@ mod tests {
         server.shutdown();
     }
 
-    #[test]
-    fn tied_pair_cancels_peer_at_dequeue_time() {
-        // Server A is busy (its primary sits queued); server B is
-        // idle, so B dequeues the reissue first and must CANCELTIE the
-        // primary out of A's queue — with no client-side CANCEL at
-        // all.
+    /// A server whose monster (`SINTERCARD big1 big2`) burns `ms` of
+    /// service time.
+    fn monster_server(ms: u64) -> TcpServer {
+        let mut store = monster_store();
+        let (_, cost) = store.execute(&Command::SInterCard("big1".into(), "big2".into()));
         let cfg = TcpServerConfig {
-            nanos_per_op: 500,
+            nanos_per_op: ms * 1_000_000 / cost,
             ..TcpServerConfig::default()
         };
-        let a = TcpServer::bind("127.0.0.1:0", monster_store(), cfg).unwrap();
-        let b = TcpServer::bind("127.0.0.1:0", monster_store(), cfg).unwrap();
-        // Occupy A's sweeper with a monster.
-        let mut blocker = TcpStream::connect(a.local_addr()).unwrap();
+        TcpServer::bind("127.0.0.1:0", store, cfg).unwrap()
+    }
+
+    /// Connects to `server` and sends it a monster that holds it busy.
+    fn block(server: &TcpServer) -> TcpStream {
+        let mut blocker = TcpStream::connect(server.local_addr()).unwrap();
         send_cmd(
             &mut blocker,
             &Command::SInterCard("big1".into(), "big2".into()),
         );
+        blocker
+    }
+
+    #[test]
+    fn tied_pair_cancels_peer_at_dequeue_time() {
+        // Both copies sit queued behind a monster; A's ends first, so A
+        // dequeues the primary and must CANCELTIE the reissue out of
+        // B's queue, with no client-side CANCEL at all.
+        let a = monster_server(200);
+        let b = monster_server(400);
+        let mut blocker_a = block(&a);
+        let mut blocker_b = block(&b);
         std::thread::sleep(Duration::from_millis(20));
-        // Primary to A: TIE 1, then the query (queued behind the
-        // monster).
+        // The reissue to B registers as tie 2.
+        let mut reissue = TcpStream::connect(b.local_addr()).unwrap();
+        send_cmd(&mut reissue, &Command::Tie { id: 2, peer: None });
+        send_cmd(&mut reissue, &Command::Ping);
+        // The primary to A, then its twin named on its connection.
         let mut primary = TcpStream::connect(a.local_addr()).unwrap();
-        send_cmd(&mut primary, &Command::Tie { id: 1, peer: None });
+        send_cmd(&mut primary, &Command::Ping);
         send_cmd(
             &mut primary,
-            &Command::SInterCard("big1".into(), "big2".into()),
-        );
-        std::thread::sleep(Duration::from_millis(5));
-        // Reissue to B: TIE 2 naming (A, 1) as its peer.
-        let mut reissue = TcpStream::connect(b.local_addr()).unwrap();
-        send_cmd(
-            &mut reissue,
             &Command::Tie {
-                id: 2,
-                peer: Some((a.local_addr(), 1)),
+                id: 0,
+                peer: Some((b.local_addr(), 2)),
             },
         );
-        send_cmd(
-            &mut reissue,
-            &Command::SInterCard("big1".into(), "big2".into()),
-        );
-        // B executes the reissue for real…
-        assert_eq!(read_reply(&mut reissue), Reply::Int(100_000));
-        // …and A's primary is retracted without ever executing.
+        assert_eq!(read_reply(&mut primary), Reply::Pong);
         assert_eq!(
-            read_reply(&mut primary),
+            read_reply(&mut reissue),
             Reply::Error(CANCELLED_MARKER.into()),
-            "primary should be retracted by the peer's CANCELTIE"
+            "the reissue should be retracted by the primary's CANCELTIE"
         );
-        assert_eq!(read_reply(&mut blocker), Reply::Int(100_000));
-        assert_eq!(a.stats().commands, 1, "the tied primary never executed");
-        assert_eq!(b.tie_stats().peer_cancels_sent, 1);
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while a.tie_stats().retractions == 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(a.tie_stats().retractions, 1);
+        assert_eq!(read_reply(&mut blocker_a), Reply::Int(100_000));
+        assert_eq!(read_reply(&mut blocker_b), Reply::Int(100_000));
+        assert_eq!(b.stats().commands, 1, "the tied reissue never executed");
+        assert_eq!(a.tie_stats().peer_cancels_sent, 1);
+        assert_eq!(a.tie_stats().registered, 0, "a primary registers nothing");
+        let ties = b.tie_stats();
+        assert_eq!((ties.registered, ties.retractions), (1, 1), "{ties:?}");
+        assert_eq!(
+            ties.peer_cancels_sent, 0,
+            "a reissue's server never sends one"
+        );
         a.shutdown();
         b.shutdown();
     }
 
     #[test]
     fn lost_peer_cancel_degrades_to_client_retraction() {
-        // The tie channel is best-effort: here the reissue names a
-        // peer address where nothing listens, so B's dequeue-time
-        // CANCELTIE write is lost (connection refused, silently
-        // dropped). Degradation must be graceful: B serves on, the
-        // orphaned primary stays retractable via the client-side
-        // CANCEL fallback, and the retraction reply is the
-        // `-ERR cancelled` marker the client books as a censored pair.
-        // A burns slowly (wide retraction window); B is near-free so
-        // the reissue round-trip completes while A's primary still
-        // sits queued.
-        let a = TcpServer::bind(
-            "127.0.0.1:0",
-            monster_store(),
-            TcpServerConfig {
-                nanos_per_op: 3_000,
-                ..TcpServerConfig::default()
-            },
-        )
-        .unwrap();
-        let b = TcpServer::bind(
-            "127.0.0.1:0",
-            monster_store(),
-            TcpServerConfig {
-                nanos_per_op: 1,
-                ..TcpServerConfig::default()
-            },
-        )
-        .unwrap();
-        // A dead peer address: bound once to reserve a port, then
-        // dropped so connects are refused.
+        // The tie channel is best-effort: here the primary's twin is
+        // named at an address where nothing listens, so A's CANCELTIE
+        // write is lost (connection refused, silently dropped).
+        // Degradation must be graceful: A serves on, the orphaned
+        // reissue stays retractable by the client's CANCEL, and the
+        // retraction reply is the `-ERR cancelled` marker the client
+        // books as a censored pair.
+        let a = TcpServer::bind("127.0.0.1:0", KvStore::new(), TcpServerConfig::default()).unwrap();
+        let b = monster_server(400);
+        // A dead address: bound once to reserve a port, then dropped
+        // so connects are refused.
         let dead = {
             let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap()
         };
-        // Occupy A's sweeper so its tied primary sits queued.
-        let mut blocker = TcpStream::connect(a.local_addr()).unwrap();
-        send_cmd(
-            &mut blocker,
-            &Command::SInterCard("big1".into(), "big2".into()),
-        );
+        let mut blocker = block(&b);
         std::thread::sleep(Duration::from_millis(20));
-        // Primary to A: TIE 1, then the query (queued).
-        let mut primary = TcpStream::connect(a.local_addr()).unwrap();
-        send_cmd(&mut primary, &Command::Tie { id: 1, peer: None });
-        send_cmd(
-            &mut primary,
-            &Command::SInterCard("big1".into(), "big2".into()),
-        );
-        std::thread::sleep(Duration::from_millis(5));
-        // Reissue to B naming the dead address as its peer's home: the
-        // announce and the dequeue-time cancel both go into the void.
         let mut reissue = TcpStream::connect(b.local_addr()).unwrap();
-        send_cmd(
-            &mut reissue,
-            &Command::Tie {
-                id: 2,
-                peer: Some((dead, 1)),
-            },
-        );
-        send_cmd(
-            &mut reissue,
-            &Command::SInterCard("big1".into(), "big2".into()),
-        );
-        // B executes the reissue normally — the lost write must not
-        // stall or kill its serving loop.
-        assert_eq!(read_reply(&mut reissue), Reply::Int(100_000));
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while b.tie_stats().peer_cancels_sent == 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(
-            b.tie_stats().peer_cancels_sent,
-            1,
-            "the cancel was attempted even though delivery failed"
-        );
-        let mut b2 = TcpStream::connect(b.local_addr()).unwrap();
-        send_cmd(&mut b2, &Command::Ping);
-        assert_eq!(read_reply(&mut b2), Reply::Pong, "B still serves");
-        // A never saw the CANCELTIE: its primary is still queued. The
-        // client-driven fallback retracts it in time.
-        send_cmd(&mut primary, &Command::Cancel(0));
-        assert_eq!(
-            read_reply(&mut primary),
-            Reply::Error(CANCELLED_MARKER.into()),
-            "orphaned primary must fall back to client-driven retraction"
-        );
-        assert_eq!(read_reply(&mut blocker), Reply::Int(100_000));
-        assert_eq!(
-            a.stats().commands,
-            1,
-            "only the blocker executed on A: the tied primary was retracted"
-        );
-        a.shutdown();
-        b.shutdown();
-    }
-
-    #[test]
-    fn late_tiepeer_announce_collapses_the_tie() {
-        // The primary executes before the reissue's TIEPEER announce
-        // arrives: the primary's server must answer CANCELTIE at once,
-        // retracting the reissue from the busy peer's queue.
-        let a = TcpServer::bind("127.0.0.1:0", KvStore::new(), TcpServerConfig::default()).unwrap();
-        let mut b_store = KvStore::new();
-        b_store.load_set(
-            "big1",
-            kvstore::IntSet::from_unsorted((0..10_000).collect()),
-        );
-        b_store.load_set(
-            "big2",
-            kvstore::IntSet::from_unsorted((5_000..15_000).collect()),
-        );
-        let b = TcpServer::bind(
-            "127.0.0.1:0",
-            b_store,
-            TcpServerConfig {
-                nanos_per_op: 5_000, // B is slow: its copy stays queued
-                ..TcpServerConfig::default()
-            },
-        )
-        .unwrap();
-        // Keep B's sweeper busy so the reissue sits in queue.
-        let mut blocker = TcpStream::connect(b.local_addr()).unwrap();
-        send_cmd(
-            &mut blocker,
-            &Command::SInterCard("big1".into(), "big2".into()),
-        );
-        std::thread::sleep(Duration::from_millis(10));
-        // Primary to A executes immediately (A idle, no burn).
+        send_cmd(&mut reissue, &Command::Tie { id: 2, peer: None });
+        send_cmd(&mut reissue, &Command::Ping);
+        // The primary is answered before its twin is named: the tie
+        // collapses, and its CANCELTIE goes into the void.
         let mut primary = TcpStream::connect(a.local_addr()).unwrap();
-        send_cmd(&mut primary, &Command::Tie { id: 10, peer: None });
         send_cmd(&mut primary, &Command::Ping);
         assert_eq!(read_reply(&mut primary), Reply::Pong);
-        // Now the reissue lands on busy B, announcing to A — whose
-        // copy is long gone.
-        let mut reissue = TcpStream::connect(b.local_addr()).unwrap();
         send_cmd(
-            &mut reissue,
+            &mut primary,
             &Command::Tie {
-                id: 11,
-                peer: Some((a.local_addr(), 10)),
+                id: 0,
+                peer: Some((dead, 2)),
             },
-        );
-        send_cmd(&mut reissue, &Command::Ping);
-        assert_eq!(
-            read_reply(&mut reissue),
-            Reply::Error(CANCELLED_MARKER.into()),
-            "collapsed tie should retract the queued reissue"
         );
         let deadline = Instant::now() + Duration::from_secs(2);
         while a.tie_stats().collapses == 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert_eq!(a.tie_stats().collapses, 1);
-        assert_eq!(b.tie_stats().retractions, 1);
-        assert_eq!(read_reply(&mut blocker), Reply::Int(5_000));
+        assert_eq!(
+            a.tie_stats().collapses,
+            1,
+            "the cancel was attempted even though delivery failed"
+        );
+        send_cmd(&mut primary, &Command::Ping);
+        assert_eq!(read_reply(&mut primary), Reply::Pong, "A still serves");
+        // B never saw the CANCELTIE: its reissue is still queued. The
+        // client's CANCEL retracts it in time.
+        send_cmd(&mut reissue, &Command::Cancel(0));
+        assert_eq!(
+            read_reply(&mut reissue),
+            Reply::Error(CANCELLED_MARKER.into()),
+            "the orphaned reissue must fall back to client retraction"
+        );
+        assert_eq!(read_reply(&mut blocker), Reply::Int(100_000));
+        assert_eq!(
+            b.stats().commands,
+            1,
+            "only the blocker executed on B: the tied reissue was retracted"
+        );
         a.shutdown();
         b.shutdown();
     }

@@ -1,22 +1,25 @@
 //! The attempt cell: one allocation that carries everything a wire
 //! attempt shares between the task awaiting it, the connection I/O
 //! thread serving it, and whoever cancels it. [`CancelToken`] — the
-//! cancellation primitive propagated from a hedged query to the
-//! transport and on to the backend (tied requests) — and
-//! [`crate::transport::InFlight`] are both handles onto that cell.
+//! race engine's handle for retracting a losing attempt with a client
+//! `CANCEL <seq>`, and for naming a primary's tied reissue to its
+//! server — and [`crate::transport::InFlight`] are both handles onto
+//! that cell.
 //!
 //! # Lifecycle
 //!
 //! 1. [`CancelToken::new`] allocates the cell: not cancelled, no reply,
 //!    no wire target. This is the attempt's only allocation.
-//! 2. `Replica::request` attaches one request to it. A token cancelled
-//!    before its request reaches the wire never touches it.
+//! 2. `Replica::request` claims it for one request; a token handed to
+//!    a second request resolves that one as a protocol error. A token
+//!    cancelled before its request reaches the wire never touches it.
 //! 3. Whoever writes the frame — the caller itself on an idle
 //!    connection, or the connection's I/O thread for a request that
 //!    queued — records the *wire target* (the connection's writer and
 //!    the request's sequence number) while still holding the **writer
 //!    lock**. From here exactly one reply will come back, and
-//!    `CANCEL <seq>` can chase the request.
+//!    `CANCEL <seq>` can chase the request, as can the
+//!    `TIE <seq> <addr> <id>` that names its tied reissue.
 //! 4. When the reply is read — or the socket is given up on — the I/O
 //!    thread clears the wire target, again under the writer lock, and
 //!    then stores the outcome, which wakes the awaiting task. The
@@ -29,8 +32,9 @@
 //! (the one-request-on-the-wire check, the shared sequence counter) and
 //! take the writer and then the cell inside it (steps 3 and 4), as does
 //! a redial, which swaps the socket and restarts the numbering.
-//! [`CancelToken::cancel`] never takes the state lock: it flips the
-//! flag under the cell lock, *lets go of it*, and only then takes the
+//! [`CancelToken::cancel`] (and `CancelToken::tie`) never takes the
+//! state lock: it flips the flag under the cell lock, *lets go of it*,
+//! and only then takes the
 //! writer lock and looks at the cell again. That second look is what
 //! makes a late cancel safe: the wire target is only ever set or
 //! cleared under the writer lock, and a redial swaps the socket under
@@ -43,10 +47,8 @@ use bytes::BytesMut;
 use kvstore::resp::encode_command;
 use kvstore::{Command, Reply};
 
-use std::future::Future;
 use std::io::Write;
-use std::net::TcpStream;
-use std::pin::Pin;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::task::{Context, Poll, Waker};
 
@@ -65,7 +67,7 @@ enum ReplySlot {
 
 struct CellState {
     cancelled: bool,
-    /// A request has been attached (see [`CancelToken::attach`]).
+    /// A request has claimed the cell (see [`CancelToken::claim`]).
     claimed: bool,
     reply: ReplySlot,
     /// The task awaiting the reply.
@@ -74,20 +76,19 @@ struct CellState {
     /// the connection it was written to and its sequence number there.
     /// Set and cleared only under that writer's lock.
     wire: Option<(Writer, u64)>,
-    // For callers outside the transport; empty `Vec`s do not allocate.
-    wakers: Vec<Waker>,
-    callbacks: Vec<Box<dyn FnOnce() + Send>>,
+    /// The tied reissue's `(server address, tie id)`, once the race
+    /// engine names it: written as `TIE <seq> <addr> <id>` after the
+    /// request's frame on every wire attempt.
+    tie: Option<(SocketAddr, u64)>,
 }
 
 /// A clonable cancellation token — a handle onto one attempt cell (see
-/// the module docs).
+/// the module docs), good for one request.
 ///
 /// A hedged query hands one token to each speculative arm; when a
-/// winner emerges, cancelling the loser's token (a) wakes any task
-/// awaiting [`CancelToken::cancelled`], (b) writes `CANCEL <seq>` to
-/// the backend if the request is on the wire (tied requests, Dean &
-/// Barroso §"Tied requests"), and (c) runs callbacks registered with
-/// [`CancelToken::on_cancel`].
+/// winner emerges, cancelling the loser's token writes `CANCEL <seq>`
+/// to the backend if the request is on the wire, and keeps it off the
+/// wire if it is not there yet.
 #[derive(Clone)]
 pub struct CancelToken {
     inner: Arc<Mutex<CellState>>,
@@ -102,8 +103,7 @@ impl Default for CancelToken {
                 reply: ReplySlot::Empty,
                 reply_waker: None,
                 wire: None,
-                wakers: Vec::new(),
-                callbacks: Vec::new(),
+                tie: None,
             })),
         }
     }
@@ -119,36 +119,18 @@ impl CancelToken {
         self.inner.lock().expect("attempt cell lock poisoned")
     }
 
-    /// Cancels: wakes waiters, retracts the request if it is on the
-    /// wire, and runs registered callbacks (once).
+    /// Cancels: retracts the request if it is on the wire, and keeps
+    /// it off the wire if it is not there yet. Idempotent.
     pub fn cancel(&self) {
-        let (wakers, callbacks, writer) = {
+        let writer = {
             let mut st = self.state();
-            if st.cancelled {
+            if std::mem::replace(&mut st.cancelled, true) {
                 return;
             }
-            st.cancelled = true;
-            (
-                std::mem::take(&mut st.wakers),
-                std::mem::take(&mut st.callbacks),
-                st.wire.as_ref().map(|(w, _)| w.clone()),
-            )
+            st.wire.as_ref().map(|(w, _)| w.clone())
         };
-        for w in wakers {
-            w.wake();
-        }
         if let Some(writer) = writer {
-            // Writer lock first, then the cell again: the target may
-            // have been cleared (reply read, socket replaced) or moved
-            // to a fresh socket (retry) since the flag flipped.
-            let mut stream = writer.lock().expect("writer lock poisoned");
-            let seq = self.state().wire.as_ref().map(|&(_, seq)| seq);
-            if let Some(seq) = seq {
-                write_cancel(&mut stream, seq);
-            }
-        }
-        for cb in callbacks {
-            cb();
+            self.write_on_wire(&writer, Command::Cancel);
         }
     }
 
@@ -157,47 +139,51 @@ impl CancelToken {
         self.state().cancelled
     }
 
-    /// Registers `callback` to run on cancellation; runs it immediately
-    /// if the token is already cancelled. The transport does not use
-    /// this (a wired request is retracted through the cell itself); it
-    /// is for outside callers and allocates only when called.
-    pub fn on_cancel(&self, callback: impl FnOnce() + Send + 'static) {
-        {
+    /// Names the request's tied reissue, registered at server `twin.0`
+    /// under tie id `twin.1`, to the request's own server:
+    /// `TIE <seq> <addr> <id>` on its connection, at once if the request
+    /// is on the wire, or after its frame when it gets there. Dropped
+    /// if the request was already cancelled or answered.
+    pub(crate) fn tie(&self, twin: (SocketAddr, u64)) {
+        let writer = {
             let mut st = self.state();
-            if !st.cancelled {
-                st.callbacks.push(Box::new(callback));
+            if st.cancelled || !matches!(st.reply, ReplySlot::Empty) {
                 return;
             }
+            st.tie = Some(twin);
+            st.wire.as_ref().map(|(w, _)| w.clone())
+        };
+        if let Some(writer) = writer {
+            self.write_on_wire(&writer, |seq| Command::Tie {
+                id: seq,
+                peer: Some(twin),
+            });
         }
-        callback();
     }
 
-    /// A future that resolves when the token is cancelled.
-    pub fn cancelled(&self) -> Cancelled {
-        Cancelled {
-            token: self.clone(),
+    /// Writes `frame(seq)` on `writer` if the request is still its wire
+    /// target. Writer lock first, then the cell again: the target may
+    /// have been cleared (reply read, socket replaced) or moved to a
+    /// fresh socket (retry) since the cell lock was let go.
+    fn write_on_wire(&self, writer: &Writer, frame: impl FnOnce(u64) -> Command) {
+        let mut stream = writer.lock().expect("writer lock poisoned");
+        let seq = self.state().wire.as_ref().map(|&(_, seq)| seq);
+        if let Some(seq) = seq {
+            write_control(&mut stream, &frame(seq));
         }
     }
 
-    /// Attaches a request to this cell and returns the handle to use
-    /// for it: this one — or, when a request is already attached (an
-    /// outside caller cancelling several requests through one token; a
-    /// cell has one reply slot), a fresh cell that this one cancels.
-    pub(crate) fn attach(self) -> CancelToken {
-        if !std::mem::replace(&mut self.state().claimed, true) {
-            return self;
-        }
-        let own = CancelToken::new();
-        own.state().claimed = true;
-        let chained = own.clone();
-        self.on_cancel(move || chained.cancel());
-        own
+    /// Claims the cell for one request. `false` when a request already
+    /// holds it: a cell has one reply slot.
+    pub(crate) fn claim(&self) -> bool {
+        !std::mem::replace(&mut self.state().claimed, true)
     }
 
     /// Records that the request now sits on `writer`'s socket as
     /// request `seq`. The caller has just written the frame and still
     /// holds the writer lock (`stream`). A cancel that came first is
-    /// honoured here, on the spot.
+    /// honoured here, on the spot, and a tie named first follows the
+    /// frame.
     pub(crate) fn set_wire(
         &self,
         writer: &Writer,
@@ -205,12 +191,20 @@ impl CancelToken {
         seq: u64,
     ) {
         let mut st = self.state();
-        if st.cancelled {
-            drop(st);
-            write_cancel(stream, seq);
+        let frame = if st.cancelled {
+            Command::Cancel(seq)
         } else {
             st.wire = Some((writer.clone(), seq));
-        }
+            match st.tie {
+                Some(twin) => Command::Tie {
+                    id: seq,
+                    peer: Some(twin),
+                },
+                None => return,
+            }
+        };
+        drop(st);
+        write_control(stream, &frame);
     }
 
     /// Forgets the wire target: the reply was read, or the socket is
@@ -257,12 +251,12 @@ impl CancelToken {
     }
 }
 
-/// Writes `CANCEL <seq>` to a connection whose writer lock the caller
-/// holds. Best effort: a socket that refuses it is already dying, and
-/// its reader will notice.
-fn write_cancel(stream: &mut TcpStream, seq: u64) {
-    let mut frame = BytesMut::with_capacity(48);
-    encode_command(&Command::Cancel(seq), &mut frame);
+/// Writes a control frame (`CANCEL`, `TIE`) to a connection whose
+/// writer lock the caller holds. Best effort: a socket that refuses it
+/// is already dying, and its reader will notice.
+fn write_control(stream: &mut TcpStream, cmd: &Command) {
+    let mut frame = BytesMut::with_capacity(64);
+    encode_command(cmd, &mut frame);
     let _ = stream.write_all(&frame);
 }
 
@@ -274,54 +268,21 @@ impl std::fmt::Debug for CancelToken {
     }
 }
 
-/// Future returned by [`CancelToken::cancelled`]. `Unpin`.
-pub struct Cancelled {
-    token: CancelToken,
-}
-
-impl Future for Cancelled {
-    type Output = ();
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let mut st = self.token.state();
-        if st.cancelled {
-            Poll::Ready(())
-        } else {
-            st.wakers.push(cx.waker().clone());
-            Poll::Pending
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn cancel_token_flags_and_callbacks() {
+    fn cell_resolves_once_and_carries_one_request() {
         let token = CancelToken::new();
+        assert!(token.claim());
+        // A second request cannot claim it: the transport refuses that
+        // request instead.
+        assert!(!token.clone().claim());
         assert!(!token.is_cancelled());
-        let fired = Arc::new(Mutex::new(0));
-        let f2 = fired.clone();
-        token.on_cancel(move || *f2.lock().unwrap() += 1);
         token.cancel();
         token.cancel(); // idempotent
         assert!(token.is_cancelled());
-        assert_eq!(*fired.lock().unwrap(), 1);
-        // Late registration runs immediately.
-        let f3 = fired.clone();
-        token.on_cancel(move || *f3.lock().unwrap() += 10);
-        assert_eq!(*fired.lock().unwrap(), 11);
-    }
-
-    #[test]
-    fn cell_resolves_once_and_carries_one_request() {
-        let token = CancelToken::new().attach();
-        // A second request through the same token gets its own cell,
-        // cancelled along with the first.
-        let second = token.clone().attach();
-        assert!(!Arc::ptr_eq(&token.inner, &second.inner));
-        token.cancel();
-        assert!(second.is_cancelled());
         token.complete(Ok(Reply::Pong));
         token.complete(Err(TransportError::ConnectionClosed)); // ignored
         let waker = Waker::noop();
@@ -332,5 +293,12 @@ mod tests {
             token.poll_outcome(&mut cx),
             Poll::Ready(Err(TransportError::ConnectionClosed))
         );
+    }
+
+    #[test]
+    fn the_pending_tie_leaves_the_cell_smaller_than_its_waker_lists_did() {
+        // 128 bytes on 64-bit targets while the cell also kept a list of
+        // wakers and one of callbacks for outside callers.
+        assert!(std::mem::size_of::<CellState>() <= 128);
     }
 }

@@ -76,8 +76,8 @@ use crate::server::CANCELLED_MARKER;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TransportError {
     /// The request was retracted: cancelled before it was dispatched,
-    /// retracted while queued (a client `CANCEL` or a tied peer's), or
-    /// stopped in service by a client `CANCEL`.
+    /// retracted while queued (by a client `CANCEL`, or a reissue by its
+    /// primary's server), or stopped in service by a client `CANCEL`.
     Cancelled,
     /// The connection died before a reply arrived.
     ConnectionClosed,
@@ -257,34 +257,6 @@ impl Drop for InflightTicket {
     }
 }
 
-/// Server-side tie registration to attach to a dispatched request (see
-/// [`crate::server`] for the protocol). The transport prepends a `TIE`
-/// control frame to the request's *first* wire attempt — same
-/// `write(2)`, so the server's reader observes them back to back and
-/// the registration covers exactly this command. Control frames carry
-/// no reply and consume no sequence number, so cancellation by
-/// sequence keeps working unchanged.
-///
-/// `peer` is set on the *reissue* leg: the primary's (replica address,
-/// tie id), which the serving replica CANCELs at dequeue time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TieSpec {
-    /// This request's tie identifier, unique per client process.
-    pub id: u64,
-    /// The already-dispatched peer to retract when this copy is
-    /// dequeued: `(replica address, peer tie id)`.
-    pub peer: Option<(SocketAddr, u64)>,
-}
-
-impl TieSpec {
-    fn command(&self) -> Command {
-        Command::Tie {
-            id: self.id,
-            peer: self.peer,
-        }
-    }
-}
-
 /// One request on a connection. `token` is the attempt cell: the I/O
 /// thread resolves it through [`Job::complete`], and a job that is
 /// dropped unresolved — left on the wire or in the queue when the
@@ -293,7 +265,9 @@ impl TieSpec {
 struct Job {
     cmd: Command,
     token: CancelToken,
-    tie: Option<TieSpec>,
+    /// The tie id a reissue registers under at its server (see
+    /// [`Replica::request_tied`]).
+    tie: Option<u64>,
     /// `None` once the attempt resolved.
     ticket: Option<InflightTicket>,
     /// When the request was first written, or left the queue to be:
@@ -376,14 +350,13 @@ impl ConnState {
     /// a request frame is written, by the caller or the I/O thread, with
     /// this state locked and nothing else on the wire.
     ///
-    /// The tie registration rides in the same write as the command so
+    /// A reissue's `TIE <id>` rides in the same write as the command so
     /// the server's reader sees them back to back — on every wire
     /// attempt, including retries after a redial: a retry lands on a
     /// fresh socket of the *same* server, where re-registering the tie
-    /// id is an idempotent table insert, and the tombstoned `TieTable`
-    /// already converges when the peer's CANCELTIE arrived before the
-    /// re-registration. Sending the retry untied would let the copy
-    /// execute unretractable, silently understating retractions.
+    /// id replaces the dead connection's registration. Sending the
+    /// retry untied would leave the primary's server nothing to
+    /// retract.
     ///
     /// A write that fails leaves the job on the wire and shuts the
     /// socket down, so the I/O thread's read ends and settles it as a
@@ -391,8 +364,8 @@ impl ConnState {
     fn send(&mut self, writer: &Writer, job: Job) {
         debug_assert!(self.wire.is_none(), "a second request on the wire");
         self.frame.clear();
-        if let Some(tie) = &job.tie {
-            encode_command(&tie.command(), &mut self.frame);
+        if let Some(id) = job.tie {
+            encode_command(&Command::Tie { id, peer: None }, &mut self.frame);
         }
         encode_command(&job.cmd, &mut self.frame);
         let mut stream = writer.lock().expect("writer lock poisoned");
@@ -533,26 +506,31 @@ impl Replica {
         self.request_tied(cmd, token, None)
     }
 
-    /// Like [`Replica::request`], but registers `tie` on the server
-    /// before the command (a `TIE` control frame coalesced into the
-    /// same write). A tied request can be retracted by its peer's
-    /// serving replica at dequeue time — server-to-server — instead of
-    /// waiting for this client's `CANCEL` round trip.
-    pub fn request_tied(&self, cmd: Command, token: CancelToken, tie: Option<TieSpec>) -> InFlight {
-        let token = token.attach();
-        // CANCEL and tie frames are transport-internal control frames
-        // (no reply, sequence-number-sensitive); a hand-sent one would
-        // desynchronize the reply stream, so refuse them here.
-        if matches!(
+    /// Like [`Replica::request`], but registers the request at the
+    /// server under tie id `tie` (a `TIE <id>` control frame coalesced
+    /// into the same write): a reissue, which the server retracts while
+    /// it is still queued when its primary's server sends
+    /// `CANCELTIE <id>` (see [`crate::server`]).
+    ///
+    /// A token already used for another request, or a control frame
+    /// (`CANCEL`, `TIE`, `CANCELTIE`: no reply, sequence-number
+    /// sensitive, so a hand-sent one would desynchronize the reply
+    /// stream), resolves as [`TransportError::Protocol`].
+    pub fn request_tied(&self, cmd: Command, token: CancelToken, tie: Option<u64>) -> InFlight {
+        let refusal = if !token.claim() {
+            Some("a cancel token carries one request")
+        } else if matches!(
             cmd,
-            Command::Cancel(_)
-                | Command::Tie { .. }
-                | Command::TiePeer { .. }
-                | Command::CancelTie(_)
+            Command::Cancel(_) | Command::Tie { .. } | Command::CancelTie(_)
         ) {
-            token.complete(Err(TransportError::Protocol(
-                "control frames are sent via CancelToken/TieSpec, not as requests".into(),
-            )));
+            Some("control frames are sent by the transport, not as requests")
+        } else {
+            None
+        };
+        if let Some(why) = refusal {
+            // A fresh cell: a reused one holds its first request's reply.
+            let token = CancelToken::new();
+            token.complete(Err(TransportError::Protocol(why.into())));
             return InFlight { token };
         }
         // Cancelled before dispatch: never touches the wire.
@@ -1089,8 +1067,8 @@ mod tests {
         // First connection: swallow the request and slam the socket
         // shut before replying (a retryable failure). The retry lands
         // on a fresh connection — and must carry the TIE prefix again,
-        // or the re-executed copy runs unretractable and retraction
-        // accounting silently goes optimistic.
+        // or the re-executed reissue is registered nowhere and its
+        // primary's server cannot retract it.
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
@@ -1135,8 +1113,7 @@ mod tests {
 
         let replica = Replica::connect(addr, 1).unwrap();
         let rt = Runtime::new(1);
-        let tie = TieSpec { id: 42, peer: None };
-        let out = rt.block_on(replica.request_tied(Command::Ping, CancelToken::new(), Some(tie)));
+        let out = rt.block_on(replica.request_tied(Command::Ping, CancelToken::new(), Some(42)));
         assert_eq!(out, Ok(Reply::Pong), "retry should heal via reconnect");
         drop(replica);
         server.join().unwrap();
@@ -1436,6 +1413,24 @@ mod tests {
         assert_eq!(out, Err(TransportError::Cancelled));
         std::thread::sleep(Duration::from_millis(30));
         assert_eq!(server.stats().commands, 0, "nothing should execute");
+        server.shutdown();
+    }
+
+    #[test]
+    fn reused_token_resolves_as_a_protocol_error() {
+        let server =
+            TcpServer::bind("127.0.0.1:0", KvStore::new(), TcpServerConfig::default()).unwrap();
+        let replica = Replica::connect(server.local_addr(), 1).unwrap();
+        let rt = Runtime::new(1);
+        let token = CancelToken::new();
+        let first = replica.request(Command::Ping, token.clone());
+        let second = rt.block_on(replica.request(Command::Ping, token));
+        assert!(
+            matches!(second, Err(TransportError::Protocol(_))),
+            "{second:?}"
+        );
+        assert_eq!(rt.block_on(first), Ok(Reply::Pong), "the first is served");
+        assert_eq!(server.stats().commands, 1, "the second never went out");
         server.shutdown();
     }
 }

@@ -75,13 +75,12 @@ fn run_blocked_race(style: CancellationStyle) -> (HedgedClient, [TcpServer<KvSto
     (client, servers)
 }
 
-/// Tied mode end to end: the reissue's serving replica retracts the
-/// blocked primary server-to-server at dequeue time — the servers'
-/// tie counters show the registration, the peer CANCEL, and the
-/// retraction, and the client observes the `-ERR cancelled` marker as
-/// an in-time cancellation without ever sending its own CANCEL.
+/// A blocked race: the reissue wins on the idle replica, the client's
+/// `CANCEL` retracts the blocked primary in time, and the reissue's
+/// server, which dequeued its copy first, sends no `CANCELTIE`: only
+/// the primary's server retracts.
 #[test]
-fn tied_mode_retracts_blocked_primary_server_side() {
+fn blocked_race_sends_no_canceltie_from_the_reissues_server() {
     let (client, servers) = run_blocked_race(CancellationStyle::Tied);
 
     // Retraction confirmations arrive asynchronously; poll briefly.
@@ -95,20 +94,11 @@ fn tied_mode_retracts_blocked_primary_server_side() {
         stats.cancelled_in_time >= 1,
         "the blocked primary must be retracted in time: {stats:?}"
     );
-
-    let tie0 = servers[0].tie_stats();
-    let tie1 = servers[1].tie_stats();
-    assert!(
-        tie0.registered + tie1.registered >= 2,
-        "both tied copies must register: {tie0:?} / {tie1:?}"
-    );
-    assert!(
-        tie0.peer_cancels_sent + tie1.peer_cancels_sent >= 1,
-        "the winning replica must CANCEL the peer at dequeue time: {tie0:?} / {tie1:?}"
-    );
-    assert!(
-        tie0.retractions + tie1.retractions >= 1,
-        "the peer CANCEL must land before the blocked copy executes: {tie0:?} / {tie1:?}"
+    let reissue_side = servers[1].tie_stats();
+    assert_eq!(reissue_side.registered, 1, "{reissue_side:?}");
+    assert_eq!(
+        reissue_side.peer_cancels_sent, 0,
+        "the reissue's server never sends CANCELTIE: {reissue_side:?}"
     );
     // The blocked replica ran the monster and nothing else.
     assert_eq!(
@@ -143,6 +133,92 @@ fn client_mode_never_registers_server_side_ties() {
         );
         assert_eq!(ties.peer_cancels_sent, 0, "no peer CANCELs on replica {i}");
     }
+}
+
+/// A tie is registered when the reissue goes out, not when a reissue
+/// is armed: queries whose 50 ms stage never fires against idle
+/// replicas leave every tie table untouched.
+#[test]
+fn armed_queries_that_never_reissue_register_no_tie() {
+    let servers = [
+        TcpServer::bind("127.0.0.1:0", monster_store(), TcpServerConfig::default()).unwrap(),
+        TcpServer::bind("127.0.0.1:0", monster_store(), TcpServerConfig::default()).unwrap(),
+    ];
+    let addrs: Vec<_> = servers.iter().map(|s| s.local_addr()).collect();
+    let client = HedgedClient::connect(
+        &addrs,
+        HedgeConfig {
+            policy: ReissuePolicy::single_r(50.0, 1.0),
+            online: None,
+            cancellation: CancellationStyle::Tied,
+            ..HedgeConfig::default()
+        },
+    )
+    .unwrap();
+    for _ in 0..20 {
+        assert_eq!(client.execute_blocking(Command::Ping).unwrap(), Reply::Pong);
+    }
+    assert_eq!(client.stats().reissues, 0, "{:?}", client.stats());
+    for (i, s) in servers.iter().enumerate() {
+        assert_eq!(s.tie_stats(), Default::default(), "replica {i}");
+    }
+}
+
+/// A reissue sent while its primary is in service is retracted before
+/// it runs: the primary's server collapses the tie the moment the
+/// client names the twin, and its `CANCELTIE` takes the reissue out of
+/// the queue it sits in behind another client's monster.
+#[test]
+fn reissue_of_a_primary_in_service_is_retracted_before_it_runs() {
+    let cfg = TcpServerConfig {
+        nanos_per_op: 2_000,
+        ..TcpServerConfig::default()
+    };
+    let servers = [
+        TcpServer::bind("127.0.0.1:0", monster_store(), cfg).unwrap(),
+        TcpServer::bind("127.0.0.1:0", monster_store(), cfg).unwrap(),
+    ];
+    let addrs: Vec<_> = servers.iter().map(|s| s.local_addr()).collect();
+    // Replica 1 is busy with a monster (~220 ms) from a raw side
+    // connection, so the reissue queues there.
+    use std::io::Write as _;
+    let mut side = std::net::TcpStream::connect(addrs[1]).unwrap();
+    let mut frame = bytes::BytesMut::new();
+    kvstore::resp::encode_command(
+        &Command::SInterCard("big1".into(), "big2".into()),
+        &mut frame,
+    );
+    side.write_all(&frame).unwrap();
+    std::thread::sleep(Duration::from_millis(20));
+    let client = HedgedClient::connect(
+        &addrs,
+        HedgeConfig {
+            policy: ReissuePolicy::single_r(5.0, 1.0),
+            online: None,
+            cancellation: CancellationStyle::Tied,
+            ..HedgeConfig::default()
+        },
+    )
+    .unwrap();
+    // The first primary of a fresh client goes to replica 0, idle, and
+    // is in service for ~220 ms when the 5 ms reissue goes out.
+    let reply = client
+        .execute_blocking(Command::SInterCard("big1".into(), "big2".into()))
+        .unwrap();
+    assert_eq!(reply, Reply::Int(4_000));
+    let stats = client.stats();
+    assert_eq!(
+        (stats.reissues, stats.reissue_wins, stats.cancelled_in_time),
+        (1, 0, 1),
+        "{stats:?}"
+    );
+    assert_eq!(servers[0].tie_stats().collapses, 1);
+    assert_eq!(servers[1].tie_stats().retractions, 1);
+    assert_eq!(
+        servers[1].stats().commands,
+        1,
+        "only the side monster ran on the reissue's replica"
+    );
 }
 
 /// Runs a burst against one replica under `discipline`: two monsters

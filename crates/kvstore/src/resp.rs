@@ -34,6 +34,7 @@
 use crate::store::{Command, Hit, Reply};
 use bytes::{Buf, Bytes, BytesMut};
 use std::cell::RefCell;
+use std::io::Write as _;
 
 /// Errors from protocol handling.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -122,6 +123,15 @@ fn put_bulk(out: &mut BytesMut, body: &[u8]) {
 fn put_bulk_uint(out: &mut BytesMut, v: u64) {
     let (tmp, i) = u64_digits(v);
     put_bulk(out, &tmp[i..]);
+}
+
+/// `addr`'s display form, written into `buf` (no allocation; the
+/// longest form, a scoped IPv6 address, is under 64 bytes).
+fn addr_text<'a>(addr: &std::net::SocketAddr, buf: &'a mut [u8; 64]) -> &'a [u8] {
+    let mut rest = &mut buf[..];
+    write!(rest, "{addr}").expect("a socket address fits in 64 bytes");
+    let len = 64 - rest.len();
+    &buf[..len]
 }
 
 /// `*<n>\r\n`
@@ -258,21 +268,10 @@ pub fn encode_command(cmd: &Command, out: &mut BytesMut) {
                 put_array_header(out, 4);
                 put_bulk(out, b"TIE");
                 put_bulk_uint(out, *id);
-                put_bulk(out, addr.to_string().as_bytes());
+                put_bulk(out, addr_text(addr, &mut [0; 64]));
                 put_bulk_uint(out, *peer_id);
             }
         },
-        Command::TiePeer {
-            id,
-            peer_addr,
-            peer_id,
-        } => {
-            put_array_header(out, 4);
-            put_bulk(out, b"TIEPEER");
-            put_bulk_uint(out, *id);
-            put_bulk(out, peer_addr.to_string().as_bytes());
-            put_bulk_uint(out, *peer_id);
-        }
         Command::CancelTie(id) => {
             put_array_header(out, 2);
             put_bulk(out, b"CANCELTIE");
@@ -290,8 +289,8 @@ fn parse_num<T: std::str::FromStr>(b: &[u8]) -> Option<T> {
     std::str::from_utf8(b).ok().and_then(|s| s.parse().ok())
 }
 
-/// Parses argument `i` as a socket address (the tie-protocol frames
-/// carry peer server addresses in display form).
+/// Parses argument `i` as a socket address (the `TIE` frame of a
+/// primary carries its twin's server address in display form).
 fn addr_arg(
     buf: &[u8],
     args: &[(usize, usize)],
@@ -462,7 +461,7 @@ fn build_command(buf: &[u8], args: &[(usize, usize)]) -> Result<Command, RespErr
             Err(RespError::BadArguments("wrong arity"))
         }
     } else if is(b"TIE") {
-        // TIE <id> | TIE <id> <peer_addr> <peer_id>
+        // TIE <id> | TIE <seq> <peer_addr> <peer_id>
         let id_arg = |i: usize| -> Result<u64, RespError> {
             parse_num(&buf[args[i].0..args[i].1]).ok_or(RespError::BadArguments("tie id expected"))
         };
@@ -476,19 +475,6 @@ fn build_command(buf: &[u8], args: &[(usize, usize)]) -> Result<Command, RespErr
                 peer: Some((addr_arg(buf, args, 2)?, id_arg(3)?)),
             }),
             _ => Err(RespError::BadArguments("wrong arity")),
-        }
-    } else if is(b"TIEPEER") {
-        let id_arg = |i: usize| -> Result<u64, RespError> {
-            parse_num(&buf[args[i].0..args[i].1]).ok_or(RespError::BadArguments("tie id expected"))
-        };
-        if arity == 3 {
-            Ok(Command::TiePeer {
-                id: id_arg(1)?,
-                peer_addr: addr_arg(buf, args, 2)?,
-                peer_id: id_arg(3)?,
-            })
-        } else {
-            Err(RespError::BadArguments("wrong arity"))
         }
     } else if is(b"CANCELTIE") {
         if arity == 1 {

@@ -52,44 +52,32 @@ pub enum Command {
     /// Write one erasure-coded fragment of a striped key (slot,
     /// payload). Idempotent like [`Command::Set`]; replies `+OK`.
     FSet(Bytes, u32, Bytes),
-    /// Tied-request cancellation: retract the not-yet-executed request
-    /// with this per-connection sequence number. Interpreted by the
-    /// transport layer (`hedge::TcpServer`); if one reaches the store
-    /// itself (no transport in between) it is a harmless no-op.
+    /// Client retraction: retract the request with this
+    /// per-connection sequence number, queued or in service.
+    /// Interpreted by the transport layer (`hedge::TcpServer`); if one
+    /// reaches the store itself (no transport in between) it is a
+    /// harmless no-op.
     Cancel(u64),
-    /// Tied-request prefix ("The Tail at Scale" dequeue-time
-    /// cancellation): the *next* request frame on this connection is
-    /// tied under the client-global id `id`. A reissue additionally
-    /// carries its peer's identity — the primary's server address and
-    /// tie id — so the first server to dequeue either copy can retract
-    /// the other over the server-to-server channel. Interpreted by the
-    /// transport layer; a no-op at store level.
+    /// Tied requests ("The Tail at Scale"), in two forms. `TIE <id>`
+    /// (`peer: None`) prefixes a reissue: the *next* request frame on
+    /// this connection registers under the client-global tie id `id`.
+    /// `TIE <seq> <addr> <id>` is a frame of its own on the primary's
+    /// connection: request `seq` there has a twin, the reissue
+    /// registered at server `addr` under tie id `id`, which the
+    /// primary's server retracts when it dequeues the primary.
+    /// Interpreted by the transport layer; a no-op at store level.
     Tie {
-        /// Client-global tie id of the request this prefixes.
+        /// The reissue's tie id, or the primary's sequence number.
         id: u64,
-        /// The peer copy's `(server address, tie id)`, present on
-        /// reissues only.
+        /// The reissue's `(server address, tie id)`, on the primary's
+        /// connection only.
         peer: Option<(std::net::SocketAddr, u64)>,
     },
-    /// Server-to-server tie announce: the reissue holder tells the
-    /// primary's server that queued entry `id` now has a peer
-    /// (`peer_addr`, `peer_id`), *after* enqueueing the reissue — so a
-    /// returned [`Command::CancelTie`] can never precede its target's
-    /// enqueue. Interpreted by the transport layer; a no-op at store
+    /// Server-to-server retraction: the primary tied to this reissue
+    /// was dequeued for execution; retract the reissue if it is still
+    /// queued (reply `-ERR cancelled` to its client) and do nothing
+    /// otherwise. Interpreted by the transport layer; a no-op at store
     /// level.
-    TiePeer {
-        /// Tie id of the receiving server's queued entry.
-        id: u64,
-        /// The announcing server's listening address.
-        peer_addr: std::net::SocketAddr,
-        /// Tie id of the announcing server's queued reissue.
-        peer_id: u64,
-    },
-    /// Server-to-server tied-request retraction: the peer copy of this
-    /// tie id was dequeued for execution; retract this server's copy if
-    /// it is still queued (reply `-ERR cancelled` to its client) and
-    /// do nothing otherwise. Interpreted by the transport layer; a
-    /// no-op at store level.
     CancelTie(u64),
 }
 
@@ -320,10 +308,7 @@ impl KvStore {
             // Nothing outstanding at store level: the transport already
             // consumed any retractable request before execution. The
             // tie-protocol frames are likewise transport-level control.
-            Command::Cancel(_)
-            | Command::Tie { .. }
-            | Command::TiePeer { .. }
-            | Command::CancelTie(_) => (Reply::Ok, 1),
+            Command::Cancel(_) | Command::Tie { .. } | Command::CancelTie(_) => (Reply::Ok, 1),
         }
     }
 
@@ -477,15 +462,6 @@ mod tests {
             kv.execute(&Command::Tie {
                 id: 1,
                 peer: Some((addr, 2))
-            })
-            .0,
-            Reply::Ok
-        );
-        assert_eq!(
-            kv.execute(&Command::TiePeer {
-                id: 1,
-                peer_addr: addr,
-                peer_id: 2
             })
             .0,
             Reply::Ok

@@ -127,17 +127,12 @@ mod reference {
                     ref_parse(&args[3], "tie id expected")?,
                 )),
             })),
-            "TIEPEER" if arity == 3 => Ok(Some(Command::TiePeer {
-                id: ref_parse(&args[1], "tie id expected")?,
-                peer_addr: ref_parse(&args[2], "socket address expected")?,
-                peer_id: ref_parse(&args[3], "tie id expected")?,
-            })),
             "CANCELTIE" if arity == 1 => Ok(Some(Command::CancelTie(ref_parse(
                 &args[1],
                 "tie id expected",
             )?))),
             "GET" | "SET" | "DEL" | "SADD" | "SCARD" | "SEARCH" | "SINTER" | "SINTERCARD"
-            | "FGET" | "FSET" | "CANCEL" | "TIE" | "TIEPEER" | "CANCELTIE" => {
+            | "FGET" | "FSET" | "CANCEL" | "TIE" | "CANCELTIE" => {
                 Err(RespError::BadArguments("wrong arity"))
             }
             other => Err(RespError::UnknownCommand(other.to_string())),
@@ -202,16 +197,6 @@ mod reference {
                     peer_id.to_string().into_bytes(),
                 ],
             },
-            Command::TiePeer {
-                id,
-                peer_addr,
-                peer_id,
-            } => vec![
-                b"TIEPEER".to_vec(),
-                id.to_string().into_bytes(),
-                peer_addr.to_string().into_bytes(),
-                peer_id.to_string().into_bytes(),
-            ],
             Command::CancelTie(id) => {
                 vec![b"CANCELTIE".to_vec(), id.to_string().into_bytes()]
             }
@@ -461,7 +446,7 @@ fn random_addr(rng: &mut Rng) -> std::net::SocketAddr {
 }
 
 fn random_command(rng: &mut Rng) -> Command {
-    match rng.below(15) {
+    match rng.below(14) {
         0 => Command::Ping,
         1 => Command::Get(rng.key()),
         2 => Command::Set(rng.key(), bytes::Bytes::copy_from_slice(&rng.bytes(40))),
@@ -486,14 +471,9 @@ fn random_command(rng: &mut Rng) -> Command {
                 peer,
             }
         }
-        10 => Command::TiePeer {
-            id: rng.next(),
-            peer_addr: random_addr(rng),
-            peer_id: rng.next(),
-        },
-        11 => Command::CancelTie(rng.next()),
-        12 => Command::FGet(rng.key(), rng.next() as u32 % 16),
-        13 => Command::FSet(
+        10 => Command::CancelTie(rng.next()),
+        11 => Command::FGet(rng.key(), rng.next() as u32 % 16),
+        12 => Command::FSet(
             rng.key(),
             rng.next() as u32 % 16,
             bytes::Bytes::copy_from_slice(&rng.bytes(40)),

@@ -13,8 +13,8 @@
 //! one of the two TCP figures, `fanout` runs the sharded
 //! scatter-gather width × budget sweep (see `figs_fanout`), and
 //! `ramp` A/Bs utilization-aware hedging over a scripted 0.3 → 0.9
-//! load ramp (see `figs_ramp`), `discipline` A/Bs cancellation style ×
-//! server queue discipline (see `figs_discipline`), and `erasure` A/Bs
+//! load ramp (see `figs_ramp`), `discipline` A/Bs the server queue
+//! discipline at an equal reissue budget (see `figs_discipline`), and `erasure` A/Bs
 //! replica hedging vs fragment hedging at equal byte budget (see
 //! `figs_erasure`). `ramp` and `discipline` assert their acceptance
 //! shape on every run.

@@ -36,7 +36,7 @@ use crate::figs_tcp::{tcp_queries, MAX_IN_FLIGHT};
 use crate::{Scale, Table};
 use erasure::{StripedBackend, StripedClient, StripedConfig};
 use hedge::harness::{Arrivals, Cluster, LoadConfig, LoadReport};
-use hedge::{CancellationStyle, HedgeConfig, HedgedClient, TcpServerConfig};
+use hedge::{HedgeConfig, HedgedClient, TcpServerConfig};
 use kvstore::{Command, KvStore};
 use reissue_core::kofn::{budgets_match, bytes_per_query, fragment_budget};
 use reissue_core::policy::ReissuePolicy;
@@ -154,7 +154,6 @@ fn run_replica_arm(
             policy,
             online: None,
             budget_cap,
-            cancellation: CancellationStyle::Tied,
             ..HedgeConfig::default()
         },
     )
@@ -174,7 +173,7 @@ fn run_replica_arm(
 
 /// One fragment-arm run: a `(K_DATA, N_SLOTS)` striped group behind
 /// the k-of-n client. Also returns the censored-pair count — evidence
-/// the tied retraction path ran.
+/// the retraction path ran.
 fn run_fragment_arm(
     queries: usize,
     util: f64,
@@ -197,7 +196,6 @@ fn run_fragment_arm(
             k: K_DATA,
             policy,
             budget_cap,
-            cancellation: CancellationStyle::Tied,
             ..StripedConfig::default()
         },
     )

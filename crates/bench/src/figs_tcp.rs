@@ -6,9 +6,11 @@
 //! stack instead — `hedge::harness::Cluster` spins real `TcpServer`
 //! replicas, an open-loop load generator offers the §6.2 kvstore
 //! trace (rare queries of death included) over sockets, and
-//! `hedge::HedgedClient` executes the policies with client-driven
-//! cancellation (`CANCEL` stops a loser queued or in service),
-//! per-replica health targeting, and live online adaptation. Latencies are wall-clock milliseconds out of the
+//! `hedge::HedgedClient` executes the policies with tied reissues
+//! (the primary's server retracts a queued reissue when it dequeues
+//! the primary) and client-driven cancellation (`CANCEL` stops a loser
+//! queued or in service), per-replica health targeting, and live
+//! online adaptation. Latencies are wall-clock milliseconds out of the
 //! shared log-bucketed histogram.
 //!
 //! Two figures:

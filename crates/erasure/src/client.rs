@@ -47,19 +47,18 @@
 //! the fragment client can afford `k×` the reissue probability of the
 //! replica client ([`reissue_core::kofn::fragment_budget`]).
 //!
-//! Under [`CancellationStyle::Tied`] the engine has every first-wave
-//! fragment register a tie id and the reissue name the
-//! straggler (the earliest-dispatched first-wave attempt still
-//! outstanding) as its peer, so whichever server dequeues first
-//! retracts the other server-to-server; client-driven `CANCEL` remains
-//! the fallback for everything the tie does not cover. Retractions
-//! that land in time book **censored** `(straggler, reissue)` pairs.
+//! The engine ties the reissue to the straggler (the
+//! earliest-dispatched first-wave attempt still outstanding): the
+//! straggler's server retracts the queued reissue server-to-server
+//! when it dequeues the straggler, and the client's `CANCEL` retracts
+//! whatever loses the race, queued or in service. Retractions that
+//! land in time book **censored** `(straggler, reissue)` pairs.
 
 use crate::codec;
 use hedge::race::{Core, Job, Verdict, MAX_ATTEMPTS};
 use hedge::rt::Runtime;
 use hedge::transport::InFlight;
-use hedge::{CancelToken, CancellationStyle, HedgeConfig};
+use hedge::{CancelToken, HedgeConfig};
 use hedge::{ReplicaSet, TransportError};
 use kvstore::{Command, Reply};
 use reissue_core::policy::ReissuePolicy;
@@ -94,9 +93,6 @@ pub struct StripedConfig {
     pub workers: usize,
     /// Seed for the reissue coin flips.
     pub seed: u64,
-    /// How the straggler is retracted once the stripe decodes without
-    /// it (see [`CancellationStyle`]).
-    pub cancellation: CancellationStyle,
 }
 
 impl Default for StripedConfig {
@@ -108,7 +104,6 @@ impl Default for StripedConfig {
             pool_per_replica: 4,
             workers: 4,
             seed: 0x5EED,
-            cancellation: CancellationStyle::Client,
         }
     }
 }
@@ -128,8 +123,8 @@ pub struct StripedStats {
     /// standing in for a data fragment.
     pub decodes_with_parity: u64,
     /// Fragment attempts whose retraction landed in time: retracted
-    /// before service (tied or client-driven) or during it
-    /// (client-driven only).
+    /// before service (by the client's `CANCEL`, or a reissue by its
+    /// straggler's server) or during it (by the client's `CANCEL`).
     pub cancelled_in_time: u64,
     /// Hedged stripes that produced an exact `(straggler, reissue)`
     /// pair (both sides completed).
@@ -183,7 +178,6 @@ impl StripedClient {
             pool_per_replica: cfg.pool_per_replica,
             workers: cfg.workers,
             seed: cfg.seed,
-            cancellation: cfg.cancellation,
         };
         Ok(StripedClient {
             inner: Arc::new(ScInner {
@@ -248,7 +242,7 @@ impl StripedClient {
                     for (slot, frag) in frags.into_iter().enumerate() {
                         let cmd = Command::FSet(key.clone(), slot as u32, frag);
                         let replica = replicas.replica((slot + offset) % inner.n);
-                        acks[slot] = Some(replica.request_tied(cmd, CancelToken::new(), None));
+                        acks[slot] = Some(replica.request(cmd, CancelToken::new()));
                     }
                     for (slot, ack) in acks.into_iter().flatten().enumerate() {
                         let reply = ack.await?;
@@ -263,7 +257,7 @@ impl StripedClient {
                 other => {
                     replicas
                         .replica(replicas.pick_primary())
-                        .request_tied(other, CancelToken::new(), None)
+                        .request(other, CancelToken::new())
                         .await
                 }
             }

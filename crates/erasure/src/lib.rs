@@ -36,8 +36,9 @@
 //!   least-loaded fragments, the least-loaded fragment not yet asked
 //!   as the reissue (held until it could be the decoding one), done
 //!   when `k` fragments are in hand. The reissue timer, the budget
-//!   governor, tied-request retraction of the straggler and
-//!   censored-pair booking are the engine's.
+//!   governor, the tie that lets the straggler's server retract the
+//!   queued reissue, loser `CANCEL`s and censored-pair booking are the
+//!   engine's.
 //!
 //! Fragments travel the existing RESP wire as `FGET`/`FSET` commands
 //! and live in a map of their own beside the keyspace

@@ -12,7 +12,7 @@
 
 use bytes::{Bytes, BytesMut};
 use erasure::{StripedBackend, StripedClient, StripedConfig};
-use hedge::{CancellationStyle, HedgeConfig, HedgedClient, LoadClient, TcpServer, TcpServerConfig};
+use hedge::{HedgeConfig, HedgedClient, LoadClient, TcpServer, TcpServerConfig};
 use kvstore::resp::{decode_command, encode_command, encode_reply};
 use kvstore::{Backend, Command, KvStore, Reply};
 use rand::rngs::SmallRng;
@@ -113,8 +113,8 @@ fn striped_put_get_roundtrip() {
 /// The tentpole acceptance scenario: `k = 2, n = 4`, the server for
 /// data slot 1 stalled behind a byte-expensive blocker. The `(d, q)`
 /// timer fires on the straggling fragment, the parity reissue (slot 2)
-/// completes the stripe, the straggler is retracted in time via the
-/// tied-request channel, and the censored pair is booked.
+/// completes the stripe, the straggler is retracted in time by the
+/// client's `CANCEL`, and the censored pair is booked.
 #[test]
 fn stalled_fragment_completes_via_parity_and_books_censored_pair() {
     let k = 2;
@@ -157,7 +157,6 @@ fn stalled_fragment_completes_via_parity_and_books_censored_pair() {
         StripedConfig {
             k,
             policy: ReissuePolicy::single_r(5.0, 1.0),
-            cancellation: CancellationStyle::Tied,
             ..StripedConfig::default()
         },
     )

@@ -8,8 +8,7 @@
 //! the healthiest other replica (per-replica latency/error EWMA, see
 //! [`crate::transport::ReplicaHealth`]), and
 //! the first reply wins. This module holds what configures and bounds
-//! that race: [`HedgeConfig`], [`CancellationStyle`] and the
-//! [`BudgetGovernor`].
+//! that race: [`HedgeConfig`] and the [`BudgetGovernor`].
 
 use crate::race::{Core, Job, Verdict};
 use crate::rt::Runtime;
@@ -23,29 +22,6 @@ use reissue_core::policy::ReissuePolicy;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// How a raced query's losing attempts get retracted.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CancellationStyle {
-    /// Client-driven: the race winner's completion triggers `CANCEL`
-    /// frames from this client to each loser's replica — retraction
-    /// costs a full client→replica hop *after* the winner finished.
-    /// It retracts a loser before or during service: a copy still
-    /// queued never runs, a copy in service is stopped there.
-    #[default]
-    Client,
-    /// Server-side tied requests ("The Tail at Scale"): the primary
-    /// and the reissue register a tie, and whichever replica
-    /// *dequeues* its copy first retracts the other directly over a
-    /// server-to-server channel — bounding the duplicated work by the
-    /// replica-to-replica one-way delay instead of the winner's full
-    /// service time. The peer's cancel only ever retracts a *queued*
-    /// copy (two copies that both started must not stop each other).
-    /// Client-driven `CANCEL` stays armed for what the tie does not
-    /// cover: lost frames, and a loser already in service, which only
-    /// the client may stop.
-    Tied,
-}
 
 /// Configuration for [`HedgedClient`].
 #[derive(Clone, Debug)]
@@ -91,12 +67,6 @@ pub struct HedgeConfig {
     pub workers: usize,
     /// Seed for the reissue coin flips.
     pub seed: u64,
-    /// How losing attempts are retracted (see [`CancellationStyle`]).
-    /// `Tied` registers the primary and the reissue as a
-    /// server-side tied pair so the serving replica cancels the peer
-    /// at dequeue time; `Client` (default) relies on this client's
-    /// `CANCEL` after the race resolves.
-    pub cancellation: CancellationStyle,
 }
 
 impl Default for HedgeConfig {
@@ -109,7 +79,6 @@ impl Default for HedgeConfig {
             pool_per_replica: 4,
             workers: 4,
             seed: 0x5EED,
-            cancellation: CancellationStyle::Client,
         }
     }
 }

@@ -17,8 +17,8 @@
 //!   sockets with wall-clock service times, a pluggable queue
 //!   discipline ([`server::Discipline`], shared with the simulator),
 //!   client-driven retraction (`CANCEL <seq>`), and server-side tied
-//!   requests that cancel the peer copy at *dequeue* time over a
-//!   replica-to-replica channel.
+//!   requests: the primary's server retracts the queued reissue when it
+//!   dequeues the primary, over a replica-to-replica channel.
 //! * [`transport`] — [`transport::ReplicaSet`]: pooled async RESP
 //!   connections per replica, each replica carrying a
 //!   [`transport::ReplicaHealth`] latency/error EWMA that drives
@@ -26,7 +26,8 @@
 //! * [`mod@race`] — the race engine, [`race::Core::run`]: flip the
 //!   SingleR coin `q`, dispatch the first wave, race all in-flight
 //!   attempts against the timer at `d`, ask the governor before the
-//!   reissue, cancel every loser, and feed observations to
+//!   reissue (tied to the straggler it races), cancel every loser, and
+//!   feed observations to
 //!   `reissue_core::online::OnlineAdapter` so the policy re-optimizes
 //!   while serving. Raced queries are fed as joint
 //!   `(straggler, reissue)` pairs, censored at the loser's
@@ -98,7 +99,7 @@ pub mod server;
 pub mod sync;
 pub mod transport;
 
-pub use client::{BudgetGovernor, CancellationStyle, HedgeConfig, HedgeStats, HedgedClient};
+pub use client::{BudgetGovernor, HedgeConfig, HedgeStats, HedgedClient};
 pub use harness::{
     run_open_loop, Arrivals, Cluster, LoadClient, LoadConfig, LoadReport, SicknessEvent,
 };

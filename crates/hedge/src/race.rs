@@ -30,7 +30,9 @@
 //!    query's own future, so arming allocates nothing). A deadline
 //!    that is already due is dispatched *before* the attempts are
 //!    polled; when the timer fires (and the budget governor grants
-//!    quota) the **reissue** is dispatched. A job may *hold* the
+//!    quota) the **reissue** is dispatched, *tied* to the straggler:
+//!    the straggler's server retracts it while it is still queued once
+//!    it dequeues the straggler (see [`crate::server`]). A job may *hold* the
 //!    reissue while attempts are in flight and no single reissue could
 //!    complete it ([`Job::holds`]): it then waits for the reply that
 //!    makes it useful and, if past due by then, goes out with it;
@@ -53,7 +55,7 @@
 //! and the slot that won. The transport traces the slow attempts
 //! themselves, with their commands.
 
-use crate::client::{BudgetGovernor, CancellationStyle, HedgeConfig, HedgeStats};
+use crate::client::{BudgetGovernor, HedgeConfig, HedgeStats};
 use crate::rt::{race, select_all, Either, Runtime};
 use crate::sync::CancelToken;
 use crate::transport::{InFlight, ReplicaSet, TransportError};
@@ -180,7 +182,6 @@ pub struct Core {
     /// (1% relative quantile error, constant memory).
     pub(crate) latencies_ms: Mutex<LogHistogram>,
     governor: Option<Arc<BudgetGovernor>>,
-    cancellation: CancellationStyle,
     /// Aggregate load estimator, present iff the online config opts
     /// into utilization-aware damping (`OnlineConfig::load`). Fed on
     /// every dispatch (first wave and reissue) and every query
@@ -240,7 +241,6 @@ impl Core {
             },
             latencies_ms: Mutex::new(LogHistogram::latency_ms()),
             governor,
-            cancellation: cfg.cancellation,
             load,
             debug: std::env::var_os("HEDGE_DEBUG").is_some(),
         }))
@@ -358,7 +358,7 @@ impl Core {
             load.note_dispatch();
         }
         let replica = self.replicas.replica(target);
-        let out = replica.request_tied(cmd, CancelToken::new(), None).await;
+        let out = replica.request(cmd, CancelToken::new()).await;
         let (won, last_err) = match out.map(|reply| job.accept(0, reply)) {
             Ok(Verdict::Done) => (Some(0), None),
             Ok(Verdict::Progress) => (None, None),
@@ -566,15 +566,15 @@ impl Core {
     /// Dispatches the reissue into an ongoing race and counts it (total
     /// and per target). It names the straggler, the lowest-index
     /// first-wave attempt still unresolved, as the other side of the
-    /// adapter's pair. On a tied query the reissue registers at its
+    /// adapter's pair, and ties the two: the reissue registers at its
     /// server under a fresh tie id, and the straggler's cell names it
     /// to the straggler's server, which retracts it when it dequeues
-    /// the straggler (see [`crate::server`]).
+    /// the straggler (see [`crate::server`]). A rescue, sent with no
+    /// straggler left, goes untied.
     fn dispatch_reissue<J: Job>(&self, job: &mut J, attempts: &mut Attempts) {
         bump(&self.counters.reissues);
         attempts.straggler = (0..attempts.primaries).find(|&s| attempts.futs[s].is_some());
-        let tied = self.cancellation == CancellationStyle::Tied;
-        let tie = attempts.straggler.filter(|_| tied).map(|_| next_tie_id());
+        let tie = attempts.straggler.map(|_| next_tie_id());
         let target = self.dispatch(job, tie, Instant::now(), attempts);
         if let (Some(s), Some(id)) = (attempts.straggler, tie) {
             let addr = self.replicas.replica(target).addr();

@@ -344,7 +344,8 @@ fn online_adapter_policy_stays_within_budget() {
 /// (2c) Raced hedges feed censored `(primary, reissue)` pairs to the
 /// online adapter, and the adapter switches to the §4.2 correlated
 /// optimizer once enough accumulate — end to end through real TCP
-/// sockets and tied-request cancellation.
+/// sockets, where every raced query ties its reissue and the client's
+/// `CANCEL` retracts each loser.
 ///
 /// Assertions here are structural (≥ 1 censored pair, the correlated
 /// gate opened, budget accounting holds), never on timing quantities:

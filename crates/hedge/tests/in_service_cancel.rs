@@ -8,7 +8,7 @@
 //! here fails: a request in service ran to its end, whoever asked.
 
 use hedge::server::CANCELLED_MARKER;
-use hedge::{CancellationStyle, HedgeConfig, HedgeStats, HedgedClient, TcpServer, TcpServerConfig};
+use hedge::{HedgeConfig, HedgeStats, HedgedClient, TcpServer, TcpServerConfig};
 use kvstore::resp::{decode_reply, encode_command};
 use kvstore::{Command, IntSet, KvStore, Reply};
 use reissue_core::policy::ReissuePolicy;
@@ -141,7 +141,7 @@ fn fast_and_slow_replica() -> [TcpServer; 2] {
 /// Hedges the monster across [`fast_and_slow_replica`]: the primary on
 /// the fast one, the reissue 5 ms later on the slow one, both in
 /// service at once. Returns once the query resolved.
-fn race_the_monster(style: CancellationStyle) -> (HedgedClient, [TcpServer; 2]) {
+fn race_the_monster() -> (HedgedClient, [TcpServer; 2]) {
     let servers = fast_and_slow_replica();
     let addrs: Vec<_> = servers.iter().map(TcpServer::local_addr).collect();
     let client = HedgedClient::connect(
@@ -149,7 +149,6 @@ fn race_the_monster(style: CancellationStyle) -> (HedgedClient, [TcpServer; 2]) 
         HedgeConfig {
             policy: ReissuePolicy::single_r(5.0, 1.0),
             online: None,
-            cancellation: style,
             ..HedgeConfig::default()
         },
     )
@@ -161,7 +160,7 @@ fn race_the_monster(style: CancellationStyle) -> (HedgedClient, [TcpServer; 2]) 
 
 #[test]
 fn hedged_client_frees_the_losers_replica() {
-    let (client, servers) = race_the_monster(CancellationStyle::Client);
+    let (client, servers) = race_the_monster();
     let resolved = Instant::now();
     // The reissue's replica answers a probe at once, not in 400 ms.
     let mut probe = TcpStream::connect(servers[1].local_addr()).unwrap();
@@ -189,7 +188,7 @@ fn hedged_client_frees_the_losers_replica() {
 
 #[test]
 fn tied_copies_in_service_do_not_stop_each_other() {
-    let (client, servers) = race_the_monster(CancellationStyle::Tied);
+    let (client, servers) = race_the_monster();
     // Exactly one reply reached the race — the primary's; the loser
     // was stopped by the client and is booked as censored.
     let stats = stats_when(&client, |s| s.pairs_censored == 1);

@@ -1,10 +1,11 @@
-//! CI-scale integration tests for the server-side scheduling matrix:
-//! tied-request (dequeue-time) cancellation through the full
-//! `HedgedClient` path, and the non-FIFO-beats-FIFO discipline shape
-//! under queries of death — the same acceptance shape the committed
+//! CI-scale integration tests for server-side scheduling: the tie
+//! protocol through the full `HedgedClient` path (a tie is registered
+//! only when a reissue goes out, and only the primary's server
+//! retracts), and the non-FIFO-beats-FIFO discipline shape under
+//! queries of death — the same acceptance shape the committed
 //! `BENCH_discipline.json` shows at full scale.
 
-use hedge::{CancellationStyle, Discipline, HedgeConfig, HedgedClient, TcpServer, TcpServerConfig};
+use hedge::{Discipline, HedgeConfig, HedgedClient, TcpServer, TcpServerConfig};
 use kvstore::{Command, IntSet, KvStore, Reply};
 use reissue_core::policy::ReissuePolicy;
 
@@ -29,12 +30,12 @@ fn monster_store() -> KvStore {
     store
 }
 
-/// Drives one blocked-primary hedge race in the given cancellation
-/// style and returns `(client, servers)` for counter inspection. The
+/// Drives one blocked-primary hedge race and returns
+/// `(client, servers)` for counter inspection. The
 /// primary replica is head-of-line blocked by a monster, the 2 ms
 /// always-hedge fires to the idle replica and wins, and the blocked
 /// copy must be retracted.
-fn run_blocked_race(style: CancellationStyle) -> (HedgedClient, [TcpServer<KvStore>; 2]) {
+fn run_blocked_race() -> (HedgedClient, [TcpServer<KvStore>; 2]) {
     let cfg = TcpServerConfig {
         nanos_per_op: 2_000,
         ..TcpServerConfig::default()
@@ -49,7 +50,6 @@ fn run_blocked_race(style: CancellationStyle) -> (HedgedClient, [TcpServer<KvSto
         HedgeConfig {
             policy: ReissuePolicy::single_d(2.0),
             online: None,
-            cancellation: style,
             ..HedgeConfig::default()
         },
     )
@@ -81,7 +81,7 @@ fn run_blocked_race(style: CancellationStyle) -> (HedgedClient, [TcpServer<KvSto
 /// the primary's server retracts.
 #[test]
 fn blocked_race_sends_no_canceltie_from_the_reissues_server() {
-    let (client, servers) = run_blocked_race(CancellationStyle::Tied);
+    let (client, servers) = run_blocked_race();
 
     // Retraction confirmations arrive asynchronously; poll briefly.
     let deadline = Instant::now() + Duration::from_secs(2);
@@ -108,33 +108,6 @@ fn blocked_race_sends_no_canceltie_from_the_reissues_server() {
     );
 }
 
-/// The cancellation A/B shape at CI scale: in client-driven mode the
-/// same race never touches the server tie tables (retraction rides
-/// the client's CANCEL instead), so the server-side retraction counter
-/// separates the styles even when both retract the loser in time.
-#[test]
-fn client_mode_never_registers_server_side_ties() {
-    let (client, servers) = run_blocked_race(CancellationStyle::Client);
-
-    let deadline = Instant::now() + Duration::from_secs(2);
-    while client.stats().cancelled_in_time == 0 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert!(
-        client.stats().cancelled_in_time >= 1,
-        "client CANCEL still retracts the blocked copy: {:?}",
-        client.stats()
-    );
-    for (i, s) in servers.iter().enumerate() {
-        let ties = s.tie_stats();
-        assert_eq!(
-            ties.registered, 0,
-            "client-driven mode must not register ties on replica {i}: {ties:?}"
-        );
-        assert_eq!(ties.peer_cancels_sent, 0, "no peer CANCELs on replica {i}");
-    }
-}
-
 /// A tie is registered when the reissue goes out, not when a reissue
 /// is armed: queries whose 50 ms stage never fires against idle
 /// replicas leave every tie table untouched.
@@ -150,7 +123,6 @@ fn armed_queries_that_never_reissue_register_no_tie() {
         HedgeConfig {
             policy: ReissuePolicy::single_r(50.0, 1.0),
             online: None,
-            cancellation: CancellationStyle::Tied,
             ..HedgeConfig::default()
         },
     )
@@ -195,7 +167,6 @@ fn reissue_of_a_primary_in_service_is_retracted_before_it_runs() {
         HedgeConfig {
             policy: ReissuePolicy::single_r(5.0, 1.0),
             online: None,
-            cancellation: CancellationStyle::Tied,
             ..HedgeConfig::default()
         },
     )

@@ -59,13 +59,10 @@ pub struct FanoutConfig {
     pub pool_per_replica: usize,
     /// Executor worker threads — one runtime shared by every leg.
     pub workers: usize,
-    /// Seed for the legs' reissue coin flips (varied per leg).
+    /// Seed for the legs' reissue coin flips (varied per leg). Each
+    /// leg retracts its losers as every hedged race does: the reissue
+    /// tied to the straggler, and the client's `CANCEL` for the rest.
     pub seed: u64,
-    /// How each leg retracts its losing attempts (see
-    /// [`hedge::CancellationStyle`]): `Tied` registers server-side
-    /// tied pairs so the serving replica cancels the peer at dequeue
-    /// time; `Client` (default) sends `CANCEL` after the race.
-    pub cancellation: hedge::CancellationStyle,
 }
 
 impl Default for FanoutConfig {
@@ -77,7 +74,6 @@ impl Default for FanoutConfig {
             pool_per_replica: 2,
             workers: 4,
             seed: 0xFA20,
-            cancellation: hedge::CancellationStyle::Client,
         }
     }
 }
@@ -190,7 +186,6 @@ impl FanoutClient {
                     seed: cfg
                         .seed
                         .wrapping_add(0x9E37_79B9_97F4_A7C1u64.wrapping_mul(s as u64)),
-                    cancellation: cfg.cancellation,
                 };
                 HedgedClient::connect_with_runtime(rt.clone(), &cluster.group_addrs(s), leg_cfg)
             })

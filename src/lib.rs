@@ -22,10 +22,12 @@
 //!   runtime**: a `std`-only async executor, a TCP transport that puts the
 //!   kvstore's round-robin loop behind real sockets, and a
 //!   [`hedge::HedgedClient`] that dispatches the primary, arms the SingleR
-//!   `(d, q)` timer, races a reissue against it, cancels the loser
-//!   tied-request style on the wire (`CANCEL <seq>` retraction), and feeds
-//!   observed latencies into [`online::OnlineAdapter`] so the policy
-//!   re-optimizes *while serving traffic*,
+//!   `(d, q)` timer, races a reissue against it, retracts the loser on the
+//!   wire (the client's `CANCEL <seq>` for every loser, and before that,
+//!   for a reissue still queued, a `CANCELTIE` from the server that
+//!   dequeued its primary), and feeds observed latencies into
+//!   [`online::OnlineAdapter`] so the policy re-optimizes *while serving
+//!   traffic*,
 //! * plus the [`shard`] tail-at-scale layer: a hash-partitioned
 //!   keyspace, `N` shard groups × `R` replicas, and a scatter-gather
 //!   [`shard::FanoutClient`] that hedges per shard under one shared

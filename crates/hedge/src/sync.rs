@@ -34,13 +34,13 @@
 //! a redial, which swaps the socket and restarts the numbering.
 //! [`CancelToken::cancel`] (and `CancelToken::tie`) never takes the
 //! state lock: it flips the flag under the cell lock, *lets go of it*,
-//! and only then takes the
-//! writer lock and looks at the cell again. That second look is what
-//! makes a late cancel safe: the wire target is only ever set or
-//! cleared under the writer lock, and a redial swaps the socket under
-//! that same lock, so a canceller holding it sees either the target of
-//! the socket it is about to write to, or none — never a sequence
-//! number that belonged to a socket since replaced.
+//! and only then takes the writer lock and looks at the cell again.
+//! That second look is what makes a late cancel safe: the wire target
+//! is only ever set or cleared under the writer lock, and a redial
+//! swaps the socket under that same lock, so a canceller holding it
+//! sees either the target of the socket it is about to write to, or
+//! none — never a sequence number that belonged to a socket since
+//! replaced.
 
 use crate::transport::TransportError;
 use bytes::BytesMut;

@@ -125,8 +125,10 @@ fn put_bulk_uint(out: &mut BytesMut, v: u64) {
     put_bulk(out, &tmp[i..]);
 }
 
-/// `addr`'s display form, written into `buf` (no allocation; the
-/// longest form, a scoped IPv6 address, is under 64 bytes).
+/// `addr`'s display form, written into `buf`: a primary's `TIE` frame
+/// carries one per raced query, and `to_string` would allocate two or
+/// three times for it. The longest form, a scoped IPv6 address, is
+/// under 64 bytes.
 fn addr_text<'a>(addr: &std::net::SocketAddr, buf: &'a mut [u8; 64]) -> &'a [u8] {
     let mut rest = &mut buf[..];
     write!(rest, "{addr}").expect("a socket address fits in 64 bytes");

@@ -558,7 +558,6 @@ impl Core {
             dispatched: at,
             fate: SideState::Pending,
         });
-        attempts.targets[slot] = target;
         attempts.len += 1;
         target
     }
@@ -759,8 +758,6 @@ struct Attempts {
     /// `None` once an attempt resolved; what [`select_all`] polls.
     futs: [Option<InFlight>; MAX_ATTEMPTS],
     meta: [Option<AttemptMeta>; MAX_ATTEMPTS],
-    /// Replica index each attempt went to.
-    targets: [usize; MAX_ATTEMPTS],
     len: usize,
     /// Size of the first wave.
     primaries: usize,
@@ -773,7 +770,6 @@ impl Attempts {
         Attempts {
             futs: std::array::from_fn(|_| None),
             meta: std::array::from_fn(|_| None),
-            targets: [0; MAX_ATTEMPTS],
             len: 0,
             primaries,
             straggler: None,

@@ -1,16 +1,19 @@
 //! A TCP transport for the kvstore with a pluggable queue
 //! [`Discipline`], client retraction and server-side *tied requests*.
 //!
-//! Every accepted socket gets a reader thread that decodes RESP frames
-//! into per-connection FIFO queues. Only each connection's **head**
-//! request is admitted into one central [`WaitQueue`], so the
-//! configured cross-connection discipline (FIFO, cost-priority,
-//! shortest-expected-burn, round-robin, …) can reorder freely while
-//! per-connection reply order — the RESP contract — is preserved by
-//! construction. One head is served at a time, by whichever thread
+//! A server with `c` open connections runs `c + 2` threads: the accept
+//! thread, the sweeper, and one reader per connection, which decodes
+//! its connection's RESP frames. A connection has **one request
+//! unanswered** at most: its reader queues it in one central
+//! [`WaitQueue`], and a reader that decodes a second request before the
+//! first is answered waits until it is. No client of this crate writes
+//! a second one early; a raw socket that does is answered in order, and
+//! the configured cross-connection discipline (FIFO, cost-priority,
+//! shortest-expected-burn, round-robin, …) reorders freely between
+//! connections. One request is served at a time, by whichever thread
 //! holds the single **service slot**: it pops the central queue,
-//! executes against the shared backend, burns `cost × nanos_per_op`
-//! of wall-clock service time, and writes the reply. The default
+//! executes against the shared backend, burns `cost × nanos_per_op` of
+//! wall-clock service time, and writes the reply. The default
 //! discipline, `RoundRobin { connections: 0 }`, is Redis's event loop
 //! as §6.2 needs it: one command per connection with pending input per
 //! sweep, so one long `SINTER` delays every other connection's next
@@ -18,22 +21,24 @@
 //!
 //! ## Who serves: the sweeper, or the reader in place
 //!
-//! A reader whose decoded head finds the slot free and the central
-//! queue empty takes the slot and serves the head itself, in place:
-//! with nothing queued, every discipline would have picked that head.
-//! It keeps the slot while the next head it pops turns out short too,
-//! so a busy server of short requests never wakes its sweeper thread.
-//! A head whose service burn is 200 µs or more is handed to the sweeper
-//! thread, slot and all, once it has executed: only the sweeper waits
-//! out a burn that long, so a client's `CANCEL`, read by that head's
-//! reader meanwhile, can stop it (below). Shorter burns are spun
-//! through wherever they run and cannot be stopped anyway.
+//! A reader whose decoded request finds the slot free and the central
+//! queue empty takes the slot and serves the request itself, in place:
+//! with nothing queued, every discipline would have picked it. It keeps
+//! the slot while the next request it pops turns out short too, so a
+//! busy server of short requests never wakes its sweeper thread. A
+//! request whose service burn is 200 µs or more is handed to the
+//! sweeper thread, slot and all, once it has executed: only the sweeper
+//! waits out a burn that long, so a client's `CANCEL`, read by that
+//! request's reader meanwhile, can stop it (below). Shorter burns are
+//! spun through wherever they run and cannot be stopped anyway.
 //! [`ServerStats::sweeps`] counts the commands the sweeper served; the
 //! rest of [`ServerStats::commands`] were served in place.
 //!
 //! Nothing polls: an idle reader blocks in `read()` with no timeout,
 //! an idle sweeper on its condvar, and [`TcpServer::shutdown`] wakes
-//! the readers by shutting their sockets down.
+//! the readers by shutting their sockets down. Nothing reaps either: a
+//! reader whose peer went away removes its own connection, and the tie
+//! registration of its unanswered request, as it exits.
 //!
 //! ## Client retraction
 //!
@@ -42,7 +47,10 @@
 //! `n` — because its hedged twin already won — sends `CANCEL n` on the
 //! same connection. If the request is still queued (not yet swept) it
 //! is *retracted* and `-ERR cancelled` takes its reply slot, so the
-//! reply stream stays in order and the server never does the work.
+//! reply stream stays in order and the server never does the work. (A
+//! `CANCEL` written behind a later request of its connection is read
+//! only once that later request is queued, by when the one it names
+//! has been answered.)
 //!
 //! A request already **in service** is retracted too. Its service time
 //! (`cost × nanos_per_op`, when that is 200 µs or more) is a wait the
@@ -50,8 +58,8 @@
 //! stops it, the same `-ERR cancelled` marker takes the reply slot, the
 //! server books only the cost units it burned
 //! ([`ServerStats::total_cost`], and one [`ServerStats::aborted`]), and
-//! the replica serves its next head at once instead of finishing a copy
-//! nobody is waiting for.
+//! the replica serves its next request at once instead of finishing a
+//! copy nobody is waiting for.
 //!
 //! ## Tied requests (the primary's server retracts the reissue)
 //!
@@ -65,12 +73,13 @@
 //!    what the `Prioritized*` disciplines order by.
 //! 2. At the same moment the client writes `TIE <seq> <addr> <id>` on
 //!    the primary's connection: request `seq` there has a twin,
-//!    registered at server `addr`.
-//! 3. The primary's server keeps the twin while the primary is queued
-//!    and sends `CANCELTIE <id>` to `addr` when it dequeues the
-//!    primary. If the primary is already in service or answered when
-//!    the `TIE` arrives, the tie *collapses*: `CANCELTIE` goes out at
-//!    once.
+//!    registered at server `addr`. The reader that reads it dials
+//!    `addr`, unless a socket to it is open already.
+//! 3. The primary's server keeps the twin while the primary is queued,
+//!    and the slot's holder writes `CANCELTIE <id>` on that socket when
+//!    it dequeues the primary. If the primary is already in service or
+//!    answered when the `TIE` arrives, the tie *collapses*: the reader
+//!    writes `CANCELTIE` at once.
 //! 4. The reissue's server retracts the reissue on `CANCELTIE` while it
 //!    is still queued. A `CANCELTIE` that overtook its reissue is kept
 //!    in a bounded pre-cancel set, and the reissue is born cancelled.
@@ -78,9 +87,8 @@
 //! The reissue's server never sends a `CANCELTIE`: retracting the
 //! primary when the reissue is dequeued measured no cheaper than the
 //! client's own `CANCEL`, which follows it a round trip later anyway.
-//! `CANCELTIE`s travel over a small server-to-server channel, best
-//! effort; a lost one leaves the retraction to the client. What can be
-//! cancelled, and by whom:
+//! `CANCELTIE`s are best effort; a lost one leaves the retraction to
+//! the client. What can be cancelled, and by whom:
 //!
 //! | the request is… | client `CANCEL` | the primary's server's `CANCELTIE` (reissues only) |
 //! |---|---|---|
@@ -106,7 +114,7 @@ use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Reply body sent for a retracted (cancelled) request.
@@ -139,7 +147,7 @@ pub struct TcpServerConfig {
     pub nanos_per_op: u64,
     /// Cross-connection scheduling discipline for the central wait
     /// queue. Per-connection order is always FIFO (the RESP reply
-    /// contract); the discipline chooses *between* connection heads.
+    /// contract); the discipline chooses *between* connections.
     pub discipline: Discipline,
 }
 
@@ -180,20 +188,14 @@ enum Tie {
     Primary(SocketAddr, u64),
 }
 
-/// One queued request on a connection.
-struct Entry {
+/// A connection's unanswered request. Its command travels in its
+/// [`SchedItem`].
+struct Request {
     seq: u64,
-    cmd: Command,
-    /// Pre-execution cost estimate ([`Backend::estimate_cost`]).
-    cost: u64,
-    /// Milliseconds since server start, for age-based disciplines.
-    enqueued_at: f64,
     tie: Option<Tie>,
-    /// Retracted; emits the cancelled marker when it reaches the head.
+    /// Retracted: answered with the cancelled marker instead of run,
+    /// or stopped in service.
     cancelled: bool,
-    /// Currently in the central queue (or held by the service slot's
-    /// holder).
-    admitted: bool,
     /// The slot's holder has committed to executing it: too late for a
     /// `CANCELTIE`; a client `CANCEL` can still stop its service time
     /// (a long one, which the sweeper serves).
@@ -201,7 +203,9 @@ struct Entry {
 }
 
 struct ConnInner {
-    queue: VecDeque<Entry>,
+    /// The one request this connection has unanswered: queued in
+    /// [`Sched::queue`], or held by the slot's holder.
+    request: Option<Request>,
     next_seq: u64,
 }
 
@@ -210,19 +214,21 @@ struct ConnState {
     id: usize,
     writer: Mutex<TcpStream>,
     inner: Mutex<ConnInner>,
-    /// What the sweeper waits on, paired with `inner`, while this
-    /// connection's head is in service. The stop signals — the head's
-    /// `cancelled` flag, the server's `stop` — are read under `inner`
-    /// before every wait and signalled under it, so none is lost; and
-    /// the flag lives on the entry, so none outlives its request.
-    service_cv: Condvar,
+    /// Paired with `inner`. The sweeper waits on it while this
+    /// connection's request is in service, for its `cancelled` flag or
+    /// the server's `stop`; the reader, while that request is
+    /// unanswered and the next one is decoded, for `request` to empty,
+    /// `stop` or `dead`. Each of these is read under `inner` before
+    /// every wait and changed under it, so no wake-up is lost.
+    cv: Condvar,
     dead: AtomicBool,
 }
 
-/// The central queue's view of a connection head.
+/// The central queue's view of a connection's request.
 struct SchedItem {
     conn: Arc<ConnState>,
     seq: u64,
+    cmd: Command,
     cost: f64,
     enqueued_at: f64,
     is_reissue: bool,
@@ -246,10 +252,10 @@ impl QueueItem for SchedItem {
 /// Who holds the single service slot (see the module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Slot {
-    /// Nobody: the next head to arrive with nothing queued is served
+    /// Nobody: the next request to arrive with nothing queued is served
     /// in place by the reader that decoded it.
     Free,
-    /// A reader, serving short heads in place.
+    /// A reader, serving short requests in place.
     Reader,
     /// The sweeper thread.
     Sweeper,
@@ -259,8 +265,8 @@ enum Slot {
 struct Sched {
     queue: WaitQueue<SchedItem>,
     slot: Slot,
-    /// A head a reader executed and found too long to serve in place,
-    /// handed to the sweeper with the slot.
+    /// A request a reader executed and found too long to serve in
+    /// place, handed to the sweeper with the slot.
     handoff: Option<Running>,
 }
 
@@ -274,8 +280,8 @@ impl Sched {
     }
 }
 
-/// A head whose command has executed: its reply and the service time
-/// it still has to burn.
+/// A request whose command has executed: its reply and the service
+/// time it still has to burn.
 struct Running {
     item: SchedItem,
     reply: Reply,
@@ -331,7 +337,7 @@ impl BoundedSet {
 /// overtake the reissue it names (the reissue's reader can stall
 /// behind a slow `Backend::execute` while estimating costs):
 ///
-/// * `regs` — reissues queued here right now;
+/// * `regs` — reissues unanswered here right now;
 /// * `precancelled` — `CANCELTIE`s that found no registration: a
 ///   reissue that registers later is born cancelled and never runs.
 ///   One for a reissue that already left the queue just ages out.
@@ -340,43 +346,36 @@ struct TieTable {
     precancelled: BoundedSet,
 }
 
-struct TieCounters {
-    registered: AtomicU64,
-    peer_cancels_sent: AtomicU64,
-    retractions: AtomicU64,
-    collapses: AtomicU64,
-}
-
 struct Shared<B: Backend> {
     store: Mutex<B>,
     stats: Mutex<ServerStats>,
     /// Central cross-connection wait queue and the service slot. Lock
     /// order: a connection's `inner` may be held while taking `sched`
-    /// (admission, take), and `ties` is only ever taken last or alone —
-    /// never the reverse.
+    /// (queueing, take), and `ties`, `peers` and the two stats are
+    /// only ever taken last or alone — never the reverse.
     sched: Mutex<Sched>,
     /// What the idle sweeper blocks on, paired with `sched`. Everything
-    /// it wakes for — a push while the slot is free, a hand-off, `stop`,
-    /// `reap` — changes under the `sched` lock, and the sweeper checks
-    /// all of them under that lock before it waits, so no wake-up can
-    /// fall between check and wait and the wait needs no timeout.
+    /// it wakes for — a push while the slot is free, a hand-off, `stop`
+    /// — changes under the `sched` lock, and the sweeper checks all of
+    /// them under that lock before it waits, so no wake-up can fall
+    /// between check and wait and the wait needs no timeout.
     sweep_cv: Condvar,
-    /// A connection died since the last reap (see [`mark_dead`]).
-    reap: AtomicBool,
+    /// Open connections: each reader removes its own as it exits.
     conns: Mutex<Vec<Arc<ConnState>>>,
     /// Reissue registrations and early `CANCELTIE`s.
     ties: Mutex<TieTable>,
-    /// Outbound `CANCELTIE`s: (reissue's server, tie id); `None` once
-    /// shut down.
-    tie_tx: Mutex<Option<mpsc::Sender<(SocketAddr, u64)>>>,
-    tie_counters: TieCounters,
+    /// Write-only sockets to the reissues' servers, one per peer,
+    /// dialled by the reader whose `TIE` names a twin there: the
+    /// `CANCELTIE` a dequeue writes never waits for a connect.
+    peers: Mutex<HashMap<SocketAddr, TcpStream>>,
+    tie_stats: Mutex<TieStats>,
     stop: AtomicBool,
     /// Live copy of [`TcpServerConfig::nanos_per_op`]; see
     /// [`TcpServer::set_nanos_per_op`].
     nanos_per_op: AtomicU64,
     epoch: Instant,
-    /// Reader threads, tracked so shutdown can join them (they used to
-    /// be spawned detached and leaked past shutdown).
+    /// Reader threads, tracked so shutdown can join them. Finished ones
+    /// are dropped at each accept.
     reader_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
@@ -385,10 +384,29 @@ impl<B: Backend> Shared<B> {
         self.epoch.elapsed().as_secs_f64() * 1e3
     }
 
-    /// Sends `CANCELTIE <id>` to the reissue's server at `addr`.
-    fn cancel_tie(&self, (addr, id): (SocketAddr, u64)) {
-        if let Some(tx) = self.tie_tx.lock().unwrap().as_ref() {
-            let _ = tx.send((addr, id));
+    /// Opens the socket `CANCELTIE`s to `addr` go out on, unless one is
+    /// open. Best effort: with none, they are lost.
+    fn dial(&self, addr: SocketAddr) {
+        if self.peers.lock().unwrap().contains_key(&addr) {
+            return;
+        }
+        if let Ok(stream) = TcpStream::connect_timeout(&addr, Duration::from_millis(200)) {
+            let _ = stream.set_nodelay(true);
+            self.peers.lock().unwrap().entry(addr).or_insert(stream);
+        }
+    }
+
+    /// Writes `CANCELTIE <id>` to the reissue's server at `addr`, on the
+    /// socket [`Shared::dial`] opened. The peer never replies. A socket
+    /// that fails is dropped, and the next `TIE` naming `addr` redials.
+    fn cancel_tie(&self, (addr, id): (SocketAddr, u64), scratch: &mut BytesMut) {
+        scratch.clear();
+        encode_command(&Command::CancelTie(id), scratch);
+        let mut peers = self.peers.lock().unwrap();
+        if let Some(stream) = peers.get_mut(&addr) {
+            if stream.write_all(scratch).is_err() {
+                peers.remove(&addr);
+            }
         }
     }
 }
@@ -412,57 +430,39 @@ impl<B: Backend> TcpServer<B> {
     pub fn bind(addr: &str, store: B, cfg: TcpServerConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let (tie_tx, tie_rx) = mpsc::channel();
         let shared = Arc::new(Shared {
             store: Mutex::new(store),
             stats: Mutex::new(ServerStats::default()),
             sched: Mutex::new(Sched::new(cfg.discipline)),
             sweep_cv: Condvar::new(),
-            reap: AtomicBool::new(false),
             conns: Mutex::new(Vec::new()),
             ties: Mutex::new(TieTable {
                 regs: HashMap::new(),
                 precancelled: BoundedSet::new(),
             }),
-            tie_tx: Mutex::new(Some(tie_tx)),
-            tie_counters: TieCounters {
-                registered: AtomicU64::new(0),
-                peer_cancels_sent: AtomicU64::new(0),
-                retractions: AtomicU64::new(0),
-                collapses: AtomicU64::new(0),
-            },
+            peers: Mutex::new(HashMap::new()),
+            tie_stats: Mutex::new(TieStats::default()),
             stop: AtomicBool::new(false),
             nanos_per_op: AtomicU64::new(cfg.nanos_per_op),
             epoch: Instant::now(),
             reader_threads: Mutex::new(Vec::new()),
         });
 
-        let mut threads = Vec::new();
         let accept_shared = shared.clone();
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("kv-accept-{local_addr}"))
-                .spawn(move || accept_loop(&listener, &accept_shared))
-                .expect("spawn accept thread"),
-        );
+        let accept = std::thread::Builder::new()
+            .name(format!("kv-accept-{local_addr}"))
+            .spawn(move || accept_loop(&listener, &accept_shared))
+            .expect("spawn accept thread");
         let sweep_shared = shared.clone();
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("kv-sweep-{local_addr}"))
-                .spawn(move || sweep_loop(&sweep_shared))
-                .expect("spawn sweeper thread"),
-        );
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("kv-tie-{local_addr}"))
-                .spawn(move || tie_sender_loop(&tie_rx))
-                .expect("spawn tie sender thread"),
-        );
+        let sweep = std::thread::Builder::new()
+            .name(format!("kv-sweep-{local_addr}"))
+            .spawn(move || sweep_loop(&sweep_shared))
+            .expect("spawn sweeper thread");
 
         Ok(TcpServer {
             local_addr,
             shared,
-            threads: Mutex::new(threads),
+            threads: Mutex::new(vec![accept, sweep]),
         })
     }
 
@@ -478,13 +478,7 @@ impl<B: Backend> TcpServer<B> {
 
     /// Server-side tie protocol counters so far.
     pub fn tie_stats(&self) -> TieStats {
-        let c = &self.shared.tie_counters;
-        TieStats {
-            registered: c.registered.load(Ordering::Relaxed),
-            peer_cancels_sent: c.peer_cancels_sent.load(Ordering::Relaxed),
-            retractions: c.retractions.load(Ordering::Relaxed),
-            collapses: c.collapses.load(Ordering::Relaxed),
-        }
+        *self.shared.tie_stats.lock().unwrap()
     }
 
     /// Direct backend access (dataset loading before serving).
@@ -503,40 +497,40 @@ impl<B: Backend> TcpServer<B> {
             .store(nanos_per_op, Ordering::Relaxed);
     }
 
-    /// Connections currently tracked. Disconnected peers are reaped by
-    /// the sweeper, so this returns to zero once clients go away.
+    /// Connections currently open. A connection's reader removes it as
+    /// it exits, once its peer has gone away (or a reply to it failed),
+    /// so this returns to zero once clients go away.
     pub fn connection_count(&self) -> usize {
         self.shared.conns.lock().unwrap().len()
     }
 
-    /// Stops all threads — accept, sweeper, tie sender, and every
-    /// per-connection reader — and joins them.
+    /// Stops all threads — accept, sweeper, and every per-connection
+    /// reader — and joins them, then closes every connection and the
+    /// sockets `CANCELTIE`s went out on.
     pub fn shutdown(&self) {
         {
             let _sched = self.shared.sched.lock().unwrap();
             self.shared.stop.store(true, Ordering::SeqCst);
             self.shared.sweep_cv.notify_one();
         }
-        // A request in service is not slept out (that could take
-        // `MAX_BURN_NANOS`): wake its wait. `stop` is set, and the
-        // sweeper reads it under `inner` before it waits.
+        // Wake whoever waits on a connection: the sweeper serving its
+        // request (not slept out: that could take `MAX_BURN_NANOS`),
+        // its reader waiting to queue the next one. Both read `stop`
+        // under `inner` before they wait.
         for conn in self.shared.conns.lock().unwrap().iter() {
             let _inner = conn.inner.lock().unwrap();
-            conn.service_cv.notify_one();
+            conn.cv.notify_all();
         }
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.local_addr);
-        // Dropping the sender disconnects the tie thread's recv loop.
-        drop(self.shared.tie_tx.lock().unwrap().take());
         for t in self.threads.lock().unwrap().drain(..) {
             let _ = t.join();
         }
-        // With the accept thread joined, every reader's connection is
-        // in `conns` (a reaped one's reader has exited, or its socket
-        // was shut down when its write failed). Shutting the sockets
-        // down ends the readers' blocking reads; joining them here
-        // (instead of leaking detached threads) means no reader can
-        // touch the store after shutdown returns.
+        // With the accept thread joined, every live reader's connection
+        // is in `conns`: a reader removes its own only as it exits.
+        // Shutting the sockets down ends the readers' blocking reads;
+        // joining them here means no reader can touch the store after
+        // shutdown returns.
         for conn in self.shared.conns.lock().unwrap().iter() {
             let _ = conn.writer.lock().unwrap().shutdown(Shutdown::Both);
         }
@@ -544,10 +538,12 @@ impl<B: Backend> TcpServer<B> {
             let _ = t.join();
         }
         // Drop every connection (and queued scheduler entries holding
-        // them) so client sockets see EOF once shutdown returns.
+        // them) and every peer socket, so clients and peers see EOF
+        // once shutdown returns.
         self.shared.conns.lock().unwrap().clear();
         *self.shared.sched.lock().unwrap() = Sched::new(Discipline::Fifo);
         self.shared.ties.lock().unwrap().regs.clear();
+        self.shared.peers.lock().unwrap().clear();
     }
 }
 
@@ -589,10 +585,10 @@ fn accept_loop<B: Backend>(listener: &TcpListener, shared: &Arc<Shared<B>>) {
             id: next_id,
             writer: Mutex::new(writer),
             inner: Mutex::new(ConnInner {
-                queue: VecDeque::new(),
+                request: None,
                 next_seq: 0,
             }),
-            service_cv: Condvar::new(),
+            cv: Condvar::new(),
             dead: AtomicBool::new(false),
         });
         next_id += 1;
@@ -601,8 +597,12 @@ fn accept_loop<B: Backend>(listener: &TcpListener, shared: &Arc<Shared<B>>) {
         let handle = std::thread::Builder::new()
             .name("kv-conn-reader".into())
             .spawn(move || reader_loop(stream, &state, &reader_shared));
+        let mut readers = shared.reader_threads.lock().unwrap();
+        // Readers of closed connections have exited on their own: keep
+        // only the handles shutdown still has to join.
+        readers.retain(|t| !t.is_finished());
         if let Ok(handle) = handle {
-            shared.reader_threads.lock().unwrap().push(handle);
+            readers.push(handle);
         }
     }
 }
@@ -617,7 +617,7 @@ fn reader_loop<B: Backend>(mut stream: TcpStream, state: &Arc<ConnState>, shared
     let mut pending_tie: Option<u64> = None;
     // A failed reply write marks the connection dead (and shuts its
     // socket down) from another thread; this one then stops reading
-    // and reports the death. `shutdown` ends the read the same way.
+    // and closes the connection. `shutdown` ends the read the same way.
     while !shared.stop.load(Ordering::SeqCst) && !state.dead.load(Ordering::SeqCst) {
         match stream.read(&mut chunk) {
             Ok(0) => break, // peer closed, or shut down
@@ -627,16 +627,16 @@ fn reader_loop<B: Backend>(mut stream: TcpStream, state: &Arc<ConnState>, shared
         }
         loop {
             match decode_command(&mut buf) {
-                Ok(Some(Command::Cancel(seq))) => cancel_entry(shared, state, seq, false),
+                Ok(Some(Command::Cancel(seq))) => cancel_request(shared, state, seq, false),
                 Ok(Some(Command::Tie { id, peer: None })) => pending_tie = Some(id),
                 Ok(Some(Command::Tie {
                     id: seq,
                     peer: Some(twin),
-                })) => attach_twin(shared, state, seq, twin),
+                })) => attach_twin(shared, state, seq, twin, &mut scratch),
                 Ok(Some(Command::CancelTie(id))) => handle_cancel_tie(shared, id),
                 Ok(Some(cmd)) => {
-                    if let Some(head) = enqueue_request(shared, state, cmd, pending_tie.take()) {
-                        serve_in_place(shared, head, &mut scratch);
+                    if let Some(item) = queue_request(shared, state, cmd, pending_tie.take()) {
+                        serve_in_place(shared, item, &mut scratch);
                     }
                 }
                 Ok(None) => break,
@@ -647,24 +647,35 @@ fn reader_loop<B: Backend>(mut stream: TcpStream, state: &Arc<ConnState>, shared
                     shared.stats.lock().unwrap().protocol_errors += 1;
                     scratch.clear();
                     encode_reply(&Reply::Error(err.to_string()), &mut scratch);
-                    let inner = state.inner.lock().unwrap();
-                    write_frame(state, &scratch);
-                    drop(inner);
+                    if let Some(_idle) = idle(shared, state) {
+                        write_frame(state, &scratch);
+                    }
                 }
             }
         }
     }
-    mark_dead(shared, state);
+    close(shared, state);
 }
 
-/// Reports a connection's death to the sweeper, which reaps on this
-/// signal rather than scanning for dead connections on every idle
-/// turn. The flags flip under the `sched` lock (see `sweep_cv`).
-fn mark_dead<B: Backend>(shared: &Shared<B>, conn: &ConnState) {
-    let _sched = shared.sched.lock().unwrap();
+/// Closes a connection whose reader is exiting: marks it dead (a
+/// request of it still queued is dropped when popped), and removes it
+/// and its unanswered reissue's tie registration.
+fn close<B: Backend>(shared: &Shared<B>, conn: &Arc<ConnState>) {
+    let inner = conn.inner.lock().unwrap();
     conn.dead.store(true, Ordering::SeqCst);
-    shared.reap.store(true, Ordering::SeqCst);
-    shared.sweep_cv.notify_one();
+    if let Some(Request {
+        tie: Some(Tie::Reissue(id)),
+        ..
+    }) = inner.request
+    {
+        shared.ties.lock().unwrap().regs.remove(&id);
+    }
+    drop(inner);
+    shared
+        .conns
+        .lock()
+        .unwrap()
+        .retain(|c| !Arc::ptr_eq(c, conn));
 }
 
 /// Writes one reply frame. Callers hold the connection's `inner` lock,
@@ -682,186 +693,172 @@ fn write_frame(conn: &ConnState, bytes: &[u8]) {
     }
 }
 
-/// Enqueues a decoded request: assigns its sequence number, estimates
-/// its cost, registers it if it is a reissue (`tie`), and admits the
-/// connection head to the central queue. Returns the head instead of
-/// queueing it when the calling reader took the service slot to serve
-/// it in place (see [`admit_head`]).
-fn enqueue_request<B: Backend>(
-    shared: &Arc<Shared<B>>,
-    state: &Arc<ConnState>,
+/// Answers `conn`'s request with `frame` in its reply slot, drops its
+/// tie registration if it is a reissue, and wakes the reader if it
+/// waits to queue the next one. Caller holds `inner`.
+fn retire<B: Backend>(shared: &Shared<B>, conn: &ConnState, inner: &mut ConnInner, frame: &[u8]) {
+    if let Some(Request {
+        tie: Some(Tie::Reissue(id)),
+        ..
+    }) = inner.request.take()
+    {
+        shared.ties.lock().unwrap().regs.remove(&id);
+    }
+    write_frame(conn, frame);
+    conn.cv.notify_all();
+}
+
+/// Waits until `conn` has no request unanswered and returns its `inner`
+/// lock, or `None` once the server stops or the connection died.
+fn idle<'a, B: Backend>(
+    shared: &Shared<B>,
+    conn: &'a ConnState,
+) -> Option<MutexGuard<'a, ConnInner>> {
+    let mut inner = conn.inner.lock().unwrap();
+    loop {
+        if shared.stop.load(Ordering::SeqCst) || conn.dead.load(Ordering::SeqCst) {
+            return None;
+        }
+        if inner.request.is_none() {
+            return Some(inner);
+        }
+        inner = conn.cv.wait(inner).unwrap();
+    }
+}
+
+/// Queues a decoded request once the connection's previous one is
+/// answered: assigns its sequence number, registers it if it is a
+/// reissue (`tie`), and pushes it to the central queue. Returns it
+/// instead, the slot taken, when the slot is free and nothing is
+/// queued: the calling reader serves it in place ([`serve_in_place`]).
+fn queue_request<B: Backend>(
+    shared: &Shared<B>,
+    conn: &Arc<ConnState>,
     cmd: Command,
     tie: Option<u64>,
 ) -> Option<SchedItem> {
     let cost = shared.store.lock().unwrap().estimate_cost(&cmd);
-    let mut precancelled = false;
-    let mut inner = state.inner.lock().unwrap();
+    let mut inner = idle(shared, conn)?;
     let seq = inner.next_seq;
     inner.next_seq += 1;
     if let Some(id) = tie {
-        let c = &shared.tie_counters;
-        c.registered.fetch_add(1, Ordering::Relaxed);
+        shared.tie_stats.lock().unwrap().registered += 1;
         let mut table = shared.ties.lock().unwrap();
         if table.precancelled.remove(id) {
-            // The primary's CANCELTIE got here first: born cancelled.
-            precancelled = true;
-            c.retractions.fetch_add(1, Ordering::Relaxed);
-        } else {
-            let reg = TieReg {
-                conn: state.clone(),
-                seq,
-            };
-            table.regs.insert(id, reg);
-        }
-    }
-    inner.queue.push_back(Entry {
-        seq,
-        cmd,
-        cost,
-        enqueued_at: shared.now_ms(),
-        tie: tie.map(Tie::Reissue),
-        cancelled: precancelled,
-        admitted: false,
-        executing: false,
-    });
-    admit_head(shared, state, &mut inner, true)
-}
-
-/// Advances a connection's head: emits cancelled markers for retracted
-/// entries that reached the front (their reply slot, in order), and
-/// admits the first live entry into the central queue. Caller holds
-/// `inner`.
-///
-/// `in_place` is a reader admitting the head it just decoded: if the
-/// service slot is free and nothing is queued, the head is not queued
-/// but returned, the slot taken for the reader to serve it
-/// ([`serve_in_place`]). Every other admission returns `None`.
-fn admit_head<B: Backend>(
-    shared: &Shared<B>,
-    conn: &Arc<ConnState>,
-    inner: &mut ConnInner,
-    in_place: bool,
-) -> Option<SchedItem> {
-    loop {
-        let front = inner.queue.front_mut()?;
-        if front.admitted {
+            drop(table);
+            // The primary's CANCELTIE got here first: born cancelled,
+            // counted before its marker can reach the client.
+            shared.tie_stats.lock().unwrap().retractions += 1;
+            write_frame(conn, CANCELLED_FRAME);
             return None;
         }
-        if front.cancelled {
-            if let Some(Tie::Reissue(id)) = front.tie {
-                shared.ties.lock().unwrap().regs.remove(&id);
-            }
-            write_frame(conn, CANCELLED_FRAME);
-            inner.queue.pop_front();
-            continue;
-        }
-        front.admitted = true;
-        let item = SchedItem {
+        let reg = TieReg {
             conn: conn.clone(),
-            seq: front.seq,
-            cost: front.cost as f64,
-            enqueued_at: front.enqueued_at,
-            is_reissue: matches!(front.tie, Some(Tie::Reissue(_))),
+            seq,
         };
-        let mut sched = shared.sched.lock().unwrap();
-        if in_place && sched.slot == Slot::Free && sched.queue.is_empty() {
-            sched.slot = Slot::Reader;
-            return Some(item);
-        }
-        sched.queue.push(item);
-        // Whoever holds the slot pops the queue before letting go of
-        // it, so only a free slot means an idle sweeper to wake (one
-        // sweeper, so one waiter at most).
-        if sched.slot == Slot::Free {
-            shared.sweep_cv.notify_one();
-        }
-        return None;
+        table.regs.insert(id, reg);
     }
+    inner.request = Some(Request {
+        seq,
+        tie: tie.map(Tie::Reissue),
+        cancelled: false,
+        executing: false,
+    });
+    let item = SchedItem {
+        conn: conn.clone(),
+        seq,
+        cmd,
+        cost: cost as f64,
+        enqueued_at: shared.now_ms(),
+        is_reissue: tie.is_some(),
+    };
+    let mut sched = shared.sched.lock().unwrap();
+    if sched.slot == Slot::Free && sched.queue.is_empty() {
+        sched.slot = Slot::Reader;
+        return Some(item);
+    }
+    sched.queue.push(item);
+    // Whoever holds the slot pops the queue before letting go of it, so
+    // only a free slot means an idle sweeper to wake (one sweeper, so
+    // one waiter at most).
+    if sched.slot == Slot::Free {
+        shared.sweep_cv.notify_one();
+    }
+    None
 }
 
-/// Cancels the entry `seq` on `conn`: retracts it if it is still
-/// queued, stops its service time if it is in service and the client
-/// asked. A primary's `CANCELTIE` (`by_peer`) never stops a reissue in
-/// service — see the module docs — and is counted as a tie retraction
-/// here, before the `-ERR cancelled` marker can reach the client, so
-/// whoever reads that reply finds the counter moved.
-fn cancel_entry<B: Backend>(shared: &Shared<B>, conn: &Arc<ConnState>, seq: u64, by_peer: bool) {
+/// Cancels request `seq` on `conn`: retracts it if it is still queued,
+/// stops its service time if it is in service and the client asked. A
+/// primary's `CANCELTIE` (`by_peer`) never stops a reissue in service —
+/// see the module docs — and is counted as a tie retraction here,
+/// before the `-ERR cancelled` marker can reach the client, so whoever
+/// reads that reply finds the counter moved.
+fn cancel_request<B: Backend>(shared: &Shared<B>, conn: &Arc<ConnState>, seq: u64, by_peer: bool) {
     let mut inner = conn.inner.lock().unwrap();
-    let Some(entry) = inner.queue.iter_mut().find(|e| e.seq == seq) else {
+    let Some(request) = inner.request.as_mut().filter(|r| r.seq == seq) else {
         return; // already answered (or never existed): no-op
     };
-    if entry.cancelled || (entry.executing && by_peer) {
+    if request.cancelled || (request.executing && by_peer) {
         return;
     }
-    entry.cancelled = true;
-    if entry.executing {
+    request.cancelled = true;
+    if request.executing {
         // The sweeper reads the flag under `inner` before it waits, so
         // it either sees it there or is already waiting for this.
-        conn.service_cv.notify_one();
+        conn.cv.notify_all();
         return;
     }
     if by_peer {
-        shared
-            .tie_counters
-            .retractions
-            .fetch_add(1, Ordering::Relaxed);
+        shared.tie_stats.lock().unwrap().retractions += 1;
     }
-    if entry.admitted {
-        // The head is in the central queue — or already in the hands
-        // of the slot's holder. Take it back if it is still queued; if
-        // the take misses, the holder will honor the `cancelled` flag
-        // before executing.
-        let taken = shared
-            .sched
-            .lock()
-            .unwrap()
-            .queue
-            .take(|it| Arc::ptr_eq(&it.conn, conn) && it.seq == seq);
-        if taken.is_some() {
-            if let Some(e) = inner.queue.front_mut() {
-                e.admitted = false;
-            }
-            admit_head(shared, conn, &mut inner, false);
-        }
+    // Take it back if it is still queued; if the take misses, the
+    // slot's holder has it and honors the `cancelled` flag before
+    // executing.
+    let taken = shared
+        .sched
+        .lock()
+        .unwrap()
+        .queue
+        .take(|it| Arc::ptr_eq(&it.conn, conn) && it.seq == seq);
+    if taken.is_some() {
+        retire(shared, conn, &mut inner, CANCELLED_FRAME);
     }
-    // Deeper (non-admitted) entries stay queued; their marker is
-    // emitted by `admit_head` when they reach the front.
 }
 
 /// The client named the twin of request `seq` on `conn`: a reissue
-/// registered at `twin`. Still queued, the request keeps it, to retract
-/// it when dequeued. In service or answered, the tie collapses:
-/// `CANCELTIE` goes out at once. A request the client already
-/// cancelled has no use for its twin.
+/// registered at `twin`, whose server this reader dials now if no
+/// socket to it is open. Still queued, the request keeps the twin, to
+/// retract it when dequeued. In service or answered, the tie
+/// collapses: `CANCELTIE` goes out at once. A request the client
+/// already cancelled has no use for its twin.
 fn attach_twin<B: Backend>(
     shared: &Shared<B>,
     conn: &ConnState,
     seq: u64,
     twin: (SocketAddr, u64),
+    scratch: &mut BytesMut,
 ) {
+    shared.dial(twin.0);
     {
         let mut inner = conn.inner.lock().unwrap();
-        if let Some(entry) = inner.queue.iter_mut().find(|e| e.seq == seq) {
-            if entry.cancelled {
+        if let Some(request) = inner.request.as_mut().filter(|r| r.seq == seq) {
+            if request.cancelled {
                 return;
             }
-            if !entry.executing {
-                entry.tie = Some(Tie::Primary(twin.0, twin.1));
+            if !request.executing {
+                request.tie = Some(Tie::Primary(twin.0, twin.1));
                 return;
             }
         }
     }
-    shared
-        .tie_counters
-        .collapses
-        .fetch_add(1, Ordering::Relaxed);
-    shared.cancel_tie(twin);
+    shared.tie_stats.lock().unwrap().collapses += 1;
+    shared.cancel_tie(twin, scratch);
 }
 
 /// The primary tied to reissue `id` was dequeued: retract the reissue
 /// if it is still queued, or have it born cancelled if it has not
 /// registered yet.
-fn handle_cancel_tie<B: Backend>(shared: &Arc<Shared<B>>, id: u64) {
+fn handle_cancel_tie<B: Backend>(shared: &Shared<B>, id: u64) {
     let reg = {
         let mut table = shared.ties.lock().unwrap();
         let reg = table.regs.remove(&id);
@@ -871,23 +868,24 @@ fn handle_cancel_tie<B: Backend>(shared: &Arc<Shared<B>>, id: u64) {
         reg
     };
     if let Some(r) = reg {
-        cancel_entry(shared, &r.conn, r.seq, true);
+        cancel_request(shared, &r.conn, r.seq, true);
     }
 }
 
 /// What the sweeper takes the slot for.
 enum Turn {
-    /// A head a reader executed and handed over (see [`Sched::handoff`]).
+    /// A request a reader executed and handed over (see
+    /// [`Sched::handoff`]).
     HandedOver(Running),
-    /// The head the discipline popped.
+    /// The request the discipline popped.
     Popped(SchedItem),
 }
 
-fn sweep_loop<B: Backend>(shared: &Arc<Shared<B>>) {
+fn sweep_loop<B: Backend>(shared: &Shared<B>) {
     let mut scratch = BytesMut::new();
     loop {
-        // The next head to serve, or block until there is one. An idle
-        // server costs no CPU: the wait has no timeout (see
+        // The next request to serve, or block until there is one. An
+        // idle server costs no CPU: the wait has no timeout (see
         // `Shared::sweep_cv` for why none is needed). While a reader
         // holds the slot the queue is its to drain.
         let turn = {
@@ -895,12 +893,6 @@ fn sweep_loop<B: Backend>(shared: &Arc<Shared<B>>) {
             loop {
                 if shared.stop.load(Ordering::SeqCst) {
                     return;
-                }
-                if shared.reap.swap(false, Ordering::SeqCst) {
-                    drop(sched);
-                    reap_dead(shared);
-                    sched = shared.sched.lock().unwrap();
-                    continue;
                 }
                 if let Some(running) = sched.handoff.take() {
                     break Turn::HandedOver(running);
@@ -917,23 +909,23 @@ fn sweep_loop<B: Backend>(shared: &Arc<Shared<B>>) {
         };
         let running = match turn {
             Turn::HandedOver(running) => running,
-            Turn::Popped(item) => match start_head(shared, item, true) {
+            Turn::Popped(item) => match start_request(shared, item, true, &mut scratch) {
                 Some(running) => running,
                 None => continue,
             },
         };
-        finish_head(shared, running, &mut scratch);
+        finish_request(shared, running, &mut scratch);
     }
 }
 
-/// Serves heads on a reader thread that took the free slot for `head`:
-/// each in turn while its burn is short, then the next the discipline
-/// pops, until the queue is empty (the slot is free again) or a head
-/// turns out to burn [`SPIN_BELOW`] or more (it goes to the sweeper
-/// with the slot, see the module docs).
+/// Serves requests on a reader thread that took the free slot for
+/// `head`: each in turn while its burn is short, then the next the
+/// discipline pops, until the queue is empty (the slot is free again)
+/// or a request turns out to burn [`SPIN_BELOW`] or more (it goes to
+/// the sweeper with the slot, see the module docs).
 fn serve_in_place<B: Backend>(shared: &Shared<B>, mut head: SchedItem, scratch: &mut BytesMut) {
     loop {
-        if let Some(running) = start_head(shared, head, false) {
+        if let Some(running) = start_request(shared, head, false, scratch) {
             if running.service >= SPIN_BELOW {
                 let mut sched = shared.sched.lock().unwrap();
                 sched.slot = Slot::Sweeper;
@@ -941,7 +933,7 @@ fn serve_in_place<B: Backend>(shared: &Shared<B>, mut head: SchedItem, scratch: 
                 shared.sweep_cv.notify_one();
                 return;
             }
-            finish_head(shared, running, scratch);
+            finish_request(shared, running, scratch);
         }
         let mut sched = shared.sched.lock().unwrap();
         match sched.queue.pop(shared.now_ms()) {
@@ -954,55 +946,36 @@ fn serve_in_place<B: Backend>(shared: &Shared<B>, mut head: SchedItem, scratch: 
     }
 }
 
-/// Starts serving `item`, whose thread holds the slot: commits to it if
-/// it is still its connection's live head, retracts a primary's tied
-/// reissue, executes the command and books it. `None` when the head went away,
-/// or was cancelled, before it started.
-fn start_head<B: Backend>(
+/// Starts serving `item`, whose thread holds the slot: commits to it
+/// unless it was cancelled or its connection closed meanwhile (then it
+/// is answered, or dropped, here and `None` returned), retracts a
+/// primary's tied reissue, executes the command and books it.
+fn start_request<B: Backend>(
     shared: &Shared<B>,
     item: SchedItem,
     by_sweeper: bool,
+    scratch: &mut BytesMut,
 ) -> Option<Running> {
     let mut inner = item.conn.inner.lock().unwrap();
-    if item.conn.dead.load(Ordering::SeqCst) {
-        if inner.queue.front().map(|e| e.seq) == Some(item.seq) {
-            inner.queue.pop_front();
-        }
+    let request = inner.request.as_mut().filter(|r| r.seq == item.seq)?;
+    if request.cancelled || item.conn.dead.load(Ordering::SeqCst) {
+        // Cancelled after it was queued but before we committed (a
+        // bonus retraction), or its connection is gone.
+        retire(shared, &item.conn, &mut inner, CANCELLED_FRAME);
         return None;
     }
-    let front = inner.queue.front_mut()?;
-    if front.seq != item.seq {
-        return None; // stale: the entry was retracted under us
-    }
-    if front.cancelled {
-        // Cancelled after admission but before we committed:
-        // re-route through the marker path (a bonus retraction).
-        front.admitted = false;
-        admit_head(shared, &item.conn, &mut inner, false);
-        return None;
-    }
-    front.executing = true;
-    let cmd = front.cmd.clone();
-    let tie = front.tie;
+    request.executing = true;
+    let tie = request.tie;
     drop(inner);
     // Dequeue-time retraction: the primary is served, so retract its
     // reissue *now*, before execution, rather than after the reply has
     // crossed the network. A reissue dequeued here leaves its primary
     // alone: only the primary's server retracts.
-    match tie {
-        Some(Tie::Primary(addr, id)) => {
-            shared.cancel_tie((addr, id));
-            shared
-                .tie_counters
-                .peer_cancels_sent
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        Some(Tie::Reissue(id)) => {
-            shared.ties.lock().unwrap().regs.remove(&id);
-        }
-        None => {}
+    if let Some(Tie::Primary(addr, id)) = tie {
+        shared.cancel_tie((addr, id), scratch);
+        shared.tie_stats.lock().unwrap().peer_cancels_sent += 1;
     }
-    let (reply, cost) = shared.store.lock().unwrap().execute(&cmd);
+    let (reply, cost) = shared.store.lock().unwrap().execute(&item.cmd);
     let started = Instant::now();
     // Saturating and capped: cost is data-dependent, and a plain
     // multiply could overflow into a near-zero burn.
@@ -1032,8 +1005,8 @@ fn start_head<B: Backend>(
 /// Burns `running`'s service time — spun through when short, waited
 /// out interruptibly (on the sweeper) when long — and fills its reply
 /// slot: the reply, or the cancelled marker when the client's `CANCEL`
-/// stopped it in service. Then admits its connection's next head.
-fn finish_head<B: Backend>(shared: &Shared<B>, running: Running, scratch: &mut BytesMut) {
+/// stopped it in service.
+fn finish_request<B: Backend>(shared: &Shared<B>, running: Running, scratch: &mut BytesMut) {
     let Running {
         item,
         reply,
@@ -1060,90 +1033,42 @@ fn finish_head<B: Backend>(shared: &Shared<B>, running: Running, scratch: &mut B
         }
         (item.conn.inner.lock().unwrap(), false)
     };
-    if inner.queue.front().map(|e| e.seq) == Some(item.seq) {
-        inner.queue.pop_front();
-        if cancelled {
-            write_frame(&item.conn, CANCELLED_FRAME);
-        } else {
-            scratch.clear();
-            encode_reply(&reply, scratch);
-            write_frame(&item.conn, scratch);
-        }
-        admit_head(shared, &item.conn, &mut inner, false);
+    if cancelled {
+        retire(shared, &item.conn, &mut inner, CANCELLED_FRAME);
+    } else {
+        scratch.clear();
+        encode_reply(&reply, scratch);
+        retire(shared, &item.conn, &mut inner, scratch);
     }
 }
 
-/// Serves the head of `item`'s connection until `deadline`: a wait on
-/// the connection's `service_cv` that [`cancel_entry`] and
+/// Serves the request of `item`'s connection until `deadline`: a wait
+/// on the connection's `cv` that [`cancel_request`] and
 /// [`TcpServer::shutdown`] end early. Returns whether the client's
 /// `CANCEL` stopped it, holding `inner`, so the reply slot is filled
-/// before anything else can move the head. (A shutdown ends the wait
-/// as if the time were up: the reply goes out, and the sweeper finds
-/// `stop` set at the top of its loop.)
+/// before anything else can touch the request. (A shutdown ends the
+/// wait as if the time were up: the reply goes out, and the sweeper
+/// finds `stop` set at the top of its loop.)
 fn serve<'a, B: Backend>(
     shared: &Shared<B>,
     item: &'a SchedItem,
     deadline: Instant,
-) -> (std::sync::MutexGuard<'a, ConnInner>, bool) {
+) -> (MutexGuard<'a, ConnInner>, bool) {
     let mut inner = item.conn.inner.lock().unwrap();
     loop {
         let left = deadline.saturating_duration_since(Instant::now());
         if left.is_zero() || shared.stop.load(Ordering::SeqCst) {
             return (inner, false);
         }
-        // An entry in service stays at the front until it is
-        // answered.
+        // A request in service stays until it is answered.
         if inner
-            .queue
-            .front()
-            .is_some_and(|e| e.seq == item.seq && e.cancelled)
+            .request
+            .as_ref()
+            .is_some_and(|r| r.seq == item.seq && r.cancelled)
         {
             return (inner, true);
         }
-        inner = item.conn.service_cv.wait_timeout(inner, left).unwrap().0;
-    }
-}
-
-/// Removes connections whose peers have gone away (reader hit EOF, or
-/// a reply write failed), along with any tie registrations pointing at
-/// them. Without this the connection list and tie map grow with every
-/// client that ever connected.
-fn reap_dead<B: Backend>(shared: &Arc<Shared<B>>) {
-    shared
-        .conns
-        .lock()
-        .unwrap()
-        .retain(|c| !c.dead.load(Ordering::SeqCst));
-    shared
-        .ties
-        .lock()
-        .unwrap()
-        .regs
-        .retain(|_, r| !r.conn.dead.load(Ordering::SeqCst));
-}
-
-/// Forwards `CANCELTIE`s to reissues' servers over cached client
-/// connections. Write-only: the peers treat these as control frames
-/// and never reply. Exits when the sender side is dropped at shutdown.
-fn tie_sender_loop(rx: &mpsc::Receiver<(SocketAddr, u64)>) {
-    let mut conns: HashMap<SocketAddr, TcpStream> = HashMap::new();
-    let mut buf = BytesMut::new();
-    while let Ok((addr, id)) = rx.recv() {
-        buf.clear();
-        encode_command(&Command::CancelTie(id), &mut buf);
-        let sent = match conns.get_mut(&addr) {
-            Some(stream) => stream.write_all(&buf).is_ok(),
-            None => false,
-        };
-        if !sent {
-            conns.remove(&addr);
-            if let Ok(mut stream) = TcpStream::connect_timeout(&addr, Duration::from_millis(200)) {
-                let _ = stream.set_nodelay(true);
-                if stream.write_all(&buf).is_ok() {
-                    conns.insert(addr, stream);
-                }
-            }
-        }
+        inner = item.conn.cv.wait_timeout(inner, left).unwrap().0;
     }
 }
 
@@ -1309,6 +1234,28 @@ mod tests {
         assert_eq!(read_reply(&mut keep2), Reply::Ok);
         send_cmd(&mut keep1, &Command::Get("k".into()));
         assert_eq!(read_reply(&mut keep1), Reply::Str("v".into()));
+        server.shutdown();
+    }
+
+    #[test]
+    fn closed_connections_leave_no_reader_handles_behind() {
+        let server =
+            TcpServer::bind("127.0.0.1:0", KvStore::new(), TcpServerConfig::default()).unwrap();
+        let ping = || {
+            let mut c = TcpStream::connect(server.local_addr()).unwrap();
+            send_cmd(&mut c, &Command::Ping);
+            assert_eq!(read_reply(&mut c), Reply::Pong);
+            c
+        };
+        (0..50).for_each(|_| drop(ping()));
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while server.connection_count() > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        // Each accept drops the handles of the readers that have exited.
+        let _live = [ping(), ping()];
+        let handles = server.shared.reader_threads.lock().unwrap().len();
+        assert!((2..=5).contains(&handles), "{handles} handles, 2 live");
         server.shutdown();
     }
 

@@ -366,3 +366,40 @@ fn mixed_burns_on_four_connections_are_all_answered_in_order() {
     );
     server.shutdown();
 }
+
+/// Threads of this process whose name starts with `kv-`, read from
+/// `/proc/self/task/*/comm`; `None` where that cannot be read.
+fn kv_threads() -> Option<usize> {
+    let names = std::fs::read_dir("/proc/self/task")
+        .ok()?
+        .filter_map(|task| {
+            // A thread may exit between the listing and the read.
+            std::fs::read_to_string(task.ok()?.path().join("comm")).ok()
+        });
+    Some(names.filter(|name| name.starts_with("kv-")).count())
+}
+
+/// A server runs its accept thread, its sweeper and one reader per open
+/// connection, and no other: the thread that decides a `CANCELTIE`
+/// writes it, and each reader closes its own connection.
+#[test]
+fn a_server_with_four_connections_runs_six_threads() {
+    let _serial = serial();
+    let server = server(0);
+    let mut buf = BytesMut::new();
+    let connections: Vec<TcpStream> = (0..4)
+        .map(|_| {
+            let mut c = TcpStream::connect(server.local_addr()).unwrap();
+            // Answered, so the connection's reader is running.
+            send(&mut c, &[Command::Ping]);
+            assert_eq!(recv(&mut c, &mut buf), Reply::Pong);
+            c
+        })
+        .collect();
+    match kv_threads() {
+        Some(threads) => assert_eq!(threads, 6, "kv-* threads, 4 connections"),
+        None => println!("no /proc/self/task here: threads not counted"),
+    }
+    drop(connections);
+    server.shutdown();
+}

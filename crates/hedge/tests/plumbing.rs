@@ -308,10 +308,10 @@ fn cancel_racing_service_stops_only_its_own_request() {
     canceller.join().unwrap();
 
     // What no client of this crate writes and the server must still
-    // take from outside: four requests in one write, so that a cancel
-    // finds its request behind others of its own connection. A
-    // connection numbers its requests from zero, `CANCEL <seq>` names
-    // one of them and has no reply of its own.
+    // take from outside: four requests in one write, then a `CANCEL
+    // <seq>` (numbered from zero, no reply of its own) for the even
+    // ones, which the server reads once the last of the four is queued.
+    // Each reply still comes back, in order, to its own request.
     let mut sock = TcpStream::connect(server.local_addr()).unwrap();
     sock.set_nodelay(true).unwrap();
     sock.set_read_timeout(Some(Duration::from_secs(10)))

@@ -8,8 +8,8 @@
 //! M/G/1 tail), so this module defines one [`Discipline`] type and one
 //! [`WaitQueue`] implementation that the discrete-event simulator
 //! (`simulator::cluster`) and the real server (`hedge::TcpServer`)
-//! both execute — an A/B of cancellation style × discipline × reissue
-//! policy measures the interaction on identical scheduling semantics.
+//! both execute, so discipline × reissue policy is measured on
+//! identical scheduling semantics in both.
 //!
 //! The queue is generic over [`QueueItem`]: the simulator queues its
 //! `QueuedRequest` (service time in simulated ms), the TCP server
@@ -25,7 +25,10 @@ use std::collections::{BTreeMap, VecDeque};
 ///
 /// `RoundRobin`'s per-connection sub-queues model the Redis
 /// event-loop: one sweep serves at most one request per connection, so
-/// a pipelining-heavy client cannot starve the others. The remaining
+/// a pipelining-heavy client cannot starve the others. On the TCP
+/// server each connection has at most one request queued (its reader
+/// queues the next only once the first is answered), so there it
+/// serves the waiting connections in cyclic id order. The remaining
 /// variants order one central queue.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Discipline {
@@ -40,10 +43,10 @@ pub enum Discipline {
     /// Per-connection FIFO sub-queues served cyclically.
     ///
     /// `connections == 0` means *dynamic*: sub-queues are keyed by the
-    /// item's raw connection id and created on first use (the TCP
-    /// server's accept-order ids). A non-zero count folds ids modulo
-    /// `connections` into a fixed ring, matching the simulator's
-    /// pre-assigned connection model.
+    /// item's raw connection id, created on first use (the TCP
+    /// server's accept-order ids) and dropped, amortized, once empty.
+    /// A non-zero count folds ids modulo `connections` into a fixed
+    /// ring, matching the simulator's pre-assigned connection model.
     RoundRobin {
         /// Number of fixed sub-queues, or 0 for dynamic ids.
         connections: usize,
@@ -180,6 +183,12 @@ impl<T: QueueItem> WaitQueue<T> {
                 len,
                 ..
             } => {
+                // Dynamic ids never come back once their connection
+                // closes: drop the empty sub-queues, amortized, so the
+                // map stays within a constant of the queued items.
+                if queues.len() > 2 * *len + 64 {
+                    queues.retain(|_, q| !q.is_empty());
+                }
                 let id = fold_conn(item.connection(), *connections);
                 queues.entry(id).or_default().push_back(item);
                 *len += 1;
@@ -374,6 +383,19 @@ mod tests {
         // Cursor starts at 0: serve 4, then 17, then 900, then wrap
         // back to 17's second item.
         assert_eq!(drain_ids(&mut q, 10.0), vec![1, 0, 3, 2]);
+    }
+
+    #[test]
+    fn round_robin_drops_the_sub_queues_of_gone_connections() {
+        let mut q = WaitQueue::new(Discipline::RoundRobin { connections: 0 });
+        for conn in 0..10_000 {
+            q.push(item(conn as u32, 1.0, 0.0, false, conn));
+            assert_eq!(q.pop(0.0).unwrap().id, conn as u32);
+            let WaitQueue::RoundRobin { queues, .. } = &q else {
+                unreachable!()
+            };
+            assert!(queues.len() <= 65, "{} sub-queues", queues.len());
+        }
     }
 
     #[test]

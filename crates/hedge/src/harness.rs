@@ -30,6 +30,11 @@
 //! difference — must be zero for a healthy run (the harness
 //! integration tests assert it).
 //!
+//! A run is one future on the calling thread ([`run_open_loop`]): it
+//! applies each [`SicknessEvent`] and [`RateEvent`] just before the
+//! arrival it names, and waits only on the client runtime's timers:
+//! one per arrival gap, then 1 ms ones until the last query resolves.
+//!
 //! ```no_run
 //! use hedge::harness::{Arrivals, Cluster, LoadConfig};
 //! use hedge::{HedgeConfig, HedgedClient};
@@ -59,21 +64,21 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use reissue_core::metrics::LogHistogram;
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// What [`Cluster::run_load`] needs from a client: the open-loop
 /// generator is agnostic to *how* a query is served (one hedged
-/// replica read, a k-of-n fragment fan-out, …) as long as it can clone
-/// the client into the pacer task, spawn `'static` execute futures on
-/// the client's runtime, and snapshot two counters for per-segment
-/// reissue-rate deltas. [`HedgedClient`], `erasure::StripedClient`
-/// and `shard::FanoutClient` (a whole scatter-gather per arrival)
-/// implement it, so every load experiment shares one pacer, admission
-/// bound, and drain loop.
-pub trait LoadClient: Clone + Send + 'static {
-    /// The runtime the pacer and completion tasks run on.
+/// replica read, a k-of-n fragment fan-out, …) as long as it can spawn
+/// `'static` execute futures on the client's runtime and snapshot two
+/// counters for per-segment reissue-rate deltas. [`HedgedClient`],
+/// `erasure::StripedClient` and `shard::FanoutClient` (a whole
+/// scatter-gather per arrival) implement it, so every load experiment
+/// shares one pacer, admission bound, and drain loop.
+pub trait LoadClient {
+    /// The runtime whose timers pace the run and whose workers run the
+    /// completion tasks.
     fn load_runtime(&self) -> &Runtime;
 
     /// Issues one command. The future must be `'static`: it is spawned
@@ -177,9 +182,9 @@ impl Arrivals {
 }
 
 /// One scripted mid-run change to a replica's service speed: applied
-/// once the generator has *offered* (dispatched or dropped)
-/// `at_query` arrivals. Sicken a replica by raising `nanos_per_op`,
-/// heal it by restoring the baseline.
+/// before arrival `at_query` is offered, so exactly `at_query`
+/// arrivals (dispatched or dropped) precede it. Sicken a replica by
+/// raising `nanos_per_op`, heal it by restoring the baseline.
 #[derive(Clone, Copy, Debug)]
 pub struct SicknessEvent {
     /// Arrival index at which to apply the change.
@@ -323,17 +328,10 @@ pub struct SegmentReport {
     /// Client-dispatched reissues while the segment's arrivals were
     /// being offered (boundary-snapshot delta).
     pub reissues_delta: u64,
-    /// The client's utilization estimate ρ̂ as the segment's last
-    /// arrival was offered (`NaN` when the client is not
-    /// utilization-aware). A point sample: under heavy-tailed service
-    /// the estimate sawtooths around each slow-query episode, so
-    /// prefer [`utilization_mean`](Self::utilization_mean) for
-    /// per-phase comparisons.
-    pub utilization_end: f64,
-    /// Mean of the client's ρ̂ over the watcher's ~200 µs polls while
-    /// the segment's arrivals were being offered (`NaN` when the
-    /// client is not utilization-aware) — the segment's time-averaged
-    /// load estimate, robust to the end-point sawtooth.
+    /// Mean of the client's ρ̂, sampled as each of the segment's
+    /// arrivals was offered (`NaN` when the client is not
+    /// utilization-aware): the segment's load estimate, robust to the
+    /// sawtooth a point sample shows around each slow-query episode.
     pub utilization_mean: f64,
 }
 
@@ -466,213 +464,147 @@ impl<B: Backend> Cluster<B> {
 /// completions (a closed loop would let every stalled query suppress
 /// exactly the load that measures the stall). Arrivals that find
 /// `max_in_flight` queries outstanding are dropped and counted.
-/// Scripted [`SicknessEvent`]s are applied from the calling thread as
-/// the arrival count crosses their `at_query`.
+///
+/// The whole run is one future the calling thread drives with
+/// [`Runtime::block_on`]: before offering arrival `i` it applies the
+/// rate and sickness events whose `at_query ≤ i`, snapshots the client
+/// counters if `i` opens a segment, and samples ρ̂. Each query's
+/// completion is a spawned task; every wait, the gaps and the drain
+/// alike, is a runtime timer, and the calling thread sleeps in between.
 pub fn run_open_loop<C: LoadClient>(
     client: &C,
     cfg: &LoadConfig,
-    make_cmd: impl FnMut(usize) -> Command + Send + 'static,
+    mut make_cmd: impl FnMut(usize) -> Command + Send + 'static,
     mut sicken: impl FnMut(usize, u64),
 ) -> LoadReport {
-    let shared = Arc::new(RunShared {
-        in_flight: AtomicUsize::new(0),
-        peak_in_flight: AtomicUsize::new(0),
-        offered: AtomicU64::new(0),
-    });
+    let mut rate_script: Vec<RateEvent> = cfg.rate_script.clone();
+    rate_script.sort_by_key(|e| e.at_query);
+    let mut script: Vec<SicknessEvent> = cfg.script.clone();
+    script.sort_by_key(|e| e.at_query);
     // Segment boundaries: every rate-script index strictly inside
     // the run opens a new segment (one segment when the script is
     // empty).
-    let mut rate_script: Vec<RateEvent> = cfg.rate_script.clone();
-    rate_script.sort_by_key(|e| e.at_query);
-    let mut bounds: Vec<usize> = vec![0];
-    bounds.extend(
-        rate_script
-            .iter()
-            .map(|e| e.at_query)
-            .filter(|&a| a > 0 && a < cfg.queries),
-    );
+    let mut bounds = vec![0];
+    let at = rate_script.iter().map(|e| e.at_query);
+    bounds.extend(at.filter(|a| (1..cfg.queries).contains(a)));
     bounds.dedup();
     bounds.push(cfg.queries);
     let nseg = bounds.len() - 1;
-    let segs: Arc<Vec<SegShared>> = Arc::new((0..nseg).map(|_| SegShared::new()).collect());
+    // Per segment, what its completion tasks record: the completed
+    // queries' latencies and the failures. Indexed by the dispatch-time
+    // segment, so stragglers land in the segment that offered them.
+    let done: Arc<[Mutex<(LogHistogram, u64)>]> = (0..nseg)
+        .map(|_| Mutex::new((LogHistogram::latency_ms(), 0)))
+        .collect();
+    let in_flight = Arc::new(AtomicUsize::new(0));
+    let rt = client.load_runtime();
     let started = Instant::now();
-    let pacer = {
-        let client = client.clone();
-        let shared = shared.clone();
-        let segs = segs.clone();
-        let seg_bounds = bounds.clone();
-        let rate_script = rate_script.clone();
-        let cfg_arrivals = cfg.arrivals;
-        let queries = cfg.queries;
-        let max_in_flight = cfg.max_in_flight.max(1);
-        let seed = cfg.seed;
-        let mut make_cmd = make_cmd;
-        let rt = client.load_runtime().clone();
-        rt.clone().spawn(async move {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let mut arrivals = cfg_arrivals;
-            let mut next_rate = 0usize;
-            let mut cur_seg = 0usize;
-            // Absolute arrival schedule: each deadline advances by
-            // the sampled gap from the *previous deadline*, never
-            // from "now" — relative sleeps would add the pacer's
-            // own per-arrival work and wakeup latency on top of
-            // every gap, silently lowering the offered rate (and
-            // the error compounds exactly at the tight-gap sweep
-            // points the rate is supposed to stress). If the pacer
-            // falls behind, expired deadlines resolve immediately
-            // and it catches up.
-            let mut next_arrival = Instant::now();
-            for i in 0..queries {
-                // Rate script: switch the arrival process the
-                // moment the offered count crosses an event, and
-                // advance the attribution segment in lockstep
-                // (every in-range event is a segment boundary).
-                while next_rate < rate_script.len() && rate_script[next_rate].at_query <= i {
-                    arrivals = rate_script[next_rate].arrivals;
-                    next_rate += 1;
-                }
-                while cur_seg + 1 < seg_bounds.len() - 1 && i >= seg_bounds[cur_seg + 1] {
-                    cur_seg += 1;
-                }
-                // Admission: the arrival happens on the clock
-                // either way; only the dispatch is conditional.
-                let outstanding = shared.in_flight.load(Ordering::Relaxed);
-                if outstanding >= max_in_flight {
-                    segs[cur_seg].dropped.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    let now = outstanding + 1;
-                    shared.in_flight.fetch_add(1, Ordering::Relaxed);
-                    shared.peak_in_flight.fetch_max(now, Ordering::Relaxed);
-                    segs[cur_seg].dispatched.fetch_add(1, Ordering::Relaxed);
-                    // Latency clock starts at admission, not at the
-                    // completion task's first poll: the time a
-                    // dispatched query spends waiting for the
-                    // executor to schedule it is part of its
-                    // latency (dropping it would under-report the
-                    // tail exactly at congested sweep points —
-                    // coordinated omission).
-                    let t0 = Instant::now();
-                    let fut = client.load_execute(make_cmd(i));
-                    let shared = shared.clone();
-                    let segs = segs.clone();
-                    let seg = cur_seg;
-                    rt.spawn(async move {
-                        match fut.await {
-                            Ok(_) => {
-                                let ms = t0.elapsed().as_secs_f64() * 1e3;
-                                segs[seg].latency_ms.lock().unwrap().record(ms);
-                                segs[seg].completed.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(_) => {
-                                segs[seg].failed.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-                    });
-                }
-                shared.offered.fetch_add(1, Ordering::Relaxed);
-                let gap = arrivals.gap_after(i, &mut rng);
-                if !gap.is_zero() {
-                    next_arrival += gap;
-                    rt.sleep_until(next_arrival).await;
-                }
-            }
-        })
-    };
 
-    // The calling thread watches arrival progress and applies the
-    // sickness script (it holds the &self borrow the replicas
-    // need; the pacer task must be 'static).
-    let mut script: Vec<SicknessEvent> = cfg.script.clone();
-    script.sort_by_key(|e| e.at_query);
-    let mut next_event = 0;
-    // Client-counter snapshots (completed queries, reissues, ρ̂)
-    // taken as the generator crosses each segment boundary; the
-    // deltas between consecutive snapshots become the segments'
-    // realized reissue rates.
-    let snap = |c: &C| {
-        let (queries, reissues) = c.load_counters();
-        (queries, reissues, c.load_utilization().unwrap_or(f64::NAN))
-    };
-    let mut snaps = vec![snap(client)];
-    let interior = &bounds[1..bounds.len() - 1];
-    let mut next_bound = 0usize;
-    // Time-averaged ρ̂ per segment, accumulated at every poll (the
-    // end-point snapshot alone is a noisy point sample of a
-    // sawtoothing estimate).
-    let mut rho_sum = vec![0.0f64; nseg];
-    let mut rho_polls = vec![0u64; nseg];
-    let poll = Duration::from_micros(200);
-    loop {
-        let offered = shared.offered.load(Ordering::Relaxed) as usize;
-        while next_event < script.len() && script[next_event].at_query <= offered {
-            let e = script[next_event];
+    let mut script = script.into_iter().peekable();
+    let mut apply_script = |offered: usize| {
+        while let Some(e) = script.next_if(|e| e.at_query <= offered) {
             sicken(e.replica, e.nanos_per_op);
-            next_event += 1;
         }
-        while next_bound < interior.len() && offered >= interior[next_bound] {
-            snaps.push(snap(client));
-            next_bound += 1;
+    };
+    // Per segment: the arrival process that paced it, arrivals
+    // dispatched and dropped, the sum of the ρ̂ samples (NaN for a
+    // client that keeps no ρ̂), and the client counters as it opened.
+    let mut paced_by = vec![cfg.arrivals; nseg];
+    let mut dispatched = vec![0u64; nseg];
+    let mut dropped = vec![0u64; nseg];
+    let mut rho_sum = vec![0.0; nseg];
+    let mut snaps = vec![client.load_counters()];
+    let mut peak_in_flight = 0;
+    rt.block_on(async {
+        let mut rng = SmallRng::seed_from_u64(cfg.seed);
+        let mut arrivals = cfg.arrivals;
+        let mut rates = rate_script.iter().peekable();
+        let mut seg = 0;
+        // Absolute arrival schedule: each deadline advances by the
+        // sampled gap from the *previous deadline*, never from "now" —
+        // relative sleeps would add the loop's own per-arrival work and
+        // wakeup latency on top of every gap, silently lowering the
+        // offered rate (and the error compounds exactly at the
+        // tight-gap sweep points the rate is supposed to stress). If
+        // the loop falls behind, expired deadlines resolve immediately
+        // and it catches up.
+        let mut next_arrival = Instant::now();
+        for i in 0..cfg.queries {
+            while let Some(e) = rates.next_if(|e| e.at_query <= i) {
+                arrivals = e.arrivals;
+            }
+            apply_script(i);
+            if seg + 1 < nseg && i == bounds[seg + 1] {
+                seg += 1;
+                snaps.push(client.load_counters());
+            }
+            paced_by[seg] = arrivals;
+            rho_sum[seg] += client.load_utilization().unwrap_or(f64::NAN);
+            // Admission: the arrival happens on the clock either way;
+            // only the dispatch is conditional.
+            let outstanding = in_flight.load(Ordering::Relaxed);
+            if outstanding >= cfg.max_in_flight.max(1) {
+                dropped[seg] += 1;
+            } else {
+                in_flight.fetch_add(1, Ordering::Relaxed);
+                peak_in_flight = peak_in_flight.max(outstanding + 1);
+                dispatched[seg] += 1;
+                // Latency clock starts at admission, not at the
+                // completion task's first poll: the time a dispatched
+                // query spends waiting for the executor to schedule it
+                // is part of its latency (dropping it would
+                // under-report the tail exactly at congested sweep
+                // points — coordinated omission).
+                let t0 = Instant::now();
+                let fut = client.load_execute(make_cmd(i));
+                let (done, in_flight) = (done.clone(), in_flight.clone());
+                rt.spawn(async move {
+                    let ok = fut.await.is_ok();
+                    let ms = t0.elapsed().as_secs_f64() * 1e3;
+                    let mut done = done[seg].lock().expect("a completion panicked");
+                    let (latency_ms, failed) = &mut *done;
+                    if ok {
+                        latency_ms.record(ms);
+                    } else {
+                        *failed += 1;
+                    }
+                    // Pairs with the drain's Acquire load: a run that
+                    // reads 0 in flight sees every result recorded.
+                    in_flight.fetch_sub(1, Ordering::Release);
+                });
+            }
+            // A burst's zero gap resolves at once.
+            next_arrival += arrivals.gap_after(i, &mut rng);
+            rt.sleep_until(next_arrival).await;
         }
-        if let Some(rho) = client.load_utilization() {
-            let k = bounds.partition_point(|&b| b <= offered).saturating_sub(1);
-            let k = k.min(nseg - 1);
-            rho_sum[k] += rho;
-            rho_polls[k] += 1;
+        apply_script(cfg.queries);
+        // Drain: every dispatched query resolves as completed or
+        // failed (the transport guarantees each request a reply or an
+        // error), so this terminates once the slowest straggler —
+        // monster service times included — finishes.
+        while in_flight.load(Ordering::Acquire) > 0 {
+            rt.sleep(Duration::from_millis(1)).await;
         }
-        if offered >= cfg.queries {
-            break;
-        }
-        std::thread::sleep(poll);
-    }
-    client.load_runtime().block_on(pacer);
-    // Drain: every dispatched query resolves as completed or
-    // failed (the transport guarantees each request a reply or an
-    // error), so this terminates once the slowest straggler —
-    // monster service times included — finishes.
-    loop {
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        let done: u64 = segs
-            .iter()
-            .map(|s| load(&s.completed) + load(&s.failed))
-            .sum();
-        if done >= segs.iter().map(|s| load(&s.dispatched)).sum() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    });
     // Final snapshot after drain so the last segment's delta
     // includes its stragglers.
-    snaps.push(snap(client));
+    snaps.push(client.load_counters());
 
     let segments: Vec<SegmentReport> = (0..nseg)
         .map(|k| {
-            let start = bounds[k];
-            let arrivals = rate_script
-                .iter()
-                .rev()
-                .find(|e| e.at_query <= start)
-                .map(|e| e.arrivals)
-                .unwrap_or(cfg.arrivals);
-            let s = &segs[k];
+            let (latency_ms, failed) = done[k].lock().expect("a completion panicked").clone();
             SegmentReport {
-                start,
+                start: bounds[k],
                 end: bounds[k + 1],
-                arrivals,
-                dispatched: s.dispatched.load(Ordering::Relaxed),
-                dropped: s.dropped.load(Ordering::Relaxed),
-                completed: s.completed.load(Ordering::Relaxed),
-                failed: s.failed.load(Ordering::Relaxed),
-                latency_ms: s.latency_ms.lock().unwrap().clone(),
+                arrivals: paced_by[k],
+                dispatched: dispatched[k],
+                dropped: dropped[k],
+                completed: latency_ms.len(),
+                failed,
+                latency_ms,
                 queries_delta: snaps[k + 1].0.saturating_sub(snaps[k].0),
                 reissues_delta: snaps[k + 1].1.saturating_sub(snaps[k].1),
-                utilization_end: snaps[k + 1].2,
-                utilization_mean: if rho_polls[k] > 0 {
-                    rho_sum[k] / rho_polls[k] as f64
-                } else {
-                    f64::NAN
-                },
+                utilization_mean: rho_sum[k] / (bounds[k + 1] - bounds[k]) as f64,
             }
         })
         .collect();
@@ -688,41 +620,10 @@ pub fn run_open_loop<C: LoadClient>(
         dropped: sum(|s| s.dropped),
         completed: sum(|s| s.completed),
         failed: sum(|s| s.failed),
-        peak_in_flight: shared.peak_in_flight.load(Ordering::Relaxed),
+        peak_in_flight,
         elapsed: started.elapsed(),
         latency_ms,
         segments,
-    }
-}
-
-struct RunShared {
-    in_flight: AtomicUsize,
-    peak_in_flight: AtomicUsize,
-    /// Arrivals offered so far (dispatched + dropped) — the script
-    /// clock.
-    offered: AtomicU64,
-}
-
-/// A segment's counters, the only ones a run keeps (the report's are
-/// their sums); indexed by the dispatch-time segment so stragglers land
-/// in the segment that offered them.
-struct SegShared {
-    dispatched: AtomicU64,
-    dropped: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    latency_ms: Mutex<LogHistogram>,
-}
-
-impl SegShared {
-    fn new() -> Self {
-        SegShared {
-            dispatched: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            latency_ms: Mutex::new(LogHistogram::latency_ms()),
-        }
     }
 }
 

@@ -2,10 +2,12 @@
 //! a six-replica cluster under open-loop load with scripted mid-run
 //! sickness, and the backpressure guarantees of bounded admission.
 
-use hedge::harness::{Arrivals, Cluster, LoadConfig, SicknessEvent};
+use hedge::harness::{run_open_loop, Arrivals, Cluster, LoadConfig, SicknessEvent};
 use hedge::{HedgeConfig, HedgedClient};
 use kvstore::{Command, IntSet, KvStore, Reply};
 use reissue_core::policy::ReissuePolicy;
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A store whose `SINTERCARD work work2` probes 4 000 members into a
 /// 4 000-member set: 50 000 cost units under the probe cost model
@@ -289,7 +291,6 @@ fn rate_script_segments_account_exactly() {
         assert_eq!(s.latency_ms.len(), s.completed);
         assert!(s.quantile(0.5).is_some());
         // Not utilization-aware: the client reports no estimate.
-        assert!(s.utilization_end.is_nan());
         assert!(s.utilization_mean.is_nan());
     }
     let seg_completed: u64 = report.segments.iter().map(|s| s.completed).sum();
@@ -301,4 +302,42 @@ fn rate_script_segments_account_exactly() {
     // at boundaries, final one after drain).
     let delta_sum: u64 = report.segments.iter().map(|s| s.queries_delta).sum();
     assert_eq!(delta_sum, client.stats().queries);
+}
+
+/// A sickness event applies just before the arrival it names: exactly
+/// `at_query` commands have been made when it lands, at 20 µs gaps too.
+#[test]
+fn sickness_events_apply_at_the_arrival_they_name() {
+    static MADE: AtomicUsize = AtomicUsize::new(0);
+    let cluster = Cluster::spawn(2, &KvStore::new(), 0).unwrap();
+    let client = HedgedClient::connect(&cluster.addrs(), HedgeConfig::default()).unwrap();
+    let at = [0, 1, 7, 100, 101, 555, 999, 1_000];
+    // `replica` numbers the event, so `sicken` can say which one landed.
+    let script = at
+        .iter()
+        .enumerate()
+        .map(|(replica, &at_query)| SicknessEvent {
+            at_query,
+            replica,
+            nanos_per_op: 0,
+        });
+    let mut seen = Vec::new();
+    let report = run_open_loop(
+        &client,
+        &LoadConfig {
+            queries: 1_000,
+            arrivals: Arrivals::Fixed { interval_us: 20 },
+            max_in_flight: 1_000,
+            script: script.collect(),
+            ..LoadConfig::default()
+        },
+        |_| {
+            MADE.fetch_add(1, Ordering::Relaxed);
+            Command::Ping
+        },
+        |event, _| seen.push((event, MADE.load(Ordering::Relaxed))),
+    );
+    assert_eq!((report.dropped, report.lost()), (0, 0), "{report:?}");
+    let expected: Vec<(usize, usize)> = at.into_iter().enumerate().collect();
+    assert_eq!(seen, expected, "(event, commands made when it landed)");
 }

@@ -15,6 +15,7 @@
 //! The tests serialize on one lock: a concurrent test's threads carry
 //! the same names and would switch inside another's window.
 
+use hedge::harness::{Arrivals, Cluster, LoadConfig};
 use hedge::{HedgeConfig, HedgedClient, TcpServer, TcpServerConfig};
 use kvstore::resp::{decode_reply, encode_command};
 use kvstore::{Command, IntSet, KvStore, Reply};
@@ -402,4 +403,37 @@ fn a_server_with_four_connections_runs_six_threads() {
     }
     drop(connections);
     server.shutdown();
+}
+
+/// Voluntary context switches of the calling thread; `None` where
+/// `/proc/thread-self` cannot be read.
+fn own_switches() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/thread-self/status").ok()?;
+    let n = status
+        .lines()
+        .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"));
+    n?.trim().parse().ok()
+}
+
+/// The thread that drives an open-loop run wakes once per arrival gap
+/// and a few times while the run drains.
+#[test]
+fn an_open_loop_run_wakes_its_caller_once_per_gap() {
+    let _serial = serial();
+    let cluster = Cluster::spawn(2, &KvStore::new(), 0).unwrap();
+    let client = HedgedClient::connect(&cluster.addrs(), HedgeConfig::default()).unwrap();
+    let Some(before) = own_switches() else {
+        println!("no /proc/thread-self here: context switches not counted");
+        return;
+    };
+    let load = LoadConfig {
+        queries: 200,
+        arrivals: Arrivals::Fixed { interval_us: 5_000 },
+        ..LoadConfig::default()
+    };
+    let report = cluster.run_load(&client, &load, |_| Command::Ping);
+    let switched = own_switches().unwrap() - before;
+    println!("open-loop run, 200 arrivals: the caller switched {switched} times");
+    assert_eq!(report.completed, 200, "{report:?}");
+    assert!(switched <= 2 * 200 + 50, "{switched} switches");
 }

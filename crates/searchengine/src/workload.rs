@@ -233,8 +233,8 @@ impl ShardedQueryWorkload {
         }
     }
 
-    /// An owning `'static` command generator for load runners that
-    /// outlive the borrow (e.g. `Cluster::run_load`'s pacer task).
+    /// An owning `'static` command generator, the kind the load
+    /// runners (`Cluster::run_load`) take.
     pub fn command_fn(&self) -> impl FnMut(usize) -> kvstore::Command + Send + 'static {
         let queries = self.trace.queries.clone();
         let k = self.top_k as u32;

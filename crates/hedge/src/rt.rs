@@ -1,4 +1,5 @@
-//! A minimal multi-threaded async runtime, sharded thread-per-core.
+//! A minimal multi-threaded async runtime: worker threads sharing one
+//! run queue and one timer list.
 //!
 //! The serving environment for this repository cannot fetch external
 //! crates, so instead of tokio the hedge runtime runs on this small,
@@ -7,47 +8,31 @@
 //! allocations: the boxed future and the task, which also carries the
 //! join slot its [`JoinHandle`] reads.
 //!
-//! # Pinning model
+//! # Scheduling model
 //!
-//! The executor is sharded thread-per-core: every worker thread owns a
-//! private run queue, a private condvar, and a private deadline-sorted
-//! timer queue. Each task is assigned an **owner** worker at spawn time and
-//! stays pinned to it for life:
-//!
-//! - **Wakes are pinned.** A completion (oneshot send, cancel, timer
-//!   fire) re-enqueues the task on its *owner's* queue and signals only
-//!   that worker's condvar. The connection I/O thread that delivers a
-//!   reply therefore wakes the core that owns the requesting task —
-//!   there is no global queue for every waker to contend on.
-//! - **Timers are pinned.** [`Runtime::sleep`] arms an entry in the
-//!   timer queue of the worker polling the sleeping task (falling back
-//!   to the sleep's home worker when polled off-runtime, e.g. under
-//!   [`Runtime::block_on`]). Workers drive their own timers between
-//!   queue pops — there is no dedicated timer thread and no global
-//!   `Mutex<BinaryHeap>`. Arming inserts at the deadline's sorted
-//!   position, an append when deadlines arrive in order (a query arms
-//!   one reissue timer, `d` after its dispatch), and allocates nothing
-//!   once the queue has reached its working size.
-//! - **Stealing is the fallback, not the fast path.** Only when a
-//!   spawn finds its round-robin-assigned owner's queue backed up past
-//!   `SPAWN_QUEUE_DEPTH` does the task go to the shared overflow
-//!   injector, where any idle worker may claim its *first* poll.
-//!   Subsequent wakes still route to the owner.
-//!
-//! [`Runtime::spawn`] assigns owners round-robin;
-//! [`Runtime::spawn_on`] pins explicitly (the fan-out client uses it
-//! to spread shard legs across cores).
+//! One mutex guards the run queue and the timers; one condvar parks the
+//! idle workers. A spawn or a wake (oneshot send, cancel, timer fire)
+//! appends the task to the queue and signals one worker, and any worker
+//! may poll it: no task waits for a particular worker while another is
+//! idle, and a worker held by a long poll holds back nothing else.
+//! [`Runtime::sleep`] arms an entry in the timer list, kept sorted by
+//! deadline: arming an in-order deadline (a query arms one reissue
+//! timer, `d` after its dispatch) is an append, and allocates nothing
+//! once the list has reached its working size. There is no timer
+//! thread: under the lock, a worker moves the due timers out and pops
+//! the next task, then wakes the due timers and polls the task with the
+//! lock released. With nothing to do it waits on the condvar until the
+//! earliest deadline.
 //!
 //! The surface is intentionally tiny — [`Runtime::spawn`],
 //! [`Runtime::block_on`], [`Runtime::sleep`], and the [`race`]
 //! combinator — because that is exactly what speculative execution
 //! needs: run concurrent attempts, arm a timer, take the first result.
 
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
@@ -64,29 +49,13 @@ const TASK_SCHEDULED: u8 = 1;
 const TASK_RUNNING: u8 = 2;
 const TASK_NOTIFIED: u8 = 3;
 
-/// Spawn overflow threshold: when the assigned owner's queue is this
-/// deep, the new task is published to the shared injector instead so
-/// an idle worker can steal its first poll.
-const SPAWN_QUEUE_DEPTH: usize = 128;
-
-// Which worker (of which runtime) the current thread is. Lets
-// `Sleep::poll` arm the timers of the core actually polling the task,
-// and `spawn` detect on-runtime spawns. The pointer is only ever
-// *compared* (never dereferenced); worker threads outlive their
-// runtime handle, so a stale pointer cannot alias a live runtime.
-thread_local! {
-    static CURRENT: Cell<Option<(*const RtInner, usize)>> = const { Cell::new(None) };
-}
-
 /// Scheduling state every task has, whatever its output type.
 struct Header {
     state: AtomicU8,
     rt: Weak<RtInner>,
-    /// Owner worker index: wakes enqueue here, always.
-    owner: usize,
 }
 
-/// What the run queues hold: a [`Task`] with its output type erased.
+/// What the run queue holds: a [`Task`] with its output type erased.
 trait Runnable: Send + Sync {
     fn header(&self) -> &Header;
     /// Polls the task once on the calling worker and settles its
@@ -94,10 +63,9 @@ trait Runnable: Send + Sync {
     fn run(self: Arc<Self>, rt: &RtInner);
 }
 
-/// One spawned task, pinned to the worker that owns it: the boxed
-/// future, the scheduling state, and the slot the future's output is
-/// joined through — one allocation shared by the run queue, the wakers
-/// and the [`JoinHandle`].
+/// One spawned task: the boxed future, the scheduling state, and the
+/// slot the future's output is joined through — one allocation shared
+/// by the run queue, the wakers and the [`JoinHandle`].
 struct Task<T> {
     header: Header,
     /// `None` while a worker polls it and once it has finished.
@@ -191,7 +159,7 @@ impl<T: Send + 'static> Runnable for Task<T> {
     }
 }
 
-/// One worker's timers, ascending by deadline (ties in arming
+/// The runtime's timers, ascending by deadline (ties in arming
 /// order). The storage is reused, so arming allocates nothing once
 /// warm.
 #[derive(Default)]
@@ -199,8 +167,8 @@ struct Timers(VecDeque<(Instant, Waker)>);
 
 impl Timers {
     /// Arms `waker` to fire at `deadline`. Returns whether it is the
-    /// new earliest deadline (the caller must then re-signal the
-    /// owning worker so its `wait_timeout` shortens).
+    /// new earliest deadline (the caller must then signal a waiting
+    /// worker so its `wait_timeout` shortens).
     fn arm(&mut self, deadline: Instant, waker: Waker) -> bool {
         let at = self.0.partition_point(|(d, _)| *d <= deadline);
         self.0.insert(at, (deadline, waker));
@@ -219,23 +187,18 @@ impl Timers {
     }
 }
 
-/// Per-worker shard: private run queue, private wakeup signal,
-/// private timers.
-struct WorkerShard {
-    queue: Mutex<VecDeque<Arc<dyn Runnable>>>,
-    cv: Condvar,
-    timers: Mutex<Timers>,
+/// What the one lock guards: the run queue and the timers.
+#[derive(Default)]
+struct Sched {
+    queue: VecDeque<Arc<dyn Runnable>>,
+    timers: Timers,
 }
 
 struct RtInner {
-    workers: Vec<WorkerShard>,
-    /// Spawn-overflow queue: any worker may steal a first poll from
-    /// here when its own queue runs dry.
-    injector: Mutex<VecDeque<Arc<dyn Runnable>>>,
-    /// Round-robin cursors for spawn owner assignment and for homing
-    /// timers armed off-runtime.
-    next_owner: AtomicUsize,
-    next_timer_home: AtomicUsize,
+    sched: Mutex<Sched>,
+    /// Idle workers wait here; every push and every new earliest
+    /// deadline signals it.
+    cv: Condvar,
     shutdown: AtomicBool,
     live_tasks: AtomicU64,
 }
@@ -280,33 +243,12 @@ impl RtInner {
         }
     }
 
-    /// Enqueues on the task's owner: the pinning invariant.
+    /// Appends to the run queue and signals one idle worker. The push
+    /// is made under the lock a waiting worker holds from its checks
+    /// into `cv.wait`, so the signal cannot fall between the two.
     fn push(&self, task: Arc<dyn Runnable>) {
-        let shard = &self.workers[task.header().owner];
-        shard.queue.lock().unwrap().push_back(task);
-        shard.cv.notify_one();
-    }
-
-    /// First enqueue of a freshly spawned task: owner's queue, or the
-    /// injector when the owner is backed up (work-stealing fallback).
-    fn push_spawn(&self, task: Arc<dyn Runnable>) {
-        let shard = &self.workers[task.header().owner];
-        {
-            let mut q = shard.queue.lock().unwrap();
-            if q.len() < SPAWN_QUEUE_DEPTH {
-                q.push_back(task);
-                drop(q);
-                shard.cv.notify_one();
-                return;
-            }
-        }
-        self.injector.lock().unwrap().push_back(task);
-        // Any worker may claim the first poll: signal them all (the
-        // overflow path is rare by construction).
-        for shard in &self.workers {
-            let _guard = shard.queue.lock().unwrap();
-            shard.cv.notify_one();
-        }
+        self.sched.lock().unwrap().queue.push_back(task);
+        self.cv.notify_one();
     }
 }
 
@@ -327,9 +269,9 @@ struct ThreadSet {
 impl Drop for ThreadSet {
     fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
-        for shard in &self.inner.workers {
-            let _guard = shard.queue.lock().unwrap();
-            shard.cv.notify_all();
+        {
+            let _guard = self.inner.sched.lock().unwrap();
+            self.inner.cv.notify_all();
         }
         // The last handle can drop on a worker thread (a cancelled
         // loser's drain finishing after every client handle is gone).
@@ -346,34 +288,25 @@ impl Drop for ThreadSet {
 }
 
 impl Runtime {
-    /// Starts a runtime with `workers` sharded poller threads (min 1).
-    /// Each worker drives its own run queue and timers; there is
-    /// no separate timer thread.
+    /// Starts a runtime with `workers` poller threads (min 1), sharing
+    /// one run queue and one timer list; there is no separate timer
+    /// thread.
     pub fn new(workers: usize) -> Self {
         let inner = Arc::new(RtInner {
-            workers: (0..workers.max(1))
-                .map(|_| WorkerShard {
-                    queue: Mutex::new(VecDeque::new()),
-                    cv: Condvar::new(),
-                    timers: Mutex::default(),
-                })
-                .collect(),
-            injector: Mutex::new(VecDeque::new()),
-            next_owner: AtomicUsize::new(0),
-            next_timer_home: AtomicUsize::new(0),
+            sched: Mutex::default(),
+            cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             live_tasks: AtomicU64::new(0),
         });
-        let mut handles = Vec::new();
-        for i in 0..inner.workers.len() {
-            let rt = inner.clone();
-            handles.push(
+        let handles = (0..workers.max(1))
+            .map(|i| {
+                let rt = inner.clone();
                 std::thread::Builder::new()
                     .name(format!("hedge-worker-{i}"))
-                    .spawn(move || worker_loop(&rt, i))
-                    .expect("spawn worker thread"),
-            );
-        }
+                    .spawn(move || worker_loop(&rt))
+                    .expect("spawn worker thread")
+            })
+            .collect();
         Runtime {
             _threads: Arc::new(ThreadSet {
                 inner: inner.clone(),
@@ -383,30 +316,10 @@ impl Runtime {
         }
     }
 
-    /// Number of worker shards.
-    pub fn workers(&self) -> usize {
-        self.inner.workers.len()
-    }
-
     /// Spawns a future onto the pool, returning a handle resolving to
-    /// its output. The task is pinned round-robin to a worker; see the
-    /// module docs for the pinning model, and [`Runtime::spawn_on`]
-    /// to choose the worker explicitly.
+    /// its output. Whichever worker is free polls it; see the module
+    /// docs for the scheduling model.
     pub fn spawn<F>(&self, future: F) -> JoinHandle<F::Output>
-    where
-        F: Future + Send + 'static,
-        F::Output: Send + 'static,
-    {
-        let owner =
-            self.inner.next_owner.fetch_add(1, Ordering::Relaxed) % self.inner.workers.len();
-        self.spawn_on(owner, future)
-    }
-
-    /// Spawns a future pinned to worker `worker % self.workers()`: its
-    /// wakes will always enqueue on that worker's run queue. The
-    /// fan-out client pins shard legs across cores with this, so one
-    /// straggling shard's completions do not contend with the others'.
-    pub fn spawn_on<F>(&self, worker: usize, future: F) -> JoinHandle<F::Output>
     where
         F: Future + Send + 'static,
         F::Output: Send + 'static,
@@ -417,7 +330,6 @@ impl Runtime {
             header: Header {
                 state: AtomicU8::new(TASK_SCHEDULED),
                 rt: rt.clone(),
-                owner: worker % self.inner.workers.len(),
             },
             future: Mutex::new(Some(Counted {
                 future: Box::pin(future),
@@ -425,7 +337,7 @@ impl Runtime {
             })),
             join: Mutex::new(JoinSlot::Pending(None)),
         });
-        self.inner.push_spawn(task.clone());
+        self.inner.push(task.clone());
         JoinHandle { task }
     }
 
@@ -439,20 +351,9 @@ impl Runtime {
     /// *primary dispatch*, however late the race gets round to arming
     /// it.
     pub fn sleep_until(&self, deadline: Instant) -> Sleep {
-        // Home worker: the one polling right now if we are on this
-        // runtime, else round-robin. Used only when the sleep is
-        // polled off-runtime (e.g. under block_on).
-        let home = match CURRENT.get() {
-            Some((rt, i)) if std::ptr::eq(rt, Arc::as_ptr(&self.inner)) => i,
-            _ => {
-                self.inner.next_timer_home.fetch_add(1, Ordering::Relaxed)
-                    % self.inner.workers.len()
-            }
-        };
         Sleep {
             deadline,
             rt: self.inner.clone(),
-            home,
             armed: None,
         }
     }
@@ -484,62 +385,41 @@ impl Runtime {
     }
 }
 
-fn worker_loop(rt: &Arc<RtInner>, me: usize) {
-    CURRENT.set(Some((Arc::as_ptr(rt), me)));
-    let shard = &rt.workers[me];
+fn worker_loop(rt: &RtInner) {
     let mut due: Vec<(Instant, Waker)> = Vec::new();
-    'outer: loop {
-        // Drive this worker's own timers first: expired entries wake
-        // their (owner-pinned) tasks before the next queue pop.
-        shard
-            .timers
-            .lock()
-            .unwrap()
-            .expire(Instant::now(), &mut due);
-        for (_, waker) in due.drain(..) {
-            waker.wake();
-        }
-
-        // Next task: own queue, else steal a first poll from the
-        // injector, else sleep until a push or the next local timer.
-        //
-        // The queue lock is held from the emptiness checks through
-        // cv.wait, and every producer (push, injector publish, timer
-        // arm) signals under this same lock — so a wakeup cannot slip
-        // between check and wait.
+    loop {
+        // Under the lock: move the due timers out and pop the next
+        // task, else wait until a push or the earliest deadline. The
+        // lock is held from these checks into `cv.wait`, and every
+        // producer (push, timer arm, shutdown) takes this lock before
+        // it signals, so a signal cannot slip between check and wait.
         let task = {
-            let mut q = shard.queue.lock().unwrap();
+            let mut sched = rt.sched.lock().unwrap();
             loop {
                 if rt.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                if let Some(t) = q.pop_front() {
-                    break t;
+                let now = Instant::now();
+                sched.timers.expire(now, &mut due);
+                let task = sched.queue.pop_front();
+                if task.is_some() || !due.is_empty() {
+                    break task;
                 }
-                if let Some(t) = rt.injector.lock().unwrap().pop_front() {
-                    break t;
-                }
-                // Bind before matching: a guard in the scrutinee
-                // would live across the cv wait and deadlock armers.
-                let next = shard.timers.lock().unwrap().next_deadline();
-                match next {
-                    Some(deadline) => {
-                        let now = Instant::now();
-                        if deadline <= now {
-                            continue 'outer;
-                        }
-                        q = shard
-                            .cv
-                            .wait_timeout(q, deadline.saturating_duration_since(now))
-                            .unwrap()
-                            .0;
-                    }
-                    None => q = shard.cv.wait(q).unwrap(),
-                }
+                // Every deadline left is after `now`.
+                sched = match sched.timers.next_deadline() {
+                    Some(deadline) => rt.cv.wait_timeout(sched, deadline - now).unwrap().0,
+                    None => rt.cv.wait(sched).unwrap(),
+                };
             }
         };
-
-        task.run(rt);
+        // Lock released: the woken tasks go back on the queue, where
+        // any idle worker may take them while this one polls its own.
+        for (_, waker) in due.drain(..) {
+            waker.wake();
+        }
+        if let Some(task) = task {
+            task.run(rt);
+        }
     }
 }
 
@@ -548,11 +428,8 @@ fn worker_loop(rt: &Arc<RtInner>, me: usize) {
 pub struct Sleep {
     deadline: Instant,
     rt: Arc<RtInner>,
-    /// Worker whose timers to arm when polled off-runtime; on-runtime
-    /// polls arm the polling worker's own timers instead.
-    home: usize,
-    /// The waker registered in a timer queue, if any: re-polls by the same
-    /// task skip re-arming (the armed entry still fires for it).
+    /// The waker registered in the timer list, if any: re-polls by the
+    /// same task skip re-arming (the armed entry still fires for it).
     armed: Option<Waker>,
 }
 
@@ -566,26 +443,16 @@ impl Future for Sleep {
         if this.armed.as_ref().is_some_and(|w| w.will_wake(cx.waker())) {
             return Poll::Pending;
         }
-        let target = match CURRENT.get() {
-            Some((rt, i)) if std::ptr::eq(rt, Arc::as_ptr(&this.rt)) => i,
-            _ => this.home,
-        };
-        let shard = &this.rt.workers[target];
-        let new_min = shard
-            .timers
-            .lock()
-            .unwrap()
-            .arm(this.deadline, cx.waker().clone());
-        this.armed = Some(cx.waker().clone());
-        if new_min {
-            // Shorten the worker's wait_timeout. Taking the queue lock
-            // (released before notify returns) pairs with the worker
-            // holding it across its deadline read and wait: the worker
-            // either sees the new minimum or is already parked and
-            // receives this signal.
-            let _guard = shard.queue.lock().unwrap();
-            shard.cv.notify_one();
+        let mut sched = this.rt.sched.lock().unwrap();
+        if sched.timers.arm(this.deadline, cx.waker().clone()) {
+            // A new earliest deadline: wake one waiting worker so it
+            // shortens its `wait_timeout`. Signalled under the lock, so
+            // a worker either reads the new deadline before it waits or
+            // is already waiting and receives this.
+            this.rt.cv.notify_one();
         }
+        drop(sched);
+        this.armed = Some(cx.waker().clone());
         Poll::Pending
     }
 }
@@ -708,12 +575,6 @@ impl<F: Future + Unpin> Future for SelectAll<'_, F> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-
-    /// Worker index of the calling thread, when it is one of a
-    /// runtime's pollers (`None` on external threads).
-    fn current_worker() -> Option<usize> {
-        CURRENT.get().map(|(_, i)| i)
-    }
 
     #[test]
     fn block_on_plain_value() {
@@ -843,66 +704,35 @@ mod tests {
     }
 
     #[test]
+    fn a_wedged_worker_holds_no_other_task_back() {
+        // A worker held by a long poll (a 1 MiB stripe decode, a
+        // blocking frame write) must not hold back the tasks the other
+        // worker is free to run, timer wakes included.
+        let rt = Runtime::new(2);
+        let wedge = rt.spawn(async { std::thread::sleep(Duration::from_secs(2)) });
+        let started = Instant::now();
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                let rt2 = rt.clone();
+                rt.spawn(async move {
+                    rt2.sleep(Duration::from_millis(5)).await;
+                    started.elapsed()
+                })
+            })
+            .collect();
+        for h in handles {
+            let took = rt.block_on(h);
+            assert!(took < Duration::from_secs(1), "held back {took:?}");
+        }
+        rt.block_on(wedge);
+    }
+
+    #[test]
     #[should_panic(expected = "joined task panicked")]
     fn panicking_task_propagates_at_join() {
         let rt = Runtime::new(1);
         let h = rt.spawn(async { panic!("boom") });
         rt.block_on(h);
-    }
-
-    #[test]
-    fn spawn_on_pins_task_and_wakes_to_owner() {
-        let rt = Runtime::new(4);
-        for target in 0..4usize {
-            let rt2 = rt.clone();
-            let h = rt.spawn_on(target, async move {
-                let first = current_worker();
-                // Suspend on a timer: the wake must re-enqueue on the
-                // owner, so the resumed poll runs on the same worker.
-                rt2.sleep(Duration::from_millis(5)).await;
-                let second = current_worker();
-                (first, second)
-            });
-            let (first, second) = rt.block_on(h);
-            assert_eq!(first, Some(target), "first poll off the pinned worker");
-            assert_eq!(second, Some(target), "woken poll migrated off the owner");
-        }
-    }
-
-    #[test]
-    fn spawn_overflow_spills_to_injector_and_still_completes() {
-        // One worker, wedged: spawns past SPAWN_QUEUE_DEPTH must land
-        // in the injector rather than the owner's queue (and a real
-        // multi-worker pool would steal them; with one worker they
-        // drain once it unwedges).
-        let rt = Runtime::new(1);
-        let gate = Arc::new(AtomicBool::new(false));
-        let g = gate.clone();
-        let wedge = rt.spawn(async move {
-            while !g.load(Ordering::SeqCst) {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        });
-        let n = SPAWN_QUEUE_DEPTH + 50;
-        let counter = Arc::new(AtomicUsize::new(0));
-        let handles: Vec<_> = (0..n)
-            .map(|_| {
-                let c = counter.clone();
-                rt.spawn(async move {
-                    c.fetch_add(1, Ordering::SeqCst);
-                })
-            })
-            .collect();
-        assert!(
-            !rt.inner.injector.lock().unwrap().is_empty(),
-            "overflow spawns should have spilled to the injector"
-        );
-        gate.store(true, Ordering::SeqCst);
-        rt.block_on(wedge);
-        for h in handles {
-            rt.block_on(h);
-        }
-        assert_eq!(counter.load(Ordering::SeqCst), n);
     }
 
     struct NoopWake;
@@ -916,13 +746,7 @@ mod tests {
         // attempts it races (select_all-style): the same task's waker
         // must not arm a second entry.
         let rt = Runtime::new(1);
-        let armed = || -> usize {
-            rt.inner
-                .workers
-                .iter()
-                .map(|w| w.timers.lock().unwrap().0.len())
-                .sum()
-        };
+        let armed = || -> usize { rt.inner.sched.lock().unwrap().timers.0.len() };
         let waker = Waker::from(Arc::new(NoopWake));
         let mut cx = Context::from_waker(&waker);
         let mut sleep = rt.sleep(Duration::from_secs(3600));

@@ -42,7 +42,7 @@
 //! A connection that breaks (replica restart, broken pipe) does not
 //! poison its pool slot: the request that observed the failure is
 //! retried on freshly dialed sockets (sequence numbers restart at zero
-//! on both sides) — up to [`MAX_ATTEMPTS`] attempts with jittered
+//! on both sides) — up to `MAX_TRIES` (4) tries with jittered
 //! exponential backoff — before its error is surfaced, and later
 //! requests keep re-dialing. A restarted replica heals transparently;
 //! a flapping one degrades (each failed attempt feeds the error EWMA,
@@ -273,8 +273,8 @@ struct Job {
     /// When the request was first written, or left the queue to be:
     /// what its latency sample is measured from.
     dispatched: Instant,
-    /// Attempts that failed so far, dials included (at most
-    /// [`MAX_ATTEMPTS`]).
+    /// Tries that failed so far, dials included (at most
+    /// [`MAX_TRIES`]).
     failures: usize,
 }
 
@@ -616,9 +616,9 @@ fn retry_safe(cmd: &Command) -> bool {
     !matches!(cmd, Command::Del(_) | Command::SAdd(..))
 }
 
-/// Per-job bound on request attempts (initial + retries), counting
-/// both failed reconnect dials and attempts that died mid-request.
-pub const MAX_ATTEMPTS: usize = 4;
+/// Per-job bound on wire tries (initial + retries), counting both
+/// failed reconnect dials and tries that died mid-request.
+const MAX_TRIES: usize = 4;
 
 /// First retry backoff; doubles per attempt up to [`BACKOFF_CAP_US`],
 /// scaled by a uniform `0.5..1.5` jitter so a pool's connections don't
@@ -682,7 +682,7 @@ impl IoThread {
     /// still on the wire or queued then resolve as `ConnectionClosed`.
     ///
     /// The slot is never poisoned permanently: every job gets fresh
-    /// sockets (bounded by `MAX_ATTEMPTS`, with jittered backoff between
+    /// sockets (bounded by `MAX_TRIES`, with jittered backoff between
     /// dials) before its error is surfaced. A replica *restart* heals
     /// transparently; a *flapping* replica degrades — every failed
     /// attempt feeds the error EWMA, steering reissue targeting away —
@@ -765,9 +765,7 @@ impl IoThread {
                 // from it.
                 if !matches!(e, TransportError::Protocol(_)) {
                     job.failures += 1;
-                    if job.failures < MAX_ATTEMPTS
-                        && !job.token.is_cancelled()
-                        && retry_safe(&job.cmd)
+                    if job.failures < MAX_TRIES && !job.token.is_cancelled() && retry_safe(&job.cmd)
                     {
                         return Some(job);
                     }
@@ -813,7 +811,7 @@ impl IoThread {
                 Err(e) => {
                     self.health.record_error();
                     job.failures += 1;
-                    if job.failures >= MAX_ATTEMPTS || job.token.is_cancelled() {
+                    if job.failures >= MAX_TRIES || job.token.is_cancelled() {
                         return self.finish(job, Err(TransportError::Io(e.to_string())));
                     }
                     backoff(job.failures, &mut self.rng);
@@ -1125,7 +1123,7 @@ mod tests {
 
         // A flapping replica: the first two connections are accepted
         // and dropped unserved, the third serves normally. One request
-        // must survive this inside its MAX_ATTEMPTS budget — and every
+        // must survive this inside its MAX_TRIES budget — and every
         // failed attempt must penalize the error EWMA even though the
         // job ultimately succeeds (that penalty is what steers reissue
         // targeting away from a flapping shard leg).

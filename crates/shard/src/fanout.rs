@@ -252,11 +252,6 @@ impl FanoutClient {
     /// are lazy, and sequentially awaited lazy legs would serialize
     /// the fan-out), and the returned future resolves once all legs
     /// have gathered.
-    ///
-    /// Legs are pinned across cores ([`Runtime::spawn_on`], shard `s`
-    /// on worker `s % workers`): each leg's completions wake the
-    /// worker owning that leg, so one straggling shard's hedging
-    /// traffic does not contend with the other legs' run queues.
     pub fn execute_all(
         &self,
         mut make: impl FnMut(usize) -> Command,
@@ -268,7 +263,7 @@ impl FanoutClient {
             .enumerate()
             .map(|(s, leg)| {
                 let fut = leg.execute(make(s));
-                self.rt.spawn_on(s, async move {
+                self.rt.spawn(async move {
                     let result = fut.await;
                     (result, started.elapsed().as_secs_f64() * 1e3)
                 })

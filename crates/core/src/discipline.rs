@@ -288,6 +288,7 @@ fn fold_conn(id: usize, connections: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[derive(Clone, Debug, PartialEq)]
     struct Item {
@@ -463,5 +464,109 @@ mod tests {
         assert_eq!(rr.take(|it| it.id == 0).unwrap().id, 0);
         assert_eq!(rr.len(), 1);
         assert_eq!(drain_ids(&mut rr, 5.0), vec![1]);
+    }
+
+    /// The queue's rules restated by brute force over the queued items
+    /// in push order: arrival order; primaries first, reissues FIFO or
+    /// LIFO; the smallest connection id cyclically at or past the
+    /// cursor; the least `cost − boost·wait`, ties to the earlier
+    /// enqueue, then to the earlier push.
+    fn reference_pop(
+        items: &mut Vec<Item>,
+        discipline: Discipline,
+        cursor: &mut usize,
+        now: f64,
+    ) -> Option<Item> {
+        let first = |p: &dyn Fn(&Item) -> bool| items.iter().position(p);
+        let i = match discipline {
+            Discipline::Fifo => first(&|_| true),
+            Discipline::PrioritizedFifo => {
+                first(&|it| !it.reissue).or_else(|| first(&|it| it.reissue))
+            }
+            Discipline::PrioritizedLifo => {
+                first(&|it| !it.reissue).or_else(|| items.iter().rposition(|it| it.reissue))
+            }
+            Discipline::RoundRobin { .. } => {
+                let ids = || items.iter().map(|it| it.conn);
+                let id = ids()
+                    .filter(|&c| c >= *cursor)
+                    .min()
+                    .or_else(|| ids().min())?;
+                *cursor = id + 1;
+                first(&|it| it.conn == id)
+            }
+            Discipline::ShortestBurn { boost } => {
+                let prio = |it: &Item| (it.cost - boost * (now - it.at).max(0.0), it.at);
+                (0..items.len()).min_by(|&a, &b| {
+                    let ((pa, ta), (pb, tb)) = (prio(&items[a]), prio(&items[b]));
+                    pa.total_cmp(&pb).then(ta.total_cmp(&tb))
+                })
+            }
+        }?;
+        Some(items.remove(i))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// Random interleavings of push, pop and take under every
+        /// discipline pop and retract what the reference does. The
+        /// clock starts negative and steps by 0, 1, 1000 or 5000 ms,
+        /// each stamp lags it by 0, 1 or 1000 ms (a stamp taken before
+        /// the queue's lock), and costs are multiples of 5000 up to
+        /// 1e5, so aging reorders items, keys take both signs, both
+        /// sides' arithmetic is exact and ties are common.
+        #[test]
+        fn every_discipline_matches_the_brute_force_reference(
+            which in 0usize..6,
+            half_boost in 0u32..4,
+            ops in proptest::collection::vec(
+                (
+                    0u32..5,
+                    0u32..21,
+                    (0usize..4, 0usize..3, 0usize..8),
+                    (any::<bool>(), 0u32..1000),
+                ),
+                0..201,
+            ),
+        ) {
+            const STEPS: [f64; 4] = [0.0, 1.0, 1000.0, 5000.0];
+            let boost = f64::from(half_boost) / 2.0;
+            let discipline = [
+                Discipline::Fifo,
+                Discipline::PrioritizedFifo,
+                Discipline::PrioritizedLifo,
+                Discipline::RoundRobin { connections: 0 },
+                Discipline::RoundRobin { connections: 8 },
+                Discipline::ShortestBurn { boost },
+            ][which];
+            let mut q = WaitQueue::new(discipline);
+            let (mut model, mut cursor, mut now) = (Vec::new(), 0, -150_000.0);
+            for (n, &(op, cost, (dt, lag, conn), (reissue, pick))) in ops.iter().enumerate() {
+                now += STEPS[dt];
+                let n = n as u32;
+                match op {
+                    0..=2 => {
+                        let cost = f64::from(cost * 5000);
+                        let it = item(n, cost, now - STEPS[lag], reissue, conn);
+                        q.push(it.clone());
+                        model.push(it);
+                    }
+                    3 => prop_assert_eq!(
+                        q.pop(now),
+                        reference_pop(&mut model, discipline, &mut cursor, now)
+                    ),
+                    _ => {
+                        // Any id pushed so far, or one never pushed.
+                        let id = pick % (n + 1);
+                        let want = model
+                            .iter()
+                            .position(|it| it.id == id)
+                            .map(|i| model.remove(i));
+                        prop_assert_eq!(q.take(|it| it.id == id), want);
+                    }
+                }
+                prop_assert_eq!(q.len(), model.len());
+            }
+        }
     }
 }

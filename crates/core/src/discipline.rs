@@ -15,21 +15,24 @@
 //! `QueuedRequest` (service time in simulated ms), the TCP server
 //! queues scheduler entries (estimated cost from
 //! `kvstore::Backend::estimate_cost`, wall-clock enqueue stamps in
-//! ms). `pop` takes the caller's *now* so the aging disciplines
-//! ([`Discipline::ShortestBurn`]) can decay priorities without the
-//! queue owning a clock.
+//! ms).
+//!
+//! Every discipline is one sort key, fixed when an item is pushed: the
+//! queue is a single deque kept in ascending key order, and the last
+//! key field is the push count, so equal ranks keep push order. Even
+//! [`Discipline::ShortestBurn`]'s aging is a static key, so `pop` no
+//! longer reads the caller's *now* (it keeps the parameter).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// How a server orders its wait queue.
 ///
-/// `RoundRobin`'s per-connection sub-queues model the Redis
-/// event-loop: one sweep serves at most one request per connection, so
-/// a pipelining-heavy client cannot starve the others. On the TCP
-/// server each connection has at most one request queued (its reader
-/// queues the next only once the first is answered), so there it
-/// serves the waiting connections in cyclic id order. The remaining
-/// variants order one central queue.
+/// `RoundRobin` models the Redis event-loop: one sweep serves at most
+/// one request per connection, so a pipelining-heavy client cannot
+/// starve the others. On the TCP server each connection has at most
+/// one request queued (its reader queues the next only once the first
+/// is answered), so there it serves the waiting connections in cyclic
+/// id order. The remaining variants order one central queue.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Discipline {
     /// Strict arrival order.
@@ -40,22 +43,30 @@ pub enum Discipline {
     /// Primaries before reissues; LIFO within the reissue class (the
     /// freshest speculation is the likeliest to still matter).
     PrioritizedLifo,
-    /// Per-connection FIFO sub-queues served cyclically.
+    /// Connections served cyclically, FIFO within each: `pop` takes
+    /// the oldest item of the smallest connection id at or past the
+    /// last served id + 1, wrapping to the smallest id.
     ///
-    /// `connections == 0` means *dynamic*: sub-queues are keyed by the
-    /// item's raw connection id, created on first use (the TCP
-    /// server's accept-order ids) and dropped, amortized, once empty.
-    /// A non-zero count folds ids modulo `connections` into a fixed
-    /// ring, matching the simulator's pre-assigned connection model.
+    /// Ids are the items' raw connection ids and are never folded: the
+    /// simulator draws them below `connections`, and the TCP server
+    /// (`connections == 0`) uses its accept-order ids.
     RoundRobin {
-        /// Number of fixed sub-queues, or 0 for dynamic ids.
+        /// The simulator's fixed connection count, or 0 for the TCP
+        /// server's dynamic ids. The queue itself does not read it.
         connections: usize,
     },
     /// Shortest-job-first on the *estimated* cost, with aging: the
     /// effective priority of a queued item is `cost − boost · wait`,
-    /// and the lowest runs next, FIFO among ties. Non-preemptive, so a
-    /// monster that already started still blocks, but one that is
-    /// still queued no longer delays the cheap traffic behind it.
+    /// and the lowest runs next, the earliest enqueued among ties,
+    /// then the earliest pushed. Non-preemptive, so a monster that
+    /// already started still blocks, but one that is still queued no
+    /// longer delays the cheap traffic behind it.
+    ///
+    /// With `wait = now − enqueued_at`, every item's priority is its
+    /// static key `cost + boost · enqueued_at` less the common
+    /// `boost · now`, so the queue sorts on that key at push and
+    /// orders items exactly as the aged priority does at any *now*
+    /// past every enqueue stamp.
     ///
     /// `boost: 0.0` is plain cost priority, under which a steady
     /// stream of cheap arrivals can starve an expensive request. With
@@ -74,214 +85,113 @@ pub trait QueueItem {
     /// Estimated service cost, in whatever unit the host measures
     /// ([`Discipline::ShortestBurn`] compares these).
     fn cost(&self) -> f64;
-    /// Enqueue timestamp on the host's clock (ms); `pop` receives
-    /// *now* on the same clock.
+    /// Enqueue timestamp on the host's clock (ms).
     fn enqueued_at(&self) -> f64;
     /// Whether the item is a speculative reissue (the `Prioritized*`
     /// class split).
     fn is_reissue(&self) -> bool;
-    /// Connection id for [`Discipline::RoundRobin`] sub-queues.
+    /// Connection id for [`Discipline::RoundRobin`].
     fn connection(&self) -> usize;
 }
 
+/// A sort key: compared field by field, the smallest is served first
+/// (the round robin starts at its cursor instead). The last field
+/// derives from the push count, so no two queued keys are equal.
+type Key = (u64, u64, u64);
+
 /// A server wait queue ordered by one [`Discipline`].
 #[derive(Clone, Debug)]
-pub enum WaitQueue<T> {
-    /// Single FIFO queue.
-    Fifo(VecDeque<T>),
-    /// Primary-class queue + reissue-class queue; `lifo` controls the
-    /// reissue class's pop end.
-    Prioritized {
-        /// Queued primaries, FIFO.
-        primary: VecDeque<T>,
-        /// Queued reissues.
-        reissue: VecDeque<T>,
-        /// Pop reissues newest-first when set.
-        lifo: bool,
-    },
-    /// Cyclic service over per-connection FIFO sub-queues.
-    RoundRobin {
-        /// Sub-queues keyed by (possibly folded) connection id.
-        queues: BTreeMap<usize, VecDeque<T>>,
-        /// Next id to serve: the smallest id ≥ `cursor`, wrapping.
-        cursor: usize,
-        /// Fixed ring size, or 0 for dynamic ids.
-        connections: usize,
-        /// Total queued items across sub-queues.
-        len: usize,
-    },
-    /// Unordered pool; `pop` scans for the minimum effective priority.
-    Priority {
-        /// Queued items, scanned linearly on pop.
-        items: Vec<T>,
-        /// Aging rate (0 for plain cost priority).
-        boost: f64,
-    },
+pub struct WaitQueue<T> {
+    discipline: Discipline,
+    /// Queued items in ascending key order.
+    items: VecDeque<(Key, T)>,
+    /// Items pushed so far.
+    pushes: u64,
+    /// Round robin: serve the smallest connection id at or past this.
+    cursor: u64,
 }
 
 impl<T: QueueItem> WaitQueue<T> {
     /// Creates an empty queue with the given discipline.
     pub fn new(discipline: Discipline) -> Self {
-        match discipline {
-            Discipline::Fifo => WaitQueue::Fifo(VecDeque::new()),
-            Discipline::PrioritizedFifo => WaitQueue::Prioritized {
-                primary: VecDeque::new(),
-                reissue: VecDeque::new(),
-                lifo: false,
-            },
-            Discipline::PrioritizedLifo => WaitQueue::Prioritized {
-                primary: VecDeque::new(),
-                reissue: VecDeque::new(),
-                lifo: true,
-            },
-            Discipline::RoundRobin { connections } => WaitQueue::RoundRobin {
-                queues: BTreeMap::new(),
-                cursor: 0,
-                connections,
-                len: 0,
-            },
-            Discipline::ShortestBurn { boost } => WaitQueue::Priority {
-                items: Vec::new(),
-                boost: boost.max(0.0),
-            },
+        WaitQueue {
+            discipline,
+            items: VecDeque::new(),
+            pushes: 0,
+            cursor: 0,
         }
     }
 
     /// Number of queued items.
     pub fn len(&self) -> usize {
-        match self {
-            WaitQueue::Fifo(q) => q.len(),
-            WaitQueue::Prioritized {
-                primary, reissue, ..
-            } => primary.len() + reissue.len(),
-            WaitQueue::RoundRobin { len, .. } => *len,
-            WaitQueue::Priority { items, .. } => items.len(),
-        }
+        self.items.len()
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.items.is_empty()
     }
 
     /// Enqueues an item.
     pub fn push(&mut self, item: T) {
-        match self {
-            WaitQueue::Fifo(q) => q.push_back(item),
-            WaitQueue::Prioritized {
-                primary, reissue, ..
-            } => {
-                if item.is_reissue() {
-                    reissue.push_back(item);
-                } else {
-                    primary.push_back(item);
-                }
+        let seq = self.pushes;
+        self.pushes += 1;
+        let key = match self.discipline {
+            Discipline::Fifo => (0, 0, seq),
+            Discipline::PrioritizedFifo => (u64::from(item.is_reissue()), 0, seq),
+            // Reissues newest-first: the complement reverses push order.
+            Discipline::PrioritizedLifo if item.is_reissue() => (1, 0, !seq),
+            Discipline::PrioritizedLifo => (0, 0, seq),
+            Discipline::RoundRobin { .. } => (item.connection() as u64, 0, seq),
+            Discipline::ShortestBurn { boost } => {
+                let at = item.enqueued_at();
+                let rank = item.cost() + boost.max(0.0) * at;
+                (total_order(rank), total_order(at), seq)
             }
-            WaitQueue::RoundRobin {
-                queues,
-                connections,
-                len,
-                ..
-            } => {
-                // Dynamic ids never come back once their connection
-                // closes: drop the empty sub-queues, amortized, so the
-                // map stays within a constant of the queued items.
-                if queues.len() > 2 * *len + 64 {
-                    queues.retain(|_, q| !q.is_empty());
-                }
-                let id = fold_conn(item.connection(), *connections);
-                queues.entry(id).or_default().push_back(item);
-                *len += 1;
-            }
-            WaitQueue::Priority { items, .. } => items.push(item),
+        };
+        // FIFO, and mostly the others, append: one `push_back`.
+        if self.items.back().map_or(true, |(last, _)| *last < key) {
+            self.items.push_back((key, item));
+        } else {
+            let i = self.items.partition_point(|(k, _)| *k < key);
+            self.items.insert(i, (key, item));
         }
     }
 
-    /// Dequeues the next item under the discipline. `now` is the
-    /// caller's clock in the same unit as [`QueueItem::enqueued_at`]
-    /// (only the aging disciplines read it).
-    pub fn pop(&mut self, now: f64) -> Option<T> {
-        match self {
-            WaitQueue::Fifo(q) => q.pop_front(),
-            WaitQueue::Prioritized {
-                primary,
-                reissue,
-                lifo,
-            } => primary.pop_front().or_else(|| {
-                if *lifo {
-                    reissue.pop_back()
-                } else {
-                    reissue.pop_front()
-                }
-            }),
-            WaitQueue::RoundRobin {
-                queues,
-                cursor,
-                len,
-                ..
-            } => {
-                // The smallest id cyclically ≥ cursor with work.
-                let id = queues
-                    .range(*cursor..)
-                    .chain(queues.range(..*cursor))
-                    .find(|(_, q)| !q.is_empty())
-                    .map(|(&id, _)| id)?;
-                let item = queues.get_mut(&id).and_then(|q| q.pop_front());
-                if item.is_some() {
-                    *len -= 1;
-                    *cursor = id + 1;
-                }
-                item
-            }
-            WaitQueue::Priority { items, boost } => {
-                let best = items
-                    .iter()
-                    .enumerate()
-                    .map(|(i, it)| {
-                        let prio = it.cost() - *boost * (now - it.enqueued_at()).max(0.0);
-                        (i, prio, it.enqueued_at())
-                    })
-                    .min_by(|a, b| a.1.total_cmp(&b.1).then(a.2.total_cmp(&b.2)))?;
-                Some(items.remove(best.0))
+    /// Dequeues the next item under the discipline. `_now` is the
+    /// caller's clock, which no discipline reads any more.
+    pub fn pop(&mut self, _now: f64) -> Option<T> {
+        let mut i = 0;
+        if let Discipline::RoundRobin { .. } = self.discipline {
+            i = self.items.partition_point(|(k, _)| k.0 < self.cursor);
+            if i == self.items.len() {
+                i = 0;
             }
         }
+        let ((id, ..), item) = self.items.remove(i)?;
+        // Only the round robin reads the cursor.
+        self.cursor = id.wrapping_add(1);
+        Some(item)
     }
 
-    /// Removes and returns the first queued item matching `pred`
-    /// (retraction of a cancelled tied request). Returns `None` when
-    /// no queued item matches — e.g. the target already dequeued.
+    /// Removes and returns the first queued item, in serving order,
+    /// matching `pred` (retraction of a cancelled tied request).
+    /// Returns `None` when no queued item matches — e.g. the target
+    /// already dequeued.
     pub fn take(&mut self, mut pred: impl FnMut(&T) -> bool) -> Option<T> {
-        fn take_deque<T>(q: &mut VecDeque<T>, pred: &mut impl FnMut(&T) -> bool) -> Option<T> {
-            let i = q.iter().position(&mut *pred)?;
-            q.remove(i)
-        }
-        match self {
-            WaitQueue::Fifo(q) => take_deque(q, &mut pred),
-            WaitQueue::Prioritized {
-                primary, reissue, ..
-            } => take_deque(primary, &mut pred).or_else(|| take_deque(reissue, &mut pred)),
-            WaitQueue::RoundRobin { queues, len, .. } => {
-                let found = queues.values_mut().find_map(|q| take_deque(q, &mut pred));
-                if found.is_some() {
-                    *len -= 1;
-                }
-                found
-            }
-            WaitQueue::Priority { items, .. } => {
-                let i = items.iter().position(pred)?;
-                Some(items.remove(i))
-            }
-        }
+        let i = self.items.iter().position(|(_, it)| pred(it))?;
+        self.items.remove(i).map(|(_, it)| it)
     }
 }
 
-/// Folds a raw connection id into a fixed ring, or passes it through
-/// when the ring is dynamic (`connections == 0`).
-fn fold_conn(id: usize, connections: usize) -> usize {
-    if connections == 0 {
-        id
+/// `x`'s bits remapped so that unsigned order is [`f64::total_cmp`]'s:
+/// negatives flip every bit, the rest set the sign bit.
+fn total_order(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
     } else {
-        id % connections
+        bits | 1 << 63
     }
 }
 
@@ -369,9 +279,7 @@ mod tests {
         q.push(item(0, 1.0, 0.0, false, 0));
         q.push(item(1, 1.0, 1.0, false, 0));
         q.push(item(2, 1.0, 2.0, false, 2));
-        // Folding: conn 5 % 3 == 2 shares conn 2's sub-queue.
-        q.push(item(3, 1.0, 3.0, false, 5));
-        assert_eq!(drain_ids(&mut q, 10.0), vec![0, 2, 1, 3]);
+        assert_eq!(drain_ids(&mut q, 10.0), vec![0, 2, 1]);
     }
 
     #[test]
@@ -387,15 +295,12 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_drops_the_sub_queues_of_gone_connections() {
+    fn round_robin_stays_small_over_gone_connections() {
         let mut q = WaitQueue::new(Discipline::RoundRobin { connections: 0 });
         for conn in 0..10_000 {
             q.push(item(conn as u32, 1.0, 0.0, false, conn));
             assert_eq!(q.pop(0.0).unwrap().id, conn as u32);
-            let WaitQueue::RoundRobin { queues, .. } = &q else {
-                unreachable!()
-            };
-            assert!(queues.len() <= 65, "{} sub-queues", queues.len());
+            assert!(q.items.capacity() <= 4, "capacity {}", q.items.capacity());
         }
     }
 

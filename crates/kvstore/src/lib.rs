@@ -20,7 +20,9 @@
 //! both reproduced here: rare intersections of two abnormally large
 //! sets ("queries of death"), and Redis's round-robin servicing of
 //! client connections, which lets one slow command delay every other
-//! connection (modelled by `simulator::Discipline::RoundRobin`).
+//! connection (modelled by `simulator::Discipline::RoundRobin`: the
+//! simulator's and `hedge::TcpServer`'s wait queue serves the smallest
+//! waiting connection id past the last one served, wrapping).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -14,7 +14,8 @@
 //! * [`Balancer`] — `Random`, `MinOfTwo`, `MinOfAll` (Figure 5b);
 //! * [`Discipline`] — `Fifo`, `PrioritizedFifo`, `PrioritizedLifo`
 //!   (Figure 5c) plus `RoundRobin` connection scheduling (the Redis
-//!   service model of §6.2);
+//!   service model of §6.2), each one sort key of the one sorted wait
+//!   queue the TCP server runs too (`reissue_core::discipline`);
 //! * [`ServiceModel`] — iid, correlated (`Y = r·x + Z`, §5.1) or
 //!   trace-driven (measured engine costs, §6) service times;
 //! * [`simulate`] — the event loop, producing a [`SimResult`] with

@@ -21,8 +21,12 @@ pub enum ReissueRouting {
     AvoidPrimary,
 }
 
-/// What happens to a query's other copies once its first one completes
-/// — the same three behaviours the TCP path has (`hedge::server`).
+/// What happens to a query's other copies once its first one completes.
+///
+/// The TCP path (`hedge::server`) has no switch: it ties every raced
+/// reissue and always retracts the loser, queued through its tie or a
+/// `CANCEL` and in service through `CANCEL`, which is `InService`.
+/// `None`, the paper's model, has no TCP counterpart.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Cancellation {
     /// Copies run to completion: the paper's model.
@@ -346,8 +350,8 @@ pub fn simulate(
                 }
 
                 // Schedule reissue timers (coin already flipped).
-                for (stage, &at) in schedule.iter().enumerate() {
-                    events.push(at, Event::ReissueFire { query, stage });
+                for &at in &schedule {
+                    events.push(at, Event::ReissueFire { query });
                 }
                 queries.push(state);
 
@@ -360,17 +364,13 @@ pub fn simulate(
                 }
             }
 
-            Event::ReissueFire { query, stage } => {
+            Event::ReissueFire { query } => {
                 let state = &mut queries[query];
                 // The paper's client checks completion *before sending*
-                // (§6.1); completed queries consume no budget. Also only
-                // the first firing stage of a MultipleR policy that has
-                // already reissued proceeds per its own coin — later
-                // stages still fire independently.
+                // (§6.1); completed queries consume no budget.
                 if state.completed {
                     continue;
                 }
-                let _ = stage;
                 let reissue_service = service
                     .reissue(query, state.primary_service, &mut rng_service)
                     .max(1e-12);

@@ -8,8 +8,8 @@ use std::collections::BinaryHeap;
 pub(crate) enum Event {
     /// Query `query` arrives and dispatches its primary request.
     Arrival { query: usize },
-    /// Query `query`'s reissue timer (stage `stage`) fires.
-    ReissueFire { query: usize, stage: usize },
+    /// One of query `query`'s reissue timers fires.
+    ReissueFire { query: usize },
     /// The service started on `server` during its preemption
     /// generation `generation` completes — unless it was preempted
     /// since.

@@ -142,20 +142,6 @@ impl ReissuePolicy {
         }
     }
 
-    /// Number of reissue stages.
-    pub fn num_stages(&self) -> usize {
-        match self {
-            ReissuePolicy::None => 0,
-            ReissuePolicy::SingleD { .. } | ReissuePolicy::SingleR { .. } => 1,
-            ReissuePolicy::MultipleR { stages } => stages.len(),
-        }
-    }
-
-    /// Whether this policy can ever reissue.
-    pub fn is_active(&self) -> bool {
-        self.stages().iter().any(|s| s.prob > 0.0)
-    }
-
     /// Samples a reissue *schedule* for one query: the delays of the
     /// stages whose probability coin came up heads, in non-decreasing
     /// order. The executor must still check, when each delay elapses,
@@ -223,22 +209,14 @@ mod tests {
             vec![Stage::new(5.0, 0.3)]
         );
         let m = ReissuePolicy::multiple_r(vec![(1.0, 0.5), (2.0, 0.25)]);
-        assert_eq!(m.num_stages(), 2);
+        assert_eq!(m.stages().len(), 2);
     }
 
     #[test]
     fn immediate_policy() {
         let p = ReissuePolicy::immediate();
         assert_eq!(p, ReissuePolicy::single_r(0.0, 1.0));
-        assert!(p.is_active());
-    }
-
-    #[test]
-    fn is_active_edge_cases() {
-        assert!(!ReissuePolicy::None.is_active());
-        assert!(!ReissuePolicy::single_r(1.0, 0.0).is_active());
-        assert!(ReissuePolicy::single_r(1.0, 0.01).is_active());
-        assert!(ReissuePolicy::single_d(1.0).is_active());
+        assert!(p.stages().iter().any(|s| s.prob > 0.0));
     }
 
     #[test]

@@ -111,23 +111,6 @@ impl SimResult {
             reissue_rate: self.reissue_rate(),
         }
     }
-
-    /// Fraction of reissued queries whose reissue produced the first
-    /// response (i.e. the reissue "won the race").
-    pub fn reissue_win_rate(&self) -> f64 {
-        let reissued: Vec<_> = self.measured().iter().filter(|r| r.reissued).collect();
-        if reissued.is_empty() {
-            return 0.0;
-        }
-        let wins = reissued
-            .iter()
-            .filter(|r| {
-                r.reissue_response.is_finite()
-                    && r.reissue_dispatch_delay + r.reissue_response < r.primary_response
-            })
-            .count();
-        wins as f64 / reissued.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -178,20 +161,6 @@ mod tests {
     }
 
     #[test]
-    fn win_rate() {
-        // reissue_response = latency/2, dispatch delay 1:
-        // wins iff 1 + l/2 < l ⟺ l > 2.
-        let records = vec![record(1.5, true), record(4.0, true), record(10.0, true)];
-        let r = SimResult {
-            records,
-            warmup: 0,
-            server_utilization: vec![],
-            makespan: 10.0,
-        };
-        assert!((r.reissue_win_rate() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_measured_defaults() {
         let r = SimResult {
             records: vec![],
@@ -200,7 +169,6 @@ mod tests {
             makespan: 0.0,
         };
         assert_eq!(r.reissue_rate(), 0.0);
-        assert_eq!(r.reissue_win_rate(), 0.0);
         assert!(r.pairs().is_empty());
     }
 }

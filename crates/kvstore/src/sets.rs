@@ -95,12 +95,6 @@ impl IntSet {
         }
     }
 
-    /// Intersection cardinality only (Redis `SINTERCARD`), same costs.
-    pub fn intersect_count(&self, other: &IntSet) -> (usize, u64) {
-        let (set, cost) = self.intersect(other);
-        (set.len(), cost)
-    }
-
     /// Intersection with *Redis's* cost profile: iterate the smaller
     /// set and probe the larger one (Redis stores integer sets as
     /// sorted "intsets" probed by binary search, or as hash tables),
@@ -261,15 +255,6 @@ mod tests {
         assert_eq!(e.intersect(&s).0.len(), 0);
         assert_eq!(s.intersect(&e).0.len(), 0);
         assert_eq!(e.intersect(&e).0.len(), 0);
-    }
-
-    #[test]
-    fn intersect_count_matches_intersect() {
-        let a = IntSet::from_unsorted((0..500).map(|i| i * 3).collect());
-        let b = IntSet::from_unsorted((0..500).map(|i| i * 5).collect());
-        let ((set, c1), (n, c2)) = (a.intersect(&b), a.intersect_count(&b));
-        assert_eq!(set.len(), n);
-        assert_eq!(c1, c2);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::dataset::Dataset;
 use crate::sets::IntSet;
-use crate::store::{Command, KvStore, Reply};
+use crate::store::{Command, KvStore};
 use bytes::Bytes;
 use distributions::rng::stream;
 use rand::Rng;
@@ -99,17 +99,6 @@ impl Trace {
         Trace { pairs, costs_ms }
     }
 
-    /// Re-executes query `i` against a loaded store, returning the
-    /// reply (for end-to-end validation of the command path).
-    pub fn execute_against(&self, store: &mut KvStore, i: usize) -> Reply {
-        let (a, b) = self.pairs[i % self.pairs.len()];
-        let cmd = Command::SInter(
-            Bytes::from(Dataset::key(a).into_bytes()),
-            Bytes::from(Dataset::key(b).into_bytes()),
-        );
-        store.execute(&cmd).0
-    }
-
     /// Mean service time (ms).
     pub fn mean_ms(&self) -> f64 {
         self.costs_ms.iter().sum::<f64>() / self.costs_ms.len() as f64
@@ -169,6 +158,7 @@ impl Trace {
 mod tests {
     use super::*;
     use crate::dataset::DatasetConfig;
+    use crate::store::Reply;
 
     fn small_trace(seed: u64) -> (Dataset, Trace) {
         let d = Dataset::generate(DatasetConfig::small(seed));
@@ -229,7 +219,11 @@ mod tests {
         d.load_into(&mut kv);
         let (a, b) = t.pairs[0];
         let want = d.sets[a].intersect(&d.sets[b]).0;
-        match t.execute_against(&mut kv, 0) {
+        let cmd = Command::SInter(
+            Bytes::from(Dataset::key(a).into_bytes()),
+            Bytes::from(Dataset::key(b).into_bytes()),
+        );
+        match kv.execute(&cmd).0 {
             Reply::Members(ms) => assert_eq!(ms, want.as_slice()),
             other => panic!("unexpected reply {other:?}"),
         }

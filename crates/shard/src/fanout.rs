@@ -117,13 +117,6 @@ impl FanoutReply {
         self.legs.len() - self.ok_legs()
     }
 
-    /// Whether some (but not all) legs failed: the fan-out degrades to
-    /// partial results instead of erroring the whole request.
-    pub fn is_degraded(&self) -> bool {
-        let failed = self.failed_legs();
-        failed > 0 && failed < self.legs.len()
-    }
-
     /// Merges per-shard top-k hit lists into the global top-k (score
     /// descending, doc id ascending on ties — deterministic given the
     /// legs). Failed legs are skipped (degraded results); an empty
@@ -458,7 +451,6 @@ mod tests {
                                    // Tied at 3.0: doc id ascending breaks the tie.
         assert_eq!(top[1].doc, 0);
         assert_eq!(top[2].doc, 5);
-        assert!(reply.is_degraded());
         assert_eq!(reply.ok_legs(), 3);
         assert_eq!(reply.failed_legs(), 1);
     }

@@ -294,8 +294,10 @@ mod tests {
         assert_eq!(drain_ids(&mut q, 10.0), vec![1, 0, 3, 2]);
     }
 
+    /// A gone connection leaves nothing behind: over 10 000 distinct
+    /// ids, one queued at a time, the one deque never grows.
     #[test]
-    fn round_robin_stays_small_over_gone_connections() {
+    fn round_robin_drops_the_sub_queues_of_gone_connections() {
         let mut q = WaitQueue::new(Discipline::RoundRobin { connections: 0 });
         for conn in 0..10_000 {
             q.push(item(conn as u32, 1.0, 0.0, false, conn));

@@ -150,7 +150,7 @@ impl<T: QueueItem> WaitQueue<T> {
             }
         };
         // FIFO, and mostly the others, append: one `push_back`.
-        if self.items.back().map_or(true, |(last, _)| *last < key) {
+        if self.items.back().is_none_or(|(last, _)| *last < key) {
             self.items.push_back((key, item));
         } else {
             let i = self.items.partition_point(|(k, _)| *k < key);

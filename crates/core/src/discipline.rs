@@ -295,7 +295,8 @@ mod tests {
     }
 
     /// A gone connection leaves nothing behind: over 10 000 distinct
-    /// ids, one queued at a time, the one deque never grows.
+    /// ids, one queued at a time, the one deque keeps its first
+    /// allocation.
     #[test]
     fn round_robin_drops_the_sub_queues_of_gone_connections() {
         let mut q = WaitQueue::new(Discipline::RoundRobin { connections: 0 });

@@ -30,9 +30,9 @@ pub fn remediation_rate(pairs: &[(f64, f64)], t: f64, d: f64) -> f64 {
 }
 
 /// A log-bucketed streaming histogram with a guaranteed *relative*
-/// quantile error — the shared latency recorder for the simulator, the
-/// scale-out harness and the hedged client (which previously each kept
-/// a full `Vec` of samples and sorted it per quantile probe).
+/// quantile error — the shared latency recorder for the scale-out
+/// harness and the fan-out's per-leg recorder (which previously each
+/// kept a full `Vec` of samples and sorted it per quantile probe).
 ///
 /// Bucket boundaries grow geometrically: bucket `i` covers
 /// `(m·γ^(i−1), m·γ^i]` with `γ = (1+α)/(1−α)`, and a recorded value

@@ -277,12 +277,6 @@ impl HedgedClient {
         self.core.load.as_ref().map(|l| l.snapshot())
     }
 
-    /// A snapshot of the full latency histogram (log-bucketed; see
-    /// [`reissue_core::metrics::LogHistogram`]).
-    pub fn latency_histogram(&self) -> reissue_core::metrics::LogHistogram {
-        self.core.latencies_ms.lock().unwrap().clone()
-    }
-
     /// Executes one command with hedging; resolves to the winning
     /// reply. The returned future is `'static`: spawn any number
     /// concurrently.

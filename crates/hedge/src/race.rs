@@ -65,7 +65,6 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use reissue_core::censored::Obs;
 use reissue_core::load::LoadSignal;
-use reissue_core::metrics::LogHistogram;
 use reissue_core::online::{OnlineAdapter, ReissueOutcome};
 use reissue_core::policy::{ReissuePolicy, Stage};
 
@@ -178,9 +177,6 @@ pub struct Core {
     replicas: ReplicaSet,
     pub(crate) state: Mutex<PolicyState>,
     counters: Counters,
-    /// Streaming latency recorder: the shared log-bucketed histogram
-    /// (1% relative quantile error, constant memory).
-    pub(crate) latencies_ms: Mutex<LogHistogram>,
     governor: Option<Arc<BudgetGovernor>>,
     /// Aggregate load estimator, present iff the online config opts
     /// into utilization-aware damping (`OnlineConfig::load`). Fed on
@@ -239,7 +235,6 @@ impl Core {
                 reissue_targets: (0..addrs.len()).map(|_| AtomicU64::new(0)).collect(),
                 ..Counters::default()
             },
-            latencies_ms: Mutex::new(LogHistogram::latency_ms()),
             governor,
             load,
             debug: std::env::var_os("HEDGE_DEBUG").is_some(),
@@ -330,7 +325,6 @@ impl Core {
             load.query_end(ok.then_some(elapsed_ms));
         }
         if ok {
-            self.latencies_ms.lock().unwrap().record(elapsed_ms);
             // Un-raced completions feed the primary stream directly.
             // Raced queries are *not* observed here: their joint
             // (straggler, reissue) outcome, exact or censored, is

@@ -227,18 +227,6 @@ impl FanoutClient {
         reissues as f64 / queries.max(1) as f64
     }
 
-    /// Every leg's latency histogram merged into one — the per-shard
-    /// recorders aggregate losslessly (bucket-wise sum), so quantiles
-    /// of the merged histogram equal those of a single recorder fed
-    /// all legs directly.
-    pub fn merged_leg_histogram(&self) -> LogHistogram {
-        let mut merged = LogHistogram::latency_ms();
-        for leg in &self.legs {
-            merged.merge(&leg.latency_histogram());
-        }
-        merged
-    }
-
     /// Scatter-gathers one request: `make(s)` builds shard `s`'s
     /// command, every leg is dispatched **eagerly** (spawned on the
     /// shared runtime at call time — [`HedgedClient::execute`] futures

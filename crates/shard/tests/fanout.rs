@@ -198,10 +198,6 @@ fn sick_shard_degrades_gracefully_within_shared_budget() {
         (m - d).abs() <= 1e-9 * d.abs().max(1.0),
         "merged per-shard mean {m} diverges from direct recording {d}"
     );
-
-    // The client-side merged histogram agrees in count with the legs'
-    // own recorders (each leg records every completion it served).
-    assert!(client.merged_leg_histogram().len() >= leg_ms.len());
 }
 
 /// The harness sees one `Result` per fan-out: `Ok` while any leg

@@ -94,54 +94,11 @@ pub fn optimize_budget(
 
 /// Minimizes the reissue budget subject to a tail-latency SLA
 /// (`latency ≤ target`), per §4.4's "meeting tail-latency with minimal
-/// resources".
-///
-/// The paper suggests reusing the budget search with latencies
-/// transformed by `f(L) = min{T, L}`; the intent is that all budgets
-/// meeting the SLA become equally good so the search settles on the
-/// smallest. We implement the transform with an explicit lexicographic
-/// tie-break — score `(max(L, T), budget)` — which makes "meets the SLA
-/// with less budget" strictly better and avoids a plateau the
-/// expand/halve walk cannot descend.
-///
-/// Returns `None` if no probed budget meets the SLA.
-pub fn minimize_budget_for_sla(
-    mut eval: impl FnMut(f64) -> f64,
-    target: f64,
-    initial_delta: f64,
-    max_budget: f64,
-    trials: usize,
-) -> Option<(f64, f64)> {
-    assert!(target > 0.0, "SLA target must be positive");
-    let mut feasible: Option<(f64, f64)> = None; // (budget, latency)
-    let result = optimize_budget(
-        |b| {
-            let latency = eval(b);
-            if latency <= target {
-                match feasible {
-                    Some((fb, _)) if fb <= b => {}
-                    _ => feasible = Some((b, latency)),
-                }
-                // Transformed score: all SLA-meeting budgets collapse to
-                // the target, plus an infinitesimal budget penalty that
-                // steers the walk toward smaller budgets.
-                target * (1.0 + 1e-6 * b)
-            } else {
-                latency.max(target)
-            }
-        },
-        initial_delta,
-        max_budget,
-        trials,
-    );
-    let _ = result;
-    feasible
-}
-
-/// Brute-force variant: sweep budgets upward from `step` in increments
-/// of `step` and return the first meeting the SLA. Simple, and exactly
-/// what §4.4 describes as "a brute force search, starting at small
-/// reissue rates". `O(max_budget / step)` evaluations worst case.
+/// resources": sweeps budgets upward from 0 in increments of `step` and
+/// returns the first meeting the SLA, exactly what §4.4 describes as "a
+/// brute force search, starting at small reissue rates".
+/// `O(max_budget / step)` evaluations worst case; `None` if no budget
+/// up to `max_budget` meets the SLA.
 pub fn minimize_budget_for_sla_sweep(
     mut eval: impl FnMut(f64) -> f64,
     target: f64,
@@ -219,19 +176,14 @@ mod tests {
     fn sla_minimization_finds_small_budget() {
         // Latency 200 at b=0 dropping linearly; SLA 150 needs b ≥ 0.05.
         let eval = |b: f64| (200.0 - 1000.0 * b).max(50.0);
-        let (b, l) = minimize_budget_for_sla(eval, 150.0, 0.01, 0.5, 30).unwrap();
+        let (b, l) = minimize_budget_for_sla_sweep(eval, 150.0, 0.01, 0.5).unwrap();
         assert!(l <= 150.0);
-        assert!(b < 0.12, "b={b}");
-
-        let (b2, l2) = minimize_budget_for_sla_sweep(eval, 150.0, 0.01, 0.5).unwrap();
-        assert!(l2 <= 150.0);
-        assert!((b2 - 0.05).abs() < 0.011, "b2={b2}");
+        assert!((b - 0.05).abs() < 0.011, "b={b}");
     }
 
     #[test]
     fn sla_unreachable_returns_none() {
         let eval = |_b: f64| 500.0;
-        assert!(minimize_budget_for_sla(eval, 100.0, 0.01, 0.3, 10).is_none());
         assert!(minimize_budget_for_sla_sweep(eval, 100.0, 0.05, 0.3).is_none());
     }
 

@@ -1,8 +1,8 @@
 //! Generators for the simulation figures (§5): Figures 2–6.
 
 use crate::{
-    eval_fixed, eval_policy, eval_tuned_single_d, eval_tuned_single_r, median, parallel_map,
-    tune_single_r, EvalStats, Scale, Table,
+    eval_fixed, eval_tuned_single_d, eval_tuned_single_r, median, parallel_map, tune_single_r,
+    EvalStats, Scale, Table,
 };
 use reissue_core::metrics::quantile;
 use reissue_core::ReissuePolicy;
@@ -146,7 +146,7 @@ pub fn fig3(scale: Scale) -> Vec<Table> {
             .iter()
             .map(|&s| {
                 let spec = w.spec(1);
-                eval_policy(&spec, queries, &[s], K, &ReissuePolicy::None).0
+                eval_fixed(&spec, queries, &[s], K, &ReissuePolicy::None).latency
             })
             .collect();
         median(&vals)
@@ -292,7 +292,7 @@ pub fn fig5a(scale: Scale) -> Vec<Table> {
     let seeds_ref = &seeds;
     let rows: Vec<Vec<f64>> = parallel_map(ratios, |r| {
         let spec = queueing(0.3, r, 41);
-        let base = eval_policy(&spec, queries, seeds_ref, K, &ReissuePolicy::None).0;
+        let base = eval_fixed(&spec, queries, seeds_ref, K, &ReissuePolicy::None).latency;
         let tuned = eval_tuned_single_r(&spec, queries, seeds_ref, K, 0.25, scale.trials(6), 0.5);
         vec![r, tuned.latency, base, tuned.rate]
     });
@@ -366,7 +366,7 @@ fn sweep_cluster_variants(
         // Figure 5 uses the Queueing workload *without* correlation.
         let spec = queueing_custom(dist, 0.0, 0.3, lb, disc, 51);
         if budget == 0.0 {
-            let (lat, _) = eval_policy(&spec, queries, seeds_ref, K, &ReissuePolicy::None);
+            let lat = eval_fixed(&spec, queries, seeds_ref, K, &ReissuePolicy::None).latency;
             (vi, budget, lat, 0.0)
         } else {
             let tuned =
@@ -425,7 +425,7 @@ pub fn fig6(scale: Scale) -> Vec<Table> {
     let rows: Vec<(usize, f64, f64, f64, f64, f64)> =
         parallel_map(jobs, |(di, dist, util, k, budget)| {
             let spec = queueing_custom(dist, 0.0, util, Balancer::Random, Discipline::Fifo, 61);
-            let base = eval_policy(&spec, queries, seeds_ref, k, &ReissuePolicy::None).0;
+            let base = eval_fixed(&spec, queries, seeds_ref, k, &ReissuePolicy::None).latency;
             let tuned =
                 eval_tuned_single_r(&spec, queries, seeds_ref, k, budget, scale.trials(6), 0.5);
             (di, util, k, budget, base / tuned.latency, tuned.rate)

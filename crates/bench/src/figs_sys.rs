@@ -7,8 +7,7 @@
 //! per process and scale.
 
 use crate::{
-    eval_policy, eval_tuned_single_d, eval_tuned_single_r, parallel_map, tune_single_r, Scale,
-    Table,
+    eval_fixed, eval_tuned_single_d, eval_tuned_single_r, parallel_map, tune_single_r, Scale, Table,
 };
 use reissue_core::budget::optimize_budget;
 use reissue_core::metrics::{Histogram, LogHistogram};
@@ -113,7 +112,7 @@ pub fn fig7a(scale: Scale) -> Vec<Table> {
         };
         let spec = cluster_for(sys, costs, 0.40, 71);
         if budget == 0.0 {
-            let (lat, _) = eval_policy(&spec, queries, seeds_ref, K, &ReissuePolicy::None);
+            let lat = eval_fixed(&spec, queries, seeds_ref, K, &ReissuePolicy::None).latency;
             (sys, budget, lat, 0.0, lat, 0.0)
         } else {
             let r = eval_tuned_single_r(&spec, queries, seeds_ref, K, budget, scale.trials(8), 0.5);
@@ -167,7 +166,7 @@ pub fn fig7b(scale: Scale) -> Vec<Table> {
         };
         let spec = cluster_for(sys, costs, util, 72);
         if budget == 0.0 {
-            let (lat, _) = eval_policy(&spec, queries, seeds_ref, K, &ReissuePolicy::None);
+            let lat = eval_fixed(&spec, queries, seeds_ref, K, &ReissuePolicy::None).latency;
             (sys, util, budget, lat, 0.0)
         } else {
             let tuned =
@@ -224,14 +223,14 @@ pub fn fig7c(scale: Scale) -> Vec<Table> {
         // Common random numbers: every budget probe tunes and measures
         // on the same realization, so probes are comparable.
         let seed = 2000;
-        let base = eval_policy(&spec, queries, &[seed], K, &ReissuePolicy::None).0;
+        let base = eval_fixed(&spec, queries, &[seed], K, &ReissuePolicy::None).latency;
         let result = optimize_budget(
             |budget| {
                 if budget == 0.0 {
                     return base;
                 }
                 let tuned = tune_single_r(&spec, queries, seed, K, budget, scale.trials(6), 0.5);
-                eval_policy(&spec, queries, &[seed], K, &tuned.policy).0
+                eval_fixed(&spec, queries, &[seed], K, &tuned.policy).latency
             },
             0.01,
             0.3,
@@ -269,10 +268,10 @@ pub fn fig8(scale: Scale) -> Vec<Table> {
     let result = optimize_budget(
         |budget| {
             if budget == 0.0 {
-                return eval_policy(&spec, queries, &[seed], K, &ReissuePolicy::None).0;
+                return eval_fixed(&spec, queries, &[seed], K, &ReissuePolicy::None).latency;
             }
             let tuned = tune_single_r(&spec, queries, seed, K, budget, scale.trials(8), 0.5);
-            eval_policy(&spec, queries, &[seed], K, &tuned.policy).0
+            eval_fixed(&spec, queries, &[seed], K, &tuned.policy).latency
         },
         0.01,
         0.3,

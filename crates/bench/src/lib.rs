@@ -272,32 +272,6 @@ impl Scale {
     }
 }
 
-/// Runs `spec` under `policy` for each seed; returns
-/// (median k-quantile, median reissue rate).
-pub fn eval_policy(
-    spec: &WorkloadSpec,
-    queries: usize,
-    seeds: &[u64],
-    k: f64,
-    policy: &ReissuePolicy,
-) -> (f64, f64) {
-    let results: Vec<(f64, f64)> = seeds
-        .iter()
-        .map(|&seed| {
-            let run = RunConfig {
-                seed,
-                ..RunConfig::new(queries)
-            };
-            let r = spec.run(&run, policy);
-            (r.quantile(k), r.reissue_rate())
-        })
-        .collect();
-    (
-        median(&results.iter().map(|r| r.0).collect::<Vec<_>>()),
-        median(&results.iter().map(|r| r.1).collect::<Vec<_>>()),
-    )
-}
-
 /// Everything a figure needs from one policy × workload measurement,
 /// medianed across seeds.
 #[derive(Clone, Copy, Debug)]
@@ -399,11 +373,7 @@ pub fn eval_tuned_single_r(
     let per_seed: Vec<EvalStats> = seeds
         .iter()
         .map(|&s| {
-            let run = RunConfig {
-                seed: s,
-                ..RunConfig::new(queries)
-            };
-            let tuned = workloads::adapt_policy(spec, &run, k, budget, learning_rate, trials);
+            let tuned = tune_single_r(spec, queries, s, k, budget, trials, learning_rate);
             eval_stats_one(spec, queries, s, k, &tuned.policy)
         })
         .collect();
@@ -553,7 +523,7 @@ mod tests {
     fn tune_single_d_converges_to_budget() {
         let spec = workloads::queueing(0.2, 0.0, 42);
         let policy = tune_single_d(&spec, 10_000, 1, 0.1, 4);
-        let (_, rate) = eval_policy(&spec, 10_000, &[9], 0.95, &policy);
+        let rate = eval_fixed(&spec, 10_000, &[9], 0.95, &policy).rate;
         assert!((rate - 0.1).abs() < 0.05, "rate={rate}");
     }
 }

@@ -11,8 +11,8 @@ pub struct Posting {
 
 /// An immutable inverted index over term-id documents.
 ///
-/// Terms are dense `u32` ids (see [`crate::Vocabulary`] for the string
-/// mapping); postings are sorted by document id. Built via
+/// Terms are dense `u32` ids (the corpus's Zipf ranks, see
+/// [`crate::corpus`]); postings are sorted by document id. Built via
 /// [`IndexBuilder`].
 #[derive(Clone, Debug)]
 pub struct InvertedIndex {

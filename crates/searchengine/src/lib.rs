@@ -3,8 +3,6 @@
 //! The reproduction's stand-in for the Lucene server of §6.3 of
 //! *Optimal Reissue Policies for Reducing Tail Latency*:
 //!
-//! * [`tokenize`] — a lowercase alphanumeric tokenizer and a string ↔
-//!   term-id [`Vocabulary`];
 //! * [`InvertedIndex`] — term → postings (doc id, term frequency) with
 //!   document lengths, built incrementally by an [`IndexBuilder`];
 //! * [`bm25`] — BM25-ranked top-k retrieval, instrumented with the
@@ -31,7 +29,6 @@
 pub mod backend;
 pub mod bm25;
 pub mod corpus;
-pub mod tokenize;
 pub mod workload;
 
 mod index;
@@ -40,5 +37,4 @@ pub use backend::SearchBackend;
 pub use bm25::{search, SearchHit};
 pub use corpus::{Corpus, CorpusConfig};
 pub use index::{IndexBuilder, InvertedIndex, Posting};
-pub use tokenize::Vocabulary;
 pub use workload::{QueryTrace, QueryWorkloadConfig, ShardedQueryWorkload};

@@ -279,6 +279,31 @@ mod tests {
     }
 
     #[test]
+    fn term_ranks_stay_inside_the_configured_range() {
+        let idx = small_index();
+        let n = idx.num_terms();
+        // One range inside the vocabulary, one whose upper end runs past it.
+        for (lo, hi) in [(5, n / 4), (20, 10 * n)] {
+            let t = QueryTrace::generate(
+                &idx,
+                QueryWorkloadConfig {
+                    num_queries: 500,
+                    term_ranks: TermRankDist::LogUniform { lo, hi },
+                    ..QueryWorkloadConfig::default()
+                },
+                100.0,
+            );
+            let range = lo as u32..hi.min(n) as u32;
+            for q in &t.queries {
+                assert!(
+                    q.iter().all(|id| range.contains(id)),
+                    "{q:?} outside {range:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn deterministic() {
         let idx = small_index();
         let a = trace(&idx, 3, 100);

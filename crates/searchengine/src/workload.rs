@@ -2,27 +2,9 @@
 //! index to obtain deterministic service costs.
 
 use crate::bm25::search;
-use crate::corpus::Zipf;
 use crate::index::InvertedIndex;
 use distributions::rng::stream;
 use rand::Rng;
-
-/// How query terms are drawn from the vocabulary rank space.
-#[derive(Clone, Copy, Debug)]
-pub enum TermRankDist {
-    /// Zipf(s) over all ranks — matches corpus statistics but yields a
-    /// very heavy query-cost tail (head terms have huge postings).
-    Zipf(f64),
-    /// Log-uniform over `[lo, hi)` — the regime real query logs live
-    /// in: popular-but-not-stopword vocabulary. Produces the moderate
-    /// spread (σ/µ ≈ 0.55) the paper measures for Lucene.
-    LogUniform {
-        /// Lowest (most popular) rank, inclusive.
-        lo: usize,
-        /// Highest rank, exclusive.
-        hi: usize,
-    },
-}
 
 /// Query workload parameters.
 #[derive(Clone, Copy, Debug)]
@@ -34,8 +16,15 @@ pub struct QueryWorkloadConfig {
     pub terms_min: usize,
     /// Maximum terms per query.
     pub terms_max: usize,
-    /// Query term selection distribution.
-    pub term_ranks: TermRankDist,
+    /// Lowest (most popular) query-term rank, inclusive. Query terms
+    /// are drawn log-uniform over `[rank_lo, rank_hi)`: the regime real
+    /// query logs live in, popular-but-not-stopword vocabulary. It
+    /// produces the moderate spread (σ/µ ≈ 0.55) the paper measures for
+    /// Lucene.
+    pub rank_lo: usize,
+    /// Highest query-term rank, exclusive; capped at the index's
+    /// vocabulary.
+    pub rank_hi: usize,
     /// Fixed per-query overhead in postings-scan units (query parsing,
     /// rewriting, result assembly — Lucene work that doesn't scale with
     /// postings). Compresses the cost coefficient of variation toward
@@ -56,7 +45,8 @@ impl Default for QueryWorkloadConfig {
             // Calibrated against the paper's measured Lucene stats:
             // σ_L ≈ 22 ms, ~1 % of queries above 100 ms, ~90 % of
             // queries between 1 and 70 ms.
-            term_ranks: TermRankDist::LogUniform { lo: 10, hi: 25_000 },
+            rank_lo: 10,
+            rank_hi: 25_000,
             base_ops: 13_000,
             top_k: 10,
             seed: 0x10ce,
@@ -92,23 +82,13 @@ impl QueryTrace {
         assert!(index.num_terms() > 0, "index must be non-empty");
 
         let n_terms = index.num_terms();
-        let zipf = match config.term_ranks {
-            TermRankDist::Zipf(s) => Some(Zipf::new(n_terms, s)),
-            TermRankDist::LogUniform { .. } => None,
-        };
+        let lo = config.rank_lo.min(n_terms - 1);
+        let hi = config.rank_hi.clamp(lo + 1, n_terms);
+        let (a, b) = ((lo.max(1) as f64).ln(), (hi as f64).ln());
         let mut rng = stream(config.seed, 20);
         let draw_rank = |rng: &mut rand::rngs::SmallRng| -> usize {
-            match (&zipf, config.term_ranks) {
-                (Some(z), _) => z.sample(rng),
-                (None, TermRankDist::LogUniform { lo, hi }) => {
-                    let lo = lo.min(n_terms.saturating_sub(1));
-                    let hi = hi.clamp(lo + 1, n_terms.max(lo + 1));
-                    let (a, b) = ((lo.max(1) as f64).ln(), (hi as f64).ln());
-                    let r = (a + (b - a) * rng.gen::<f64>()).exp() as usize;
-                    r.clamp(lo, hi - 1)
-                }
-                _ => unreachable!(),
-            }
+            let r = (a + (b - a) * rng.gen::<f64>()).exp() as usize;
+            r.clamp(lo, hi - 1)
         };
         let mut queries = Vec::with_capacity(config.num_queries);
         let mut costs_ms = Vec::with_capacity(config.num_queries);
@@ -283,17 +263,18 @@ mod tests {
         let idx = small_index();
         let n = idx.num_terms();
         // One range inside the vocabulary, one whose upper end runs past it.
-        for (lo, hi) in [(5, n / 4), (20, 10 * n)] {
+        for (rank_lo, rank_hi) in [(5, n / 4), (20, 10 * n)] {
             let t = QueryTrace::generate(
                 &idx,
                 QueryWorkloadConfig {
                     num_queries: 500,
-                    term_ranks: TermRankDist::LogUniform { lo, hi },
+                    rank_lo,
+                    rank_hi,
                     ..QueryWorkloadConfig::default()
                 },
                 100.0,
             );
-            let range = lo as u32..hi.min(n) as u32;
+            let range = rank_lo as u32..rank_hi.min(n) as u32;
             for q in &t.queries {
                 assert!(
                     q.iter().all(|id| range.contains(id)),

@@ -4,7 +4,7 @@
 
 use kvstore::{Command, KvStore, Reply};
 use reissue_core::online::OnlineConfig;
-use searchengine::workload::{QueryWorkloadConfig, TermRankDist};
+use searchengine::workload::QueryWorkloadConfig;
 use searchengine::{CorpusConfig, ShardedQueryWorkload};
 use shard::{FanoutClient, FanoutConfig, LegLatencies, ShardedCluster};
 
@@ -18,7 +18,8 @@ fn small_workload(shards: usize) -> ShardedQueryWorkload {
             num_queries: 200,
             terms_min: 1,
             terms_max: 3,
-            term_ranks: TermRankDist::LogUniform { lo: 5, hi: 1_500 },
+            rank_lo: 5,
+            rank_hi: 1_500,
             base_ops: 2_000,
             top_k: 5,
             seed: 7,

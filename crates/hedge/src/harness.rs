@@ -10,8 +10,8 @@
 //!   [`Cluster::set_nanos_per_op`] so a running replica can be
 //!   sickened or healed mid-experiment;
 //! * an **open-loop load generator** ([`Cluster::run_load`]) — queries
-//!   arrive on a clock ([`Arrivals`]: fixed-interval, Poisson, or
-//!   bursts) *regardless of completions*, as in the paper's §6 system
+//!   arrive on a clock ([`Arrivals`]: fixed-interval or Poisson)
+//!   *regardless of completions*, as in the paper's §6 system
 //!   experiments. Admission is bounded: at most
 //!   [`LoadConfig::max_in_flight`] queries may be outstanding, and an
 //!   arrival that finds the window full is **dropped and counted** —
@@ -135,16 +135,6 @@ pub enum Arrivals {
         /// Mean inter-arrival time, microseconds.
         mean_us: u64,
     },
-    /// Bursty arrivals: `size` back-to-back queries, then one `gap`.
-    /// The average rate matches `Poisson`/`Fixed` at
-    /// `gap_us / size`, but arrivals cluster — the adversarial shape
-    /// for a budget governor.
-    Burst {
-        /// Queries per burst.
-        size: usize,
-        /// Microseconds between bursts.
-        gap_us: u64,
-    },
 }
 
 impl Arrivals {
@@ -153,13 +143,11 @@ impl Arrivals {
         match *self {
             Arrivals::Fixed { interval_us } => 1e6 / interval_us.max(1) as f64,
             Arrivals::Poisson { mean_us } => 1e6 / mean_us.max(1) as f64,
-            Arrivals::Burst { size, gap_us } => size as f64 * 1e6 / gap_us.max(1) as f64,
         }
     }
 
-    /// The gap to sleep *after* arrival `i`. Burst arrivals sleep only
-    /// at burst boundaries.
-    fn gap_after(&self, i: usize, rng: &mut SmallRng) -> Duration {
+    /// The gap to sleep after an arrival.
+    fn gap_after(&self, rng: &mut SmallRng) -> Duration {
         match *self {
             Arrivals::Fixed { interval_us } => Duration::from_micros(interval_us),
             Arrivals::Poisson { mean_us } => {
@@ -169,13 +157,6 @@ impl Arrivals {
                 // value cannot produce ∞.
                 let u: f64 = rng.gen::<f64>().max(1e-12);
                 Duration::from_secs_f64(-u.ln() * mean_us as f64 * 1e-6)
-            }
-            Arrivals::Burst { size, gap_us } => {
-                if (i + 1) % size.max(1) == 0 {
-                    Duration::from_micros(gap_us)
-                } else {
-                    Duration::ZERO
-                }
             }
         }
     }
@@ -573,8 +554,7 @@ pub fn run_open_loop<C: LoadClient>(
                     in_flight.fetch_sub(1, Ordering::Release);
                 });
             }
-            // A burst's zero gap resolves at once.
-            next_arrival += arrivals.gap_after(i, &mut rng);
+            next_arrival += arrivals.gap_after(&mut rng);
             rt.sleep_until(next_arrival).await;
         }
         apply_script(cfg.queries);
@@ -636,31 +616,12 @@ mod tests {
     fn arrivals_rates() {
         assert!((Arrivals::Fixed { interval_us: 500 }.rate_qps() - 2_000.0).abs() < 1e-9);
         assert!((Arrivals::Poisson { mean_us: 2_000 }.rate_qps() - 500.0).abs() < 1e-9);
-        assert!(
-            (Arrivals::Burst {
-                size: 10,
-                gap_us: 10_000
-            }
-            .rate_qps()
-                - 1_000.0)
-                .abs()
-                < 1e-9
-        );
-        // Burst gaps only land at burst boundaries.
         let mut rng = SmallRng::seed_from_u64(1);
-        let b = Arrivals::Burst {
-            size: 3,
-            gap_us: 900,
-        };
-        let gaps: Vec<u128> = (0..6)
-            .map(|i| b.gap_after(i, &mut rng).as_micros())
-            .collect();
-        assert_eq!(gaps, vec![0, 0, 900, 0, 0, 900]);
         // Poisson gaps average their mean. At 20 µs a whole-µs floor
         // offered 2.5% more load than `rate_qps` reports (19.50 µs).
         let p = Arrivals::Poisson { mean_us: 20 };
         let n = 200_000;
-        let total: Duration = (0..n).map(|i| p.gap_after(i, &mut rng)).sum();
+        let total: Duration = (0..n).map(|_| p.gap_after(&mut rng)).sum();
         let mean_us = total.as_secs_f64() * 1e6 / n as f64;
         assert!((mean_us - 20.0).abs() < 0.2, "poisson mean {mean_us} µs");
     }

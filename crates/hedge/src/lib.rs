@@ -45,7 +45,7 @@
 //! * [`harness`] — the scale-out experiment harness:
 //!   [`harness::Cluster`] (programmatic N-replica TCP clusters with
 //!   live per-replica sickness scripting) and an open-loop
-//!   Poisson/burst load generator with bounded admission,
+//!   fixed-interval or Poisson load generator with bounded admission,
 //!   backpressure accounting, and streaming latency histograms — the
 //!   machinery behind the TCP figure sweeps and the cluster example.
 //!

@@ -249,11 +249,6 @@ impl LoadSignal {
         }
     }
 
-    /// Capacity units this signal normalizes by.
-    pub fn replicas(&self) -> usize {
-        self.replicas
-    }
-
     /// Records one attempt put on the wire — call for the primary
     /// *and* every reissue, so the rate estimate prices in hedging's
     /// own load contribution.
@@ -329,11 +324,6 @@ impl LoadSignal {
     /// estimators. Lock-free read of the cached value.
     pub fn utilization(&self) -> f64 {
         f64::from_bits(self.rho_bits.load(Ordering::Relaxed))
-    }
-
-    /// Queries currently outstanding.
-    pub fn in_flight(&self) -> usize {
-        self.in_flight.load(Ordering::Relaxed)
     }
 
     /// A consistent snapshot of every estimator, for reporting.
@@ -526,11 +516,11 @@ mod tests {
         let sig = LoadSignal::new(2);
         sig.query_start();
         sig.query_start();
-        assert_eq!(sig.in_flight(), 2);
+        assert_eq!(sig.snapshot().in_flight, 2);
         sig.query_end(None);
         sig.query_end(None);
         sig.query_end(None); // stray end must not wrap
-        assert_eq!(sig.in_flight(), 0);
+        assert_eq!(sig.snapshot().in_flight, 0);
         assert_eq!(sig.snapshot().completions, 0);
     }
 

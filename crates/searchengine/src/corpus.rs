@@ -154,11 +154,6 @@ impl Corpus {
         }
         b.build()
     }
-
-    /// Total token count.
-    pub fn total_tokens(&self) -> usize {
-        self.docs.iter().map(Vec::len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -237,7 +232,8 @@ mod tests {
     #[test]
     fn doc_lengths_near_mean() {
         let c = Corpus::generate(CorpusConfig::small(6));
-        let mean = c.total_tokens() as f64 / c.docs.len() as f64;
+        let tokens: usize = c.docs.iter().map(Vec::len).sum();
+        let mean = tokens as f64 / c.docs.len() as f64;
         assert!((mean - 40.0).abs() < 8.0, "mean={mean}");
     }
 

@@ -158,8 +158,10 @@ impl<T: QueueItem> WaitQueue<T> {
         }
     }
 
-    /// Dequeues the next item under the discipline. `_now` is the
-    /// caller's clock, which no discipline reads any more.
+    /// Dequeues the next item under the discipline. The argument is
+    /// ignored: every discipline's order is fixed at push. It is kept
+    /// only for source compatibility with callers that pass a clock
+    /// (the benchmark's layer timings do).
     pub fn pop(&mut self, _now: f64) -> Option<T> {
         let mut i = 0;
         if let Discipline::RoundRobin { .. } = self.discipline {

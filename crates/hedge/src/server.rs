@@ -898,7 +898,7 @@ fn sweep_loop<B: Backend>(shared: &Shared<B>) {
                     break Turn::HandedOver(running);
                 }
                 if sched.slot != Slot::Reader {
-                    if let Some(item) = sched.queue.pop(shared.now_ms()) {
+                    if let Some(item) = sched.queue.pop(0.0) {
                         sched.slot = Slot::Sweeper;
                         break Turn::Popped(item);
                     }
@@ -936,7 +936,7 @@ fn serve_in_place<B: Backend>(shared: &Shared<B>, mut head: SchedItem, scratch: 
             finish_request(shared, running, scratch);
         }
         let mut sched = shared.sched.lock().unwrap();
-        match sched.queue.pop(shared.now_ms()) {
+        match sched.queue.pop(0.0) {
             Some(next) => head = next,
             None => {
                 sched.slot = Slot::Free;

@@ -220,9 +220,6 @@ impl FanoutClient {
     /// per-leg queries, i.e. the per-leg fraction the shared budget
     /// caps.
     pub fn realized_reissue_rate(&self) -> f64 {
-        if let Some(g) = &self.governor {
-            return g.realized_rate();
-        }
         let (queries, reissues) = self.load_counters();
         reissues as f64 / queries.max(1) as f64
     }

@@ -110,29 +110,45 @@ fn blocked_race_sends_no_canceltie_from_the_reissues_server() {
 
 /// A tie is registered when the reissue goes out, not when a reissue
 /// is armed: queries whose 50 ms stage never fires against idle
-/// replicas leave every tie table untouched.
+/// replicas leave every tie table untouched, as do queries with no
+/// stage at all. Either way each query runs exactly once and forms no
+/// pair.
 #[test]
 fn armed_queries_that_never_reissue_register_no_tie() {
-    let servers = [
-        TcpServer::bind("127.0.0.1:0", monster_store(), TcpServerConfig::default()).unwrap(),
-        TcpServer::bind("127.0.0.1:0", monster_store(), TcpServerConfig::default()).unwrap(),
-    ];
-    let addrs: Vec<_> = servers.iter().map(|s| s.local_addr()).collect();
-    let client = HedgedClient::connect(
-        &addrs,
-        HedgeConfig {
-            policy: ReissuePolicy::single_r(50.0, 1.0),
-            online: None,
-            ..HedgeConfig::default()
-        },
-    )
-    .unwrap();
-    for _ in 0..20 {
-        assert_eq!(client.execute_blocking(Command::Ping).unwrap(), Reply::Pong);
-    }
-    assert_eq!(client.stats().reissues, 0, "{:?}", client.stats());
-    for (i, s) in servers.iter().enumerate() {
-        assert_eq!(s.tie_stats(), Default::default(), "replica {i}");
+    for policy in [ReissuePolicy::None, ReissuePolicy::single_r(50.0, 1.0)] {
+        let servers = [
+            TcpServer::bind("127.0.0.1:0", monster_store(), TcpServerConfig::default()).unwrap(),
+            TcpServer::bind("127.0.0.1:0", monster_store(), TcpServerConfig::default()).unwrap(),
+        ];
+        let addrs: Vec<_> = servers.iter().map(|s| s.local_addr()).collect();
+        let client = HedgedClient::connect(
+            &addrs,
+            HedgeConfig {
+                policy: policy.clone(),
+                online: None,
+                ..HedgeConfig::default()
+            },
+        )
+        .unwrap();
+        for _ in 0..20 {
+            assert_eq!(client.execute_blocking(Command::Ping).unwrap(), Reply::Pong);
+        }
+        let stats = client.stats();
+        assert_eq!(stats.queries, 20, "{policy:?}: {stats:?}");
+        assert_eq!(
+            (
+                stats.reissues,
+                stats.pairs_exact + stats.pairs_censored,
+                stats.cancelled_in_time
+            ),
+            (0, 0, 0),
+            "{policy:?}: {stats:?}"
+        );
+        let commands: u64 = servers.iter().map(|s| s.stats().commands).sum();
+        assert_eq!(commands, 20, "{policy:?}: each query runs exactly once");
+        for (i, s) in servers.iter().enumerate() {
+            assert_eq!(s.tie_stats(), Default::default(), "{policy:?}: replica {i}");
+        }
     }
 }
 

@@ -23,8 +23,7 @@
 //!    identical to flipping at fire time), arming at most one
 //!    deadline;
 //! 2. dispatches the job's **first wave** ([`Job::primaries`]
-//!    attempts). With one primary and nothing armed there is no race:
-//!    the one attempt is awaited directly;
+//!    attempts);
 //! 3. races every in-flight attempt against the deadline timer
 //!    ([`crate::rt::select_all`], over attempts kept inline in the
 //!    query's own future, so arming allocates nothing). A deadline
@@ -41,9 +40,9 @@
 //!    its [`CancelToken`]: the transport pushes `CANCEL <seq>` to the
 //!    backend, which retracts the copy queued or in service;
 //! 5. feeds observations into the [`OnlineAdapter`] when there is one.
-//!    Un-raced queries feed the primary stream; **raced queries feed
-//!    joint `(straggler, reissue)` pairs**, exact when the loser
-//!    completed, censored at the loser's elapsed-at-retraction lower
+//!    A query that sent no reissue feeds the primary stream; **raced
+//!    queries feed joint `(straggler, reissue)` pairs**, exact when the
+//!    loser completed, censored at the loser's elapsed-at-retraction lower
 //!    bound when the cancel landed in time, so the adapter can run the
 //!    §4.2 *correlated* optimizer instead of the independence model
 //!    (see `reissue_core::online`). The straggler is the lowest-index
@@ -298,11 +297,7 @@ impl Core {
         if let Some(load) = &self.load {
             load.query_start();
         }
-        let raced = if job.primaries() == 1 && armed.is_none() {
-            self.unraced(&mut job).await
-        } else {
-            self.staged_race(&mut job, armed, started).await
-        };
+        let raced = self.staged_race(&mut job, armed, started).await;
 
         let won = raced.won.is_some();
         let result = match raced.last_err {
@@ -325,8 +320,8 @@ impl Core {
             load.query_end(ok.then_some(elapsed_ms));
         }
         if ok {
-            // Un-raced completions feed the primary stream directly.
-            // Raced queries are *not* observed here: their joint
+            // A query that sent no reissue feeds the primary stream
+            // directly. Raced queries are *not* observed here: their joint
             // (straggler, reissue) outcome, exact or censored, is
             // assembled by the `RaceBook` once both participants
             // resolve, so the adapter sees correlated pairs instead of
@@ -340,30 +335,6 @@ impl Core {
             bump(&self.counters.errors);
         }
         result
-    }
-
-    /// One primary, nothing armed: nothing to race, so no attempt
-    /// table, no token kept and no timer. The request path of an
-    /// unhedged client, and of the share of a hedged client's queries
-    /// whose coin came up tails.
-    async fn unraced<J: Job>(&self, job: &mut J) -> Raced {
-        let (cmd, target) = job.attempt(0, &self.replicas);
-        if let Some(load) = &self.load {
-            load.note_dispatch();
-        }
-        let replica = self.replicas.replica(target);
-        let out = replica.request(cmd, CancelToken::new()).await;
-        let (won, last_err) = match out.map(|reply| job.accept(0, reply)) {
-            Ok(Verdict::Done) => (Some(0), None),
-            Ok(Verdict::Progress) => (None, None),
-            Ok(Verdict::Useless(e)) => (None, e),
-            Err(e) => (None, Some(e)),
-        };
-        Raced {
-            won,
-            reissued: false,
-            last_err,
-        }
     }
 
     /// Races the job's first wave against the deadline `armed` ms after

@@ -60,6 +60,39 @@ fn routed_commands_land_on_the_owning_shard() {
     }
 }
 
+/// One governor rule, one governor: with an online budget `b` the
+/// fan-out's governor caps at `1.25 b` and every leg's queries count in
+/// it; with neither a budget nor an online config there is none.
+#[test]
+fn one_governor_follows_the_budget_rule_and_serves_every_leg() {
+    let shards = 3;
+    let cluster = ShardedCluster::spawn(vec![KvStore::new(); shards], 1, 0).unwrap();
+    let budget = 0.04;
+    let online = OnlineConfig {
+        budget,
+        ..OnlineConfig::default()
+    };
+    let client = FanoutClient::connect(
+        &cluster,
+        FanoutConfig {
+            online: Some(online),
+            ..FanoutConfig::default()
+        },
+    )
+    .unwrap();
+    let governor = client.governor().expect("online budget");
+    assert_eq!(governor.cap(), 1.25 * budget);
+    let calls = 7;
+    for _ in 0..calls {
+        let reply = client.execute_all_blocking(&Command::Ping);
+        assert_eq!(reply.ok_legs(), shards);
+    }
+    assert_eq!(governor.queries(), (calls * shards) as u64);
+
+    let ungoverned = FanoutClient::connect(&cluster, FanoutConfig::default()).unwrap();
+    assert!(ungoverned.governor().is_none());
+}
+
 #[test]
 fn fanout_gathers_all_legs_and_merges_top_k() {
     let wl = small_workload(3);

@@ -40,13 +40,13 @@
 
 use crate::{median, Scale, Table};
 
-use hedge::{Arrivals, LoadConfig, LoadReport, SicknessEvent};
+use hedge::{Arrivals, HedgeConfig, LoadConfig, LoadReport, SicknessEvent};
 use reissue_core::metrics::LogHistogram;
 use reissue_core::online::OnlineConfig;
 use reissue_core::policy::ReissuePolicy;
 use searchengine::workload::QueryWorkloadConfig;
 use searchengine::{CorpusConfig, ShardedQueryWorkload};
-use shard::{FanoutClient, FanoutConfig, ShardedCluster};
+use shard::{FanoutClient, ShardedCluster};
 
 /// The fan-out experiments target P99, like the other §6 figures.
 const K: f64 = 0.99;
@@ -76,6 +76,17 @@ const REPLICAS_PER_SHARD: usize = 2;
 const UTIL: f64 = 0.40;
 /// Bounded admission on concurrently outstanding *fan-outs*.
 const MAX_IN_FLIGHT: usize = 64;
+
+/// Every phase's client config starts here: two connections per
+/// replica, not the default four, which at width 100 would open 800
+/// client connections (an I/O thread each) beside the 200 servers on
+/// the same box.
+fn leg_config() -> HedgeConfig {
+    HedgeConfig {
+        pool_per_replica: 2,
+        ..HedgeConfig::default()
+    }
+}
 
 /// Fan-out widths swept (the (0.99)^N compounding axis).
 const WIDTHS: [usize; 3] = [1, 10, 100];
@@ -217,7 +228,7 @@ fn run_phase(
     cluster: &ShardedCluster<searchengine::SearchBackend>,
     wl: &ShardedQueryWorkload,
     queries: usize,
-    cfg: FanoutConfig,
+    cfg: HedgeConfig,
 ) -> (LoadReport, LogHistogram, FanoutClient) {
     let client = FanoutClient::connect(cluster, cfg).expect("connect fan-out client");
     let warm = load_config(wl, WARMUP_QUERIES, cluster.shards());
@@ -281,8 +292,7 @@ pub fn figtcp_fanout(scale: Scale) -> Vec<Table> {
 
         // Unhedged baseline, once per width: both the per-leg and the
         // aggregate tail, so the table shows the compounding directly.
-        let (base, base_leg_ms, base_client) =
-            run_phase(&cluster, &wl, queries, FanoutConfig::default());
+        let (base, base_leg_ms, base_client) = run_phase(&cluster, &wl, queries, leg_config());
         let unhedged_leg_p99 = base_leg_ms.quantile(K).unwrap_or(f64::NAN);
         let unhedged_agg_p99 = agg_p99(&base);
         drop(base_client);
@@ -294,7 +304,7 @@ pub fn figtcp_fanout(scale: Scale) -> Vec<Table> {
                 &cluster,
                 &wl,
                 queries,
-                FanoutConfig {
+                HedgeConfig {
                     // A short window tracks the transient-slowness
                     // regime shifts; re-optimization is throttled at
                     // width 100, where 100 per-leg adapters would
@@ -309,8 +319,7 @@ pub fn figtcp_fanout(scale: Scale) -> Vec<Table> {
                         min_pairs: 32,
                         load: None,
                     }),
-                    budget: Some(budget),
-                    ..FanoutConfig::default()
+                    ..leg_config()
                 },
             );
             let online_p99 = agg_p99(&online);
@@ -324,10 +333,10 @@ pub fn figtcp_fanout(scale: Scale) -> Vec<Table> {
                 &cluster,
                 &wl,
                 queries,
-                FanoutConfig {
+                HedgeConfig {
                     policy: ReissuePolicy::single_r(d_star.max(0.1), q_star.clamp(0.001, 1.0)),
-                    budget: Some(budget),
-                    ..FanoutConfig::default()
+                    budget_cap: Some(1.25 * budget),
+                    ..leg_config()
                 },
             );
             let static_p99 = agg_p99(&stat);

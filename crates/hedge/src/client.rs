@@ -45,9 +45,10 @@ pub struct HedgeConfig {
     /// adapter is mid-correction (serving feeds back into the latency
     /// distribution, so `P(T > d)` moves between re-optimizations).
     /// Defaults to 1.25× the online budget when online adaptation is
-    /// on — a governor pinned exactly at the steady-state demand
-    /// denies hedges first-come-first-served, which starves precisely
-    /// the stragglers that arrive in bursts behind a query of death.
+    /// on ([`BudgetGovernor::for_config`]) — a governor pinned exactly
+    /// at the steady-state demand denies hedges first-come-first-served,
+    /// which starves precisely the stragglers that arrive in bursts
+    /// behind a query of death.
     /// A reissue denied quota *re-asks* one delay later rather than
     /// being dropped: a query still outstanding after several delays
     /// is precisely the straggler hedging exists for.
@@ -55,9 +56,9 @@ pub struct HedgeConfig {
     /// An externally shared governor. When set it takes precedence
     /// over `budget_cap`: several clients handed clones of one
     /// [`BudgetGovernor`] draw reissue quota from a single pool — the
-    /// scatter-gather fan-out aggregator gives every per-shard client
-    /// the same governor so hedging is per-shard but the *budget* is
-    /// cross-shard.
+    /// `shard` crate's fan-out makes one with
+    /// [`BudgetGovernor::for_config`] and gives it to every per-shard
+    /// client, so hedging is per-shard but the *budget* is cross-shard.
     pub governor: Option<Arc<BudgetGovernor>>,
     /// TCP connections per replica. Each carries one request at a time
     /// (see [`crate::transport`]), so this is also the most requests of
@@ -113,6 +114,17 @@ impl BudgetGovernor {
             queries: AtomicU64::new(0),
             reissues: AtomicU64::new(0),
         }
+    }
+
+    /// The governor `cfg` asks for: [`HedgeConfig::governor`] if set,
+    /// else one capped at [`HedgeConfig::budget_cap`], else at 1.25×
+    /// the online budget when online adaptation is on, else none.
+    pub fn for_config(cfg: &HedgeConfig) -> Option<Arc<BudgetGovernor>> {
+        cfg.governor.clone().or_else(|| {
+            cfg.budget_cap
+                .or(cfg.online.map(|o| 1.25 * o.budget))
+                .map(|cap| Arc::new(BudgetGovernor::new(cap)))
+        })
     }
 
     /// The configured cap (reissues per query).

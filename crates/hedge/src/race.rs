@@ -190,11 +190,9 @@ pub struct Core {
 }
 
 impl Core {
-    /// Connects to the replicas on `rt`. The governor is
-    /// `cfg.governor` if set, else one capped at `cfg.budget_cap`,
-    /// else at 1.25× the online budget when online adaptation is on.
-    /// Shared from the start: the losers a race leaves behind drain on
-    /// tasks that hold the core.
+    /// Connects to the replicas on `rt`, governed by
+    /// [`BudgetGovernor::for_config`]. Shared from the start: the
+    /// losers a race leaves behind drain on tasks that hold the core.
     ///
     /// A `MultipleR` policy is refused with
     /// [`std::io::ErrorKind::InvalidInput`] before any socket is
@@ -214,11 +212,7 @@ impl Core {
             policy => policy.stages().first().copied(),
         };
         let replicas = ReplicaSet::connect(addrs, cfg.pool_per_replica)?;
-        let governor = cfg.governor.clone().or_else(|| {
-            cfg.budget_cap
-                .or(cfg.online.map(|o| 1.25 * o.budget))
-                .map(|cap| Arc::new(BudgetGovernor::new(cap)))
-        });
+        let governor = BudgetGovernor::for_config(&cfg);
         let load = cfg
             .online
             .and_then(|o| o.load.map(|_| LoadSignal::new(addrs.len().max(1))));

@@ -33,50 +33,9 @@ use hedge::transport::TransportError;
 use hedge::{BudgetGovernor, HedgeConfig, HedgedClient, LoadClient};
 use kvstore::{Backend, Command, Hit, Reply};
 use reissue_core::metrics::LogHistogram;
-use reissue_core::online::OnlineConfig;
-use reissue_core::policy::ReissuePolicy;
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// Configuration for [`FanoutClient`].
-#[derive(Clone, Debug)]
-pub struct FanoutConfig {
-    /// Starting reissue policy, applied per shard leg (each leg's
-    /// hedging runs against its own replica group).
-    pub policy: ReissuePolicy,
-    /// When set, every leg runs its own `OnlineAdapter` (per-shard
-    /// latency distributions re-optimize independently) — but all legs
-    /// still draw from the one shared budget below.
-    pub online: Option<OnlineConfig>,
-    /// Target per-leg reissue budget (reissues / leg-queries),
-    /// enforced *across* legs by one shared [`BudgetGovernor`] at
-    /// 1.25× headroom (matching [`HedgeConfig::budget_cap`]'s default
-    /// relationship to the online budget). Defaults to the online
-    /// budget when unset; `None` with `online: None` means ungoverned.
-    pub budget: Option<f64>,
-    /// TCP connections per replica, per leg.
-    pub pool_per_replica: usize,
-    /// Executor worker threads — one runtime shared by every leg.
-    pub workers: usize,
-    /// Seed for the legs' reissue coin flips (varied per leg). Each
-    /// leg retracts its losers as every hedged race does: the reissue
-    /// tied to the straggler, and the client's `CANCEL` for the rest.
-    pub seed: u64,
-}
-
-impl Default for FanoutConfig {
-    fn default() -> Self {
-        FanoutConfig {
-            policy: ReissuePolicy::None,
-            online: None,
-            budget: None,
-            pool_per_replica: 2,
-            workers: 4,
-            seed: 0xFA20,
-        }
-    }
-}
 
 /// One leg of a scatter-gather request.
 #[derive(Clone, Debug)]
@@ -156,29 +115,24 @@ pub struct FanoutClient {
 
 impl FanoutClient {
     /// Connects one [`HedgedClient`] to each shard group of `cluster`,
-    /// all sharing one runtime and (when a budget is configured) one
-    /// [`BudgetGovernor`].
+    /// all sharing one runtime of `cfg.workers` threads and one
+    /// [`BudgetGovernor::for_config`] of `cfg`. Every leg runs `cfg`'s
+    /// policy (and its own online adapter, if `cfg` has one) over its
+    /// own replica group, with a coin seed derived from `cfg.seed`.
     pub fn connect<B: Backend>(
         cluster: &ShardedCluster<B>,
-        cfg: FanoutConfig,
+        cfg: HedgeConfig,
     ) -> std::io::Result<FanoutClient> {
         let rt = Runtime::new(cfg.workers);
-        let governor = cfg
-            .budget
-            .or(cfg.online.map(|o| o.budget))
-            .map(|cap| Arc::new(BudgetGovernor::new(1.25 * cap)));
+        let governor = BudgetGovernor::for_config(&cfg);
         let legs = (0..cluster.shards())
             .map(|s| {
                 let leg_cfg = HedgeConfig {
-                    policy: cfg.policy.clone(),
-                    online: cfg.online,
-                    budget_cap: None,
                     governor: governor.clone(),
-                    pool_per_replica: cfg.pool_per_replica,
-                    workers: cfg.workers,
                     seed: cfg
                         .seed
                         .wrapping_add(0x9E37_79B9_97F4_A7C1u64.wrapping_mul(s as u64)),
+                    ..cfg.clone()
                 };
                 HedgedClient::connect_with_runtime(rt.clone(), &cluster.group_addrs(s), leg_cfg)
             })

@@ -41,6 +41,6 @@ pub mod partition;
 pub mod striped;
 
 pub use cluster::ShardedCluster;
-pub use fanout::{FanoutClient, FanoutConfig, FanoutReply, LegLatencies, LegRecorder, LegReply};
+pub use fanout::{FanoutClient, FanoutReply, LegLatencies, LegRecorder, LegReply};
 pub use partition::{fnv1a, Keyspace};
 pub use striped::StripedGroup;

@@ -6,9 +6,9 @@ use kvstore::{Command, KvStore, Reply};
 use reissue_core::online::OnlineConfig;
 use searchengine::workload::QueryWorkloadConfig;
 use searchengine::{CorpusConfig, ShardedQueryWorkload};
-use shard::{FanoutClient, FanoutConfig, LegLatencies, ShardedCluster};
+use shard::{FanoutClient, LegLatencies, ShardedCluster};
 
-use hedge::{Arrivals, LoadConfig, SicknessEvent};
+use hedge::{Arrivals, HedgeConfig, LoadConfig, SicknessEvent};
 
 fn small_workload(shards: usize) -> ShardedQueryWorkload {
     ShardedQueryWorkload::generate(
@@ -31,7 +31,7 @@ fn small_workload(shards: usize) -> ShardedQueryWorkload {
 #[test]
 fn routed_commands_land_on_the_owning_shard() {
     let cluster = ShardedCluster::spawn(vec![KvStore::new(); 4], 1, 0).unwrap();
-    let client = FanoutClient::connect(&cluster, FanoutConfig::default()).unwrap();
+    let client = FanoutClient::connect(&cluster, HedgeConfig::default()).unwrap();
     assert_eq!(client.shards(), 4);
 
     for i in 0..32 {
@@ -74,9 +74,9 @@ fn one_governor_follows_the_budget_rule_and_serves_every_leg() {
     };
     let client = FanoutClient::connect(
         &cluster,
-        FanoutConfig {
+        HedgeConfig {
             online: Some(online),
-            ..FanoutConfig::default()
+            ..HedgeConfig::default()
         },
     )
     .unwrap();
@@ -89,7 +89,7 @@ fn one_governor_follows_the_budget_rule_and_serves_every_leg() {
     }
     assert_eq!(governor.queries(), (calls * shards) as u64);
 
-    let ungoverned = FanoutClient::connect(&cluster, FanoutConfig::default()).unwrap();
+    let ungoverned = FanoutClient::connect(&cluster, HedgeConfig::default()).unwrap();
     assert!(ungoverned.governor().is_none());
 }
 
@@ -97,7 +97,7 @@ fn one_governor_follows_the_budget_rule_and_serves_every_leg() {
 fn fanout_gathers_all_legs_and_merges_top_k() {
     let wl = small_workload(3);
     let cluster = ShardedCluster::spawn(wl.backends(), 2, 150).unwrap();
-    let client = FanoutClient::connect(&cluster, FanoutConfig::default()).unwrap();
+    let client = FanoutClient::connect(&cluster, HedgeConfig::default()).unwrap();
 
     for i in 0..20 {
         let reply = client.execute_all_blocking(&wl.command(i));
@@ -133,7 +133,7 @@ fn sick_shard_degrades_gracefully_within_shared_budget() {
     let budget = 0.05;
     let client = FanoutClient::connect(
         &cluster,
-        FanoutConfig {
+        HedgeConfig {
             online: Some(OnlineConfig {
                 k: 0.99,
                 budget,
@@ -143,8 +143,7 @@ fn sick_shard_degrades_gracefully_within_shared_budget() {
                 min_pairs: 24,
                 load: None,
             }),
-            budget: Some(budget),
-            ..FanoutConfig::default()
+            ..HedgeConfig::default()
         },
     )
     .unwrap();
@@ -240,7 +239,7 @@ fn sick_shard_degrades_gracefully_within_shared_budget() {
 #[test]
 fn load_counts_a_fanout_failed_only_when_every_leg_did() {
     let cluster = ShardedCluster::spawn(vec![KvStore::new(); 3], 2, 0).unwrap();
-    let client = FanoutClient::connect(&cluster, FanoutConfig::default()).unwrap();
+    let client = FanoutClient::connect(&cluster, HedgeConfig::default()).unwrap();
     let queries = 120;
     let load = LoadConfig {
         queries,

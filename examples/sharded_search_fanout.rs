@@ -18,11 +18,11 @@
 //! cargo run --release --example sharded_search_fanout
 //! ```
 
-use reissue::hedge::{Arrivals, LoadConfig, SicknessEvent};
+use reissue::hedge::{Arrivals, HedgeConfig, LoadConfig, SicknessEvent};
 use reissue::online::OnlineConfig;
 use reissue::policy::ReissuePolicy;
 use reissue::search::{CorpusConfig, QueryWorkloadConfig, ShardedQueryWorkload};
-use reissue::shard::{FanoutClient, FanoutConfig, ShardedCluster};
+use reissue::shard::{FanoutClient, ShardedCluster};
 
 const SHARDS: usize = 16;
 const REPLICAS: usize = 2;
@@ -108,9 +108,16 @@ fn main() {
         ..warmup.clone()
     };
 
+    // Every phase's client starts from two connections per replica, not
+    // the default four: 16 legs x 2 replicas x 2 is already 64 client
+    // connections beside the 32 servers on this box.
+    let leg = HedgeConfig {
+        pool_per_replica: 2,
+        ..HedgeConfig::default()
+    };
+
     // Phase 1 — unhedged: watch the per-leg tail compound.
-    let base_client =
-        FanoutClient::connect(&cluster, FanoutConfig::default()).expect("connect fan-out client");
+    let base_client = FanoutClient::connect(&cluster, leg.clone()).expect("connect fan-out client");
     let _ = cluster.run_load(&base_client, &warmup, wl.command_fn());
     let base_legs = base_client.record_legs();
     let base = cluster.run_load(&base_legs, &load, wl.command_fn());
@@ -136,10 +143,10 @@ fn main() {
     let deep_d = 3.0 * wl.mean_leg_ms();
     let hedged_client = FanoutClient::connect(
         &cluster,
-        FanoutConfig {
+        HedgeConfig {
             policy: ReissuePolicy::single_r(deep_d, 1.0),
-            budget: Some(BUDGET),
-            ..FanoutConfig::default()
+            budget_cap: Some(1.25 * BUDGET),
+            ..leg.clone()
         },
     )
     .expect("connect hedged fan-out client");
@@ -162,7 +169,7 @@ fn main() {
     // holds global reissue spend at the budget no matter the width.
     let online_client = FanoutClient::connect(
         &cluster,
-        FanoutConfig {
+        HedgeConfig {
             online: Some(OnlineConfig {
                 k: 0.99,
                 budget: BUDGET,
@@ -172,8 +179,7 @@ fn main() {
                 min_pairs: 24,
                 load: None,
             }),
-            budget: Some(BUDGET),
-            ..FanoutConfig::default()
+            ..leg
         },
     )
     .expect("connect online fan-out client");

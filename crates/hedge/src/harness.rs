@@ -410,11 +410,6 @@ impl<B: Backend> Cluster<B> {
         }
     }
 
-    /// Total commands executed across all replicas.
-    pub fn total_commands(&self) -> u64 {
-        self.servers.iter().map(|s| s.stats().commands).sum()
-    }
-
     /// Drives `cfg.queries` arrivals through `client` open-loop and
     /// waits for every dispatched query to drain. `make_cmd` produces
     /// the command for arrival `i`.

@@ -86,11 +86,6 @@ impl<B: Backend> ShardedCluster<B> {
         }
     }
 
-    /// Total commands executed across all replicas of all shards.
-    pub fn total_commands(&self) -> u64 {
-        self.groups.iter().map(|g| g.total_commands()).sum()
-    }
-
     /// Drives `cfg.queries` arrivals through `client` open-loop: one
     /// fan-out per arrival for a [`crate::FanoutClient`] (or its
     /// [`crate::LegRecorder`]). A [`hedge::SicknessEvent`] names its

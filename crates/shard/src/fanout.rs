@@ -17,16 +17,12 @@
 //! (a sick shard can draw more than its 1/N share) without the
 //! cluster-wide rate exceeding the budget.
 //!
-//! Single-key commands route by [`Keyspace`] hash instead of fanning
-//! out ([`FanoutClient::execute_routed`]).
-//!
 //! Under open-loop load a fan-out is one arrival: [`FanoutClient`] is
 //! a [`hedge::LoadClient`] of [`ShardedCluster::run_load`]. What that
 //! loop has no notion of, the latency of each leg, is recorded by the
 //! client handle a run is given ([`LegRecorder`]).
 
 use crate::cluster::ShardedCluster;
-use crate::partition::Keyspace;
 
 use hedge::rt::Runtime;
 use hedge::transport::TransportError;
@@ -110,7 +106,6 @@ pub struct FanoutClient {
     rt: Runtime,
     legs: Vec<HedgedClient>,
     governor: Option<Arc<BudgetGovernor>>,
-    keyspace: Keyspace,
 }
 
 impl FanoutClient {
@@ -137,12 +132,7 @@ impl FanoutClient {
                 HedgedClient::connect_with_runtime(rt.clone(), &cluster.group_addrs(s), leg_cfg)
             })
             .collect::<std::io::Result<Vec<_>>>()?;
-        Ok(FanoutClient {
-            rt,
-            legs,
-            governor,
-            keyspace: Keyspace::new(cluster.shards()),
-        })
+        Ok(FanoutClient { rt, legs, governor })
     }
 
     /// Number of shard legs.
@@ -165,11 +155,6 @@ impl FanoutClient {
         self.governor.as_ref()
     }
 
-    /// The hash partitioner used by [`FanoutClient::execute_routed`].
-    pub fn keyspace(&self) -> &Keyspace {
-        &self.keyspace
-    }
-
     /// Cluster-wide realized reissue rate: total reissues over total
     /// per-leg queries, i.e. the per-leg fraction the shared budget
     /// caps.
@@ -178,23 +163,21 @@ impl FanoutClient {
         reissues as f64 / queries.max(1) as f64
     }
 
-    /// Scatter-gathers one request: `make(s)` builds shard `s`'s
-    /// command, every leg is dispatched **eagerly** (spawned on the
-    /// shared runtime at call time — [`HedgedClient::execute`] futures
-    /// are lazy, and sequentially awaited lazy legs would serialize
-    /// the fan-out), and the returned future resolves once all legs
-    /// have gathered.
+    /// Scatter-gathers one request: `cmd` goes to every shard, every
+    /// leg is dispatched **eagerly** (spawned on the shared runtime at
+    /// call time — [`HedgedClient::execute`] futures are lazy, and
+    /// sequentially awaited lazy legs would serialize the fan-out), and
+    /// the returned future resolves once all legs have gathered.
     pub fn execute_all(
         &self,
-        mut make: impl FnMut(usize) -> Command,
+        cmd: &Command,
     ) -> impl std::future::Future<Output = FanoutReply> + Send + 'static {
         let started = Instant::now();
         let handles: Vec<_> = self
             .legs
             .iter()
-            .enumerate()
-            .map(|(s, leg)| {
-                let fut = leg.execute(make(s));
+            .map(|leg| {
+                let fut = leg.execute(cmd.clone());
                 self.rt.spawn(async move {
                     let result = fut.await;
                     (result, started.elapsed().as_secs_f64() * 1e3)
@@ -218,30 +201,9 @@ impl FanoutClient {
         }
     }
 
-    /// Blocking wrapper around [`FanoutClient::execute_all`],
-    /// broadcasting one command to every shard.
+    /// Blocking wrapper around [`FanoutClient::execute_all`].
     pub fn execute_all_blocking(&self, cmd: &Command) -> FanoutReply {
-        let fut = self.execute_all(|_| cmd.clone());
-        self.rt.block_on(fut)
-    }
-
-    /// Routes a single-key command to the shard owning `key` (no
-    /// fan-out; the one leg still hedges across its replicas).
-    pub fn execute_routed(
-        &self,
-        key: &[u8],
-        cmd: Command,
-    ) -> impl std::future::Future<Output = Result<Reply, TransportError>> + Send + 'static {
-        self.legs[self.keyspace.shard_of(key)].execute(cmd)
-    }
-
-    /// Blocking wrapper around [`FanoutClient::execute_routed`].
-    pub fn execute_routed_blocking(
-        &self,
-        key: &[u8],
-        cmd: Command,
-    ) -> Result<Reply, TransportError> {
-        let fut = self.execute_routed(key, cmd);
+        let fut = self.execute_all(cmd);
         self.rt.block_on(fut)
     }
 
@@ -268,7 +230,7 @@ impl FanoutClient {
         cmd: Command,
         record: Option<Arc<Mutex<LegLatencies>>>,
     ) -> impl std::future::Future<Output = Result<Reply, TransportError>> + Send + 'static {
-        let fut = self.execute_all(move |_| cmd.clone());
+        let fut = self.execute_all(&cmd);
         async move {
             let reply = fut.await;
             if let Some(record) = record {

@@ -1,5 +1,5 @@
-//! Sharded keyspace + scatter-gather fan-out with per-shard hedging —
-//! the tail-at-scale layer of the reproduction.
+//! Sharded replica groups + scatter-gather fan-out with per-shard
+//! hedging — the tail-at-scale layer of the reproduction.
 //!
 //! The paper's system experiments (§6) hedge against a *single*
 //! replica group. Real services shard: a request fans out to `N`
@@ -7,8 +7,6 @@
 //! P99 compounds to an aggregate tail of `1 − 0.99^N` (63% of requests
 //! at `N = 100`). This crate supplies the pieces that regime needs:
 //!
-//! * [`Keyspace`] — deterministic FNV-1a hash partitioning of keys
-//!   over `N` shards;
 //! * [`ShardedCluster`] — `N` shard groups × `R` replicas, each group
 //!   a [`hedge::harness::Cluster`] of one shard backend (a
 //!   `kvstore::KvStore` partition, a `searchengine` BM25 index shard —
@@ -37,10 +35,8 @@
 
 pub mod cluster;
 pub mod fanout;
-pub mod partition;
 pub mod striped;
 
 pub use cluster::ShardedCluster;
 pub use fanout::{FanoutClient, FanoutReply, LegLatencies, LegRecorder, LegReply};
-pub use partition::{fnv1a, Keyspace};
 pub use striped::StripedGroup;

@@ -1,4 +1,4 @@
-//! Erasure-coded striped replica groups for the sharded keyspace.
+//! Erasure-coded striped replica groups for the sharded layer.
 //!
 //! A [`StripedGroup`] is the striped counterpart of one shard's
 //! [`hedge::harness::Cluster`]: `n` TCP servers that each hold **one

@@ -28,8 +28,8 @@
 //!   dequeued its primary), and feeds observed latencies into
 //!   [`online::OnlineAdapter`] so the policy re-optimizes *while serving
 //!   traffic*,
-//! * plus the [`shard`] tail-at-scale layer: a hash-partitioned
-//!   keyspace, `N` shard groups × `R` replicas, and a scatter-gather
+//! * plus the [`shard`] tail-at-scale layer: `N` shard groups × `R`
+//!   replicas, and a scatter-gather
 //!   [`shard::FanoutClient`] that hedges per shard under one shared
 //!   cross-shard reissue budget (aggregate latency = max over legs).
 //!

@@ -41,13 +41,14 @@
 //!    backend, which retracts the copy queued or in service;
 //! 5. feeds observations into the [`OnlineAdapter`] when there is one.
 //!    A query that sent no reissue feeds the primary stream; **raced
-//!    queries feed joint `(straggler, reissue)` pairs**, exact when the
-//!    loser completed, censored at the loser's elapsed-at-retraction lower
-//!    bound when the cancel landed in time, so the adapter can run the
-//!    §4.2 *correlated* optimizer instead of the independence model
-//!    (see `reissue_core::online`). The straggler is the lowest-index
-//!    first-wave attempt still unresolved when the reissue goes out:
-//!    the primary itself for a one-primary job.
+//!    queries feed joint `(straggler, reissue)` pairs**, exact when
+//!    the loser completed, censored at the loser's
+//!    elapsed-at-retraction lower bound when the cancel landed in
+//!    time, so the adapter can run the §4.2 *correlated* optimizer
+//!    instead of the independence model (see `reissue_core::online`).
+//!    The straggler is the lowest-index first-wave attempt still
+//!    unresolved when the reissue goes out: the primary itself for a
+//!    one-primary job.
 //!
 //! `HEDGE_DEBUG=1` (read once, at connect time) traces every query
 //! slower than 10 ms: the delay it armed, whether the reissue went out
@@ -315,8 +316,8 @@ impl Core {
         }
         if ok {
             // A query that sent no reissue feeds the primary stream
-            // directly. Raced queries are *not* observed here: their joint
-            // (straggler, reissue) outcome, exact or censored, is
+            // directly. Raced queries are *not* observed here: their
+            // joint (straggler, reissue) outcome, exact or censored, is
             // assembled by the `RaceBook` once both participants
             // resolve, so the adapter sees correlated pairs instead of
             // two unpaired streams, and the straggler mass that
